@@ -12,9 +12,7 @@
    micro
    Flags: --csv DIR (also write tables as CSV), --trace FILE.jsonl
    (telemetry trace), --metrics (print the metrics table at the end),
-   --domains 1,2,4 (domain counts swept by the parallel sections; the
-   astar grids abort with exit 1 if any domain count's optimal cost
-   diverges bit-wise from the first's)
+   --domains 1,2,4 (domain counts swept by the parallel sections)
 
    The astar sections additionally write BENCH_astar.json (search-engine
    scaling data), the robust sections BENCH_robust.json (drifted-stream
@@ -53,8 +51,9 @@ let emit ~name ?aligns ~header rows =
 let tpcr_scale = 0.05
 let base_seed = 42
 
-(* Domain counts swept by the parallel sections (astar grids, multiview-par)
-   and the fan-out width for scenario-parallel sections; --domains overrides. *)
+(* Domain counts swept by the parallel sections (multiview-par, the
+   partition grids' parallel Exact gate) and the fan-out width for
+   scenario-parallel sections; --domains overrides. *)
 let bench_domains : int list ref = ref [ 1; 2; 4 ]
 let fanout_domains () = List.fold_left max 1 !bench_domains
 
@@ -70,12 +69,12 @@ let git_commit =
        | _ -> "unknown"
      with _ -> "unknown")
 
-let meta_json () =
+let meta_json ?(domains = !bench_domains) () =
   Printf.sprintf
     "\"meta\": { \"commit\": %S, \"ocaml_version\": %S, \"domains\": [%s], \
      \"host_cores\": %d }"
     (Lazy.force git_commit) Sys.ocaml_version
-    (String.concat ", " (List.map string_of_int !bench_domains))
+    (String.concat ", " (List.map string_of_int domains))
     (Domain.recommended_domain_count ())
 
 (* The batch sizes swept for the cost-curve figures. *)
@@ -821,95 +820,51 @@ let astar_grid_spec ~tables ~horizon =
   Abivm.Spec.make ~costs ~limit ~arrivals
 
 let run_astar_grid ~name grid =
-  let domains_list = !bench_domains in
-  section
-    (Printf.sprintf
-       "A* engine scaling (%s grid) — sequential vs HDA* at domains in {%s}"
-       name
-       (String.concat ", " (List.map string_of_int domains_list)));
+  section (Printf.sprintf "A* engine scaling (%s grid)" name);
   let results =
-    List.concat_map
+    List.map
       (fun (tables, horizon) ->
         let spec = astar_grid_spec ~tables ~horizon in
-        List.map
-          (fun domains ->
-            let t0 = Unix.gettimeofday () in
-            let r = Abivm.Astar.solve ~domains spec in
-            let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-            (tables, horizon, domains, r, wall_ms))
-          domains_list)
+        let t0 = Unix.gettimeofday () in
+        let r = Abivm.Astar.solve spec in
+        let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+        (tables, horizon, r, wall_ms))
       grid
   in
-  (* Every domain count must agree bit-for-bit on the optimal cost; a
-     divergence is a sharding bug and fails the whole bench run (CI keys
-     off this exit code). *)
-  List.iter
-    (fun (gt, gh) ->
-      let costs =
-        List.filter_map
-          (fun (t, h, d, (r : Abivm.Astar.result), _) ->
-            if t = gt && h = gh then Some (d, r.Abivm.Astar.cost) else None)
-          results
-      in
-      match costs with
-      | (d0, c0) :: rest ->
-          List.iter
-            (fun (d, c) ->
-              if Int64.bits_of_float c <> Int64.bits_of_float c0 then begin
-                Printf.eprintf
-                  "FAIL: tables=%d horizon=%d: %d-domain cost %.17g diverges \
-                   from %d-domain cost %.17g\n"
-                  gt gh d c d0 c0;
-                exit 1
-              end)
-            rest
-      | [] -> ())
-    grid;
-  let wall_at_one gt gh =
-    List.find_map
-      (fun (t, h, d, _, wall) ->
-        if t = gt && h = gh && d = 1 then Some wall else None)
-      results
-  in
   emit ~name:("astar_" ^ name)
-    ~aligns:(List.init 10 (fun _ -> Util.Tablefmt.Right))
+    ~aligns:(List.init 8 (fun _ -> Util.Tablefmt.Right))
     ~header:
-      [ "tables"; "horizon"; "domains"; "cost"; "expanded"; "generated";
-        "pruned"; "peak queue"; "wall (ms)"; "speedup" ]
+      [ "tables"; "horizon"; "cost"; "expanded"; "generated"; "pruned";
+        "peak queue"; "wall (ms)" ]
     (List.map
-       (fun (tables, horizon, domains, (r : Abivm.Astar.result), wall_ms) ->
+       (fun (tables, horizon, (r : Abivm.Astar.result), wall_ms) ->
          [
            string_of_int tables;
            string_of_int horizon;
-           string_of_int domains;
            fcell r.Abivm.Astar.cost;
            string_of_int r.Abivm.Astar.stats.Abivm.Astar.expanded;
            string_of_int r.Abivm.Astar.stats.Abivm.Astar.generated;
            string_of_int r.Abivm.Astar.stats.Abivm.Astar.pruned;
            string_of_int r.Abivm.Astar.stats.Abivm.Astar.max_queue;
            fcell ~decimals:1 wall_ms;
-           (match wall_at_one tables horizon with
-           | Some base when wall_ms > 0.0 ->
-               Printf.sprintf "%.2fx" (base /. wall_ms)
-           | _ -> "-");
          ])
        results);
   (* Machine-readable copy for regression tracking across PRs. *)
   let path = "BENCH_astar.json" in
   let oc = open_out path in
-  let entry (tables, horizon, domains, (r : Abivm.Astar.result), wall_ms) =
+  let entry (tables, horizon, (r : Abivm.Astar.result), wall_ms) =
     let s = r.Abivm.Astar.stats in
     Printf.sprintf
-      "    { \"tables\": %d, \"horizon\": %d, \"domains\": %d, \"cost\": \
-       %.6f, \"expanded\": %d, \"generated\": %d, \"reopened\": %d, \
+      "    { \"tables\": %d, \"horizon\": %d, \"cost\": %.6f, \
+       \"expanded\": %d, \"generated\": %d, \"reopened\": %d, \
        \"pruned\": %d, \"queue_peak\": %d, \"live_peak\": %d, \"wall_ms\": \
        %.3f }"
-      tables horizon domains r.Abivm.Astar.cost s.Abivm.Astar.expanded
+      tables horizon r.Abivm.Astar.cost s.Abivm.Astar.expanded
       s.Abivm.Astar.generated s.Abivm.Astar.reopened s.Abivm.Astar.pruned
       s.Abivm.Astar.max_queue s.Abivm.Astar.max_live wall_ms
   in
   Printf.fprintf oc "{\n  \"grid\": \"%s\",\n  %s,\n  \"runs\": [\n%s\n  ]\n}\n"
-    name (meta_json ())
+    name (meta_json ~domains:[ 1 ] ())
     (String.concat ",\n" (List.map entry results));
   close_out oc;
   Printf.printf "(written to %s)\n" path

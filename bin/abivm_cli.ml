@@ -71,22 +71,23 @@ let print_metrics () =
 
 (* Run [f] with the telemetry collector configured from --trace/--metrics.
    [always] keeps the collector on even without flags (the [run] subcommand
-   needs per-action counters for its comparison table). *)
+   needs per-action counters for its comparison table).  [f] returns a
+   cmdliner [ret] value, so a --trace file that cannot be opened becomes a
+   usage error rather than an uncaught [Sys_error]. *)
 let with_telemetry ?(always = false) ~trace ~metrics f =
-  let sinks =
-    match trace with
-    | Some path -> [ Telemetry.Sink.jsonl_file path ]
-    | None -> []
-  in
-  if (not always) && sinks = [] && not metrics then f ()
-  else begin
-    Telemetry.enable ~sinks ();
-    Fun.protect
-      ~finally:(fun () ->
-        if metrics then print_metrics ();
-        Telemetry.disable ())
-      f
-  end
+  match Option.map Telemetry.Sink.jsonl_file trace with
+  | exception Sys_error e -> `Error (false, "--trace: " ^ e)
+  | sink ->
+      let sinks = Option.to_list sink in
+      if (not always) && sinks = [] && not metrics then f ()
+      else begin
+        Telemetry.enable ~sinks ();
+        Fun.protect
+          ~finally:(fun () ->
+            if metrics then print_metrics ();
+            Telemetry.disable ())
+          f
+      end
 
 (* --- simulate --------------------------------------------------------------- *)
 
@@ -127,8 +128,8 @@ let simulate costs limit horizon streams seed adapt_t0 show_plans trace metrics 
             (fun (r : Abivm.Report.t) ->
               Printf.printf "\n%s plan:\n%s" (Abivm.Report.label r)
                 (Abivm.Visualize.timeline spec r.plan))
-            reports);
-    `Ok ()
+            reports;
+        `Ok ())
   end
 
 let simulate_cmd =
@@ -185,12 +186,11 @@ let simulate_cmd =
 
 (* --- astar ------------------------------------------------------------------- *)
 
-let astar costs limit horizon streams seed no_heuristic domains show_plan
-    trace metrics =
+let astar costs limit horizon streams seed no_heuristic show_plan trace
+    metrics =
   if costs = [] then `Error (false, "at least one --cost is required")
   else if List.length streams <> List.length costs then
     `Error (false, "need exactly one --stream per --cost")
-  else if domains < 1 then `Error (false, "--domains must be >= 1")
   else begin
     with_telemetry ~trace ~metrics (fun () ->
         let arrivals =
@@ -199,17 +199,15 @@ let astar costs limit horizon streams seed no_heuristic domains show_plan
         let spec =
           Abivm.Spec.make ~costs:(Array.of_list costs) ~limit ~arrivals
         in
-        let r =
-          Abivm.Astar.solve ~use_heuristic:(not no_heuristic) ~domains spec
-        in
+        let r = Abivm.Astar.solve ~use_heuristic:(not no_heuristic) spec in
         let s = r.Abivm.Astar.stats in
         Printf.printf "cost %g (%d actions)\n" r.Abivm.Astar.cost
           (List.length (Abivm.Plan.actions r.Abivm.Astar.plan));
         Util.Tablefmt.print
-          ~aligns:(List.init 8 (fun _ -> Util.Tablefmt.Right))
+          ~aligns:(List.init 7 (fun _ -> Util.Tablefmt.Right))
           ~header:
             [ "expanded"; "generated"; "reopened"; "pruned"; "queue peak";
-              "live nodes"; "heuristic"; "domains" ]
+              "live nodes"; "heuristic" ]
           [
             [
               string_of_int s.Abivm.Astar.expanded;
@@ -219,12 +217,12 @@ let astar costs limit horizon streams seed no_heuristic domains show_plan
               string_of_int s.Abivm.Astar.max_queue;
               string_of_int s.Abivm.Astar.max_live;
               (if no_heuristic then "off (Dijkstra)" else "on");
-              string_of_int domains;
             ];
           ];
         if show_plan then
-          Printf.printf "\n%s" (Abivm.Visualize.timeline spec r.Abivm.Astar.plan));
-    `Ok ()
+          Printf.printf "\n%s"
+            (Abivm.Visualize.timeline spec r.Abivm.Astar.plan);
+        `Ok ())
   end
 
 let astar_cmd =
@@ -267,15 +265,6 @@ let astar_cmd =
       & info [ "no-heuristic" ]
           ~doc:"Disable the admissible heuristic (plain Dijkstra).")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Search with $(docv) domains (hash-distributed parallel A*; \
-             default 1 = the sequential solver).  Any $(docv) returns the \
-             same optimal cost.")
-  in
   let show_plan =
     Arg.(value & flag & info [ "plan" ] ~doc:"Also print the optimal plan.")
   in
@@ -287,7 +276,7 @@ let astar_cmd =
     Term.(
       ret
         (const astar $ costs $ limit $ horizon $ streams $ seed $ no_heuristic
-       $ domains $ show_plan $ trace_arg $ metrics_arg))
+       $ show_plan $ trace_arg $ metrics_arg))
 
 (* --- calibrate --------------------------------------------------------------- *)
 
@@ -415,8 +404,8 @@ let run_exec scale horizon seed strategy trace metrics =
          %b; wall %.2fs\n"
         (Option.value ~default:0.0 report.Abivm.Report.cost_units)
         report.Abivm.Report.total_cost report.Abivm.Report.valid
-        (Option.value ~default:0.0 report.Abivm.Report.wall_seconds));
-  `Ok ()
+        (Option.value ~default:0.0 report.Abivm.Report.wall_seconds);
+      `Ok ())
 
 let run_cmd =
   let scale =
@@ -476,7 +465,8 @@ let demo scale horizon trace metrics =
          wall %.2fs\n"
         (Option.value ~default:0.0 report.Abivm.Report.cost_units)
         report.Abivm.Report.total_cost report.Abivm.Report.valid
-        (Option.value ~default:0.0 report.Abivm.Report.wall_seconds))
+        (Option.value ~default:0.0 report.Abivm.Report.wall_seconds);
+      `Ok ())
 
 let demo_cmd =
   let scale =
@@ -489,7 +479,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"end-to-end TPC-R run: calibrate, plan, execute, validate")
-    Term.(const demo $ scale $ horizon $ trace_arg $ metrics_arg)
+    Term.(ret (const demo $ scale $ horizon $ trace_arg $ metrics_arg))
 
 (* --- tightness ---------------------------------------------------------------- *)
 
@@ -564,8 +554,8 @@ let robust costs limit horizon streams seed adapt_t0 shift_at rate_factor
             [ "ONLINE (true costs)"; Util.Tablefmt.float_cell online_cost;
               "-"; "-" ];
           ];
-        Printf.printf "peak drift score %.2f\n" re.Robust.Replan.drift_peak);
-    `Ok ()
+        Printf.printf "peak drift score %.2f\n" re.Robust.Replan.drift_peak;
+        `Ok ())
   end
 
 let robust_cmd =
@@ -802,54 +792,48 @@ let durable_run dir seed rows horizon limit streams segment_bytes ckpt_actions
             durable_config ~dir ~segment_bytes ~ckpt_actions ~ckpt_bytes ~sync
               ~hook
           in
-          try
-            let o = Durable.Exec.run config env in
-            print_durable_outcome o
-          with Durable.Hook.Crash what ->
-            Printf.printf
-              "killed at crash point [%s] — `abivm durable recover --dir %s` \
-               will finish the run\n"
-              what dir);
-      `Ok ()
+          (try
+             let o = Durable.Exec.run config env in
+             print_durable_outcome o
+           with Durable.Hook.Crash what ->
+             Printf.printf
+               "killed at crash point [%s] — `abivm durable recover --dir \
+                %s` will finish the run\n"
+               what dir);
+          `Ok ())
 
 let durable_recover dir segment_bytes ckpt_actions ckpt_bytes sync trace metrics
     =
   match durable_env_of_dir dir with
   | Error e -> `Error (false, e)
   | Ok env ->
-      let result =
-        with_telemetry ~trace ~metrics (fun () ->
-            let config =
-              durable_config ~dir ~segment_bytes ~ckpt_actions ~ckpt_bytes
-                ~sync ~hook:Durable.Hook.none
-            in
-            Durable.Exec.resume config env)
-      in
-      (match result with
-      | Ok o ->
-          print_durable_outcome o;
-          `Ok ()
-      | Error e -> `Error (false, e))
+      with_telemetry ~trace ~metrics (fun () ->
+          let config =
+            durable_config ~dir ~segment_bytes ~ckpt_actions ~ckpt_bytes ~sync
+              ~hook:Durable.Hook.none
+          in
+          match Durable.Exec.resume config env with
+          | Ok o ->
+              print_durable_outcome o;
+              `Ok ()
+          | Error e -> `Error (false, e))
 
 let durable_verify dir trace metrics =
   match durable_env_of_dir dir with
   | Error e -> `Error (false, e)
   | Ok env ->
-      let result =
-        with_telemetry ~trace ~metrics (fun () ->
-            Durable.Exec.verify (Durable.Exec.default_config ~dir) env)
-      in
-      (match result with
-      | Ok st ->
-          Printf.printf
-            "ok: recovered to lsn %d (checkpoint lsn %d, %d WAL record(s) \
-             replayed), next step %d, cumulative cost %.2f; view consistent \
-             with a from-scratch recompute\n"
-            st.Durable.Recovery.lsn st.Durable.Recovery.checkpoint_lsn
-            st.Durable.Recovery.replayed st.Durable.Recovery.next_step
-            st.Durable.Recovery.cost;
-          `Ok ()
-      | Error e -> `Error (false, e))
+      with_telemetry ~trace ~metrics (fun () ->
+          match Durable.Exec.verify (Durable.Exec.default_config ~dir) env with
+          | Ok st ->
+              Printf.printf
+                "ok: recovered to lsn %d (checkpoint lsn %d, %d WAL \
+                 record(s) replayed), next step %d, cumulative cost %.2f; \
+                 view consistent with a from-scratch recompute\n"
+                st.Durable.Recovery.lsn st.Durable.Recovery.checkpoint_lsn
+                st.Durable.Recovery.replayed st.Durable.Recovery.next_step
+                st.Durable.Recovery.cost;
+              `Ok ()
+          | Error e -> `Error (false, e))
 
 let durable_dir_arg =
   Arg.(
@@ -1098,8 +1082,8 @@ let serve_run dir tenants rows horizon limit_factor seed streams discount
                 Printf.printf
                   "killed at crash point [%s] — `abivm serve recover --dir \
                    %s` will finish the run\n"
-                  what dir));
-    `Ok ()
+                  what dir);
+        `Ok ())
   end
 
 let serve_recover dir domains trace metrics =

@@ -210,8 +210,7 @@ let solve_exclusive ~use_heuristic spec =
            comparison is exact (no epsilon): each path's cost is a fixed
            float, so keeping strict improvements makes the recorded
            g-values the true minimum over relaxed paths — independent of
-           relaxation order, which is what lets the parallel solver below
-           reproduce these costs bit-for-bit. *)
+           relaxation order. *)
         incr pruned
     | known ->
         (* The heuristic is admissible but not consistent (see above), so
@@ -299,319 +298,6 @@ let solve_exclusive ~use_heuristic spec =
       Telemetry.max_gauge "astar.live_peak" (float_of_int stats.max_live);
       { cost; plan = Plan.of_actions actions; stats }
 
-(* --- parallel search (HDA-star) -------------------------------------------
-
-   Hash-distributed A*: every (t, state) node has one owner shard,
-   [Statekey.hash key mod k] (the packed key's full-width FNV hash, already
-   computed at key creation).  Each shard keeps a private open list and
-   private g/parent tables for the nodes it owns; expanding a node sends
-   each generated successor to its owner — locally as a direct [relax],
-   remotely as a message into the owner's mutex-protected inbox.  Shards
-   therefore never share search state, only immutable per-solve
-   precomputation and three small atomics:
-
-   - [incumbent]: best known g(dest), published with a CAS-min.  The
-     destination is never queued; instead its owner folds improvements into
-     the incumbent, and every shard prunes open-list entries with
-     f >= incumbent (branch-and-bound on top of A*; safe because h is
-     admissible and the incumbent only decreases).
-   - [sent]/[received] message counters and an [idlers] count for
-     termination detection.  A shard with an empty queue and inbox
-     increments [idlers] and re-checks under its inbox lock; the protocol
-     below makes the "all idle and no message in flight" read race-free.
-
-   Termination invariant: a sender increments [sent] *before* enqueueing,
-   and a receiver clears its idle flag *before* adding to [received]; the
-   detector reads [received], then [idlers], then [sent].  If it sees
-   idlers = k and sent = received, then — the counters being monotone and
-   read in that order — no message was in flight at the instant [idlers]
-   was read and no shard can become busy again, so the search space is
-   exhausted and g(dest) is optimal.  The detector sets [finished] and
-   broadcasts every inbox (locking them one at a time, never nested).
-
-   Reopening (the heuristic is admissible but not consistent, see above)
-   needs no extra machinery: an improved path to an already-known node is
-   just another message to its owner, which re-relaxes and re-queues it
-   exactly as the sequential solver does. *)
-
-type shard_msg = {
-  msg_target : Statekey.t;
-  msg_tentative : float;
-  msg_from : Statekey.t;
-  msg_time : int;
-  msg_action : Statevec.t;
-}
-
-type shard_inbox = {
-  ib_mutex : Mutex.t;
-  ib_cond : Condition.t;
-  mutable ib_msgs : shard_msg list; (* newest first; drained in batches *)
-}
-
-type shard_stats = {
-  mutable p_expanded : int;
-  mutable p_generated : int;
-  mutable p_reopened : int;
-  mutable p_pruned : int;
-  mutable p_max_queue : int;
-  mutable p_max_live : int;
-  mutable p_collisions : int;
-}
-
-let solve_sharded ~use_heuristic ~domains:k spec =
-  let n = Spec.n_tables spec in
-  let horizon = Spec.horizon spec in
-  let tables = precompute spec in
-  let h =
-    if use_heuristic then heuristic_of spec tables else fun ~t:_ _ -> 0.0
-  in
-  let source = Statekey.make ~time:(-1) (Statevec.zero n) in
-  let dest = Statekey.make ~time:horizon (Statevec.zero n) in
-  let owner key = Statekey.hash key mod k in
-  let inboxes =
-    Array.init k (fun _ ->
-        {
-          ib_mutex = Mutex.create ();
-          ib_cond = Condition.create ();
-          ib_msgs = [];
-        })
-  in
-  let incumbent = Atomic.make Float.infinity in
-  let sent = Atomic.make 0 and received = Atomic.make 0 in
-  let idlers = Atomic.make 0 in
-  let finished = Atomic.make false in
-  let gs : float Ktbl.t array = Array.init k (fun _ -> Ktbl.create 1024) in
-  let parents : (Statekey.t * int * Statevec.t) Ktbl.t array =
-    Array.init k (fun _ -> Ktbl.create 1024)
-  in
-  let stats =
-    Array.init k (fun _ ->
-        {
-          p_expanded = 0;
-          p_generated = 0;
-          p_reopened = 0;
-          p_pruned = 0;
-          p_max_queue = 0;
-          p_max_live = 0;
-          p_collisions = 0;
-        })
-  in
-  let wake_all () =
-    Array.iter
-      (fun ib ->
-        Mutex.lock ib.ib_mutex;
-        Condition.broadcast ib.ib_cond;
-        Mutex.unlock ib.ib_mutex)
-      inboxes
-  in
-  let post shard msg =
-    Atomic.incr sent;
-    let ib = inboxes.(shard) in
-    Mutex.lock ib.ib_mutex;
-    ib.ib_msgs <- msg :: ib.ib_msgs;
-    Condition.signal ib.ib_cond;
-    Mutex.unlock ib.ib_mutex
-  in
-  let rec lower_incumbent cost =
-    let cur = Atomic.get incumbent in
-    if cost < cur && not (Atomic.compare_and_set incumbent cur cost) then
-      lower_incumbent cost
-  in
-  let shard_body s =
-    let g = gs.(s) and parent = parents.(s) and st = stats.(s) in
-    let ib = inboxes.(s) in
-    let queue = Util.Pqueue.create () in
-    let idle = ref false in
-    (* Same exact dominance / reopening logic as the sequential [relax];
-       [tentative] was computed by the sender as the identical float sum,
-       so recorded g-values converge to the same order-independent minima
-       and the final cost is bit-equal to the sequential solver's. *)
-    let relax ~from ~tentative ~time ~action node_key =
-      match Ktbl.find_opt g node_key with
-      | Some existing when tentative >= existing ->
-          st.p_pruned <- st.p_pruned + 1
-      | known ->
-          if known <> None then st.p_reopened <- st.p_reopened + 1;
-          Ktbl.replace g node_key tentative;
-          Ktbl.replace parent node_key (from, time, action);
-          st.p_max_live <- max st.p_max_live (Ktbl.length g);
-          if Statekey.equal node_key dest then lower_incumbent tentative
-          else begin
-            let f =
-              tentative
-              +. h ~t:(Statekey.time node_key) (Statekey.state node_key)
-            in
-            Util.Pqueue.push queue ~priority:f (node_key, tentative);
-            st.p_max_queue <- max st.p_max_queue (Util.Pqueue.length queue)
-          end
-    in
-    let emit ~from ~g_from ~time ~action target =
-      st.p_generated <- st.p_generated + 1;
-      let tentative = g_from +. f_vector spec tables action in
-      let o = owner target in
-      if o = s then relax ~from ~tentative ~time ~action target
-      else
-        post o
-          {
-            msg_target = target;
-            msg_tentative = tentative;
-            msg_from = from;
-            msg_time = time;
-            msg_action = action;
-          }
-    in
-    let expand node_key g_node =
-      let t0 = Statekey.time node_key and sv = Statekey.state node_key in
-      match scan_to_full spec t0 sv with
-      | Horizon_state pre ->
-          emit ~from:node_key ~g_from:g_node ~time:horizon ~action:pre dest
-      | Full_at (t2, pre) ->
-          List.iter
-            (fun action ->
-              let post_state = Statevec.sub pre action in
-              emit ~from:node_key ~g_from:g_node ~time:t2 ~action
-                (Statekey.make ~time:t2 post_state))
-            (Actions.minimal_greedy_actions spec pre)
-    in
-    (* Drop stale entries (lazy deletion, as sequential) and, since the
-       heap min bounds every queued f from below, discard the whole queue
-       once its best entry cannot beat the incumbent. *)
-    let rec pop_useful () =
-      match Util.Pqueue.pop queue with
-      | None -> None
-      | Some (prio, (node_key, g_at_push)) ->
-          if prio >= Atomic.get incumbent then begin
-            st.p_pruned <- st.p_pruned + 1 + Util.Pqueue.length queue;
-            Util.Pqueue.clear queue;
-            None
-          end
-          else
-            let g_now = Ktbl.find g node_key in
-            if g_at_push > g_now then begin
-              st.p_pruned <- st.p_pruned + 1;
-              pop_useful ()
-            end
-            else Some (node_key, g_now)
-    in
-    let drain_inbox () =
-      Mutex.lock ib.ib_mutex;
-      let msgs = ib.ib_msgs in
-      ib.ib_msgs <- [];
-      Mutex.unlock ib.ib_mutex;
-      match msgs with
-      | [] -> ()
-      | msgs ->
-          (* Clear the idle flag before bumping [received] — the detector
-             must never see sent = received while a delivered message has
-             yet to mark its receiver busy. *)
-          if !idle then begin
-            idle := false;
-            Atomic.decr idlers
-          end;
-          let msgs = List.rev msgs in
-          ignore (Atomic.fetch_and_add received (List.length msgs));
-          List.iter
-            (fun m ->
-              relax ~from:m.msg_from ~tentative:m.msg_tentative
-                ~time:m.msg_time ~action:m.msg_action m.msg_target)
-            msgs
-    in
-    let go_idle () =
-      if not !idle then begin
-        idle := true;
-        Atomic.incr idlers
-      end;
-      Mutex.lock ib.ib_mutex;
-      let rec wait_here () =
-        if Atomic.get finished then ()
-        else if ib.ib_msgs <> [] then ()
-        else begin
-          let r0 = Atomic.get received in
-          let all_idle = Atomic.get idlers = k in
-          let s0 = Atomic.get sent in
-          if all_idle && s0 = r0 then begin
-            Atomic.set finished true;
-            Mutex.unlock ib.ib_mutex;
-            wake_all ();
-            Mutex.lock ib.ib_mutex
-          end
-          else begin
-            Condition.wait ib.ib_cond ib.ib_mutex;
-            wait_here ()
-          end
-        end
-      in
-      wait_here ();
-      Mutex.unlock ib.ib_mutex
-    in
-    if owner source = s then begin
-      Ktbl.replace g source 0.0;
-      Util.Pqueue.push queue
-        ~priority:(h ~t:(-1) (Statevec.zero n))
-        (source, 0.0);
-      st.p_max_queue <- max st.p_max_queue 1
-    end;
-    let rec loop () =
-      if not (Atomic.get finished) then begin
-        drain_inbox ();
-        (match pop_useful () with
-        | Some (node_key, g_now) ->
-            st.p_expanded <- st.p_expanded + 1;
-            expand node_key g_now
-        | None -> go_idle ());
-        loop ()
-      end
-    in
-    (try loop ()
-     with e ->
-       (* Unblock the other shards before propagating, else they wait
-          forever on a batch that can no longer terminate. *)
-       Atomic.set finished true;
-       wake_all ();
-       raise e);
-    st.p_collisions <- Statekey.collisions g
-  in
-  Parallel.Pool.with_pool ~domains:k (fun pool ->
-      Parallel.Pool.run pool (List.init k (fun s () -> shard_body s)));
-  match Ktbl.find_opt gs.(owner dest) dest with
-  | None -> invalid_arg "Astar.solve: no plan found (unreachable)"
-  | Some cost ->
-      let rec rebuild node acc =
-        if Statekey.equal node source then acc
-        else
-          match Ktbl.find_opt parents.(owner node) node with
-          | Some (from, time, action) -> rebuild from ((time, action) :: acc)
-          | None -> acc
-      in
-      let actions =
-        List.filter (fun (_, a) -> not (Statevec.is_zero a)) (rebuild dest [])
-      in
-      let fold f = Array.fold_left (fun acc st -> acc + f st) 0 stats in
-      let merged =
-        {
-          expanded = fold (fun st -> st.p_expanded);
-          generated = fold (fun st -> st.p_generated);
-          reopened = fold (fun st -> st.p_reopened);
-          pruned = fold (fun st -> st.p_pruned);
-          (* Sums of per-shard peaks: an aggregate memory bound, not a
-             simultaneous high-water mark. *)
-          max_queue = fold (fun st -> st.p_max_queue);
-          max_live = fold (fun st -> st.p_max_live);
-        }
-      in
-      Telemetry.add "astar.expanded" (float_of_int merged.expanded);
-      Telemetry.add "astar.generated" (float_of_int merged.generated);
-      Telemetry.add "astar.reopened" (float_of_int merged.reopened);
-      Telemetry.add "astar.pruned" (float_of_int merged.pruned);
-      Telemetry.add "astar.key_collisions"
-        (float_of_int (fold (fun st -> st.p_collisions)));
-      Telemetry.add "astar.messages" (float_of_int (Atomic.get sent));
-      Telemetry.max_gauge "astar.queue_peak" (float_of_int merged.max_queue);
-      Telemetry.max_gauge "astar.live_peak" (float_of_int merged.max_live);
-      { cost; plan = Plan.of_actions actions; stats = merged }
-
-let solve ?(use_heuristic = true) ?(domains = 1) spec =
-  let domains = max 1 domains in
+let solve ?(use_heuristic = true) spec =
   Telemetry.with_span ~name:"astar.solve" (fun () ->
-      if domains = 1 then solve_exclusive ~use_heuristic spec
-      else solve_sharded ~use_heuristic ~domains spec)
+      solve_exclusive ~use_heuristic spec)

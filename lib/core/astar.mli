@@ -45,27 +45,16 @@ type stats = {
 
 type result = { cost : float; plan : Plan.t; stats : stats }
 
-val solve : ?use_heuristic:bool -> ?domains:int -> Spec.t -> result
+val solve : ?use_heuristic:bool -> Spec.t -> result
 (** Returns the cost of the best LGM plan, the plan, and search statistics.
     [use_heuristic:false] degrades to uniform-cost (Dijkstra) search — used
     by the ablation bench to show how much the heuristic prunes.
 
-    [domains] (default 1) runs a hash-distributed parallel A* ("HDA-star"):
-    node ownership is sharded across that many domains by the packed key's
-    FNV hash, each shard keeps private open/closed sets and successors are
-    message-passed to their owner, with a global branch-and-bound incumbent
-    and a counter-based termination-detection protocol (DESIGN.md §10).
-    [domains:1] is the unchanged sequential solver, bit-identical to
-    previous releases.  Any [domains] returns the same optimal cost; the
-    plan may differ (equal-cost ties can break differently) but always
-    validates, and in [stats] the [max_queue]/[max_live] peaks become sums
-    of per-shard peaks.
-
     When the {!Telemetry} collector is enabled each solve runs inside an
     ["astar.solve"] span and books the stats as [astar.expanded],
     [astar.generated], [astar.reopened], [astar.pruned] and
-    [astar.key_collisions] counters (plus [astar.messages] for parallel
-    solves) and the [astar.queue_peak] and [astar.live_peak] gauges. *)
+    [astar.key_collisions] counters and the [astar.queue_peak] and
+    [astar.live_peak] gauges. *)
 
 val heuristic : Spec.t -> t:int -> Statevec.t -> float
 (** Exposed for the consistency property test.  [heuristic spec] performs

@@ -206,15 +206,26 @@ let load path =
     | Some n -> n
     | None -> raise (Bad (Printf.sprintf "bad %s field %S" what s))
   in
+  (* A count announces that many following lines, so it can be neither
+     negative nor larger than what is left of the file. *)
+  let count_field what s =
+    let n = int_field what s in
+    if n < 0 || n > Array.length lines - !pos then
+      raise (Bad (Printf.sprintf "bad %s %d" what n));
+    n
+  in
+  let single_field what =
+    match expect_kw what (fields what) with
+    | [ v ] -> int_field what v
+    | _ -> raise (Bad (Printf.sprintf "malformed %s line" what))
+  in
   let ok_or_bad = function Ok v -> v | Error e -> raise (Bad e) in
   try
     (match fields "header" with
     | "abivm-ckpt", [ "1" ] -> ()
     | _ -> raise (Bad "not an abivm checkpoint (bad header)"));
-    let lsn = int_field "lsn" (List.nth (expect_kw "lsn" (fields "lsn")) 0) in
-    let next_step =
-      int_field "step" (List.nth (expect_kw "step" (fields "step")) 0)
-    in
+    let lsn = single_field "lsn" in
+    let next_step = single_field "step" in
     let cost =
       match expect_kw "cost" (fields "cost") with
       | [ bits ] -> (
@@ -233,7 +244,7 @@ let load path =
       | "param", [ k; v ] ->
           params := (ok_or_bad (unstr k), ok_or_bad (unstr v)) :: !params;
           read_params ()
-      | "tables", [ n ] -> int_field "tables" n
+      | "tables", [ n ] -> count_field "tables" n
       | kw, _ -> raise (Bad (Printf.sprintf "expected param/tables, got %S" kw))
     in
     let n_tables = read_params () in
@@ -245,8 +256,8 @@ let load path =
               if int_field "table index" idx <> i then
                 raise (Bad "table index out of order");
               let name = ok_or_bad (unstr name) in
-              let ncols = int_field "ncols" ncols in
-              let nrows = int_field "nrows" nrows in
+              let ncols = count_field "ncols" ncols in
+              let nrows = count_field "nrows" nrows in
               let cols =
                 List.init ncols (fun _ ->
                     match expect_kw "col" (fields "col") with
@@ -285,7 +296,7 @@ let load path =
           | [ idx; n ] ->
               if int_field "pending index" idx <> i then
                 raise (Bad "pending index out of order");
-              List.init (int_field "pending count" n) (fun _ ->
+              List.init (count_field "pending count" n) (fun _ ->
                   let kw, rest = tagged "chg" in
                   if kw <> "chg" then
                     raise (Bad (Printf.sprintf "expected chg line, got %S" kw));
@@ -295,7 +306,7 @@ let load path =
     let view_rows =
       match expect_kw "view" (fields "view") with
       | [ n ] ->
-          List.init (int_field "view count" n) (fun _ ->
+          List.init (count_field "view count" n) (fun _ ->
               let kw, rest = tagged "vrow" in
               if kw <> "vrow" then
                 raise (Bad (Printf.sprintf "expected vrow line, got %S" kw));

@@ -129,7 +129,12 @@ let tokenize text =
           done;
           loop !j (Float_lit (float_of_string (String.sub text i (!j - i))) :: acc)
         end
-        else loop !j (Int_lit (int_of_string (String.sub text i (!j - i))) :: acc)
+        else
+          match int_of_string_opt (String.sub text i (!j - i)) with
+          | Some v -> loop !j (Int_lit v :: acc)
+          | None ->
+              Error
+                (Printf.sprintf "integer literal out of range at offset %d" i)
       end
       else if c = '\'' then begin
         match String.index_from_opt text (i + 1) '\'' with

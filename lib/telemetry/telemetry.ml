@@ -2,13 +2,14 @@ module Metrics = Metrics
 module Span = Span
 module Sink = Sink
 
-(* The collector is shared by every domain (parallel search shards, the
-   multiview flush pool), so its mutable pieces are domain-safe: the
-   registry is internally sharded (see {!Metrics}), [depth]/[seq] are
-   atomics, and the sink list — plus every sink notification, since sinks
-   write to shared channels — is serialized by [sm].  [enable]/[disable]/
-   [set_clock] remain main-domain operations: they swap whole collectors
-   and are not meant to race with in-flight spans. *)
+(* The collector is shared by every domain (the multiview flush pool,
+   serve-round fan-out, background checkpoint writes), so its mutable
+   pieces are domain-safe: the registry is internally sharded (see
+   {!Metrics}), [depth]/[seq] are atomics, and the sink list — plus every
+   sink notification, since sinks write to shared channels — is
+   serialized by [sm].  [enable]/[disable]/[set_clock] remain main-domain
+   operations: they swap whole collectors and are not meant to race with
+   in-flight spans. *)
 type collector = {
   reg : Metrics.t;
   sm : Mutex.t; (* guards [sinks] and serializes sink callbacks *)

@@ -463,6 +463,59 @@ let test_checkpoint_roundtrip () =
       checkb "hash index restored" true (Relation.Table.has_index tables.(0) "jk"));
   rmtree dir
 
+(* Corrupt checkpoints come back as [Error], never as an exception: a
+   field-less lsn/step line, negative counts, and a table count larger
+   than the file could hold. *)
+let test_checkpoint_corrupt () =
+  let m, feeds = small_maintainer () in
+  for _ = 1 to 3 do
+    Ivm.Maintainer.on_arrive m 0 (feeds.Tpcr.Updates.next 0)
+  done;
+  let t =
+    Durable.Checkpoint.capture ~lsn:4 ~next_step:3 ~cost:1.5 ~draws:[| 3; 0 |]
+      ~params:[] m
+  in
+  let dir = scratch () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir (Durable.Checkpoint.write ~dir t) in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  (* The checkpoint with the first [kw] line's fields replaced by [f]. *)
+  let corrupt kw f =
+    let seen = ref false in
+    List.map
+      (fun line ->
+        match String.split_on_char '\t' line with
+        | k :: fields when k = kw && not !seen ->
+            seen := true;
+            String.concat "\t" (k :: f fields)
+        | _ -> line)
+      lines
+  in
+  let set_nth n v = List.mapi (fun i x -> if i = n then v else x) in
+  List.iter
+    (fun (label, kw, f) ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.concat "\n" (corrupt kw f)));
+      match Durable.Checkpoint.load path with
+      | Ok _ -> Alcotest.failf "%s: loaded as Ok" label
+      | Error _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: raised %s" label (Printexc.to_string e))
+    [
+      ("lsn without value", "lsn", fun _ -> []);
+      ("step without value", "step", fun _ -> []);
+      ("negative table count", "tables", fun _ -> [ "-1" ]);
+      ("oversized table count", "tables", fun _ -> [ string_of_int max_int ]);
+      ("negative col count", "table", set_nth 2 "-1");
+      ("negative row count", "table", set_nth 3 "-1");
+      ("negative pending count", "pending", set_nth 1 "-1");
+      ("negative view count", "view", fun _ -> [ "-1" ]);
+    ];
+  rmtree dir
+
 let test_manifest_roundtrip_prune () =
   let dir = scratch () in
   Unix.mkdir dir 0o755;
@@ -831,6 +884,8 @@ let () =
         [
           Alcotest.test_case "checkpoint roundtrip + restore" `Quick
             test_checkpoint_roundtrip;
+          Alcotest.test_case "corrupt checkpoint is an Error" `Quick
+            test_checkpoint_corrupt;
           Alcotest.test_case "manifest roundtrip + prune" `Quick
             test_manifest_roundtrip_prune;
         ] );

@@ -1,20 +1,14 @@
-(* Multicore tests: the domain pool, the hash-distributed parallel A*, the
-   sharded meter/metrics counters, and the parallel multiview coordinator.
+(* Multicore tests: the domain pool, the sharded meter/metrics counters,
+   and the parallel multiview coordinator.
 
    - Pool: map correctness and reuse, exception propagation, the
      cooperative-batch size guard.
-   - Parallel A*: a seeded 200-instance property (via the shared Gen
-     module) that [solve ~domains:d] for d in {2, 4} returns bit-exactly
-     the sequential optimal cost and a valid plan whose [Plan.cost] agrees
-     with the reported cost; plus a determinism pin that [domains:1] is
-     bit-identical (cost AND node counts) to the default solver.
    - Meter/Metrics: concurrent bumps from several domains are all counted
      (per-domain shards merged at snapshot time).
    - Multiview: a pooled coordinator run yields the same outcome as the
      sequential one. *)
 
 let check = Alcotest.check
-let checkf msg = Alcotest.check (Alcotest.float 0.0) msg (* bit-exact *)
 
 (* --- pool ------------------------------------------------------------------ *)
 
@@ -124,49 +118,6 @@ let test_pool_cooperative () =
       check Alcotest.int "a" 2 (Atomic.get a);
       check Alcotest.int "b" 1 (Atomic.get b))
 
-(* --- parallel A* ----------------------------------------------------------- *)
-
-let solve_instance ~domains spec = Abivm.Astar.solve ~domains spec
-
-let test_parallel_astar_property () =
-  for seed = 0 to 199 do
-    let spec = Gen.instance ~seed () in
-    let seq = Abivm.Astar.solve spec in
-    List.iter
-      (fun domains ->
-        let par = solve_instance ~domains spec in
-        let ctx = Printf.sprintf "seed %d domains %d: %s" seed domains
-            (Gen.describe spec)
-        in
-        checkf (ctx ^ " cost") seq.cost par.cost;
-        if not (Abivm.Plan.is_valid spec par.plan) then
-          Alcotest.failf "%s: parallel plan invalid (%s)" ctx
-            (Abivm.Plan.to_string par.plan);
-        let plan_cost = Abivm.Plan.cost spec par.plan in
-        if Float.abs (plan_cost -. par.cost) > 1e-9 then
-          Alcotest.failf "%s: plan cost %.17g <> reported %.17g" ctx plan_cost
-            par.cost)
-      [ 2; 4 ]
-  done
-
-let test_domains1_bit_identical () =
-  (* [domains:1] must be the sequential solver itself: same cost bits and
-     the same node counts, not merely the same optimum. *)
-  for seed = 0 to 49 do
-    let spec = Gen.instance ~seed () in
-    let a = Abivm.Astar.solve spec in
-    let b = Abivm.Astar.solve ~domains:1 spec in
-    let ctx = Printf.sprintf "seed %d" seed in
-    checkf (ctx ^ " cost") a.cost b.cost;
-    check Alcotest.int (ctx ^ " expanded") a.stats.expanded b.stats.expanded;
-    check Alcotest.int (ctx ^ " generated") a.stats.generated b.stats.generated;
-    check Alcotest.int (ctx ^ " reopened") a.stats.reopened b.stats.reopened;
-    check Alcotest.int (ctx ^ " pruned") a.stats.pruned b.stats.pruned;
-    check Alcotest.int (ctx ^ " max_queue") a.stats.max_queue b.stats.max_queue;
-    check Alcotest.int (ctx ^ " max_live") a.stats.max_live b.stats.max_live;
-    if a.plan <> b.plan then Alcotest.failf "%s: plans differ" ctx
-  done
-
 (* --- sharded counters ------------------------------------------------------ *)
 
 let test_meter_concurrent () =
@@ -270,13 +221,6 @@ let () =
           Alcotest.test_case "cooperative tasks" `Quick test_pool_cooperative;
           Alcotest.test_case "detached jobs: poll, await, inline" `Quick
             test_pool_detach;
-        ] );
-      ( "astar",
-        [
-          Alcotest.test_case "200 seeded instances: parallel = sequential"
-            `Quick test_parallel_astar_property;
-          Alcotest.test_case "domains:1 bit-identical" `Quick
-            test_domains1_bit_identical;
         ] );
       ( "counters",
         [

@@ -46,9 +46,17 @@ let test_lexer_errors () =
   (match Sqlview.Lexer.tokenize "a ; b" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "semicolon should be rejected");
-  match Sqlview.Lexer.tokenize "'unterminated" with
+  (match Sqlview.Lexer.tokenize "'unterminated" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unterminated string should be rejected"
+  | Ok _ -> Alcotest.fail "unterminated string should be rejected");
+  (* An integer literal beyond the int range is an error naming its
+     offset, not an exception out of the parser. *)
+  let text = "SELECT a FROM t WHERE a = 99999999999999999999" in
+  match Sqlview.Parser.parse text with
+  | Error msg ->
+      Alcotest.check Alcotest.string "out-of-range integer"
+        "integer literal out of range at offset 26" msg
+  | Ok _ -> Alcotest.fail "out-of-range integer should be rejected"
 
 (* --- parser --------------------------------------------------------------- *)
 

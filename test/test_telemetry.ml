@@ -243,6 +243,32 @@ let prop_opt_lgm_reports_astar_counters =
       in
       M.value r.Abivm.Report.telemetry "astar.expanded" > 0.0)
 
+(* A --trace path that cannot be opened is a clean command-line error —
+   a usage exit, not cmdliner's 125 for an uncaught exception — naming
+   the option.  The path runs through a regular file, so opening it fails
+   even with root privileges. *)
+let test_cli_unwritable_trace () =
+  let file = Filename.temp_file "abivm-trace" ".txt" in
+  let path = Filename.concat file "trace.jsonl" in
+  let ((out, inp, err) as proc) =
+    Unix.open_process_args_full "../bin/abivm_cli.exe"
+      [| "abivm"; "simulate"; "-C"; "50"; "-T"; "5"; "--cost"; "linear:1";
+         "--stream"; "constant:1"; "--trace"; path |]
+      (Unix.environment ())
+  in
+  close_out inp;
+  ignore (In_channel.input_all out);
+  let stderr = In_channel.input_all err in
+  let status = Unix.close_process_full proc in
+  Sys.remove file;
+  match status with
+  | Unix.WEXITED code ->
+      checkb "non-zero exit" true (code <> 0);
+      checkb "not the uncaught-exception exit" true (code <> 125);
+      checkb "message names --trace" true
+        (String.starts_with ~prefix:"abivm: --trace: " stderr)
+  | _ -> Alcotest.fail "abivm killed by a signal"
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -261,6 +287,8 @@ let () =
           Alcotest.test_case "spans nest" `Quick test_spans_record_nesting_and_deltas;
           Alcotest.test_case "exception safety" `Quick test_span_survives_exception;
           Alcotest.test_case "jsonl format" `Quick test_jsonl_sink_format;
+          Alcotest.test_case "cli --trace unwritable" `Quick
+            test_cli_unwritable_trace;
         ] );
       ( "properties",
         [
