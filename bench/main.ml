@@ -1629,14 +1629,10 @@ let run_serve_smoke () =
    hard gate (exit 1 on regression):
 
    1. Under the shared group-commit window a scheduler round costs ONE
-      data fsync — the window close — however many tenants committed,
-      where per-tenant [Always] WALs pay one fsync per commit.
-   2. That converts into wall-clock throughput: the grouped service
-      finishes the same workload at least 2x faster than per-tenant
-      [Always] WALs, at equal recovered state — both roots are recovered
-      from disk after the timed runs and every outcome bit (per-tenant
-      costs, aggregates, discounts, round count) must agree between the
-      two layouts, live and recovered alike.
+      data fsync — the window close — however many tenants committed.
+   2. The durable state is the whole state: the root is recovered from
+      disk after the timed run and every outcome bit (per-tenant costs,
+      aggregates, discounts, round count) must match the live run.
    3. Off-thread checkpoints ([Durable.Exec] with a pool) stall the
       maintenance thread no more than synchronous ones do
       ([durable.ckpt_stall_ms]), with the total cost bit-identical. *)
@@ -1672,9 +1668,8 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
     ~ckpt_rows ~ckpt_horizon () =
   section
     (Printf.sprintf
-       "Serve I/O (%s grid) — shared group-commit window vs per-tenant \
-        Always WALs (%d tenants, %d rows, horizon %d), plus off-thread \
-        checkpoint stall"
+       "Serve I/O (%s grid) — shared group-commit window (%d tenants, %d \
+        rows, horizon %d), plus off-thread checkpoint stall"
        name tenants rows horizon);
   let tenant_cfgs =
     List.init tenants (fun i ->
@@ -1689,17 +1684,16 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
           sync = None;
         })
   in
-  (* One timed run of the fleet under a WAL layout; best-of-[repeat].
-     Only [Serve.Service.run] is timed — tenant admission (synthetic DB
-     generation) is identical across layouts and not the claim under
-     test.  The root is left on disk so the caller can recover it. *)
-  let run_mode ~label ~wal_mode ~scheduler =
-    let root =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abivm-bench-serveio-%d-%s-%s" (Unix.getpid ()) name
-           label)
-    in
+  (* Timed runs of the fleet; best-of-[repeat].  Only
+     [Serve.Service.run] is timed — tenant admission (synthetic DB
+     generation) is not the claim under test.  The root is left on disk
+     so it can be recovered. *)
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "abivm-bench-serveio-%d-%s" (Unix.getpid ()) name)
+  in
+  let grouped =
     let best = ref infinity and out = ref None in
     for _ = 1 to repeat do
       bench_rmtree root;
@@ -1712,14 +1706,10 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
               max_queued = tenants;
               max_delta_entries = max_int;
             };
-          (* Coordination is the serve grid's subject; here it would only
-             add co-flush journal manifest writes to both layouts and
-             blur the fsync accounting under test. *)
+          (* Coordination is the serve grid's subject, not this one's. *)
           coordinate = false;
           discount_factor = 0.0;
           sync = Durable.Wal.Always;
-          wal_mode;
-          scheduler;
         }
       in
       let svc = Serve.Service.create ~root config in
@@ -1755,57 +1745,36 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
     let outcome, rounds, idle_rounds, window_closes, fsyncs =
       Option.get !out
     in
-    (label, root, outcome, rounds, idle_rounds, window_closes, fsyncs, !best)
+    (outcome, rounds, idle_rounds, window_closes, fsyncs, !best)
   in
-  let grouped =
-    run_mode ~label:"grouped" ~wal_mode:Serve.Service.Grouped
-      ~scheduler:Serve.Service.Event
-  in
-  let private_ =
-    run_mode ~label:"private-always" ~wal_mode:Serve.Service.Private
-      ~scheduler:Serve.Service.Lockstep
-  in
-  let recovered_digest (_, root, _, _, _, _, _, _) =
+  let grouped_rec =
     match Serve.Service.recover ~root () with
     | Error e ->
         Printf.eprintf "FAIL: serveio: recover %s: %s\n" root e;
         exit 1
     | Ok svc -> serveio_digest (Serve.Service.run svc)
   in
-  let grouped_rec = recovered_digest grouped in
-  let private_rec = recovered_digest private_ in
-  let row (label, _, o, rounds, idle, closes, fsyncs, wall_ms) =
-    let busy = max 1 (rounds - idle) in
-    [
-      label;
-      string_of_int rounds;
-      string_of_int idle;
-      string_of_int closes;
-      fcell ~decimals:0 fsyncs;
-      fcell ~decimals:2 (fsyncs /. float_of_int busy);
-      fcell ~decimals:2 o.Serve.Service.aggregate_charged;
-      fcell ~decimals:1 wall_ms;
-    ]
-  in
-  emit ~name:("serveio_" ^ name)
-    ~aligns:
-      [ Util.Tablefmt.Left; Right; Right; Right; Right; Right; Right; Right ]
-    ~header:
-      [ "wal layout"; "rounds"; "idle"; "window closes"; "fsyncs";
-        "fsyncs/busy round"; "aggregate charged"; "wall (ms)" ]
-    [ row grouped; row private_ ];
-  let ( _, groot, g_out, g_rounds, g_idle, g_closes, g_fsyncs, g_ms ) =
-    grouped
-  in
-  let _, proot, p_out, _, _, _, p_fsyncs, p_ms = private_ in
+  let g_out, g_rounds, g_idle, g_closes, g_fsyncs, g_ms = grouped in
   let g_busy = max 1 (g_rounds - g_idle) in
-  let speedup = p_ms /. Float.max 1e-9 g_ms in
-  Printf.printf
-    "grouped window: %.0f fsyncs over %d busy rounds (%.2f/round) vs %.0f \
-     per-tenant; %.2fx throughput at equal recovered state\n"
+  emit ~name:("serveio_" ^ name)
+    ~aligns:[ Util.Tablefmt.Left; Right; Right; Right; Right; Right; Right ]
+    ~header:
+      [ "rounds"; "idle"; "window closes"; "fsyncs"; "fsyncs/busy round";
+        "aggregate charged"; "wall (ms)" ]
+    [
+      [
+        string_of_int g_rounds;
+        string_of_int g_idle;
+        string_of_int g_closes;
+        fcell ~decimals:0 g_fsyncs;
+        fcell ~decimals:2 (g_fsyncs /. float_of_int g_busy);
+        fcell ~decimals:2 g_out.Serve.Service.aggregate_charged;
+        fcell ~decimals:1 g_ms;
+      ];
+    ];
+  Printf.printf "grouped window: %.0f fsyncs over %d busy rounds (%.2f/round)\n"
     g_fsyncs g_busy
-    (g_fsyncs /. float_of_int g_busy)
-    p_fsyncs speedup;
+    (g_fsyncs /. float_of_int g_busy);
   (* Gate 1: one fsync per busy round.  Every busy round closes the
      window exactly once ([sync = Always]); the only uncounted extras
      allowed are the shutdown flush and segment rotation. *)
@@ -1817,24 +1786,15 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
       g_closes g_busy g_fsyncs;
     exit 1
   end;
-  (* Gate 2a: bit-identical outcomes across layouts, live and recovered. *)
-  let g_dig = serveio_digest g_out and p_dig = serveio_digest p_out in
-  if not (g_dig = p_dig && grouped_rec = g_dig && private_rec = p_dig) then begin
+  (* Gate 2: the recovered run is bit-identical to the live one. *)
+  let g_dig = serveio_digest g_out in
+  if grouped_rec <> g_dig then begin
     Printf.eprintf
-      "FAIL: serveio: outcome digests diverge (grouped %s / private %s / \
-       recovered %s %s)\n"
-      g_dig p_dig grouped_rec private_rec;
+      "FAIL: serveio: recovered digest %s diverges from live %s\n"
+      grouped_rec g_dig;
     exit 1
   end;
-  (* Gate 2b: the shared window converts saved fsyncs into throughput. *)
-  if speedup < 2.0 then begin
-    Printf.eprintf
-      "FAIL: serveio: grouped throughput %.2fx < 2x per-tenant Always\n"
-      speedup;
-    exit 1
-  end;
-  bench_rmtree groot;
-  bench_rmtree proot;
+  bench_rmtree root;
   (* Gate 3: off-thread checkpoints must not stall the maintenance
      thread more than synchronous ones ([Durable.Exec], same workload,
      same checkpoint cadence; stalls best-of-[repeat] to damp noise). *)
@@ -1900,29 +1860,20 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
   (* Machine-readable copy for regression tracking across PRs. *)
   let path = "BENCH_serveio.json" in
   let oc = open_out path in
-  let mode_json (label, _, o, rounds, idle, closes, fsyncs, wall_ms) digest =
-    Printf.sprintf
-      "  \"%s\": {\n    \"rounds\": %d,\n    \"idle_rounds\": %d,\n    \
-       \"window_closes\": %d,\n    \"fsyncs\": %.0f,\n    \
-       \"fsyncs_per_busy_round\": %.4f,\n    \"aggregate_charged\": %.6f,\n    \
-       \"wall_ms\": %.3f,\n    \"digest_matches_recovered\": %b\n  }"
-      label rounds idle closes fsyncs
-      (fsyncs /. float_of_int (max 1 (rounds - idle)))
-      o.Serve.Service.aggregate_charged wall_ms
-      (serveio_digest o = digest)
-  in
   Printf.fprintf oc
     "{\n  \"grid\": \"%s\",\n  %s,\n  \"tenants\": %d,\n  \"rows\": %d,\n  \
-     \"horizon\": %d,\n  \"limit_factor\": %.2f,\n%s,\n%s,\n  \
-     \"throughput_ratio\": %.4f,\n  \"outcomes_bit_identical\": %b,\n  \
+     \"horizon\": %d,\n  \"limit_factor\": %.2f,\n  \"grouped\": {\n    \
+     \"rounds\": %d,\n    \"idle_rounds\": %d,\n    \"window_closes\": %d,\n    \
+     \"fsyncs\": %.0f,\n    \"fsyncs_per_busy_round\": %.4f,\n    \
+     \"aggregate_charged\": %.6f,\n    \"wall_ms\": %.3f,\n    \
+     \"digest_matches_recovered\": %b\n  },\n  \
      \"checkpoint\": {\n    \"rows\": %d,\n    \"horizon\": %d,\n    \
      \"checkpoints\": %d,\n    \"sync_stall_ms\": %.3f,\n    \
      \"async_stall_ms\": %.3f,\n    \"cost_bits_equal\": %b\n  }\n}\n"
-    name (meta_json ()) tenants rows horizon limit_factor
-    (mode_json grouped grouped_rec)
-    (mode_json private_ private_rec)
-    speedup
-    (g_dig = p_dig)
+    name (meta_json ()) tenants rows horizon limit_factor g_rounds g_idle
+    g_closes g_fsyncs
+    (g_fsyncs /. float_of_int g_busy)
+    g_out.Serve.Service.aggregate_charged g_ms (grouped_rec = g_dig)
     ckpt_rows ckpt_horizon sync_out.Durable.Exec.checkpoints sync_stall
     async_stall
     (Int64.bits_of_float sync_out.Durable.Exec.total_cost

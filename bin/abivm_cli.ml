@@ -1016,8 +1016,8 @@ let parse_tenant_syncs ~tenants specs =
     (Ok []) specs
 
 let serve_run dir tenants rows horizon limit_factor seed streams discount
-    budget no_coordinate domains sync wal_mode scheduler tenant_syncs
-    kill_at_round trace metrics =
+    budget no_coordinate domains sync tenant_syncs kill_at_round trace metrics
+    =
   let streams = if streams = [] then [ "ss"; "ss" ] else streams in
   if List.length streams <> Serve.Tenant.n_tables then
     `Error (false, "need exactly two --stream arguments (tables R and S)")
@@ -1045,13 +1045,13 @@ let serve_run dir tenants rows horizon limit_factor seed streams discount
             discount_factor = discount;
             shed_budget = budget;
             sync;
-            wal_mode;
-            scheduler;
             hook;
           }
         in
         with_serve_pool domains (fun pool ->
-            let svc = Serve.Service.create ?pool ~root:dir config in
+            match Serve.Service.create ?pool ~root:dir config with
+            | exception Invalid_argument e -> `Error (false, e)
+            | svc ->
             let ok = ref true in
             for i = 0 to tenants - 1 do
               let cfg_name = Printf.sprintf "t%d" i in
@@ -1076,14 +1076,16 @@ let serve_run dir tenants rows horizon limit_factor seed streams discount
                   Printf.printf "register %s: ERROR %s\n%!"
                     cfg.Serve.Tenant.name e
             done;
-            if !ok then
-              try print_serve_outcome (Serve.Service.run svc)
-              with Durable.Hook.Crash what ->
-                Printf.printf
-                  "killed at crash point [%s] — `abivm serve recover --dir \
-                   %s` will finish the run\n"
-                  what dir);
-        `Ok ())
+            if not !ok then `Error (false, "tenant registration failed")
+            else begin
+              (try print_serve_outcome (Serve.Service.run svc)
+               with Durable.Hook.Crash what ->
+                 Printf.printf
+                   "killed at crash point [%s] — `abivm serve recover --dir \
+                    %s` will finish the run\n"
+                   what dir);
+              `Ok ()
+            end))
   end
 
 let serve_recover dir domains trace metrics =
@@ -1102,7 +1104,7 @@ let serve_dir_arg =
     required
     & opt (some string) None
     & info [ "dir" ] ~docv:"DIR"
-        ~doc:"Service root (service manifest + per-tenant WAL directories).")
+        ~doc:"Service root (service manifest, tenant manifests, shared WAL).")
 
 let serve_domains_arg =
   Arg.(
@@ -1178,43 +1180,9 @@ let serve_run_cmd =
       & opt sync_conv Durable.Wal.Always
       & info [ "sync" ] ~docv:"POLICY"
           ~doc:
-            "Durability cadence: always, never, or interval:N.  Grouped WAL: \
-             the shared window closes (one fsync for every tenant's commits) \
-             every round / never / every N-th round.  Private WALs: each \
-             tenant's fsync policy.")
-  in
-  let wal_mode =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("grouped", Serve.Service.Grouped);
-               ("private", Serve.Service.Private);
-             ])
-          Serve.Service.Grouped
-      & info [ "wal" ] ~docv:"MODE"
-          ~doc:
-            "WAL layout: $(b,grouped) multiplexes every tenant into one \
-             shared group-commit log (one fsync per round); $(b,private) \
-             keeps the original per-tenant WALs (default grouped).")
-  in
-  let scheduler =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("event", Serve.Service.Event);
-               ("lockstep", Serve.Service.Lockstep);
-             ])
-          Serve.Service.Event
-      & info [ "scheduler" ] ~docv:"MODE"
-          ~doc:
-            "$(b,event) dispatches only tenants whose step does real work \
-             (idle tenants cost no WAL traffic or pool work); \
-             $(b,lockstep) dispatches everyone every round.  Outcomes are \
-             bit-identical (default event).")
+            "Durability cadence: always, never, or interval:N.  The shared \
+             group-commit window closes (one fsync for every tenant's \
+             commits) every round / never / every N-th round.")
   in
   let tenant_sync =
     Arg.(
@@ -1222,10 +1190,9 @@ let serve_run_cmd =
       & info [ "tenant-sync" ] ~docv:"NAME=POLICY"
           ~doc:
             "Per-tenant durability override (repeatable), e.g. \
-             $(b,--tenant-sync t0=always).  Under the grouped WAL a strict \
-             tenant forces the shared window closed at its own commits; \
-             under private WALs it sets that tenant's fsync policy.  \
-             Validated against the run's tenant names at startup.")
+             $(b,--tenant-sync t0=always): a strict tenant forces the \
+             shared window closed at its own commits.  Validated against \
+             the run's tenant names at startup.")
   in
   let kill_at_round =
     Arg.(
@@ -1240,14 +1207,13 @@ let serve_run_cmd =
     (Cmd.info "run"
        ~doc:
          "run N tenants' maintenance concurrently under the shared SLO \
-          scheduler, journaling into a shared group-commit WAL (or private \
-          per-tenant WALs with $(b,--wal private))")
+          scheduler, journaling into a shared group-commit WAL")
     Term.(
       ret
         (const serve_run $ serve_dir_arg $ tenants $ rows $ horizon
        $ limit_factor $ seed $ streams $ discount $ budget $ no_coordinate
-       $ serve_domains_arg $ sync $ wal_mode $ scheduler $ tenant_sync
-       $ kill_at_round $ trace_arg $ metrics_arg))
+       $ serve_domains_arg $ sync $ tenant_sync $ kill_at_round $ trace_arg
+       $ metrics_arg))
 
 let serve_recover_cmd =
   Cmd.v
@@ -1266,7 +1232,7 @@ let serve_cmd =
        ~doc:
          "multi-tenant maintenance service: per-tenant ONLINE controllers \
           under a shared SLO scheduler with admission control, co-flush \
-          coordination, and per-tenant WAL durability (run / recover)")
+          coordination, and one shared group-commit WAL (run / recover)")
     [ serve_run_cmd; serve_recover_cmd ]
 
 (* --- partition ------------------------------------------------------------- *)

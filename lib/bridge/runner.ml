@@ -47,7 +47,6 @@ type stepper = {
   st_spec : Abivm.Spec.t;
   st_plan : Abivm.Plan.t;
   st_monitor : Robust.Monitor.t option;
-  st_journal : Durable.Wal.t option;
   st_strategy : Abivm.Strategy.t;
   st_started : float;
   st_before_tel : Telemetry.Metrics.snapshot;
@@ -61,15 +60,13 @@ type step_outcome = {
   cost : float;
 }
 
-let start ?monitor ?journal ?(strategy = Abivm.Strategy.Online None) e spec
-    plan =
+let start ?monitor ?(strategy = Abivm.Strategy.Online None) e spec plan =
   validate_plan e spec plan;
   {
     st_engine = e;
     st_spec = spec;
     st_plan = plan;
     st_monitor = monitor;
-    st_journal = journal;
     st_strategy = strategy;
     st_started = Unix.gettimeofday ();
     st_before_tel = Telemetry.snapshot ();
@@ -80,9 +77,8 @@ let start ?monitor ?journal ?(strategy = Abivm.Strategy.Online None) e spec
 let next_step st = st.st_next
 let cost_so_far st = st.st_total
 
-(* One time step: ingest the step's arrivals (journalled, one commit),
-   then execute the plan's action at this step if any (journalled, one
-   commit per action). *)
+(* One time step: ingest the step's arrivals, then execute the plan's
+   action at this step if any. *)
 let exec_step st =
   let t = st.st_next in
   let horizon = Abivm.Spec.horizon st.st_spec in
@@ -90,24 +86,15 @@ let exec_step st =
   else begin
     let m = st.st_engine.maintainer and feeds = st.st_engine.feeds in
     let spec = st.st_spec in
-    let journal = st.st_journal in
     let d = (Abivm.Spec.arrivals spec).(t) in
     Option.iter (fun mon -> Robust.Monitor.observe_arrivals mon d) st.st_monitor;
     Array.iteri
       (fun i count ->
         for _ = 1 to count do
           let change = feeds.Tpcr.Updates.next i in
-          Ivm.Maintainer.on_arrive m i change;
-          Option.iter
-            (fun wal ->
-              Durable.Wal.append wal
-                (Durable.Record.Arrival { time = t; table = i; change }))
-            journal
+          Ivm.Maintainer.on_arrive m i change
         done)
       d;
-    Option.iter
-      (fun wal -> if Durable.Wal.buffered wal > 0 then Durable.Wal.commit wal)
-      journal;
     let outcome =
       match Abivm.Plan.action_at st.st_plan t with
       | None -> { time = t; action = None; cost = 0.0 }
@@ -118,17 +105,9 @@ let exec_step st =
               (fun i k ->
                 if k > 0 then begin
                   let delta = Ivm.Maintainer.process m i k in
-                  let c = Relation.Meter.cost_units delta in
-                  cost := !cost +. c;
-                  Option.iter
-                    (fun wal ->
-                      Durable.Wal.append wal
-                        (Durable.Record.Applied
-                           { time = t; table = i; count = k; cost = c }))
-                    journal
+                  cost := !cost +. Relation.Meter.cost_units delta
                 end)
               action;
-            Option.iter Durable.Wal.commit journal;
             !cost
           in
           let cost =
@@ -190,9 +169,8 @@ let finish st =
     telemetry = Telemetry.Metrics.diff (Telemetry.snapshot ()) st.st_before_tel;
   }
 
-let run_plan ?monitor ?journal ?(strategy = Abivm.Strategy.Online None) e spec
-    plan =
-  let st = start ?monitor ?journal ~strategy e spec plan in
+let run_plan ?monitor ?(strategy = Abivm.Strategy.Online None) e spec plan =
+  let st = start ?monitor ~strategy e spec plan in
   Telemetry.with_span ~name:"runner.plan"
     ~attrs:
       [

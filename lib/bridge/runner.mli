@@ -35,7 +35,6 @@ val feeds : engine -> Tpcr.Updates.feeds
 
 val run_plan :
   ?monitor:Robust.Monitor.t ->
-  ?journal:Durable.Wal.t ->
   ?strategy:Abivm.Strategy.t ->
   engine ->
   Abivm.Spec.t ->
@@ -45,10 +44,6 @@ val run_plan :
     metered engine cost against the spec's prediction — drift detection
     over {e executed} costs, closing the loop on calibration staleness
     ([Robust.Replan] consumes the same monitor in simulation).
-    [journal] receives every drawn modification ([Durable.Record.Arrival],
-    committed once per step) and every processed batch
-    ([Durable.Record.Applied] with the metered cost, committed per
-    action) — a WAL of the run that [Durable.Recovery] can replay.
     [strategy] (default [Online None]) only labels the report.  Raises
     [Invalid_argument] if the plan asks to process more modifications
     than will be pending at any action time — checked {e before} any
@@ -72,7 +67,6 @@ type step_outcome = {
 
 val start :
   ?monitor:Robust.Monitor.t ->
-  ?journal:Durable.Wal.t ->
   ?strategy:Abivm.Strategy.t ->
   engine ->
   Abivm.Spec.t ->
@@ -85,9 +79,8 @@ val start :
     lies past the horizon. *)
 
 val step : stepper -> step_outcome option
-(** Execute the next time step: ingest its arrivals (journalled, one
-    commit) and run the plan's action at that step if any (journalled,
-    one commit).  [None] once the horizon has been passed. *)
+(** Execute the next time step: ingest its arrivals and run the plan's
+    action at that step if any.  [None] once the horizon has been passed. *)
 
 val next_step : stepper -> int
 val cost_so_far : stepper -> float

@@ -4,9 +4,9 @@
    See groupwal.mli for the durability contract. *)
 
 module Log = Wal.Make (struct
-  type r = string * Record.t
+  type r = Record.tagged
 
-  let to_line (tenant, r) = Record.to_tagged_line ~tenant r
+  let to_line = Record.to_tagged_line
   let of_line = Record.of_tagged_line
 end)
 
@@ -85,7 +85,7 @@ let commit h =
       ~finally:(fun () -> Mutex.unlock gw.m)
       (fun () ->
         List.iter
-          (fun r -> Log.append gw.log (h.tenant, r))
+          (fun r -> Log.append gw.log (Record.Tenant (h.tenant, r)))
           (List.rev h.hbuf);
         h.hbuf <- [];
         h.hbuffered <- 0;
@@ -117,6 +117,22 @@ let detach h =
 let close gw = Log.close gw.log
 let abandon gw = Log.abandon gw.log
 
+(* A service record is one commit of its own: everything committed after
+   it — in this window or a later one — follows it in the log, so a crash
+   can never keep a later commit while losing it. *)
+let commit_coflush gw c =
+  Mutex.lock gw.m;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock gw.m)
+    (fun () ->
+      Log.append gw.log (Record.Coflush c);
+      Log.commit gw.log)
+
+type contents = {
+  tenants : (string * Record.t list) list;
+  coflushes : Record.coflush list;
+}
+
 let read ~dir =
   match Log.read ~dir ~from_lsn:0 with
   | Error _ as e -> e
@@ -126,18 +142,22 @@ let read ~dir =
          per-tenant WAL. *)
       let tbl = Hashtbl.create 8 in
       let order = ref [] in
+      let coflushes = ref [] in
       List.iter
-        (fun (tenant, r) ->
-          match Hashtbl.find_opt tbl tenant with
-          | None ->
-              order := tenant :: !order;
-              Hashtbl.replace tbl tenant [ r ]
-          | Some rs -> Hashtbl.replace tbl tenant (r :: rs))
+        (function
+          | Record.Coflush c -> coflushes := c :: !coflushes
+          | Record.Tenant (tenant, r) -> (
+              match Hashtbl.find_opt tbl tenant with
+              | None ->
+                  order := tenant :: !order;
+                  Hashtbl.replace tbl tenant [ r ]
+              | Some rs -> Hashtbl.replace tbl tenant (r :: rs)))
         tagged;
       Ok
-        (List.rev_map
-           (fun tenant -> (tenant, List.rev (Hashtbl.find tbl tenant)))
-           !order)
-
-let exists ~dir =
-  Sys.file_exists dir && Sys.is_directory dir
+        {
+          tenants =
+            List.rev_map
+              (fun tenant -> (tenant, List.rev (Hashtbl.find tbl tenant)))
+              !order;
+          coflushes = List.rev !coflushes;
+        }

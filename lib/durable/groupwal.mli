@@ -1,11 +1,12 @@
 (** Shared cross-tenant group-commit WAL.
 
-    One physical segment log (the {!Wal.Make} machine over
-    tenant-tagged {!Record.t} lines) multiplexes the commit batches of
-    every attached tenant.  Committed bytes accumulate in a shared
-    {e group-commit window}; {!close_window} writes and fsyncs the whole
-    window at once, so a round of the serve scheduler costs {e one}
-    fsync total instead of one per tenant.
+    One physical segment log (the {!Wal.Make} machine over tagged
+    {!Record.tagged} lines) multiplexes the commit batches of every
+    attached tenant, plus the service's own {!Record.coflush} records.
+    Committed bytes accumulate in a shared {e group-commit window};
+    {!close_window} writes and fsyncs the whole window at once, so a
+    round of the serve scheduler costs {e one} fsync total instead of
+    one per tenant.
 
     Durability contract: a record is durable once the first window close
     (or log {!close}) after its commit returns.  A crash ({!abandon})
@@ -82,10 +83,18 @@ val window_closes : t -> int
 val forced_closes : t -> int
 (** The subset of {!window_closes} forced by per-tenant policies. *)
 
-val read : dir:string -> ((string * Record.t list) list, string) result
-(** Demux the whole log into per-tenant record lists (tenant order =
-    first appearance; record order = that tenant's commit order) —
-    each list replays exactly like a private per-tenant WAL.
-    [Ok []] for a missing directory. *)
+val commit_coflush : t -> Record.coflush -> unit
+(** Commit one service-tagged co-flush record into the open window.  It
+    precedes every later commit in the log, so it is durable whenever
+    any of them is — no extra fsync needed. *)
 
-val exists : dir:string -> bool
+type contents = {
+  tenants : (string * Record.t list) list;
+      (** per tenant: first-appearance tenant order, each tenant's
+          records in its commit order *)
+  coflushes : Record.coflush list;  (** in commit order *)
+}
+
+val read : dir:string -> (contents, string) result
+(** Demux the whole log.  Each tenant's list replays exactly like a
+    single-tenant WAL.  Empty for a missing directory. *)

@@ -80,12 +80,64 @@ let of_line line =
   | Error _ as e -> e
   | Ok body -> parse_payload body
 
-(* Tenant-tagged framing for the shared group-commit log: the CRC covers
-   the tenant tag too, so a line can never silently migrate between
-   tenants on replay.  Tenant names are directory-name-safe
-   ([Fsutil.valid_tenant_name]) and thus tab-free. *)
-let to_tagged_line ~tenant r =
-  let p = Printf.sprintf "%s\t%s" tenant (payload r) in
+type coflush = { round : int; rows : (string * int array) list }
+
+type tagged = Tenant of string * t | Coflush of coflush
+
+(* The service's tag: not a valid tenant name, so a service record and a
+   tenant record can never be mistaken for one another. *)
+let service_tag = "@service"
+
+let coflush_payload { round; rows } =
+  String.concat "\t"
+    ("C" :: string_of_int round
+    :: List.map
+         (fun (name, row) ->
+           name ^ ":"
+           ^ String.concat "," (List.map string_of_int (Array.to_list row)))
+         rows)
+
+let parse_coflush text =
+  let bad () = Error (Printf.sprintf "malformed co-flush record %S" text) in
+  match String.split_on_char '\t' text with
+  | "C" :: round :: cells -> (
+      match int_of_string_opt round with
+      | Some round when round >= 0 ->
+          let row cell =
+            match String.index_opt cell ':' with
+            | None -> None
+            | Some i ->
+                let name = String.sub cell 0 i in
+                let counts =
+                  String.sub cell (i + 1) (String.length cell - i - 1)
+                  |> String.split_on_char ','
+                  |> List.map int_of_string_opt
+                in
+                if
+                  Fsutil.valid_tenant_name name
+                  && List.for_all
+                       (function Some k -> k >= 0 | None -> false)
+                       counts
+                then Some (name, Array.of_list (List.map Option.get counts))
+                else None
+          in
+          let rows = List.map row cells in
+          if cells <> [] && List.for_all Option.is_some rows then
+            Ok (Coflush { round; rows = List.map Option.get rows })
+          else bad ()
+      | _ -> bad ())
+  | _ -> bad ()
+
+(* Tagged framing for the shared group-commit log: the CRC covers the tag
+   too, so a line can never silently migrate between tenants, or between
+   a tenant and the service, on replay.  Tenant names are
+   directory-name-safe ([Fsutil.valid_tenant_name]) and thus tab-free. *)
+let to_tagged_line tagged =
+  let p =
+    match tagged with
+    | Tenant (tenant, r) -> Printf.sprintf "%s\t%s" tenant (payload r)
+    | Coflush c -> Printf.sprintf "%s\t%s" service_tag (coflush_payload c)
+  in
   Printf.sprintf "%08lx\t%s" (crc32 p) p
 
 let of_tagged_line line =
@@ -95,11 +147,12 @@ let of_tagged_line line =
       match String.index_opt body '\t' with
       | None -> Error (Printf.sprintf "untagged group WAL line %S" line)
       | Some i -> (
-          let tenant = String.sub body 0 i in
+          let tag = String.sub body 0 i in
           let rest = String.sub body (i + 1) (String.length body - i - 1) in
-          if not (Fsutil.valid_tenant_name tenant) then
-            Error (Printf.sprintf "invalid tenant tag %S in %S" tenant line)
+          if tag = service_tag then parse_coflush rest
+          else if not (Fsutil.valid_tenant_name tag) then
+            Error (Printf.sprintf "invalid tenant tag %S in %S" tag line)
           else
             match parse_payload rest with
-            | Ok r -> Ok (tenant, r)
+            | Ok r -> Ok (Tenant (tag, r))
             | Error _ as e -> e))

@@ -26,11 +26,26 @@ val of_line : string -> (t, string) result
 (** [Error] on CRC mismatch, malformed framing, or an undecodable
     payload — any of which recovery treats as damage. *)
 
-val to_tagged_line : tenant:string -> t -> string
-(** Tenant-tagged framing for the shared cross-tenant group log
-    ({!Groupwal}): CRC, tab, tenant name, tab, payload.  The CRC covers
-    the tag, so damage can never re-home a record to another tenant. *)
+(** {1 Shared group-log lines} *)
 
-val of_tagged_line : string -> (string * t, string) result
-(** Decode a {!to_tagged_line} line into [(tenant, record)].  Rejects
-    tags that are not valid tenant names. *)
+type coflush = { round : int; rows : (string * int array) list }
+(** One phase-B decision of the serve scheduler's co-flush coordination:
+    the global round and every flushing tenant's final (post-invite,
+    post-shed) batch row, one count per base table. *)
+
+type tagged =
+  | Tenant of string * t  (** a tenant's record, tagged with its name *)
+  | Coflush of coflush  (** a service record, under the service tag *)
+
+val to_tagged_line : tagged -> string
+(** Tagged framing for the shared cross-tenant group log ({!Groupwal}):
+    CRC, tab, tag, tab, payload.  The tag is the tenant's name, or the
+    reserved service tag [@service] (never a valid tenant name) for a
+    {!Coflush}.  The CRC covers the tag, so damage can never re-home a
+    record to another tenant or to the service. *)
+
+val of_tagged_line : string -> (tagged, string) result
+(** Decode a {!to_tagged_line} line.  Rejects tenant tags that are not
+    valid tenant names, and co-flush records with a negative round or
+    count, a malformed row, or no rows.  Row widths are the service's to
+    check. *)

@@ -1,4 +1,4 @@
-type wal_mode = Grouped | Private
+type wal_mode = Grouped
 type scheduler = Event | Lockstep
 
 type config = {
@@ -52,7 +52,7 @@ type t = {
   root : string;
   config : config;
   pool : Parallel.Pool.t option;
-  group : Durable.Groupwal.t option;  (* the shared log, grouped mode *)
+  group : Durable.Groupwal.t;  (* the shared log every tenant commits to *)
   mutable active : Tenant.t list;  (* registration order *)
   mutable waiting : Tenant.config list;  (* FIFO, creation deferred *)
   mutable completed : (Tenant.t * bool) list;  (* newest first *)
@@ -65,12 +65,12 @@ type t = {
   mutable agg_charged : float;
   mutable agg_raw : float;
   mutable co_flushes : int;
-  mutable journal : (int * (string * int array) list) list;
-      (* phase-B co-flush decisions, newest round first: every flushing
-         tenant's final (post-invite, post-shed) batch row for rounds
-         where some table had >= 2 participants — persisted in the
-         manifest before phase C so a mid-round crash can replay the
-         round's coordination exactly instead of re-deriving it *)
+  journal : (int, (string * int array) list) Hashtbl.t;
+      (* recovery only: global round -> the phase-B co-flush decision
+         journalled in the shared log for that round (every flushing
+         tenant's final, post-invite, post-shed batch row), so a
+         mid-round crash replays the round's coordination exactly
+         instead of re-deriving it *)
   pending_groups : (int * int, (int * float * float) list) Hashtbl.t;
       (* recovery only: (global round, table) -> participants as
          (registration index, batch model cost, single-mod setup cost);
@@ -82,71 +82,6 @@ type t = {
 
 let sync_to_string = Durable.Wal.sync_to_string
 let sync_of_string = Durable.Wal.sync_of_string
-
-(* How many journalled rounds the manifest retains.  Recovery only ever
-   consults rounds a tenant's replay stopped short of, and a tenant can
-   trail by at most the records lost in one open group-commit window (or
-   one private Interval depth) plus its trailing no-trace idle steps —
-   the journal is only needed for the former, which is bounded by a
-   round or two; 8 leaves slack for deep Interval policies. *)
-let journal_depth = 8
-
-let journal_to_string entries =
-  entries
-  |> List.map (fun (round, rows) ->
-         Printf.sprintf "%d:%s" round
-           (String.concat ","
-              (List.map
-                 (fun (name, row) ->
-                   Printf.sprintf "%s=%s" name
-                     (String.concat "/"
-                        (List.map string_of_int (Array.to_list row))))
-                 rows)))
-  |> String.concat ";"
-
-let journal_of_string text =
-  let ( let* ) = Result.bind in
-  let entries = List.filter (fun s -> s <> "") (String.split_on_char ';' text) in
-  List.fold_left
-    (fun acc entry ->
-      let* acc = acc in
-      match String.index_opt entry ':' with
-      | None -> Error (Printf.sprintf "bad coflush entry %S" entry)
-      | Some i -> (
-          match int_of_string_opt (String.sub entry 0 i) with
-          | None -> Error (Printf.sprintf "bad coflush round in %S" entry)
-          | Some round ->
-              let rest =
-                String.sub entry (i + 1) (String.length entry - i - 1)
-              in
-              let* rows =
-                List.fold_left
-                  (fun acc cell ->
-                    let* acc = acc in
-                    match String.index_opt cell '=' with
-                    | None -> Error (Printf.sprintf "bad coflush cell %S" cell)
-                    | Some j ->
-                        let name = String.sub cell 0 j in
-                        let nums =
-                          String.sub cell (j + 1) (String.length cell - j - 1)
-                          |> String.split_on_char '/'
-                          |> List.map int_of_string_opt
-                        in
-                        if List.exists Option.is_none nums then
-                          Error (Printf.sprintf "bad coflush batch %S" cell)
-                        else
-                          Ok
-                            ((name,
-                              Array.of_list (List.map Option.get nums))
-                            :: acc))
-                  (Ok [])
-                  (List.filter (fun s -> s <> "")
-                     (String.split_on_char ',' rest))
-                |> Result.map List.rev
-              in
-              Ok ((round, rows) :: acc)))
-    (Ok []) entries
-  |> Result.map List.rev
 
 (* The root manifest pins everything recovery needs to continue the run
    identically: the scheduler's coordination parameters and the admitted
@@ -164,9 +99,7 @@ let service_params t =
       | None -> "none"
       | Some b -> Printf.sprintf "%h" b );
     ("sync", sync_to_string t.config.sync);
-    ( "wal_mode",
-      match t.config.wal_mode with Grouped -> "grouped" | Private -> "private"
-    );
+    ("wal_mode", match t.config.wal_mode with Grouped -> "grouped");
     ( "scheduler",
       match t.config.scheduler with Event -> "event" | Lockstep -> "lockstep"
     );
@@ -180,14 +113,13 @@ let service_params t =
            (fun (name, start) -> Printf.sprintf "%s:%d" name start)
            t.starts) );
   ]
-  @
-  match t.journal with
-  | [] -> []
-  | entries -> [ ("coflush", journal_to_string entries) ]
 
 let save_manifest t =
   Durable.Manifest.save ~dir:t.root
     (Durable.Manifest.empty ~params:(service_params t))
+
+(* NaN fails every comparison, so [< 0.0] alone would let it through. *)
+let valid_discount f = Float.is_finite f && f >= 0.0
 
 let config_of_params params =
   let ( let* ) = Result.bind in
@@ -213,36 +145,50 @@ let config_of_params params =
         | Some b -> Ok b
         | None -> Error (Printf.sprintf "bad coordinate parameter %S" v))
   in
+  let float_param key ok v =
+    match float_of_string_opt v with
+    | Some f when ok f -> Ok f
+    | _ -> Error (Printf.sprintf "bad %s parameter %S" key v)
+  in
   let* discount_factor =
-    Result.bind (find "discount_factor") (fun v ->
-        match float_of_string_opt v with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "bad discount_factor parameter %S" v))
+    Result.bind (find "discount_factor")
+      (float_param "discount_factor" valid_discount)
   in
   let* shed_budget =
     Result.bind (find "shed_budget") (fun v ->
         if v = "none" then Ok None
         else
-          match float_of_string_opt v with
-          | Some f -> Ok (Some f)
-          | None -> Error (Printf.sprintf "bad shed_budget parameter %S" v))
+          Result.map Option.some
+            (float_param "shed_budget" Float.is_finite v))
   in
   let* sync = Result.bind (find "sync") sync_of_string in
-  (* Absent in pre-group-commit manifests: those runs used private
-     per-tenant WALs driven in lockstep. *)
+  (* Roots written before the shared log became the only layout: without
+     a [wal_mode] they used private per-tenant WALs, and a [coflush]
+     param is a phase-B journal kept in the manifest.  Neither can be
+     replayed from the shared log. *)
   let* wal_mode =
     match List.assoc_opt "wal_mode" params with
-    | None -> Ok Private
     | Some "grouped" -> Ok Grouped
-    | Some "private" -> Ok Private
+    | None ->
+        Error
+          "service params missing \"wal_mode\": a private per-tenant WAL \
+           root, no longer supported"
+    | Some "private" ->
+        Error "wal_mode \"private\": per-tenant WALs are no longer supported"
     | Some v -> Error (Printf.sprintf "bad wal_mode parameter %S" v)
   in
+  let* () =
+    if List.mem_assoc "coflush" params then
+      Error
+        "service params carry a \"coflush\" journal: it now lives in the \
+         shared log, and a manifest journal is no longer replayed"
+    else Ok ()
+  in
   let* scheduler =
-    match List.assoc_opt "scheduler" params with
-    | None -> Ok Lockstep
-    | Some "event" -> Ok Event
-    | Some "lockstep" -> Ok Lockstep
-    | Some v -> Error (Printf.sprintf "bad scheduler parameter %S" v)
+    Result.bind (find "scheduler") (function
+      | "event" -> Ok Event
+      | "lockstep" -> Ok Lockstep
+      | v -> Error (Printf.sprintf "bad scheduler parameter %S" v))
   in
   let* max_active = int_param "max_active" in
   let* max_queued = int_param "max_queued" in
@@ -291,14 +237,13 @@ let config_of_params params =
 let group_dir root = Filename.concat root "groupwal"
 
 let create ?pool ~root config =
-  if config.discount_factor < 0.0 then
-    invalid_arg "Service: discount_factor must be >= 0";
+  if not (valid_discount config.discount_factor) then
+    invalid_arg "Service: discount_factor must be finite and >= 0";
+  if not (Option.fold ~none:true ~some:Float.is_finite config.shed_budget) then
+    invalid_arg "Service: shed_budget must be finite";
   Durable.Fsutil.mkdirs root;
   let group =
-    match config.wal_mode with
-    | Private -> None
-    | Grouped ->
-        Some (Durable.Groupwal.open_ ~dir:(group_dir root) ~hook:config.hook ())
+    Durable.Groupwal.open_ ~dir:(group_dir root) ~hook:config.hook ()
   in
   let t =
     {
@@ -318,7 +263,7 @@ let create ?pool ~root config =
       agg_charged = 0.0;
       agg_raw = 0.0;
       co_flushes = 0;
-      journal = [];
+      journal = Hashtbl.create 1;
       pending_groups = Hashtbl.create 16;
     }
   in
@@ -326,7 +271,7 @@ let create ?pool ~root config =
   t
 
 let admit t cfg =
-  match Tenant.create ~hook:t.config.hook ~root:t.root ~sync:t.config.sync ?group:t.group cfg with
+  match Tenant.create ~root:t.root ~group:t.group cfg with
   | Error e -> Error e
   | Ok tenant ->
       t.active <- t.active @ [ tenant ];
@@ -369,9 +314,7 @@ let promote_waiting t =
       | [] -> ()
       | cfg :: rest -> (
           t.waiting <- rest;
-          match
-            Tenant.create ~hook:t.config.hook ~root:t.root ~sync:t.config.sync ?group:t.group cfg
-          with
+          match Tenant.create ~root:t.root ~group:t.group cfg with
           | Ok tenant ->
               t.active <- t.active @ [ tenant ];
               t.starts <- t.starts @ [ (cfg.Tenant.name, t.rounds) ];
@@ -396,8 +339,8 @@ let sweep_completed t =
     done_;
   if done_ <> [] then promote_waiting t
 
-(* Phases A and C touch one tenant's private state each (its engine, WAL,
-   controller, monitor), so fanning them out over the pool is
+(* Phases A and C touch one tenant's private state each (its engine, log
+   handle, controller, monitor), so fanning them out over the pool is
    bit-identical to the sequential order; phase B (coordination and
    accounting) is cross-tenant and stays sequential. *)
 let pmap t f arr =
@@ -424,9 +367,7 @@ let add_pending_group t key entry =
   Hashtbl.replace t.pending_groups key (entry :: prev)
 
 let journal_row t ~round ~name =
-  match List.find_opt (fun (r, _) -> r = round) t.journal with
-  | None -> None
-  | Some (_, rows) -> List.assoc_opt name rows
+  Option.bind (Hashtbl.find_opt t.journal round) (List.assoc_opt name)
 
 (* Price every recovered (round, table) co-flush group and fold it into
    the aggregates, in ascending key order — exactly the chronological
@@ -593,10 +534,10 @@ let run_round t =
        it: a lost singleton flush re-derives identically from the
        deterministic controller at catch-up, but a lost co-flush
        participant (above all an *invited* one, whose batch is not its
-       own proposal) cannot be re-derived without the decision — the
-       pre-fix recovery caveat.  Written into the service manifest
-       (atomic rename), strictly before the first Applied record of
-       this round can become durable. *)
+       own proposal) cannot be re-derived without the decision.  One
+       service record committed into the shared log ahead of every
+       phase-C commit: log-prefix order makes it durable no later than
+       the round's first durable Applied record, with no extra fsync. *)
     if t.config.coordinate then begin
       let multi = ref false in
       for i = 0 to Tenant.n_tables - 1 do
@@ -611,12 +552,8 @@ let run_round t =
             rows :=
               (Tenant.name tenants.(v), Array.copy batches.(v)) :: !rows
         done;
-        t.journal <-
-          (t.rounds, !rows)
-          :: List.filter
-               (fun (r, _) -> r <> t.rounds && r > t.rounds - journal_depth)
-               t.journal;
-        save_manifest t
+        Durable.Groupwal.commit_coflush t.group
+          { Durable.Record.round = t.rounds; rows = !rows }
       end
     end;
     (* Accounting: per table, the co-flush price across tenants under the
@@ -673,28 +610,22 @@ let run_round t =
      every tenant's commits of the round; a no-op when the window is
      empty, so idle rounds stay free.  Tenants with forcing policies
      already closed the window at their own commits inside the round. *)
-  (match t.group with
-  | None -> ()
-  | Some gw ->
-      let due =
-        match t.config.sync with
-        | Durable.Wal.Always -> true
-        | Durable.Wal.Interval n -> (t.rounds + 1) mod n = 0
-        | Durable.Wal.Never -> false
-      in
-      if due then ignore (Durable.Groupwal.close_window gw));
+  let due =
+    match t.config.sync with
+    | Durable.Wal.Always -> true
+    | Durable.Wal.Interval n -> (t.rounds + 1) mod n = 0
+    | Durable.Wal.Never -> false
+  in
+  if due then ignore (Durable.Groupwal.close_window t.group);
   if Telemetry.enabled () then begin
     Telemetry.set_gauge "serve.tenants_active"
       (float_of_int (List.length t.active));
     Telemetry.set_gauge "serve.tenants_queued"
       (float_of_int (List.length t.waiting));
-    (match t.group with
-    | Some gw ->
-        let closes = Durable.Groupwal.window_closes gw in
-        Telemetry.set_gauge "serve.window_closes" (float_of_int closes);
-        Telemetry.set_gauge "serve.fsyncs_per_round"
-          (float_of_int closes /. float_of_int (t.rounds + 1))
-    | None -> ())
+    let closes = Durable.Groupwal.window_closes t.group in
+    Telemetry.set_gauge "serve.window_closes" (float_of_int closes);
+    Telemetry.set_gauge "serve.fsyncs_per_round"
+      (float_of_int closes /. float_of_int (t.rounds + 1))
   end;
   t.rounds <- t.rounds + 1
 
@@ -746,14 +677,14 @@ let run t =
       run_round t;
       sweep_completed t
     done;
-    (match t.group with Some gw -> Durable.Groupwal.close gw | None -> ());
+    Durable.Groupwal.close t.group;
     outcome_of t
   with Durable.Hook.Crash _ as crash ->
     (* Simulated process death: drop every tenant's unflushed tail — and
        the shared log's open window — exactly as a real crash would,
        then let the exception out. *)
     List.iter Tenant.abandon t.active;
-    (match t.group with Some gw -> Durable.Groupwal.abandon gw | None -> ());
+    Durable.Groupwal.abandon t.group;
     raise crash
 
 (* --- recovery ------------------------------------------------------------- *)
@@ -768,30 +699,55 @@ let recover ?pool ~root () =
   in
   let params = manifest.Durable.Manifest.params in
   let* config, starts = config_of_params params in
-  let* journal =
-    match List.assoc_opt "coflush" params with
-    | None -> Ok []
-    | Some text -> journal_of_string text
-  in
   let names = List.map fst starts in
-  (* Grouped mode: reopen the shared log first (repairing any torn
-     tail), then demux it once into per-tenant record slices. *)
-  let* group, demux =
-    match config.wal_mode with
-    | Private -> Ok (None, [])
-    | Grouped -> (
-        let dir = group_dir root in
-        let gw = Durable.Groupwal.open_ ~dir ~hook:config.hook () in
-        match Durable.Groupwal.read ~dir with
-        | Ok demux -> Ok (Some gw, demux)
-        | Error e ->
-            Durable.Groupwal.abandon gw;
-            Error (Printf.sprintf "%s: group wal: %s" root e))
+  let dir = group_dir root in
+  (* Demux the shared log once into per-tenant record slices and the
+     service's co-flush journal — before reopening it, so damage that
+     [open_] would refuse surfaces as a typed error here.  A torn tail is
+     tolerated identically by both. *)
+  let* contents =
+    Result.map_error
+      (Printf.sprintf "%s: group wal: %s" root)
+      (Durable.Groupwal.read ~dir)
+  in
+  let journal = Hashtbl.create 16 in
+  let check_row round (name, row) =
+    let bad fmt =
+      Printf.ksprintf
+        (fun e ->
+          Error
+            (Printf.sprintf "%s: co-flush journal of round %d: %s" root
+               round e))
+        fmt
+    in
+    if not (List.mem name names) then bad "%S is not an admitted tenant" name
+    else if Array.length row <> Tenant.n_tables then
+      bad "tenant %S has %d batch counts, not %d" name (Array.length row)
+        Tenant.n_tables
+    else Ok ()
+  in
+  let* () =
+    List.fold_left
+      (fun acc { Durable.Record.round; rows } ->
+        let* () = acc in
+        let* () =
+          List.fold_left
+            (fun acc row -> Result.bind acc (fun () -> check_row round row))
+            (Ok ()) rows
+        in
+        (* A round re-run after a crash journals again; the decision is
+           deterministic, and the latest record wins. *)
+        Hashtbl.replace journal round rows;
+        Ok ())
+      (Ok ()) contents.Durable.Groupwal.coflushes
+  in
+  let* group =
+    match Durable.Groupwal.open_ ~dir ~hook:config.hook () with
+    | gw -> Ok gw
+    | exception Failure e -> Error (Printf.sprintf "%s: group wal: %s" root e)
   in
   let fail e =
-    (match group with
-    | Some gw -> Durable.Groupwal.abandon gw
-    | None -> ());
+    Durable.Groupwal.abandon group;
     Error e
   in
   let t =
@@ -831,14 +787,10 @@ let recover ?pool ~root () =
           Tenant.config_of_params tenant_manifest.Durable.Manifest.params
         in
         let records =
-          match config.wal_mode with
-          | Private -> None
-          | Grouped ->
-              Some (Option.value ~default:[] (List.assoc_opt name demux))
+          Option.value ~default:[]
+            (List.assoc_opt name contents.Durable.Groupwal.tenants)
         in
-        let* tenant =
-          Tenant.recover ~hook:config.hook ~root ~sync:config.sync ?group ?records cfg
-        in
+        let* tenant = Tenant.recover ~root ~group ~records cfg in
         Ok (tenant :: acc))
       (Ok []) names
     |> Result.map List.rev
@@ -884,27 +836,14 @@ let total_replayed t =
       (fun acc (tenant, _) -> acc + Tenant.replayed tenant)
       0 t.completed
 
-let window_closes t =
-  match t.group with
-  | Some gw -> Durable.Groupwal.window_closes gw
-  | None -> 0
-
-let forced_closes t =
-  match t.group with
-  | Some gw -> Durable.Groupwal.forced_closes gw
-  | None -> 0
+let window_closes t = Durable.Groupwal.window_closes t.group
+let forced_closes t = Durable.Groupwal.forced_closes t.group
 
 let idle_rounds t = t.idle_rounds
 let rounds t = t.rounds
 
-(* Mode-aware journal reader for tests and tooling: a tenant's durable
-   record sequence regardless of where it physically lives. *)
 let tenant_records ~root ~name =
-  let gdir = group_dir root in
-  if Durable.Groupwal.exists ~dir:gdir then
-    Result.map
-      (fun demux -> Option.value ~default:[] (List.assoc_opt name demux))
-      (Durable.Groupwal.read ~dir:gdir)
-  else
-    let dir = Filename.concat (Filename.concat root "tenants") name in
-    Durable.Wal.read ~dir ~from_lsn:0
+  Result.map
+    (fun c ->
+      Option.value ~default:[] (List.assoc_opt name c.Durable.Groupwal.tenants))
+    (Durable.Groupwal.read ~dir:(group_dir root))

@@ -2,13 +2,13 @@
 
     Tenants register with a {!Tenant.config}; {!Admission} admits,
     queues, or rejects them.  {!run} then drives every active tenant in
-    rounds, each round one time step per tenant, in three phases (under
-    the {!scheduler} of choice — [Event] only dispatches tenants whose
-    step does real work; [Lockstep] dispatches everyone):
+    rounds, each round one time step per tenant, in three phases (the
+    [Event] {!scheduler} only dispatches tenants whose step does real
+    work):
 
     + {b ingest + propose} (parallelizable over a {!Parallel.Pool}):
-      each tenant journals its arrivals into its private WAL (group
-      commit, one commit per step) and its §4.3 ONLINE controller
+      each tenant commits its arrivals into the shared group-commit log
+      (one commit per step) and its §4.3 ONLINE controller
       proposes the mandatory flush — per-tenant state only, so the
       fan-out is bit-identical to sequential execution;
     + {b coordinate} (sequential): tenants forced to flush a base table
@@ -18,49 +18,51 @@
       only extra flush work).  Each table's combined work is priced by
       {!Multiview.Coordinator.charge_shared} with a discount
       proportional to the cheapest participant's single-modification
-      cost;
+      cost.  A round with a >= 2-participant group commits its decision
+      to the log as one co-flush record before phase C;
     + {b execute + close} (parallelizable): each tenant processes its
       batches on its engine, journals [Applied] records with metered
       costs, and closes the step (SLO accounting, drift-triggered
       re-anchoring, per-tenant gauges).
 
-    Completed tenants are consistency-checked, their WALs closed, and
-    queued tenants promoted into the freed slots.
+    Completed tenants are consistency-checked, detached from the log,
+    and queued tenants promoted into the freed slots.
 
     The root directory holds a service manifest (coordination
-    parameters + admitted tenants in registration order) and one
-    durability directory per tenant; {!recover} rebuilds the whole
-    service from those files alone and replays every tenant's WAL. *)
+    parameters + admitted tenants in registration order), one manifest
+    directory per tenant, and the shared log [root/groupwal], which
+    multiplexes every tenant's records ({!Durable.Groupwal}): a round
+    costs one fsync total (the window close), not one per tenant.
+    {!recover} rebuilds the whole service from those files alone.  The
+    service manifest is rewritten only at {!create}, at admission and
+    at queue promotion — never inside a round. *)
 
-type wal_mode =
-  | Grouped
-      (** one shared group-commit log ({!Durable.Groupwal}) multiplexes
-          every tenant; a scheduler round costs one fsync total (the
-          window close), not one per tenant *)
-  | Private  (** the original per-tenant WAL under [root/tenants/<name>] *)
+type wal_mode = Grouped
+(** The shared group-commit log, the only layout.  Kept as a config
+    field so configurations name it explicitly. *)
 
 type scheduler =
   | Event
       (** ready-queue scheduling: each round only dispatches tenants
           whose per-tenant next-arrival clock, refresh budget, or
           horizon makes the step do real work; idle tenants advance
-          inline with no WAL traffic, no proposal and no pool dispatch.
-          Bit-identical to [Lockstep] by construction (one shared round
-          code path under a ready mask). *)
-  | Lockstep  (** every active tenant dispatched every round *)
+          inline with no WAL traffic, no proposal and no pool dispatch. *)
+  | Lockstep
+      (** the all-ready mask: every active tenant dispatched every
+          round.  A reference for tests — the same round code path, so
+          [Event] must reproduce it bit for bit. *)
 
 type config = {
   admission : Admission.config;
   coordinate : bool;  (** enable cross-tenant piggyback co-flushes *)
   discount_factor : float;
       (** co-flush discount as a fraction of the cheapest participant's
-          single-modification cost (>= 0; 0 disables discounts) *)
+          single-modification cost (finite, >= 0; 0 disables discounts) *)
   shed_budget : float option;
-      (** model-cost budget per round; optional joins beyond it are shed *)
+      (** finite model-cost budget per round; optional joins beyond it
+          are shed *)
   sync : Durable.Wal.sync;
-      (** durability cadence.  [Private] mode: each tenant WAL's sync
-          policy (unless the tenant overrides it).  [Grouped] mode: the
-          shared window cadence — [Always] closes (one fsync) every
+      (** the shared window cadence — [Always] closes (one fsync) every
           round, [Interval n] every n-th round, [Never] only at rotation
           and shutdown.  Tenants with a [Some] {!Tenant.config.sync}
           force additional closes at their own commits. *)
@@ -71,8 +73,8 @@ type config = {
 }
 
 val default_config : config
-(** Coordinating, no discounts, no shed budget, [sync = Always],
-    grouped WAL, event scheduler. *)
+(** Coordinating, no discounts, no shed budget, [sync = Always], event
+    scheduler. *)
 
 type tenant_outcome = {
   tenant : string;
@@ -102,39 +104,50 @@ type t
 
 val create : ?pool:Parallel.Pool.t -> root:string -> config -> t
 (** Fresh service over [root] (created if missing); writes the service
-    manifest.  Raises [Invalid_argument] on a negative
-    [discount_factor]. *)
+    manifest and opens the shared log.  Raises [Invalid_argument] on a
+    [discount_factor] that is negative or not finite, or a [shed_budget]
+    that is not finite. *)
 
 val register : t -> Tenant.config -> (Admission.decision, string) result
-(** Apply admission: [Admit] builds the tenant now (manifest + WAL under
-    [root/tenants/<name>]), [Queue] defers creation until a slot frees,
+(** Apply admission: [Admit] builds the tenant now (manifest under
+    [root/tenants/<name>], a handle on the shared log), [Queue] defers
+    creation until a slot frees,
     [Reject] counts against the outcome.  [Error] only when an admitted
     tenant fails to build. *)
 
 val run : t -> outcome
 (** Drive rounds until every registered tenant (including queued ones)
     has completed its horizon.  If the hook raises {!Durable.Hook.Crash}
-    the active tenants' WALs are abandoned unflushed (simulating the
+    the shared log's open window is abandoned unflushed (simulating the
     process dying) and the exception propagates. *)
 
 val recover : ?pool:Parallel.Pool.t -> root:string -> unit -> (t, string) result
-(** Rebuild the service from the root manifest and every admitted
-    tenant's manifest + WAL ({!Tenant.recover} — deterministic re-draw
-    and bit-exact re-metering, verified).  The returned service resumes
-    at the furthest global round any tenant's WAL reached; tenants whose
-    replay stopped short (trailing zero-arrival steps leave no WAL
-    trace) catch those steps up solo at the start of {!run}, restoring
-    the lockstep alignment the co-flush structure depends on.  The
+(** Rebuild the service from the root manifest, every admitted tenant's
+    manifest, and the shared log, demuxed into each tenant's records
+    ({!Tenant.recover} — deterministic re-draw and bit-exact re-metering,
+    verified) and the co-flush journal.  The returned service resumes
+    at the furthest global round any tenant's records reached; tenants
+    whose replay stopped short (trailing zero-arrival steps leave no
+    record) catch those steps up solo at the start of {!run}, restoring
+    the round alignment the co-flush structure depends on.  The
     replayed flushes' coordination accounting is rebuilt group by group,
     so after a crash at a round boundary the finished run's outcome —
     per-tenant costs, aggregates, discounts, co-flush counts and round
     numbering — is bit-identical to the uninterrupted run's.  A crash
     mid-round that loses a not-yet-durable co-flush participant is
-    covered by the phase-B journal: the manifest records every flusher's
-    final batch row (durably, before phase C), so catch-up re-executes
-    the identical decision and the regrouped charge reproduces the lost
-    round's discount exactly.  (Sub-record torn writes inside one commit
-    batch remain a valid-but-different execution, as before.) *)
+    covered by the phase-B journal: the round's co-flush record holds
+    every flusher's final batch row and precedes every phase-C record in
+    the log, so catch-up re-executes the identical decision and the
+    regrouped charge reproduces the lost round's discount exactly.
+    (Sub-record torn writes inside one commit batch remain a
+    valid-but-different execution, as before.)
+
+    [Error] — never an exception — on an unreadable or corrupt manifest
+    (including roots written with private per-tenant WALs, with no
+    [wal_mode] param, or with a manifest [coflush] journal), on damage
+    before the log's tail, and on a co-flush record naming a tenant that
+    was never admitted or carrying a batch row whose width is not
+    {!Tenant.n_tables}. *)
 
 val total_replayed : t -> int
 (** WAL records replayed across all recovered tenants. *)
@@ -145,20 +158,20 @@ val idle_rounds : t -> int
     dispatch, no WAL bytes, no window work). *)
 
 val window_closes : t -> int
-(** Shared-window fsyncs so far (0 in [Private] mode). *)
+(** Shared-window fsyncs so far. *)
 
 val forced_closes : t -> int
 (** The subset of {!window_closes} forced by per-tenant sync policies. *)
 
 val tenant_records :
   root:string -> name:string -> (Durable.Record.t list, string) result
-(** A tenant's durable record sequence, wherever it physically lives:
-    demuxed from the shared group log when [root/groupwal] exists, read
-    from the private per-tenant WAL otherwise. *)
+(** A tenant's durable record sequence, demuxed from the shared log. *)
 
 val sync_to_string : Durable.Wal.sync -> string
 val sync_of_string : string -> (Durable.Wal.sync, string) result
 val config_of_params :
   (string * string) list -> (config * (string * int) list, string) result
 (** The service-manifest decoding: configuration plus admitted tenants
-    in registration order, each with its admission round. *)
+    in registration order, each with its admission round.  [Error] on a
+    non-finite or negative discount, a non-finite shed budget, and on
+    the retired layouts {!recover} refuses. *)

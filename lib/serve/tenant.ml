@@ -47,8 +47,8 @@ let config_of_params params =
   let* limit_factor =
     Result.bind (find "limit_factor") (fun v ->
         match float_of_string_opt v with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "bad limit_factor parameter %S" v))
+        | Some f when Float.is_finite f -> Ok f
+        | _ -> Error (Printf.sprintf "bad limit_factor parameter %S" v))
   in
   let* streams = Result.map (String.split_on_char ';') (find "streams") in
   (* Absent in pre-order manifests: those tenants ran first-order. *)
@@ -69,17 +69,8 @@ let config_of_params params =
   in
   Ok { name; seed; rows; horizon; limit_factor; streams; order; sync }
 
-(* Where this tenant's records go: a private per-tenant WAL, or a handle
-   on the service's shared group-commit log.  The tenant never closes or
-   syncs the shared log itself — it only detaches; the window (and hence
-   durability cadence) belongs to the service. *)
-type log =
-  | Private of Durable.Wal.t
-  | Shared of Durable.Groupwal.handle
-
 type t = {
   config : config;
-  dir : string;
   arrivals : int array array;
   next_busy : int array;
       (* next_busy.(s): earliest step >= s with nonzero arrivals, or
@@ -88,7 +79,11 @@ type t = {
   feeds : Tpcr.Updates.feeds;
   controller : Abivm.Online.controller;
   monitor : Robust.Monitor.t;
-  log : log;
+  log : Durable.Groupwal.handle;
+      (* this tenant's view of the service's shared group-commit log; the
+         tenant never closes or syncs the log itself — it only detaches,
+         since the window (and hence durability cadence) belongs to the
+         service *)
   base_costs : Cost.Func.t array;
   limit : float;
   mutable costs : Cost.Func.t array;  (* base_costs scaled by [corr] *)
@@ -131,21 +126,6 @@ let replayed_flushes t = List.rev t.flush_log
 let pending t = Abivm.Online.pending t.controller
 let controller t = t.controller
 
-let log_append t r =
-  match t.log with
-  | Private w -> Durable.Wal.append w r
-  | Shared h -> Durable.Groupwal.append h r
-
-let log_buffered t =
-  match t.log with
-  | Private w -> Durable.Wal.buffered w
-  | Shared h -> Durable.Groupwal.buffered h
-
-let log_commit t =
-  match t.log with
-  | Private w -> Durable.Wal.commit w
-  | Shared h -> Durable.Groupwal.commit h
-
 let delta_entries t =
   match Ivm.Maintainer.delta_view t.maintainer with
   | Some dv -> Ivm.Deltaview.entries dv
@@ -168,7 +148,8 @@ let validate config =
     Error (Printf.sprintf "invalid tenant name %S" config.name)
   else if config.rows < 1 then Error "rows must be >= 1"
   else if config.horizon < 0 then Error "horizon must be >= 0"
-  else if config.limit_factor <= 0.0 then Error "limit_factor must be > 0"
+  else if not (Float.is_finite config.limit_factor && config.limit_factor > 0.0)
+  then Error "limit_factor must be finite and > 0"
   else if List.length config.streams <> n_tables then
     Error
       (Printf.sprintf "tenant %S needs exactly %d streams" config.name n_tables)
@@ -190,8 +171,7 @@ let validate config =
    so calibration batches never pollute the live engine's meter).  This
    is what lets a manifest holding only the params rebuild the tenant
    bit-identically at recovery. *)
-let build ~dir ~mklog config =
-  let* streams = validate config in
+let build ~group config streams =
   let arrivals =
     Workload.Arrivals.generate ~seed:(config.seed + 2) ~horizon:config.horizon
       streams
@@ -240,11 +220,12 @@ let build ~dir ~mklog config =
       ~predicted_rates:(Workload.Arrivals.mean_rates arrivals)
       ()
   in
-  let log = mklog () in
+  let log =
+    Durable.Groupwal.attach group ~tenant:config.name ?policy:config.sync ()
+  in
   Ok
     {
       config;
-      dir;
       arrivals;
       next_busy;
       maintainer;
@@ -269,27 +250,8 @@ let build ~dir ~mklog config =
       flush_log = [];
     }
 
-(* In private mode a tenant [sync] override replaces the service default;
-   in grouped mode it becomes the handle's forcing policy (None defers
-   entirely to the service's window cadence).  [hook] reaches the
-   private WAL so crash injection can fire between two tenants'
-   commits inside one scheduler round (the grouped log gets it from
-   the service when it is opened). *)
-let mklog_of ~dir ~sync ~hook ~group config () =
-  match group with
-  | Some gw ->
-      Shared
-        (Durable.Groupwal.attach gw ~tenant:config.name ?policy:config.sync ())
-  | None ->
-      let sync = Option.value config.sync ~default:sync in
-      Private (Durable.Wal.open_ ~dir ~sync ~hook ())
-
-let create ?(hook = Durable.Hook.none) ~root ?(sync = Durable.Wal.Always)
-    ?group config =
-  let* () =
-    if Durable.Fsutil.valid_tenant_name config.name then Ok ()
-    else Error (Printf.sprintf "invalid tenant name %S" config.name)
-  in
+let create ~root ~group config =
+  let* streams = validate config in
   let dir = Durable.Fsutil.tenant_dir ~root ~name:config.name in
   let* () =
     match Durable.Manifest.load ~dir with
@@ -301,7 +263,7 @@ let create ?(hook = Durable.Hook.none) ~root ?(sync = Durable.Wal.Always)
         Error (Printf.sprintf "tenant %S already exists in %s" config.name root)
     | Error e -> Error (Printf.sprintf "tenant %S manifest: %s" config.name e)
   in
-  build ~dir ~mklog:(mklog_of ~dir ~sync ~hook ~group config) config
+  build ~group config streams
 
 (* --- one time step, in scheduler-driven phases --------------------------- *)
 
@@ -314,10 +276,11 @@ let begin_step t =
         for _ = 1 to count do
           let change = t.feeds.Tpcr.Updates.next i in
           Ivm.Maintainer.on_arrive t.maintainer i change;
-          log_append t (Durable.Record.Arrival { time; table = i; change })
+          Durable.Groupwal.append t.log
+            (Durable.Record.Arrival { time; table = i; change })
         done)
       d;
-    if log_buffered t > 0 then log_commit t;
+    Durable.Groupwal.commit t.log;
     Robust.Monitor.observe_arrivals t.monitor d;
     Abivm.Online.observe t.controller ~arrivals:d;
     t.begun <- true
@@ -359,14 +322,15 @@ let execute t batches =
       if k > 0 then begin
         let delta = Ivm.Maintainer.process t.maintainer i k in
         let cost = Relation.Meter.cost_units delta in
-        log_append t (Durable.Record.Applied { time; table = i; count = k; cost });
+        Durable.Groupwal.append t.log
+          (Durable.Record.Applied { time; table = i; count = k; cost });
         let expected = Cost.Func.eval t.costs.(i) k in
         Robust.Monitor.observe_cost t.monitor ~expected ~observed:cost;
         t.metered <- t.metered +. cost;
         t.charged <- t.charged +. expected
       end)
     batches;
-  if log_buffered t > 0 then log_commit t;
+  Durable.Groupwal.commit t.log;
   Abivm.Online.absorb t.controller batches
 
 let close_step t =
@@ -416,15 +380,10 @@ let idle_step t =
 
 let finish t =
   let consistent = Ivm.Maintainer.check_consistent t.maintainer = Ok () in
-  (match t.log with
-  | Private w -> Durable.Wal.close w
-  | Shared h -> Durable.Groupwal.detach h);
+  Durable.Groupwal.detach t.log;
   consistent
 
-let abandon t =
-  match t.log with
-  | Private w -> Durable.Wal.abandon w
-  | Shared h -> Durable.Groupwal.detach h
+let abandon t = Durable.Groupwal.detach t.log
 
 (* --- recovery ------------------------------------------------------------ *)
 
@@ -453,7 +412,6 @@ let replay t records =
               t.config.horizon)
     else begin
       let d = t.arrivals.(time) in
-      let topped_up = ref false in
       for i = 0 to n_tables - 1 do
         for _ = 1 to d.(i) do
           if !result = Ok () then
@@ -482,10 +440,10 @@ let replay t records =
                 end
             | [] ->
                 (* Crash mid-ingest: finish this step's arrivals live. *)
-                topped_up := true;
                 let change = t.feeds.Tpcr.Updates.next i in
                 Ivm.Maintainer.on_arrive t.maintainer i change;
-                log_append t (Durable.Record.Arrival { time; table = i; change })
+                Durable.Groupwal.append t.log
+                  (Durable.Record.Arrival { time; table = i; change })
             | _ :: _ ->
                 fail
                   (Printf.sprintf
@@ -494,7 +452,8 @@ let replay t records =
                      t.config.name time i)
         done
       done;
-      if !topped_up && log_buffered t > 0 then log_commit t;
+      (* Commits the topped-up arrivals, if any. *)
+      Durable.Groupwal.commit t.log;
       if !result = Ok () then begin
         (match !rest with
         | Durable.Record.Arrival { time = rt; _ } :: _ when rt = time ->
@@ -562,29 +521,14 @@ let replay t records =
   done;
   Result.map (fun () -> t.replayed) !result
 
-let recover ?(hook = Durable.Hook.none) ~root ?(sync = Durable.Wal.Always)
-    ?group ?records config =
+let recover ~root ~group ~records config =
   let dir =
     Filename.concat (Filename.concat root "tenants") config.name
   in
   if not (Sys.file_exists dir) then
     Error (Printf.sprintf "tenant %S: no durable state in %s" config.name root)
   else
-    let* records =
-      match (records, group) with
-      | Some r, _ -> Ok r
-      | None, Some _ ->
-          (* The shared log can only be demuxed once for all tenants —
-             the service does that and passes each slice down. *)
-          Error
-            (Printf.sprintf
-               "tenant %S: grouped recovery requires pre-demuxed records"
-               config.name)
-      | None, None -> (
-          match Durable.Wal.read ~dir ~from_lsn:0 with
-          | Ok records -> Ok records
-          | Error e -> Error (Printf.sprintf "tenant %S wal: %s" config.name e))
-    in
-    let* t = build ~dir ~mklog:(mklog_of ~dir ~sync ~hook ~group config) config in
+    let* streams = validate config in
+    let* t = build ~group config streams in
     let* _replayed = replay t records in
     Ok t

@@ -7,11 +7,12 @@
     engine, a §4.3 ONLINE controller over costs calibrated on a
     throwaway engine built from the same seed (so model and meter agree
     on units), a {!Robust.Monitor} watching metered costs for drift, and
-    a private {!Durable.Wal} under [root/tenants/<name>].
+    a handle on the service's shared {!Durable.Groupwal}; its manifest
+    lives under [root/tenants/<name>].
 
     The whole environment is deterministic in {!config}, which is also
     exactly what the tenant's manifest persists — recovery rebuilds the
-    tenant from its params and replays the WAL, re-drawing every
+    tenant from its params and replays its slice of the log, re-drawing every
     journalled arrival from the feeds and re-metering every batch, both
     verified bit-exactly against the records.
 
@@ -33,7 +34,7 @@ type config = {
   horizon : int;
   limit_factor : float;
       (** the refresh budget [C] as a multiple of the dearer table's
-          calibrated single-modification cost *)
+          calibrated single-modification cost (finite, > 0) *)
   streams : string list;
       (** per-table arrival stream descriptors
           ({!Workload.Arrivals.stream_of_string} grammar), length 2 *)
@@ -44,10 +45,8 @@ type config = {
           the service's {!Admission} memory budget.  Manifests persist it
           as ["order"]; absent (pre-order manifests) means first-order. *)
   sync : Durable.Wal.sync option;
-      (** per-tenant durability override.  [None] follows the service
-          policy (private mode: the service-wide WAL sync; grouped mode:
-          the shared window cadence).  [Some p] in private mode opens the
-          tenant WAL with [p]; in grouped mode it becomes the handle's
+      (** per-tenant durability override.  [None] follows the service's
+          shared window cadence.  [Some p] becomes the log handle's
           forcing policy — [Always] closes the shared window at every one
           of this tenant's commits, [Interval n] at every n-th.
           Manifests persist it as ["sync"]; absent means [None]. *)
@@ -59,30 +58,20 @@ val config_of_params : (string * string) list -> (config, string) result
 type t
 
 val create :
-  ?hook:(Durable.Hook.point -> unit) ->
-  root:string ->
-  ?sync:Durable.Wal.sync ->
-  ?group:Durable.Groupwal.t ->
-  config ->
-  (t, string) result
-(** Build the tenant fresh: calibrate, construct the engine, write the
-    manifest (refusing a name whose directory already holds one), open
-    the log.  Without [group]: a private WAL under the tenant directory,
-    synced per [config.sync] (falling back to [sync], default [Always]).
-    With [group]: a handle on the service's shared group-commit log,
-    with [config.sync] as the forcing policy. *)
+  root:string -> group:Durable.Groupwal.t -> config -> (t, string) result
+(** Validate the config, then build the tenant fresh: write the manifest
+    under [root/tenants/<name>] (refusing a name whose directory already
+    holds one), calibrate, construct the engine, and attach to the
+    service's shared log with [config.sync] as the forcing policy. *)
 
 val recover :
-  ?hook:(Durable.Hook.point -> unit) ->
   root:string ->
-  ?sync:Durable.Wal.sync ->
-  ?group:Durable.Groupwal.t ->
-  ?records:Durable.Record.t list ->
+  group:Durable.Groupwal.t ->
+  records:Durable.Record.t list ->
   config ->
   (t, string) result
-(** Rebuild the tenant from its config and replay its journal — the
-    private WAL's records, or (grouped mode) this tenant's pre-demuxed
-    slice of the shared log, which the caller must pass as [records].
+(** Rebuild the tenant from its config and replay [records] — this
+    tenant's slice of the shared log, demuxed by the caller.
     Every journalled arrival must equal the deterministic feed's re-draw
     and every batch must re-meter to the bit-identical cost; a tail cut
     mid-step is completed (the missing arrivals are drawn and
@@ -182,11 +171,9 @@ val step : t -> int array -> unit
 
 val finish : t -> bool
 (** Final consistency check (incremental content vs from-scratch
-    recompute) and log close — private WALs are flushed and closed,
-    shared-log handles only detach (the window belongs to the service).
-    [true] iff consistent. *)
+    recompute), then detach from the shared log (the window belongs to
+    the service).  [true] iff consistent. *)
 
 val abandon : t -> unit
-(** Simulated-crash shutdown: close the private WAL without flushing, or
-    detach from the shared log (whose open window the service abandons
-    separately). *)
+(** Simulated-crash shutdown: detach from the shared log, whose open
+    window the service abandons separately. *)

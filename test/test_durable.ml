@@ -242,10 +242,12 @@ let test_wal_mid_log_corruption_refused () =
 
 (* --- shared group-commit log ---------------------------------------------- *)
 
-let group_read_ok ~dir =
+let group_contents_ok ~dir =
   match Durable.Groupwal.read ~dir with
-  | Ok per_tenant -> per_tenant
+  | Ok contents -> contents
   | Error e -> Alcotest.failf "Groupwal.read: %s" e
+
+let group_read_ok ~dir = (group_contents_ok ~dir).Durable.Groupwal.tenants
 
 let group_total per_tenant =
   List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 per_tenant
@@ -258,12 +260,20 @@ let test_groupwal_demux_roundtrip () =
   (* Interleave the two tenants' commits inside one window — each
      tenant's own order must survive the physical interleaving, and one
      window close makes all ten commits durable at once. *)
+  let coflush =
+    {
+      Durable.Record.round = 3;
+      rows = [ ("t0", [| 2; 0 |]); ("t1", [| 1; 4 |]) ];
+    }
+  in
   for t = 0 to 4 do
     Durable.Groupwal.append a (arrival t 0 t);
     Durable.Groupwal.append b (arrival t 1 (100 + t));
     Durable.Groupwal.commit b;
     (* b commits first: demux order is first physical appearance *)
-    Durable.Groupwal.commit a
+    Durable.Groupwal.commit a;
+    (* A service record rides the same window, under its own tag. *)
+    if t = 3 then Durable.Groupwal.commit_coflush gw coflush
   done;
   checkb "window close reports an fsync" true (Durable.Groupwal.close_window gw);
   checkb "closing an empty window is free" false
@@ -280,6 +290,8 @@ let test_groupwal_demux_roundtrip () =
       checkb "t0 records in commit order" true (r0 = expect 0 0)
   | per ->
       Alcotest.failf "unexpected demux shape (%d tenants)" (List.length per));
+  checkb "service record demuxed apart" true
+    ((group_contents_ok ~dir).Durable.Groupwal.coflushes = [ coflush ]);
   rmtree dir
 
 let test_groupwal_abandon_loses_window () =
@@ -360,7 +372,10 @@ let test_groupwal_torn_tail_and_rehoming () =
     Durable.Groupwal.append a (arrival t 0 t);
     Durable.Groupwal.commit a;
     Durable.Groupwal.append b (arrival t 1 t);
-    Durable.Groupwal.commit b
+    Durable.Groupwal.commit b;
+    if t = 0 then
+      Durable.Groupwal.commit_coflush gw
+        { Durable.Record.round = 0; rows = [ ("t0", [| 1; 1 |]) ] }
   done;
   ignore (Durable.Groupwal.close_window gw);
   Durable.Groupwal.close gw;
@@ -384,20 +399,30 @@ let test_groupwal_torn_tail_and_rehoming () =
   let ic = open_in_bin first_seg in
   let content = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let bytes = Bytes.of_string content in
-  let rec find i =
-    if i + 4 > Bytes.length bytes then
-      Alcotest.fail "no t0-tagged line found in the segment"
-    else if Bytes.sub_string bytes i 4 = "\tt0\t" then i
-    else find (i + 1)
+  (* Each tamper edits the intact segment afresh: the key is an
+     occurrence to find, then the bytes to write over it. *)
+  let tamper ~what key replacement =
+    let bytes = Bytes.of_string content in
+    let n = String.length key in
+    let rec find i =
+      if i + n > Bytes.length bytes then
+        Alcotest.failf "%s: no %S in the segment" what key
+      else if Bytes.sub_string bytes i n = key then i
+      else find (i + 1)
+    in
+    Bytes.blit_string replacement 0 bytes (find 0) (String.length replacement);
+    let oc = open_out_bin first_seg in
+    output_bytes oc bytes;
+    close_out oc;
+    match Durable.Groupwal.read ~dir with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s replayed as Ok" what
   in
-  Bytes.set bytes (find 0 + 2) '1';
-  let oc = open_out_bin first_seg in
-  output_bytes oc bytes;
-  close_out oc;
-  (match Durable.Groupwal.read ~dir with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "re-homed tenant tag replayed as Ok");
+  tamper ~what:"re-homed tenant tag" "\tt0\t" "\tt1\t";
+  (* The service tag is under the CRC too: a co-flush record cannot pose
+     as a tenant's. *)
+  tamper ~what:"service record re-homed to a tenant" "\t@service\t"
+    "\tservice0\t";
   rmtree dir
 
 (* --- checkpoint + manifest ------------------------------------------------ *)
@@ -758,47 +783,6 @@ let test_genesis_recovery_and_refusal () =
       | Error e -> Alcotest.failf "verify after repeated resumes: %s" e);
   rmtree dir
 
-let test_runner_journal () =
-  let env = make_env ~seed:5 ~rows:100 ~horizon:8 () in
-  let m, feeds = env.Durable.Exec.fresh () in
-  let dir = scratch () in
-  let wal = Durable.Wal.open_ ~dir ~sync:Durable.Wal.Never () in
-  let report =
-    Bridge.Runner.run_plan ~journal:wal
-      (Bridge.Runner.engine ~maintainer:m ~feeds)
-      env.Durable.Exec.spec
-      env.Durable.Exec.plan
-  in
-  Durable.Wal.close wal;
-  let records = read_ok ~dir ~from_lsn:0 in
-  let arrivals_logged =
-    List.length
-      (List.filter
-         (function Durable.Record.Arrival _ -> true | _ -> false)
-         records)
-  in
-  let total_arrivals =
-    Array.fold_left
-      (fun acc row -> acc + Array.fold_left ( + ) 0 row)
-      0
-      (Abivm.Spec.arrivals env.Durable.Exec.spec)
-  in
-  checki "every drawn modification journalled" total_arrivals arrivals_logged;
-  let journalled_cost =
-    List.fold_left
-      (fun acc r ->
-        match r with
-        | Durable.Record.Applied { cost; _ } -> acc +. cost
-        | Durable.Record.Arrival _ -> acc)
-      0.0 records
-  in
-  let reported =
-    Option.value ~default:Float.nan report.Abivm.Report.cost_units
-  in
-  checkb "journalled action costs sum to the report" true
-    (Float.abs (journalled_cost -. reported) < 1e-9);
-  rmtree dir
-
 let test_coordinator_kill_resume () =
   let views =
     [|
@@ -897,8 +881,6 @@ let () =
             test_async_checkpoint_matrix;
           Alcotest.test_case "genesis recovery, refusal, idempotence" `Quick
             test_genesis_recovery_and_refusal;
-          Alcotest.test_case "runner journals a replayable WAL" `Quick
-            test_runner_journal;
           Alcotest.test_case "coordinator kill/resume" `Quick
             test_coordinator_kill_resume;
         ] );

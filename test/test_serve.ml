@@ -2,9 +2,10 @@
    decisions, the bit-identical guarantee for pool-parallel rounds
    (phases A and C touch per-tenant state only, so fanning them over 4
    domains must reproduce the sequential run exactly), crash + recovery
-   equivalence against an uninterrupted twin, and the backpressure
-   contract — shedding refuses optional co-flush work but never drops a
-   committed arrival from any tenant's WAL. *)
+   equivalence against an uninterrupted twin, typed refusal of damaged
+   or retired durable state, and the backpressure contract — shedding
+   refuses optional co-flush work but never drops a committed arrival
+   from any tenant's log. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -54,15 +55,14 @@ let fleet ?rows ?horizon ?limit_factor n =
 
 let service_cfg ?(coordinate = true) ?(discount_factor = 0.8) ?shed_budget
     ?(hook = Durable.Hook.none) ?(admission = Serve.Admission.default)
-    ?(sync = Durable.Wal.Always) ?(wal_mode = Serve.Service.Grouped)
-    ?(scheduler = Serve.Service.Event) () =
+    ?(sync = Durable.Wal.Always) ?(scheduler = Serve.Service.Event) () =
   {
     Serve.Service.admission;
     coordinate;
     discount_factor;
     shed_budget;
     sync;
-    wal_mode;
+    wal_mode = Serve.Service.Grouped;
     scheduler;
     hook;
   }
@@ -258,10 +258,156 @@ let test_recovered_wal_replays_full_history () =
           let again = Serve.Service.run svc in
           check_outcomes_equal "rerun-vs-first" first again)
 
+(* --- damaged or retired durable state is a typed error ------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path content =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc content)
+
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    Sys.mkdir dst 0o755;
+    Array.iter
+      (fun e -> copy_tree (Filename.concat src e) (Filename.concat dst e))
+      (Sys.readdir src)
+  end
+  else write_file dst (read_file src)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let segment_path gdir lsn =
+  Filename.concat gdir (Printf.sprintf "wal-%012d.seg" lsn)
+
+(* A root crashed at round 12, its shared log split after the first
+   co-flush record into two segments — as a rotation would have left it —
+   so damage to that record lies before the log's tail: corruption, not a
+   torn final write.  Returns the root and the record's line. *)
+let split_crashed_root () =
+  let root = scratch () in
+  (try
+     ignore (run_service ~root (service_cfg ~hook:(kill_at 12) ()) (fleet 4));
+     Alcotest.fail "hook did not kill the run"
+   with Durable.Hook.Crash _ -> ());
+  let gdir = Filename.concat root "groupwal" in
+  let lines =
+    String.split_on_char '\n' (read_file (segment_path gdir 0))
+    |> List.filter (fun l -> l <> "")
+  in
+  let rec split i = function
+    | l :: _ :: _ when contains ~sub:"\t@service\t" l -> (i + 1, l)
+    | _ :: rest -> split (i + 1) rest
+    | [] -> Alcotest.fail "no co-flush record before the log's last line"
+  in
+  let n, journal_line = split 0 lines in
+  let unlines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls) in
+  let lines_from lo hi = List.filteri (fun i _ -> lo <= i && i < hi) lines in
+  write_file (segment_path gdir 0) (unlines (lines_from 0 n));
+  write_file (segment_path gdir n) (unlines (lines_from n max_int));
+  (root, journal_line)
+
+(* Every case damages a fresh copy of the split root and must come back
+   from [Service.recover] as an [Error] naming its cause — never as an
+   exception, never as a recovered service. *)
+let test_recover_refuses_damage () =
+  let pristine, line = split_crashed_root () in
+  let on_copy f =
+    let root = scratch () in
+    copy_tree pristine root;
+    Fun.protect ~finally:(fun () -> rmtree root) (fun () -> f root)
+  in
+  Fun.protect
+    ~finally:(fun () -> rmtree pristine)
+    (fun () ->
+      on_copy (fun root ->
+          match Serve.Service.recover ~root () with
+          | Error e -> Alcotest.failf "split log: %s" e
+          | Ok svc ->
+              checkb "split log recovers and finishes" true
+                (all_consistent (Serve.Service.run svc)));
+      let coflush =
+        match Durable.Record.of_tagged_line line with
+        | Ok (Durable.Record.Coflush c) -> c
+        | _ -> Alcotest.failf "not a co-flush record: %S" line
+      in
+      let refused ~what ~cause damage =
+        on_copy (fun root ->
+            damage root;
+            match Serve.Service.recover ~root () with
+            | Ok _ -> Alcotest.failf "%s: recovered" what
+            | Error e ->
+                checkb
+                  (Printf.sprintf "%s: error %S names %S" what e cause)
+                  true (contains ~sub:cause e))
+      in
+      let journal_line_becomes what ~cause replacement =
+        refused ~what ~cause (fun root ->
+            let seg = segment_path (Filename.concat root "groupwal") 0 in
+            let content = read_file seg in
+            let at = String.length content - String.length line - 1 in
+            checkb (what ^ ": record closes the first segment") true
+              (String.sub content at (String.length line) = line);
+            write_file seg (String.sub content 0 at ^ replacement ^ "\n"))
+      in
+      let flipped =
+        String.mapi
+          (fun i c ->
+            if i = String.length line - 1 then Char.chr (Char.code c lxor 1)
+            else c)
+          line
+      in
+      let with_rows rows =
+        Durable.Record.to_tagged_line
+          (Durable.Record.Coflush { coflush with Durable.Record.rows })
+      in
+      journal_line_becomes "truncated line" ~cause:"corrupt segment"
+        (String.sub line 0 (String.length line / 2));
+      journal_line_becomes "flipped byte" ~cause:"CRC mismatch" flipped;
+      (* "@service" becomes a valid tenant name of the same length. *)
+      let tag = String.index line '\t' + 1 in
+      journal_line_becomes "re-homed tag" ~cause:"CRC mismatch"
+        (String.sub line 0 tag ^ "service0"
+        ^ String.sub line (tag + 8) (String.length line - tag - 8));
+      journal_line_becomes "row width" ~cause:"batch counts"
+        (with_rows
+           (List.map (fun (n, row) -> (n, Array.append row [| 0 |]))
+              coflush.Durable.Record.rows));
+      journal_line_becomes "unknown tenant" ~cause:"not an admitted tenant"
+        (with_rows (("ghost", [| 1; 0 |]) :: coflush.Durable.Record.rows));
+      (* Roots whose service manifest predates the one-log layout. *)
+      let manifest_params what ~cause edit =
+        refused ~what ~cause (fun root ->
+            match Durable.Manifest.load ~dir:root with
+            | Ok (Some m) ->
+                Durable.Manifest.save ~dir:root
+                  {
+                    m with
+                    Durable.Manifest.params = edit m.Durable.Manifest.params;
+                  }
+            | _ -> Alcotest.failf "%s: no service manifest" what)
+      in
+      manifest_params "private wal_mode" ~cause:"private"
+        (List.map (fun (k, v) ->
+             if k = "wal_mode" then (k, "private") else (k, v)));
+      manifest_params "no wal_mode" ~cause:"wal_mode"
+        (List.filter (fun (k, _) -> k <> "wal_mode"));
+      manifest_params "manifest journal" ~cause:"coflush" (fun params ->
+          params @ [ ("coflush", "3:t0=1/0,t1=2/0") ]))
+
 (* --- backpressure never drops a committed arrival ------------------------- *)
 
-(* [Service.tenant_records] finds the records wherever they physically
-   live — demuxed from the shared group log or read from a private WAL. *)
 let arrival_count root name =
   match Serve.Service.tenant_records ~root ~name with
   | Error e -> Alcotest.failf "records of %s: %s" name e
@@ -308,31 +454,24 @@ let test_shedding_never_drops_arrivals () =
             (arrival_count tight_root name))
         cfgs)
 
-(* --- WAL layouts and schedulers are bit-identical ------------------------- *)
+(* --- schedulers are bit-identical ----------------------------------------- *)
 
-(* The grouped WAL and the event scheduler are pure I/O / dispatch
-   optimizations: every combination must reproduce the original
-   private-WAL lockstep run bit for bit. *)
+(* [Lockstep] is the all-ready mask: every tenant dispatched every round.
+   The event scheduler is a pure dispatch optimization over the same
+   round code path, so on the one WAL layout (the shared group log) it
+   must reproduce lockstep bit for bit on a busy fleet. *)
 let test_layouts_and_schedulers_bit_identical () =
   let cfgs = fleet 3 in
-  let run ~wal_mode ~scheduler =
+  let run ~scheduler =
     let root = scratch () in
     Fun.protect
       ~finally:(fun () -> rmtree root)
-      (fun () -> run_service ~root (service_cfg ~wal_mode ~scheduler ()) cfgs)
+      (fun () -> run_service ~root (service_cfg ~scheduler ()) cfgs)
   in
-  let base =
-    run ~wal_mode:Serve.Service.Private ~scheduler:Serve.Service.Lockstep
-  in
+  let base = run ~scheduler:Serve.Service.Lockstep in
   checkb "baseline consistent" true (all_consistent base);
-  List.iter
-    (fun (label, wal_mode, scheduler) ->
-      check_outcomes_equal label base (run ~wal_mode ~scheduler))
-    [
-      ("grouped+event", Serve.Service.Grouped, Serve.Service.Event);
-      ("grouped+lockstep", Serve.Service.Grouped, Serve.Service.Lockstep);
-      ("private+event", Serve.Service.Private, Serve.Service.Event);
-    ]
+  check_outcomes_equal "grouped+event" base
+    (run ~scheduler:Serve.Service.Event)
 
 (* On-off arrival streams leave whole rounds with nothing to do; the
    event scheduler must retire them without dispatching anyone — and
@@ -363,6 +502,7 @@ let test_event_scheduler_skips_idle_rounds () =
   in
   let event, event_idle = run ~scheduler:Serve.Service.Event in
   let lockstep, lockstep_idle = run ~scheduler:Serve.Service.Lockstep in
+  checkb "lockstep consistent" true (all_consistent lockstep);
   checkb "event scheduler skipped idle rounds" true (event_idle > 0);
   checki "lockstep never idles" 0 lockstep_idle;
   check_outcomes_equal "event-vs-lockstep" lockstep event
@@ -385,10 +525,7 @@ let test_tenant_sync_override_forces_window () =
     Fun.protect
       ~finally:(fun () -> rmtree root)
       (fun () ->
-        let svc =
-          Serve.Service.create ~root
-            (service_cfg ~sync ~wal_mode:Serve.Service.Grouped ())
-        in
+        let svc = Serve.Service.create ~root (service_cfg ~sync ()) in
         List.iter
           (fun cfg ->
             match Serve.Service.register svc cfg with
@@ -414,17 +551,70 @@ let test_tenant_sync_validated_at_admission () =
     ~finally:(fun () -> rmtree root)
     (fun () ->
       let svc = Serve.Service.create ~root (service_cfg ()) in
-      match
-        Serve.Service.register svc
-          {
-            (tenant_cfg ~seed:42 "t0") with
-            Serve.Tenant.sync = Some (Durable.Wal.Interval 0);
-          }
-      with
+      List.iter
+        (fun (what, cfg) ->
+          match Serve.Service.register svc cfg with
+          | Error _ -> ()
+          | Ok d ->
+              Alcotest.failf "%s: expected a validation error, got %s" what
+                (Serve.Admission.describe d))
+        [
+          ( "interval 0",
+            {
+              (tenant_cfg ~seed:42 "t0") with
+              Serve.Tenant.sync = Some (Durable.Wal.Interval 0);
+            } );
+          (* NaN fails every comparison, [<= 0.0] included. *)
+          ( "nan limit factor",
+            tenant_cfg ~limit_factor:Float.nan ~seed:42 "t1" );
+          ( "infinite limit factor",
+            tenant_cfg ~limit_factor:Float.infinity ~seed:42 "t2" );
+        ];
+      (match
+         Serve.Tenant.config_of_params
+           (List.map
+              (fun (k, v) -> if k = "limit_factor" then (k, "nan") else (k, v))
+              (Serve.Tenant.params_of_config (tenant_cfg ~seed:42 "t3")))
+       with
       | Error _ -> ()
-      | Ok d ->
-          Alcotest.failf "expected a validation error, got %s"
-            (Serve.Admission.describe d))
+      | Ok _ -> Alcotest.fail "tenant params with a nan limit_factor decoded"));
+  (* The service-level parameters, at creation and in a decoded
+     manifest. *)
+  List.iter
+    (fun (what, config) ->
+      let root = scratch () in
+      match Serve.Service.create ~root config with
+      | exception Invalid_argument _ ->
+          checkb (what ^ ": nothing written") false (Sys.file_exists root)
+      | _ ->
+          rmtree root;
+          Alcotest.failf "%s: service created" what)
+    [
+      ("nan discount", service_cfg ~discount_factor:Float.nan ());
+      ("infinite discount", service_cfg ~discount_factor:Float.infinity ());
+      ("nan shed budget", service_cfg ~shed_budget:Float.nan ());
+      ("infinite shed budget", service_cfg ~shed_budget:Float.infinity ());
+    ];
+  let params =
+    [
+      ("kind", "serve"); ("coordinate", "true"); ("discount_factor", "0.8");
+      ("shed_budget", "none"); ("sync", "always"); ("wal_mode", "grouped");
+      ("scheduler", "event"); ("max_active", "8"); ("max_queued", "8");
+      ("tenants", "t0:0");
+    ]
+  in
+  checkb "well-formed service params decode" true
+    (Result.is_ok (Serve.Service.config_of_params params));
+  List.iter
+    (fun (key, v) ->
+      let edited =
+        List.map (fun (k, old) -> if k = key then (k, v) else (k, old)) params
+      in
+      match Serve.Service.config_of_params edited with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s=%s decoded" key v)
+    [ ("discount_factor", "nan"); ("discount_factor", "inf");
+      ("shed_budget", "nan"); ("shed_budget", "-inf") ]
 
 (* --- mid-round crash matrix ------------------------------------------------ *)
 
@@ -434,13 +624,13 @@ let test_tenant_sync_validated_at_admission () =
    batch must be re-executed as journalled, not re-derived as a solo
    mandatory flush), and during forced group-window closes.  Recovery +
    resume must reproduce the twin bit for bit at every point. *)
-let crash_matrix_case ~wal_mode ~cfgs () =
+let crash_matrix_case ~cfgs () =
   let base_root = scratch () in
   let record, points = Durable.Hook.counting () in
   let baseline =
     Fun.protect
       ~finally:(fun () -> rmtree base_root)
-      (fun () -> run_service ~root:base_root (service_cfg ~wal_mode ~hook:record ()) cfgs)
+      (fun () -> run_service ~root:base_root (service_cfg ~hook:record ()) cfgs)
   in
   checkb "baseline consistent" true (all_consistent baseline);
   let indexed =
@@ -461,9 +651,7 @@ let crash_matrix_case ~wal_mode ~cfgs () =
             try
               ignore
                 (run_service ~root:crash_root
-                   (service_cfg ~wal_mode
-                      ~hook:(Durable.Hook.crash_after ~n)
-                      ())
+                   (service_cfg ~hook:(Durable.Hook.crash_after ~n) ())
                    cfgs);
               false
             with Durable.Hook.Crash _ -> true
@@ -485,27 +673,27 @@ let crash_matrix_case ~wal_mode ~cfgs () =
                 baseline recovered))
     indexed
 
-(* Private Always WALs: each tenant's phase-C commit is durable the
-   moment it happens, so a crash between two of them loses a co-flush
-   participant — the journal regression case (fails without the
-   phase-B journal). *)
-let test_crash_matrix_private_midround () =
-  crash_matrix_case ~wal_mode:Serve.Service.Private
-    ~cfgs:(fleet ~rows:30 ~horizon:8 3)
-    ()
-
-(* Grouped WAL with one strict tenant: forced window closes make partial
-   rounds durable mid-phase, exercising crashes during and between
-   group-window closes. *)
+(* One strict tenant: its forced window closes make partial rounds
+   durable mid-phase — a crash after the strict tenant's phase-C close
+   but before the round's own close loses the later co-flush
+   participants, which recovery must re-execute from the round's
+   co-flush record, not re-derive as solo mandatory flushes. *)
 let test_crash_matrix_grouped_forced () =
-  let cfgs =
-    List.mapi
-      (fun i cfg ->
-        if i = 0 then { cfg with Serve.Tenant.sync = Some Durable.Wal.Always }
-        else cfg)
-      (fleet ~rows:30 ~horizon:8 3)
-  in
-  crash_matrix_case ~wal_mode:Serve.Service.Grouped ~cfgs ()
+  (* Horizon 12 reaches rounds where the strict tenant flushes alongside
+     an invited participant; without the co-flush record the matrix fails
+     there. *)
+  List.iter
+    (fun horizon ->
+      let cfgs =
+        List.mapi
+          (fun i cfg ->
+            if i = 0 then
+              { cfg with Serve.Tenant.sync = Some Durable.Wal.Always }
+            else cfg)
+          (fleet ~rows:30 ~horizon 3)
+      in
+      crash_matrix_case ~cfgs ())
+    [ 8; 12 ]
 
 (* --- queueing and promotion ----------------------------------------------- *)
 
@@ -613,6 +801,8 @@ let () =
             test_crash_recover_late;
           Alcotest.test_case "finished dir replays in full" `Quick
             test_recovered_wal_replays_full_history;
+          Alcotest.test_case "damaged or retired state refused" `Quick
+            test_recover_refuses_damage;
         ] );
       ( "serve-io",
         [
@@ -624,8 +814,6 @@ let () =
             test_tenant_sync_override_forces_window;
           Alcotest.test_case "tenant sync validated at admission" `Quick
             test_tenant_sync_validated_at_admission;
-          Alcotest.test_case "crash matrix: private mid-round" `Quick
-            test_crash_matrix_private_midround;
           Alcotest.test_case "crash matrix: grouped forced closes" `Quick
             test_crash_matrix_grouped_forced;
         ] );
