@@ -50,6 +50,10 @@ let () =
       (Relation.Ra.eval (Ivm.Viewdef.reference_plan view)));
 
   let m = Ivm.Maintainer.create ~meter:db.Tpcr.Gen.meter view in
+  assert (
+    List.equal Relation.Tuple.equal
+      (Ivm.Maintainer.rows (Ivm.Maintainer.create sql_view))
+      (Ivm.Maintainer.rows m));
   (match Ivm.Maintainer.rows m with
   | [ row ] ->
       Printf.printf "\nMIN(ps.supplycost) over MIDDLE EAST = %s\n"

@@ -142,23 +142,16 @@ let merge comp key sub count =
   end
   else Thash.replace inner sub updated
 
-(* Recompute one component's content from the current base tables: seed
-   the expansion with every row of the smallest-index member and join
-   across the component's own edges. *)
-let rebuild_comp t comp ~expand =
+(* Recompute one component's content from the current base tables: the
+   component's sub-join from scratch ({!Viewdef.scoped_plan}), whose rows
+   are exactly subtuples. *)
+let rebuild_comp t comp =
   Thash.reset comp.rows;
-  let seed = comp.members.(0) in
-  let table = (Viewdef.tables t.view).(seed) in
-  let deltas =
-    List.map (fun tuple -> (tuple, 1)) (Relation.Table.to_list table)
-  in
-  List.iter
-    (fun (bindings, sign) ->
-      let sub = subtuple_of_bindings t comp bindings in
-      merge comp (key_of_sub comp sub) sub sign)
-    (expand ~scope:comp.member ~delta:seed deltas)
+  Relation.Ra.iter_batches (Viewdef.scoped_plan t.view comp.members)
+    (Relation.Batch.iter_tuples (fun sub ->
+         merge comp (key_of_sub comp sub) sub 1))
 
-let create ~meter ~expand view =
+let create ~meter view =
   let n = Viewdef.n_tables view in
   let tables = Viewdef.tables view in
   let arities =
@@ -182,7 +175,7 @@ let create ~meter ~expand view =
     { view; meter; owners; global_off; arities; total_arity = !acc }
   in
   Array.iter
-    (fun po -> Array.iter (fun comp -> rebuild_comp t comp ~expand) po.comps)
+    (fun po -> Array.iter (rebuild_comp t) po.comps)
     owners;
   t
 
@@ -279,7 +272,7 @@ let entries t =
 
 (* Compare every maintained component against a from-scratch recompute of
    the same sub-join over the current base tables. *)
-let check t ~expand =
+let check t =
   let errors = ref [] in
   Array.iteri
     (fun owner po ->
@@ -291,7 +284,7 @@ let check t ~expand =
               rows = Thash.create (max 16 (Thash.length comp.rows));
             }
           in
-          rebuild_comp t fresh ~expand;
+          rebuild_comp t fresh;
           let mismatch = ref false in
           let probe a b =
             Thash.iter

@@ -35,9 +35,9 @@ type expander =
     partials binding every in-scope table.  Provided by {!Maintainer} so
     the delta views reuse its metered index/scan machinery. *)
 
-val create : meter:Relation.Meter.t -> expand:expander -> Viewdef.t -> t
+val create : meter:Relation.Meter.t -> Viewdef.t -> t
 (** Build and fill one delta view per base table from the current base
-    table contents. *)
+    table contents, each component from its {!Viewdef.scoped_plan}. *)
 
 val contributions :
   t -> int -> (Relation.Tuple.t * int) list -> (Relation.Tuple.t * int) list
@@ -55,6 +55,6 @@ val entries : t -> int
 (** Total materialized subtuple count across all delta views — the memory
     footprint higher-order maintenance pays for its flat cost curves. *)
 
-val check : t -> expand:expander -> (unit, string) result
+val check : t -> (unit, string) result
 (** Compare every component against a from-scratch recompute over the
-    current base tables. *)
+    current base tables ({!Viewdef.scoped_plan}). *)

@@ -93,40 +93,58 @@ let create ~schema ~group_by ~specs =
     output_schema;
   }
 
+let[@inline] state_for g key =
+  match Thash.find_opt g.groups key with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          members = 0;
+          column_values =
+            Array.map (fun _ -> Relation.Vmultiset.empty) g.agg_columns;
+        }
+      in
+      Thash.add g.groups key s;
+      s
+
+let[@inline] fold_value state ci v count =
+  if not (Relation.Value.is_null v) then
+    state.column_values.(ci) <-
+      (if count > 0 then
+         Relation.Vmultiset.add ~times:count state.column_values.(ci) v
+       else Relation.Vmultiset.remove ~times:(-count) state.column_values.(ci) v)
+
 let apply g tuple count =
   if count = 0 then ()
   else begin
     let key = Relation.Tuple.project tuple g.group_positions in
-    let state =
-      match Thash.find_opt g.groups key with
-      | Some s -> s
-      | None ->
-          let s =
-            {
-              members = 0;
-              column_values =
-                Array.map (fun _ -> Relation.Vmultiset.empty) g.agg_columns;
-            }
-          in
-          Thash.add g.groups key s;
-          s
-    in
+    let state = state_for g key in
     if state.members + count < 0 then
       invalid_arg "Groups.apply: group member count would go negative";
     state.members <- state.members + count;
     Array.iteri
-      (fun ci pos ->
-        let v = Relation.Tuple.get tuple pos in
-        if not (Relation.Value.is_null v) then
-          state.column_values.(ci) <-
-            (if count > 0 then
-               Relation.Vmultiset.add ~times:count state.column_values.(ci) v
-             else
-               Relation.Vmultiset.remove ~times:(-count) state.column_values.(ci)
-                 v))
+      (fun ci pos -> fold_value state ci (Relation.Tuple.get tuple pos) count)
       g.agg_positions;
     if state.members = 0 then Thash.remove g.groups key
   end
+
+let add_batch g (b : Relation.Batch.t) =
+  let at pos =
+    Relation.Schema.index_of (Relation.Batch.schema b)
+      (Relation.Schema.column_name g.schema pos)
+  in
+  let gpos = Array.map at g.group_positions in
+  let apos = Array.map at g.agg_positions in
+  Relation.Batch.iter_sel
+    (fun r ->
+      let state =
+        state_for g (Array.map (fun p -> Relation.Batch.value b p r) gpos)
+      in
+      state.members <- state.members + 1;
+      Array.iteri
+        (fun ci p -> fold_value state ci (Relation.Batch.value b p r) 1)
+        apos)
+    b
 
 let group_count g = Thash.length g.groups
 

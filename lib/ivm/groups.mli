@@ -22,6 +22,11 @@ val apply : t -> Relation.Tuple.t -> int -> unit
     occurrences of the tuple.  Raises [Invalid_argument] when removing from
     a group below zero (indicates an inconsistent delta stream). *)
 
+val add_batch : t -> Relation.Batch.t -> unit
+(** Add one occurrence of every selected row of a batch — {!apply} with
+    count 1, reading only the group-by and aggregated columns, which the
+    batch's schema must carry under their joined-schema names. *)
+
 val group_count : t -> int
 (** Number of non-empty groups.  With [group_by = \[\]] this is 0 or 1, but
     {!rows} still renders the SQL-style single row over no input. *)

@@ -297,57 +297,78 @@ let expand_batch m i deltas =
   let full = expand_scoped m ~scope ~delta:i deltas in
   net_contributions m (List.map (fun p -> (joined_tuple m p, p.sign)) full)
 
+(* The initial content: the batches of {!Viewdef.joined_plan} folded
+   straight into [Groups], or into the bag with only the output columns
+   boxed. *)
+let materialize view =
+  let joined_schema = Viewdef.joined_schema view in
+  let plan = Viewdef.joined_plan view in
+  if Viewdef.aggs view <> [] then begin
+    let groups =
+      Groups.create ~schema:joined_schema ~group_by:(Viewdef.group_by view)
+        ~specs:(Viewdef.aggs view)
+    in
+    Relation.Ra.iter_batches plan (Groups.add_batch groups);
+    Grouped groups
+  end
+  else begin
+    let positions =
+      match Viewdef.projection view with
+      | Some cols -> snd (Relation.Schema.project joined_schema cols)
+      | None -> Array.init (Relation.Schema.arity joined_schema) Fun.id
+    in
+    let plan_schema = Relation.Ra.schema_of plan in
+    let at =
+      Array.map
+        (fun p ->
+          Relation.Schema.index_of plan_schema
+            (Relation.Schema.column_name joined_schema p))
+        positions
+    in
+    let counts = Thash.create 256 in
+    Relation.Ra.iter_batches plan (fun b ->
+        Relation.Batch.iter_sel
+          (fun r ->
+            bag_apply counts (Array.map (fun p -> Relation.Batch.value b p r) at) 1)
+          b);
+    Bag { counts; positions }
+  end
+
 let create ?meter ?order view =
   let tables = Viewdef.tables view in
   let meter =
     match meter with Some m -> m | None -> Relation.Table.meter tables.(0)
   in
-  let joined_schema = Viewdef.joined_schema view in
-  let filter_fn =
-    Option.map (Relation.Expr.compile_pred joined_schema) (Viewdef.filter view)
-  in
-  let joined_rows = Relation.Ra.eval (Viewdef.joined_plan view) in
-  let content =
-    if Viewdef.aggs view <> [] then begin
-      let groups =
-        Groups.create ~schema:joined_schema ~group_by:(Viewdef.group_by view)
-          ~specs:(Viewdef.aggs view)
-      in
-      List.iter (fun row -> Groups.apply groups row 1) joined_rows;
-      Grouped groups
-    end
-    else begin
-      let positions =
-        match Viewdef.projection view with
-        | Some cols -> snd (Relation.Schema.project joined_schema cols)
-        | None ->
-            Array.init (Relation.Schema.arity joined_schema) (fun i -> i)
-      in
-      let counts = Thash.create 256 in
-      List.iter
-        (fun row -> bag_apply counts (Relation.Tuple.project row positions) 1)
-        joined_rows;
-      Bag { counts; positions }
-    end
-  in
   let order = match order with Some o -> o | None -> Viewdef.order view in
-  let m =
-    {
-      view;
-      pending = Array.map (fun _ -> Pending.create ()) tables;
-      content;
-      filter_fn;
-      meter;
-      order;
-      dv = None;
-      path_override = None;
-    }
+  let build () =
+    let filter_fn =
+      Option.map
+        (Relation.Expr.compile_pred (Viewdef.joined_schema view))
+        (Viewdef.filter view)
+    in
+    let m =
+      {
+        view;
+        pending = Array.map (fun _ -> Pending.create ()) tables;
+        content = materialize view;
+        filter_fn;
+        meter;
+        order;
+        dv = None;
+        path_override = None;
+      }
+    in
+    (match order with
+    | Viewdef.First_order -> ()
+    | Viewdef.Higher_order -> m.dv <- Some (Deltaview.create ~meter view));
+    m
   in
-  (match order with
-  | Viewdef.First_order -> ()
-  | Viewdef.Higher_order ->
-      m.dv <- Some (Deltaview.create ~meter ~expand:(expander m) view));
-  m
+  if not (Telemetry.enabled ()) then build ()
+  else
+    Telemetry.with_span ~name:"maintainer.materialize"
+      ~attrs:
+        [ ("view", Viewdef.name view); ("order", Viewdef.order_name order) ]
+      build
 
 let apply_contribution m (row, sign) =
   Relation.Meter.bump_output m.meter 1;
@@ -475,23 +496,27 @@ let output_schema m =
   | Grouped groups -> Groups.output_schema groups
 
 let check_consistent m =
-  let reference =
-    List.sort Relation.Tuple.compare
-      (Relation.Ra.eval (Viewdef.reference_plan m.view))
+  let check () =
+    let reference =
+      List.sort Relation.Tuple.compare
+        (Relation.Ra.eval (Viewdef.reference_plan m.view))
+    in
+    let actual = rows m in
+    (* Approximate comparison: incremental float aggregates sum in a
+       different order than the recompute. *)
+    if not (List.equal (Relation.Tuple.approx_equal ~eps:1e-9) reference actual)
+    then
+      Error
+        (Printf.sprintf
+           "view %s: incremental content (%d rows) differs from reference (%d \
+            rows)"
+           (Viewdef.name m.view) (List.length actual) (List.length reference))
+    else match m.dv with None -> Ok () | Some dv -> Deltaview.check dv
   in
-  let actual = rows m in
-  (* Approximate comparison: incremental float aggregates sum in a
-     different order than the recompute. *)
-  if not (List.equal (Relation.Tuple.approx_equal ~eps:1e-9) reference actual)
-  then
-    Error
-      (Printf.sprintf
-         "view %s: incremental content (%d rows) differs from reference (%d \
-          rows)"
-         (Viewdef.name m.view) (List.length actual) (List.length reference))
+  if not (Telemetry.enabled ()) then check ()
   else
-    match m.dv with
-    | None -> Ok ()
-    | Some dv -> Deltaview.check dv ~expand:(expander m)
+    Telemetry.with_span ~name:"maintainer.check"
+      ~attrs:[ ("view", Viewdef.name m.view) ]
+      check
 
 let delta_view m = m.dv

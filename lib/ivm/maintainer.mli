@@ -23,11 +23,15 @@
 type t
 
 val create : ?meter:Relation.Meter.t -> ?order:Viewdef.order -> Viewdef.t -> t
-(** Materializes the view's initial content from the current base tables.
-    [meter] (default: the first base table's meter) also receives the
-    per-batch setup bumps.  [order] (default: the view's
-    {!Viewdef.order}) selects the maintenance strategy; under
-    [Higher_order] every {!Deltaview} is also materialized here. *)
+(** Materializes the view's initial content from the current base tables
+    by folding the batches of {!Viewdef.joined_plan} straight into the
+    content, boxing only the columns it keeps.  [meter] (default: the
+    first base table's meter) also receives the per-batch setup bumps.
+    [order] (default: the view's {!Viewdef.order}) selects the
+    maintenance strategy; under [Higher_order] every {!Deltaview} is also
+    materialized here.  With the {!Telemetry} collector enabled the work
+    runs inside one ["maintainer.materialize"] span (attrs [view],
+    [order]). *)
 
 val view : t -> Viewdef.t
 val meter : t -> Relation.Meter.t
@@ -93,9 +97,11 @@ val output_schema : t -> Relation.Schema.t
 
 val check_consistent : t -> (unit, string) result
 (** Compare the incrementally maintained content against a from-scratch
-    evaluation over the (processed) base tables.  Under [Higher_order]
-    every materialized delta view is also checked against a recompute of
-    its sub-join. *)
+    evaluation over the (processed) base tables: {!Viewdef.reference_plan},
+    relational operators only, sharing no code with the maintained
+    content.  Under [Higher_order] every materialized delta view is also
+    checked against a recompute of its sub-join.  Runs inside one
+    ["maintainer.check"] span when the collector is enabled. *)
 
 val delta_view : t -> Deltaview.t option
 (** The materialized delta views ([Some] iff the maintenance order is

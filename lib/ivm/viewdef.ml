@@ -182,52 +182,189 @@ let output_schema v =
     | Some cols -> fst (Relation.Schema.project v.joined_schema cols)
     | None -> v.joined_schema
 
-let joined_plan v =
+(* --- the recompute planner ---------------------------------------------- *)
+
+let rec conjuncts = function
+  | Relation.Expr.And (a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
+
+let conjoin = function
+  | [] -> None
+  | c :: rest ->
+      Some (List.fold_left (fun acc e -> Relation.Expr.And (acc, e)) c rest)
+
+(* [offsets.(i)]: table [i]'s first position in the joined schema;
+   [offsets.(n)] is the joined arity. *)
+let table_offsets v =
+  let offsets = Array.make (Array.length v.tables + 1) 0 in
+  Array.iteri
+    (fun i t ->
+      offsets.(i + 1) <-
+        offsets.(i) + Relation.Schema.arity (Relation.Table.schema t))
+    v.tables;
+  offsets
+
+(* The physical plan behind every from-scratch evaluation: the join of the
+   [members] tables (ascending indices, connected in the join graph) under
+   the [conds] conjuncts, carrying exactly the joined-schema positions
+   [keep] in canonical (ascending) order.
+
+   - A conjunct whose columns all belong to one member is pushed onto that
+     member's scan; the rest form one [Select] above the joins.
+   - Each scan is projected (zero-copy) to the columns something above it
+     reads: join keys, the unpushed conjuncts and [keep].
+   - Tables join greedily from the smallest member, taking the smallest
+     connected table next; every join is a [Hash_join] on all the edges
+     between the two sides, built on the side with fewer rows
+     ([Table.row_count], the largest member standing for a joined side —
+     a foreign-key join is no larger than its largest input). *)
+let physical_plan ~caller v ~members ~conds ~keep =
+  let module Ra = Relation.Ra in
+  let module Schema = Relation.Schema in
   let n = Array.length v.tables in
-  (* Left-deep join tree in table order; each new table must connect to an
-     already-joined one (guaranteed for connected graphs after reordering,
-     but table order may not be a valid build order, so BFS from table 0). *)
-  let added = Array.make n false in
-  let plan = ref (Relation.Ra.scan ~alias:v.aliases.(0) v.tables.(0)) in
-  added.(0) <- true;
-  let remaining = ref (n - 1) in
-  while !remaining > 0 do
-    (* Find an edge with exactly one endpoint added. *)
-    let edge =
-      List.find_opt
-        (fun e -> added.(e.left) <> added.(e.right))
-        v.join
-    in
-    match edge with
-    | None ->
-        (* Disconnected graphs are rejected by [make]; n = 1 never enters. *)
-        invalid_arg "Viewdef.reference_plan: no connecting edge"
-    | Some e ->
-        let new_table, new_col, old_table, old_col =
-          if added.(e.left) then (e.right, e.right_col, e.left, e.left_col)
-          else (e.left, e.left_col, e.right, e.right_col)
-        in
-        let scan = Relation.Ra.scan ~alias:v.aliases.(new_table) v.tables.(new_table) in
-        let left_col = v.aliases.(old_table) ^ "." ^ old_col in
-        let right_col = v.aliases.(new_table) ^ "." ^ new_col in
-        plan :=
-          Relation.Ra.equijoin ~on:[ (left_col, right_col) ] !plan scan;
-        added.(new_table) <- true;
-        decr remaining
-  done;
-  (* The joined column order from a left-deep tree differs from the
-     canonical joined schema when the BFS order differs from table order;
-     re-project into canonical order. *)
-  let canonical =
-    Array.to_list
-      (Array.map
-         (fun (c : Relation.Schema.column) -> c.name)
-         (Relation.Schema.columns v.joined_schema))
+  let offsets = table_offsets v in
+  let owner pos =
+    let rec find i = if pos < offsets.(i + 1) then i else find (i + 1) in
+    find 0
   in
-  let joined = Relation.Ra.project canonical !plan in
-  match v.filter with
-  | Some f -> Relation.Ra.select f joined
-  | None -> joined
+  let name pos = Schema.column_name v.joined_schema pos in
+  let member = Array.make n false in
+  List.iter (fun i -> member.(i) <- true) members;
+  let owners c =
+    List.sort_uniq compare
+      (List.map
+         (fun col -> owner (Schema.index_of v.joined_schema col))
+         (Relation.Expr.columns c))
+  in
+  let pushed = Array.make n [] in
+  let cross = ref [] in
+  List.iter
+    (fun c ->
+      match owners c with
+      | [ i ] -> pushed.(i) <- c :: pushed.(i)
+      | _ -> cross := c :: !cross)
+    conds;
+  let cross = List.rev !cross in
+  let edges =
+    List.filter (fun e -> member.(e.left) && member.(e.right)) v.join
+  in
+  let needed = Array.make (Schema.arity v.joined_schema) false in
+  List.iter (fun p -> needed.(p) <- true) keep;
+  List.iter
+    (fun c ->
+      List.iter
+        (fun col -> needed.(Schema.index_of v.joined_schema col) <- true)
+        (Relation.Expr.columns c))
+    cross;
+  let key_name i col = v.aliases.(i) ^ "." ^ col in
+  List.iter
+    (fun e ->
+      needed.(Schema.index_of v.joined_schema (key_name e.left e.left_col)) <- true;
+      needed.(Schema.index_of v.joined_schema (key_name e.right e.right_col)) <- true)
+    edges;
+  let leaf i =
+    let scan = Ra.scan ~alias:v.aliases.(i) v.tables.(i) in
+    let filtered =
+      match conjoin (List.rev pushed.(i)) with
+      | Some f -> Ra.select f scan
+      | None -> scan
+    in
+    let cols =
+      List.filter (fun p -> needed.(p))
+        (List.init (offsets.(i + 1) - offsets.(i)) (fun c -> offsets.(i) + c))
+    in
+    if List.length cols = offsets.(i + 1) - offsets.(i) then filtered
+    else Ra.project (List.map name cols) filtered
+  in
+  let rows i = Relation.Table.row_count v.tables.(i) in
+  let smallest candidates =
+    List.fold_left
+      (fun best i ->
+        match best with
+        | Some b when rows b <= rows i -> best
+        | _ -> Some i)
+      None candidates
+  in
+  let joined = Array.make n false in
+  let start = Option.get (smallest members) in
+  joined.(start) <- true;
+  let rec grow plan est =
+    let frontier =
+      List.filter
+        (fun i ->
+          (not joined.(i))
+          && List.exists
+               (fun e ->
+                 (e.left = i && joined.(e.right)) || (e.right = i && joined.(e.left)))
+               edges)
+        members
+    in
+    match smallest frontier with
+    | None ->
+        if List.exists (fun i -> not joined.(i)) members then
+          invalid_arg ("Viewdef." ^ caller ^ ": no connecting edge");
+        plan
+    | Some i ->
+        (* (joined side, new side) column pairs of every edge into [i] *)
+        let on =
+          List.filter_map
+            (fun e ->
+              if e.right = i && joined.(e.left) then
+                Some (key_name e.left e.left_col, key_name i e.right_col)
+              else if e.left = i && joined.(e.right) then
+                Some (key_name e.right e.right_col, key_name i e.left_col)
+              else None)
+            edges
+        in
+        joined.(i) <- true;
+        let plan =
+          if rows i <= est then
+            Ra.equijoin ~algo:Ra.Hash_join ~on plan (leaf i)
+          else
+            Ra.equijoin ~algo:Ra.Hash_join
+              ~on:(List.map (fun (a, b) -> (b, a)) on)
+              (leaf i) plan
+        in
+        grow plan (max est (rows i))
+  in
+  let tree = grow (leaf start) (rows start) in
+  let filtered =
+    match conjoin cross with Some f -> Ra.select f tree | None -> tree
+  in
+  Ra.project (List.map name (List.sort_uniq compare keep)) filtered
+
+(* Joined-schema positions the view's content reads. *)
+let content_positions v =
+  let index = Relation.Schema.index_of v.joined_schema in
+  if v.aggs <> [] then
+    List.map index v.group_by
+    @ List.filter_map
+        (fun (spec : Relation.Agg.spec) ->
+          match spec.func with
+          | Relation.Agg.Count -> None
+          | Relation.Agg.Sum c | Relation.Agg.Min c | Relation.Agg.Max c
+          | Relation.Agg.Avg c ->
+              Some (index c))
+        v.aggs
+  else
+    match v.projection with
+    | Some cols -> List.map index cols
+    | None -> List.init (Relation.Schema.arity v.joined_schema) Fun.id
+
+let joined_plan v =
+  physical_plan ~caller:"joined_plan" v
+    ~members:(List.init (Array.length v.tables) Fun.id)
+    ~conds:(match v.filter with Some f -> conjuncts f | None -> [])
+    ~keep:(content_positions v)
+
+let scoped_plan v members =
+  let offsets = table_offsets v in
+  let members = Array.to_list members in
+  physical_plan ~caller:"scoped_plan" v ~members ~conds:[]
+    ~keep:
+      (List.concat_map
+         (fun i -> List.init (offsets.(i + 1) - offsets.(i)) (( + ) offsets.(i)))
+         members)
 
 let reference_plan v =
   let filtered = joined_plan v in

@@ -82,13 +82,26 @@ val joined_schema : t -> Relation.Schema.t
 val output_schema : t -> Relation.Schema.t
 
 val reference_plan : t -> Relation.Ra.t
-(** A from-scratch evaluation plan for the view — ground truth for
-    consistency checks and initial materialization. *)
+(** {!joined_plan} topped by the view's aggregation ({!Relation.Ra.aggregate})
+    or projection: the view's content from scratch, computed by relational
+    operators only — the ground truth consistency checks compare the
+    maintained content against. *)
 
 val joined_plan : t -> Relation.Ra.t
-(** Like {!reference_plan} but stopping before aggregation/projection: the
-    filtered join result in canonical joined-schema column order.  Used to
-    seed incremental state. *)
+(** The filtered join of every base table, carrying exactly the columns the
+    view's content reads (group-by and aggregate arguments, the projection,
+    or every column of a plain join view) in canonical joined-schema order.
+    Each filter conjunct over one alias is pushed onto that alias's scan,
+    each scan is projected to the columns read above it, and every join is
+    a hash join built on the smaller side; conjuncts spanning aliases stay
+    one [Select] above the joins.  {!Maintainer.create} folds its batches
+    into the view's initial content. *)
+
+val scoped_plan : t -> int array -> Relation.Ra.t
+(** [scoped_plan v members] — the unfiltered join of the listed tables
+    (ascending indices, connected among themselves), every column of each
+    member in ascending table order, planned like {!joined_plan}: one
+    {!Deltaview} component recomputed from scratch. *)
 
 val edges_of_table : t -> int -> join_edge list
 (** Edges incident to a table (normalized so [left] is that table). *)

@@ -60,44 +60,59 @@ let filter_in_place b keep =
 module Builder = struct
   type batch = t
 
-  type t = { schema : Schema.t; mutable cols : Column.t array; mutable rows : int }
+  (* Output columns are allocated at full batch capacity, so filling a
+     batch never regrows its buffers, and only when the first row of a
+     batch arrives, so the flush that ends a sink allocates nothing. *)
+  type t = {
+    schema : Schema.t;
+    mutable cols : Column.t array;
+    mutable allocated : bool;
+    mutable rows : int;
+  }
 
-  let fresh_cols schema =
-    Array.init (Schema.arity schema) (fun i ->
-        Column.create (Schema.column_type schema i))
+  let create schema = { schema; cols = [||]; allocated = false; rows = 0 }
 
-  let create schema = { schema; cols = fresh_cols schema; rows = 0 }
+  let cols b =
+    if not b.allocated then begin
+      b.cols <-
+        Array.init (Schema.arity b.schema) (fun i ->
+            Column.create ~capacity (Schema.column_type b.schema i));
+      b.allocated <- true
+    end;
+    b.cols
 
   let rows b = b.rows
   let full b = b.rows >= capacity
 
   let append_tuple b t =
-    Array.iteri (fun c col -> Column.append col (Tuple.get t c)) b.cols;
+    Array.iteri (fun c col -> Column.append col (Tuple.get t c)) (cols b);
     b.rows <- b.rows + 1
 
   let append_row b (src : batch) r =
     let abs = src.base + r in
-    Array.iteri (fun c col -> Column.append_from col src.cols.(c) abs) b.cols;
+    Array.iteri (fun c col -> Column.append_from col src.cols.(c) abs) (cols b);
     b.rows <- b.rows + 1
 
   let append_join b (l : batch) lr (rt : batch) rr =
+    let out = cols b in
     let labs = l.base + lr and rabs = rt.base + rr in
     let lw = Array.length l.cols in
     for c = 0 to lw - 1 do
-      Column.append_from b.cols.(c) l.cols.(c) labs
+      Column.append_from out.(c) l.cols.(c) labs
     done;
     for c = 0 to Array.length rt.cols - 1 do
-      Column.append_from b.cols.(lw + c) rt.cols.(c) rabs
+      Column.append_from out.(lw + c) rt.cols.(c) rabs
     done;
     b.rows <- b.rows + 1
 
   let append_row_tuple b (l : batch) lr t =
+    let out = cols b in
     let labs = l.base + lr in
     let lw = Array.length l.cols in
     for c = 0 to lw - 1 do
-      Column.append_from b.cols.(c) l.cols.(c) labs
+      Column.append_from out.(c) l.cols.(c) labs
     done;
-    Array.iteri (fun c v -> Column.append b.cols.(lw + c) v) t;
+    Array.iteri (fun c v -> Column.append out.(lw + c) v) t;
     b.rows <- b.rows + 1
 
   let flush b =
@@ -113,7 +128,8 @@ module Builder = struct
           n_sel = b.rows;
         }
       in
-      b.cols <- fresh_cols b.schema;
+      b.cols <- [||];
+      b.allocated <- false;
       b.rows <- 0;
       Some out
     end

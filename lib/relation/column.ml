@@ -58,20 +58,21 @@ type t = {
 
 let initial = 64
 
-let create ty =
+let create ?(capacity = initial) ty =
+  let slots = max 8 capacity in
+  let bitmap () = Bytes.make ((slots + 7) / 8) '\000' in
   let payload =
     match ty with
-    | Datatype.TInt -> Ints { data = make_int_ba initial }
-    | Datatype.TFloat ->
-        Floats { data = make_float_ba initial; intish = Bytes.make (initial / 8) '\000' }
+    | Datatype.TInt -> Ints { data = make_int_ba slots }
+    | Datatype.TFloat -> Floats { data = make_float_ba slots; intish = bitmap () }
     | Datatype.TString ->
-        Strs { codes = make_int_ba initial; dict = Util.Vec.create (); intern = Hashtbl.create 16 }
-    | Datatype.TBool -> Bools { bits = Bytes.make (initial / 8) '\000' }
+        Strs { codes = make_int_ba slots; dict = Util.Vec.create (); intern = Hashtbl.create 16 }
+    | Datatype.TBool -> Bools { bits = bitmap () }
   in
   {
     ty;
     payload;
-    valid = Bytes.make (initial / 8) '\000';
+    valid = bitmap ();
     len = 0;
     exact = Hashtbl.create 1;
   }

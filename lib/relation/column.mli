@@ -19,7 +19,10 @@ type float_ba =
 
 type t
 
-val create : Datatype.t -> t
+val create : ?capacity:int -> Datatype.t -> t
+(** [capacity] (default 64) is the number of slots allocated up front;
+    appends past it double the buffers. *)
+
 val datatype : t -> Datatype.t
 val length : t -> int
 

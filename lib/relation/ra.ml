@@ -176,10 +176,9 @@ and eval_aggregate group_by specs input =
   let s = schema_of input in
   aggregate_rows s group_by specs (eval_node input)
 
-(* Shared by the boxed evaluator and the cursor path (which drains its
-   input to tuples first: aggregation is not a hot path of the vectorized
-   engine, and sharing the code pins the semantics — first-seen group
-   order, SQL single row for [group_by = []] even over empty input). *)
+(* The boxed evaluator's aggregation: first-seen group order, SQL single
+   row for [group_by = []] even over empty input.  The cursor path folds
+   batches into the same results ({!aggregate_batches}). *)
 and aggregate_rows s group_by specs rows =
   let positions = Array.of_list (List.map (Schema.index_of s) group_by) in
   if group_by = [] then
@@ -238,16 +237,16 @@ let drain (c : cursor) =
   in
   loop []
 
+let rec iter_cursor f (c : cursor) =
+  match c () with
+  | None -> ()
+  | Some b ->
+      f b;
+      iter_cursor f c
+
 let tuples_of_cursor (c : cursor) =
   let out = ref [] in
-  let rec loop () =
-    match c () with
-    | None -> ()
-    | Some b ->
-        Batch.iter_tuples (fun t -> out := t :: !out) b;
-        loop ()
-  in
-  loop ();
+  iter_cursor (Batch.iter_tuples (fun t -> out := t :: !out)) c;
   List.rev !out
 
 (* Blocking operators (joins, products, aggregates) compute their full
@@ -462,6 +461,96 @@ let vec_hash_join meter out_schema schema_l schema_r lpos rpos (lcur : cursor)
   end;
   finish ()
 
+(* Running state of one aggregate over one group.  Values fold in cursor
+   order with the operations [Agg.apply] uses (integer sum while every
+   value is an [Int], left-to-right float sum otherwise, strict
+   [Value.compare] for MIN/MAX), so the result is bit-identical to
+   {!aggregate_rows} over the same rows. *)
+type agg_acc = {
+  mutable seen : int;  (** non-NULL argument values *)
+  mutable all_int : bool;
+  mutable isum : int;
+  mutable fsum : float;
+  mutable best : Value.t;  (** MIN/MAX so far *)
+}
+
+type agg_group = { mutable rows : int; accs : agg_acc array }
+
+let fold_agg_value (func : Agg.func) a v =
+  if not (Value.is_null v) then begin
+    (match func with
+    | Agg.Count -> ()
+    | Agg.Sum _ | Agg.Avg _ ->
+        (match v with
+        | Value.Int x -> a.isum <- a.isum + x
+        | _ -> a.all_int <- false);
+        a.fsum <- a.fsum +. Value.as_float v
+    | Agg.Min _ -> if a.seen = 0 || Value.compare v a.best < 0 then a.best <- v
+    | Agg.Max _ -> if a.seen = 0 || Value.compare v a.best > 0 then a.best <- v);
+    a.seen <- a.seen + 1
+  end
+
+let agg_result (func : Agg.func) g a =
+  match func with
+  | Agg.Count -> Value.Int g.rows
+  | _ when a.seen = 0 -> Value.Null
+  | Agg.Sum _ -> if a.all_int then Value.Int a.isum else Value.Float a.fsum
+  | Agg.Min _ | Agg.Max _ -> a.best
+  | Agg.Avg _ -> Value.Float (a.fsum /. float_of_int a.seen)
+
+let aggregate_batches s group_by specs (c : cursor) =
+  let gpos = Array.of_list (List.map (Schema.index_of s) group_by) in
+  let funcs = Array.of_list (List.map (fun (sp : Agg.spec) -> sp.func) specs) in
+  let args =
+    Array.map
+      (function
+        | Agg.Count -> -1
+        | Agg.Sum col | Agg.Min col | Agg.Max col | Agg.Avg col ->
+            Schema.index_of s col)
+      funcs
+  in
+  let fresh () =
+    {
+      rows = 0;
+      accs =
+        Array.map
+          (fun _ ->
+            { seen = 0; all_int = true; isum = 0; fsum = 0.0; best = Value.Null })
+          funcs;
+    }
+  in
+  let groups = Thash.create 64 in
+  let order = ref [] in
+  let global = fresh () in
+  let group_of b r =
+    if Array.length gpos = 0 then global
+    else begin
+      let k = batch_key gpos b r in
+      match Thash.find_opt groups k with
+      | Some g -> g
+      | None ->
+          let g = fresh () in
+          Thash.add groups k g;
+          order := (k, g) :: !order;
+          g
+    end
+  in
+  iter_cursor
+    (fun b ->
+      Batch.iter_sel
+        (fun r ->
+          let g = group_of b r in
+          g.rows <- g.rows + 1;
+          Array.iteri
+            (fun i p ->
+              if p >= 0 then fold_agg_value funcs.(i) g.accs.(i) (Batch.value b p r))
+            args)
+        b)
+    c;
+  let row k g = Array.append k (Array.mapi (fun i f -> agg_result f g g.accs.(i)) funcs) in
+  if Array.length gpos = 0 then [ row [||] global ]
+  else List.rev_map (fun (k, g) -> row k g) !order
+
 let vec_index_nested_loop out_schema lpos rpos table inner_cols (lcur : cursor) =
   let meter = Table.meter table in
   let first_col = List.hd inner_cols in
@@ -552,12 +641,14 @@ let rec cursor_node node : cursor =
       let out_schema = schema_of node in
       let s = schema_of input in
       lazy_batches (fun () ->
-          let rows = tuples_of_cursor (cursor_node input) in
-          Batch.of_tuples out_schema (aggregate_rows s group_by specs rows))
+          Batch.of_tuples out_schema
+            (aggregate_batches s group_by specs (cursor_node input)))
 
 let cursor = cursor_node
 
 let eval node = tuples_of_cursor (cursor_node node)
+
+let iter_batches node f = iter_cursor f (cursor_node node)
 
 let rec explain_lines indent node =
   let pad = String.make indent ' ' in

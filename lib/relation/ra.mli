@@ -1,19 +1,27 @@
 (** Relational algebra: logical plans with selectable physical join
     operators, evaluated over column-major batches.
 
-    This evaluator is the system's "recompute from scratch" path: it defines
-    reference view contents for the incremental maintainer, serves ad-hoc
-    queries in the examples, and — because all access paths are metered — it
-    is also what calibration measures to derive cost functions.
+    This evaluator is the system's "recompute from scratch" path.  The
+    IVM layer plans every from-scratch evaluation of a view through it
+    ([Ivm.Viewdef.joined_plan]: filters pushed onto scans, scans projected
+    to the columns read above them, hash joins built on the smaller side)
+    and consumes the batches directly: [Ivm.Maintainer.create] and the
+    delta-view rebuilds fold them into maintained content, and
+    [check_consistent] aggregates them here as the independent reference.
+    It also serves ad-hoc queries in the examples, and — because all
+    access paths are metered — it is what calibration measures.
 
     The primary interface is {!cursor}: a chunked pull API yielding
-    {!Batch.t}s, with scans, filters and projections streaming (filters run
-    as vectorized kernels over unboxed columns where {!Expr.filter_batch}
-    can, projections are zero-copy column subsets) and joins building and
-    probing on unboxed key columns.  {!eval} is a thin row-compatibility
-    shim that drains the cursor into a tuple list; {!eval_boxed} is the
-    retained row-at-a-time evaluator, kept as the semantic reference for
-    the equivalence property suite and as the baseline the columnar
+    {!Batch.t}s.  Scans, filters and projections stream (filters run as
+    vectorized kernels over unboxed columns where {!Expr.filter_batch}
+    can, projections are zero-copy column subsets); joins build on their
+    right input and probe with the left on unboxed key columns (an
+    allocation-free {!Ihash} when the single key is an int pair);
+    aggregates fold their input batch by batch, boxing only group keys and
+    argument values.  {!eval} drains the cursor into a tuple list.
+    {!eval_boxed} is the retained row-at-a-time evaluator, the semantic
+    reference for the equivalence property suite (same rows in the same
+    order, aggregates bit-identical) and the baseline the columnar
     benchmarks compare against.  Both paths bump identical row-equivalent
     meter totals (the batch path additionally ticks the batch-granularity
     counter), so calibrated cost functions are path-independent. *)
@@ -53,9 +61,13 @@ type cursor = unit -> Batch.t option
 val cursor : t -> cursor
 (** Chunked evaluation.  Scans, selections and projections stream batch by
     batch; joins, products and aggregates compute their output on first
-    pull (as the boxed evaluator materialized its intermediate lists).
+    pull (as the boxed evaluator materialized its intermediate lists;
+    an aggregate folds its input batches without materializing them).
     Table access is metered on the underlying tables' meters with the same
     row-equivalent totals as {!eval_boxed}. *)
+
+val iter_batches : t -> (Batch.t -> unit) -> unit
+(** Drain {!cursor}, handing each batch to the consumer in order. *)
 
 val eval : t -> Tuple.t list
 (** Materialize the plan's output bag — a row-compat shim draining

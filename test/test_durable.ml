@@ -622,6 +622,55 @@ let matrix_config ?pool ~dir ~hook () =
     pool;
   }
 
+(* A finished run's newest checkpoint with one view row edited still
+   parses, but the view re-materialized from its tables no longer
+   matches the recorded rows: recovery must refuse it. *)
+let test_checkpoint_vrow_edit_refused () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let dir = scratch () in
+  let o = Durable.Exec.run (matrix_config ~dir ~hook:Durable.Hook.none ()) env in
+  checkb "finished consistent" true o.Durable.Exec.consistent;
+  let recover () =
+    Durable.Recovery.recover ~dir ~view_of:env.Durable.Exec.view_of
+      ~fresh:(fun () -> fst (env.Durable.Exec.fresh ()))
+  in
+  (match recover () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "untouched recover: %s" e);
+  let newest =
+    match Durable.Manifest.load ~dir with
+    | Ok (Some m) -> (
+        match Durable.Manifest.latest m with
+        | Some (_, file) -> Filename.concat dir file
+        | None -> Alcotest.fail "no checkpoint in the manifest")
+    | _ -> Alcotest.fail "no manifest"
+  in
+  let edited = ref false in
+  let lines =
+    In_channel.with_open_bin newest In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.map (fun line ->
+           match String.index_opt line '\t' with
+           | Some i when String.sub line 0 i = "vrow" && not !edited -> (
+               let row = String.sub line (i + 1) (String.length line - i - 1) in
+               match Ivm.Codec.tuple_of_string row with
+               | Ok [| Relation.Value.Int pairs |] ->
+                   edited := true;
+                   "vrow\t"
+                   ^ Ivm.Codec.tuple_to_string [| Relation.Value.Int (pairs + 1) |]
+               | _ -> Alcotest.failf "unexpected view row %S" row)
+           | _ -> line)
+  in
+  checkb "a view row was edited" true !edited;
+  Out_channel.with_open_bin newest (fun oc ->
+      output_string oc (String.concat "\n" lines));
+  (match recover () with
+  | Ok _ -> Alcotest.fail "recovered from a checkpoint with an edited view row"
+  | Error e ->
+      checkb "refused by the row check" true
+        (String.starts_with ~prefix:"checkpoint verification failed" e));
+  rmtree dir
+
 let test_crash_matrix () =
   let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
   let base_dir = scratch () in
@@ -868,6 +917,8 @@ let () =
         [
           Alcotest.test_case "checkpoint roundtrip + restore" `Quick
             test_checkpoint_roundtrip;
+          Alcotest.test_case "edited checkpoint view row refused" `Quick
+            test_checkpoint_vrow_edit_refused;
           Alcotest.test_case "corrupt checkpoint is an Error" `Quick
             test_checkpoint_corrupt;
           Alcotest.test_case "manifest roundtrip + prune" `Quick

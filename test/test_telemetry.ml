@@ -118,6 +118,33 @@ let test_spans_record_nesting_and_deltas () =
       checkf "outer sees nested delta" 2.0 (M.value outer.metrics "inner.work")
   | other -> Alcotest.failf "expected 2 spans, got %d" (List.length other)
 
+(* Every from-scratch recompute runs inside one span: one
+   maintainer.materialize per [Maintainer.create], one maintainer.check
+   per [check_consistent], under either maintenance order (the delta
+   views' rebuilds nest in them, not beside them). *)
+let test_maintainer_recompute_spans () =
+  List.iter
+    (fun order ->
+      let db = Tpcr.Synth.generate ~seed:5 ~r_rows:60 ~s_rows:60 () in
+      let sink, spans = Telemetry.Sink.memory () in
+      with_collector ~sinks:[ sink ] (fun () ->
+          let m = Ivm.Maintainer.create ~order (Tpcr.Synth.join_view db) in
+          for _ = 1 to 2 do
+            checkb "consistent" true (Ivm.Maintainer.check_consistent m = Ok ())
+          done);
+      let count name =
+        List.length
+          (List.filter (fun (s : Telemetry.Span.t) -> s.name = name) (spans ()))
+      in
+      checki "one materialize span per create" 1 (count "maintainer.materialize");
+      checki "one check span per check" 2 (count "maintainer.check"))
+    [ Ivm.Viewdef.First_order; Ivm.Viewdef.Higher_order ];
+  (* with the collector off the spans are skipped, not recorded *)
+  let db = Tpcr.Synth.generate ~seed:5 ~r_rows:20 ~s_rows:20 () in
+  let m = Ivm.Maintainer.create (Tpcr.Synth.join_view db) in
+  checkb "consistent untraced" true (Ivm.Maintainer.check_consistent m = Ok ());
+  checkb "nothing booked" true (Telemetry.snapshot () = [])
+
 let test_span_survives_exception () =
   let sink, spans = Telemetry.Sink.memory () in
   with_collector ~sinks:[ sink ] (fun () ->
@@ -286,6 +313,8 @@ let () =
           Alcotest.test_case "disabled no-op" `Quick test_disabled_is_noop;
           Alcotest.test_case "spans nest" `Quick test_spans_record_nesting_and_deltas;
           Alcotest.test_case "exception safety" `Quick test_span_survives_exception;
+          Alcotest.test_case "maintainer recompute spans" `Quick
+            test_maintainer_recompute_spans;
           Alcotest.test_case "jsonl format" `Quick test_jsonl_sink_format;
           Alcotest.test_case "cli --trace unwritable" `Quick
             test_cli_unwritable_trace;
