@@ -1,0 +1,306 @@
+module Table = Relation.Table
+module Value = Relation.Value
+module Tuple = Relation.Tuple
+module Meter = Relation.Meter
+module Thash = Hashtbl.Make (Relation.Tuple)
+module Vhash = Hashtbl.Make (Relation.Value)
+
+type batch = {
+  delta : int;
+  tuples : Tuple.t array;
+  signs : int array;
+  canon : int array Lazy.t;
+      (** per delta: the index of the first delta with an equal tuple *)
+}
+
+let batch ~delta deltas =
+  let tuples = Array.of_list (List.map fst deltas) in
+  let canon =
+    lazy
+      (let first = Thash.create (max 16 (Array.length tuples)) in
+       Array.mapi
+         (fun d t ->
+           match Thash.find_opt first t with
+           | Some c -> c
+           | None ->
+               Thash.add first t d;
+               d)
+         tuples)
+  in
+  { delta; tuples; signs = Array.of_list (List.map snd deltas); canon }
+
+let delta b = b.delta
+let size b = Array.length b.tuples
+let tuple b d = b.tuples.(d)
+let sign b d = b.signs.(d)
+
+(* [count] partials of [width] slots each, row-major in [ids]. *)
+type partials = { width : int; mutable ids : int array; mutable count : int }
+
+let create_partials width hint =
+  { width; ids = Array.make (max 1 (hint * width)) (-1); count = 0 }
+
+let count ps = ps.count
+let id ps p j = ps.ids.((p * ps.width) + j)
+
+let reserve ps =
+  let need = (ps.count + 1) * ps.width in
+  if need > Array.length ps.ids then begin
+    let ids = Array.make (max need (2 * Array.length ps.ids)) (-1) in
+    Array.blit ps.ids 0 ids 0 (ps.count * ps.width);
+    ps.ids <- ids
+  end
+
+(* Append partial [p] of [src] with slot [j] bound to [v]. *)
+let push_ext dst src p j v =
+  reserve dst;
+  let w = dst.width in
+  let o = dst.count * w and from = p * w in
+  let ids = dst.ids and src_ids = src.ids in
+  for s = 0 to w - 1 do
+    Array.unsafe_set ids (o + s) (Array.unsafe_get src_ids (from + s))
+  done;
+  ids.(o + j) <- v;
+  dst.count <- dst.count + 1
+
+let value tables b ps p j c =
+  let r = id ps p j in
+  if j = b.delta then b.tuples.(r).(c) else Table.cell tables.(j) r c
+
+(* --- edge choice --------------------------------------------------------- *)
+
+(* Candidate expansion edges: those inside the scope with exactly one
+   endpoint bound, normalized so [left] is the bound side. *)
+let frontier_edges view ~scope bound =
+  List.filter_map
+    (fun (e : Viewdef.join_edge) ->
+      if not (scope.(e.left) && scope.(e.right)) then None
+      else if bound.(e.left) && not bound.(e.right) then Some e
+      else if bound.(e.right) && not bound.(e.left) then
+        Some
+          {
+            Viewdef.left = e.right;
+            left_col = e.right_col;
+            right = e.left;
+            right_col = e.left_col;
+          }
+      else None)
+    (Viewdef.join_edges view)
+
+(* Estimated cost of expanding one partial across an edge: an indexed
+   partner costs a probe returning its average bucket size; an unindexed
+   partner costs its full row count (shared scan, but a conservative
+   per-partial proxy keeps the heuristic simple). *)
+let edge_cost_estimate view ~delta (e : Viewdef.join_edge) =
+  let dst = (Viewdef.tables view).(e.right) in
+  let rows = float_of_int (max 1 (Table.row_count dst)) in
+  if
+    Table.has_index dst e.right_col
+    && not (Viewdef.force_scan view ~delta ~partner:e.right)
+  then rows /. float_of_int (max 1 (Table.distinct_estimate dst e.right_col))
+  else rows
+
+(* The next join edge from a bound table to an unbound one: first in
+   edge-list order (Fixed) or cheapest estimated expansion (Adaptive). *)
+let next_edge view ~delta ~scope bound =
+  match frontier_edges view ~scope bound with
+  | [] -> None
+  | first :: rest -> (
+      match Viewdef.join_order view with
+      | Viewdef.Fixed -> Some first
+      | Viewdef.Adaptive ->
+          Some
+            (List.fold_left
+               (fun best e ->
+                 if
+                   edge_cost_estimate view ~delta e
+                   < edge_cost_estimate view ~delta best
+                 then e
+                 else best)
+               first rest))
+
+(* --- expansion ----------------------------------------------------------- *)
+
+let step view meter ~path b ps (e : Viewdef.join_edge) =
+  let tables = Viewdef.tables view in
+  let dst = tables.(e.right) in
+  let src_pos =
+    Relation.Schema.index_of (Table.schema tables.(e.left)) e.left_col
+  in
+  let key p = value tables b ps p e.left src_pos in
+  let out = create_partials ps.width ps.count in
+  if
+    Table.has_index dst e.right_col
+    &&
+    match path with
+    | Some `Scan -> false
+    | Some `Index -> true
+    | None -> not (Viewdef.force_scan view ~delta:b.delta ~partner:e.right)
+  then
+    (* Indexed nested loop: one probe per partial. *)
+    for p = 0 to ps.count - 1 do
+      List.iter
+        (fun row -> push_ext out ps p e.right row)
+        (Table.lookup_ids dst e.right_col (key p))
+    done
+  else begin
+    (* Shared scan: a hash over the partials' join keys, the partner
+       scanned once in column batches.  NULL joins NULL here
+       ([Value.equal Null Null]), as everywhere in the delta join. *)
+    let dst_schema = Table.schema dst in
+    let dst_pos = Relation.Schema.index_of dst_schema e.right_col in
+    let keys = Array.init ps.count key in
+    Meter.bump_hash_build meter ps.count;
+    let int_key =
+      Relation.Schema.column_type dst_schema dst_pos = Relation.Datatype.TInt
+      && Array.for_all
+           (function Value.Int _ | Value.Null -> true | _ -> false)
+           keys
+    in
+    if int_key then begin
+      let h = Relation.Ihash.create (max 16 ps.count) in
+      let nulls = ref [] in
+      Array.iteri
+        (fun p -> function
+          | Value.Int k -> Relation.Ihash.add h k p
+          | _ -> nulls := p :: !nulls)
+        keys;
+      let nulls = List.rev !nulls in
+      Table.scan_batches dst (fun bt ->
+          Meter.bump_hash_probe meter bt.Relation.Batch.n_sel;
+          let col = bt.Relation.Batch.cols.(dst_pos) in
+          let data = Relation.Column.int_data col in
+          let valid = Relation.Column.validity col in
+          let base = bt.Relation.Batch.base and sel = bt.Relation.Batch.sel in
+          for s = 0 to bt.Relation.Batch.n_sel - 1 do
+            let abs = base + Array.unsafe_get sel s in
+            if Relation.Column.bit valid abs then begin
+              let cell =
+                ref (Relation.Ihash.first h (Bigarray.Array1.unsafe_get data abs))
+              in
+              while !cell >= 0 do
+                push_ext out ps (Relation.Ihash.payload_of h !cell) e.right abs;
+                cell := Relation.Ihash.next_cell h !cell
+              done
+            end
+            else List.iter (fun p -> push_ext out ps p e.right abs) nulls
+          done)
+    end
+    else begin
+      let by_value = Vhash.create (max 16 ps.count) in
+      Array.iteri (fun p k -> Vhash.add by_value k p) keys;
+      Table.scan_batches dst (fun bt ->
+          Meter.bump_hash_probe meter bt.Relation.Batch.n_sel;
+          Relation.Batch.iter_sel
+            (fun r ->
+              List.iter
+                (fun p -> push_ext out ps p e.right (bt.Relation.Batch.base + r))
+                (Vhash.find_all by_value (Relation.Batch.value bt dst_pos r)))
+            bt)
+    end
+  end;
+  out
+
+let expand view meter ~path ~scope b =
+  let n = Viewdef.n_tables view in
+  let ps = create_partials n (size b) in
+  for d = 0 to size b - 1 do
+    ps.ids.((d * n) + b.delta) <- d
+  done;
+  ps.count <- size b;
+  let bound = Array.make n false in
+  bound.(b.delta) <- true;
+  let rec go ps =
+    match next_edge view ~delta:b.delta ~scope bound with
+    | None -> ps
+    | Some e ->
+        let ps = step view meter ~path b ps e in
+        bound.(e.right) <- true;
+        go ps
+  in
+  go ps
+
+(* --- reading partials back ----------------------------------------------- *)
+
+type cells = (int * int * int) array
+
+let cells view positions =
+  let slot =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun j t ->
+              Array.init (Relation.Schema.arity (Table.schema t)) (fun c -> (j, c)))
+            (Viewdef.tables view)))
+  in
+  Array.of_list
+    (List.map
+       (fun pos ->
+         let j, c = slot.(pos) in
+         (pos, j, c))
+       positions)
+
+let fill view b ps p cells row =
+  let tables = Viewdef.tables view in
+  Array.iter (fun (pos, j, c) -> row.(pos) <- value tables b ps p j c) cells
+
+(* --- netting ------------------------------------------------------------- *)
+
+(* Open addressing over item indices; [hashes] and [total] are written
+   only at the first item of each value, so [total] is zero everywhere
+   else. *)
+let net ~count ~keep ~hash ~equal ~sign =
+  let cap = ref 16 in
+  while !cap < 2 * count do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap (-1) in
+  let hashes = Array.make count 0 and total = Array.make count 0 in
+  for i = 0 to count - 1 do
+    if keep i then begin
+      let h = hash i in
+      let rec probe s =
+        let f = Array.unsafe_get slots s in
+        if f < 0 then begin
+          slots.(s) <- i;
+          hashes.(i) <- h;
+          total.(i) <- sign i
+        end
+        else if hashes.(f) = h && equal f i then total.(f) <- total.(f) + sign i
+        else probe ((s + 1) land mask)
+      in
+      probe ((h lxor (h lsr 17)) land mask)
+    end
+  done;
+  let out = ref [] in
+  for i = count - 1 downto 0 do
+    if total.(i) <> 0 then out := (i, total.(i)) :: !out
+  done;
+  !out
+
+let net_partials view b ps ~keep =
+  let tables = Viewdef.tables view in
+  let n = ps.width in
+  let canon = Lazy.force b.canon in
+  let hash p =
+    let h = ref 17 in
+    for j = 0 to n - 1 do
+      let r = id ps p j in
+      h :=
+        (!h * 31)
+        + if j = b.delta then Value.hash_int canon.(r) else Table.hash_row tables.(j) r
+    done;
+    !h
+  in
+  let equal p q =
+    let rec slots j =
+      j = n
+      ||
+      let a = id ps p j and c = id ps q j in
+      (if j = b.delta then canon.(a) = canon.(c) else Table.equal_rows tables.(j) a c)
+      && slots (j + 1)
+    in
+    slots 0
+  in
+  net ~count:ps.count ~keep ~hash ~equal ~sign:(fun p -> b.signs.(id ps p b.delta))

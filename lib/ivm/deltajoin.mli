@@ -1,0 +1,90 @@
+(** Row-id delta joins: the expansion-and-netting kernel behind every
+    incremental maintenance path.
+
+    A maintenance batch of table [delta] is expanded across the view's join
+    edges into {e partials}.  A partial binds each table it has reached to
+    an [int]: the delta slot holds an index into the batch's delta array,
+    every other slot the absolute row id of a live partner row.  No tuple
+    is built while expanding — an indexed partner is probed through
+    {!Relation.Table.lookup_ids}, an unindexed one is scanned once per
+    edge against a hash over the partials' join keys — and rows are read
+    back by id only where something needs their values: the join keys of
+    the next edge, the view filter, the netting hash, and the content
+    update of each surviving net row.
+
+    First-order maintenance expands across every table and nets
+    ({!net_partials}); higher-order maintenance ({!Deltaview}) expands
+    across one delta-view component and materializes only that
+    component's member rows.
+
+    Metering is the delta join's cost model: an index edge bumps one
+    [index_probes] per partial and one [index_entries] per matched row
+    (inside [lookup_ids]); a scan edge bumps one [hash_build] per partial,
+    one [hash_probe] per scanned row and the scan's own counters. *)
+
+type batch
+(** The signed delta tuples of one maintenance batch. *)
+
+val batch : delta:int -> (Relation.Tuple.t * int) list -> batch
+(** [batch ~delta deltas] — [deltas] are table [delta]'s signed tuples in
+    processing order. *)
+
+val delta : batch -> int
+
+val tuple : batch -> int -> Relation.Tuple.t
+(** [tuple b d] — the [d]-th delta tuple. *)
+
+val sign : batch -> int -> int
+
+type partials
+(** A flat set of row-id partials, in expansion order. *)
+
+val count : partials -> int
+
+val id : partials -> int -> int -> int
+(** [id ps p j] — slot [j] of partial [p]: a delta index if [j] is the
+    batch's table, a row id of table [j] otherwise, [-1] if unbound. *)
+
+val expand :
+  Viewdef.t ->
+  Relation.Meter.t ->
+  path:[ `Index | `Scan ] option ->
+  scope:bool array ->
+  batch ->
+  partials
+(** Expand the batch across the in-scope tables (the batch's table must
+    be in scope; the scope must be connected).  Edges are taken in
+    {!Viewdef.join_order}.  [path] forces every edge onto the index
+    ([`Index], wherever the partner has one) or the shared scan
+    ([`Scan]); [None] follows the view's index and
+    {!Viewdef.force_scan} routing.  Hash-side bumps go to the meter
+    given; scans and probes bump the partner table's meter. *)
+
+type cells
+(** Joined-schema positions resolved to (table, column) slots. *)
+
+val cells : Viewdef.t -> int list -> cells
+
+val fill : Viewdef.t -> batch -> partials -> int -> cells -> Relation.Tuple.t -> unit
+(** [fill v b ps p cells row] writes partial [p]'s values at [cells] into
+    the joined-arity [row]; other positions are left alone. *)
+
+val net :
+  count:int ->
+  keep:(int -> bool) ->
+  hash:(int -> int) ->
+  equal:(int -> int -> bool) ->
+  sign:(int -> int) ->
+  (int * int) list
+(** Net items [0 .. count - 1] by value: [keep] runs on every item in
+    order; kept items with equal values ([hash]/[equal]) sum their
+    [sign]s.  Returns [(first item, net count)] for every value whose net
+    is non-zero, in order of first occurrence. *)
+
+val net_partials :
+  Viewdef.t -> batch -> partials -> keep:(int -> bool) -> (int * int) list
+(** {!net} over fully bound partials, by the value of the joined row they
+    stand for, computed in place: the delta slot by the batch's canonical
+    delta index (the first delta with an equal tuple), every partner slot
+    by its row's column values ({!Relation.Table.hash_row},
+    {!Relation.Table.equal_rows}), so equal-valued bag rows net. *)

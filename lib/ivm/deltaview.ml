@@ -5,12 +5,6 @@ module Thash = Hashtbl.Make (struct
   let hash = Relation.Tuple.hash
 end)
 
-type expander =
-  scope:bool array ->
-  delta:int ->
-  (Relation.Tuple.t * int) list ->
-  (Relation.Tuple.t option array * int) list
-
 (* One maintained sub-join: the component's tables joined among
    themselves, keyed by the values the owner table joins against.  Rows
    are stored as the concatenation of each member table's tuple in
@@ -23,6 +17,7 @@ type comp = {
   anchor_sub_pos : int array;
       (* per anchor edge: join column's position in the subtuple *)
   offsets : int array;  (* per table: slice offset in the subtuple, -1 *)
+  width : int;  (* subtuple arity *)
   rows : int Thash.t Thash.t;  (* anchor key -> subtuple -> count *)
 }
 
@@ -104,7 +99,15 @@ let make_comp view ~owner ~comp_id ~members =
            + Relation.Schema.index_of (Relation.Table.schema tables.(e.right)) e.right_col)
          anchors)
   in
-  { members; member; anchor_owner_pos; anchor_sub_pos; offsets; rows = Thash.create 64 }
+  {
+    members;
+    member;
+    anchor_owner_pos;
+    anchor_sub_pos;
+    offsets;
+    width = !acc;
+    rows = Thash.create 64;
+  }
 
 let key_of_owner comp tuple =
   Array.map (fun p -> Relation.Tuple.get tuple p) comp.anchor_owner_pos
@@ -112,14 +115,19 @@ let key_of_owner comp tuple =
 let key_of_sub comp sub =
   Array.map (fun p -> Relation.Tuple.get sub p) comp.anchor_sub_pos
 
-let subtuple_of_bindings t comp bindings =
-  let out = Array.make (Array.fold_left (fun a i -> a + t.arities.(i)) 0 comp.members) Relation.Value.Null in
+(* The subtuple a row-id partial binds over the component's members: the
+   delta slot's tuple from the batch, every other member's row read from
+   its table by id. *)
+let subtuple t comp b ps p =
+  let tables = Viewdef.tables t.view in
+  let delta = Deltajoin.delta b in
+  let out = Array.make comp.width Relation.Value.Null in
   Array.iter
     (fun i ->
-      match bindings.(i) with
-      | Some tuple -> Array.blit tuple 0 out comp.offsets.(i) t.arities.(i)
-      | None ->
-          invalid_arg "Deltaview: expansion left a component table unbound")
+      let r = Deltajoin.id ps p i in
+      if i = delta then
+        Array.blit (Deltajoin.tuple b r) 0 out comp.offsets.(i) t.arities.(i)
+      else Relation.Table.blit_row tables.(i) r out comp.offsets.(i))
     comp.members;
   out
 
@@ -230,18 +238,19 @@ let contributions t owner deltas =
    tables are still at their pre-batch state) and merging the resulting
    subtuples.  Components are scope sets; owners sharing the same
    component reuse one expansion. *)
-let update t ~delta deltas ~expand =
+let update t ~path b =
   let n = Array.length t.owners in
-  let memo : (bool array * (Relation.Tuple.t option array * int) list) list ref =
-    ref []
-  in
+  let delta = Deltajoin.delta b in
+  let memo : (bool array * Deltajoin.partials) list ref = ref [] in
   let expansion comp =
     match
       List.find_opt (fun (m, _) -> m == comp.member || m = comp.member) !memo
     with
     | Some (_, partials) -> partials
     | None ->
-        let partials = expand ~scope:comp.member ~delta deltas in
+        let partials =
+          Deltajoin.expand t.view t.meter ~path ~scope:comp.member b
+        in
         memo := (comp.member, partials) :: !memo;
         partials
   in
@@ -250,13 +259,21 @@ let update t ~delta deltas ~expand =
       let po = t.owners.(owner) in
       Array.iter
         (fun comp ->
-          if comp.member.(delta) then
+          if comp.member.(delta) then begin
+            let ps = expansion comp in
+            let subs = Array.init (Deltajoin.count ps) (subtuple t comp b ps) in
+            Relation.Meter.bump_hash_build t.meter (Array.length subs);
+            (* netted first: a shared scan emits a partner row's matches
+               in any delta order, and a batch that inserts and later
+               deletes one row must not merge the removal first *)
             List.iter
-              (fun (bindings, sign) ->
-                let sub = subtuple_of_bindings t comp bindings in
-                Relation.Meter.bump_hash_build t.meter 1;
-                merge comp (key_of_sub comp sub) sub sign)
-              (expansion comp))
+              (fun (p, count) -> merge comp (key_of_sub comp subs.(p)) subs.(p) count)
+              (Deltajoin.net ~count:(Array.length subs)
+                 ~keep:(fun _ -> true)
+                 ~hash:(fun p -> Relation.Tuple.hash subs.(p))
+                 ~equal:(fun p q -> Relation.Tuple.equal subs.(p) subs.(q))
+                 ~sign:(fun p -> Deltajoin.sign b (Deltajoin.id ps p delta)))
+          end)
         po.comps
     end
   done

@@ -21,19 +21,10 @@
     Metering: probes bump [hash_probe] (one per delta tuple per component)
     and [index_entries] (one per matched subtuple); maintenance merges
     bump [hash_build] (one per merged subtuple).  Expansions during
-    maintenance are metered by the {!Maintainer} machinery they reuse. *)
+    maintenance are metered by the {!Deltajoin} kernel they share with
+    first-order maintenance. *)
 
 type t
-
-type expander =
-  scope:bool array ->
-  delta:int ->
-  (Relation.Tuple.t * int) list ->
-  (Relation.Tuple.t option array * int) list
-(** Delta-join expansion restricted to the tables with [scope] set: given
-    signed delta tuples of table [delta] (which must be in scope), returns
-    partials binding every in-scope table.  Provided by {!Maintainer} so
-    the delta views reuse its metered index/scan machinery. *)
 
 val create : meter:Relation.Meter.t -> Viewdef.t -> t
 (** Build and fill one delta view per base table from the current base
@@ -46,10 +37,13 @@ val contributions :
     (no base-table access).  Rows are in canonical joined-schema order;
     the caller nets, filters and applies them. *)
 
-val update : t -> delta:int -> (Relation.Tuple.t * int) list -> expand:expander -> unit
-(** Fold a processed batch of table [delta] into every other table's delta
-    view (the base tables must not yet reflect the batch).  Owners whose
-    affected component is the same table set share one expansion. *)
+val update : t -> path:[ `Index | `Scan ] option -> Deltajoin.batch -> unit
+(** Fold a processed batch into every other table's delta view (the base
+    tables must not yet reflect the batch): the batch is expanded across
+    the affected component ({!Deltajoin.expand}, under [path]) and each
+    row-id partial's member rows are materialized into one subtuple.
+    Owners whose affected component is the same table set share one
+    expansion. *)
 
 val entries : t -> int
 (** Total materialized subtuple count across all delta views — the memory

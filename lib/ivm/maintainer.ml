@@ -5,13 +5,6 @@ module Thash = Hashtbl.Make (struct
   let hash = Relation.Tuple.hash
 end)
 
-module Vhash = Hashtbl.Make (struct
-  type t = Relation.Value.t
-
-  let equal = Relation.Value.equal
-  let hash = Relation.Value.hash
-end)
-
 type content =
   | Bag of { counts : int Thash.t; positions : int array }
       (** projected-tuple multiplicities; [positions] maps joined-schema
@@ -22,15 +15,14 @@ type t = {
   view : Viewdef.t;
   pending : Pending.t array;
   content : content;
-  filter_fn : (Relation.Tuple.t -> bool) option;
+  filter : (Deltajoin.cells * (Relation.Tuple.t -> bool)) option;
+      (** the compiled view filter and the joined positions it reads *)
+  content_cells : Deltajoin.cells;  (** the joined positions the content reads *)
   meter : Relation.Meter.t;
   order : Viewdef.order;
   mutable dv : Deltaview.t option;
       (** the materialized [d(V)/d(R_i)] structures; [Some] iff
           [order = Higher_order] *)
-  mutable path_override : [ `Index | `Scan ] option;
-      (** physical-path override for the batch currently inside
-          {!process}; [None] outside a batch and for default routing *)
 }
 
 let view m = m.view
@@ -54,248 +46,52 @@ let pending_sizes m = Array.map Pending.size m.pending
 
 let pending_size m i = Pending.size m.pending.(i)
 
-(* --- delta join expansion ---------------------------------------------- *)
+(* --- first-order delta join ------------------------------------------------ *)
 
-(* A partial result binds a subset of the tables to concrete tuples. *)
-type partial = { bindings : Relation.Tuple.t option array; sign : int }
-
-let bind partial j tuple =
-  let bindings = Array.copy partial.bindings in
-  bindings.(j) <- Some tuple;
-  { partial with bindings }
-
-(* Candidate expansion edges: those inside the scope with exactly one
-   endpoint bound, normalized so [left] is the bound side.  First-order
-   maintenance always passes an all-true scope (the whole view); the
-   higher-order path restricts expansion to one delta-view component. *)
-let frontier_edges view ~scope bound =
-  List.filter_map
-    (fun (e : Viewdef.join_edge) ->
-      if not (scope.(e.left) && scope.(e.right)) then None
-      else if bound.(e.left) && not bound.(e.right) then Some e
-      else if bound.(e.right) && not bound.(e.left) then
-        Some
-          {
-            Viewdef.left = e.right;
-            left_col = e.right_col;
-            right = e.left;
-            right_col = e.left_col;
-          }
-      else None)
-    (Viewdef.join_edges view)
-
-(* Estimated cost of expanding one partial across an edge: an indexed
-   partner costs a probe returning its average bucket size; an unindexed
-   partner costs its full row count (shared scan, but a conservative
-   per-partial proxy keeps the heuristic simple). *)
-let edge_cost_estimate view ~delta (e : Viewdef.join_edge) =
-  let dst = (Viewdef.tables view).(e.right) in
-  let rows = float_of_int (max 1 (Relation.Table.row_count dst)) in
-  if
-    Relation.Table.has_index dst e.right_col
-    && not (Viewdef.force_scan view ~delta ~partner:e.right)
-  then rows /. float_of_int (max 1 (Relation.Table.distinct_estimate dst e.right_col))
-  else rows
-
-(* Pick the next join edge from a bound table to an unbound one: first in
-   edge-list order (Fixed) or cheapest estimated expansion (Adaptive). *)
-let next_edge view ~delta ~scope bound =
-  match frontier_edges view ~scope bound with
-  | [] -> None
-  | first :: rest -> (
-      match Viewdef.join_order view with
-      | Viewdef.Fixed -> Some first
-      | Viewdef.Adaptive ->
-          Some
-            (List.fold_left
-               (fun best e ->
-                 if
-                   edge_cost_estimate view ~delta e
-                   < edge_cost_estimate view ~delta best
-                 then e
-                 else best)
-               first rest))
-
-let expand_step m ~delta partials (e : Viewdef.join_edge) =
-  let tables = Viewdef.tables m.view in
-  let src_table = tables.(e.left) and dst_table = tables.(e.right) in
-  let src_pos =
-    Relation.Schema.index_of (Relation.Table.schema src_table) e.left_col
+(* A first-order batch's signed contributions: the batch expanded across
+   every other table into row-id partials, the view filter run on the
+   columns it reads, the survivors netted by value, and one content row
+   built per net row.  Netting makes the application order-insensitive:
+   expansion order depends on the physical path, and a batch touching one
+   row twice must not apply the removal before the insertion. *)
+let first_order_contributions m ~path b =
+  let view = m.view in
+  let ps =
+    Deltajoin.expand view m.meter ~path
+      ~scope:(Array.make (Viewdef.n_tables view) true)
+      b
   in
-  let bound_value p =
-    match p.bindings.(e.left) with
-    | Some tuple -> Relation.Tuple.get tuple src_pos
-    | None -> assert false
+  let arity = Relation.Schema.arity (Viewdef.joined_schema view) in
+  let keep =
+    match m.filter with
+    | None -> fun _ -> true
+    | Some (cells, pred) ->
+        let scratch = Array.make arity Relation.Value.Null in
+        fun p ->
+          Deltajoin.fill view b ps p cells scratch;
+          pred scratch
   in
-  if
-    Relation.Table.has_index dst_table e.right_col
-    && (match m.path_override with
-       | Some `Scan -> false
-       | Some `Index -> true
-       | None -> not (Viewdef.force_scan m.view ~delta ~partner:e.right))
-  then
-    (* Indexed nested-loop: one probe per partial. *)
-    List.concat_map
-      (fun p ->
-        let matches = Relation.Table.lookup dst_table e.right_col (bound_value p) in
-        List.map (fun rt -> bind p e.right rt) matches)
-      partials
-  else begin
-    (* No index: build a hash over the batch, scan the partner once — in
-       column batches, materializing a partner tuple only on a key match.
-       Meter totals are row-equivalent to the old row-at-a-time path: one
-       hash_build per partial, one hash_probe per scanned row (bumped per
-       batch), plus the scan counters that [scan_batches] itself books. *)
-    let dst_schema = Relation.Table.schema dst_table in
-    let dst_pos = Relation.Schema.index_of dst_schema e.right_col in
-    let parr = Array.of_list partials in
-    Relation.Meter.bump_hash_build m.meter (Array.length parr);
-    let out = ref [] in
-    let int_key =
-      Relation.Schema.column_type dst_schema dst_pos = Relation.Datatype.TInt
-      && Array.for_all
-           (fun p ->
-             match bound_value p with
-             | Relation.Value.Int _ | Relation.Value.Null -> true
-             | _ -> false)
-           parr
-    in
-    if int_key then begin
-      (* unboxed probe set over the delta's join-key values; NULL-valued
-         partials keep their own chain because NULL joins NULL here
-         (Value.equal Null Null), as in the boxed hash path *)
-      let h = Relation.Ihash.create (max 16 (Array.length parr)) in
-      let null_partials = ref [] in
-      Array.iteri
-        (fun j p ->
-          match bound_value p with
-          | Relation.Value.Int k -> Relation.Ihash.add h k j
-          | _ -> null_partials := j :: !null_partials)
-        parr;
-      let null_partials = List.rev !null_partials in
-      Relation.Table.scan_batches dst_table (fun b ->
-          Relation.Meter.bump_hash_probe m.meter b.Relation.Batch.n_sel;
-          let col = b.Relation.Batch.cols.(dst_pos) in
-          let data = Relation.Column.int_data col in
-          let valid = Relation.Column.validity col in
-          let base = b.Relation.Batch.base and sel = b.Relation.Batch.sel in
-          for s = 0 to b.Relation.Batch.n_sel - 1 do
-            let r = Array.unsafe_get sel s in
-            let abs = base + r in
-            if Relation.Column.bit valid abs then begin
-              let cell =
-                ref (Relation.Ihash.first h (Bigarray.Array1.unsafe_get data abs))
-              in
-              if !cell >= 0 then begin
-                let rt = Relation.Batch.tuple b r in
-                while !cell >= 0 do
-                  let j = Relation.Ihash.payload_of h !cell in
-                  out := bind parr.(j) e.right rt :: !out;
-                  cell := Relation.Ihash.next_cell h !cell
-                done
-              end
-            end
-            else
-              match null_partials with
-              | [] -> ()
-              | js ->
-                  let rt = Relation.Batch.tuple b r in
-                  List.iter
-                    (fun j -> out := bind parr.(j) e.right rt :: !out)
-                    js
-          done)
-    end
-    else begin
-      let by_value = Vhash.create (max 16 (Array.length parr)) in
-      Array.iter (fun p -> Vhash.add by_value (bound_value p) p) parr;
-      Relation.Table.scan_batches dst_table (fun b ->
-          Relation.Meter.bump_hash_probe m.meter b.Relation.Batch.n_sel;
-          Relation.Batch.iter_sel
-            (fun r ->
-              let v = Relation.Batch.value b dst_pos r in
-              match Vhash.find_all by_value v with
-              | [] -> ()
-              | ps ->
-                  let rt = Relation.Batch.tuple b r in
-                  List.iter (fun p -> out := bind p e.right rt :: !out) ps)
-            b)
-    end;
-    List.rev !out
-  end
-
-let joined_tuple m partial =
-  let tables = Viewdef.tables m.view in
-  let parts =
-    Array.mapi
-      (fun j _ ->
-        match partial.bindings.(j) with
-        | Some tuple -> tuple
-        | None -> assert false)
-      tables
-  in
-  Array.concat (Array.to_list parts)
-
-(* Delta-join expansion of signed delta tuples of table [delta] across the
-   in-scope tables (all bindings in the result cover exactly the scope). *)
-let expand_scoped m ~scope ~delta deltas =
-  let n = Viewdef.n_tables m.view in
-  let bound = Array.make n false in
-  bound.(delta) <- true;
-  let partials =
-    List.map
-      (fun (tuple, sign) ->
-        let bindings = Array.make n None in
-        bindings.(delta) <- Some tuple;
-        { bindings; sign })
-      deltas
-  in
-  let rec expand partials bound =
-    match next_edge m.view ~delta ~scope bound with
-    | None -> partials
-    | Some e ->
-        let expanded = expand_step m ~delta partials e in
-        bound.(e.right) <- true;
-        expand expanded bound
-  in
-  expand partials bound
-
-(* The scoped expansion in the shape {!Deltaview} consumes. *)
-let expander m : Deltaview.expander =
- fun ~scope ~delta deltas ->
   List.map
-    (fun p -> (p.bindings, p.sign))
-    (expand_scoped m ~scope ~delta deltas)
+    (fun (p, count) ->
+      let row = Array.make arity Relation.Value.Null in
+      Deltajoin.fill view b ps p m.content_cells row;
+      (row, count))
+    (Deltajoin.net_partials view b ps ~keep)
 
-(* Net signed joined rows per distinct row: expansion order depends on the
-   physical path (index probes preserve delta order, shared scans emit in
-   scan order), and a batch touching the same row twice must not apply a
-   removal before the matching insertion.  Netting makes the application
-   order-insensitive.  The view filter is applied here, on the full joined
-   row. *)
-let net_contributions m rows =
-  let net = Thash.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (row, count) ->
-      let keep = match m.filter_fn with Some pred -> pred row | None -> true in
-      if keep then
-        match Thash.find_opt net row with
-        | Some cell -> cell := !cell + count
-        | None ->
-            Thash.add net row (ref count);
-            order := row :: !order)
-    rows;
-  List.rev !order
-  |> List.map (fun row -> (row, !(Thash.find net row)))
-  |> List.filter (fun (_, count) -> count <> 0)
-
-(* Compute the signed joined contributions of a batch of delta tuples from
-   table [i] by first-order delta join: expand across every other table,
-   then net. *)
-let expand_batch m i deltas =
-  let scope = Array.make (Viewdef.n_tables m.view) true in
-  let full = expand_scoped m ~scope ~delta:i deltas in
-  net_contributions m (List.map (fun p -> (joined_tuple m p, p.sign)) full)
+(* Net the joined rows of a higher-order probe, filtered first. *)
+let net_rows m rows =
+  let rows = Array.of_list rows in
+  let keep =
+    match m.filter with
+    | None -> fun _ -> true
+    | Some (_, pred) -> fun k -> pred (fst rows.(k))
+  in
+  List.map
+    (fun (k, count) -> (fst rows.(k), count))
+    (Deltajoin.net ~count:(Array.length rows) ~keep
+       ~hash:(fun k -> Relation.Tuple.hash (fst rows.(k)))
+       ~equal:(fun a b -> Relation.Tuple.equal (fst rows.(a)) (fst rows.(b)))
+       ~sign:(fun k -> snd rows.(k)))
 
 (* The initial content: the batches of {!Viewdef.joined_plan} folded
    straight into [Groups], or into the bag with only the output columns
@@ -341,9 +137,14 @@ let create ?meter ?order view =
   in
   let order = match order with Some o -> o | None -> Viewdef.order view in
   let build () =
-    let filter_fn =
+    let schema = Viewdef.joined_schema view in
+    let filter =
       Option.map
-        (Relation.Expr.compile_pred (Viewdef.joined_schema view))
+        (fun f ->
+          ( Deltajoin.cells view
+              (List.sort_uniq compare
+                 (List.map (Relation.Schema.index_of schema) (Relation.Expr.columns f))),
+            Relation.Expr.compile_pred schema f ))
         (Viewdef.filter view)
     in
     let m =
@@ -351,11 +152,11 @@ let create ?meter ?order view =
         view;
         pending = Array.map (fun _ -> Pending.create ()) tables;
         content = materialize view;
-        filter_fn;
+        filter;
+        content_cells = Deltajoin.cells view (Viewdef.content_positions view);
         meter;
         order;
         dv = None;
-        path_override = None;
       }
     in
     (match order with
@@ -430,35 +231,28 @@ let process ?path m i k =
       let batch = Pending.take m.pending.(i) k in
       Relation.Meter.bump_batch_setup m.meter 1;
       let deltas = List.concat_map Change.signed_tuples batch in
+      let b = Deltajoin.batch ~delta:i deltas in
       (match m.dv with
-      | None ->
-          let contributions = expand_batch m i deltas in
-          List.iter (apply_contribution m) contributions
+      | None -> List.iter (apply_contribution m) (first_order_contributions m ~path b)
       | Some dv ->
           (* Higher-order: the view delta is a lookup-and-merge against
              [i]'s materialized delta view; then fold the batch into the
              other tables' delta views while their components' base
              tables still hold the pre-batch state. *)
-          let contributions =
-            net_contributions m (Deltaview.contributions dv i deltas)
-          in
-          List.iter (apply_contribution m) contributions;
-          Deltaview.update dv ~delta:i deltas ~expand:(expander m));
+          List.iter (apply_contribution m)
+            (net_rows m (Deltaview.contributions dv i deltas));
+          Deltaview.update dv ~path b);
       List.iter (apply_to_base m i) batch
     end;
     let delta = Relation.Meter.diff (Relation.Meter.snapshot m.meter) before in
     if Telemetry.enabled () then book_batch_telemetry ~table:(table ()) ~k delta;
     delta
   in
-  let run () =
-    m.path_override <- path;
-    Fun.protect ~finally:(fun () -> m.path_override <- None) run_batch
-  in
-  if not (Telemetry.enabled ()) then run ()
+  if not (Telemetry.enabled ()) then run_batch ()
   else
     Telemetry.with_span ~name:"maintainer.process"
       ~attrs:[ ("table", table ()); ("k", string_of_int k) ]
-      run
+      run_batch
 
 let process_at_most ?path m i k =
   if i < 0 || i >= Array.length m.pending then

@@ -10,9 +10,10 @@
 
     + removes the earliest [k] modifications from queue [i],
     + computes their signed delta-join contributions against the other
-      tables — per-tuple index probes when the partner table is indexed on
-      the join column, otherwise one shared scan with a hash built over the
-      batch (this is where the paper's cost asymmetry comes from),
+      tables ({!Deltajoin}) — an index probe per partial result when the
+      partner table is indexed on the join column, otherwise one shared
+      scan against a hash built over the partials (this is where the
+      paper's cost asymmetry comes from),
     + folds the contributions into the materialized content (a counted bag
       for SPJ views, {!Groups} for aggregate views),
     + applies the modifications to base table [i] in FIFO order.

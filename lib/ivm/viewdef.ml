@@ -32,25 +32,36 @@ type t = {
   joined_schema : Relation.Schema.t;
 }
 
-let check_connected n join =
-  if n > 1 then begin
-    let adj = Array.make n [] in
-    List.iter
-      (fun e ->
-        adj.(e.left) <- e.right :: adj.(e.left);
-        adj.(e.right) <- e.left :: adj.(e.right))
-      join;
-    let visited = Array.make n false in
-    let rec dfs i =
-      if not visited.(i) then begin
-        visited.(i) <- true;
-        List.iter dfs adj.(i)
-      end
-    in
-    dfs 0;
-    if not (Array.for_all (fun v -> v) visited) then
-      invalid_arg "Viewdef.make: join graph is not connected"
-  end
+(* The join graph must be a spanning tree: connected, and without an edge
+   that closes a cycle.  The delta join expands each table through exactly
+   one edge, so a cycle's closing equality (a parallel edge is a cycle of
+   two) would go unchecked during maintenance while the recompute joins on
+   it; it belongs in the filter.  Union-find over the edges in order names
+   the first closing edge. *)
+let check_tree n aliases join =
+  let parent = Array.init n Fun.id in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let closing =
+    List.fold_left
+      (fun closing e ->
+        let a = find e.left and b = find e.right in
+        if a = b then (if closing = None then Some e else closing)
+        else begin
+          parent.(a) <- b;
+          closing
+        end)
+      None join
+  in
+  if n > 1 && Array.exists (fun i -> find i <> find 0) (Array.init n Fun.id)
+  then invalid_arg "Viewdef.make: join graph is not connected";
+  match closing with
+  | None -> ()
+  | Some e ->
+      invalid_arg
+        (Printf.sprintf
+           "Viewdef.make: join edge %s.%s = %s.%s closes a cycle in the join \
+            graph; express the extra equality as a filter conjunct"
+           aliases.(e.left) e.left_col aliases.(e.right) e.right_col)
 
 let make ~name ~tables ?aliases ~join ?filter ?group_by ?aggs ?projection
     ?(scan_hints = []) ?(join_order = Fixed) ?(order = First_order) () =
@@ -80,20 +91,7 @@ let make ~name ~tables ?aliases ~join ?filter ?group_by ?aggs ?projection
            (Relation.Table.schema tables.(e.right))
            e.right_col))
     join;
-  check_connected n join;
-  (* Parallel edges (a second equality between an already-linked table
-     pair) would be silently ignored by the single-edge-per-expansion
-     delta join; demand they be written as filter conjuncts instead. *)
-  let seen_pairs = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let pair = (min e.left e.right, max e.left e.right) in
-      if Hashtbl.mem seen_pairs pair then
-        invalid_arg
-          "Viewdef.make: parallel join edges between the same tables; express \
-           the extra equality as a filter conjunct";
-      Hashtbl.add seen_pairs pair ())
-    join;
+  check_tree n aliases join;
   let group_by = match group_by with Some g -> g | None -> [] in
   let aggs = match aggs with Some a -> a | None -> [] in
   if aggs = [] && group_by <> [] then

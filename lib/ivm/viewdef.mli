@@ -3,8 +3,9 @@
 
     Columns in [filter], [group_by], [aggs] and [projection] refer to the
     *joined schema*: the concatenation of every base table's schema
-    qualified by its alias, in table order.  The join graph must be
-    connected. *)
+    qualified by its alias, in table order.  The join graph must be a
+    tree: connected, with no edge closing a cycle (write such an equality
+    as a filter conjunct). *)
 
 type join_edge = {
   left : int;  (** table index *)
@@ -56,7 +57,9 @@ val make :
   unit ->
   t
 (** Raises [Invalid_argument] when the join graph is disconnected (for two
-    or more tables), an edge references unknown tables/columns, or both
+    or more tables), an edge closes a cycle (the message names the first
+    such edge in list order; a second edge between one table pair is a
+    cycle of two), an edge references unknown tables/columns, or both
     [aggs] and [projection] are given.
 
     [scan_hints] lists [(delta_table, partner)] pairs: when maintaining a
@@ -102,6 +105,11 @@ val scoped_plan : t -> int array -> Relation.Ra.t
     (ascending indices, connected among themselves), every column of each
     member in ascending table order, planned like {!joined_plan}: one
     {!Deltaview} component recomputed from scratch. *)
+
+val content_positions : t -> int list
+(** The joined-schema positions the view's content reads: group-by and
+    aggregate argument columns, the projection, or every column of a
+    plain join view — the columns {!joined_plan} keeps. *)
 
 val edges_of_table : t -> int -> join_edge list
 (** Edges incident to a table (normalized so [left] is that table). *)

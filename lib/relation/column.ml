@@ -187,6 +187,19 @@ let get c i =
     | Strs p -> Value.Str (Util.Vec.get p.dict (Bigarray.Array1.unsafe_get p.codes i))
     | Bools p -> Value.Bool (bit p.bits i)
 
+let hash_cell c i =
+  if i < 0 || i >= c.len then invalid_arg "Column.hash_cell: index out of bounds";
+  if not (bit c.valid i) then Value.hash Value.Null
+  else
+    match c.payload with
+    | Ints p -> Value.hash_int (Bigarray.Array1.unsafe_get p.data i)
+    (* an intish slot holds [float_of_int] of its int, which is the image
+       [Value.hash_int] hashes, also beyond the float53 range *)
+    | Floats p -> Value.hash_float (Bigarray.Array1.unsafe_get p.data i)
+    | Strs p ->
+        Hashtbl.hash (Util.Vec.get p.dict (Bigarray.Array1.unsafe_get p.codes i))
+    | Bools p -> Hashtbl.hash (bit p.bits i)
+
 let append_from dst src i =
   if i < 0 || i >= src.len then invalid_arg "Column.append_from: index out of bounds";
   if not (bit src.valid i) then append dst Value.Null

@@ -33,6 +33,10 @@ val append : t -> Value.t -> unit
 val set : t -> int -> Value.t -> unit
 val get : t -> int -> Value.t
 
+val hash_cell : t -> int -> int
+(** [hash_cell c i = Value.hash (get c i)], read from the unboxed buffers
+    without allocating. *)
+
 val append_from : t -> t -> int -> unit
 (** [append_from dst src i] appends row [i] of [src] to [dst] without
     boxing when the payload representations match (same-type columns;

@@ -174,7 +174,7 @@ let distinct_estimate t col =
       | Some idx -> Ordindex.cardinality idx
       | None -> t.live)
 
-let lookup_rows t col value =
+let lookup_ids t col value =
   let col = canonical_column t col in
   match Hashtbl.find_opt t.indexes col with
   | None ->
@@ -182,19 +182,31 @@ let lookup_rows t col value =
         (Printf.sprintf "Table.lookup(%s): no index on column %S" t.name col)
   | Some idx ->
       Meter.bump_index_probes t.meter 1;
-      let rows = Index.lookup idx value in
-      let out =
-        List.filter_map
-          (fun row ->
-            match get_row t row with
-            | Some tuple -> Some (row, tuple)
-            | None -> None)
-          rows
-      in
-      Meter.bump_index_entries t.meter (List.length out);
-      out
+      let rows = List.filter (is_live t) (Index.lookup idx value) in
+      Meter.bump_index_entries t.meter (List.length rows);
+      rows
 
-let lookup t col value = List.map snd (lookup_rows t col value)
+let lookup t col value = List.map (materialize t) (lookup_ids t col value)
+
+(* --- row-id access ------------------------------------------------------- *)
+
+let cell t row c = Column.get t.cols.(c) row
+
+let hash_row t row =
+  let h = ref 17 in
+  for c = 0 to Array.length t.cols - 1 do
+    h := (!h * 31) + Column.hash_cell (Array.unsafe_get t.cols c) row
+  done;
+  !h
+
+let equal_rows t a b =
+  a = b
+  || Array.for_all
+       (fun col -> Value.equal (Column.get col a) (Column.get col b))
+       t.cols
+
+let blit_row t row dst off =
+  Array.iteri (fun c col -> dst.(off + c) <- Column.get col row) t.cols
 
 let scan t f =
   for row = 0 to t.n_rows - 1 do

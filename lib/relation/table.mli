@@ -67,8 +67,30 @@ val lookup : t -> string -> Value.t -> Tuple.t list
 (** Index lookup; raises [Invalid_argument] if the column has no index.
     Bumps probe/entry counters. *)
 
-val lookup_rows : t -> string -> Value.t -> (int * Tuple.t) list
-(** Like {!lookup} but also returns row ids. *)
+val lookup_ids : t -> string -> Value.t -> int list
+(** Like {!lookup} but returns the live row ids instead of materializing
+    the rows; metered exactly like {!lookup} (one probe, one entry per
+    id). *)
+
+(** {1 Row-id access}
+
+    Reads of one row by id, for kernels that carry row ids instead of
+    tuples.  None of them touches the meter — the scan or probe that
+    produced the id already paid for the row — and none checks liveness. *)
+
+val cell : t -> int -> int -> Value.t
+(** [cell t row c] — the value in column position [c]. *)
+
+val hash_row : t -> int -> int
+(** [hash_row t row = Tuple.hash] of the row, computed from the unboxed
+    columns without materializing it. *)
+
+val equal_rows : t -> int -> int -> bool
+(** Whether two rows hold equal values ({!Tuple.equal}). *)
+
+val blit_row : t -> int -> Tuple.t -> int -> unit
+(** [blit_row t row dst off] writes the row's values into
+    [dst.(off) .. dst.(off + arity - 1)]. *)
 
 val scan : t -> (int -> Tuple.t -> unit) -> unit
 (** Iterate all live rows; bumps the sequential-scan counter per live row. *)

@@ -24,9 +24,36 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* A 63-bit finalizer in the style of murmur3's fmix64: every input bit
+   reaches every output bit, so the low bits a hash table masks with are
+   well spread even for small consecutive keys. *)
+let[@inline] mix x =
+  let x = x lxor (x lsr 32) in
+  let x = x * 0x1f51afd7ed558ccd in
+  let x = x lxor (x lsr 29) in
+  let x = x * 0x04cf5ad432745937 in
+  (x lxor (x lsr 32)) land max_int
+
+(* [Int] and [Float] hash through one numeric image, the float, so that
+   [Int 1] and [Float 1.0] collide as [equal] demands; [Float.compare]
+   equates [0.] with [-0.] and every NaN with every other, so those
+   collapse first.  Nothing here allocates: the float's bits are read
+   as an unboxed int64. *)
+let[@inline] hash_float f =
+  if Float.is_nan f then 0x7ff8
+  else if f = 0.0 then mix 0
+  else
+    let b = Int64.bits_of_float f in
+    (* [Int64.to_int] drops bit 63, the sign: fold it back in *)
+    mix
+      (Int64.to_int b
+      lxor (Int64.to_int (Int64.shift_right_logical b 63) * 0x2545f4914f6cdd1d))
+
+let[@inline] hash_int x = hash_float (float_of_int x)
+
 let hash = function
-  | Int x -> Hashtbl.hash (float_of_int x)
-  | Float x -> Hashtbl.hash x
+  | Int x -> hash_int x
+  | Float x -> hash_float x
   | Str s -> Hashtbl.hash s
   | Bool b -> Hashtbl.hash b
   | Null -> 0x6e756c6c

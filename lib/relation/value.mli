@@ -17,7 +17,14 @@ val equal : t -> t -> bool
     [Float 1.0]. *)
 
 val hash : t -> int
-(** Consistent with {!equal}: integral floats hash like the integer. *)
+(** Consistent with {!equal}: integral floats hash like the integer,
+    [0.] like [-0.], and every NaN alike.  Allocation-free. *)
+
+val hash_int : int -> int
+(** [hash_int x = hash (Int x)], for kernels reading unboxed columns. *)
+
+val hash_float : float -> int
+(** [hash_float x = hash (Float x)]. *)
 
 val is_null : t -> bool
 

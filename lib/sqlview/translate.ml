@@ -138,22 +138,21 @@ let view_of_query ~name ~catalog (q : Ast.query) =
       match q.Ast.where with
       | None -> ([], [])
       | Some w ->
-          (* At most one join edge per table pair: a second equality
-             between already-joined tables becomes a filter conjunct
-             (Viewdef rejects parallel edges). *)
-          let seen_pairs = Hashtbl.create 8 in
+          (* The join edges form a spanning forest: an equality between
+             tables already connected by earlier edges (a second equality
+             between one pair, or the last side of a triangle) becomes a
+             filter conjunct, since Viewdef rejects cycle-closing edges. *)
+          let parent = Array.init (Array.length env.tables) Fun.id in
+          let rec find i = if parent.(i) = i then i else find parent.(i) in
           List.fold_left
             (fun (joins, filters) conjunct ->
               match classify_conjunct env conjunct with
               | `Join edge ->
-                  let pair =
-                    ( min edge.Ivm.Viewdef.left edge.Ivm.Viewdef.right,
-                      max edge.Ivm.Viewdef.left edge.Ivm.Viewdef.right )
-                  in
-                  if Hashtbl.mem seen_pairs pair then
-                    (joins, filters @ [ conjunct ])
+                  let a = find edge.Ivm.Viewdef.left
+                  and b = find edge.Ivm.Viewdef.right in
+                  if a = b then (joins, filters @ [ conjunct ])
                   else begin
-                    Hashtbl.add seen_pairs pair ();
+                    parent.(a) <- b;
                     (joins @ [ edge ], filters)
                   end
               | `Filter f -> (joins, filters @ [ f ]))

@@ -5,7 +5,9 @@
     - WHERE must be a conjunction whose equality conjuncts between columns
       of two different tables become equi-join edges (in source order —
       this order is also the maintenance join order, see
-      {!Ivm.Viewdef.make}); all remaining conjuncts become the filter;
+      {!Ivm.Viewdef.make}), except one between tables that earlier edges
+      already connect (it would close a cycle); all remaining conjuncts
+      become the filter;
     - with aggregates in SELECT, the non-aggregate items must appear in
       GROUP BY;
     - unqualified column references must be unambiguous across the FROM

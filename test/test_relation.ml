@@ -36,6 +36,66 @@ let test_value_equal_hash_consistent () =
   checkb "equal" true (Value.equal (vi 5) (vf 5.0));
   checki "hashes match for equal values" (Value.hash (vi 5)) (Value.hash (vf 5.0))
 
+(* Values built to collide under [Value.equal]: ints beyond 2^53 and their
+   float images, both zeros, NaNs with different payloads and signs, and
+   Int/Float pairs of one number. *)
+let collision_prone_value =
+  let open QCheck.Gen in
+  let big = [ 1 lsl 53; (1 lsl 53) + 1; (1 lsl 60) + 7; max_int; min_int; -(1 lsl 53) - 1 ] in
+  let nans =
+    [ Float.nan; Float.neg Float.nan; Int64.float_of_bits 0x7ff0000000000001L;
+      Int64.float_of_bits 0xfff8000000000123L ]
+  in
+  let number =
+    oneof
+      [
+        map (fun i -> Value.Int i) (int_range (-3) 3);
+        map (fun i -> Value.Float (float_of_int i)) (int_range (-3) 3);
+        map (fun i -> Value.Int i) (oneofl big);
+        map (fun i -> Value.Float (float_of_int i)) (oneofl big);
+        map (fun f -> Value.Float f) (oneofl ([ 0.0; -0.0; 0.5; Float.infinity ] @ nans));
+      ]
+  in
+  frequency
+    [
+      (8, number);
+      (1, map (fun s -> Value.Str s) (oneofl [ ""; "a"; "b" ]));
+      (1, map (fun b -> Value.Bool b) bool);
+      (1, return Value.Null);
+    ]
+
+let prop_equal_implies_same_hash =
+  QCheck.Test.make ~name:"Value.equal a b implies equal hashes" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> Value.to_string a ^ ", " ^ Value.to_string b)
+       QCheck.Gen.(pair collision_prone_value collision_prone_value))
+    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
+
+let test_value_hash_edge_cases () =
+  let same label a b = checki label (Value.hash a) (Value.hash b) in
+  same "0. and -0." (vf 0.0) (vf (-0.0));
+  same "0 and -0." (vi 0) (vf (-0.0));
+  same "nan payloads" (vf Float.nan) (vf (Int64.float_of_bits 0xfff8000000000123L));
+  same "2^53 as int and float" (vi (1 lsl 53)) (vf (float_of_int (1 lsl 53)));
+  same "2^53+1 equals its rounded float" (vi ((1 lsl 53) + 1))
+    (vf (float_of_int ((1 lsl 53) + 1)));
+  checkb "hash_int" true (Value.hash_int (-7) = Value.hash (vi (-7)));
+  checkb "hash_float" true (Value.hash_float 2.5 = Value.hash (vf 2.5));
+  checkb "small ints spread over low bits" true
+    (List.length
+       (List.sort_uniq compare (List.init 64 (fun i -> Value.hash (vi i) land 63)))
+    > 32)
+
+let test_value_hash_allocation_free () =
+  let values = [| vi 5; vf 2.5; vi ((1 lsl 53) + 1); vf Float.nan; Value.Null |] in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    acc := !acc lxor Value.hash values.(i mod Array.length values)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.check (Alcotest.float 0.0) "minor words" 0.0 words
+
 let test_value_to_string () =
   checks "int" "42" (Value.to_string (vi 42));
   checks "null" "NULL" (Value.to_string Value.Null);
@@ -249,6 +309,55 @@ let test_table_index_after_delete () =
   ignore (Table.insert t (row 2 7 2.0));
   ignore (Table.delete_row t id);
   checki "bucket shrinks" 1 (List.length (Table.lookup t "grp" (vi 7)))
+
+(* The row-id accessors read back exactly what the boxed ones
+   materialize, and [lookup_ids] is metered like [lookup]. *)
+let test_table_row_id_access () =
+  let meter = Meter.create () in
+  let t =
+    Table.create ~meter ~name:"ids"
+      ~schema:
+        (Schema.make
+           [ ("i", Datatype.TInt); ("f", Datatype.TFloat); ("s", Datatype.TString);
+             ("b", Datatype.TBool) ])
+      ()
+  in
+  let rows =
+    [
+      [| vi 1; vf (-0.0); vs "a"; Value.Bool true |];
+      [| vi 1; vi ((1 lsl 53) + 1); vs "b"; Value.Null |];
+      [| Value.Null; vf Float.nan; Value.Null; Value.Bool false |];
+      [| vi 1; vf 0.0; vs "a"; Value.Bool true |];
+      [| vi 2; vi 3; vs "a"; Value.Bool false |];
+    ]
+  in
+  let ids = List.map (Table.insert t) rows in
+  List.iter
+    (fun id ->
+      let tuple = Option.get (Table.get_row t id) in
+      checki "hash_row = Tuple.hash" (Tuple.hash tuple) (Table.hash_row t id);
+      let blitted = Array.make 6 Value.Null in
+      Table.blit_row t id blitted 2;
+      checkb "blit_row" true (Tuple.equal (Array.sub blitted 2 4) tuple);
+      checkb "cell" true (Value.equal (Table.cell t id 1) tuple.(1)))
+    ids;
+  (match ids with
+  | first :: second :: _ :: fourth :: _ ->
+      checkb "equal values, different ids" true (Table.equal_rows t first fourth);
+      checkb "different values" false (Table.equal_rows t first second)
+  | _ -> assert false);
+  Table.create_index t "i";
+  let metered f =
+    let before = Meter.snapshot meter in
+    let r = f () in
+    (r, Meter.diff (Meter.snapshot meter) before)
+  in
+  let tuples, by_lookup = metered (fun () -> Table.lookup t "i" (vi 1)) in
+  let found, by_ids = metered (fun () -> Table.lookup_ids t "i" (vi 1)) in
+  checkb "same meter" true (by_lookup = by_ids);
+  checki "three entries" 3 by_ids.Meter.index_entries;
+  checkb "ids materialize to the lookup's rows" true
+    (List.equal Tuple.equal tuples (List.map (fun id -> Option.get (Table.get_row t id)) found))
 
 let test_table_lookup_without_index () =
   let t = mk_table () in
@@ -677,6 +786,10 @@ let () =
           Alcotest.test_case "rank order" `Quick test_value_compare_ranks;
           Alcotest.test_case "equal/hash consistent" `Quick
             test_value_equal_hash_consistent;
+          QCheck_alcotest.to_alcotest prop_equal_implies_same_hash;
+          Alcotest.test_case "hash edge cases" `Quick test_value_hash_edge_cases;
+          Alcotest.test_case "hash allocates nothing" `Quick
+            test_value_hash_allocation_free;
           Alcotest.test_case "to_string" `Quick test_value_to_string;
           Alcotest.test_case "coercions" `Quick test_value_coercions;
         ] );
@@ -723,6 +836,7 @@ let () =
           Alcotest.test_case "delete row" `Quick test_table_delete_row;
           Alcotest.test_case "update row" `Quick test_table_update_row;
           Alcotest.test_case "index lookup" `Quick test_table_index_lookup;
+          Alcotest.test_case "row-id access" `Quick test_table_row_id_access;
           Alcotest.test_case "index after delete" `Quick test_table_index_after_delete;
           Alcotest.test_case "lookup without index" `Quick
             test_table_lookup_without_index;
