@@ -6,7 +6,6 @@
      calibrate  measure TPC-R maintenance cost curves from the engine
      run        calibrate, simulate all strategies, execute one (Fig. 5)
      demo       end-to-end TPC-R run: calibrate, plan, execute, validate
-     tightness  print the §3.2 LGM tightness table
      robust     inject drift into an instance, compare static ADAPT vs the
                 monitored replanner vs ONLINE
      durable    crash-recoverable execution: WAL + checkpoints
@@ -480,36 +479,6 @@ let demo_cmd =
   Cmd.v
     (Cmd.info "demo" ~doc:"end-to-end TPC-R run: calibrate, plan, execute, validate")
     Term.(ret (const demo $ scale $ horizon $ trace_arg $ metrics_arg))
-
-(* --- tightness ---------------------------------------------------------------- *)
-
-let tightness () =
-  Util.Tablefmt.print
-    ~aligns:(List.init 4 (fun _ -> Util.Tablefmt.Right))
-    ~header:[ "eps"; "OPT"; "OPT-LGM"; "ratio" ]
-    (List.map
-       (fun eps ->
-         let limit = 10.0 in
-         let f = Cost.Func.step_tightness ~eps ~limit in
-         let per_step = int_of_float (2.0 /. eps) + 1 in
-         let spec =
-           Abivm.Spec.make ~costs:[| f |] ~limit
-             ~arrivals:(Array.make 4 [| per_step |])
-         in
-         let exact, _ = Abivm.Exact.solve spec in
-         let lgm = (Abivm.Astar.solve spec).Abivm.Astar.cost in
-         [
-           Printf.sprintf "%.3f" eps;
-           Util.Tablefmt.float_cell exact;
-           Util.Tablefmt.float_cell lgm;
-           Util.Tablefmt.float_cell ~decimals:3 (lgm /. exact);
-         ])
-       [ 1.0; 0.5; 0.25; 0.125 ])
-
-let tightness_cmd =
-  Cmd.v
-    (Cmd.info "tightness" ~doc:"print the §3.2 factor-2 tightness table")
-    Term.(const tightness $ const ())
 
 (* --- robust ------------------------------------------------------------------- *)
 
@@ -1525,7 +1494,7 @@ let partition_cmd =
 let main_cmd =
   let doc = "asymmetric batch incremental view maintenance" in
   Cmd.group (Cmd.info "abivm" ~version:"1.0.0" ~doc)
-    [ simulate_cmd; astar_cmd; calibrate_cmd; run_cmd; demo_cmd; tightness_cmd;
+    [ simulate_cmd; astar_cmd; calibrate_cmd; run_cmd; demo_cmd;
       robust_cmd; durable_cmd; serve_cmd; partition_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

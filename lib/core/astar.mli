@@ -65,7 +65,7 @@ val heuristic : Spec.t -> t:int -> Statevec.t -> float
 val batch_bounds : Spec.t -> int array
 (** The per-table batch bounds [b_i = m_i + max{k : f_i(k) <= C}] (at
     least 1) the heuristic's decompositions are restricted to — exposed so
-    benches and tests can report how calibrated cost shapes move them. *)
+    tests can check how calibrated cost shapes move them. *)
 
 val table_lower_bound : Spec.t -> table:int -> remaining:int -> float
 (** [table_lower_bound spec ~table ~remaining] — the tabulated [lb_i(M)]:

@@ -106,4 +106,4 @@ val check_consistent : t -> (unit, string) result
 
 val delta_view : t -> Deltaview.t option
 (** The materialized delta views ([Some] iff the maintenance order is
-    [Higher_order]) — exposed for memory accounting in benches. *)
+    [Higher_order]) — exposed for the serve admission's memory accounting. *)

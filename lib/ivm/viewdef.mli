@@ -37,7 +37,7 @@ type order =
 
 val order_name : order -> string
 (** ["first-order"] / ["higher-order"] — stable labels for telemetry,
-    bench JSON and CLI flags. *)
+    tenant manifests and CLI flags. *)
 
 val order_of_name : string -> order option
 (** Inverse of {!order_name} — for manifests and CLI flags. *)

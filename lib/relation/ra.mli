@@ -21,10 +21,10 @@
     argument values.  {!eval} drains the cursor into a tuple list.
     {!eval_boxed} is the retained row-at-a-time evaluator, the semantic
     reference for the equivalence property suite (same rows in the same
-    order, aggregates bit-identical) and the baseline the columnar
-    benchmarks compare against.  Both paths bump identical row-equivalent
-    meter totals (the batch path additionally ticks the batch-granularity
-    counter), so calibrated cost functions are path-independent. *)
+    order, aggregates bit-identical).  Both paths bump identical
+    row-equivalent meter totals (the batch path additionally ticks the
+    batch-granularity counter), so calibrated cost functions are
+    path-independent. *)
 
 type join_algo =
   | Auto  (** indexed nested-loop when the inner is an indexed scan, else hash *)
@@ -76,7 +76,7 @@ val eval : t -> Tuple.t list
 val eval_boxed : t -> Tuple.t list
 (** The row-at-a-time reference evaluator (pre-columnar engine).  Same
     results and same per-row meter totals as {!eval}; kept for equivalence
-    testing and boxed-vs-vectorized benchmarking. *)
+    testing. *)
 
 val explain : t -> string
 (** One-line-per-node textual plan for debugging and examples. *)

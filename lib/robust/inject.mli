@@ -82,6 +82,6 @@ val drifted :
   ?cost_factor:float ->
   Abivm.Spec.t ->
   scenario
-(** The canonical degraded scenario of the bench and tests: a rate shift
+(** The canonical degraded scenario of the CLI and tests: a rate shift
     at [shift_at] (default mid-horizon) by [rate_factor] (default [2.0])
     plus uniform cost misestimation by [cost_factor] (default [2.0]). *)

@@ -30,4 +30,5 @@ val zipf_feeds : seed:int -> ?exponent:float -> db2 -> Updates.feeds
     recovered join domain (rank 0 hottest, weight [∝ 1/(rank+1)^exponent],
     default exponent [1.0]) instead of uniformly, so a few hot keys carry
     most of the join fan-out — the adversarial case for per-tuple probing
-    and the stress stream of the [ho] bench.  Deterministic in [seed]. *)
+    and the stress stream of the skew-partitioning tests and benchmark.
+    Deterministic in [seed]. *)

@@ -15,7 +15,9 @@
    - directed suites for the classic trouble spots: NULL join keys,
      empty batches, duplicate rows in one batch, delete-to-empty, and
      updates that move a tuple across join groups;
-   - a four-table directed run on the paper's MIN(supplycost) view.
+   - a four-table directed run on the paper's MIN(supplycost) view;
+   - the metered cost-curve claims: HO at least 2x cheaper than FO on the
+     dR path at small batches, and a flatter dS slope.
 
    Aggregates in the property views are COUNT and SUM over integer-valued
    columns, so maintained floats are exact and order-independent —
@@ -295,6 +297,38 @@ let test_ho_metering_flat_probe () =
     true
     (big <= small *. 1.5)
 
+(* The cost-curve claims on a 160x160 synth join (R indexed on the join
+   key, S not), both orders metered on fresh twin engines: on the dR path
+   a FO batch scans S once while HO probes d(V)/d(R) per tuple, so HO must
+   be at least 2x cheaper at small batches; on the indexed dS path the
+   win is a flatter fitted slope. *)
+let test_ho_cost_curves () =
+  let make order =
+    let db = Tpcr.Synth.generate ~seed:7 ~r_rows:160 ~s_rows:160 () in
+    ( Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter ~order
+        (Tpcr.Synth.join_view db),
+      Tpcr.Synth.insert_feeds ~seed:11 db )
+  in
+  let curves table =
+    Bridge.Calibrate.measure_orders ~make ~table ~sizes:[ 1; 8; 32 ]
+  in
+  let fo = Ivm.Viewdef.First_order and ho = Ivm.Viewdef.Higher_order in
+  let dr = curves 0 and ds = curves 1 in
+  List.iter
+    (fun k ->
+      let cost order = List.assoc k (List.assoc order dr) in
+      let speedup = cost fo /. cost ho in
+      checkb
+        (Printf.sprintf "HO >= 2x FO on dR at k=%d (%.1fx)" k speedup)
+        true (speedup >= 2.0))
+    [ 1; 8 ];
+  checkb
+    (Printf.sprintf "HO dS slope %.2f flatter than FO's %.2f"
+       (Cost.Fit.slope (List.assoc ho ds))
+       (Cost.Fit.slope (List.assoc fo ds)))
+    true
+    (Cost.Fit.flatter (List.assoc ho ds) ~than:(List.assoc fo ds))
+
 let test_order_accessors () =
   let db = Tpcr.Synth.generate ~seed:1 ~r_rows:10 ~s_rows:10 () in
   let v = Tpcr.Synth.join_view db in
@@ -342,6 +376,8 @@ let () =
             test_directed_min_supplycost_view;
           Alcotest.test_case "HO probe cost flat in partner size" `Quick
             test_ho_metering_flat_probe;
+          Alcotest.test_case "HO >= 2x on dR, flatter dS slope" `Quick
+            test_ho_cost_curves;
           Alcotest.test_case "order plumbing" `Quick test_order_accessors;
         ] );
     ]

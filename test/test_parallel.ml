@@ -4,7 +4,8 @@
    - Pool: map correctness and reuse, exception propagation, the
      cooperative-batch size guard.
    - Meter/Metrics: concurrent bumps from several domains are all counted
-     (per-domain shards merged at snapshot time).
+     (per-domain shards merged at snapshot time), also when four engines
+     maintain their views concurrently over one shared meter.
    - Multiview: a pooled coordinator run yields the same outcome as the
      sequential one. *)
 
@@ -158,6 +159,40 @@ let test_metrics_concurrent () =
   | None -> Alcotest.fail "histogram missing"
   | Some s -> check Alcotest.int "observations" (8 * per_task) s.M.sample_count
 
+(* Four real engines (independent synth databases) share one meter and
+   are flushed concurrently; the merged snapshot must equal the
+   sequential flush's totals field for field. *)
+let test_meter_concurrent_engines () =
+  let flush_views pool =
+    let meter = Relation.Meter.create () in
+    let engines =
+      Array.init 4 (fun v ->
+          let db = Tpcr.Synth.generate ~seed:(73 + v) ~r_rows:150 ~s_rows:150 () in
+          ( Ivm.Maintainer.create ~meter (Tpcr.Synth.join_view db),
+            Tpcr.Synth.insert_feeds ~seed:(99 + v) db ))
+    in
+    let work (m, feeds) =
+      for step = 1 to 48 do
+        let i = step land 1 in
+        Ivm.Maintainer.on_arrive m i (feeds.Tpcr.Updates.next i);
+        if step mod 8 = 0 then ignore (Ivm.Maintainer.refresh m)
+      done
+    in
+    (match pool with
+    | Some pool -> ignore (Parallel.Pool.map pool work engines)
+    | None -> Array.iter work engines);
+    Relation.Meter.snapshot meter
+  in
+  let seq = flush_views None in
+  List.iter
+    (fun domains ->
+      Parallel.Pool.with_pool ~domains (fun pool ->
+          check Alcotest.bool
+            (Printf.sprintf "domains=%d totals = sequential" domains)
+            true
+            (flush_views (Some pool) = seq)))
+    [ 2; 4 ]
+
 (* --- multiview ------------------------------------------------------------- *)
 
 let mv_problem () =
@@ -228,6 +263,8 @@ let () =
             test_meter_concurrent;
           Alcotest.test_case "metrics concurrent updates" `Quick
             test_metrics_concurrent;
+          Alcotest.test_case "shared meter across concurrent engines" `Quick
+            test_meter_concurrent_engines;
         ] );
       ( "multiview",
         [

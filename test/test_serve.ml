@@ -3,9 +3,11 @@
    (phases A and C touch per-tenant state only, so fanning them over 4
    domains must reproduce the sequential run exactly), crash + recovery
    equivalence against an uninterrupted twin, typed refusal of damaged
-   or retired durable state, and the backpressure contract — shedding
+   or retired durable state, the backpressure contract — shedding
    refuses optional co-flush work but never drops a committed arrival
-   from any tenant's log. *)
+   from any tenant's log — the shared scheduler's claim (no dearer than
+   independent per-tenant ONLINE, worst SLO kept), and the group-commit
+   window's one-fsync-per-busy-round accounting. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -695,6 +697,68 @@ let test_crash_matrix_grouped_forced () =
       crash_matrix_case ~cfgs ())
     [ 8; 12 ]
 
+(* --- the shared scheduler's claims ------------------------------------------- *)
+
+(* Four tenants to the horizon twice: independent per-tenant ONLINE (no
+   coordination, every tenant flushes alone at full price) and the shared
+   scheduler (nearly-due tenants piggyback on a forced flush, priced with
+   the shared-setup discount).  Sharing may not cost more in aggregate,
+   nor regress the worst tenant's SLO violation rate. *)
+let test_shared_scheduler_no_dearer () =
+  let cfgs = fleet ~rows:60 ~horizon:25 4 in
+  let run ~coordinate =
+    let root = scratch () in
+    Fun.protect
+      ~finally:(fun () -> rmtree root)
+      (fun () -> run_service ~root (service_cfg ~coordinate ()) cfgs)
+  in
+  let indep = run ~coordinate:false and shared = run ~coordinate:true in
+  checkb "independent run consistent" true (all_consistent indep);
+  checkb "shared run consistent" true (all_consistent shared);
+  checkb
+    (Printf.sprintf "shared charged %.2f <= independent %.2f"
+       shared.Serve.Service.aggregate_charged
+       indep.Serve.Service.aggregate_charged)
+    true
+    (shared.Serve.Service.aggregate_charged
+    <= indep.Serve.Service.aggregate_charged);
+  checkb "worst SLO violation rate not regressed" true
+    (shared.Serve.Service.worst_violation_rate
+    <= indep.Serve.Service.worst_violation_rate)
+
+(* Grouped-window accounting under [sync = Always]: every busy round
+   closes the shared window exactly once, and the only fsyncs beyond one
+   per close are the shutdown flush and segment rotation. *)
+let test_window_fsync_accounting () =
+  let root = scratch () in
+  Fun.protect
+    ~finally:(fun () -> rmtree root)
+    (fun () ->
+      let svc =
+        Serve.Service.create ~root
+          (service_cfg ~coordinate:false ~discount_factor:0.0 ())
+      in
+      List.iter
+        (fun cfg ->
+          match Serve.Service.register svc cfg with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "register %s: %s" cfg.Serve.Tenant.name e)
+        (fleet ~rows:12 ~horizon:30 6);
+      Telemetry.enable ();
+      let outcome, fsyncs =
+        Fun.protect ~finally:Telemetry.disable (fun () ->
+            let outcome = Serve.Service.run svc in
+            (outcome, Telemetry.Metrics.value (Telemetry.snapshot ()) "durable.fsyncs"))
+      in
+      checkb "fleet consistent" true (all_consistent outcome);
+      let busy = Serve.Service.rounds svc - Serve.Service.idle_rounds svc in
+      let closes = Serve.Service.window_closes svc in
+      checki "one window close per busy round" busy closes;
+      checkb
+        (Printf.sprintf "%.0f fsyncs <= %d closes + 2" fsyncs closes)
+        true
+        (fsyncs <= float_of_int (closes + 2)))
+
 (* --- queueing and promotion ----------------------------------------------- *)
 
 let test_queue_and_promotion () =
@@ -788,6 +852,11 @@ let () =
           Alcotest.test_case "delta-view memory budget" `Quick
             test_admission_memory_budget;
         ] );
+      ( "scheduler",
+        [
+          Alcotest.test_case "shared no dearer than independent, SLO kept"
+            `Quick test_shared_scheduler_no_dearer;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "4-domain pool bit-identical" `Quick
@@ -816,6 +885,8 @@ let () =
             test_tenant_sync_validated_at_admission;
           Alcotest.test_case "crash matrix: grouped forced closes" `Quick
             test_crash_matrix_grouped_forced;
+          Alcotest.test_case "one window close + fsync per busy round" `Quick
+            test_window_fsync_accounting;
         ] );
       ( "backpressure",
         [
