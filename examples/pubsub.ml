@@ -132,22 +132,11 @@ let () =
   let price_prng = Util.Prng.create ~seed:99 in
   for t = 0 to horizon do
     (* Publish this step's modifications. *)
-    Array.iteri
-      (fun i count ->
-        for _ = 1 to count do
-          Ivm.Maintainer.on_arrive m i (feeds.Tpcr.Updates.next i)
-        done)
-      arrivals.(t);
+    Ivm.Maintainer.ingest m ~next:feed arrivals.(t);
     (* Ask the controller what to process to preserve the QoS budget. *)
     (match Abivm.Online.step controller ~arrivals:arrivals.(t) with
     | Some action ->
-        Array.iteri
-          (fun i k ->
-            if k > 0 then
-              maintenance_cost :=
-                !maintenance_cost
-                +. Meter.cost_units (Ivm.Maintainer.process m i k))
-          action
+        maintenance_cost := !maintenance_cost +. Ivm.Maintainer.apply m action
     | None -> ());
     (* Random-walk the oil price; fire the notification condition on a
        10% move since the last report. *)

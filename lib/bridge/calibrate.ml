@@ -1,14 +1,13 @@
 let measure_curve m feeds ~table ~sizes =
   if Ivm.Maintainer.pending_size m table <> 0 then
     invalid_arg "Calibrate.measure_curve: pending queue not empty";
+  let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view m) in
   List.map
     (fun k ->
       if k < 0 then invalid_arg "Calibrate.measure_curve: negative batch size";
-      for _ = 1 to k do
-        Ivm.Maintainer.on_arrive m table (feeds.Tpcr.Updates.next table)
-      done;
-      let delta = Ivm.Maintainer.process m table k in
-      (k, Relation.Meter.cost_units delta))
+      let batch = Array.init n (fun i -> if i = table then k else 0) in
+      Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next batch;
+      (k, Ivm.Maintainer.apply m batch))
     sizes
 
 let fitted ~name samples =

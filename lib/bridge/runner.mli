@@ -16,22 +16,14 @@
     {!action_costs} reads them back from the report. *)
 
 type engine
-(** One tenant's executed-mode state: the maintainer (view content, base
-    tables, pending queues, meter) plus the update feeds it draws concrete
+(** One executed-mode state: the maintainer (view content, base tables,
+    pending queues, meter) plus the update feeds it draws concrete
     modifications from.  The runner holds no state of its own, so several
-    engines can coexist in one process and several plans can be run against
-    one engine in sequence — the explicit handle is the seam a future
-    [abivm serve] multi-tenant front-end plugs into. *)
+    engines can coexist in one process and several plans can be run
+    against one engine in sequence. *)
 
 val engine :
   maintainer:Ivm.Maintainer.t -> feeds:Tpcr.Updates.feeds -> engine
-
-val order : engine -> Ivm.Viewdef.order
-(** The engine's maintenance order (from its maintainer) — stamped on the
-    ["runner.plan"] / ["runner.action"] telemetry spans. *)
-
-val maintainer : engine -> Ivm.Maintainer.t
-val feeds : engine -> Tpcr.Updates.feeds
 
 val run_plan :
   ?monitor:Robust.Monitor.t ->
@@ -51,45 +43,6 @@ val run_plan :
     engine (queues, feeds, meter) untouched and reusable.  The
     consistency check at the end is unmetered. *)
 
-(** {1 Resumable per-action stepping}
-
-    A {!stepper} executes the same run one time step at a time, so a
-    scheduler (e.g. [abivm serve]) can interleave many engines' plan
-    executions without dedicating a thread per run. *)
-
-type stepper
-
-type step_outcome = {
-  time : int;
-  action : Abivm.Statevec.t option;  (** the plan's action, if any *)
-  cost : float;  (** metered engine cost of that action *)
-}
-
-val start :
-  ?monitor:Robust.Monitor.t ->
-  ?strategy:Abivm.Strategy.t ->
-  engine ->
-  Abivm.Spec.t ->
-  Abivm.Plan.t ->
-  stepper
-(** Validate the whole plan against the engine's current pending counts
-    plus the spec's arrival schedule, then return a stepper positioned
-    at step 0.  Raises [Invalid_argument] (before touching the engine)
-    if any plan action would exceed the pending count at its time, or
-    lies past the horizon. *)
-
-val step : stepper -> step_outcome option
-(** Execute the next time step: ingest its arrivals and run the plan's
-    action at that step if any.  [None] once the horizon has been passed. *)
-
-val next_step : stepper -> int
-val cost_so_far : stepper -> float
-val finished : stepper -> bool
-
-val finish : stepper -> Abivm.Report.t
-(** Run any remaining steps, then the final consistency check; the
-    report is identical to what {!run_plan} would have returned. *)
-
 val action_costs : Abivm.Report.t -> (int * float) list
 (** (time, measured cost units) per plan action, recovered from the
     report's telemetry.  Empty when the run executed with the collector
@@ -99,6 +52,3 @@ val simulated_action_costs : Abivm.Report.t -> (int * float) list
 (** (time, simulated cost [f] of the action) — pairs with
     {!action_costs} for per-action Fig. 5 comparisons. *)
 
-val simulated_cost : Abivm.Spec.t -> Abivm.Plan.t -> float
-(** Convenience re-export of {!Abivm.Plan.cost} for side-by-side
-    comparison tables. *)

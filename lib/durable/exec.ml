@@ -125,35 +125,31 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
   for t = start_step to horizon do
     config.hook (Hook.Step_start t);
     settle_inflight ~wait:false;
-    let d = (Abivm.Spec.arrivals spec).(t) in
-    Array.iteri
-      (fun i count ->
-        (* Arrivals of this step already journalled before a crash were
-           re-enqueued by replay; draw only the remainder. *)
-        let already = Option.value ~default:0 (Hashtbl.find_opt arrived (t, i)) in
-        for _ = already + 1 to count do
-          let change = feeds.Tpcr.Updates.next i in
-          draws.(i) <- draws.(i) + 1;
-          Ivm.Maintainer.on_arrive m i change;
-          Wal.append wal (Record.Arrival { time = t; table = i; change })
-        done)
-      d;
+    (* Arrivals of this step already journalled before a crash were
+       re-enqueued by replay; draw only the remainder. *)
+    let fresh =
+      Array.mapi
+        (fun i count ->
+          count - Option.value ~default:0 (Hashtbl.find_opt arrived (t, i)))
+        (Abivm.Spec.arrivals spec).(t)
+    in
+    Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next fresh
+      ~on_arrival:(fun ~table change ->
+        draws.(table) <- draws.(table) + 1;
+        Wal.append wal (Record.Arrival { time = t; table; change }));
     if Wal.buffered wal > 0 then Wal.commit wal;
     (match Abivm.Plan.action_at env.plan t with
     | None -> ()
     | Some action ->
-        Array.iteri
-          (fun i k ->
-            if k > 0 && not (Hashtbl.mem applied (t, i)) then begin
-              let delta = Ivm.Maintainer.process m i k in
-              let cost = Relation.Meter.cost_units delta in
-              total := !total +. cost;
-              Wal.append wal
-                (Record.Applied { time = t; table = i; count = k; cost });
-              Wal.commit wal;
-              incr actions_since
-            end)
-          action);
+        let todo =
+          Array.mapi (fun i k -> if Hashtbl.mem applied (t, i) then 0 else k) action
+        in
+        ignore
+          (Ivm.Maintainer.apply m todo ~on_applied:(fun ~table ~count ~cost ->
+               total := !total +. cost;
+               Wal.append wal (Record.Applied { time = t; table; count; cost });
+               Wal.commit wal;
+               incr actions_since)));
     let bytes_since = Wal.total_bytes wal - !bytes_mark in
     if
       t < horizon

@@ -44,7 +44,7 @@ let restore_maintainer ~view_of (c : Checkpoint.t) =
 let replay_record m ~draws ~arrived ~applied ~cost record =
   match record with
   | Record.Arrival { time; table; change } ->
-      if table >= Array.length draws then
+      if table < 0 || table >= Array.length draws then
         Error (Printf.sprintf "arrival for unknown table %d" table)
       else begin
         Ivm.Maintainer.on_arrive m table change;
@@ -54,30 +54,12 @@ let replay_record m ~draws ~arrived ~applied ~cost record =
           (1 + Option.value ~default:0 (Hashtbl.find_opt arrived key));
         Ok cost
       end
-  | Record.Applied { time; table; count; cost = recorded } ->
-      if table >= Array.length draws then
-        Error (Printf.sprintf "applied record for unknown table %d" table)
-      else begin
-        let actual, delta = Ivm.Maintainer.process_at_most m table count in
-        if actual < count then
-          Error
-            (Printf.sprintf
-               "WAL replay at t=%d: action wants %d pending changes of table \
-                %d but only %d were re-enqueued"
-               time count table actual)
-        else
-          let recomputed = Relation.Meter.cost_units delta in
-          if Int64.bits_of_float recomputed <> Int64.bits_of_float recorded then
-            Error
-              (Printf.sprintf
-                 "WAL replay at t=%d table %d: recomputed cost %.17g differs \
-                  from recorded %.17g — non-deterministic replay"
-                 time table recomputed recorded)
-          else begin
-            Hashtbl.replace applied (time, table) recorded;
-            Ok (cost +. recorded)
-          end
-      end
+  | Record.Applied { time; table; count; cost = recorded } -> (
+      match Ivm.Maintainer.replay_applied m ~table ~count ~cost:recorded with
+      | Error e -> Error (Printf.sprintf "WAL replay at t=%d: %s" time e)
+      | Ok () ->
+          Hashtbl.replace applied (time, table) recorded;
+          Ok (cost +. recorded))
 
 let recover ~dir ~view_of ~fresh =
   let t0 = Unix.gettimeofday () in

@@ -254,12 +254,50 @@ let process ?path m i k =
       ~attrs:[ ("table", table ()); ("k", string_of_int k) ]
       run_batch
 
-let process_at_most ?path m i k =
-  if i < 0 || i >= Array.length m.pending then
-    invalid_arg "Maintainer.process_at_most: bad table index";
-  if k < 0 then invalid_arg "Maintainer.process_at_most: negative count";
-  let actual = min k (Pending.size m.pending.(i)) in
-  (actual, process ?path m i actual)
+(* --- the maintenance step ------------------------------------------------- *)
+
+let ingest ?(on_arrival = fun ~table:_ _ -> ()) m ~next counts =
+  Array.iteri
+    (fun table count ->
+      for _ = 1 to count do
+        let change = next table in
+        on_arrive m table change;
+        on_arrival ~table change
+      done)
+    counts
+
+let apply ?(on_applied = fun ~table:_ ~count:_ ~cost:_ -> ()) m batches =
+  let total = ref 0.0 in
+  Array.iteri
+    (fun table count ->
+      if count > 0 then begin
+        let cost = Relation.Meter.cost_units (process m table count) in
+        total := !total +. cost;
+        on_applied ~table ~count ~cost
+      end)
+    batches;
+  !total
+
+let replay_applied m ~table ~count ~cost =
+  if table < 0 || table >= Array.length m.pending then
+    Error (Printf.sprintf "applied record for unknown table %d" table)
+  else if count < 0 || count > pending_size m table then
+    Error
+      (Printf.sprintf
+         "applied record wants %d pending changes of table %d but only %d \
+          are pending"
+         count table (pending_size m table))
+  else
+    match Relation.Meter.cost_units (process m table count) with
+    | exception Invalid_argument e -> Error e
+    | recomputed when Int64.bits_of_float recomputed <> Int64.bits_of_float cost
+      ->
+        Error
+          (Printf.sprintf
+             "table %d: recomputed cost %.17g differs from recorded %.17g — \
+              non-deterministic replay"
+             table recomputed cost)
+    | _ -> Ok ()
 
 let pending_changes m i =
   if i < 0 || i >= Array.length m.pending then

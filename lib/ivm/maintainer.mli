@@ -75,13 +75,49 @@ val process :
     [maintainer.batches], [maintainer.cost_units] and the
     [maintainer.batch_size] histogram. *)
 
-val process_at_most :
-  ?path:[ `Index | `Scan ] -> t -> int -> int -> int * Relation.Meter.snapshot
-(** [process_at_most m i k] processes [min k (pending_size m i)]
-    modifications and returns the count actually processed with the
-    meter delta — the forgiving variant used by rescue and recovery
-    paths.  Raises [Invalid_argument] only on a bad index or negative
-    [k]. *)
+(** {1 The maintenance step}
+
+    The paper's action: arrivals enter the delta queues, then a batch of
+    [k_i] modifications is processed per table and priced by the meter.
+    Every executed loop (the plan runner, calibration, the durable
+    executor and its recovery, serve tenants and their replay) goes
+    through these three calls; callers keep their journals and
+    accounting in the callbacks. *)
+
+val ingest :
+  ?on_arrival:(table:int -> Change.t -> unit) ->
+  t ->
+  next:(int -> Change.t) ->
+  int array ->
+  unit
+(** [ingest m ~next counts]: for each table [i] in index order, draw
+    [counts.(i)] modifications from [next i] (none when the count is not
+    positive); each is {!on_arrive}d, then handed to [on_arrival ~table:i]
+    (a caller's journal). *)
+
+val apply :
+  ?on_applied:(table:int -> count:int -> cost:float -> unit) ->
+  t ->
+  int array ->
+  float
+(** [apply m batches] {!process}es [batches.(i)] modifications of every
+    table [i] whose count is positive, in index order, calling
+    [on_applied] after each batch with its metered cost.  Returns the
+    costs summed from [0.0] in table order.  A caller keeping a running
+    float total adds inside [on_applied]: [t +. (a +. b)] is not
+    [(t +. a) +. b].  Raises like {!process}. *)
+
+val replay_applied :
+  t -> table:int -> count:int -> cost:float -> (unit, string) result
+(** Re-execute a journalled batch during recovery.  The table index and
+    [0 <= count <= pending_size m table] are checked {e before} anything
+    is touched, so a record refused for them leaves the queues and the
+    meter as they were.  The batch's recomputed cost must then carry the
+    recorded [cost]'s exact bits ([Int64.bits_of_float]); otherwise the
+    error names a non-deterministic replay.  A batch {!process} itself
+    rejects (a delete of a missing tuple) is an [Error] too, raised
+    midway, so that maintainer must be discarded.  Error messages carry
+    no time or tenant: the caller prefixes its own. *)
 
 val pending_changes : t -> int -> Change.t list
 (** Table [i]'s delta queue in arrival order, without removing anything

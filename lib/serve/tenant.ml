@@ -271,15 +271,10 @@ let begin_step t =
   if not t.begun then begin
     let time = t.next_step in
     let d = t.arrivals.(time) in
-    Array.iteri
-      (fun i count ->
-        for _ = 1 to count do
-          let change = t.feeds.Tpcr.Updates.next i in
-          Ivm.Maintainer.on_arrive t.maintainer i change;
-          Durable.Groupwal.append t.log
-            (Durable.Record.Arrival { time; table = i; change })
-        done)
-      d;
+    Ivm.Maintainer.ingest t.maintainer ~next:t.feeds.Tpcr.Updates.next d
+      ~on_arrival:(fun ~table change ->
+        Durable.Groupwal.append t.log
+          (Durable.Record.Arrival { time; table; change }));
     Durable.Groupwal.commit t.log;
     Robust.Monitor.observe_arrivals t.monitor d;
     Abivm.Online.observe t.controller ~arrivals:d;
@@ -315,21 +310,24 @@ let shed t =
   t.sheds <- t.sheds + 1;
   Telemetry.incr "serve.sheds"
 
+(* One executed (or replayed) batch's accounting, per batch so the
+   running float totals add in the same order live and on replay.
+   Returns the batch's model cost. *)
+let account t ~table ~count ~cost =
+  let expected = Cost.Func.eval t.costs.(table) count in
+  Robust.Monitor.observe_cost t.monitor ~expected ~observed:cost;
+  t.metered <- t.metered +. cost;
+  t.charged <- t.charged +. expected;
+  expected
+
 let execute t batches =
   let time = t.next_step in
-  Array.iteri
-    (fun i k ->
-      if k > 0 then begin
-        let delta = Ivm.Maintainer.process t.maintainer i k in
-        let cost = Relation.Meter.cost_units delta in
-        Durable.Groupwal.append t.log
-          (Durable.Record.Applied { time; table = i; count = k; cost });
-        let expected = Cost.Func.eval t.costs.(i) k in
-        Robust.Monitor.observe_cost t.monitor ~expected ~observed:cost;
-        t.metered <- t.metered +. cost;
-        t.charged <- t.charged +. expected
-      end)
-    batches;
+  ignore
+    (Ivm.Maintainer.apply t.maintainer batches
+       ~on_applied:(fun ~table ~count ~cost ->
+         Durable.Groupwal.append t.log
+           (Durable.Record.Applied { time; table; count; cost });
+         ignore (account t ~table ~count ~cost)));
   Durable.Groupwal.commit t.log;
   Abivm.Online.absorb t.controller batches
 
@@ -412,46 +410,37 @@ let replay t records =
               t.config.horizon)
     else begin
       let d = t.arrivals.(time) in
-      for i = 0 to n_tables - 1 do
-        for _ = 1 to d.(i) do
+      Ivm.Maintainer.ingest t.maintainer ~next:t.feeds.Tpcr.Updates.next d
+        ~on_arrival:(fun ~table change ->
           if !result = Ok () then
             match !rest with
-            | Durable.Record.Arrival { time = rt; table; change } :: tl
-              when rt = time && table = i ->
-                let drawn = t.feeds.Tpcr.Updates.next i in
-                let recorded =
+            | Durable.Record.Arrival { time = rt; table = rtable; change = logged }
+              :: tl
+              when rt = time && rtable = table ->
+                let line change =
                   Durable.Record.to_line
-                    (Durable.Record.Arrival { time; table = i; change })
+                    (Durable.Record.Arrival { time; table; change })
                 in
-                let redrawn =
-                  Durable.Record.to_line
-                    (Durable.Record.Arrival { time; table = i; change = drawn })
-                in
-                if recorded <> redrawn then
+                if line logged <> line change then
                   fail
                     (Printf.sprintf
                        "%s: t=%d table %d: journalled arrival differs from \
                         the deterministic feed"
-                       t.config.name time i)
+                       t.config.name time table)
                 else begin
-                  Ivm.Maintainer.on_arrive t.maintainer i drawn;
                   t.replayed <- t.replayed + 1;
                   rest := tl
                 end
             | [] ->
                 (* Crash mid-ingest: finish this step's arrivals live. *)
-                let change = t.feeds.Tpcr.Updates.next i in
-                Ivm.Maintainer.on_arrive t.maintainer i change;
                 Durable.Groupwal.append t.log
-                  (Durable.Record.Arrival { time; table = i; change })
+                  (Durable.Record.Arrival { time; table; change })
             | _ :: _ ->
                 fail
                   (Printf.sprintf
                      "%s: t=%d table %d: WAL does not match the tenant's \
                       deterministic arrival schedule"
-                     t.config.name time i)
-        done
-      done;
+                     t.config.name time table));
       (* Commits the topped-up arrivals, if any. *)
       Durable.Groupwal.commit t.log;
       if !result = Ok () then begin
@@ -469,37 +458,21 @@ let replay t records =
         while !continue_applied && !result = Ok () do
           match !rest with
           | Durable.Record.Applied { time = rt; table; count; cost } :: tl
-            when rt = time ->
-              if table < 0 || table >= n_tables then
-                fail
-                  (Printf.sprintf "%s: applied record for unknown table %d"
-                     t.config.name table)
-              else begin
-                let delta = Ivm.Maintainer.process t.maintainer table count in
-                let recomputed = Relation.Meter.cost_units delta in
-                if
-                  Int64.bits_of_float recomputed <> Int64.bits_of_float cost
-                then
-                  fail
-                    (Printf.sprintf
-                       "%s: t=%d table %d: replayed cost %.17g differs from \
-                        recorded %.17g — non-deterministic replay"
-                       t.config.name time table recomputed cost)
-                else begin
-                  let expected = Cost.Func.eval t.costs.(table) count in
-                  Robust.Monitor.observe_cost t.monitor ~expected
-                    ~observed:recomputed;
-                  t.metered <- t.metered +. recomputed;
-                  t.charged <- t.charged +. expected;
+            when rt = time -> (
+              match
+                Ivm.Maintainer.replay_applied t.maintainer ~table ~count ~cost
+              with
+              | Error e ->
+                  fail (Printf.sprintf "%s: t=%d: %s" t.config.name time e)
+              | Ok () ->
+                  let expected = account t ~table ~count ~cost in
                   t.flush_log <-
                     (time, table, expected, Cost.Func.eval t.costs.(table) 1)
                     :: t.flush_log;
                   batches.(table) <- batches.(table) + count;
                   t.replayed <- t.replayed + 1;
                   applied_any := true;
-                  rest := tl
-                end
-              end
+                  rest := tl)
           | _ -> continue_applied := false
         done;
         if !result = Ok () then

@@ -93,7 +93,7 @@ let test_runner_simulated_close_to_executed () =
     (fun plan ->
       let _, m, feeds = env ~seed:8 () in
       let report = Bridge.Runner.run_plan (Bridge.Runner.engine ~maintainer:m ~feeds) spec plan in
-      let simulated = Bridge.Runner.simulated_cost spec plan in
+      let simulated = Abivm.Plan.cost spec plan in
       let executed =
         Option.value ~default:0.0 report.Abivm.Report.cost_units
       in
@@ -151,40 +151,6 @@ let test_runner_rejected_plan_leaves_engine_intact () =
   (* ... and the engine is still usable for a valid plan. *)
   let report = Bridge.Runner.run_plan eng spec (Abivm.Naive.plan spec) in
   checkb "engine reusable after rejection" true report.Abivm.Report.valid
-
-let test_runner_stepper_matches_run_plan () =
-  (* The resumable stepper must execute the identical run: same metered
-     cost, same validity, same action count. *)
-  let _, cal_m, cal_feeds = env ~seed:23 () in
-  let spec = fitted_spec cal_m cal_feeds ~limit:3000.0 ~horizon:12 in
-  let plan = Abivm.Naive.plan spec in
-  let _, m1, feeds1 = env ~seed:24 () in
-  let whole =
-    Bridge.Runner.run_plan
-      (Bridge.Runner.engine ~maintainer:m1 ~feeds:feeds1)
-      spec plan
-  in
-  let _, m2, feeds2 = env ~seed:24 () in
-  let stepper =
-    Bridge.Runner.start
-      (Bridge.Runner.engine ~maintainer:m2 ~feeds:feeds2)
-      spec plan
-  in
-  let steps = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Bridge.Runner.step stepper with
-    | Some _ -> incr steps
-    | None -> continue := false
-  done;
-  checkb "finished" true (Bridge.Runner.finished stepper);
-  let report = Bridge.Runner.finish stepper in
-  checki "every step executed" 13 !steps;
-  checkb "stepped run valid" true report.Abivm.Report.valid;
-  checkb "identical metered cost" true
-    (match (report.Abivm.Report.cost_units, whole.Abivm.Report.cost_units) with
-    | Some a, Some b -> Int64.bits_of_float a = Int64.bits_of_float b
-    | _ -> false)
 
 let test_runner_asymmetric_plan_consistent () =
   (* An OPT-LGM plan (asymmetric by construction) must keep the executed
@@ -374,8 +340,6 @@ let () =
             test_runner_simulated_close_to_executed;
           Alcotest.test_case "rejected plan leaves engine intact" `Quick
             test_runner_rejected_plan_leaves_engine_intact;
-          Alcotest.test_case "stepper matches run_plan" `Quick
-            test_runner_stepper_matches_run_plan;
           Alcotest.test_case "rejects invalid plan" `Quick
             test_runner_rejects_invalid_plan;
           Alcotest.test_case "asymmetric plan consistent" `Quick

@@ -31,6 +31,13 @@ let scratch () =
   rmtree dir;
   dir
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* --- records -------------------------------------------------------------- *)
 
 let sample_change =
@@ -832,6 +839,88 @@ let test_genesis_recovery_and_refusal () =
       | Error e -> Alcotest.failf "verify after repeated resumes: %s" e);
   rmtree dir
 
+(* A CRC-valid record that lies — an [Applied] count beyond the
+   re-enqueued queue or a cost one float off, an [Arrival] deleting a
+   row that is not there — must come back from recovery as a typed
+   [Error], never as an exception. *)
+let test_forged_applied_refused () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let pristine = scratch () in
+  (* No checkpoint and a synchronous log: genesis recovery replays every
+     record written before the crash. *)
+  let config ~dir ~hook =
+    {
+      (matrix_config ~dir ~hook ()) with
+      Durable.Exec.ckpt_actions = max_int;
+      ckpt_bytes = max_int;
+      sync = Durable.Wal.Always;
+    }
+  in
+  let hook = function
+    | Durable.Hook.Step_start 8 -> raise (Durable.Hook.Crash "t=8")
+    | _ -> ()
+  in
+  (match Durable.Exec.run (config ~dir:pristine ~hook) env with
+  | _ -> Alcotest.fail "expected the injected crash"
+  | exception Durable.Hook.Crash _ -> ());
+  let recover dir =
+    Durable.Recovery.recover ~dir ~view_of:env.Durable.Exec.view_of
+      ~fresh:(fun () -> fst (env.Durable.Exec.fresh ()))
+  in
+  (match recover pristine with
+  | Ok st -> checki "genesis replay" (-1) st.Durable.Recovery.checkpoint_lsn
+  | Error e -> Alcotest.failf "pristine recover: %s" e);
+  let forged what ~cause edit =
+    let dir = scratch () in
+    Unix.mkdir dir 0o755;
+    let found = ref false in
+    Array.iter
+      (fun name ->
+        let text = In_channel.with_open_bin (Filename.concat pristine name) In_channel.input_all in
+        let text =
+          if not (Filename.check_suffix name ".seg") then text
+          else
+            String.split_on_char '\n' text
+            |> List.map (fun line ->
+                   match Result.map edit (Durable.Record.of_line line) with
+                   | Ok (Some r) when not !found ->
+                       found := true;
+                       Durable.Record.to_line r
+                   | _ -> line)
+            |> String.concat "\n"
+        in
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+            output_string oc text))
+      (Sys.readdir pristine);
+    checkb (what ^ ": a record was forged") true !found;
+    (match recover dir with
+    | Ok _ -> Alcotest.failf "%s: recovered" what
+    | Error e ->
+        checkb
+          (Printf.sprintf "%s: error %S names %S" what e cause)
+          true
+          (contains ~sub:cause e && contains ~sub:"WAL replay at t=" e)
+    | exception exn ->
+        Alcotest.failf "%s: raised %s" what (Printexc.to_string exn));
+    rmtree dir
+  in
+  forged "count + 1000" ~cause:"are pending" (function
+    | Durable.Record.Applied a ->
+        Some (Durable.Record.Applied { a with count = a.count + 1000 })
+    | _ -> None);
+  forged "cost one float up" ~cause:"non-deterministic replay" (function
+    | Durable.Record.Applied a ->
+        let up = Int64.succ (Int64.bits_of_float a.cost) in
+        Some (Durable.Record.Applied { a with cost = Int64.float_of_bits up })
+    | _ -> None);
+  (* An insert journalled as a delete of the same, never-present row:
+     the maintainer rejects the batch that replays it. *)
+  forged "delete of a missing row" ~cause:"missing tuple" (function
+    | Durable.Record.Arrival ({ change = Ivm.Change.Insert row; _ } as a) ->
+        Some (Durable.Record.Arrival { a with change = Ivm.Change.Delete row })
+    | _ -> None);
+  rmtree pristine
+
 let test_coordinator_kill_resume () =
   let views =
     [|
@@ -932,6 +1021,8 @@ let () =
             test_async_checkpoint_matrix;
           Alcotest.test_case "genesis recovery, refusal, idempotence" `Quick
             test_genesis_recovery_and_refusal;
+          Alcotest.test_case "forged WAL records refused" `Quick
+            test_forged_applied_refused;
           Alcotest.test_case "coordinator kill/resume" `Quick
             test_coordinator_kill_resume;
         ] );

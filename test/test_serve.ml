@@ -352,7 +352,9 @@ let test_recover_refuses_damage () =
             | Error e ->
                 checkb
                   (Printf.sprintf "%s: error %S names %S" what e cause)
-                  true (contains ~sub:cause e))
+                  true (contains ~sub:cause e)
+            | exception exn ->
+                Alcotest.failf "%s: raised %s" what (Printexc.to_string exn))
       in
       let journal_line_becomes what ~cause replacement =
         refused ~what ~cause (fun root ->
@@ -388,6 +390,64 @@ let test_recover_refuses_damage () =
               coflush.Durable.Record.rows));
       journal_line_becomes "unknown tenant" ~cause:"not an admitted tenant"
         (with_rows (("ghost", [| 1; 0 |]) :: coflush.Durable.Record.rows));
+      (* The first tenant [Applied] record, re-encoded with a forged
+         count or cost: the CRC stays valid, so only replay can refuse
+         it — by name, before it touches the tenant's queue. *)
+      let gdir root = Filename.concat root "groupwal" in
+      let applied_of line =
+        match Durable.Record.of_tagged_line line with
+        | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
+            Some (name, a.time, a.count, a.cost)
+        | _ -> None
+      in
+      let seg, applied_line, (tenant, time, count, _) =
+        List.find_map
+          (fun seg ->
+            String.split_on_char '\n'
+              (read_file (Filename.concat (gdir pristine) seg))
+            |> List.find_map (fun l ->
+                   Option.map (fun a -> (seg, l, a)) (applied_of l)))
+          (List.sort compare
+             (List.filter
+                (fun f -> Filename.check_suffix f ".seg")
+                (Array.to_list (Sys.readdir (gdir pristine)))))
+        |> function
+        | Some found -> found
+        | None -> Alcotest.fail "no tenant applied record in the log"
+      in
+      let applied_becomes what ~cause edit =
+        refused ~what ~cause (fun root ->
+            let path = Filename.concat (gdir root) seg in
+            let content = read_file path in
+            let rec at i =
+              if String.sub content i (String.length applied_line) = applied_line
+              then i
+              else at (i + 1)
+            in
+            let i = at 0 in
+            let forged =
+              match Durable.Record.of_tagged_line applied_line with
+              | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
+                  let count, cost = edit (a.count, a.cost) in
+                  Durable.Record.to_tagged_line
+                    (Durable.Record.Tenant
+                       (name, Durable.Record.Applied { a with count; cost }))
+              | _ -> Alcotest.fail "not an applied record"
+            in
+            write_file path
+              (String.sub content 0 i ^ forged
+              ^ String.sub content
+                  (i + String.length applied_line)
+                  (String.length content - i - String.length applied_line)))
+      in
+      applied_becomes "applied count + 1000"
+        ~cause:
+          (Printf.sprintf "%s: t=%d: applied record wants %d pending changes"
+             tenant time (count + 1000))
+        (fun (count, cost) -> (count + 1000, cost));
+      applied_becomes "applied cost one float up"
+        ~cause:"non-deterministic replay" (fun (count, cost) ->
+          (count, Int64.float_of_bits (Int64.succ (Int64.bits_of_float cost))));
       (* Roots whose service manifest predates the one-log layout. *)
       let manifest_params what ~cause edit =
         refused ~what ~cause (fun root ->
