@@ -29,30 +29,7 @@ let iter_sub_vectors s f =
   in
   loop ()
 
-(* Reconstruct the optimal plan by walking the value tables greedily from
-   the initial pre-action state.  [best t pre] must return the memoized
-   [(future cost, best action)] for the pre-action state [pre] at time
-   [t]; shared by the sequential and layered solvers. *)
-let reconstruct spec ~best ~initial_pre ~total =
-  if total = infinity then
-    raise (Too_large "Exact.solve: no valid plan found (unexpected)");
-  let horizon = Spec.horizon spec in
-  let actions = ref [] in
-  let state = ref initial_pre in
-  for t = 0 to horizon do
-    let _, action_opt = best t !state in
-    (match action_opt with
-    | Some action ->
-        if not (Statevec.is_zero action) then
-          actions := (t, action) :: !actions;
-        state := Statevec.sub !state action
-    | None -> raise (Too_large "Exact.solve: reconstruction failed"));
-    if t < horizon then
-      state := Statevec.add !state (Spec.arrivals spec).(t + 1)
-  done;
-  (total, Plan.of_actions (List.rev !actions))
-
-let solve_memoized ~max_expansions spec =
+let solve ?(max_expansions = 2_000_000) spec =
   let horizon = Spec.horizon spec in
   let memo : (float * Statevec.t option) Memo.t = Memo.create 4096 in
   let expansions = ref 0 in
@@ -107,157 +84,21 @@ let solve_memoized ~max_expansions spec =
   Fun.protect ~finally:book (fun () ->
       let initial_pre = Spec.arrivals_at spec 0 in
       let total, _ = best 0 initial_pre in
-      reconstruct spec ~best ~initial_pre ~total)
+      if total = infinity then
+        raise (Too_large "Exact.solve: no valid plan found (unexpected)");
+      (* Walk the memo greedily from the initial pre-action state. *)
+      let actions = ref [] in
+      let state = ref initial_pre in
+      for t = 0 to horizon do
+        let _, action_opt = best t !state in
+        (match action_opt with
+        | Some action ->
+            if not (Statevec.is_zero action) then
+              actions := (t, action) :: !actions;
+            state := Statevec.sub !state action
+        | None -> raise (Too_large "Exact.solve: reconstruction failed"));
+        if t < horizon then
+          state := Statevec.add !state (Spec.arrivals spec).(t + 1)
+      done;
+      (total, Plan.of_actions (List.rev !actions)))
 
-(* Parallel layered DP.  The sequential solver's memo recursion touches
-   exactly the pre-action states reachable from the initial state under
-   "apply any sub-vector action whose post-state is not full, then add the
-   next arrivals".  The layered solver materializes those states level by
-   level (forward reachability), then sweeps backwards computing the same
-   value function one time layer at a time.  Within a layer states are
-   independent — each state's value reads only layer [t+1] — so a layer is
-   partitioned across the pool by [Statekey.hash mod domains] with a
-   barrier between layers (Pool.run is synchronous).
-
-   Bit-identical to the sequential solver by construction: per state the
-   candidate actions are enumerated by the same odometer iterator in the
-   same order, the total is the same [f(action) +. future] expression, and
-   the strict [<] keeps the first minimum — so every state gets the same
-   value and the same argmin action, and reconstruction walks the same
-   plan.  The two passes each enumerate every state's candidate set, so
-   against the same [max_expansions] budget the layered solver counts
-   roughly twice the sequential expansions. *)
-let solve_layered ~max_expansions ~domains spec =
-  let horizon = Spec.horizon spec in
-  let arrivals = Spec.arrivals spec in
-  let expansions = Atomic.make 0 in
-  (* Workers batch budget bumps per state: [flush] folds a local count
-     into the shared total and raises once the total exceeds the budget
-     (overshoot bounded by one state's candidate set per worker). *)
-  let flush local =
-    if
-      Atomic.fetch_and_add expansions local + local > max_expansions
-    then
-      raise
-        (Too_large
-           (Printf.sprintf "Exact.solve: exceeded %d expansions" max_expansions))
-  in
-  let values : (float * Statevec.t option) Memo.t array =
-    Array.init (horizon + 1) (fun _ -> Memo.create 64)
-  in
-  let shard_of key = Statekey.hash key mod domains in
-  let book () =
-    Telemetry.add "exact.expansions" (float_of_int (Atomic.get expansions));
-    let collisions = ref 0 and live = ref 0 in
-    Array.iter
-      (fun tbl ->
-        collisions := !collisions + Statekey.collisions tbl;
-        live := !live + Memo.length tbl)
-      values;
-    Telemetry.add "exact.key_collisions" (float_of_int !collisions);
-    Telemetry.max_gauge "exact.live_peak" (float_of_int !live)
-  in
-  Fun.protect ~finally:book @@ fun () ->
-  Parallel.Pool.with_pool ~domains @@ fun pool ->
-  let initial_pre = Spec.arrivals_at spec 0 in
-  (* Forward pass: reachable pre-action states per time layer. *)
-  let layers = Array.make (horizon + 1) [||] in
-  layers.(0) <- [| Statekey.make ~time:0 initial_pre |];
-  for t = 0 to horizon - 1 do
-    let locals = Array.init domains (fun _ -> Memo.create 64) in
-    let task s () =
-      let local = locals.(s) in
-      let counted = ref 0 in
-      Array.iter
-        (fun key ->
-          if shard_of key = s then begin
-            let pre = Statekey.state key in
-            iter_sub_vectors pre (fun action ->
-                incr counted;
-                let post = Statevec.sub pre action in
-                if not (Spec.is_full spec post) then begin
-                  let next_pre = Statevec.add post arrivals.(t + 1) in
-                  let next_key = Statekey.make ~time:(t + 1) next_pre in
-                  if not (Memo.mem local next_key) then
-                    Memo.add local next_key ()
-                end);
-            flush !counted;
-            counted := 0
-          end)
-        layers.(t)
-    in
-    Parallel.Pool.run pool (List.init domains task);
-    (* Barrier passed: merge the shards' successor sets (they can overlap
-       — distinct owned states may generate the same successor). *)
-    let merged = Memo.create 256 in
-    Array.iter
-      (fun local ->
-        Memo.iter
-          (fun key () ->
-            if not (Memo.mem merged key) then Memo.add merged key ())
-          local)
-      locals;
-    let next = Array.make (Memo.length merged) layers.(0).(0) in
-    let j = ref 0 in
-    Memo.iter
-      (fun key () ->
-        next.(!j) <- key;
-        incr j)
-      merged;
-    layers.(t + 1) <- next
-  done;
-  (* Terminal layer: refresh at T is mandatory whatever the limit. *)
-  Array.iter
-    (fun key ->
-      let pre = Statekey.state key in
-      Memo.add values.(horizon) key (Spec.f spec pre, Some (Statevec.copy pre)))
-    layers.(horizon);
-  (* Backward sweep, one layer at a time behind a barrier. *)
-  for t = horizon - 1 downto 0 do
-    let locals =
-      Array.init domains (fun _ ->
-          ref ([] : (Statekey.t * (float * Statevec.t option)) list))
-    in
-    let task s () =
-      let local = locals.(s) in
-      Array.iter
-        (fun key ->
-          if shard_of key = s then begin
-            let pre = Statekey.state key in
-            let best_cost = ref infinity and best_action = ref None in
-            let counted = ref 0 in
-            iter_sub_vectors pre (fun action ->
-                incr counted;
-                let post = Statevec.sub pre action in
-                if not (Spec.is_full spec post) then begin
-                  let action_cost = Spec.f spec action in
-                  let next_pre = Statevec.add post arrivals.(t + 1) in
-                  let future, _ =
-                    Memo.find values.(t + 1)
-                      (Statekey.make ~time:(t + 1) next_pre)
-                  in
-                  let total = action_cost +. future in
-                  if total < !best_cost then begin
-                    best_cost := total;
-                    best_action := Some (Statevec.copy action)
-                  end
-                end);
-            flush !counted;
-            local := (key, (!best_cost, !best_action)) :: !local
-          end)
-        layers.(t)
-    in
-    Parallel.Pool.run pool (List.init domains task);
-    Array.iter
-      (fun local ->
-        List.iter (fun (key, v) -> Memo.add values.(t) key v) !local)
-      locals
-  done;
-  let best t pre = Memo.find values.(t) (Statekey.make ~time:t pre) in
-  let total, _ = best 0 initial_pre in
-  reconstruct spec ~best ~initial_pre ~total
-
-let solve ?(max_expansions = 2_000_000) ?(domains = 1) spec =
-  let domains = max 1 domains in
-  if domains = 1 then solve_memoized ~max_expansions spec
-  else solve_layered ~max_expansions ~domains spec

@@ -9,7 +9,7 @@
 exception Too_large of string
 (** Raised when the search would exceed the configured budget. *)
 
-val solve : ?max_expansions:int -> ?domains:int -> Spec.t -> float * Plan.t
+val solve : ?max_expansions:int -> Spec.t -> float * Plan.t
 (** [solve spec] returns the minimum total maintenance cost and a plan
     achieving it.  [max_expansions] (default [2_000_000]) bounds the number
     of (state, action) combinations explored before {!Too_large} is
@@ -18,18 +18,6 @@ val solve : ?max_expansions:int -> ?domains:int -> Spec.t -> float * Plan.t
     bound limits memory as well as time — an instance whose candidate set
     is astronomically large raises {!Too_large} instead of exhausting
     memory materializing it.
-
-    [domains] (default 1) runs the layered parallel DP: forward
-    reachability materializes each time layer's pre-action states, then a
-    backward sweep computes the value function one layer at a time, states
-    partitioned across a {!Parallel.Pool} by [Statekey.hash mod domains]
-    with a barrier between layers.  Any [domains] returns the bit-identical
-    optimal cost {e and} plan (per state the candidates are enumerated in
-    the same odometer order with the same float arithmetic, and the strict
-    [<] keeps the same first minimum).  [domains:1] is the unchanged
-    sequential memoized solver.  The layered passes enumerate every
-    state's candidate set twice (reachability + values), so against the
-    same budget they count roughly twice the sequential expansions.
 
     When the {!Telemetry} collector is enabled each solve books the
     [exact.expansions] and [exact.key_collisions] counters and the

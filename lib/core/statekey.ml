@@ -3,10 +3,9 @@ type t = { time : int; state : Statevec.t; hash : int }
 (* Finalizing mix (xorshift–multiply–xorshift).  The FNV fold in
    [Statevec.hash] is byte-oriented: over the short, small-valued vectors
    the planner produces — and twice as wide once partitioned specs double
-   the table count — most of its entropy sits in the low bits.  The
-   parallel searches shard ownership by [hash mod k] and [Tbl] buckets by
-   the low bits too, so one avalanche round spreads every input bit across
-   the word.  The multiplier is any odd constant below [max_int]. *)
+   the table count — most of its entropy sits in the low bits.  [Tbl]
+   buckets by the low bits too, so one avalanche round spreads every input
+   bit across the word.  The multiplier is any odd constant below [max_int]. *)
 let mix h =
   let h = h lxor (h lsr 29) in
   let h = h * 0x2545F4914F6CDD1D in

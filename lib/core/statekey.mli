@@ -19,8 +19,7 @@ val make : time:int -> Statevec.t -> t
 (** Aliases [state]; see the ownership note above.  The FNV fold over time
     and every component is followed by an avalanche finalizer so hash
     quality holds at any state width — partitioned specs double the table
-    count, and both the [Tbl] buckets and the parallel searches' shard
-    ownership ([hash mod domains]) read the mixed value.  Raises
+    count, and the [Tbl] buckets read the mixed value.  Raises
     [Invalid_argument] if [time < -1] ([-1] is the A* virtual source;
     plan times are non-negative). *)
 

@@ -1,9 +1,8 @@
 (** WAL record types and their CRC-protected line encoding.
 
     Each record is one text line: an 8-hex-digit CRC-32 of the payload,
-    a tab, then the payload.  Payloads reuse the {!Ivm.Codec} /
-    [Bridge.Changelog] line format for modifications, so a WAL is
-    human-inspectable with the same eyes as a trace file.  Applied-action
+    a tab, then the payload.  Payloads encode modifications with
+    {!Ivm.Codec}, so a WAL is human-inspectable.  Applied-action
     costs are stored as IEEE-754 bit patterns ([%Lx]) so recovery
     restores them bit-identically. *)
 

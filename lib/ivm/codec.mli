@@ -1,5 +1,5 @@
-(** Text serialization of values, tuples, and modifications — the basis of
-    {!Changelog} trace files.
+(** Text serialization of values, tuples, and modifications — the line
+    format of WAL records, checkpoints and manifests.
 
     Values encode as type-prefixed literals ([i:42], [f:3.5], [s:text],
     [b:true], [null]); strings escape backslash, tab and newline so a

@@ -72,23 +72,10 @@ let charge ~views ~shared_setup batches =
   done;
   (per_view, !raw_total, !discounted_total, !joins)
 
-type progress = {
-  step : int;
-  pending : int array array;
-  rates : float array array;
-  spent : float array;
-  per_view : float array;
-  total : float;
-  undiscounted : float;
-  co_flushes : int;
-  valid : bool;
-}
-
 type sim_view = {
   spec : view_spec;
   pending : Abivm.Statevec.t;
   rates : float array;
-  mutable spent : float;
 }
 
 let refresh_cost view state =
@@ -130,69 +117,21 @@ let forced_action sim =
         rest;
       !best
 
-let snapshot_progress ~step ~(sims : sim_view array) ~per_view_total ~total
-    ~undiscounted ~joins ~valid =
-  {
-    step;
-    pending = Array.map (fun (sim : sim_view) -> Array.copy sim.pending) sims;
-    rates = Array.map (fun (sim : sim_view) -> Array.copy sim.rates) sims;
-    spent = Array.map (fun (sim : sim_view) -> sim.spent) sims;
-    per_view = Array.copy per_view_total;
-    total;
-    undiscounted;
-    co_flushes = joins;
-    valid;
-  }
-
-let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals ~coordinate () =
+let run ~views ~shared_setup ~arrivals ~coordinate =
   let n = validate ~views ~shared_setup ~arrivals in
   let k = Array.length views in
   let horizon = Array.length arrivals - 1 in
-  (match from with
-  | Some p ->
-      if
-        Array.length p.pending <> k
-        || Array.length p.rates <> k
-        || Array.length p.spent <> k
-        || Array.length p.per_view <> k
-        || Array.exists (fun row -> Array.length row <> n) p.pending
-        || Array.exists (fun row -> Array.length row <> n) p.rates
-        || p.step < 0
-      then invalid_arg "Multiview: progress does not match this problem"
-  | None -> ());
   let sims =
-    Array.mapi
-      (fun v spec ->
-        match from with
-        | None ->
-            {
-              spec;
-              pending = Abivm.Statevec.zero n;
-              rates = Array.make n 0.0;
-              spent = 0.0;
-            }
-        | Some p ->
-            {
-              spec;
-              pending = Array.copy p.pending.(v);
-              rates = Array.copy p.rates.(v);
-              spent = p.spent.(v);
-            })
+    Array.map
+      (fun spec ->
+        { spec; pending = Abivm.Statevec.zero n; rates = Array.make n 0.0 })
       views
   in
-  let start, per_view_total, total, undiscounted, joins, valid =
-    match from with
-    | None -> (0, Array.make k 0.0, ref 0.0, ref 0.0, ref 0, ref true)
-    | Some p ->
-        ( p.step,
-          Array.copy p.per_view,
-          ref p.total,
-          ref p.undiscounted,
-          ref p.co_flushes,
-          ref p.valid )
-  in
+  let per_view_total = Array.make k 0.0 in
+  let total = ref 0.0 and undiscounted = ref 0.0 in
+  let joins = ref 0 and valid = ref true in
   let alpha = 0.2 in
-  for t = start to horizon do
+  for t = 0 to horizon do
     let d = arrivals.(t) in
     Array.iter
       (fun sim ->
@@ -203,25 +142,16 @@ let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals 
               ((1.0 -. alpha) *. sim.rates.(i)) +. (alpha *. float_of_int di))
           d)
       sims;
-    (* Forced actions per view.  Each view's choice depends only on its own
-       pending/rates (frozen for the duration of this phase), so the per-view
-       work — the expensive greedy-subset scoring in [forced_action] — can
-       fan out across a domain pool with results identical to the sequential
-       order. *)
-    let batches = Array.make_matrix k n 0 in
-    let forced v =
-      let sim = sims.(v) in
-      if t = horizon then Abivm.Statevec.copy sim.pending
-      else if is_full sim.spec sim.pending then forced_action sim
-      else Abivm.Statevec.zero n
+    (* Forced actions per view: each view's choice depends only on its own
+       pending/rates. *)
+    let batches =
+      Array.map
+        (fun sim ->
+          if t = horizon then Abivm.Statevec.copy sim.pending
+          else if is_full sim.spec sim.pending then forced_action sim
+          else Abivm.Statevec.zero n)
+        sims
     in
-    let actions =
-      match pool with
-      | Some p when Parallel.Pool.domains p > 1 && k > 1 ->
-          Parallel.Pool.map p forced (Array.init k Fun.id)
-      | _ -> Array.init k forced
-    in
-    Array.iteri (fun v action -> Array.blit action 0 batches.(v) 0 n) actions;
     (* Optional coordination: piggyback on co-flushed tables, but only when
        the joining view's own flush of that table is nearly due (its pending
        batch is close to the largest batch its constraint allows).  Joining
@@ -262,9 +192,7 @@ let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals 
       charge ~views ~shared_setup batches
     in
     Array.iteri
-      (fun v c ->
-        per_view_total.(v) <- per_view_total.(v) +. c;
-        sims.(v).spent <- sims.(v).spent +. c)
+      (fun v c -> per_view_total.(v) <- per_view_total.(v) +. c)
       per_view;
     total := !total +. discounted;
     undiscounted := !undiscounted +. raw;
@@ -273,12 +201,6 @@ let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals 
       Telemetry.add "multiview.co_flushes" (float_of_int step_joins);
       Telemetry.add "multiview.discount_pocketed" (raw -. discounted)
     end;
-    Option.iter
-      (fun f ->
-        f
-          (snapshot_progress ~step:(t + 1) ~sims ~per_view_total ~total:!total
-             ~undiscounted:!undiscounted ~joins:!joins ~valid:!valid))
-      on_step
   done;
   Array.iter
     (fun sim ->
@@ -293,8 +215,8 @@ let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals 
     valid = !valid;
   }
 
-let independent ?from ?on_step ?pool ~views ~shared_setup ~arrivals () =
-  run ?from ?on_step ?pool ~views ~shared_setup ~arrivals ~coordinate:false ()
+let independent ~views ~shared_setup ~arrivals () =
+  run ~views ~shared_setup ~arrivals ~coordinate:false
 
-let piggyback ?from ?on_step ?pool ~views ~shared_setup ~arrivals () =
-  run ?from ?on_step ?pool ~views ~shared_setup ~arrivals ~coordinate:true ()
+let piggyback ~views ~shared_setup ~arrivals () =
+  run ~views ~shared_setup ~arrivals ~coordinate:true

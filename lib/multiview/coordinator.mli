@@ -48,45 +48,17 @@ type outcome = {
   valid : bool;  (** every view met its constraint at every step *)
 }
 
-type progress = {
-  step : int;  (** next step to execute *)
-  pending : int array array;  (** per view, per table *)
-  rates : float array array;  (** per view EWMA arrival rates *)
-  spent : float array;  (** per view cost so far *)
-  per_view : float array;
-  total : float;
-  undiscounted : float;
-  co_flushes : int;
-  valid : bool;
-}
-(** The coordinator's complete per-step state — everything needed to
-    continue a run from the start of step {!field-step}.  All arrays are
-    private copies.  [Durable.Coord] persists these so a killed
-    multi-view run resumes mid-horizon. *)
-
 val independent :
-  ?from:progress ->
-  ?on_step:(progress -> unit) ->
-  ?pool:Parallel.Pool.t ->
   views:view_spec array ->
   shared_setup:float array ->
   arrivals:int array array ->
   unit ->
   outcome
 (** [arrivals.(t).(i)] modifications to base table [i] at time [t]; every
-    view receives every modification.  [from] continues a previous run
-    from its recorded step; [on_step] observes the progress after every
-    completed step.  [pool] fans the per-view flush decisions of each step
-    out across a domain pool — each view's choice depends only on its own
-    state, so the outcome (costs, co-flushes, validity) is identical to the
-    sequential run.  Raises [Invalid_argument] on dimension mismatches,
-    negative discounts, or a [from] that does not match the problem
-    shape. *)
+    view receives every modification.  Raises [Invalid_argument] on
+    dimension mismatches or negative discounts. *)
 
 val piggyback :
-  ?from:progress ->
-  ?on_step:(progress -> unit) ->
-  ?pool:Parallel.Pool.t ->
   views:view_spec array ->
   shared_setup:float array ->
   arrivals:int array array ->

@@ -2,7 +2,7 @@ type task = unit -> unit
 
 (* Every submitted task belongs to a batch; the batch tracks how many of
    its tasks are still outstanding and the first failure among them.  A
-   synchronous [exec] is a batch the caller waits on; a [detach]ed job is
+   [map] is a batch the caller waits on; a [detach]ed job is
    a single-task batch nobody waits on until [await]. *)
 type batch = {
   mutable remaining : int;
@@ -99,50 +99,45 @@ let wait_batch t b =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-(* Submit a batch and participate until it fully drains. *)
-let exec t tasks =
-  match tasks with
-  | [] -> ()
-  | tasks ->
-      let b = new_batch (List.length tasks) in
-      Mutex.lock t.m;
-      if t.closing then begin
-        Mutex.unlock t.m;
-        invalid_arg "Pool: pool is shut down"
-      end;
-      List.iter (fun task -> Queue.push (b, task) t.queue) tasks;
-      Condition.broadcast t.work;
-      wait_batch t b
-
-let run t tasks =
-  if List.length tasks > t.domains then
-    invalid_arg "Pool.run: more cooperating tasks than domains";
-  exec t tasks
+(* Take the lock on a pool that is still open; [shutdown] makes every
+   later submission raise, also on the inline [domains:1] paths. *)
+let lock_open t =
+  Mutex.lock t.m;
+  if t.closing then begin
+    Mutex.unlock t.m;
+    invalid_arg "Pool: pool is shut down"
+  end
 
 let map t f arr =
   let n = Array.length arr in
-  if n = 0 then [||]
-  else if t.domains = 1 || n = 1 then Array.map f arr
+  lock_open t;
+  if t.domains = 1 || n <= 1 then begin
+    Mutex.unlock t.m;
+    Array.map f arr
+  end
   else begin
+    (* Submit one batch and participate until it fully drains. *)
     let results = Array.make n None in
-    exec t
-      (List.init n (fun i -> fun () -> results.(i) <- Some (f arr.(i))));
+    let b = new_batch n in
+    for i = 0 to n - 1 do
+      Queue.push (b, fun () -> results.(i) <- Some (f arr.(i))) t.queue
+    done;
+    Condition.broadcast t.work;
+    wait_batch t b;
     Array.map (function Some v -> v | None -> assert false) results
   end
 
 let detach t task =
   let b = new_batch 1 in
-  if t.domains = 1 then
+  lock_open t;
+  if t.domains = 1 then begin
     (* No workers to hand the task to: run it here, synchronously.  The
        job is already settled when it is returned — bit-identical to the
        pre-pool sequential path. *)
+    Mutex.unlock t.m;
     run_item t (b, task)
+  end
   else begin
-    Mutex.lock t.m;
-    if t.closing then begin
-      Mutex.unlock t.m;
-      invalid_arg "Pool: pool is shut down"
-    end;
     Queue.push (b, task) t.queue;
     Condition.signal t.work;
     Mutex.unlock t.m

@@ -5,8 +5,8 @@
     operation degenerates to plain sequential execution — bit-identical to
     not using a pool at all.
 
-    Batches are synchronous: {!run} and {!map} return only once every task
-    of the batch has finished.  The first exception raised by any task is
+    {!map} is synchronous: it returns only once every task of the batch
+    has finished.  The first exception raised by any task is
     re-raised in the caller (with its backtrace) after the batch drains;
     remaining tasks still run.  Submitting from two domains at once is not
     supported — a pool has exactly one submitting domain at a time. *)
@@ -20,21 +20,15 @@ val create : ?domains:int -> unit -> t
 val domains : t -> int
 (** Worker count, caller included.  At least 1. *)
 
-val run : t -> (unit -> unit) list -> unit
-(** Execute the tasks to completion, the caller participating.  Tasks may
-    block on each other (e.g. cooperating search shards exchanging
-    messages), therefore the batch MUST NOT contain more tasks than
-    [domains t] — excess tasks would have no domain to run on and the
-    batch could deadlock.  Raises [Invalid_argument] in that case. *)
-
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map].  Tasks must be independent (never block on one
     another); any number of them is fine — excess tasks queue.  Order of
-    side effects is unspecified, results are in input order. *)
+    side effects is unspecified, results are in input order.  Raises
+    [Invalid_argument] after {!shutdown}, also at [domains t = 1]. *)
 
 type job
-(** A detached single task running in the background.  Unlike {!run} /
-    {!map} batches, the submitter does not wait: it keeps working and
+(** A detached single task running in the background.  Unlike a {!map}
+    batch, the submitter does not wait: it keeps working and
     later {!poll}s or {!await}s the job.  Used to move checkpoint
     serialization off the maintenance thread. *)
 
@@ -43,7 +37,8 @@ val detach : t -> (unit -> unit) -> job
     domains, so the task runs inline before [detach] returns and the job
     is already settled — the sequential degenerate case stays
     bit-identical.  The task must terminate without depending on further
-    pool progress.  Raises [Invalid_argument] after {!shutdown}. *)
+    pool progress.  Raises [Invalid_argument] after {!shutdown}, also at
+    [domains t = 1]. *)
 
 val poll : job -> [ `Running | `Done | `Failed ]
 (** Non-blocking completion check. *)

@@ -13,8 +13,8 @@ type snapshot = {
 }
 
 (* Domain-safe metering.  Bumps happen on the engine's per-tuple hot paths
-   and, since the multiview coordinator flushes views from several domains
-   at once, may race on a shared meter.  Counters are sharded: each field
+   and may race on a shared meter when engines that share it are
+   maintained from several domains at once.  Counters are sharded: each field
    has [shards] cells and a domain bumps the cell indexed by its id, so
    under the common one-or-few-domains case distinct domains touch distinct
    cells.  Cells are [Atomic.t] (bumped with [fetch_and_add]) so that even

@@ -8,9 +8,9 @@
     costs (a sequential tuple touch is the unit).
 
     Meters are domain-safe: counters are sharded per domain and merged at
-    {!snapshot}, so concurrent flushes (e.g. the parallel multiview
-    coordinator) can share one meter without losing updates and without a
-    hot mutex on the per-tuple paths.  {!reset} is not atomic with respect
+    {!snapshot}, so engines that share one meter may be maintained from
+    several domains at once and the snapshot equals the sequential
+    totals, with no lost update and no hot mutex on the per-tuple paths.  {!reset} is not atomic with respect
     to concurrent bumps — call it only while the meter is quiescent. *)
 
 type t

@@ -216,109 +216,6 @@ let test_codec_change_roundtrip () =
       Ivm.Change.Insert (Tuple.make []);
     ]
 
-let test_changelog_roundtrip_file () =
-  let entries =
-    [
-      { Bridge.Changelog.time = 0; table = 0; change = Ivm.Change.Insert (Tuple.make [ vi 1 ]) };
-      { Bridge.Changelog.time = 0; table = 1; change = Ivm.Change.Delete (Tuple.make [ vs "x" ]) };
-      { Bridge.Changelog.time = 3; table = 0;
-        change = Ivm.Change.Update { before = Tuple.make [ vi 1 ]; after = Tuple.make [ vi 2 ] } };
-    ]
-  in
-  let path = Filename.temp_file "abivm" ".trace" in
-  Bridge.Changelog.save ~path entries;
-  (match Bridge.Changelog.load ~path with
-  | Ok back ->
-      checki "same length" 3 (List.length back);
-      List.iter2
-        (fun a b ->
-          checki "time" a.Bridge.Changelog.time b.Bridge.Changelog.time;
-          checki "table" a.Bridge.Changelog.table b.Bridge.Changelog.table)
-        entries back
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
-
-let test_changelog_rejects_bad_input () =
-  List.iter
-    (fun lines ->
-      match Bridge.Changelog.of_lines lines with
-      | Ok _ -> Alcotest.fail (String.concat "|" lines ^ " should fail")
-      | Error _ -> ())
-    [
-      [ "garbage" ];
-      [ "0\tx\tI\ti:1" ];
-      [ "5\t0\tI\ti:1"; "3\t0\tI\ti:2" ] (* time goes backwards *);
-      [ "0\t0\tZ\ti:1" ];
-    ]
-
-let test_changelog_replay_exhaustion_graceful () =
-  (* A truncated trace must end cleanly, not die with Invalid_argument:
-     [next_opt] degrades to [None], [remaining] reaches zero, and only
-     the feed-shaped adapter raises — with the typed [End_of_trace]. *)
-  let entries =
-    [
-      { Bridge.Changelog.time = 0; table = 0;
-        change = Ivm.Change.Insert (Tuple.make [ vi 1 ]) };
-      { Bridge.Changelog.time = 1; table = 0;
-        change = Ivm.Change.Insert (Tuple.make [ vi 2 ]) };
-      { Bridge.Changelog.time = 1; table = 1;
-        change = Ivm.Change.Insert (Tuple.make [ vi 3 ]) };
-    ]
-  in
-  let p = Bridge.Changelog.replay entries in
-  checki "table 0 holds two" 2 (p.Bridge.Changelog.remaining 0);
-  checki "table 1 holds one" 1 (p.Bridge.Changelog.remaining 1);
-  checkb "draws arrive in order" true
-    (match p.Bridge.Changelog.next_opt 0 with
-    | Some (Ivm.Change.Insert t) -> Tuple.equal t (Tuple.make [ vi 1 ])
-    | _ -> false);
-  ignore (p.Bridge.Changelog.next_opt 0);
-  checkb "exhausted table yields None" true
-    (p.Bridge.Changelog.next_opt 0 = None);
-  checki "remaining hits zero" 0 (p.Bridge.Changelog.remaining 0);
-  checkb "unknown table is just empty" true
-    (p.Bridge.Changelog.next_opt 7 = None);
-  (match p.Bridge.Changelog.feeds.Tpcr.Updates.next 1 with
-  | Ivm.Change.Insert t ->
-      checkb "feed adapter still draws" true (Tuple.equal t (Tuple.make [ vi 3 ]))
-  | _ -> Alcotest.fail "unexpected change");
-  match p.Bridge.Changelog.feeds.Tpcr.Updates.next 1 with
-  | exception Bridge.Changelog.End_of_trace { table = 1 } -> ()
-  | exception e ->
-      Alcotest.failf "expected End_of_trace, got %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "exhausted feed returned a change"
-
-let test_changelog_record_replay_equivalence () =
-  (* Record a TPC-R feed, replay it, and check both runs produce the same
-     executed result. *)
-  let _, cal_m, cal_feeds = env ~seed:20 () in
-  let spec = fitted_spec cal_m cal_feeds ~limit:3000.0 ~horizon:20 in
-  let plan = Abivm.Naive.plan spec in
-  (* First run records. *)
-  let db1 = Tpcr.Gen.generate ~seed:21 ~scale:0.002 () in
-  let feeds1 = Tpcr.Updates.paper_feeds ~seed:22 db1 in
-  let entries = Bridge.Changelog.record feeds1 ~arrivals:(Abivm.Spec.arrivals spec) in
-  checkb "entries recorded" true (List.length entries > 0);
-  (* Replay against two fresh, identical databases. *)
-  let run () =
-    let db = Tpcr.Gen.generate ~seed:21 ~scale:0.002 () in
-    let m =
-      Ivm.Maintainer.create ~meter:db.Tpcr.Gen.meter
-        (Tpcr.Gen.min_supplycost_view db)
-    in
-    Relation.Meter.reset db.Tpcr.Gen.meter;
-    let report =
-      Bridge.Runner.run_plan
-        (Bridge.Runner.engine ~maintainer:m
-           ~feeds:(Bridge.Changelog.replay_feeds entries))
-        spec plan
-    in
-    (report.Abivm.Report.cost_units, Ivm.Maintainer.rows m)
-  in
-  let c1, rows1 = run () and c2, rows2 = run () in
-  checkb "identical cost" true (c1 = c2);
-  checkb "identical contents" true (List.equal Tuple.equal rows1 rows2)
-
 let () =
   Alcotest.run "bridge"
     [
@@ -350,15 +247,5 @@ let () =
           Alcotest.test_case "value roundtrip" `Quick test_codec_value_roundtrip;
           Alcotest.test_case "value errors" `Quick test_codec_value_errors;
           Alcotest.test_case "change roundtrip" `Quick test_codec_change_roundtrip;
-        ] );
-      ( "changelog",
-        [
-          Alcotest.test_case "file roundtrip" `Quick test_changelog_roundtrip_file;
-          Alcotest.test_case "rejects bad input" `Quick
-            test_changelog_rejects_bad_input;
-          Alcotest.test_case "record/replay equivalence" `Quick
-            test_changelog_record_replay_equivalence;
-          Alcotest.test_case "replay exhaustion is graceful" `Quick
-            test_changelog_replay_exhaustion_graceful;
         ] );
     ]

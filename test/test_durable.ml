@@ -921,52 +921,6 @@ let test_forged_applied_refused () =
     | _ -> None);
   rmtree pristine
 
-let test_coordinator_kill_resume () =
-  let views =
-    [|
-      { Multiview.Coordinator.name = "tight";
-        costs = [| Cost.Func.affine ~a:3.0 ~b:10.0 |];
-        limit = 45.0 };
-      { Multiview.Coordinator.name = "loose";
-        costs = [| Cost.Func.affine ~a:3.0 ~b:10.0 |];
-        limit = 150.0 };
-    |]
-  in
-  let arrivals = Array.make 61 [| 1 |] in
-  let shared_setup = [| 14.0 |] in
-  let straight =
-    Multiview.Coordinator.piggyback ~views ~shared_setup ~arrivals ()
-  in
-  let dir = scratch () in
-  (match
-     Durable.Coord.run_durable ~dir
-       ~hook:(function
-         | Durable.Hook.Step_start 30 -> raise (Durable.Hook.Crash "test kill")
-         | _ -> ())
-       ~views ~shared_setup ~arrivals ~coordinate:true ()
-   with
-  | _ -> Alcotest.fail "expected the injected crash"
-  | exception Durable.Hook.Crash _ -> ());
-  let resumed =
-    Durable.Coord.run_durable ~dir ~views ~shared_setup ~arrivals
-      ~coordinate:true ()
-  in
-  checkb "resumed outcome valid" true resumed.Multiview.Coordinator.valid;
-  checkb "total cost bit-identical" true
-    (Int64.bits_of_float resumed.Multiview.Coordinator.total_cost
-    = Int64.bits_of_float straight.Multiview.Coordinator.total_cost);
-  checki "co-flushes identical" straight.Multiview.Coordinator.co_flushes
-    resumed.Multiview.Coordinator.co_flushes;
-  (* Running again over the finished progress file is a no-op replay. *)
-  let again =
-    Durable.Coord.run_durable ~dir ~views ~shared_setup ~arrivals
-      ~coordinate:true ()
-  in
-  checkb "finished run replays to the same totals" true
-    (Int64.bits_of_float again.Multiview.Coordinator.total_cost
-    = Int64.bits_of_float straight.Multiview.Coordinator.total_cost);
-  rmtree dir
-
 let () =
   Alcotest.run "durable"
     [
@@ -1023,7 +977,5 @@ let () =
             test_genesis_recovery_and_refusal;
           Alcotest.test_case "forged WAL records refused" `Quick
             test_forged_applied_refused;
-          Alcotest.test_case "coordinator kill/resume" `Quick
-            test_coordinator_kill_resume;
         ] );
     ]

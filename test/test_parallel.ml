@@ -1,13 +1,11 @@
-(* Multicore tests: the domain pool, the sharded meter/metrics counters,
-   and the parallel multiview coordinator.
+(* Multicore tests: the domain pool and the sharded meter/metrics
+   counters.
 
-   - Pool: map correctness and reuse, exception propagation, the
-     cooperative-batch size guard.
+   - Pool: map correctness and reuse, exception propagation, detached
+     jobs (also refused after shutdown at every domain count).
    - Meter/Metrics: concurrent bumps from several domains are all counted
      (per-domain shards merged at snapshot time), also when four engines
-     maintain their views concurrently over one shared meter.
-   - Multiview: a pooled coordinator run yields the same outcome as the
-     sequential one. *)
+     maintain their views concurrently over one shared meter. *)
 
 let check = Alcotest.check
 
@@ -41,12 +39,6 @@ let test_pool_exception () =
       (* The failed batch must not poison the pool. *)
       let out = Parallel.Pool.map pool (fun x -> x + 1) [| 1; 2; 3 |] in
       check Alcotest.(array int) "after failure" [| 2; 3; 4 |] out)
-
-let test_pool_run_guard () =
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      match Parallel.Pool.run pool (List.init 3 (fun _ () -> ())) with
-      | () -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ())
 
 let test_pool_detach () =
   (* Detached background jobs: poll/await semantics, failure re-raise at
@@ -89,35 +81,23 @@ let test_pool_detach () =
       check Alcotest.bool "already settled" true
         (Parallel.Pool.poll job = `Done);
       Parallel.Pool.await job);
-  (* Detaching onto a shut-down pool is refused. *)
-  let pool = Parallel.Pool.create ~domains:2 () in
-  Parallel.Pool.shutdown pool;
-  match Parallel.Pool.detach pool (fun () -> ()) with
-  | _ -> Alcotest.fail "detach after shutdown must raise"
-  | exception Invalid_argument _ -> ()
-
-let test_pool_cooperative () =
-  (* [run] tasks may block on each other: a two-task rendezvous. *)
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      let a = Atomic.make 0 and b = Atomic.make 0 in
-      let wait_for cell v =
-        while Atomic.get cell < v do
-          Domain.cpu_relax ()
-        done
-      in
-      Parallel.Pool.run pool
-        [
-          (fun () ->
-            Atomic.set a 1;
-            wait_for b 1;
-            Atomic.set a 2);
-          (fun () ->
-            wait_for a 1;
-            Atomic.set b 1;
-            wait_for a 2);
-        ];
-      check Alcotest.int "a" 2 (Atomic.get a);
-      check Alcotest.int "b" 1 (Atomic.get b))
+  (* Detaching or mapping onto a shut-down pool is refused, also on the
+     inline domains:1 path, and the task never runs. *)
+  List.iter
+    (fun domains ->
+      let pool = Parallel.Pool.create ~domains () in
+      Parallel.Pool.shutdown pool;
+      let ran = ref false in
+      (match Parallel.Pool.detach pool (fun () -> ran := true) with
+      | _ -> Alcotest.failf "domains=%d: detach after shutdown must raise" domains
+      | exception Invalid_argument _ -> ());
+      (match Parallel.Pool.map pool (fun () -> ran := true) [| (); () |] with
+      | _ -> Alcotest.failf "domains=%d: map after shutdown must raise" domains
+      | exception Invalid_argument _ -> ());
+      check Alcotest.bool
+        (Printf.sprintf "domains=%d: refused task never ran" domains)
+        false !ran)
+    [ 1; 2 ]
 
 (* --- sharded counters ------------------------------------------------------ *)
 
@@ -193,57 +173,6 @@ let test_meter_concurrent_engines () =
             (flush_views (Some pool) = seq)))
     [ 2; 4 ]
 
-(* --- multiview ------------------------------------------------------------- *)
-
-let mv_problem () =
-  let n = 3 and horizon = 120 in
-  let views =
-    Array.init 4 (fun v ->
-        {
-          Multiview.Coordinator.name = Printf.sprintf "v%d" v;
-          costs =
-            Array.init n (fun i ->
-                Cost.Func.affine
-                  ~a:(1.0 +. (0.3 *. float_of_int ((v + i) mod 3)))
-                  ~b:(0.5 *. float_of_int (v + 1)));
-          limit = 12.0 +. (2.0 *. float_of_int v);
-        })
-  in
-  let prng = Util.Prng.create ~seed:11 in
-  let arrivals =
-    Array.init (horizon + 1) (fun _ ->
-        Array.init n (fun _ -> Util.Prng.int prng 3))
-  in
-  (views, Array.make n 1.0, arrivals)
-
-let outcomes_equal (a : Multiview.Coordinator.outcome)
-    (b : Multiview.Coordinator.outcome) =
-  a.total_cost = b.total_cost
-  && a.undiscounted_cost = b.undiscounted_cost
-  && a.co_flushes = b.co_flushes && a.valid = b.valid
-  && a.per_view_cost = b.per_view_cost
-
-let test_multiview_pool () =
-  let views, shared_setup, arrivals = mv_problem () in
-  let seq =
-    Multiview.Coordinator.independent ~views ~shared_setup ~arrivals ()
-  in
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
-      let par =
-        Multiview.Coordinator.independent ~pool ~views ~shared_setup ~arrivals
-          ()
-      in
-      if not (outcomes_equal seq par) then
-        Alcotest.fail "pooled independent run diverged from sequential";
-      let seq_pig =
-        Multiview.Coordinator.piggyback ~views ~shared_setup ~arrivals ()
-      in
-      let par_pig =
-        Multiview.Coordinator.piggyback ~pool ~views ~shared_setup ~arrivals ()
-      in
-      if not (outcomes_equal seq_pig par_pig) then
-        Alcotest.fail "pooled piggyback run diverged from sequential")
-
 let () =
   Alcotest.run "parallel"
     [
@@ -252,8 +181,6 @@ let () =
           Alcotest.test_case "map correctness and reuse" `Quick test_pool_map;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception;
-          Alcotest.test_case "run batch-size guard" `Quick test_pool_run_guard;
-          Alcotest.test_case "cooperative tasks" `Quick test_pool_cooperative;
           Alcotest.test_case "detached jobs: poll, await, inline" `Quick
             test_pool_detach;
         ] );
@@ -265,10 +192,5 @@ let () =
             test_metrics_concurrent;
           Alcotest.test_case "shared meter across concurrent engines" `Quick
             test_meter_concurrent_engines;
-        ] );
-      ( "multiview",
-        [
-          Alcotest.test_case "pooled = sequential outcome" `Quick
-            test_multiview_pool;
         ] );
     ]

@@ -503,40 +503,6 @@ let test_table_range_requires_ordered_index () =
     (Invalid_argument "Table.range_lookup(t): no ordered index on \"v\"")
     (fun () -> ignore (Table.range_lookup t "v" ()))
 
-(* --- Database ---------------------------------------------------------------- *)
-
-let test_database_catalog () =
-  let db = Database.create () in
-  let t =
-    Database.create_table db ~name:"orders"
-      ~schema:(Schema.make [ ("k", ti); ("v", tf) ])
-      ~indexes:[ "k" ] ()
-  in
-  checkb "find" true (Database.find db "orders" = Some t);
-  checkb "missing" true (Database.find db "nope" = None);
-  checkb "indexed" true (Table.has_index t "k");
-  ignore (Table.insert t (Tuple.make [ vi 1; vf 2.0 ]));
-  checki "total rows" 1 (Database.total_rows db);
-  Alcotest.check (Alcotest.list Alcotest.string) "names" [ "orders" ]
-    (Database.table_names db)
-
-let test_database_duplicate_rejected () =
-  let db = Database.create () in
-  ignore (Database.create_table db ~name:"t" ~schema:(Schema.make [ ("k", ti) ]) ());
-  Alcotest.check_raises "dup" (Invalid_argument "Database: table \"t\" already exists")
-    (fun () ->
-      ignore
-        (Database.create_table db ~name:"t" ~schema:(Schema.make [ ("k", ti) ]) ()))
-
-let test_database_shared_meter () =
-  let db = Database.create () in
-  let a = Database.create_table db ~name:"a" ~schema:(Schema.make [ ("k", ti) ]) () in
-  let b = Database.create_table db ~name:"b" ~schema:(Schema.make [ ("k", ti) ]) () in
-  ignore (Table.insert a (Tuple.make [ vi 1 ]));
-  ignore (Table.insert b (Tuple.make [ vi 2 ]));
-  checki "both on one meter" 2
-    (Meter.snapshot (Database.meter db)).Meter.inserted
-
 (* --- Meter --------------------------------------------------------------- *)
 
 let test_meter_diff () =
@@ -862,13 +828,6 @@ let () =
             test_table_range_lookup_tracks_updates;
           Alcotest.test_case "requires ordered index" `Quick
             test_table_range_requires_ordered_index;
-        ] );
-      ( "database",
-        [
-          Alcotest.test_case "catalog" `Quick test_database_catalog;
-          Alcotest.test_case "duplicate rejected" `Quick
-            test_database_duplicate_rejected;
-          Alcotest.test_case "shared meter" `Quick test_database_shared_meter;
         ] );
       ( "meter",
         [

@@ -4,6 +4,8 @@
      equal keys hash identically;
    - the memoized heuristic ([Astar.heuristic spec] applied many times)
      is bit-identical to rebuilding the precomputation per call;
+   - Exact.solve is repeatable bit for bit and its plan is valid at the
+     reported cost on random instances;
    - A* and Exact reproduce the pre-overhaul plan costs (and A* expands
      no more nodes) on the fixture instances;
    - Exact's lazy action enumerator raises [Too_large] on an instance
@@ -99,25 +101,25 @@ let test_statekey_width () =
     Alcotest.failf "hash quality degraded at width %d: %d/%d colliding" n
       collisions !bindings
 
-(* --- parallel exact DP ------------------------------------------------------- *)
+(* --- memoized exact DP --------------------------------------------------------- *)
 
-(* The layered parallel DP must return the bit-identical optimum (cost and
-   plan) at every domain count, including on specs wider than the pool. *)
-let prop_exact_parallel =
-  QCheck.Test.make ~name:"Exact.solve domains in {1,2,4} bit-identical"
-    ~count:40
+(* Each solve starts from a fresh memo table: solving the same spec twice
+   returns the bit-identical optimum (cost and plan), and the plan is valid
+   and costs exactly what the solver reports. *)
+let prop_exact_memoized =
+  QCheck.Test.make
+    ~name:"Exact.solve repeatable, plan valid at its reported cost" ~count:40
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let spec = Gen.instance ~seed () in
       let cost1, plan1 = Abivm.Exact.solve spec in
-      List.for_all
-        (fun domains ->
-          let cost, plan = Abivm.Exact.solve ~domains spec in
-          Int64.equal (Int64.bits_of_float cost) (Int64.bits_of_float cost1)
-          && List.equal
-               (fun (t1, a1) (t2, a2) -> t1 = t2 && Abivm.Statevec.equal a1 a2)
-               (Abivm.Plan.actions plan1) (Abivm.Plan.actions plan))
-        [ 2; 4 ])
+      let cost2, plan2 = Abivm.Exact.solve spec in
+      Int64.equal (Int64.bits_of_float cost1) (Int64.bits_of_float cost2)
+      && List.equal
+           (fun (t1, a1) (t2, a2) -> t1 = t2 && Abivm.Statevec.equal a1 a2)
+           (Abivm.Plan.actions plan1) (Abivm.Plan.actions plan2)
+      && Abivm.Plan.is_valid spec plan1
+      && Float.abs (Abivm.Plan.cost spec plan1 -. cost1) <= 1e-9)
 
 (* --- memoized heuristic ----------------------------------------------------- *)
 
@@ -256,7 +258,7 @@ let () =
         :: List.map to_alcotest [ prop_key_structural; prop_statevec_hash_equal ]
       );
       ("heuristic", List.map to_alcotest [ prop_heuristic_memo ]);
-      ("exact-parallel", List.map to_alcotest [ prop_exact_parallel ]);
+      ("exact-memoized", List.map to_alcotest [ prop_exact_memoized ]);
       ( "engine",
         [
           Alcotest.test_case "fixture costs and node counts" `Quick

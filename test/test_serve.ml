@@ -212,32 +212,47 @@ let kill_at round point =
 
 let crash_recover_case ~kill_round () =
   let cfgs = fleet 4 in
-  let base_root = scratch () and crash_root = scratch () in
+  let base_root = scratch () in
   Fun.protect
-    ~finally:(fun () ->
-      rmtree base_root;
-      rmtree crash_root)
+    ~finally:(fun () -> rmtree base_root)
     (fun () ->
       let baseline = run_service ~root:base_root (service_cfg ()) cfgs in
       checkb "baseline consistent" true (all_consistent baseline);
-      (* Same fleet, killed mid-run. *)
-      let crashed =
-        try
-          ignore
-            (run_service ~root:crash_root
-               (service_cfg ~hook:(kill_at kill_round) ())
-               cfgs);
-          false
-        with Durable.Hook.Crash _ -> true
-      in
-      checkb "hook killed the run" true crashed;
-      match Serve.Service.recover ~root:crash_root () with
-      | Error e -> Alcotest.failf "recover: %s" e
-      | Ok svc ->
-          checkb "something was replayed" true
-            (Serve.Service.total_replayed svc > 0);
-          let recovered = Serve.Service.run svc in
-          check_outcomes_equal "recovered-vs-baseline" baseline recovered)
+      (* Same fleet, killed mid-run, then recovered sequentially and with
+         a 2-domain pool: both must finish bit-equal to the baseline. *)
+      List.iter
+        (fun domains ->
+          let crash_root = scratch () in
+          Fun.protect
+            ~finally:(fun () -> rmtree crash_root)
+            (fun () ->
+              let crashed =
+                try
+                  ignore
+                    (run_service ~root:crash_root
+                       (service_cfg ~hook:(kill_at kill_round) ())
+                       cfgs);
+                  false
+                with Durable.Hook.Crash _ -> true
+              in
+              checkb "hook killed the run" true crashed;
+              let recover pool =
+                match Serve.Service.recover ?pool ~root:crash_root () with
+                | Error e -> Alcotest.failf "recover (domains=%d): %s" domains e
+                | Ok svc ->
+                    checkb "something was replayed" true
+                      (Serve.Service.total_replayed svc > 0);
+                    let recovered = Serve.Service.run svc in
+                    check_outcomes_equal
+                      (Printf.sprintf "recovered(domains=%d)-vs-baseline"
+                         domains)
+                      baseline recovered
+              in
+              if domains = 1 then recover None
+              else
+                Parallel.Pool.with_pool ~domains (fun pool ->
+                    recover (Some pool))))
+        [ 1; 2 ])
 
 (* Early kill: flushes are still ahead; late kill: the WALs already hold
    [Applied] records whose replay must re-meter bit-exactly. *)
