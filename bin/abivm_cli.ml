@@ -5,7 +5,6 @@
      astar      solve one instance with the A* planner and print search stats
      calibrate  measure TPC-R maintenance cost curves from the engine
      run        calibrate, simulate all strategies, execute one (Fig. 5)
-     demo       end-to-end TPC-R run: calibrate, plan, execute, validate
      robust     inject drift into an instance, compare static ADAPT vs the
                 monitored replanner vs ONLINE
      durable    crash-recoverable execution: WAL + checkpoints
@@ -319,10 +318,10 @@ let calibrate_cmd =
        ~doc:"measure TPC-R maintenance cost curves from the live engine")
     Term.(const calibrate $ scale $ seed $ sizes)
 
-(* --- shared TPC-R setup (run + demo) ---------------------------------------- *)
+(* --- TPC-R setup for run ----------------------------------------------------- *)
 
 (* Calibrate the two maintained tables' cost curves from a live engine and
-   build the planning spec used by both [run] and [demo]. *)
+   build the planning spec [run] uses. *)
 let tpcr_spec ~scale ~seed ~horizon =
   let db = Tpcr.Gen.generate ~seed ~scale () in
   let m =
@@ -438,47 +437,6 @@ let run_cmd =
       ret
         (const run_exec $ scale $ horizon $ seed $ strategy $ trace_arg
        $ metrics_arg))
-
-(* --- demo -------------------------------------------------------------------- *)
-
-let demo scale horizon trace metrics =
-  with_telemetry ~trace ~metrics (fun () ->
-      Printf.printf "Generating TPC-R database (scale %.3f)...\n%!" scale;
-      Printf.printf "Calibrating cost functions...\n%!";
-      let spec = tpcr_spec ~scale ~seed:42 ~horizon in
-      Printf.printf "Constraint C = %.0f cost units; horizon T = %d\n%!"
-        (Abivm.Spec.limit spec) horizon;
-      let reports = Abivm.Simulate.all spec in
-      print_reports spec reports;
-      Printf.printf "\nExecuting the ONLINE plan against the engine...\n%!";
-      let strategy = Abivm.Strategy.Online None in
-      let online = Abivm.Online.plan spec in
-      let m2, feeds2 = tpcr_engine ~scale ~seed:7 in
-      let report =
-        Bridge.Runner.run_plan ~strategy
-          (Bridge.Runner.engine ~maintainer:m2 ~feeds:feeds2)
-          spec online
-      in
-      Printf.printf
-        "executed cost %.0f units (simulated %.0f), view consistent: %b, \
-         wall %.2fs\n"
-        (Option.value ~default:0.0 report.Abivm.Report.cost_units)
-        report.Abivm.Report.total_cost report.Abivm.Report.valid
-        (Option.value ~default:0.0 report.Abivm.Report.wall_seconds);
-      `Ok ())
-
-let demo_cmd =
-  let scale =
-    Arg.(
-      value & opt float 0.02
-      & info [ "scale" ] ~docv:"SF" ~doc:"TPC-R scale factor (default 0.02).")
-  in
-  let horizon =
-    Arg.(value & opt int 300 & info [ "horizon"; "T" ] ~docv:"T" ~doc:"Refresh time.")
-  in
-  Cmd.v
-    (Cmd.info "demo" ~doc:"end-to-end TPC-R run: calibrate, plan, execute, validate")
-    Term.(ret (const demo $ scale $ horizon $ trace_arg $ metrics_arg))
 
 (* --- robust ------------------------------------------------------------------- *)
 
@@ -978,7 +936,7 @@ let parse_tenant_syncs ~tenants specs =
                      "--tenant-sync %s: no such tenant (run has %s)" spec
                      (String.concat ", " known))
               else
-                match Serve.Service.sync_of_string policy with
+                match Durable.Wal.sync_of_string policy with
                 | Ok p -> Ok ((name, p) :: acc)
                 | Error e ->
                     Error (Printf.sprintf "--tenant-sync %s: %s" spec e))))
@@ -1494,7 +1452,7 @@ let partition_cmd =
 let main_cmd =
   let doc = "asymmetric batch incremental view maintenance" in
   Cmd.group (Cmd.info "abivm" ~version:"1.0.0" ~doc)
-    [ simulate_cmd; astar_cmd; calibrate_cmd; run_cmd; demo_cmd;
-      robust_cmd; durable_cmd; serve_cmd; partition_cmd ]
+    [ simulate_cmd; astar_cmd; calibrate_cmd; run_cmd; robust_cmd;
+      durable_cmd; serve_cmd; partition_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

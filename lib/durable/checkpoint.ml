@@ -2,7 +2,6 @@ type table_snapshot = {
   name : string;
   columns : (string * Relation.Datatype.t) list;
   hash_indexed : string list;
-  ordered_indexed : string list;
   rows : Relation.Tuple.t list;
 }
 
@@ -27,14 +26,12 @@ let capture ~lsn ~next_step ~cost ~draws ~params m =
              Relation.Schema.columns schema |> Array.to_list
              |> List.map (fun c -> (c.Relation.Schema.name, c.Relation.Schema.ty))
            in
-           let indexed pred =
-             List.filter (fun (c, _) -> pred tbl c) columns |> List.map fst
-           in
            {
              name = Relation.Table.name tbl;
              columns;
-             hash_indexed = indexed Relation.Table.has_index;
-             ordered_indexed = indexed Relation.Table.has_ordered_index;
+             hash_indexed =
+               List.filter (fun (c, _) -> Relation.Table.has_index tbl c) columns
+               |> List.map fst;
              rows = Relation.Table.to_list_unmetered tbl;
            })
   in
@@ -89,11 +86,12 @@ let emit buf t =
     (fun i ts ->
       line "table\t%d\t%s\t%d\t%d" i (str ts.name) (List.length ts.columns)
         (List.length ts.rows);
+      (* The fourth field is the retired ordered-index flag, always 0, so
+         the format stays byte-identical to files that carried it. *)
       List.iter
         (fun (name, ty) ->
-          line "col\t%s\t%s\t%d\t%d" (str name) (ty_name ty)
-            (if List.mem name ts.hash_indexed then 1 else 0)
-            (if List.mem name ts.ordered_indexed then 1 else 0))
+          line "col\t%s\t%s\t%d\t0" (str name) (ty_name ty)
+            (if List.mem name ts.hash_indexed then 1 else 0))
         ts.columns;
       List.iter (fun row -> line "row\t%s" (Ivm.Codec.tuple_to_string row)) ts.rows)
     t.tables;
@@ -262,10 +260,17 @@ let load path =
                 List.init ncols (fun _ ->
                     match expect_kw "col" (fields "col") with
                     | [ cname; ty; hash; ord ] ->
-                        ( ok_or_bad (unstr cname),
+                        let cname = ok_or_bad (unstr cname) in
+                        if int_field "ord flag" ord = 1 then
+                          raise
+                            (Bad
+                               (Printf.sprintf
+                                  "column %S asks for an ordered index, which \
+                                   is no longer supported"
+                                  cname));
+                        ( cname,
                           ok_or_bad (ty_of_name ty),
-                          int_field "hash flag" hash = 1,
-                          int_field "ord flag" ord = 1 )
+                          int_field "hash flag" hash = 1 )
                     | _ -> raise (Bad "malformed col line"))
               in
               let rows =
@@ -277,15 +282,9 @@ let load path =
               in
               {
                 name;
-                columns = List.map (fun (n, ty, _, _) -> (n, ty)) cols;
+                columns = List.map (fun (n, ty, _) -> (n, ty)) cols;
                 hash_indexed =
-                  List.filter_map
-                    (fun (n, _, h, _) -> if h then Some n else None)
-                    cols;
-                ordered_indexed =
-                  List.filter_map
-                    (fun (n, _, _, o) -> if o then Some n else None)
-                    cols;
+                  List.filter_map (fun (n, _, h) -> if h then Some n else None) cols;
                 rows;
               }
           | _ -> raise (Bad "malformed table line"))
@@ -330,7 +329,6 @@ let restore_tables t =
         let tbl = Relation.Table.create ~meter ~name:ts.name ~schema () in
         List.iter (fun row -> ignore (Relation.Table.insert tbl row)) ts.rows;
         List.iter (Relation.Table.create_index tbl) ts.hash_indexed;
-        List.iter (Relation.Table.create_ordered_index tbl) ts.ordered_indexed;
         tbl)
       t.tables
   in

@@ -17,7 +17,6 @@ type table_snapshot = {
   name : string;
   columns : (string * Relation.Datatype.t) list;
   hash_indexed : string list;
-  ordered_indexed : string list;
   rows : Relation.Tuple.t list;  (** live rows in row-id order *)
 }
 
@@ -77,7 +76,9 @@ val await : inflight -> string
     failed. *)
 
 val load : string -> (t, string) result
-(** Parse a checkpoint file; [Error] describes the first defect. *)
+(** Parse a checkpoint file; [Error] describes the first defect.  A
+    column whose ordered-index flag is set (a feature tables no longer
+    have) is refused with an [Error] naming the column. *)
 
 val restore_tables : t -> Relation.Table.t array
 (** Rebuild the base tables — fresh shared meter, rows inserted in

@@ -212,7 +212,7 @@ let table_offsets v =
    - Each scan is projected (zero-copy) to the columns something above it
      reads: join keys, the unpushed conjuncts and [keep].
    - Tables join greedily from the smallest member, taking the smallest
-     connected table next; every join is a [Hash_join] on all the edges
+     connected table next; every join is a hash join on all the edges
      between the two sides, built on the side with fewer rows
      ([Table.row_count], the largest member standing for a joined side —
      a foreign-key join is no larger than its largest input). *)
@@ -317,11 +317,9 @@ let physical_plan ~caller v ~members ~conds ~keep =
         joined.(i) <- true;
         let plan =
           if rows i <= est then
-            Ra.equijoin ~algo:Ra.Hash_join ~on plan (leaf i)
+            Ra.equijoin ~on plan (leaf i)
           else
-            Ra.equijoin ~algo:Ra.Hash_join
-              ~on:(List.map (fun (a, b) -> (b, a)) on)
-              (leaf i) plan
+            Ra.equijoin ~on:(List.map (fun (a, b) -> (b, a)) on) (leaf i) plan
         in
         grow plan (max est (rows i))
   in

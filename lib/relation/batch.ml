@@ -105,16 +105,6 @@ module Builder = struct
     done;
     b.rows <- b.rows + 1
 
-  let append_row_tuple b (l : batch) lr t =
-    let out = cols b in
-    let labs = l.base + lr in
-    let lw = Array.length l.cols in
-    for c = 0 to lw - 1 do
-      Column.append_from out.(c) l.cols.(c) labs
-    done;
-    Array.iteri (fun c v -> Column.append out.(lw + c) v) t;
-    b.rows <- b.rows + 1
-
   let flush b =
     if b.rows = 0 then None
     else begin

@@ -74,9 +74,6 @@ module Builder : sig
   val append_join : t -> batch -> int -> batch -> int -> unit
   (** Append the concatenation of a left and a right batch row. *)
 
-  val append_row_tuple : t -> batch -> int -> Tuple.t -> unit
-  (** Append a left batch row followed by the cells of a boxed tuple. *)
-
   val flush : t -> batch option
   (** The batch of everything appended since the last flush ([None] if
       empty); resets the builder. *)

@@ -165,11 +165,6 @@ let append c v =
   c.len <- i + 1;
   store c i v
 
-let set c i v =
-  if i < 0 || i >= c.len then invalid_arg "Column.set: index out of bounds";
-  if Hashtbl.length c.exact > 0 then Hashtbl.remove c.exact i;
-  store c i v
-
 let get c i =
   if i < 0 || i >= c.len then invalid_arg "Column.get: index out of bounds";
   if not (bit c.valid i) then Value.Null
@@ -235,18 +230,6 @@ let append_from dst src i =
         if bit s.bits i then set_bit d.bits j else clear_bit d.bits j;
         set_bit dst.valid j
     | _ -> append dst (get src i)
-
-let clear c =
-  c.len <- 0;
-  Bytes.fill c.valid 0 (Bytes.length c.valid) '\000';
-  Hashtbl.reset c.exact;
-  match c.payload with
-  | Ints _ -> ()
-  | Floats p -> Bytes.fill p.intish 0 (Bytes.length p.intish) '\000'
-  | Strs p ->
-      Util.Vec.clear p.dict;
-      Hashtbl.reset p.intern
-  | Bools p -> Bytes.fill p.bits 0 (Bytes.length p.bits) '\000'
 
 (* --- unboxed views for vectorized kernels ------------------------------- *)
 

@@ -7,8 +7,7 @@
     slots arrived as [Value.Int] (the schema admits int widening) so
     {!get} reconstructs the original constructor exactly.
 
-    Columns are append-mostly; {!set} exists for in-place row updates.
-    Vectorized operators read the raw buffers through {!int_data} /
+    Columns are append-only.  Vectorized operators read the raw buffers through {!int_data} /
     {!float_data} / {!codes} / {!validity} and must bound their indices by
     {!length} themselves (buffers have spare capacity past the end). *)
 
@@ -30,7 +29,6 @@ val append : t -> Value.t -> unit
 (** Raises [Invalid_argument] if the value does not fit the column's type
     (callers validate with [Tuple.conforms] first). *)
 
-val set : t -> int -> Value.t -> unit
 val get : t -> int -> Value.t
 
 val hash_cell : t -> int -> int
@@ -41,8 +39,6 @@ val append_from : t -> t -> int -> unit
 (** [append_from dst src i] appends row [i] of [src] to [dst] without
     boxing when the payload representations match (same-type columns;
     string columns additionally need a physically shared dictionary). *)
-
-val clear : t -> unit
 
 (** {1 Unboxed views}
 

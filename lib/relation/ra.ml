@@ -1,11 +1,8 @@
-type join_algo = Auto | Nested_loop | Hash_join | Index_nested_loop
-
 type t =
   | Scan of { table : Table.t; alias : string }
   | Select of Expr.t * t
   | Project of string list * t
-  | Join of { on : (string * string) list; algo : join_algo; left : t; right : t }
-  | Product of t * t
+  | Join of { on : (string * string) list; left : t; right : t }
   | Aggregate of { group_by : string list; specs : Agg.spec list; input : t }
 
 let scan ?alias table =
@@ -15,11 +12,9 @@ let scan ?alias table =
 let select pred input = Select (pred, input)
 let project cols input = Project (cols, input)
 
-let equijoin ?(algo = Auto) ~on left right =
+let equijoin ~on left right =
   if on = [] then invalid_arg "Ra.equijoin: empty join condition";
-  Join { on; algo; left; right }
-
-let product a b = Product (a, b)
+  Join { on; left; right }
 
 let aggregate ~group_by specs input =
   if specs = [] && group_by = [] then
@@ -30,8 +25,7 @@ let rec schema_of = function
   | Scan { table; alias } -> Schema.qualify alias (Table.schema table)
   | Select (_, input) -> schema_of input
   | Project (cols, input) -> fst (Schema.project (schema_of input) cols)
-  | Join { left; right; _ } | Product (left, right) ->
-      Schema.concat (schema_of left) (schema_of right)
+  | Join { left; right; _ } -> Schema.concat (schema_of left) (schema_of right)
   | Aggregate { group_by; specs; input } ->
       let s = schema_of input in
       let group_cols =
@@ -65,22 +59,6 @@ let join_positions schema_l schema_r on =
   let rpos = Array.of_list (List.map (fun (_, r) -> Schema.index_of schema_r r) on) in
   (lpos, rpos)
 
-let nested_loop_join meter lpos rpos lrows rrows =
-  let out = ref [] in
-  List.iter
-    (fun lt ->
-      let lk = key_of lpos lt in
-      List.iter
-        (fun rt ->
-          Meter.bump_hash_probe meter 1;
-          if Tuple.equal lk (key_of rpos rt) then begin
-            Meter.bump_output meter 1;
-            out := Tuple.concat lt rt :: !out
-          end)
-        rrows)
-    lrows;
-  List.rev !out
-
 let hash_join meter lpos rpos lrows rrows =
   (* Build on the right input, probe with the left. *)
   let table = Thash.create (max 16 (List.length rrows)) in
@@ -104,82 +82,10 @@ let hash_join meter lpos rpos lrows rrows =
     lrows;
   List.rev !out
 
-let index_inner = function
-  | Scan { table; alias = _ } -> Some table
-  | Select _ | Project _ | Join _ | Product _ | Aggregate _ -> None
-
-(* --- evaluation --------------------------------------------------------- *)
-
-let rec eval_node node =
-  match node with
-  | Scan { table; alias = _ } -> Table.to_list table
-  | Select (pred, input) ->
-      let s = schema_of input in
-      let p = Expr.compile_pred s pred in
-      List.filter p (eval_node input)
-  | Project (cols, input) ->
-      let s = schema_of input in
-      let _, positions = Schema.project s cols in
-      List.map (fun t -> Tuple.project t positions) (eval_node input)
-  | Product (left, right) ->
-      let lrows = eval_node left and rrows = eval_node right in
-      List.concat_map (fun lt -> List.map (fun rt -> Tuple.concat lt rt) rrows) lrows
-  | Join { on; algo; left; right } -> eval_join on algo left right
-  | Aggregate { group_by; specs; input } -> eval_aggregate group_by specs input
-
-and eval_join on algo left right =
-  let schema_l = schema_of left and schema_r = schema_of right in
-  let lpos, rpos = join_positions schema_l schema_r on in
-  let algo = resolve_algo on algo right in
-  match algo with
-  | Nested_loop ->
-      let lrows = eval_node left and rrows = eval_node right in
-      let meter = meter_of left in
-      nested_loop_join meter lpos rpos lrows rrows
-  | Hash_join | Auto ->
-      let lrows = eval_node left and rrows = eval_node right in
-      let meter = meter_of left in
-      hash_join meter lpos rpos lrows rrows
-  | Index_nested_loop -> (
-      match index_inner right with
-      | None ->
-          invalid_arg "Ra: index nested-loop join requires a scan as inner input"
-      | Some table ->
-          let inner_cols = List.map (fun (_, r) -> strip r) on in
-          List.iter
-            (fun c ->
-              if not (Table.has_index table c) then
-                invalid_arg
-                  (Printf.sprintf "Ra: inner table %s lacks index on %S"
-                     (Table.name table) c))
-            inner_cols;
-          let lrows = eval_node left in
-          let first_col = List.hd inner_cols in
-          let meter = Table.meter table in
-          let out = ref [] in
-          List.iter
-            (fun lt ->
-              let lk = key_of lpos lt in
-              (* Probe on the first join column, re-check the rest. *)
-              let candidates = Table.lookup table first_col lk.(0) in
-              List.iter
-                (fun rt ->
-                  if Tuple.equal lk (key_of rpos rt) then begin
-                    Meter.bump_output meter 1;
-                    out := Tuple.concat lt rt :: !out
-                  end)
-                candidates)
-            lrows;
-          List.rev !out)
-
-and eval_aggregate group_by specs input =
-  let s = schema_of input in
-  aggregate_rows s group_by specs (eval_node input)
-
 (* The boxed evaluator's aggregation: first-seen group order, SQL single
    row for [group_by = []] even over empty input.  The cursor path folds
    batches into the same results ({!aggregate_batches}). *)
-and aggregate_rows s group_by specs rows =
+let aggregate_rows s group_by specs rows =
   let positions = Array.of_list (List.map (Schema.index_of s) group_by) in
   if group_by = [] then
     [ Array.of_list (List.map (fun (sp : Agg.spec) -> Agg.apply s sp.func rows) specs) ]
@@ -203,29 +109,30 @@ and aggregate_rows s group_by specs rows =
       !order
   end
 
-and meter_of node =
-  match node with
+(* A join meters on its left input's table. *)
+let rec meter_of = function
   | Scan { table; _ } -> Table.meter table
   | Select (_, input) | Project (_, input) | Aggregate { input; _ } ->
       meter_of input
-  | Join { left; _ } | Product (left, _) -> meter_of left
+  | Join { left; _ } -> meter_of left
 
-and strip name =
-  match String.rindex_opt name '.' with
-  | None -> name
-  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+(* --- evaluation --------------------------------------------------------- *)
 
-and resolve_algo on algo right =
-  match algo with
-  | Auto -> (
-      match index_inner right with
-      | Some table
-        when List.for_all (fun (_, r) -> Table.has_index table (strip r)) on ->
-          Index_nested_loop
-      | Some _ | None -> Hash_join)
-  | Nested_loop | Hash_join | Index_nested_loop -> algo
-
-let eval_boxed = eval_node
+let rec eval_boxed node =
+  match node with
+  | Scan { table; alias = _ } -> Table.to_list table
+  | Select (pred, input) ->
+      let p = Expr.compile_pred (schema_of input) pred in
+      List.filter p (eval_boxed input)
+  | Project (cols, input) ->
+      let _, positions = Schema.project (schema_of input) cols in
+      List.map (fun t -> Tuple.project t positions) (eval_boxed input)
+  | Join { on; left; right } ->
+      let lpos, rpos = join_positions (schema_of left) (schema_of right) on in
+      let lrows = eval_boxed left and rrows = eval_boxed right in
+      hash_join (meter_of left) lpos rpos lrows rrows
+  | Aggregate { group_by; specs; input } ->
+      aggregate_rows (schema_of input) group_by specs (eval_boxed input)
 
 (* --- vectorized evaluation --------------------------------------------- *)
 
@@ -249,7 +156,7 @@ let tuples_of_cursor (c : cursor) =
   iter_cursor (Batch.iter_tuples (fun t -> out := t :: !out)) c;
   List.rev !out
 
-(* Blocking operators (joins, products, aggregates) compute their full
+(* Blocking operators (joins, aggregates) compute their full
    output batch list on first pull, like the boxed evaluator materializes
    its output lists; streaming operators (scan/select/project) stay
    batch-at-a-time. *)
@@ -279,67 +186,6 @@ let sink schema =
 
 let batch_key lpos (b : Batch.t) r =
   Array.map (fun i -> Batch.value b i r) lpos
-
-(* Right-side rows of a blocking join, flattened with their batch handles
-   and materialized key values. *)
-let right_rows rpos rbatches =
-  let rows = ref [] and n = ref 0 in
-  List.iter
-    (fun (rb : Batch.t) ->
-      Batch.iter_sel
-        (fun r ->
-          rows := (rb, r, batch_key rpos rb r) :: !rows;
-          incr n)
-        rb)
-    rbatches;
-  (Array.of_list (List.rev !rows), !n)
-
-let vec_nested_loop_join meter out_schema lpos rpos (lcur : cursor) rbatches =
-  let rrows, n_right = right_rows rpos rbatches in
-  let builder, maybe_flush, finish = sink out_schema in
-  let rec probe () =
-    match lcur () with
-    | None -> ()
-    | Some lb ->
-        Meter.bump_hash_probe meter (lb.Batch.n_sel * n_right);
-        let emitted = ref 0 in
-        Batch.iter_sel
-          (fun r ->
-            let lk = batch_key lpos lb r in
-            Array.iter
-              (fun (rb, rr, rk) ->
-                if Tuple.equal lk rk then begin
-                  Batch.Builder.append_join builder lb r rb rr;
-                  incr emitted;
-                  maybe_flush ()
-                end)
-              rrows)
-          lb;
-        Meter.bump_output meter !emitted;
-        probe ()
-  in
-  probe ();
-  finish ()
-
-let vec_product out_schema (lcur : cursor) rbatches =
-  let rrows, _ = right_rows [||] rbatches in
-  let builder, maybe_flush, finish = sink out_schema in
-  let rec loop () =
-    match lcur () with
-    | None -> ()
-    | Some lb ->
-        Batch.iter_sel
-          (fun r ->
-            Array.iter
-              (fun (rb, rr, _) ->
-                Batch.Builder.append_join builder lb r rb rr;
-                maybe_flush ())
-              rrows)
-          lb;
-        loop ()
-  in
-  loop ();
-  finish ()
 
 (* Hash join, build on the right / probe with the left like the boxed
    operator, with an unboxed fast path when the (single) join key is a pair
@@ -551,34 +397,7 @@ let aggregate_batches s group_by specs (c : cursor) =
   if Array.length gpos = 0 then [ row [||] global ]
   else List.rev_map (fun (k, g) -> row k g) !order
 
-let vec_index_nested_loop out_schema lpos rpos table inner_cols (lcur : cursor) =
-  let meter = Table.meter table in
-  let first_col = List.hd inner_cols in
-  let builder, maybe_flush, finish = sink out_schema in
-  let rec probe () =
-    match lcur () with
-    | None -> ()
-    | Some lb ->
-        Batch.iter_sel
-          (fun r ->
-            let lk = batch_key lpos lb r in
-            (* Probe on the first join column, re-check the rest. *)
-            let candidates = Table.lookup table first_col lk.(0) in
-            List.iter
-              (fun rt ->
-                if Tuple.equal lk (key_of rpos rt) then begin
-                  Meter.bump_output meter 1;
-                  Batch.Builder.append_row_tuple builder lb r rt;
-                  maybe_flush ()
-                end)
-              candidates)
-          lb;
-        probe ()
-  in
-  probe ();
-  finish ()
-
-let rec cursor_node node : cursor =
+let rec cursor node : cursor =
   match node with
   | Scan { table; alias } ->
       let qschema = Schema.qualify alias (Table.schema table) in
@@ -587,7 +406,7 @@ let rec cursor_node node : cursor =
   | Select (pred, input) ->
       let s = schema_of input in
       let filt = Expr.filter_batch s pred in
-      let c = cursor_node input in
+      let c = cursor input in
       let rec next () =
         match c () with
         | None -> None
@@ -599,56 +418,27 @@ let rec cursor_node node : cursor =
   | Project (cols, input) ->
       let s = schema_of input in
       let out_schema, positions = Schema.project s cols in
-      let c = cursor_node input in
+      let c = cursor input in
       fun () ->
         Option.map (fun b -> Batch.project b positions out_schema) (c ())
-  | Product (left, right) ->
-      let out_schema = schema_of node in
-      lazy_batches (fun () ->
-          vec_product out_schema (cursor_node left)
-            (drain (cursor_node right)))
-  | Join { on; algo; left; right } ->
+  | Join { on; left; right } ->
       let out_schema = schema_of node in
       let schema_l = schema_of left and schema_r = schema_of right in
       let lpos, rpos = join_positions schema_l schema_r on in
       lazy_batches (fun () ->
-          match resolve_algo on algo right with
-          | Nested_loop ->
-              vec_nested_loop_join (meter_of left) out_schema lpos rpos
-                (cursor_node left)
-                (drain (cursor_node right))
-          | Hash_join | Auto ->
-              vec_hash_join (meter_of left) out_schema schema_l schema_r lpos
-                rpos (cursor_node left)
-                (drain (cursor_node right))
-          | Index_nested_loop -> (
-              match index_inner right with
-              | None ->
-                  invalid_arg
-                    "Ra: index nested-loop join requires a scan as inner input"
-              | Some table ->
-                  let inner_cols = List.map (fun (_, r) -> strip r) on in
-                  List.iter
-                    (fun c ->
-                      if not (Table.has_index table c) then
-                        invalid_arg
-                          (Printf.sprintf "Ra: inner table %s lacks index on %S"
-                             (Table.name table) c))
-                    inner_cols;
-                  vec_index_nested_loop out_schema lpos rpos table inner_cols
-                    (cursor_node left)))
+          vec_hash_join (meter_of left) out_schema schema_l schema_r lpos rpos
+            (cursor left)
+            (drain (cursor right)))
   | Aggregate { group_by; specs; input } ->
       let out_schema = schema_of node in
       let s = schema_of input in
       lazy_batches (fun () ->
           Batch.of_tuples out_schema
-            (aggregate_batches s group_by specs (cursor_node input)))
+            (aggregate_batches s group_by specs (cursor input)))
 
-let cursor = cursor_node
+let eval node = tuples_of_cursor (cursor node)
 
-let eval node = tuples_of_cursor (cursor_node node)
-
-let iter_batches node f = iter_cursor f (cursor_node node)
+let iter_batches node f = iter_cursor f (cursor node)
 
 let rec explain_lines indent node =
   let pad = String.make indent ' ' in
@@ -661,18 +451,9 @@ let rec explain_lines indent node =
   | Project (cols, input) ->
       (pad ^ "Project " ^ String.concat ", " cols)
       :: explain_lines (indent + 2) input
-  | Product (l, r) ->
-      (pad ^ "Product") :: (explain_lines (indent + 2) l @ explain_lines (indent + 2) r)
-  | Join { on; algo; left; right } ->
-      let algo_name =
-        match algo with
-        | Auto -> "auto"
-        | Nested_loop -> "nested-loop"
-        | Hash_join -> "hash"
-        | Index_nested_loop -> "index-nl"
-      in
+  | Join { on; left; right } ->
       let cond = String.concat " AND " (List.map (fun (l, r) -> l ^ " = " ^ r) on) in
-      (Printf.sprintf "%sJoin[%s] %s" pad algo_name cond)
+      (Printf.sprintf "%sJoin[hash] %s" pad cond)
       :: (explain_lines (indent + 2) left @ explain_lines (indent + 2) right)
   | Aggregate { group_by; specs; input } ->
       let parts =

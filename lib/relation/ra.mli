@@ -1,5 +1,5 @@
-(** Relational algebra: logical plans with selectable physical join
-    operators, evaluated over column-major batches.
+(** Relational algebra: logical plans of scans, filters, projections,
+    hash equi-joins and aggregates, evaluated over column-major batches.
 
     This evaluator is the system's "recompute from scratch" path.  The
     IVM layer plans every from-scratch evaluation of a view through it
@@ -26,13 +26,6 @@
     batch-granularity counter), so calibrated cost functions are
     path-independent. *)
 
-type join_algo =
-  | Auto  (** indexed nested-loop when the inner is an indexed scan, else hash *)
-  | Nested_loop
-  | Hash_join
-  | Index_nested_loop  (** requires the inner input to be a [scan] of a table
-                           with an index on the inner join column *)
-
 type t
 
 val scan : ?alias:string -> Table.t -> t
@@ -42,11 +35,13 @@ val scan : ?alias:string -> Table.t -> t
 val select : Expr.t -> t -> t
 val project : string list -> t -> t
 
-val equijoin : ?algo:join_algo -> on:(string * string) list -> t -> t -> t
+val equijoin : on:(string * string) list -> t -> t -> t
 (** [equijoin ~on:\[(l, r); ...\] left right]: bag equi-join with the listed
-    (left column, right column) equality pairs. *)
-
-val product : t -> t -> t
+    (left column, right column) equality pairs, evaluated as a hash join
+    that builds on [right] and probes with [left].  NULL keys join NULL
+    keys ([Value.equal Null Null]).  The incremental path never comes
+    here: its indexed-versus-scanned delta expansion is
+    [Ivm.Deltajoin]. *)
 
 val aggregate : group_by:string list -> Agg.spec list -> t -> t
 (** Grouped aggregation.  With [group_by = \[\]] the output is a single row
@@ -60,7 +55,7 @@ type cursor = unit -> Batch.t option
 
 val cursor : t -> cursor
 (** Chunked evaluation.  Scans, selections and projections stream batch by
-    batch; joins, products and aggregates compute their output on first
+    batch; joins and aggregates compute their output on first
     pull (as the boxed evaluator materialized its intermediate lists;
     an aggregate folds its input batches without materializing them).
     Table access is metered on the underlying tables' meters with the same

@@ -31,7 +31,7 @@ val qualify : string -> t -> t
     any existing qualifier first. *)
 
 val concat : t -> t -> t
-(** Schema of a join/product output.  Raises [Invalid_argument] if the two
+(** Schema of a join output.  Raises [Invalid_argument] if the two
     inputs share a column name. *)
 
 val project : t -> string list -> t * int array

@@ -7,7 +7,6 @@ type t = {
   mutable n_rows : int; (* including tombstones *)
   mutable live : int;
   indexes : (string, Index.t) Hashtbl.t;
-  ordered_indexes : (string, Ordindex.t) Hashtbl.t;
 }
 
 let create ?meter ~name ~schema () =
@@ -23,7 +22,6 @@ let create ?meter ~name ~schema () =
     n_rows = 0;
     live = 0;
     indexes = Hashtbl.create 4;
-    ordered_indexes = Hashtbl.create 4;
   }
 
 let name t = t.name
@@ -58,9 +56,6 @@ let insert t tuple =
   Hashtbl.iter
     (fun _ idx -> Index.add idx (Tuple.get tuple (Index.column idx)) row)
     t.indexes;
-  Hashtbl.iter
-    (fun _ idx -> Ordindex.add idx (Tuple.get tuple (Ordindex.column idx)) row)
-    t.ordered_indexes;
   row
 
 let get_row t row =
@@ -77,39 +72,6 @@ let delete_row t row =
       Hashtbl.iter
         (fun _ idx -> Index.remove idx (Tuple.get tuple (Index.column idx)) row)
         t.indexes;
-      Hashtbl.iter
-        (fun _ idx ->
-          Ordindex.remove idx (Tuple.get tuple (Ordindex.column idx)) row)
-        t.ordered_indexes;
-      true
-
-let update_row t row tuple =
-  match get_row t row with
-  | None -> false
-  | Some old ->
-      if not (Tuple.conforms t.schema tuple) then
-        invalid_arg
-          (Printf.sprintf "Table.update_row(%s): non-conforming tuple" t.name);
-      Array.iteri (fun c col -> Column.set col row (Tuple.get tuple c)) t.cols;
-      Meter.bump_updated t.meter 1;
-      Hashtbl.iter
-        (fun _ idx ->
-          let c = Index.column idx in
-          let before = Tuple.get old c and after = Tuple.get tuple c in
-          if not (Value.equal before after) then begin
-            Index.remove idx before row;
-            Index.add idx after row
-          end)
-        t.indexes;
-      Hashtbl.iter
-        (fun _ idx ->
-          let c = Ordindex.column idx in
-          let before = Tuple.get old c and after = Tuple.get tuple c in
-          if not (Value.equal before after) then begin
-            Ordindex.remove idx before row;
-            Ordindex.add idx after row
-          end)
-        t.ordered_indexes;
       true
 
 let create_index t col =
@@ -123,56 +85,15 @@ let create_index t col =
     Hashtbl.add t.indexes col idx
   end
 
-let create_ordered_index t col =
-  let col = canonical_column t col in
-  if not (Hashtbl.mem t.ordered_indexes col) then begin
-    let pos = Schema.index_of t.schema col in
-    let idx = Ordindex.create ~column:pos in
-    for row = 0 to t.n_rows - 1 do
-      if is_live t row then Ordindex.add idx (Column.get t.cols.(pos) row) row
-    done;
-    Hashtbl.add t.ordered_indexes col idx
-  end
-
 let has_index t col =
   match Schema.find_index t.schema col with
   | None -> false
   | Some i -> Hashtbl.mem t.indexes (Schema.column_name t.schema i)
 
-let has_ordered_index t col =
-  match Schema.find_index t.schema col with
-  | None -> false
-  | Some i -> Hashtbl.mem t.ordered_indexes (Schema.column_name t.schema i)
-
-let indexed_columns t =
-  List.sort_uniq String.compare
-    (List.of_seq (Hashtbl.to_seq_keys t.indexes)
-    @ List.of_seq (Hashtbl.to_seq_keys t.ordered_indexes))
-
-let range_lookup t col ?lo ?hi () =
-  let col = canonical_column t col in
-  match Hashtbl.find_opt t.ordered_indexes col with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Table.range_lookup(%s): no ordered index on %S" t.name
-           col)
-  | Some idx ->
-      Meter.bump_index_probes t.meter 1;
-      let rows = Ordindex.range idx ?lo ?hi () in
-      let out =
-        List.filter_map (fun row -> get_row t row) rows
-      in
-      Meter.bump_index_entries t.meter (List.length out);
-      out
-
 let distinct_estimate t col =
-  let col = canonical_column t col in
-  match Hashtbl.find_opt t.indexes col with
+  match Hashtbl.find_opt t.indexes (canonical_column t col) with
   | Some idx -> Index.cardinality idx
-  | None -> (
-      match Hashtbl.find_opt t.ordered_indexes col with
-      | Some idx -> Ordindex.cardinality idx
-      | None -> t.live)
+  | None -> t.live
 
 let lookup_ids t col value =
   let col = canonical_column t col in
@@ -216,12 +137,10 @@ let scan t f =
     end
   done
 
-let scan_where t pred =
+let to_list t =
   let out = ref [] in
-  scan t (fun _ tuple -> if pred tuple then out := tuple :: !out);
+  scan t (fun _ tuple -> out := tuple :: !out);
   List.rev !out
-
-let to_list t = scan_where t (fun _ -> true)
 
 let to_list_unmetered t =
   let out = ref [] in
@@ -309,15 +228,3 @@ let delete_tuple t tuple =
          done
        with Exit -> ());
       match !victim with Some row -> delete_row t row | None -> false)
-
-let clear t =
-  Array.iter Column.clear t.cols;
-  Bytes.fill t.live_bits 0 (Bytes.length t.live_bits) '\000';
-  t.n_rows <- 0;
-  t.live <- 0;
-  let hash_cols = List.of_seq (Hashtbl.to_seq_keys t.indexes) in
-  let ordered_cols = List.of_seq (Hashtbl.to_seq_keys t.ordered_indexes) in
-  Hashtbl.reset t.indexes;
-  Hashtbl.reset t.ordered_indexes;
-  List.iter (fun col -> create_index t col) hash_cols;
-  List.iter (fun col -> create_ordered_index t col) ordered_cols

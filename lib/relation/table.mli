@@ -1,4 +1,4 @@
-(** Mutable in-memory tables with optional secondary indexes and cost
+(** Mutable in-memory tables with optional hash indexes and cost
     metering.
 
     Storage is columnar: each attribute lives in a growable unboxed
@@ -32,10 +32,6 @@ val get_row : t -> int -> Tuple.t option
 val delete_row : t -> int -> bool
 (** [true] iff the row existed and was deleted. *)
 
-val update_row : t -> int -> Tuple.t -> bool
-(** Replace a live row in place, keeping its id; indexes are maintained.
-    [false] if the row does not exist. *)
-
 val delete_tuple : t -> Tuple.t -> bool
 (** Delete one live row equal to the tuple (using an index when one covers
     some column, otherwise a scan).  [false] if no match. *)
@@ -43,25 +39,12 @@ val delete_tuple : t -> Tuple.t -> bool
 val create_index : t -> string -> unit
 (** Build a hash index on the named column (idempotent). *)
 
-val create_ordered_index : t -> string -> unit
-(** Build an ordered (tree) index on the named column (idempotent);
-    enables {!range_lookup}. *)
-
 val has_index : t -> string -> bool
-val has_ordered_index : t -> string -> bool
-val indexed_columns : t -> string list
-
-val range_lookup :
-  t -> string -> ?lo:Value.t -> ?hi:Value.t -> unit -> Tuple.t list
-(** Rows whose value in the named column lies in [\[lo, hi\]] (inclusive,
-    each bound optional), ascending by that value.  Requires an ordered
-    index on the column ([Invalid_argument] otherwise).  Metered like an
-    index probe. *)
 
 val distinct_estimate : t -> string -> int
-(** Estimated number of distinct values in the column: exact from an index
-    (hash or ordered) when one exists, otherwise the row count (as if
-    unique).  Used by cost-based join ordering. *)
+(** Estimated number of distinct values in the column: exact from its hash
+    index when one exists, otherwise the row count (as if unique).  Used
+    by cost-based join ordering. *)
 
 val lookup : t -> string -> Value.t -> Tuple.t list
 (** Index lookup; raises [Invalid_argument] if the column has no index.
@@ -107,10 +90,9 @@ val batch_cursor : ?metered:bool -> t -> unit -> Batch.t option
 val scan_batches : ?metered:bool -> t -> (Batch.t -> unit) -> unit
 (** Drain {!batch_cursor}. *)
 
-val scan_where : t -> (Tuple.t -> bool) -> Tuple.t list
 val to_list : t -> Tuple.t list
+(** Every live row in row-id order, metered like {!scan}. *)
+
 val to_list_unmetered : t -> Tuple.t list
 (** Like {!to_list} but without touching the meter — for snapshots and test
     assertions that must not perturb cost measurements. *)
-
-val clear : t -> unit

@@ -80,9 +80,6 @@ type t = {
 
 (* --- service manifest ----------------------------------------------------- *)
 
-let sync_to_string = Durable.Wal.sync_to_string
-let sync_of_string = Durable.Wal.sync_of_string
-
 (* The root manifest pins everything recovery needs to continue the run
    identically: the scheduler's coordination parameters and the admitted
    tenants in registration order (coordination iterates tenants in that
@@ -98,7 +95,7 @@ let service_params t =
       match t.config.shed_budget with
       | None -> "none"
       | Some b -> Printf.sprintf "%h" b );
-    ("sync", sync_to_string t.config.sync);
+    ("sync", Durable.Wal.sync_to_string t.config.sync);
     ("wal_mode", match t.config.wal_mode with Grouped -> "grouped");
     ( "scheduler",
       match t.config.scheduler with Event -> "event" | Lockstep -> "lockstep"
@@ -161,7 +158,7 @@ let config_of_params params =
           Result.map Option.some
             (float_param "shed_budget" Float.is_finite v))
   in
-  let* sync = Result.bind (find "sync") sync_of_string in
+  let* sync = Result.bind (find "sync") Durable.Wal.sync_of_string in
   (* Roots written before the shared log became the only layout: without
      a [wal_mode] they used private per-tenant WALs, and a [coflush]
      param is a phase-B journal kept in the manifest.  Neither can be

@@ -167,8 +167,6 @@ val tenant_records :
   root:string -> name:string -> (Durable.Record.t list, string) result
 (** A tenant's durable record sequence, demuxed from the shared log. *)
 
-val sync_to_string : Durable.Wal.sync -> string
-val sync_of_string : string -> (Durable.Wal.sync, string) result
 val config_of_params :
   (string * string) list -> (config * (string * int) list, string) result
 (** The service-manifest decoding: configuration plus admitted tenants

@@ -3,7 +3,9 @@
    row-at-a-time reference evaluator (Ra.eval_boxed) on randomized plans
    over randomized tables — including NULLs threaded through validity
    bitmaps, deleted rows punched out of the live bitmap, multi-batch
-   tables, dictionary-encoded strings, and empty-input aggregates. *)
+   tables, dictionary-encoded strings, hash joins on int keys (the Ihash
+   path) and on other keys (the Tuple-keyed path), and empty-input
+   aggregates — and both must bump the same row-equivalent meter totals. *)
 
 open Relation
 
@@ -13,6 +15,10 @@ let ts = Datatype.TString
 let vi i = Value.Int i
 let vf f = Value.Float f
 let vs s = Value.Str s
+
+(* Every table here shares this meter, so [check_equiv] can compare what
+   the two evaluators charge. *)
+let meter = Meter.create ()
 
 (* --- random tables -------------------------------------------------------- *)
 
@@ -36,13 +42,20 @@ let rand_type st =
   | 2 -> tf
   | _ -> ts
 
-(* A table with [width] random-typed columns c0..c(width-1), [n] random rows,
-   then a random ~20% of rows deleted so the cursor must skip dead slots. *)
-let rand_table st ~name ~n =
+(* A table with [width] random-typed columns c0..c(width-1) ([c0] of type
+   [key] when given), [n] random rows, then a random ~20% of rows deleted
+   so the cursor must skip dead slots. *)
+let rand_table ?key st ~name ~n =
   let width = 2 + Random.State.int st 3 in
-  let cols = List.init width (fun i -> (Printf.sprintf "c%d" i, rand_type st)) in
+  let cols =
+    List.init width (fun i ->
+        let ty =
+          match key with Some ty when i = 0 -> ty | Some _ | None -> rand_type st
+        in
+        (Printf.sprintf "c%d" i, ty))
+  in
   let schema = Schema.make cols in
-  let t = Table.create ~name ~schema () in
+  let t = Table.create ~meter ~name ~schema () in
   let inserted = ref [] in
   for _ = 1 to n do
     let tup =
@@ -141,8 +154,8 @@ let rand_agg st plan =
   Ra.aggregate ~group_by specs plan
 
 (* A random plan over fresh random tables; returns the plan.  Join inputs
-   stay small so nested-loop shapes don't dominate the runtime; single-table
-   plans occasionally span several 1024-row batches. *)
+   stay small; single-table plans occasionally span several 1024-row
+   batches. *)
 let rand_plan st i =
   let unary plan =
     let plan =
@@ -159,38 +172,23 @@ let rand_plan st i =
     in
     if Random.State.int st 4 = 0 then rand_agg st plan else plan
   in
+  let join ?key () =
+    let l = rand_table ?key st ~name:(Printf.sprintf "l%d" i) ~n:(Random.State.int st 40) in
+    let r = rand_table ?key st ~name:(Printf.sprintf "r%d" i) ~n:(Random.State.int st 40) in
+    let lc, rc =
+      match key with
+      | Some _ -> ("c0", "c0")
+      | None -> (pick st (all_cols (Table.schema l)), pick st (all_cols (Table.schema r)))
+    in
+    unary
+      (Ra.equijoin
+         ~on:[ (Table.name l ^ "." ^ lc, Table.name r ^ "." ^ rc) ]
+         (Ra.scan l) (Ra.scan r))
+  in
   match Random.State.int st 10 with
-  | 0 | 1 | 2 ->
-      (* joins over small tables; random physical operator *)
-      let l = rand_table st ~name:(Printf.sprintf "l%d" i) ~n:(Random.State.int st 40) in
-      let r = rand_table st ~name:(Printf.sprintf "r%d" i) ~n:(Random.State.int st 40) in
-      let lc = pick st (all_cols (Table.schema l)) in
-      let rc = pick st (all_cols (Table.schema r)) in
-      let algo =
-        match Random.State.int st 3 with
-        | 0 -> Ra.Nested_loop
-        | 1 -> Ra.Hash_join
-        | _ -> Ra.Auto
-      in
-      unary
-        (Ra.equijoin ~algo
-           ~on:[ (Table.name l ^ "." ^ lc, Table.name r ^ "." ^ rc) ]
-           (Ra.scan l) (Ra.scan r))
-  | 3 ->
-      let l = rand_table st ~name:(Printf.sprintf "l%d" i) ~n:(Random.State.int st 15) in
-      let r = rand_table st ~name:(Printf.sprintf "r%d" i) ~n:(Random.State.int st 15) in
-      unary (Ra.product (Ra.scan l) (Ra.scan r))
-  | 4 ->
-      (* indexed nested loop: inner scan indexed on the join column *)
-      let l = rand_table st ~name:(Printf.sprintf "l%d" i) ~n:(Random.State.int st 40) in
-      let r = rand_table st ~name:(Printf.sprintf "r%d" i) ~n:(Random.State.int st 40) in
-      let rc = pick st (all_cols (Table.schema r)) in
-      Table.create_index r rc;
-      let lc = pick st (all_cols (Table.schema l)) in
-      unary
-        (Ra.equijoin ~algo:Ra.Index_nested_loop
-           ~on:[ (Table.name l ^ "." ^ lc, Table.name r ^ "." ^ rc) ]
-           (Ra.scan l) (Ra.scan r))
+  | 0 | 1 | 2 -> join () (* random key columns, often of different types *)
+  | 3 -> join ~key:ti ()
+  | 4 -> join ~key:ts ()
   | _ ->
       let n =
         if Random.State.int st 12 = 0 then 1024 + Random.State.int st 1600
@@ -202,8 +200,16 @@ let rand_plan st i =
 
 let sorted l = List.sort Tuple.compare l
 
+(* What [f] charges [meter], less the batch counter only the cursor ticks. *)
+let charged f =
+  let before = Meter.snapshot meter in
+  let rows = f () in
+  ({ (Meter.diff (Meter.snapshot meter) before) with Meter.batches = 0 }, rows)
+
 let check_equiv ?(ordered = true) name plan =
-  let vec = Ra.eval plan and boxed = Ra.eval_boxed plan in
+  let vec_cost, vec = charged (fun () -> Ra.eval plan) in
+  let boxed_cost, boxed = charged (fun () -> Ra.eval_boxed plan) in
+  Alcotest.(check bool) (name ^ " (meter)") true (vec_cost = boxed_cost);
   (* the cursor path preserves the boxed evaluator's emit order... *)
   if ordered then
     Alcotest.(check bool) (name ^ " (ordered)") true (List.equal Tuple.equal boxed vec);
@@ -222,7 +228,7 @@ let test_random_plans () =
 
 let test_empty_global_aggregate () =
   let t =
-    Table.create ~name:"e" ~schema:(Schema.make [ ("k", ti); ("x", tf) ]) ()
+    Table.create ~meter ~name:"e" ~schema:(Schema.make [ ("k", ti); ("x", tf) ]) ()
   in
   (* group_by = [] over empty input: SQL-style single row from both paths *)
   let plan =
@@ -245,33 +251,36 @@ let test_empty_global_aggregate () =
   Alcotest.(check int) "no groups" 0 (List.length (Ra.eval grouped))
 
 let test_null_join_keys () =
-  (* NULL keys join NULL keys (Value.equal Null Null), on every physical
-     operator, matching the boxed hash/nested-loop semantics. *)
-  let mk name rows =
-    let t = Table.create ~name ~schema:(Schema.make [ ("k", ti); ("v", ti) ]) () in
-    List.iter (fun r -> ignore (Table.insert t (Tuple.make r))) rows;
+  (* NULL keys join NULL keys (Value.equal Null Null) on both hash-join
+     paths — the int-keyed Ihash one with its null chain, and the
+     Tuple-keyed one — matching the boxed hash join. *)
+  let mk ty key name rows =
+    let t =
+      Table.create ~meter ~name ~schema:(Schema.make [ ("k", ty); ("v", ti) ]) ()
+    in
+    List.iter
+      (fun (k, v) ->
+        let k = match k with Some k -> key k | None -> Value.Null in
+        ignore (Table.insert t (Tuple.make [ k; vi v ])))
+      rows;
     t
   in
-  let l = mk "nl" [ [ vi 1; vi 10 ]; [ Value.Null; vi 11 ]; [ vi 2; vi 12 ] ] in
-  let r =
-    mk "nr" [ [ Value.Null; vi 20 ]; [ vi 1; vi 21 ]; [ Value.Null; vi 22 ] ]
-  in
   List.iter
-    (fun algo ->
-      let plan =
-        Ra.equijoin ~algo ~on:[ ("nl.k", "nr.k") ] (Ra.scan l) (Ra.scan r)
-      in
+    (fun (ty, key) ->
+      let l = mk ty key "nl" [ (Some 1, 10); (None, 11); (Some 2, 12) ] in
+      let r = mk ty key "nr" [ (None, 20); (Some 1, 21); (None, 22) ] in
+      let plan = Ra.equijoin ~on:[ ("nl.k", "nr.k") ] (Ra.scan l) (Ra.scan r) in
       check_equiv "null join keys" plan;
       (* 1 matches 1 once; Null matches two Nulls *)
       Alcotest.(check int) "null-match cardinality" 3
         (List.length (Ra.eval plan)))
-    [ Ra.Nested_loop; Ra.Hash_join ]
+    [ (ti, vi); (ts, fun k -> vs (string_of_int k)) ]
 
 let test_validity_through_predicates () =
   (* NULL is false under every comparison in both paths, including the
      vectorized int/float kernels. *)
   let t =
-    Table.create ~name:"v" ~schema:(Schema.make [ ("a", ti); ("b", tf) ]) ()
+    Table.create ~meter ~name:"v" ~schema:(Schema.make [ ("a", ti); ("b", tf) ]) ()
   in
   for i = 0 to 2999 do
     let a = if i mod 7 = 0 then Value.Null else vi (i mod 50) in
@@ -291,7 +300,7 @@ let test_validity_through_predicates () =
 
 let test_multi_batch_scan () =
   (* > 2 batches with deletions punched through the live bitmap *)
-  let t = Table.create ~name:"m" ~schema:(Schema.make [ ("k", ti) ]) () in
+  let t = Table.create ~meter ~name:"m" ~schema:(Schema.make [ ("k", ti) ]) () in
   for i = 0 to 2599 do
     ignore (Table.insert t (Tuple.make [ vi i ]))
   done;

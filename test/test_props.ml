@@ -326,25 +326,6 @@ let prop_vmultiset_model =
       && Vmultiset.max_elt ms
          = (match List.rev sorted with [] -> None | x :: _ -> Some x))
 
-let prop_ordindex_range_model =
-  QCheck.Test.make ~name:"ordered index range = filtered model" ~count:200
-    QCheck.(
-      pair
-        (list (int_range 0 30))
-        (pair (int_range 0 30) (int_range 0 30)))
-    (fun (values, (b1, b2)) ->
-      let open Relation in
-      let lo = min b1 b2 and hi = max b1 b2 in
-      let idx = Ordindex.create ~column:0 in
-      List.iteri (fun row v -> Ordindex.add idx (Value.Int v) row) values;
-      let got =
-        List.length (Ordindex.range idx ~lo:(Value.Int lo) ~hi:(Value.Int hi) ())
-      in
-      let expected =
-        List.length (List.filter (fun v -> v >= lo && v <= hi) values)
-      in
-      got = expected)
-
 let prop_opflow_refresh_monotone =
   QCheck.Test.make ~name:"opflow refresh cost monotone in queue sizes"
     ~count:200
@@ -763,7 +744,7 @@ let () =
           ] );
       ( "structures",
         List.map to_alcotest
-          [ prop_pqueue_sorts; prop_vmultiset_model; prop_ordindex_range_model ] );
+          [ prop_pqueue_sorts; prop_vmultiset_model ] );
       ("opflow", List.map to_alcotest [ prop_opflow_refresh_monotone ]);
       ( "maintainer",
         List.map to_alcotest [ prop_maintainer_agrees_with_recompute ] );

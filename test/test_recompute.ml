@@ -3,7 +3,7 @@
    pushed onto scans, scans pruned to the columns read above them, hash
    joins built on the smaller side).  Their content must be bit-identical
    to folding the row-at-a-time evaluation of the plain plan — a
-   left-deep tree in breadth-first order with Auto joins, the canonical
+   left-deep tree in breadth-first order of hash joins, the canonical
    joined schema and the whole filter on top — through the same content
    code; the plans must have the documented shape; and the consistency
    checks must notice a base table changed behind the maintainer's

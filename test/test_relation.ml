@@ -284,14 +284,6 @@ let test_table_delete_row () =
   checki "count" 0 (Table.row_count t);
   checkb "get deleted" true (Table.get_row t id = None)
 
-let test_table_update_row () =
-  let t = mk_table () in
-  Table.create_index t "grp";
-  let id = Table.insert t (row 1 0 1.0) in
-  checkb "update" true (Table.update_row t id (row 1 5 9.0));
-  checki "moved in index" 1 (List.length (Table.lookup t "grp" (vi 5)));
-  checki "gone from old bucket" 0 (List.length (Table.lookup t "grp" (vi 0)))
-
 let test_table_index_lookup () =
   let t = mk_table () in
   for i = 1 to 10 do
@@ -424,16 +416,6 @@ let test_table_meter_counts () =
   let s2 = Meter.snapshot meter in
   checki "unmetered does not count" 2 s2.Meter.seq_scanned
 
-let test_table_clear_preserves_indexes () =
-  let t = mk_table () in
-  Table.create_index t "grp";
-  ignore (Table.insert t (row 1 0 1.0));
-  Table.clear t;
-  checki "empty" 0 (Table.row_count t);
-  checkb "index survives" true (Table.has_index t "grp");
-  ignore (Table.insert t (row 2 3 2.0));
-  checki "index repopulates" 1 (List.length (Table.lookup t "grp" (vi 3)))
-
 let test_index_direct () =
   let idx = Index.create ~column:0 in
   Index.add idx (vi 1) 10;
@@ -447,61 +429,6 @@ let test_index_direct () =
   Index.remove idx (vi 1) 99;
   (* absent pair: no-op *)
   checki "no-op remove" 1 (Index.entry_count idx)
-
-(* --- Ordered index / range lookup ------------------------------------------ *)
-
-let test_ordindex_direct () =
-  let idx = Ordindex.create ~column:0 in
-  List.iteri (fun row v -> Ordindex.add idx (vi v) row) [ 5; 1; 9; 5; 3 ];
-  checki "entries" 5 (Ordindex.entry_count idx);
-  checki "cardinality" 4 (Ordindex.cardinality idx);
-  checkb "min" true (Ordindex.min_value idx = Some (vi 1));
-  checkb "max" true (Ordindex.max_value idx = Some (vi 9));
-  checki "point lookup" 2 (List.length (Ordindex.lookup idx (vi 5)));
-  checki "range [3,5]" 3 (List.length (Ordindex.range idx ~lo:(vi 3) ~hi:(vi 5) ()));
-  checki "range open below" 4 (List.length (Ordindex.range idx ~hi:(vi 5) ()));
-  checki "range open above" 3 (List.length (Ordindex.range idx ~lo:(vi 5) ()));
-  checki "full range" 5 (List.length (Ordindex.range idx ()));
-  Ordindex.remove idx (vi 5) 0;
-  checki "after remove" 4 (Ordindex.entry_count idx);
-  Ordindex.remove idx (vi 5) 99;
-  checki "no-op remove" 4 (Ordindex.entry_count idx)
-
-let test_table_range_lookup () =
-  let t = mk_table () in
-  Table.create_ordered_index t "v";
-  for i = 1 to 10 do
-    ignore (Table.insert t (row i 0 (float_of_int i)))
-  done;
-  let hits = Table.range_lookup t "v" ~lo:(vf 3.0) ~hi:(vf 6.0) () in
-  checki "four rows in range" 4 (List.length hits);
-  (* Ascending by value. *)
-  checkb "sorted ascending" true
-    (List.for_all2
-       (fun t expected -> Value.equal (Tuple.get t 2) (vf expected))
-       hits [ 3.0; 4.0; 5.0; 6.0 ]);
-  checkb "has ordered index" true (Table.has_ordered_index t "v");
-  checkb "hash index is separate" false (Table.has_index t "v")
-
-let test_table_range_lookup_tracks_updates () =
-  let t = mk_table () in
-  Table.create_ordered_index t "v";
-  let id = Table.insert t (row 1 0 5.0) in
-  ignore (Table.update_row t id (row 1 0 50.0));
-  checki "old value gone" 0
-    (List.length (Table.range_lookup t "v" ~hi:(vf 10.0) ()));
-  checki "new value present" 1
-    (List.length (Table.range_lookup t "v" ~lo:(vf 49.0) ()));
-  ignore (Table.delete_row t id);
-  checki "deleted gone" 0 (List.length (Table.range_lookup t "v" ()))
-
-let test_table_range_requires_ordered_index () =
-  let t = mk_table () in
-  Table.create_index t "v";
-  (* hash index does not serve ranges *)
-  Alcotest.check_raises "needs ordered index"
-    (Invalid_argument "Table.range_lookup(t): no ordered index on \"v\"")
-    (fun () -> ignore (Table.range_lookup t "v" ()))
 
 (* --- Meter --------------------------------------------------------------- *)
 
@@ -593,39 +520,11 @@ let test_ra_scan_select_project () =
   checki "projected arity" 1 (Schema.arity (Ra.schema_of proj));
   checki "same rows" 3 (count_rows proj)
 
-let test_ra_join_algorithms_agree () =
-  let r, s = mk_join_db () in
-  let mk algo =
-    Ra.eval
-      (Ra.equijoin ~algo ~on:[ ("r.jk", "s.jk") ] (Ra.scan r) (Ra.scan s))
-    |> List.sort Tuple.compare
-  in
-  let nl = mk Ra.Nested_loop and hash = mk Ra.Hash_join in
-  checkb "nl = hash" true (List.equal Tuple.equal nl hash);
-  Table.create_index s "jk";
-  let inl = mk Ra.Index_nested_loop in
-  checkb "nl = index-nl" true (List.equal Tuple.equal nl inl);
-  let auto = mk Ra.Auto in
-  checkb "auto = nl" true (List.equal Tuple.equal nl auto)
-
 let test_ra_join_expected_cardinality () =
   let r, s = mk_join_db () in
   (* r.jk: 3 zeros, 3 ones; s.jk: 3 each of 0,1,2 -> 9 + 9 output pairs. *)
   let plan = Ra.equijoin ~on:[ ("r.jk", "s.jk") ] (Ra.scan r) (Ra.scan s) in
   checki "join cardinality" 18 (count_rows plan)
-
-let test_ra_index_nl_requires_index () =
-  let r, s = mk_join_db () in
-  Alcotest.check_raises "missing index"
-    (Invalid_argument "Ra: inner table s lacks index on \"jk\"") (fun () ->
-      ignore
-        (Ra.eval
-           (Ra.equijoin ~algo:Ra.Index_nested_loop ~on:[ ("r.jk", "s.jk") ]
-              (Ra.scan r) (Ra.scan s))))
-
-let test_ra_product () =
-  let r, s = mk_join_db () in
-  checki "cartesian" 54 (count_rows (Ra.product (Ra.scan r) (Ra.scan s)))
 
 let test_ra_aggregate_group_by () =
   let _, s = mk_join_db () in
@@ -800,7 +699,6 @@ let () =
           Alcotest.test_case "insert count" `Quick test_table_insert_count;
           Alcotest.test_case "insert type error" `Quick test_table_insert_type_error;
           Alcotest.test_case "delete row" `Quick test_table_delete_row;
-          Alcotest.test_case "update row" `Quick test_table_update_row;
           Alcotest.test_case "index lookup" `Quick test_table_index_lookup;
           Alcotest.test_case "row-id access" `Quick test_table_row_id_access;
           Alcotest.test_case "index after delete" `Quick test_table_index_after_delete;
@@ -816,18 +714,7 @@ let () =
           Alcotest.test_case "scan skips tombstones" `Quick
             test_table_scan_skips_tombstones;
           Alcotest.test_case "meter counts" `Quick test_table_meter_counts;
-          Alcotest.test_case "clear preserves indexes" `Quick
-            test_table_clear_preserves_indexes;
           Alcotest.test_case "index direct" `Quick test_index_direct;
-        ] );
-      ( "ordered-index",
-        [
-          Alcotest.test_case "direct" `Quick test_ordindex_direct;
-          Alcotest.test_case "range lookup" `Quick test_table_range_lookup;
-          Alcotest.test_case "tracks updates" `Quick
-            test_table_range_lookup_tracks_updates;
-          Alcotest.test_case "requires ordered index" `Quick
-            test_table_range_requires_ordered_index;
         ] );
       ( "meter",
         [
@@ -858,12 +745,7 @@ let () =
       ( "ra",
         [
           Alcotest.test_case "scan/select/project" `Quick test_ra_scan_select_project;
-          Alcotest.test_case "join algorithms agree" `Quick
-            test_ra_join_algorithms_agree;
           Alcotest.test_case "join cardinality" `Quick test_ra_join_expected_cardinality;
-          Alcotest.test_case "index-nl requires index" `Quick
-            test_ra_index_nl_requires_index;
-          Alcotest.test_case "product" `Quick test_ra_product;
           Alcotest.test_case "aggregate group-by" `Quick test_ra_aggregate_group_by;
           Alcotest.test_case "aggregate global" `Quick test_ra_aggregate_global;
           Alcotest.test_case "aggregate empty input" `Quick
