@@ -147,7 +147,6 @@ let write_async ~dir ?(hook = Hook.none) ~pool t =
   in
   { file; job }
 
-let inflight_file p = p.file
 let poll p = Parallel.Pool.poll p.job
 
 let await p =

@@ -64,10 +64,6 @@ val write_async :
     strictly precede the manifest update (ARIES ordering), otherwise a
     crash could leave a manifest pointing at a missing or torn file. *)
 
-val inflight_file : inflight -> string
-(** The basename the job is writing (known upfront — deterministic from
-    the LSN). *)
-
 val poll : inflight -> [ `Running | `Done | `Failed ]
 
 val await : inflight -> string

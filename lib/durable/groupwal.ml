@@ -36,7 +36,6 @@ let open_ ~dir ?segment_bytes ?(hook = Hook.none) () =
   { log; m = Mutex.create (); window_closes = 0; forced_closes = 0; hook }
 
 let lsn gw = gw.log |> Log.lsn
-let total_bytes gw = Log.total_bytes gw.log
 let pending_bytes gw = Log.pending_bytes gw.log
 let window_closes gw = gw.window_closes
 let forced_closes gw = gw.forced_closes
@@ -74,7 +73,6 @@ let append h r =
   h.hbuf <- r :: h.hbuf;
   h.hbuffered <- h.hbuffered + 1
 
-let buffered h = h.hbuffered
 
 let commit h =
   if h.hclosed then invalid_arg "Groupwal.commit: handle closed";

@@ -51,8 +51,6 @@ val append : handle -> Record.t -> unit
 (** Buffer a record on the handle; nothing reaches the shared window
     until {!commit}. *)
 
-val buffered : handle -> int
-
 val commit : handle -> unit
 (** Move the handle's buffered batch into the shared window (tagged,
     in order), then apply the handle's forcing policy.  No-op when
@@ -74,7 +72,6 @@ val abandon : t -> unit
 (** Simulated crash: the open window dies unwritten. *)
 
 val lsn : t -> int
-val total_bytes : t -> int
 val pending_bytes : t -> int
 
 val window_closes : t -> int

@@ -11,14 +11,6 @@ let merge v =
   if n2 land 1 <> 0 then invalid_arg "Pspec.merge: odd-width vector";
   Array.init (n2 / 2) (fun i -> v.(2 * i) + v.((2 * i) + 1))
 
-let merge_plan plan =
-  Abivm.Plan.of_actions
-    (List.filter_map
-       (fun (t, a) ->
-         let m = merge a in
-         if Abivm.Statevec.is_zero m then None else Some (t, m))
-       (Abivm.Plan.actions plan))
-
 let make ~costs ~limit ~arrivals =
   if Array.length costs land 1 <> 0 then
     invalid_arg "Pspec.make: expected 2n cost curves (heavy, light per table)";

@@ -21,10 +21,6 @@ val merge : Abivm.Statevec.t -> Abivm.Statevec.t
 (** Project a [2n]-wide vector down to [n] logical components (heavy +
     light per table).  Raises [Invalid_argument] on odd widths. *)
 
-val merge_plan : Abivm.Plan.t -> Abivm.Plan.t
-(** Merge every action of a partitioned plan — how a [2n] plan reads in
-    logical-table terms (for reporting; costs do not transfer). *)
-
 val make :
   costs:Cost.Func.t array ->
   limit:float ->

@@ -77,7 +77,6 @@ let create ?(capacity = initial) ty =
     exact = Hashtbl.create 1;
   }
 
-let datatype c = c.ty
 let length c = c.len
 
 let grow_int_ba (a : int_ba) rows =

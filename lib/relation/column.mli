@@ -22,7 +22,6 @@ val create : ?capacity:int -> Datatype.t -> t
 (** [capacity] (default 64) is the number of slots allocated up front;
     appends past it double the buffers. *)
 
-val datatype : t -> Datatype.t
 val length : t -> int
 
 val append : t -> Value.t -> unit

@@ -78,6 +78,8 @@ type t = {
          once catch-up has re-added any crashed-away participants *)
 }
 
+let ( let* ) = Result.bind
+
 (* --- service manifest ----------------------------------------------------- *)
 
 (* The root manifest pins everything recovery needs to continue the run
@@ -119,7 +121,6 @@ let save_manifest t =
 let valid_discount f = Float.is_finite f && f >= 0.0
 
 let config_of_params params =
-  let ( let* ) = Result.bind in
   let find key =
     match List.assoc_opt key params with
     | Some v -> Ok v
@@ -267,15 +268,43 @@ let create ?pool ~root config =
   save_manifest t;
   t
 
+(* Phases A and C touch one tenant's private state each (its engine, log
+   handle, controller, monitor), and so do a tenant's two build halves
+   and its replay, so fanning them out over the pool is bit-identical to
+   the sequential order.  Each pooled task catches its own exception and
+   the first one in array order is re-raised, so which failure surfaces
+   does not depend on the domain count.  Phase B (coordination and
+   accounting) is cross-tenant and stays sequential. *)
+let pmap t f arr =
+  match t.pool with
+  | Some p when Parallel.Pool.domains p > 1 && Array.length arr > 1 ->
+      Parallel.Pool.map p
+        (fun x -> try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ()))
+        arr
+      |> Array.map (function
+           | Ok v -> v
+           | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+  | _ -> Array.map f arr
+
+(* Run every build's two halves as one pool batch, then assemble the
+   tenants in order (attaching to the shared log is sequential). *)
+let construct t builds =
+  ignore
+    (pmap t (fun half -> half ()) (Array.concat (List.map Tenant.halves builds)));
+  List.map (Tenant.assemble ~group:t.group) builds
+
+(* Build a registered tenant into a slot.  Its manifest is written
+   before the halves start. *)
 let admit t cfg =
-  match Tenant.create ~root:t.root ~group:t.group cfg with
-  | Error e -> Error e
-  | Ok tenant ->
+  let* b = Tenant.prepare cfg in
+  let* () = Tenant.save_manifest ~root:t.root cfg in
+  List.iter
+    (fun tenant ->
       t.active <- t.active @ [ tenant ];
-      t.known <- cfg.Tenant.name :: t.known;
       t.starts <- t.starts @ [ (cfg.Tenant.name, t.rounds) ];
-      save_manifest t;
-      Ok ()
+      save_manifest t)
+    (construct t [ b ]);
+  Ok ()
 
 let delta_entries_in_use t =
   List.fold_left (fun acc tenant -> acc + Tenant.delta_entries tenant) 0
@@ -289,7 +318,11 @@ let register t cfg =
   in
   match decision with
   | Admission.Admit ->
-      Result.map (fun () -> Admission.Admit) (admit t cfg)
+      Result.map
+        (fun () ->
+          t.known <- cfg.Tenant.name :: t.known;
+          Admission.Admit)
+        (admit t cfg)
   | Admission.Queue ->
       t.waiting <- t.waiting @ [ cfg ];
       t.known <- cfg.Tenant.name :: t.known;
@@ -311,12 +344,8 @@ let promote_waiting t =
       | [] -> ()
       | cfg :: rest -> (
           t.waiting <- rest;
-          match Tenant.create ~root:t.root ~group:t.group cfg with
-          | Ok tenant ->
-              t.active <- t.active @ [ tenant ];
-              t.starts <- t.starts @ [ (cfg.Tenant.name, t.rounds) ];
-              save_manifest t;
-              loop ()
+          match admit t cfg with
+          | Ok () -> loop ()
           | Error e ->
               t.rejected <- t.rejected + 1;
               Telemetry.incr "serve.promote_failures";
@@ -335,16 +364,6 @@ let sweep_completed t =
       t.completed <- (tenant, consistent) :: t.completed)
     done_;
   if done_ <> [] then promote_waiting t
-
-(* Phases A and C touch one tenant's private state each (its engine, log
-   handle, controller, monitor), so fanning them out over the pool is
-   bit-identical to the sequential order; phase B (coordination and
-   accounting) is cross-tenant and stays sequential. *)
-let pmap t f arr =
-  match t.pool with
-  | Some p when Parallel.Pool.domains p > 1 && Array.length arr > 1 ->
-      Parallel.Pool.map p f arr
-  | _ -> Array.map f arr
 
 let start_of t name =
   match List.assoc_opt name t.starts with Some s -> s | None -> 0
@@ -687,7 +706,6 @@ let run t =
 (* --- recovery ------------------------------------------------------------- *)
 
 let recover ?pool ~root () =
-  let ( let* ) = Result.bind in
   let* manifest =
     match Durable.Manifest.load ~dir:root with
     | Ok (Some m) -> Ok m
@@ -769,10 +787,15 @@ let recover ?pool ~root () =
       pending_groups = Hashtbl.create 64;
     }
   in
-  let tenants_r =
-    List.fold_left
-      (fun acc name ->
-        let* acc = acc in
+  (* Three stages, each in registration order: load and validate every
+     tenant manifest; build every tenant's two halves in one pool batch;
+     replay every tenant's records in a second batch.  Only the tenants
+     ahead of the first failure go on to the next stage — the sequential
+     fold stopped there, and a later tenant cannot change its result,
+     the first failure in registration order. *)
+  let loaded =
+    List.map
+      (fun name ->
         let dir = Filename.concat (Filename.concat root "tenants") name in
         let* tenant_manifest =
           match Durable.Manifest.load ~dir with
@@ -783,18 +806,32 @@ let recover ?pool ~root () =
         let* cfg =
           Tenant.config_of_params tenant_manifest.Durable.Manifest.params
         in
-        let records =
-          Option.value ~default:[]
-            (List.assoc_opt name contents.Durable.Groupwal.tenants)
-        in
-        let* tenant = Tenant.recover ~root ~group ~records cfg in
-        Ok (tenant :: acc))
-      (Ok []) names
-    |> Result.map List.rev
+        let* build = Tenant.prepare cfg in
+        Ok
+          ( build,
+            Option.value ~default:[]
+              (List.assoc_opt name contents.Durable.Groupwal.tenants) ))
+      names
   in
-  match tenants_r with
+  let rec ok_prefix = function
+    | Ok x :: rest ->
+        let xs, e = ok_prefix rest in
+        (x :: xs, e)
+    | Error e :: _ -> ([], Error e)
+    | [] -> ([], Ok ())
+  in
+  let loaded, load_error = ok_prefix loaded in
+  let tenants = construct t (List.map fst loaded) in
+  let replays =
+    pmap t
+      (fun (tenant, records) ->
+        Result.map (fun () -> tenant) (Tenant.replay tenant records))
+      (Array.of_list (List.combine tenants (List.map snd loaded)))
+  in
+  let tenants, replay_error = ok_prefix (Array.to_list replays) in
+  match Result.bind replay_error (fun () -> load_error) with
   | Error e -> fail e
-  | Ok tenants ->
+  | Ok () ->
       t.active <- tenants;
       t.known <- List.rev names;
       (* Resume at the furthest round any tenant reached; the others
@@ -826,6 +863,8 @@ let recover ?pool ~root () =
             (Tenant.replayed_flushes tenant))
         tenants;
       Ok t
+
+let active t = t.active
 
 let total_replayed t =
   List.fold_left (fun acc tenant -> acc + Tenant.replayed tenant) 0 t.active

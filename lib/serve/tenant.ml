@@ -165,16 +165,77 @@ let validate config =
       (Ok []) config.streams
     |> Result.map (fun streams -> Array.of_list (List.rev streams))
 
+(* --- construction, in two halves -------------------------------------------- *)
+
 (* The whole tenant environment is deterministic in the config: the
    synthetic database, the update feeds, the arrival schedule, and the
-   cost model (calibrated on a throwaway engine built from the same seed,
+   cost model (calibrated on a throwaway twin built from the same seed,
    so calibration batches never pollute the live engine's meter).  This
    is what lets a manifest holding only the params rebuild the tenant
-   bit-identically at recovery. *)
-let build ~group config streams =
+   bit-identically at recovery.  The twin and the live engine share
+   nothing — each has its own meter and its own PRNGs — so the two
+   halves may run at the same time on different domains. *)
+type build = {
+  cfg : config;
+  streams : Workload.Arrivals.stream array;
+  mutable base_costs : Cost.Func.t array option;  (* the calibration half *)
+  mutable engine : (Ivm.Maintainer.t * Tpcr.Updates.feeds) option;
+      (* the live half *)
+}
+
+let engine config =
+  let db =
+    Tpcr.Synth.generate ~seed:config.seed ~r_rows:config.rows
+      ~s_rows:config.rows ()
+  in
+  let m =
+    Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter ~order:config.order
+      (Tpcr.Synth.join_view db)
+  in
+  Relation.Meter.reset db.Tpcr.Synth.meter;
+  (m, Tpcr.Synth.insert_feeds ~seed:(config.seed + 1) db)
+
+let calibrate config =
+  let m, feeds = engine config in
+  let curve table suffix =
+    Bridge.Calibrate.tabulated
+      ~name:(config.name ^ suffix)
+      (Bridge.Calibrate.measure_curve m feeds ~table ~sizes:calib_sizes)
+  in
+  [| curve 0 ".dR"; curve 1 ".dS" |]
+
+let prepare config =
+  Result.map
+    (fun streams -> { cfg = config; streams; base_costs = None; engine = None })
+    (validate config)
+
+let save_manifest ~root config =
+  let dir = Durable.Fsutil.tenant_dir ~root ~name:config.name in
+  match Durable.Manifest.load ~dir with
+  | Ok None ->
+      Durable.Manifest.save ~dir
+        (Durable.Manifest.empty ~params:(params_of_config config));
+      Ok ()
+  | Ok (Some _) ->
+      Error (Printf.sprintf "tenant %S already exists in %s" config.name root)
+  | Error e -> Error (Printf.sprintf "tenant %S manifest: %s" config.name e)
+
+let halves b =
+  [|
+    (fun () -> b.base_costs <- Some (calibrate b.cfg));
+    (fun () -> b.engine <- Some (engine b.cfg));
+  |]
+
+let assemble ~group b =
+  let config = b.cfg in
+  let base_costs, (maintainer, feeds) =
+    match (b.base_costs, b.engine) with
+    | Some costs, Some engine -> (costs, engine)
+    | _ -> invalid_arg "Tenant.assemble: a build half has not run"
+  in
   let arrivals =
     Workload.Arrivals.generate ~seed:(config.seed + 2) ~horizon:config.horizon
-      streams
+      b.streams
   in
   let next_busy = Array.make (config.horizon + 2) (config.horizon + 1) in
   for s = config.horizon downto 0 do
@@ -182,38 +243,12 @@ let build ~group config streams =
       (if Array.exists (fun c -> c > 0) arrivals.(s) then s
        else next_busy.(s + 1))
   done;
-  let cal =
-    Tpcr.Synth.generate ~seed:config.seed ~r_rows:config.rows
-      ~s_rows:config.rows ()
-  in
-  let cal_m =
-    Ivm.Maintainer.create ~meter:cal.Tpcr.Synth.meter ~order:config.order
-      (Tpcr.Synth.join_view cal)
-  in
-  Relation.Meter.reset cal.Tpcr.Synth.meter;
-  let cal_feeds = Tpcr.Synth.insert_feeds ~seed:(config.seed + 1) cal in
-  let curve table suffix =
-    Bridge.Calibrate.tabulated
-      ~name:(config.name ^ suffix)
-      (Bridge.Calibrate.measure_curve cal_m cal_feeds ~table ~sizes:calib_sizes)
-  in
-  let base_costs = [| curve 0 ".dR"; curve 1 ".dS" |] in
   let limit =
     config.limit_factor
     *. Float.max
          (Cost.Func.eval base_costs.(0) 1)
          (Cost.Func.eval base_costs.(1) 1)
   in
-  let db =
-    Tpcr.Synth.generate ~seed:config.seed ~r_rows:config.rows
-      ~s_rows:config.rows ()
-  in
-  let maintainer =
-    Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter ~order:config.order
-      (Tpcr.Synth.join_view db)
-  in
-  Relation.Meter.reset db.Tpcr.Synth.meter;
-  let feeds = Tpcr.Synth.insert_feeds ~seed:(config.seed + 1) db in
   let controller = Abivm.Online.controller ~costs:base_costs ~limit () in
   let monitor =
     Robust.Monitor.create
@@ -223,47 +258,31 @@ let build ~group config streams =
   let log =
     Durable.Groupwal.attach group ~tenant:config.name ?policy:config.sync ()
   in
-  Ok
-    {
-      config;
-      arrivals;
-      next_busy;
-      maintainer;
-      feeds;
-      controller;
-      monitor;
-      log;
-      base_costs;
-      limit;
-      costs = base_costs;
-      next_step = 0;
-      begun = false;
-      corr = 1.0;
-      next_allowed = 0;
-      gap = 2;
-      metered = 0.0;
-      charged = 0.0;
-      violations = 0;
-      sheds = 0;
-      reanchors = 0;
-      replayed = 0;
-      flush_log = [];
-    }
-
-let create ~root ~group config =
-  let* streams = validate config in
-  let dir = Durable.Fsutil.tenant_dir ~root ~name:config.name in
-  let* () =
-    match Durable.Manifest.load ~dir with
-    | Ok None ->
-        Durable.Manifest.save ~dir
-          (Durable.Manifest.empty ~params:(params_of_config config));
-        Ok ()
-    | Ok (Some _) ->
-        Error (Printf.sprintf "tenant %S already exists in %s" config.name root)
-    | Error e -> Error (Printf.sprintf "tenant %S manifest: %s" config.name e)
-  in
-  build ~group config streams
+  {
+    config;
+    arrivals;
+    next_busy;
+    maintainer;
+    feeds;
+    controller;
+    monitor;
+    log;
+    base_costs;
+    limit;
+    costs = base_costs;
+    next_step = 0;
+    begun = false;
+    corr = 1.0;
+    next_allowed = 0;
+    gap = 2;
+    metered = 0.0;
+    charged = 0.0;
+    violations = 0;
+    sheds = 0;
+    reanchors = 0;
+    replayed = 0;
+    flush_log = [];
+  }
 
 (* --- one time step, in scheduler-driven phases --------------------------- *)
 
@@ -492,16 +511,4 @@ let replay t records =
       end
     end
   done;
-  Result.map (fun () -> t.replayed) !result
-
-let recover ~root ~group ~records config =
-  let dir =
-    Filename.concat (Filename.concat root "tenants") config.name
-  in
-  if not (Sys.file_exists dir) then
-    Error (Printf.sprintf "tenant %S: no durable state in %s" config.name root)
-  else
-    let* streams = validate config in
-    let* t = build ~group config streams in
-    let* _replayed = replay t records in
-    Ok t
+  !result

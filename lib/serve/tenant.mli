@@ -57,21 +57,39 @@ val config_of_params : (string * string) list -> (config, string) result
 
 type t
 
-val create :
-  root:string -> group:Durable.Groupwal.t -> config -> (t, string) result
-(** Validate the config, then build the tenant fresh: write the manifest
-    under [root/tenants/<name>] (refusing a name whose directory already
-    holds one), calibrate, construct the engine, and attach to the
-    service's shared log with [config.sync] as the forcing policy. *)
+(** {1 Construction}
 
-val recover :
-  root:string ->
-  group:Durable.Groupwal.t ->
-  records:Durable.Record.t list ->
-  config ->
-  (t, string) result
-(** Rebuild the tenant from its config and replay [records] — this
-    tenant's slice of the shared log, demuxed by the caller.
+    A tenant is built in two independent halves: the {e calibration}
+    half generates a throwaway twin of the database, runs
+    {!Bridge.Calibrate.measure_curve} on it and keeps the base cost
+    curves; the {e live} half generates the database the tenant
+    maintains, its engine and its feeds.  Each half has its own meter
+    and PRNGs, so they may run concurrently on different domains with
+    bit-identical results.  {!Service} runs them through its pool. *)
+
+type build
+(** A validated config whose halves have not yet been assembled. *)
+
+val prepare : config -> (build, string) result
+(** Validate the config. *)
+
+val save_manifest : root:string -> config -> (unit, string) result
+(** Write a new tenant's manifest under [root/tenants/<name>], refusing a
+    name whose directory already holds one. *)
+
+val halves : build -> (unit -> unit) array
+(** The calibration half and the live half, in that order.  Both must
+    have run before {!assemble}; they are independent of each other. *)
+
+val assemble : group:Durable.Groupwal.t -> build -> t
+(** Put the tenant together from its halves' results: arrival schedule,
+    budget [C], controller and monitor, and a handle on the service's
+    shared log with [config.sync] as the forcing policy.  Raises
+    [Invalid_argument] if a half has not run. *)
+
+val replay : t -> Durable.Record.t list -> (unit, string) result
+(** Replay [records] — this tenant's slice of the shared log, demuxed by
+    the caller — into a freshly assembled tenant.
     Every journalled arrival must equal the deterministic feed's re-draw
     and every batch must re-meter to the bit-identical cost; a tail cut
     mid-step is completed (the missing arrivals are drawn and

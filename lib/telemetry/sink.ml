@@ -24,52 +24,6 @@ let jsonl_channel ?(close = false) oc =
 
 let jsonl_file path = jsonl_channel ~close:true (open_out path)
 
-let console_summary ?(oc = stdout) () =
-  (* Aggregate spans by name; print a table when the collector shuts
-     down. *)
-  let agg : (string, int ref * float ref * float ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let order = ref [] in
-  {
-    on_span =
-      (fun span ->
-        let count, total, worst =
-          match Hashtbl.find_opt agg span.Span.name with
-          | Some cell -> cell
-          | None ->
-              let cell = (ref 0, ref 0.0, ref 0.0) in
-              Hashtbl.replace agg span.Span.name cell;
-              order := span.Span.name :: !order;
-              cell
-        in
-        incr count;
-        total := !total +. span.Span.duration;
-        if span.Span.duration > !worst then worst := span.Span.duration);
-    on_close =
-      (fun _ ->
-        if !order <> [] then begin
-          output_string oc "\nspan summary:\n";
-          output_string oc
-            (Util.Tablefmt.render
-               ~aligns:
-                 [ Util.Tablefmt.Left; Util.Tablefmt.Right;
-                   Util.Tablefmt.Right; Util.Tablefmt.Right ]
-               ~header:[ "span"; "count"; "total s"; "max s" ]
-               (List.rev_map
-                  (fun name ->
-                    let count, total, worst = Hashtbl.find agg name in
-                    [
-                      name;
-                      string_of_int !count;
-                      Printf.sprintf "%.4f" !total;
-                      Printf.sprintf "%.4f" !worst;
-                    ])
-                  !order));
-          flush oc
-        end);
-  }
-
 let memory () =
   let spans = ref [] in
   ( { on_span = (fun span -> spans := span :: !spans); on_close = (fun _ -> ()) },

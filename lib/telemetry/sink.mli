@@ -18,10 +18,6 @@ val jsonl_channel : ?close:bool -> out_channel -> t
 val jsonl_file : string -> t
 (** {!jsonl_channel} over a fresh file (truncating); closed on shutdown. *)
 
-val console_summary : ?oc:out_channel -> unit -> t
-(** Aggregates span wall time by name and prints a summary table (count,
-    total, max) when the collector shuts down. *)
-
 val memory : unit -> t * (unit -> Span.t list)
 (** Collects spans in memory; the thunk returns them in creation order.
     For tests. *)

@@ -52,17 +52,20 @@ let join_view db =
     ~aggs:[ Agg.count "pairs" ]
     ()
 
+(* The join domain recovered from current contents (one past the largest
+   [jk]); inserts stay within it.  An unmetered pass over the [jk] column
+   that boxes no row. *)
+let domain_of table =
+  let top = ref 0 in
+  Table.scan_batches ~metered:false table (fun b ->
+      Batch.iter_sel
+        (fun r -> top := max !top (Value.as_int (Batch.value b 1 r)))
+        b);
+  !top + 1
+
 let insert_feeds ~seed db =
   let root = Util.Prng.create ~seed in
   let r_prng = Util.Prng.split root and s_prng = Util.Prng.split root in
-  let domain_of table =
-    (* Recover the domain from current contents; inserts stay within it. *)
-    List.fold_left
-      (fun acc t -> max acc (Value.as_int (Tuple.get t 1)))
-      0
-      (Table.to_list_unmetered table)
-    + 1
-  in
   let r_domain = domain_of db.r and s_domain = domain_of db.s in
   let next_key = Array.make 2 1_000_000_000 in
   let next i =
@@ -92,13 +95,6 @@ let insert_feeds ~seed db =
 let zipf_feeds ~seed ?(exponent = 1.0) db =
   let root = Util.Prng.create ~seed in
   let r_prng = Util.Prng.split root and s_prng = Util.Prng.split root in
-  let domain_of table =
-    List.fold_left
-      (fun acc t -> max acc (Value.as_int (Tuple.get t 1)))
-      0
-      (Table.to_list_unmetered table)
-    + 1
-  in
   let domain = max (domain_of db.r) (domain_of db.s) in
   let sample = Util.Prng.zipf_sampler ~exponent ~n:domain in
   let next_key = Array.make 2 2_000_000_000 in

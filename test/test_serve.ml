@@ -202,6 +202,56 @@ let test_parallel_bit_identical () =
       checkb "sequential run consistent" true (all_consistent seq);
       check_outcomes_equal "par-vs-seq" seq par)
 
+(* Pooled registration builds each tenant's calibration twin and live
+   engine at the same time on two domains.  Every tenant of a mixed
+   first- and higher-order fleet must come out with the same budget and
+   cost model, bit for bit, and the fleet must finish the same. *)
+let test_pooled_registration_same_tenants () =
+  let cfgs =
+    List.mapi
+      (fun i cfg ->
+        if i mod 2 = 1 then
+          { cfg with Serve.Tenant.order = Ivm.Viewdef.Higher_order }
+        else cfg)
+      (fleet 4)
+  in
+  let register ?pool () =
+    let root = scratch () in
+    Fun.protect
+      ~finally:(fun () -> rmtree root)
+      (fun () ->
+        let svc = Serve.Service.create ?pool ~root (service_cfg ()) in
+        List.iter
+          (fun cfg ->
+            match Serve.Service.register svc cfg with
+            | Ok _ -> ()
+            | Error e ->
+                Alcotest.failf "register %s: %s" cfg.Serve.Tenant.name e)
+          cfgs;
+        let models =
+          List.map
+            (fun tenant ->
+              bits (Serve.Tenant.limit tenant)
+              :: List.concat_map
+                   (fun i ->
+                     List.map
+                       (fun k -> bits (Serve.Tenant.model_cost tenant i k))
+                       [ 1; 5; 10; 20; 50 ])
+                   [ 0; 1 ])
+            (Serve.Service.active svc)
+        in
+        (models, Serve.Service.run svc))
+  in
+  let seq_models, seq = register () in
+  let par_models, par =
+    Parallel.Pool.with_pool ~domains:2 (fun pool -> register ~pool ())
+  in
+  checki "every tenant active" 4 (List.length seq_models);
+  checkb "budgets and cost models have equal bits" true
+    (seq_models = par_models);
+  checkb "sequential run consistent" true (all_consistent seq);
+  check_outcomes_equal "pooled-vs-sequential registration" seq par
+
 (* --- crash + recovery ----------------------------------------------------- *)
 
 let kill_at round point =
@@ -305,6 +355,23 @@ let contains ~sub s =
   in
   go 0
 
+(* [s] with every occurrence of [sub] replaced by [by]. *)
+let replace_all ~sub ~by s =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let rec go i =
+    if i < String.length s then
+      if i + n <= String.length s && String.sub s i n = sub then begin
+        Buffer.add_string b by;
+        go (i + n)
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
 let segment_path gdir lsn =
   Filename.concat gdir (Printf.sprintf "wal-%012d.seg" lsn)
 
@@ -359,17 +426,31 @@ let test_recover_refuses_damage () =
         | Ok (Durable.Record.Coflush c) -> c
         | _ -> Alcotest.failf "not a co-flush record: %S" line
       in
+      (* Each case runs twice, on fresh copies: sequentially and with a
+         2-domain pool, which must refuse with the identical error (the
+         copy's root path read as ROOT). *)
+      let refusal ~what damage =
+        let recover pool =
+          on_copy (fun root ->
+              damage root;
+              match Serve.Service.recover ?pool ~root () with
+              | Ok _ -> Alcotest.failf "%s: recovered" what
+              | Error e -> replace_all ~sub:root ~by:"ROOT" e
+              | exception exn ->
+                  Alcotest.failf "%s: raised %s" what (Printexc.to_string exn))
+        in
+        let e = recover None in
+        Alcotest.check Alcotest.string
+          (what ^ ": pooled recovery, same error")
+          e
+          (Parallel.Pool.with_pool ~domains:2 (fun pool -> recover (Some pool)));
+        e
+      in
       let refused ~what ~cause damage =
-        on_copy (fun root ->
-            damage root;
-            match Serve.Service.recover ~root () with
-            | Ok _ -> Alcotest.failf "%s: recovered" what
-            | Error e ->
-                checkb
-                  (Printf.sprintf "%s: error %S names %S" what e cause)
-                  true (contains ~sub:cause e)
-            | exception exn ->
-                Alcotest.failf "%s: raised %s" what (Printexc.to_string exn))
+        let e = refusal ~what damage in
+        checkb
+          (Printf.sprintf "%s: error %S names %S" what e cause)
+          true (contains ~sub:cause e)
       in
       let journal_line_becomes what ~cause replacement =
         refused ~what ~cause (fun root ->
@@ -415,54 +496,79 @@ let test_recover_refuses_damage () =
             Some (name, a.time, a.count, a.cost)
         | _ -> None
       in
-      let seg, applied_line, (tenant, time, count, _) =
-        List.find_map
+      let applied =
+        List.concat_map
           (fun seg ->
             String.split_on_char '\n'
               (read_file (Filename.concat (gdir pristine) seg))
-            |> List.find_map (fun l ->
+            |> List.filter_map (fun l ->
                    Option.map (fun a -> (seg, l, a)) (applied_of l)))
           (List.sort compare
              (List.filter
                 (fun f -> Filename.check_suffix f ".seg")
                 (Array.to_list (Sys.readdir (gdir pristine)))))
-        |> function
-        | Some found -> found
-        | None -> Alcotest.fail "no tenant applied record in the log"
+      in
+      let ((_, _, (tenant, time, count, _)) as first) =
+        match applied with
+        | found :: _ -> found
+        | [] -> Alcotest.fail "no tenant applied record in the log"
+      in
+      let forge root (seg, applied_line, _) edit =
+        let path = Filename.concat (gdir root) seg in
+        let content = read_file path in
+        let rec at i =
+          if String.sub content i (String.length applied_line) = applied_line
+          then i
+          else at (i + 1)
+        in
+        let i = at 0 in
+        let forged =
+          match Durable.Record.of_tagged_line applied_line with
+          | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
+              let count, cost = edit (a.count, a.cost) in
+              Durable.Record.to_tagged_line
+                (Durable.Record.Tenant
+                   (name, Durable.Record.Applied { a with count; cost }))
+          | _ -> Alcotest.fail "not an applied record"
+        in
+        write_file path
+          (String.sub content 0 i ^ forged
+          ^ String.sub content
+              (i + String.length applied_line)
+              (String.length content - i - String.length applied_line))
       in
       let applied_becomes what ~cause edit =
-        refused ~what ~cause (fun root ->
-            let path = Filename.concat (gdir root) seg in
-            let content = read_file path in
-            let rec at i =
-              if String.sub content i (String.length applied_line) = applied_line
-              then i
-              else at (i + 1)
-            in
-            let i = at 0 in
-            let forged =
-              match Durable.Record.of_tagged_line applied_line with
-              | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
-                  let count, cost = edit (a.count, a.cost) in
-                  Durable.Record.to_tagged_line
-                    (Durable.Record.Tenant
-                       (name, Durable.Record.Applied { a with count; cost }))
-              | _ -> Alcotest.fail "not an applied record"
-            in
-            write_file path
-              (String.sub content 0 i ^ forged
-              ^ String.sub content
-                  (i + String.length applied_line)
-                  (String.length content - i - String.length applied_line)))
+        refused ~what ~cause (fun root -> forge root first edit)
       in
+      let plus_1000 (count, cost) = (count + 1000, cost) in
       applied_becomes "applied count + 1000"
         ~cause:
           (Printf.sprintf "%s: t=%d: applied record wants %d pending changes"
              tenant time (count + 1000))
-        (fun (count, cost) -> (count + 1000, cost));
+        plus_1000;
       applied_becomes "applied cost one float up"
         ~cause:"non-deterministic replay" (fun (count, cost) ->
           (count, Int64.float_of_bits (Int64.succ (Int64.bits_of_float cost))));
+      (* Two tenants' records forged at once: at every domain count the
+         error names the one registered first (t0, t1, ... in order). *)
+      let second =
+        match
+          List.find_opt (fun (_, _, (name, _, _, _)) -> name <> tenant) applied
+        with
+        | Some found -> found
+        | None -> Alcotest.fail "only one tenant has applied records"
+      in
+      let (_, _, (other, _, _, _)) = second in
+      let e =
+        refusal ~what:"two tenants damaged" (fun root ->
+            forge root first plus_1000;
+            forge root second plus_1000)
+      in
+      checkb
+        (Printf.sprintf "two tenants damaged: error %S names %s" e
+           (min tenant other))
+        true
+        (String.starts_with ~prefix:(min tenant other ^ ": ") e);
       (* Roots whose service manifest predates the one-log layout. *)
       let manifest_params what ~cause edit =
         refused ~what ~cause (fun root ->
@@ -936,6 +1042,8 @@ let () =
         [
           Alcotest.test_case "4-domain pool bit-identical" `Quick
             test_parallel_bit_identical;
+          Alcotest.test_case "pooled registration, same tenants" `Quick
+            test_pooled_registration_same_tenants;
         ] );
       ( "durability",
         [
