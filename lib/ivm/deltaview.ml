@@ -329,3 +329,17 @@ let check t =
         po.comps)
     t.owners;
   match !errors with [] -> Ok () | e :: _ -> Error e
+
+let copy ~meter ~view t =
+  let copy_comp comp =
+    let rows = Thash.copy comp.rows in
+    Thash.filter_map_inplace (fun _ inner -> Some (Thash.copy inner)) rows;
+    { comp with rows }
+  in
+  {
+    t with
+    view;
+    meter;
+    owners =
+      Array.map (fun po -> { comps = Array.map copy_comp po.comps }) t.owners;
+  }

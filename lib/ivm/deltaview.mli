@@ -30,6 +30,12 @@ val create : meter:Relation.Meter.t -> Viewdef.t -> t
 (** Build and fill one delta view per base table from the current base
     table contents, each component from its {!Viewdef.scoped_plan}. *)
 
+val copy : meter:Relation.Meter.t -> view:Viewdef.t -> t -> t
+(** An independent copy of every component (the outer and the inner
+    hash tables, in the same iteration order), metered on [meter] and
+    reading the base tables of [view] — the original's view over copied
+    tables ({!Viewdef.with_tables}).  Unmetered. *)
+
 val contributions :
   t -> int -> (Relation.Tuple.t * int) list -> (Relation.Tuple.t * int) list
 (** [contributions t i deltas] — the signed joined-row contributions of a

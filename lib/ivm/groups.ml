@@ -215,3 +215,13 @@ let rows g =
   end
 
 let output_schema g = g.output_schema
+
+(* Keys and multisets are immutable and shared; each group gets its own
+   mutable state. *)
+let copy g =
+  let groups = Thash.copy g.groups in
+  Thash.filter_map_inplace
+    (fun _ s ->
+      Some { members = s.members; column_values = Array.copy s.column_values })
+    groups;
+  { g with groups }

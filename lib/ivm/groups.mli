@@ -17,6 +17,10 @@ val create :
   t
 (** [schema] is the schema of incoming (joined) tuples. *)
 
+val copy : t -> t
+(** An independent copy with the same groups, in the same iteration
+    order. *)
+
 val apply : t -> Relation.Tuple.t -> int -> unit
 (** [apply g tuple count] adds ([count > 0]) or removes ([count < 0])
     occurrences of the tuple.  Raises [Invalid_argument] when removing from

@@ -352,3 +352,31 @@ let check_consistent m =
       check
 
 let delta_view m = m.dv
+
+(* The filter's predicate and the cells are pure, so the copy shares
+   them; a table listed twice in the view is copied once. *)
+let copy m =
+  let meter = Relation.Meter.create () in
+  let copies = ref [] in
+  let copy_table table =
+    match List.assq_opt table !copies with
+    | Some c -> c
+    | None ->
+        let c = Relation.Table.copy ~meter table in
+        copies := (table, c) :: !copies;
+        c
+  in
+  let view =
+    Viewdef.with_tables m.view (Array.map copy_table (Viewdef.tables m.view))
+  in
+  {
+    m with
+    view;
+    pending = Array.map Pending.copy m.pending;
+    content =
+      (match m.content with
+      | Bag { counts; positions } -> Bag { counts = Thash.copy counts; positions }
+      | Grouped groups -> Grouped (Groups.copy groups));
+    meter;
+    dv = Option.map (Deltaview.copy ~meter ~view) m.dv;
+  }

@@ -34,6 +34,18 @@ val create : ?meter:Relation.Meter.t -> ?order:Viewdef.order -> Viewdef.t -> t
     runs inside one ["maintainer.materialize"] span (attrs [view],
     [order]). *)
 
+val copy : t -> t
+(** A deep copy that maintains independently of the original: copied
+    base tables ({!Relation.Table.copy}) under the same view definition
+    ({!Viewdef.with_tables}), copied content, delta views and pending
+    queues, all metered on one fresh {!Relation.Meter.t}.  Every hash
+    table keeps its iteration order, so the copy meters every later
+    batch to the same bits as the original would, and so as a twin
+    built from scratch by the same calls would.  Far cheaper than
+    {!create}: nothing is joined, and the copy itself is unmetered.
+    Calibration measures cost curves on a copy so the live engine's
+    tables and meter stay untouched. *)
+
 val view : t -> Viewdef.t
 val meter : t -> Relation.Meter.t
 

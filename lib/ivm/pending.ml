@@ -34,3 +34,5 @@ let peek_all q = List.init (size q) (fun i -> Util.Vec.get q.items (q.head + i))
 let clear q =
   q.items <- Util.Vec.create ();
   q.head <- 0
+
+let copy q = { items = Util.Vec.copy q.items; head = q.head }

@@ -6,6 +6,9 @@
 type t
 
 val create : unit -> t
+val copy : t -> t
+(** An independent queue holding the same modifications. *)
+
 val push : t -> Change.t -> unit
 val size : t -> int
 val take : t -> int -> Change.t list

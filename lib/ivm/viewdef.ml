@@ -378,6 +378,18 @@ let join_order v = v.join_order
 let order v = v.order
 let with_order v order = { v with order }
 
+let with_tables v tables =
+  if
+    Array.length tables <> Array.length v.tables
+    || not
+         (Array.for_all2
+            (fun a b ->
+              Relation.Schema.equal (Relation.Table.schema a)
+                (Relation.Table.schema b))
+            tables v.tables)
+  then invalid_arg "Viewdef.with_tables: schemas differ";
+  { v with tables }
+
 let edges_of_table v i =
   List.filter_map
     (fun e ->

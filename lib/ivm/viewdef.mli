@@ -127,3 +127,8 @@ val order : t -> order
 val with_order : t -> order -> t
 (** The same view definition under a different maintenance order — the
     seam calibration uses to meter both paths over one logical view. *)
+
+val with_tables : t -> Relation.Table.t array -> t
+(** The same view definition over other base tables, one per original
+    table with an equal schema ([Invalid_argument] otherwise) — the seam
+    {!Maintainer.copy} rebuilds a view over copied tables with. *)

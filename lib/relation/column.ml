@@ -255,3 +255,38 @@ let dict_string c code =
   | Strs p -> Util.Vec.get p.dict code
   | Ints _ | Floats _ | Bools _ ->
       invalid_arg "Column.dict_string: not a string column"
+
+(* Same capacity, the first [rows] slots blitted: the slots past the
+   length are filler nobody reads. *)
+let copy_int_ba (a : int_ba) rows =
+  let out = make_int_ba (Bigarray.Array1.dim a) in
+  Bigarray.Array1.blit (Bigarray.Array1.sub a 0 rows) (Bigarray.Array1.sub out 0 rows);
+  out
+
+let copy_float_ba (a : float_ba) rows =
+  let out = make_float_ba (Bigarray.Array1.dim a) in
+  Bigarray.Array1.blit (Bigarray.Array1.sub a 0 rows) (Bigarray.Array1.sub out 0 rows);
+  out
+
+let copy c =
+  let payload =
+    match c.payload with
+    | Ints p -> Ints { data = copy_int_ba p.data c.len }
+    | Floats p ->
+        Floats { data = copy_float_ba p.data c.len; intish = Bytes.copy p.intish }
+    | Strs p ->
+        Strs
+          {
+            codes = copy_int_ba p.codes c.len;
+            dict = Util.Vec.copy p.dict;
+            intern = Hashtbl.copy p.intern;
+          }
+    | Bools p -> Bools { bits = Bytes.copy p.bits }
+  in
+  {
+    ty = c.ty;
+    payload;
+    valid = Bytes.copy c.valid;
+    len = c.len;
+    exact = Hashtbl.copy c.exact;
+  }

@@ -24,6 +24,11 @@ val create : ?capacity:int -> Datatype.t -> t
 
 val length : t -> int
 
+val copy : t -> t
+(** A deep copy: its own buffers, bitmaps, string dictionary and exact
+    side table, so appending to either column leaves the other as it
+    was. *)
+
 val append : t -> Value.t -> unit
 (** Raises [Invalid_argument] if the value does not fit the column's type
     (callers validate with [Tuple.conforms] first). *)

@@ -46,3 +46,10 @@ let lookup idx v =
 let cardinality idx = Vhash.length idx.buckets
 
 let entry_count idx = idx.entries
+
+(* [Vhash.copy] keeps the bucket layout, hence the iteration order; each
+   bucket gets its own [ref] and shares the immutable set. *)
+let copy idx =
+  let buckets = Vhash.copy idx.buckets in
+  Vhash.filter_map_inplace (fun _ set -> Some (ref !set)) buckets;
+  { column = idx.column; buckets; entries = idx.entries }

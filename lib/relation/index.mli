@@ -10,6 +10,11 @@ val create : column:int -> t
 (** [column] is the indexed position within the owning table's schema. *)
 
 val column : t -> int
+
+val copy : t -> t
+(** An independent index with the same entries and the same iteration
+    order. *)
+
 val add : t -> Value.t -> int -> unit
 val remove : t -> Value.t -> int -> unit
 (** No-op if the (value, row id) pair is absent. *)

@@ -228,3 +228,14 @@ let delete_tuple t tuple =
          done
        with Exit -> ());
       match !victim with Some row -> delete_row t row | None -> false)
+
+let copy ~meter t =
+  let indexes = Hashtbl.copy t.indexes in
+  Hashtbl.filter_map_inplace (fun _ idx -> Some (Index.copy idx)) indexes;
+  {
+    t with
+    meter;
+    cols = Array.map Column.copy t.cols;
+    live_bits = Bytes.copy t.live_bits;
+    indexes;
+  }

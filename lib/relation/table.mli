@@ -16,6 +16,12 @@ type t
 val create : ?meter:Meter.t -> name:string -> schema:Schema.t -> unit -> t
 (** A fresh empty table.  If [meter] is omitted a private meter is made. *)
 
+val copy : meter:Meter.t -> t -> t
+(** A deep copy metered on [meter]: same name, schema, rows (tombstones
+    and row ids included) and indexes, sharing nothing mutable with the
+    original, so either can be modified without the other seeing it.
+    Unmetered. *)
+
 val name : t -> string
 val schema : t -> Schema.t
 val meter : t -> Meter.t

@@ -269,10 +269,10 @@ let create ?pool ~root config =
   t
 
 (* Phases A and C touch one tenant's private state each (its engine, log
-   handle, controller, monitor), and so do a tenant's two build halves
-   and its replay, so fanning them out over the pool is bit-identical to
-   the sequential order.  Each pooled task catches its own exception and
-   the first one in array order is re-raised, so which failure surfaces
+   handle, controller, monitor), and so do a tenant's build and its
+   replay, so fanning them out over the pool is bit-identical to the
+   sequential order.  Each pooled task catches its own exception and the
+   first one in array order is re-raised, so which failure surfaces
    does not depend on the domain count.  Phase B (coordination and
    accounting) is cross-tenant and stays sequential. *)
 let pmap t f arr =
@@ -286,15 +286,14 @@ let pmap t f arr =
            | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
   | _ -> Array.map f arr
 
-(* Run every build's two halves as one pool batch, then assemble the
-   tenants in order (attaching to the shared log is sequential). *)
+(* Build every tenant as one pool batch, then assemble them in order
+   (attaching to the shared log is sequential). *)
 let construct t builds =
-  ignore
-    (pmap t (fun half -> half ()) (Array.concat (List.map Tenant.halves builds)));
-  List.map (Tenant.assemble ~group:t.group) builds
+  Array.to_list (pmap t Tenant.engine (Array.of_list builds))
+  |> List.map (Tenant.assemble ~group:t.group)
 
 (* Build a registered tenant into a slot.  Its manifest is written
-   before the halves start. *)
+   before the build starts. *)
 let admit t cfg =
   let* b = Tenant.prepare cfg in
   let* () = Tenant.save_manifest ~root:t.root cfg in
@@ -788,8 +787,8 @@ let recover ?pool ~root () =
     }
   in
   (* Three stages, each in registration order: load and validate every
-     tenant manifest; build every tenant's two halves in one pool batch;
-     replay every tenant's records in a second batch.  Only the tenants
+     tenant manifest; build every tenant in one pool batch; replay every
+     tenant's records in a second batch.  Only the tenants
      ahead of the first failure go on to the next stage — the sequential
      fold stopped there, and a later tenant cannot change its result,
      the first failure in registration order. *)

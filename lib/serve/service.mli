@@ -105,19 +105,19 @@ type t
 val create : ?pool:Parallel.Pool.t -> root:string -> config -> t
 (** Fresh service over [root] (created if missing); writes the service
     manifest and opens the shared log.  [pool] fans out the per-tenant
-    phases of every round and tenant construction: a tenant's two build
-    halves ({!Tenant.halves}) run as one batch at registration and at
-    queue promotion.  Without a pool, or at one domain, everything runs
-    in sequence, and the outcome is bit-identical either way.  Raises
+    phases of every round and tenant construction: the tenants being
+    built ({!Tenant.engine}, one task per tenant) run as one batch at
+    registration and at queue promotion.  Without a pool, or at one
+    domain, everything runs in sequence, and the outcome is
+    bit-identical either way.  Raises
     [Invalid_argument] on a [discount_factor] that is negative or not
     finite, or a [shed_budget] that is not finite. *)
 
 val register : t -> Tenant.config -> (Admission.decision, string) result
 (** Apply admission: [Admit] builds the tenant now (manifest under
-    [root/tenants/<name>] written first, then the calibration twin and
-    the live engine, concurrently on the service's pool, then a handle
-    on the shared log), [Queue] defers creation until a slot frees,
-    [Reject] counts against the outcome.  [Error] only when an admitted
+    [root/tenants/<name>] written first, then the engine, calibrated on
+    a copy of itself, then a handle on the shared log), [Queue] defers
+    creation until a slot frees, [Reject] counts against the outcome.  [Error] only when an admitted
     tenant fails to build. *)
 
 val run : t -> outcome
@@ -131,9 +131,9 @@ val recover : ?pool:Parallel.Pool.t -> root:string -> unit -> (t, string) result
     manifest, and the shared log, demuxed into each tenant's records
     ({!Tenant.replay} — deterministic re-draw and bit-exact re-metering,
     verified) and the co-flush journal.  The tenant manifests are loaded
-    in registration order; then [pool] runs every tenant's two build
-    halves as one batch and every tenant's replay as a second.  On
-    failure the error is the first in registration order, whatever the
+    in registration order; then [pool] builds every tenant
+    ({!Tenant.engine}) as one batch and runs every tenant's replay as a
+    second.  On failure the error is the first in registration order, whatever the
     domain count; tenants registered after the failing one may have
     been built and replayed too.  The returned service resumes
     at the furthest global round any tenant's records reached; tenants

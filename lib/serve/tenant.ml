@@ -69,6 +69,16 @@ let config_of_params params =
   in
   Ok { name; seed; rows; horizon; limit_factor; streams; order; sync }
 
+type build = { cfg : config; streams : Workload.Arrivals.stream array }
+
+(* A built tenant not yet attached to the log. *)
+type engine = {
+  build : build;
+  base_costs : Cost.Func.t array;
+  maintainer : Ivm.Maintainer.t;
+  feeds : Tpcr.Updates.feeds;
+}
+
 type t = {
   config : config;
   arrivals : int array array;
@@ -165,49 +175,44 @@ let validate config =
       (Ok []) config.streams
     |> Result.map (fun streams -> Array.of_list (List.rev streams))
 
-(* --- construction, in two halves -------------------------------------------- *)
+(* --- construction ------------------------------------------------------ *)
 
 (* The whole tenant environment is deterministic in the config: the
    synthetic database, the update feeds, the arrival schedule, and the
-   cost model (calibrated on a throwaway twin built from the same seed,
-   so calibration batches never pollute the live engine's meter).  This
-   is what lets a manifest holding only the params rebuild the tenant
-   bit-identically at recovery.  The twin and the live engine share
-   nothing — each has its own meter and its own PRNGs — so the two
-   halves may run at the same time on different domains. *)
-type build = {
-  cfg : config;
-  streams : Workload.Arrivals.stream array;
-  mutable base_costs : Cost.Func.t array option;  (* the calibration half *)
-  mutable engine : (Ivm.Maintainer.t * Tpcr.Updates.feeds) option;
-      (* the live half *)
-}
-
-let engine config =
+   cost model.  This is what lets a manifest holding only the params
+   rebuild the tenant bit-identically at recovery.  The cost model is
+   calibrated on a copy of the freshly built engine ({!Ivm.Maintainer.copy},
+   its own tables and meter) with a second feed drawn from the same seed,
+   so calibration batches never touch the live engine, and the curves are
+   those of a twin generated and materialized from scratch. *)
+let engine b =
+  let config = b.cfg in
   let db =
     Tpcr.Synth.generate ~seed:config.seed ~r_rows:config.rows
       ~s_rows:config.rows ()
   in
-  let m =
+  let maintainer =
     Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter ~order:config.order
       (Tpcr.Synth.join_view db)
   in
   Relation.Meter.reset db.Tpcr.Synth.meter;
-  (m, Tpcr.Synth.insert_feeds ~seed:(config.seed + 1) db)
-
-let calibrate config =
-  let m, feeds = engine config in
+  let feeds () = Tpcr.Synth.insert_feeds ~seed:(config.seed + 1) db in
+  let twin = Ivm.Maintainer.copy maintainer and twin_feeds = feeds () in
   let curve table suffix =
     Bridge.Calibrate.tabulated
       ~name:(config.name ^ suffix)
-      (Bridge.Calibrate.measure_curve m feeds ~table ~sizes:calib_sizes)
+      (Bridge.Calibrate.measure_curve twin twin_feeds ~table ~sizes:calib_sizes)
   in
-  [| curve 0 ".dR"; curve 1 ".dS" |]
+  (* S first, then R, on the one copy (the R curve sees the S batches
+     applied): the curves of existing roots were measured in this order,
+     and recovery must rebuild them to the bit. *)
+  let ds = curve 1 ".dS" in
+  let dr = curve 0 ".dR" in
+  let base_costs = [| dr; ds |] in
+  ({ build = b; base_costs; maintainer; feeds = feeds () } : engine)
 
 let prepare config =
-  Result.map
-    (fun streams -> { cfg = config; streams; base_costs = None; engine = None })
-    (validate config)
+  Result.map (fun streams -> { cfg = config; streams }) (validate config)
 
 let save_manifest ~root config =
   let dir = Durable.Fsutil.tenant_dir ~root ~name:config.name in
@@ -220,19 +225,8 @@ let save_manifest ~root config =
       Error (Printf.sprintf "tenant %S already exists in %s" config.name root)
   | Error e -> Error (Printf.sprintf "tenant %S manifest: %s" config.name e)
 
-let halves b =
-  [|
-    (fun () -> b.base_costs <- Some (calibrate b.cfg));
-    (fun () -> b.engine <- Some (engine b.cfg));
-  |]
-
-let assemble ~group b =
+let assemble ~group ({ build = b; base_costs; maintainer; feeds } : engine) =
   let config = b.cfg in
-  let base_costs, (maintainer, feeds) =
-    match (b.base_costs, b.engine) with
-    | Some costs, Some engine -> (costs, engine)
-    | _ -> invalid_arg "Tenant.assemble: a build half has not run"
-  in
   let arrivals =
     Workload.Arrivals.generate ~seed:(config.seed + 2) ~horizon:config.horizon
       b.streams

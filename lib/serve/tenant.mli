@@ -5,8 +5,8 @@
     time constraint [C] derived from its own calibrated cost curves, and
     a seeded arrival schedule.  Each tenant owns a live maintenance
     engine, a §4.3 ONLINE controller over costs calibrated on a
-    throwaway engine built from the same seed (so model and meter agree
-    on units), a {!Robust.Monitor} watching metered costs for drift, and
+    throwaway copy of that engine (so model and meter agree on units),
+    a {!Robust.Monitor} watching metered costs for drift, and
     a handle on the service's shared {!Durable.Groupwal}; its manifest
     lives under [root/tenants/<name>].
 
@@ -39,8 +39,8 @@ type config = {
       (** per-table arrival stream descriptors
           ({!Workload.Arrivals.stream_of_string} grammar), length 2 *)
   order : Ivm.Viewdef.order;
-      (** maintenance order of the tenant's engine (and of the
-          calibration twin, so the cost model prices the same paths);
+      (** maintenance order of the tenant's engine (and so of the copy
+          it is calibrated on: the cost model prices the same paths);
           higher-order tenants materialize delta views, charged against
           the service's {!Admission} memory budget.  Manifests persist it
           as ["order"]; absent (pre-order manifests) means first-order. *)
@@ -59,16 +59,16 @@ type t
 
 (** {1 Construction}
 
-    A tenant is built in two independent halves: the {e calibration}
-    half generates a throwaway twin of the database, runs
-    {!Bridge.Calibrate.measure_curve} on it and keeps the base cost
-    curves; the {e live} half generates the database the tenant
-    maintains, its engine and its feeds.  Each half has its own meter
-    and PRNGs, so they may run concurrently on different domains with
-    bit-identical results.  {!Service} runs them through its pool. *)
+    A tenant is built once: {!engine} generates the database, its
+    engine and its feeds, then calibrates the base cost curves on a
+    throwaway copy of the engine ({!Ivm.Maintainer.copy}) taken before
+    anything is ingested.  The curves are bit-identical to those of a
+    twin generated and materialized from scratch.  Each tenant's build
+    has its own meters and PRNGs, so {!Service} builds many tenants
+    concurrently on its pool with bit-identical results. *)
 
 type build
-(** A validated config whose halves have not yet been assembled. *)
+(** A validated config. *)
 
 val prepare : config -> (build, string) result
 (** Validate the config. *)
@@ -77,15 +77,20 @@ val save_manifest : root:string -> config -> (unit, string) result
 (** Write a new tenant's manifest under [root/tenants/<name>], refusing a
     name whose directory already holds one. *)
 
-val halves : build -> (unit -> unit) array
-(** The calibration half and the live half, in that order.  Both must
-    have run before {!assemble}; they are independent of each other. *)
+type engine
+(** A built tenant not yet attached to the shared log. *)
 
-val assemble : group:Durable.Groupwal.t -> build -> t
-(** Put the tenant together from its halves' results: arrival schedule,
-    budget [C], controller and monitor, and a handle on the service's
-    shared log with [config.sync] as the forcing policy.  Raises
-    [Invalid_argument] if a half has not run. *)
+val engine : build -> engine
+(** Generate the database, materialize the view ({!Ivm.Maintainer.create},
+    the one ["maintainer.materialize"] of the tenant), draw the feeds and
+    measure the base cost curves on a copy of the engine.  Touches no
+    state outside the build, so builds of different tenants may run at
+    once on different domains. *)
+
+val assemble : group:Durable.Groupwal.t -> engine -> t
+(** Put the tenant together: arrival schedule, budget [C], controller
+    and monitor, and a handle on the service's shared log with
+    [config.sync] as the forcing policy. *)
 
 val replay : t -> Durable.Record.t list -> (unit, string) result
 (** Replay [records] — this tenant's slice of the shared log, demuxed by

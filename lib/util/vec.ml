@@ -67,3 +67,5 @@ let of_list l =
 let exists p v =
   let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
   loop 0
+
+let copy v = { data = Array.copy v.data; len = v.len }

@@ -9,6 +9,10 @@ val make : int -> 'a -> 'a t
 (** [make n x] is a vector of length [n] filled with [x]. *)
 
 val length : 'a t -> int
+
+val copy : 'a t -> 'a t
+(** An independent vector with the same elements (shared, not copied). *)
+
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit

@@ -350,6 +350,186 @@ let test_order_accessors () =
             Ivm.Viewdef.order_name Ivm.Viewdef.Higher_order;
           ]))
 
+(* --- Maintainer.copy ------------------------------------------------------ *)
+
+(* Fidelity and independence of [Maintainer.copy].  [make ()] builds a
+   maintainer and its update feed from scratch, deterministically, so two
+   calls give content-identical twins.  Both get the same arrivals, then
+   one is copied: the copy (fed by the original's feed) and the twin (fed
+   by its own) run the same seeded batches, and every batch must meter
+   the same counters and leave the same rows.  The original must come out
+   untouched: rows, meter, delta-view entries, pending queues, base
+   tables and every index lookup.  Only the first [fed] tables (default:
+   all) have an update feed. *)
+let check_copy ~label ~seed ?fed make =
+  let g = Util.Prng.create ~seed in
+  let original, next = make () and twin, twin_next = make () in
+  let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view original) in
+  let fed = Option.value fed ~default:n in
+  let arrive i k =
+    Ivm.Maintainer.ingest original ~next
+      (Array.init n (fun j -> if j = i then k else 0));
+    Ivm.Maintainer.ingest twin ~next:twin_next
+      (Array.init n (fun j -> if j = i then k else 0))
+  in
+  for i = 0 to fed - 1 do
+    arrive i (1 + Util.Prng.int g 4)
+  done;
+  let tables m = Array.to_list (Ivm.Viewdef.tables (Ivm.Maintainer.view m)) in
+  let lookups () =
+    List.concat_map
+      (fun table ->
+        let schema = Table.schema table in
+        List.concat
+          (List.init (Schema.arity schema) (fun c ->
+               let col = Schema.column_name schema c in
+               if not (Table.has_index table col) then []
+               else
+                 List.sort_uniq Value.compare
+                   (List.map (fun t -> t.(c)) (Table.to_list_unmetered table))
+                 |> List.map (fun v ->
+                        List.sort compare (Table.lookup_ids table col v)))))
+      (tables original)
+  in
+  let entries m =
+    Option.fold ~none:0 ~some:Ivm.Deltaview.entries (Ivm.Maintainer.delta_view m)
+  in
+  let state m =
+    ( Ivm.Maintainer.rows m,
+      Ivm.Maintainer.pending_sizes m,
+      entries m,
+      List.map (fun t -> (Table.row_count t, Table.to_list_unmetered t)) (tables m) )
+  in
+  let before_lookups = lookups () in
+  let before_meter = Meter.snapshot (Ivm.Maintainer.meter original) in
+  let before = state original in
+  let copy = Ivm.Maintainer.copy original in
+  checkb (label ^ ": copy starts equal to the original") true (state copy = before);
+  checkb (label ^ ": copy is on a fresh meter") true
+    (Ivm.Maintainer.meter copy != Ivm.Maintainer.meter original);
+  for round = 1 to 5 do
+    for i = 0 to fed - 1 do
+      let k = Util.Prng.int g 6 in
+      let batch = Array.init n (fun j -> if j = i then k else 0) in
+      Ivm.Maintainer.ingest copy ~next batch;
+      Ivm.Maintainer.ingest twin ~next:twin_next batch
+    done;
+    for i = 0 to fed - 1 do
+      let k = Util.Prng.int g (Ivm.Maintainer.pending_size twin i + 1) in
+      let got = Ivm.Maintainer.process copy i k
+      and want = Ivm.Maintainer.process twin i k in
+      checkb
+        (Printf.sprintf "%s: round %d table %d k=%d meters the same" label round
+           i k)
+        true (got = want);
+      checkb
+        (Printf.sprintf "%s: round %d table %d rows equal" label round i)
+        true
+        (List.equal Tuple.equal (Ivm.Maintainer.rows copy) (Ivm.Maintainer.rows twin))
+    done
+  done;
+  checkb (label ^ ": copy consistent") true (consistent (label ^ " copy") copy);
+  checkb (label ^ ": original's meter untouched") true
+    (Meter.snapshot (Ivm.Maintainer.meter original) = before_meter);
+  checkb (label ^ ": original's state untouched") true (state original = before);
+  checkb (label ^ ": original's index lookups untouched") true
+    (lookups () = before_lookups);
+  ignore (Ivm.Maintainer.refresh original);
+  checkb (label ^ ": original still maintains") true
+    (consistent (label ^ " original") original)
+
+let synth_copy_make order () =
+  let db = Tpcr.Synth.generate ~seed:9 ~r_rows:60 ~s_rows:60 () in
+  let m = Ivm.Maintainer.create ~order (Tpcr.Synth.join_view db) in
+  (m, (Tpcr.Synth.insert_feeds ~seed:19 db).Tpcr.Updates.next)
+
+let test_copy_synth () =
+  check_copy ~label:"FO synth" ~seed:1 (synth_copy_make Ivm.Viewdef.First_order);
+  check_copy ~label:"HO synth" ~seed:2 (synth_copy_make Ivm.Viewdef.Higher_order)
+
+let test_copy_min_view () =
+  let make order () =
+    let db = Tpcr.Gen.generate ~seed:5 ~scale:0.002 () in
+    let m = Ivm.Maintainer.create ~order (Tpcr.Gen.min_supplycost_view db) in
+    (m, (Tpcr.Updates.paper_feeds ~seed:21 db).Tpcr.Updates.next)
+  in
+  (* PartSupp and Supplier updates; Nation and Region are static *)
+  check_copy ~label:"FO min" ~seed:3 ~fed:2 (make Ivm.Viewdef.First_order);
+  check_copy ~label:"HO min" ~seed:4 ~fed:2 (make Ivm.Viewdef.Higher_order)
+
+(* A bag view projecting a string column under a filter.  The feed
+   inserts fresh rows (some with new strings, growing the dictionary),
+   updates the string of a live row and deletes live rows; it tracks
+   its own live rows, so it only deletes what FIFO processing will have
+   inserted by then. *)
+let string_view_make order () =
+  let tag_schema =
+    Schema.make [ ("rk", ti); ("jk", ti); ("tag", Datatype.TString) ]
+  in
+  let w_schema = Schema.make [ ("sk", ti); ("jk", ti); ("w", tf) ] in
+  let meter = Meter.create () in
+  let r = Table.create ~meter ~name:"r" ~schema:tag_schema () in
+  let s = Table.create ~meter ~name:"s" ~schema:w_schema () in
+  let g = Util.Prng.create ~seed:31 in
+  let tags = [| "red"; "green"; "blue" |] in
+  let live = [| Util.Vec.create (); Util.Vec.create () |] in
+  let fresh = ref 0 in
+  let row i =
+    incr fresh;
+    if i = 0 then
+      [|
+        vi !fresh;
+        vi (Util.Prng.int g 6);
+        Value.Str
+          (if Util.Prng.int g 3 = 0 then Printf.sprintf "tag%d" !fresh
+           else tags.(Util.Prng.int g 3));
+      |]
+    else [| vi !fresh; vi (Util.Prng.int g 6); vf (Util.Prng.float g 40.0) |]
+  in
+  for i = 0 to 1 do
+    for _ = 1 to 30 do
+      let t = row i in
+      ignore (Table.insert (if i = 0 then r else s) t);
+      Util.Vec.push live.(i) t
+    done
+  done;
+  Table.create_index r "jk";
+  Table.create_index s "sk";
+  let view =
+    Ivm.Viewdef.make ~name:"tags" ~tables:[| r; s |]
+      ~join:[ { Ivm.Viewdef.left = 0; left_col = "jk"; right = 1; right_col = "jk" } ]
+      ~filter:Expr.(Gt (col "s.w", float 10.0))
+      ~projection:[ "r.tag"; "s.w" ] ()
+  in
+  let m = Ivm.Maintainer.create ~order view in
+  let take i =
+    let v = live.(i) in
+    let j = Util.Prng.int g (Util.Vec.length v) in
+    let victim = Util.Vec.get v j in
+    Util.Vec.set v j (Util.Vec.get v (Util.Vec.length v - 1));
+    ignore (Util.Vec.pop v);
+    victim
+  in
+  let next i =
+    match Util.Prng.int g 4 with
+    | 0 -> Ivm.Change.Delete (take i)
+    | 1 when i = 0 ->
+        let before = take i in
+        let after = Array.copy before in
+        after.(2) <- Value.Str (Printf.sprintf "moved%d" (Util.Prng.int g 4));
+        Util.Vec.push live.(i) after;
+        Ivm.Change.Update { before; after }
+    | _ ->
+        let t = row i in
+        Util.Vec.push live.(i) t;
+        Ivm.Change.Insert t
+  in
+  (m, next)
+
+let test_copy_string_bag () =
+  check_copy ~label:"FO strings" ~seed:5 (string_view_make Ivm.Viewdef.First_order);
+  check_copy ~label:"HO strings" ~seed:6 (string_view_make Ivm.Viewdef.Higher_order)
+
 let () =
   Alcotest.run "ho"
     [
@@ -379,5 +559,12 @@ let () =
           Alcotest.test_case "HO >= 2x on dR, flatter dS slope" `Quick
             test_ho_cost_curves;
           Alcotest.test_case "order plumbing" `Quick test_order_accessors;
+        ] );
+      ( "copy",
+        [
+          Alcotest.test_case "FO and HO synth views" `Quick test_copy_synth;
+          Alcotest.test_case "TPC-R MIN view" `Quick test_copy_min_view;
+          Alcotest.test_case "string bag under a filter" `Quick
+            test_copy_string_bag;
         ] );
     ]

@@ -430,6 +430,63 @@ let test_index_direct () =
   (* absent pair: no-op *)
   checki "no-op remove" 1 (Index.entry_count idx)
 
+(* A copied column owns its buffers, bitmaps, string dictionary and exact
+   side table: the copy and the original append different values at the
+   same rows (a new string; null against non-null, an int past the
+   float53 range against another, an int against a float) and each reads
+   back its own. *)
+let test_column_copy () =
+  let strs = Column.create Datatype.TString in
+  List.iter (fun s -> Column.append strs (vs s)) [ "a"; "b"; "a" ];
+  let strs' = Column.copy strs in
+  Column.append strs' (vs "c");
+  checki "original length" 3 (Column.length strs);
+  checki "copy length" 4 (Column.length strs');
+  checkb "copy decodes" true (Column.get strs' 3 = vs "c");
+  checkb "copy keeps the codes" true
+    (Bigarray.Array1.get (Column.codes strs') 2 = Bigarray.Array1.get (Column.codes strs) 2);
+  Alcotest.check_raises "new code unknown to the original"
+    (Invalid_argument "Vec: index out of bounds") (fun () ->
+      ignore (Column.dict_string strs (Bigarray.Array1.get (Column.codes strs') 3)));
+  let big = (1 lsl 60) + 1 in
+  let floats = Column.create Datatype.TFloat in
+  Column.append floats (vf 1.5);
+  Column.append floats Value.Null;
+  let floats' = Column.copy floats in
+  List.iter (Column.append floats') [ Value.Null; vi big; vi 7 ];
+  List.iter (Column.append floats) [ vf 2.5; vi (big + 2); vf 4.5 ];
+  checkb "null copied" true (Column.get floats' 1 = Value.Null);
+  checkb "copy's rows are its own" true
+    (List.init 3 (fun i -> Column.get floats' (i + 2)) = [ Value.Null; vi big; vi 7 ]);
+  checkb "original's rows are its own" true
+    (List.init 3 (fun i -> Column.get floats (i + 2))
+    = [ vf 2.5; vi (big + 2); vf 4.5 ])
+
+(* A copied table is metered on its own meter and shares no rows or index
+   buckets with the original. *)
+let test_table_copy () =
+  let t = mk_table () in
+  for i = 1 to 10 do
+    ignore (Table.insert t (row i (i mod 3) (float_of_int i)))
+  done;
+  Table.create_index t "grp";
+  ignore (Table.delete_row t 0);
+  let meter = Meter.create () in
+  let c = Table.copy ~meter t in
+  checkb "copy on the new meter" true (Table.meter c == meter);
+  checkb "same rows" true (Table.to_list_unmetered c = Table.to_list_unmetered t);
+  checkb "tombstone kept" true (Table.get_row c 0 = None);
+  let before = Meter.snapshot (Table.meter t) in
+  ignore (Table.insert c (row 11 1 11.0));
+  checkb "copy deletes" true (Table.delete_tuple c (row 4 1 4.0));
+  checki "copy's grp 1 bucket" 3 (List.length (Table.lookup c "grp" (vi 1)));
+  checki "original's grp 1 bucket" 3 (List.length (Table.lookup t "grp" (vi 1)));
+  checki "original's count" 9 (Table.row_count t);
+  checkb "original has row 4" true (Table.get_row t 3 = Some (row 4 1 4.0));
+  checki "original's meter: only its own probe" 1
+    (Meter.diff (Meter.snapshot (Table.meter t)) before).Meter.index_probes;
+  checki "copy's meter counts the copy's work" 1 (Meter.snapshot meter).Meter.inserted
+
 (* --- Meter --------------------------------------------------------------- *)
 
 let test_meter_diff () =
@@ -715,6 +772,8 @@ let () =
             test_table_scan_skips_tombstones;
           Alcotest.test_case "meter counts" `Quick test_table_meter_counts;
           Alcotest.test_case "index direct" `Quick test_index_direct;
+          Alcotest.test_case "column copy" `Quick test_column_copy;
+          Alcotest.test_case "table copy" `Quick test_table_copy;
         ] );
       ( "meter",
         [

@@ -116,6 +116,12 @@ let all_consistent (o : Serve.Service.outcome) =
     (fun t -> t.Serve.Service.consistent)
     o.Serve.Service.tenants
 
+let kill_at round point =
+  match point with
+  | Durable.Hook.Step_start r when r = round ->
+      raise (Durable.Hook.Crash (Printf.sprintf "round %d" round))
+  | _ -> ()
+
 (* --- admission ------------------------------------------------------------ *)
 
 let test_admission_decisions () =
@@ -202,10 +208,50 @@ let test_parallel_bit_identical () =
       checkb "sequential run consistent" true (all_consistent seq);
       check_outcomes_equal "par-vs-seq" seq par)
 
-(* Pooled registration builds each tenant's calibration twin and live
-   engine at the same time on two domains.  Every tenant of a mixed
-   first- and higher-order fleet must come out with the same budget and
-   cost model, bit for bit, and the fleet must finish the same. *)
+(* The tenant's budget and cost model as its construction used to make
+   them, and as an outside caller can: a second database generated and
+   materialized from scratch, calibrated by the public calls.  Every
+   tenant must price its batches exactly like this oracle. *)
+let oracle_model (cfg : Serve.Tenant.config) =
+  let db =
+    Tpcr.Synth.generate ~seed:cfg.seed ~r_rows:cfg.rows ~s_rows:cfg.rows ()
+  in
+  let m =
+    Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter ~order:cfg.order
+      (Tpcr.Synth.join_view db)
+  in
+  Relation.Meter.reset db.Tpcr.Synth.meter;
+  let feeds = Tpcr.Synth.insert_feeds ~seed:(cfg.seed + 1) db in
+  let curve table =
+    Bridge.Calibrate.tabulated ~name:"oracle"
+      (Bridge.Calibrate.measure_curve m feeds ~table ~sizes:[ 1; 5; 10; 20; 50 ])
+  in
+  (* the tenant's order: S, then R *)
+  let ds = curve 1 in
+  let costs = [| curve 0; ds |] in
+  let limit =
+    cfg.limit_factor
+    *. Float.max (Cost.Func.eval costs.(0) 1) (Cost.Func.eval costs.(1) 1)
+  in
+  bits limit
+  :: List.concat_map
+       (fun i ->
+         List.map (fun k -> bits (Cost.Func.eval costs.(i) k)) [ 1; 5; 10; 20; 50 ])
+       [ 0; 1 ]
+
+let tenant_model tenant =
+  bits (Serve.Tenant.limit tenant)
+  :: List.concat_map
+       (fun i ->
+         List.map
+           (fun k -> bits (Serve.Tenant.model_cost tenant i k))
+           [ 1; 5; 10; 20; 50 ])
+       [ 0; 1 ]
+
+(* Pooled registration builds tenants on two domains.  Every tenant of a
+   mixed first- and higher-order fleet must come out with the budget and
+   cost model of a from-scratch calibration twin, bit for bit, and the
+   fleet must finish the same as when registered sequentially. *)
 let test_pooled_registration_same_tenants () =
   let cfgs =
     List.mapi
@@ -228,18 +274,7 @@ let test_pooled_registration_same_tenants () =
             | Error e ->
                 Alcotest.failf "register %s: %s" cfg.Serve.Tenant.name e)
           cfgs;
-        let models =
-          List.map
-            (fun tenant ->
-              bits (Serve.Tenant.limit tenant)
-              :: List.concat_map
-                   (fun i ->
-                     List.map
-                       (fun k -> bits (Serve.Tenant.model_cost tenant i k))
-                       [ 1; 5; 10; 20; 50 ])
-                   [ 0; 1 ])
-            (Serve.Service.active svc)
-        in
+        let models = List.map tenant_model (Serve.Service.active svc) in
         (models, Serve.Service.run svc))
   in
   let seq_models, seq = register () in
@@ -247,18 +282,77 @@ let test_pooled_registration_same_tenants () =
     Parallel.Pool.with_pool ~domains:2 (fun pool -> register ~pool ())
   in
   checki "every tenant active" 4 (List.length seq_models);
+  checkb "budgets and cost models equal the from-scratch oracle's bits" true
+    (seq_models = List.map oracle_model cfgs);
   checkb "budgets and cost models have equal bits" true
     (seq_models = par_models);
   checkb "sequential run consistent" true (all_consistent seq);
   check_outcomes_equal "pooled-vs-sequential registration" seq par
 
-(* --- crash + recovery ----------------------------------------------------- *)
+(* Each tenant is generated and materialized once: its cost model comes
+   from a copy of the live engine.  Counted by the collector's
+   ["maintainer.materialize"] spans, at registration and at recovery. *)
+let materializations f =
+  let sink, spans = Telemetry.Sink.memory () in
+  Telemetry.enable ~sinks:[ sink ] ();
+  let count () =
+    List.length
+      (List.filter
+         (fun (s : Telemetry.Span.t) -> s.name = "maintainer.materialize")
+         (spans ()))
+  in
+  Fun.protect ~finally:Telemetry.disable (fun () ->
+      let v = f () in
+      (v, count ()))
 
-let kill_at round point =
-  match point with
-  | Durable.Hook.Step_start r when r = round ->
-      raise (Durable.Hook.Crash (Printf.sprintf "round %d" round))
-  | _ -> ()
+let test_one_materialization_per_tenant () =
+  let root = scratch () in
+  Fun.protect
+    ~finally:(fun () -> rmtree root)
+    (fun () ->
+      let svc = Serve.Service.create ~root (service_cfg ()) in
+      let (), n =
+        materializations (fun () ->
+            List.iter
+              (fun cfg ->
+                match Serve.Service.register svc cfg with
+                | Ok Serve.Admission.Admit -> ()
+                | Ok _ | Error _ ->
+                    Alcotest.failf "register %s" cfg.Serve.Tenant.name)
+              [
+                tenant_cfg ~seed:3 "fo";
+                tenant_cfg ~seed:4 ~order:Ivm.Viewdef.Higher_order "ho";
+              ])
+      in
+      checki "registering an FO and an HO tenant materializes twice" 2 n;
+      checkb "registered run consistent" true
+        (all_consistent (Serve.Service.run svc)));
+  let cfgs = fleet 3 in
+  let root = scratch () in
+  Fun.protect
+    ~finally:(fun () -> rmtree root)
+    (fun () ->
+      (match run_service ~root (service_cfg ~hook:(kill_at 8) ()) cfgs with
+      | _ -> Alcotest.fail "the hook never fired"
+      | exception Durable.Hook.Crash _ -> ());
+      let recovered, n =
+        materializations (fun () -> Serve.Service.recover ~root ())
+      in
+      checki "recovering three tenants materializes three times" 3 n;
+      match recovered with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok svc ->
+          (* replay may have re-anchored the cost models; the budget
+             stays as calibrated *)
+          checkb "recovered budgets equal the oracle's" true
+            (List.map
+               (fun t -> bits (Serve.Tenant.limit t))
+               (Serve.Service.active svc)
+            = List.map (fun cfg -> List.hd (oracle_model cfg)) cfgs);
+          checkb "recovered run consistent" true
+            (all_consistent (Serve.Service.run svc)))
+
+(* --- crash + recovery ----------------------------------------------------- *)
 
 let crash_recover_case ~kill_round () =
   let cfgs = fleet 4 in
@@ -1042,6 +1136,8 @@ let () =
         [
           Alcotest.test_case "4-domain pool bit-identical" `Quick
             test_parallel_bit_identical;
+          Alcotest.test_case "one materialization per tenant" `Quick
+            test_one_materialization_per_tenant;
           Alcotest.test_case "pooled registration, same tenants" `Quick
             test_pooled_registration_same_tenants;
         ] );
