@@ -13,18 +13,6 @@ let emit_action_telemetry ~strategy spec plan =
       (Plan.actions plan)
   end
 
-let run_plan ~strategy spec plan =
-  let before = Telemetry.snapshot () in
-  let report = Report.of_plan ~strategy spec plan in
-  emit_action_telemetry ~strategy spec plan;
-  Telemetry.add
-    ~labels:[ ("strategy", Strategy.name strategy) ]
-    "simulate.total_cost" report.Report.total_cost;
-  {
-    report with
-    Report.telemetry = Telemetry.Metrics.diff (Telemetry.snapshot ()) before;
-  }
-
 let plan_of_strategy (strategy : Strategy.t) spec =
   match strategy with
   | Naive -> Naive.plan spec
@@ -53,7 +41,6 @@ let run strategy spec =
 
 let naive spec = run Strategy.Naive spec
 let opt_lgm spec = run Strategy.Opt_lgm spec
-let adapt spec ~t0 = run (Strategy.Adapt { t0 }) spec
 let online ?predictor spec = run (Strategy.Online predictor) spec
 
 let all ?adapt_t0 ?strategies spec =

@@ -12,12 +12,8 @@
 val run : Strategy.t -> Spec.t -> Report.t
 (** Build the strategy's plan and score it. *)
 
-val run_plan : strategy:Strategy.t -> Spec.t -> Plan.t -> Report.t
-(** Score an externally-built plan under [strategy]'s name. *)
-
 val naive : Spec.t -> Report.t
 val opt_lgm : Spec.t -> Report.t
-val adapt : Spec.t -> t0:int -> Report.t
 val online : ?predictor:Online.predictor -> Spec.t -> Report.t
 
 val all : ?adapt_t0:int -> ?strategies:Strategy.t list -> Spec.t -> Report.t list

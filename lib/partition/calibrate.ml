@@ -29,10 +29,22 @@ let splits_of_view ?max_heavy ?min_share view =
       Split.calibrate ?max_heavy ?min_share sketch)
     tables
 
-let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
+let splits_of_sample ?min_share view ~next =
+  let key_of = Engine.key_of_view view in
+  Array.init (Array.length (Ivm.Viewdef.tables view)) (fun i ->
+      let sketch = Sketch.create () in
+      for _ = 1 to 1500 do
+        Option.iter (Sketch.observe sketch) (key_of i (next i))
+      done;
+      Split.calibrate ?min_share sketch)
+
+let require_idle fn e =
   if Array.exists (fun q -> q > 0) (Engine.pending e) then
     invalid_arg
-      "Partition.Calibrate.measure_curve: engine has pending modifications";
+      ("Partition.Calibrate." ^ fn ^ ": engine has pending modifications")
+
+let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
+  require_idle "measure_curve" e;
   let p = Pspec.index ~table cls in
   List.map
     (fun k ->
@@ -53,4 +65,24 @@ let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
       done;
       let snap = Engine.process e ~partition:p k in
       (k, Relation.Meter.cost_units snap))
+    sizes
+
+let measure_blind_curve e ~next ~table ~sizes =
+  require_idle "measure_blind_curve" e;
+  List.map
+    (fun k ->
+      for _ = 1 to k do
+        Engine.arrive e table (next ())
+      done;
+      ( k,
+        List.fold_left
+          (fun acc cls ->
+            let p = Pspec.index ~table cls in
+            let n = Engine.pending_in e p in
+            if n = 0 then acc
+            else
+              acc
+              +. Relation.Meter.cost_units (Engine.process e ~partition:p n))
+          0.0
+          [ Split.Heavy; Split.Light ] ))
     sizes

@@ -9,10 +9,10 @@
     batches.  Because the spec's arrivals come from the very stream being
     replayed, plan validity transfers exactly.
 
-    {!replay_feeds} turns the same materialized stream back into ordinary
-    per-table feeds, so an unpartitioned baseline engine can consume the
-    bit-identical modifications (via [Bridge.Runner]) for apples-to-apples
-    executed-cost and view-content comparisons. *)
+    {!run_blind} replays the same stream under the skew-blind baseline's
+    plan, which batches each logical table as a whole, on the same kind
+    of engine — the executed cost a skew-aware plan is compared with;
+    {!compare_blind} runs the whole comparison, calibration included. *)
 
 type stream = (int * Ivm.Change.t) list array
 (** Per step, the drawn [(logical table, modification)]s in draw order. *)
@@ -26,10 +26,6 @@ val partitioned_arrivals : Engine.t -> stream -> int array array
 (** Classify the stream with the engine's current splits into a
     [(horizon+1) × 2n] arrival matrix. *)
 
-val replay_feeds : n:int -> stream -> Tpcr.Updates.feeds
-(** Per-table FIFO replay of the same modifications; raises when a table's
-    stream is exhausted. *)
-
 type result = { cost_units : float; batches : int }
 
 val run : Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
@@ -39,3 +35,41 @@ val run : Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
     everything by the horizon; [Invalid_argument] otherwise.  No drift
     monitoring happens here — a repartition would remap the spec's
     partition indices mid-plan. *)
+
+val run_blind :
+  Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
+(** {!run} for a plan over the [n] logical tables: a batch of [k] on table
+    [i] drains the first [k] of that table's arrivals in FIFO order, i.e.
+    the heavy and light counts of that prefix (each partition queue keeps
+    arrival order), as one batch per non-empty partition, heavy first.
+    [Invalid_argument] under the same conditions as {!run}. *)
+
+type side = { plan_cost : float; exec : result }
+(** One planner's A* plan cost and that plan's executed cost. *)
+
+type comparison = {
+  part_curves : (int * float) list array;
+      (** Per partition ({!Pspec.index}), {!Calibrate.measure_curve}. *)
+  blind_curves : (int * float) list array;
+      (** Per logical table, {!Calibrate.measure_blind_curve}. *)
+  limit : float;
+  blind : side;
+  aware : side;
+}
+
+val compare_blind :
+  fresh:(unit -> Engine.t * Tpcr.Updates.feeds) ->
+  sizes:int list ->
+  limit_factor:float ->
+  Engine.t ->
+  stream ->
+  comparison
+(** The skew-aware planner against the skew-blind baseline on one
+    stream.  [fresh ()] builds an idle engine over a fresh copy of the
+    database, with the calibration feed over it: one measures the
+    per-partition curves, one the logical tables' blind curves, one runs
+    the blind plan.  The curves' subadditive hulls (up to [4 × max sizes])
+    become the two specs' cost functions, the response-time limit is
+    [limit_factor] times the dearest single modification of either, and
+    A* plans both.  The aware plan runs on the given engine via {!run},
+    the blind plan on its own engine via {!run_blind}. *)

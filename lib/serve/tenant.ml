@@ -374,11 +374,6 @@ let close_step t =
   t.begun <- false;
   t.next_step <- time + 1
 
-let step t batches =
-  begin_step t;
-  execute t batches;
-  close_step t
-
 (* One zero-work step: the identical call sequence the lockstep scheduler
    makes for a tenant whose proposal is [None] and who is not invited —
    minus the pool dispatch.  [execute] on an all-zero batch journals

@@ -22,7 +22,7 @@
     the full pending flush at the horizon), {!execute} (process the
     possibly coordinator-enlarged batches, journalled), {!close_step}
     (SLO bookkeeping, drift escalation via {!Robust.Replan.reanchor},
-    per-tenant gauges).  {!step} chains all four for standalone use. *)
+    per-tenant gauges). *)
 
 val n_tables : int
 (** Tenant views span exactly 2 base tables (R and S). *)
@@ -187,10 +187,6 @@ val close_step : t -> unit
     [Online.set_costs] under exponential backoff), per-tenant telemetry
     gauges ([serve.slo_headroom], [serve.queue_depth], [serve.shed]),
     and the step counter. *)
-
-val step : t -> int array -> unit
-(** [begin_step]; [execute]; [close_step] — standalone single-tenant
-    stepping (the scheduler calls the phases itself). *)
 
 val finish : t -> bool
 (** Final consistency check (incremental content vs from-scratch

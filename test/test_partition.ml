@@ -260,16 +260,9 @@ let skew_feeds ~seed db = Tpcr.Synth.zipf_feeds ~seed ~exponent:1.1 db
 let skew_splits =
   lazy
     (let db = skew_db ~indexed:true () in
-     let key_of = Partition.Engine.key_of_view (Tpcr.Synth.join_view db) in
-     let feeds = skew_feeds ~seed:11 db in
-     Array.init 2 (fun i ->
-         let sk = Partition.Sketch.create () in
-         for _ = 1 to 1500 do
-           match key_of i (feeds.Tpcr.Updates.next i) with
-           | Some k -> Partition.Sketch.observe sk k
-           | None -> ()
-         done;
-         Partition.Split.calibrate ~min_share:0.02 sk))
+     Partition.Calibrate.splits_of_sample ~min_share:0.02
+       (Tpcr.Synth.join_view db)
+       ~next:(skew_feeds ~seed:11 db).Tpcr.Updates.next)
 
 let skew_engine () =
   let db = skew_db ~indexed:true () in
@@ -280,105 +273,21 @@ let skew_engine () =
       ~key_of:(Partition.Engine.key_of_view view)
       ~splits:(Lazy.force skew_splits) m )
 
-let hull name curve =
-  Cost.Func.subadditive_hull ~upto:64 (Bridge.Calibrate.tabulated ~name curve)
-
-let process_cost e p k =
-  Relation.Meter.cost_units (Partition.Engine.process e ~partition:p k)
-
-(* Execute a plan over the logical tables: batch [k_i] drains the first
-   [k_i] arrivals of table [i] in FIFO order, i.e. the (heavy, light)
-   counts of that prefix, since per-partition queues keep arrival order. *)
-let run_blind stream plan =
-  let _, e = skew_engine () in
-  let fifo = Array.init 2 (fun _ -> Queue.create ()) in
-  let cost = ref 0.0 in
-  Array.iteri
-    (fun t step ->
-      List.iter
-        (fun (i, change) ->
-          Partition.Engine.arrive e i change;
-          Queue.push (Partition.Engine.classify e i change) fifo.(i))
-        step;
-      Option.iter
-        (Array.iteri (fun i k ->
-             let counts = Array.make 2 0 in
-             for _ = 1 to k do
-               match Queue.pop fifo.(i) with
-               | Partition.Split.Heavy -> counts.(0) <- counts.(0) + 1
-               | Partition.Split.Light -> counts.(1) <- counts.(1) + 1
-             done;
-             List.iteri
-               (fun c cls ->
-                 if counts.(c) > 0 then
-                   cost :=
-                     !cost
-                     +. process_cost e (Partition.Pspec.index ~table:i cls)
-                          counts.(c))
-               [ Partition.Split.Heavy; Partition.Split.Light ]))
-        (Abivm.Plan.action_at plan t))
-    stream;
-  if Array.exists (fun q -> q > 0) (Partition.Engine.pending e) then
-    Alcotest.fail "blind plan left modifications queued";
-  !cost
-
 let test_skew_aware_beats_blind () =
-  let names = [| "R"; "S" |] in
-  let costs_part =
-    let db, e = skew_engine () in
-    let feeds = skew_feeds ~seed:11 db in
-    Array.init (Partition.Pspec.count ~n:2) (fun p ->
-        let table, cls = Partition.Pspec.logical p in
-        hull (Partition.Pspec.label ~names p)
-          (Partition.Calibrate.measure_curve e
-             ~next:(fun () -> feeds.Tpcr.Updates.next table)
-             ~table ~cls ~sizes:skew_sizes))
-  in
-  let costs_blind =
-    let db, e = skew_engine () in
-    let feeds = skew_feeds ~seed:11 db in
-    Array.init 2 (fun table ->
-        hull ("blind_" ^ names.(table))
-          (List.map
-             (fun k ->
-               for _ = 1 to k do
-                 Partition.Engine.arrive e table (feeds.Tpcr.Updates.next table)
-               done;
-               ( k,
-                 List.fold_left
-                   (fun acc cls ->
-                     let p = Partition.Pspec.index ~table cls in
-                     let n = Partition.Engine.pending_in e p in
-                     if n = 0 then acc else acc +. process_cost e p n)
-                   0.0
-                   [ Partition.Split.Heavy; Partition.Split.Light ] ))
-             skew_sizes))
-  in
-  let arrivals = Array.init 21 (fun _ -> [| 4; 8 |]) in
   let db, engine = skew_engine () in
   let stream =
-    Partition.Runner.materialize ~feeds:(skew_feeds ~seed:13 db) ~arrivals
+    Partition.Runner.materialize ~feeds:(skew_feeds ~seed:13 db)
+      ~arrivals:(Array.init 21 (fun _ -> [| 4; 8 |]))
   in
-  let limit =
-    let worst = Array.fold_left (fun acc f -> Float.max acc (Cost.Func.eval f 1)) 0.0 in
-    1.45 *. Float.max (worst costs_blind) (worst costs_part)
+  let c =
+    Partition.Runner.compare_blind ~sizes:skew_sizes ~limit_factor:1.45 engine
+      stream ~fresh:(fun () ->
+        let db, e = skew_engine () in
+        (e, skew_feeds ~seed:11 db))
   in
-  let spec_part =
-    Partition.Pspec.make ~costs:costs_part ~limit
-      ~arrivals:(Partition.Runner.partitioned_arrivals engine stream)
-  in
-  let aware =
-    Partition.Runner.run engine stream ~spec:spec_part
-      ~plan:(Abivm.Astar.solve spec_part).Abivm.Astar.plan
-  in
-  let blind =
-    run_blind stream
-      (Abivm.Astar.solve (Abivm.Spec.make ~costs:costs_blind ~limit ~arrivals))
-        .Abivm.Astar.plan
-  in
-  let aware_cost = aware.Partition.Runner.cost_units in
-  if not (aware_cost < blind) then
-    Alcotest.failf "skew-aware executed %.1f units, skew-blind %.1f" aware_cost
+  let aware = c.aware.exec.cost_units and blind = c.blind.exec.cost_units in
+  if not (aware < blind) then
+    Alcotest.failf "skew-aware executed %.1f units, skew-blind %.1f" aware
       blind;
   (* Routing is content-neutral: the unpartitioned engine fed the same
      Zipfian stream holds the same view. *)
