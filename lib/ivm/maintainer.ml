@@ -13,7 +13,9 @@ type content =
 
 type t = {
   view : Viewdef.t;
-  pending : Pending.t array;
+  mutable pending : Pending.t array;
+      (** one FIFO per table, or per lane once routed *)
+  mutable route : (int -> Change.t -> [ `Index | `Scan ]) option;
   content : content;
   filter : (Deltajoin.cells * (Relation.Tuple.t -> bool)) option;
       (** the compiled view filter and the joined positions it reads *)
@@ -37,10 +39,20 @@ let bag_apply counts tuple count =
   if updated = 0 then Thash.remove counts tuple
   else Thash.replace counts tuple updated
 
+let lane ~table = function `Index -> 2 * table | `Scan -> (2 * table) + 1
+
+let route m f =
+  if Array.exists (fun q -> Pending.size q > 0) m.pending then
+    invalid_arg "Maintainer.route: modifications are pending";
+  m.pending <-
+    Array.init (2 * Viewdef.n_tables m.view) (fun _ -> Pending.create ());
+  m.route <- Some f
+
 let on_arrive m i change =
-  if i < 0 || i >= Array.length m.pending then
+  if i < 0 || i >= Viewdef.n_tables m.view then
     invalid_arg "Maintainer.on_arrive: bad table index";
-  Pending.push m.pending.(i) change
+  let q = match m.route with None -> i | Some f -> lane ~table:i (f i change) in
+  Pending.push m.pending.(q) change
 
 let pending_sizes m = Array.map Pending.size m.pending
 
@@ -151,6 +163,7 @@ let create ?meter ?order view =
       {
         view;
         pending = Array.map (fun _ -> Pending.create ()) tables;
+        route = None;
         content = materialize view;
         filter;
         content_cells = Deltajoin.cells view (Viewdef.content_positions view);
@@ -221,14 +234,24 @@ let book_batch_telemetry ~table ~k (d : Relation.Meter.snapshot) =
     Telemetry.observe "maintainer.batch_size" (float_of_int k)
   end
 
-let process ?path m i k =
-  if i < 0 || i >= Array.length m.pending then
+let process ?path m q k =
+  if q < 0 || q >= Array.length m.pending then
     invalid_arg "Maintainer.process: bad table index";
+  (* The table queue [q] feeds, and the path a routed lane forces. *)
+  let i, path =
+    match m.route with
+    | None -> (q, path)
+    | Some _ when path <> None ->
+        invalid_arg "Maintainer.process: a routed lane runs its own path"
+    | Some _ ->
+        let table = q / 2 in
+        (table, Some (if q = lane ~table `Index then `Index else `Scan))
+  in
   let table () = Relation.Table.name (Viewdef.tables m.view).(i) in
   let run_batch () =
     let before = Relation.Meter.snapshot m.meter in
     if k > 0 then begin
-      let batch = Pending.take m.pending.(i) k in
+      let batch = Pending.take m.pending.(q) k in
       Relation.Meter.bump_batch_setup m.meter 1;
       let deltas = List.concat_map Change.signed_tuples batch in
       let b = Deltajoin.batch ~delta:i deltas in

@@ -38,7 +38,8 @@ val copy : t -> t
 (** A deep copy that maintains independently of the original: copied
     base tables ({!Relation.Table.copy}) under the same view definition
     ({!Viewdef.with_tables}), copied content, delta views and pending
-    queues, all metered on one fresh {!Relation.Meter.t}.  Every hash
+    queues (lanes and route too, if {!route}d), all metered on one
+    fresh {!Relation.Meter.t}.  Every hash
     table keeps its iteration order, so the copy meters every later
     batch to the same bits as the original would, and so as a twin
     built from scratch by the same calls would.  Far cheaper than
@@ -53,8 +54,34 @@ val order : t -> Viewdef.order
 (** The maintenance order this instance runs. *)
 
 val on_arrive : t -> int -> Change.t -> unit
-(** Append a modification to table [i]'s delta queue.  The base table is
-    not touched until the modification is processed. *)
+(** Append a modification to table [i]'s delta queue — on a routed
+    maintainer, to the lane its route picks.  The base table is not
+    touched until the modification is processed. *)
+
+(** {1 Routed lanes}
+
+    A path policy inside the step kernel: after {!route}, every table's
+    delta queue is two lanes, each running one physical path.  The
+    queue-indexed calls ({!pending_sizes}, {!pending_size}, {!process},
+    {!apply}, {!replay_applied}, {!pending_changes}, {!refresh}) then
+    index lanes ([2n] of them) instead of tables.  Heavy/light
+    partitioning ([Partition.Engine]) routes hot join keys to the
+    indexed lane and the tail to the scan lane. *)
+
+val lane : table:int -> [ `Index | `Scan ] -> int
+(** The lane of a table's path: [2 * table] runs [`Index], [2 * table + 1]
+    runs [`Scan].  The one definition of the lane layout. *)
+
+val route : t -> (int -> Change.t -> [ `Index | `Scan ]) -> unit
+(** [route m f] splits every table's queue into its two lanes; from then
+    on each arriving change [c] of table [i] joins lane
+    [lane ~table:i (f i c)], once, at {!on_arrive}.  A later [route]
+    replaces [f].  Raises [Invalid_argument] while anything is pending —
+    queued changes would otherwise sit in the wrong lane.  The view
+    content does not depend on the route, only the metered cost does.
+    Routing must keep per-row FIFO order: changes touching one row must
+    share a lane, which a function of the join key guarantees.  Routed
+    maintainers are not journalled or checkpointed yet. *)
 
 val pending_sizes : t -> int array
 val pending_size : t -> int -> int
@@ -70,9 +97,9 @@ val process :
     [`Scan] forces the shared-scan-with-batch-hash path even when the
     partner is indexed; [`Index] uses the index whenever one exists,
     ignoring {!Viewdef.force_scan} hints.  The default ([None]) keeps the
-    view's own routing.  Partitioned maintenance uses this to give heavy
-    keys the eager indexed path and light keys the batched scan path; the
-    view content is identical either way — only the metered cost moves.
+    view's own routing; the view content is identical either way — only
+    the metered cost moves.  On a routed maintainer [i] is a lane, which
+    runs its own path, and a [path] raises [Invalid_argument].
 
     Under [First_order] the batch is delta-joined against the other base
     tables (the metered path is unchanged from previous releases).  Under
@@ -114,7 +141,9 @@ val apply :
   float
 (** [apply m batches] {!process}es [batches.(i)] modifications of every
     table [i] whose count is positive, in index order, calling
-    [on_applied] after each batch with its metered cost.  Returns the
+    [on_applied] after each batch with its metered cost.  On a routed
+    maintainer [batches] is [2n] wide and [i] (and [on_applied]'s
+    [table]) is a lane.  Returns the
     costs summed from [0.0] in table order.  A caller keeping a running
     float total adds inside [on_applied]: [t +. (a +. b)] is not
     [(t +. a) +. b].  Raises like {!process}. *)

@@ -1,22 +1,14 @@
 type t = {
   maintainer : Ivm.Maintainer.t;
   key_of : int -> Ivm.Change.t -> int option;
-  mutable splits : Split.t array;  (** per logical table *)
+  splits : Split.t array;  (** per logical table *)
   online : Sketch.t array;  (** decayed per-table key-frequency sketches *)
-  queues : Ivm.Change.t Queue.t array;  (** one FIFO per partition (2n) *)
   decay : float;
-  monitor : Robust.Monitor.t option;
-  step_arrivals : int array;  (** per-partition arrivals of the open step *)
-  mutable repartitions : int;
-  mutable on_repartition : t -> unit;
 }
 
 let n_logical e = Array.length e.splits
-let n_partitions e = Array.length e.queues
+let n_partitions e = Pspec.count ~n:(n_logical e)
 let maintainer e = e.maintainer
-let splits e = e.splits
-let repartitions e = e.repartitions
-let set_repartition_hook e hook = e.on_repartition <- hook
 
 (* Join key of a change on table [i]: the value of [i]'s join column in
    the change's tuple ([after] for updates — routing tracks where the row
@@ -53,29 +45,16 @@ let key_of_view view =
         | Relation.Value.Int k -> Some k
         | _ -> None)
 
-let create ?(decay = 0.98) ?monitor ~key_of ~splits maintainer =
+let create ?(decay = 0.98) ~key_of ~splits maintainer =
   let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view maintainer) in
   if Array.length splits <> n then
     invalid_arg "Partition.Engine.create: one split per logical table";
-  if Array.exists (fun i -> Ivm.Maintainer.pending_size maintainer i > 0)
-       (Array.init n (fun i -> i))
-  then
-    invalid_arg
-      "Partition.Engine.create: maintainer has pending modifications";
   if not (decay > 0.0 && decay <= 1.0) then
     invalid_arg "Partition.Engine.create: decay must be in (0, 1]";
-  {
-    maintainer;
-    key_of;
-    splits;
-    online = Array.init n (fun _ -> Sketch.create ());
-    queues = Array.init (Pspec.count ~n) (fun _ -> Queue.create ());
-    decay;
-    monitor;
-    step_arrivals = Array.make (Pspec.count ~n) 0;
-    repartitions = 0;
-    on_repartition = ignore;
-  }
+  let online = Array.init n (fun _ -> Sketch.create ()) in
+  Ivm.Maintainer.route maintainer (fun i change ->
+      Pspec.path (Split.classify splits.(i) (key_of i change)));
+  { maintainer; key_of; splits; online; decay }
 
 let classify e i change = Split.classify e.splits.(i) (e.key_of i change)
 let partition_of e i change = Pspec.index ~table:i (classify e i change)
@@ -86,67 +65,13 @@ let arrive e i change =
   (match e.key_of i change with
   | Some key -> Sketch.observe e.online.(i) key
   | None -> ());
-  let p = partition_of e i change in
-  Queue.push change e.queues.(p);
-  e.step_arrivals.(p) <- e.step_arrivals.(p) + 1
+  Ivm.Maintainer.on_arrive e.maintainer i change
 
-let pending e = Array.map Queue.length e.queues
-let pending_in e p = Queue.length e.queues.(p)
-
-let path_of = function Split.Heavy -> `Index | Split.Light -> `Scan
-
-let process e ~partition k =
-  if partition < 0 || partition >= n_partitions e then
-    invalid_arg "Partition.Engine.process: bad partition index";
-  if k < 0 || k > Queue.length e.queues.(partition) then
-    invalid_arg "Partition.Engine.process: bad batch size";
-  let i, cls = Pspec.logical partition in
-  for _ = 1 to k do
-    Ivm.Maintainer.on_arrive e.maintainer i (Queue.pop e.queues.(partition))
-  done;
-  Ivm.Maintainer.process ~path:(path_of cls) e.maintainer i k
-
-(* Recalibrate every split from the online sketches and re-route queued
-   modifications under the new classification.  Queues are drained heavy-
-   then-light per table: all modifications of one key sit in one old queue
-   (classification is by key), so per-key FIFO order survives. *)
-let repartition e =
-  e.splits <-
-    Array.mapi
-      (fun i old ->
-        Split.calibrate ~max_heavy:(Split.max_heavy old)
-          ~min_share:(Split.min_share old) e.online.(i))
-      e.splits;
-  for i = 0 to n_logical e - 1 do
-    let drained = Queue.create () in
-    List.iter
-      (fun cls ->
-        Queue.transfer e.queues.(Pspec.index ~table:i cls) drained)
-      [ Split.Heavy; Split.Light ];
-    Queue.iter
-      (fun change ->
-        Queue.push change e.queues.(partition_of e i change))
-      drained
-  done;
-  Option.iter Robust.Monitor.rebase e.monitor;
-  e.repartitions <- e.repartitions + 1;
-  Telemetry.incr "partition.repartitions";
-  e.on_repartition e
-
+let pending e = Ivm.Maintainer.pending_sizes e.maintainer
+let pending_in e p = Ivm.Maintainer.pending_size e.maintainer p
+let process e ~partition k = Ivm.Maintainer.process e.maintainer partition k
 let end_step e =
-  Option.iter
-    (fun monitor ->
-      Robust.Monitor.observe_arrivals monitor (Array.copy e.step_arrivals))
-    e.monitor;
-  Array.fill e.step_arrivals 0 (Array.length e.step_arrivals) 0;
-  Array.iter (fun sketch -> Sketch.decay sketch ~factor:e.decay) e.online;
-  let trip =
-    match e.monitor with
-    | Some monitor -> Robust.Monitor.tripped monitor
-    | None -> false
-  in
-  if trip then repartition e;
-  trip
+  Array.iter (fun sketch -> Sketch.decay sketch ~factor:e.decay) e.online
 
 let drift e i =
   if i < 0 || i >= n_logical e then
@@ -155,14 +80,6 @@ let drift e i =
     (Split.heavy_share e.splits.(i) e.online.(i)
     -. Split.coverage e.splits.(i))
 
-let refresh e =
-  let before = Relation.Meter.snapshot (Ivm.Maintainer.meter e.maintainer) in
-  for p = 0 to n_partitions e - 1 do
-    ignore (process e ~partition:p (Queue.length e.queues.(p)))
-  done;
-  Relation.Meter.diff
-    (Relation.Meter.snapshot (Ivm.Maintainer.meter e.maintainer))
-    before
-
+let refresh e = Ivm.Maintainer.refresh e.maintainer
 let rows e = Ivm.Maintainer.rows e.maintainer
 let check_consistent e = Ivm.Maintainer.check_consistent e.maintainer

@@ -1,22 +1,22 @@
-(** Partitioned maintenance engine: one {!Ivm.Maintainer} behind [2n]
-    per-partition delta queues.
+(** Partitioned maintenance engine: heavy/light partitioning as the path
+    policy of one routed {!Ivm.Maintainer}.
 
-    Arriving modifications are classified by join key against each logical
-    table's {!Split} and queued per partition; {!process} forwards a
-    partition's batch into the maintainer with the partition's physical
-    path — heavy batches take the eager indexed path
-    ([Maintainer.process ~path:`Index]), light batches the batched shared
-    scan ([~path:`Scan]).  The view content is routing-independent (signed
-    multiset semantics), so a partitioned engine that drains everything is
-    bit-identical to an unpartitioned one fed the same stream; only the
-    metered cost of getting there moves — which is exactly what gives each
-    partition its own honest [f_i(k)].
+    {!create} {!Ivm.Maintainer.route}s the maintainer by join key: each
+    arriving modification is classified against its logical table's
+    {!Split}, heavy keys join the table's indexed lane (eager probes into
+    the partner's index), light keys its scan lane (the batched shared
+    scan).  A partition is a lane, numbered as {!Pspec.index}, so a
+    [2n]-wide plan action is applied by {!Ivm.Maintainer.apply} directly.
+    The view content is routing-independent (signed multiset semantics):
+    a partitioned engine that drains everything is bit-identical to an
+    unpartitioned one fed the same stream; only the metered cost of
+    getting there moves — which is exactly what gives each partition its
+    own honest [f_i(k)].
 
-    Online, every arrival also feeds a decayed per-table frequency sketch.
-    When a {!Robust.Monitor} (created over per-{e partition} predicted
-    rates) trips on key-frequency drift, {!end_step} recalibrates the
-    splits from the decayed sketches, re-routes queued modifications, and
-    rebases the monitor — the repartitioning hook.
+    Online, every arrival also feeds a decayed per-table frequency
+    sketch, and {!drift} compares it with the calibrated split.  The
+    splits are fixed for the engine's life: repartitioning live would
+    need a re-route of the maintainer's queued changes.
 
     Routing requires per-key FIFO consistency: modifications touching the
     same row must share a partition, which holds because classification is
@@ -32,50 +32,41 @@ val key_of_view : Ivm.Viewdef.t -> int -> Ivm.Change.t -> int option
 
 val create :
   ?decay:float ->
-  ?monitor:Robust.Monitor.t ->
   key_of:(int -> Ivm.Change.t -> int option) ->
   splits:Split.t array ->
   Ivm.Maintainer.t ->
   t
-(** [decay] (default 0.98) is the per-step factor for the online sketches.
-    [monitor]'s predicted rates must be per partition (length [2n]).
-    Raises [Invalid_argument] if the maintainer already has pending
-    modifications — the engine owns its queues. *)
+(** Routes the maintainer by [key_of] and [splits] (one per logical
+    table).  [decay] (default 0.98) is the per-step factor for the online
+    sketches.  Raises [Invalid_argument] if the maintainer has pending
+    modifications ({!Ivm.Maintainer.route}). *)
 
 val n_logical : t -> int
 val n_partitions : t -> int
 val maintainer : t -> Ivm.Maintainer.t
-val splits : t -> Split.t array
 
 val classify : t -> int -> Ivm.Change.t -> Split.cls
 val partition_of : t -> int -> Ivm.Change.t -> int
 
 val arrive : t -> int -> Ivm.Change.t -> unit
-(** Route a modification for logical table [i] to its partition queue and
-    feed the online sketch. *)
+(** Feed the modification's key to table [i]'s online sketch, then
+    {!Ivm.Maintainer.on_arrive} it into its partition's lane: two
+    [key_of] calls per arrival. *)
 
 val pending : t -> int array
-(** Queue sizes, indexed by partition ([2n] wide). *)
+(** Lane sizes, indexed by partition ([2n] wide). *)
 
 val pending_in : t -> int -> int
 
 val process : t -> partition:int -> int -> Relation.Meter.snapshot
-(** Batch-process the earliest [k] modifications of one partition through
-    the maintainer on the partition's physical path; returns the meter
-    delta.  Raises [Invalid_argument] if [k] exceeds the partition's
-    queue. *)
+(** {!Ivm.Maintainer.process} on one partition's lane. *)
 
-val end_step : t -> bool
-(** Close one time step: report the step's per-partition arrival counts to
-    the monitor, decay the online sketches, and — if the monitor is
-    tripped — repartition.  Returns whether a repartition happened. *)
+val end_step : t -> unit
+(** Close one time step: decay the online sketches. *)
 
 val drift : t -> int -> float
 (** |current heavy share − calibrated coverage| for table [i]'s split
     against its online sketch: the key-frequency drift signal. *)
-
-val repartitions : t -> int
-val set_repartition_hook : t -> (t -> unit) -> unit
 
 val refresh : t -> Relation.Meter.snapshot
 (** Drain every partition (one batch each). *)

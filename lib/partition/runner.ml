@@ -29,39 +29,11 @@ let partitioned_arrivals e stream =
 
 type result = { cost_units : float; batches : int }
 
-let run e stream ~spec ~plan =
-  (match Abivm.Plan.validate spec plan with
-  | Ok () -> ()
-  | Error v ->
-      invalid_arg
-        (Format.asprintf "Partition.Runner.run: invalid plan: %a"
-           Abivm.Plan.pp_violation v));
-  let horizon = Abivm.Spec.horizon spec in
-  if Array.length stream <> horizon + 1 then
-    invalid_arg "Partition.Runner.run: stream length must be horizon + 1";
-  if Array.exists (fun q -> q > 0) (Engine.pending e) then
-    invalid_arg "Partition.Runner.run: engine has pending modifications";
-  let cost = ref 0.0 and batches = ref 0 in
-  for t = 0 to horizon do
-    List.iter (fun (i, change) -> Engine.arrive e i change) stream.(t);
-    match Abivm.Plan.action_at plan t with
-    | None -> ()
-    | Some action ->
-        Array.iteri
-          (fun p k ->
-            if k > 0 then begin
-              let snap = Engine.process e ~partition:p k in
-              cost := !cost +. Relation.Meter.cost_units snap;
-              incr batches
-            end)
-          action
-  done;
-  if Array.exists (fun q -> q > 0) (Engine.pending e) then
-    invalid_arg "Partition.Runner.run: plan left modifications queued";
-  { cost_units = !cost; batches = !batches }
-
-let run_blind e stream ~spec ~plan =
-  let fail msg = invalid_arg ("Partition.Runner.run_blind: " ^ msg) in
+(* Replay [stream], applying [action t] (a [2n]-wide batch per lane, if
+   any) after each step's arrivals through the maintainer's step kernel,
+   with the cost added per batch. *)
+let replay fn e stream ~spec ~plan action =
+  let fail msg = invalid_arg (Printf.sprintf "Partition.Runner.%s: %s" fn msg) in
   let busy () = Array.exists (fun q -> q > 0) (Engine.pending e) in
   (match Abivm.Plan.validate spec plan with
   | Ok () -> ()
@@ -70,34 +42,45 @@ let run_blind e stream ~spec ~plan =
   if Array.length stream <> Abivm.Spec.horizon spec + 1 then
     fail "stream length must be horizon + 1";
   if busy () then fail "engine has pending modifications";
-  let fifo = Array.init (Engine.n_logical e) (fun _ -> Queue.create ()) in
   let cost = ref 0.0 and batches = ref 0 in
-  let drain table cls k =
-    if k > 0 then begin
-      let snap = Engine.process e ~partition:(Pspec.index ~table cls) k in
-      cost := !cost +. Relation.Meter.cost_units snap;
-      incr batches
-    end
+  let on_applied ~table:_ ~count:_ ~cost:c =
+    cost := !cost +. c;
+    incr batches
   in
   Array.iteri
     (fun t step ->
-      List.iter
-        (fun (i, change) ->
-          Engine.arrive e i change;
-          Queue.push (Engine.classify e i change) fifo.(i))
-        step;
+      List.iter (fun (i, change) -> Engine.arrive e i change) step;
       Option.iter
-        (Array.iteri (fun i k ->
-             let heavy = ref 0 in
-             for _ = 1 to k do
-               if Queue.pop fifo.(i) = Split.Heavy then incr heavy
-             done;
-             drain i Split.Heavy !heavy;
-             drain i Split.Light (k - !heavy)))
-        (Abivm.Plan.action_at plan t))
+        (fun lanes ->
+          ignore (Ivm.Maintainer.apply ~on_applied (Engine.maintainer e) lanes))
+        (action t step))
     stream;
   if busy () then fail "plan left modifications queued";
   { cost_units = !cost; batches = !batches }
+
+let run e stream ~spec ~plan =
+  replay "run" e stream ~spec ~plan (fun t _ -> Abivm.Plan.action_at plan t)
+
+(* A logical batch of [k] drains the classes of the table's first [k]
+   arrivals: [fifo.(i)] holds them in arrival order. *)
+let run_blind e stream ~spec ~plan =
+  let fifo = Array.init (Engine.n_logical e) (fun _ -> Queue.create ()) in
+  replay "run_blind" e stream ~spec ~plan (fun t step ->
+      List.iter
+        (fun (i, change) -> Queue.push (Engine.classify e i change) fifo.(i))
+        step;
+      Option.map
+        (fun action ->
+          let lanes = Array.make (Engine.n_partitions e) 0 in
+          Array.iteri
+            (fun table k ->
+              for _ = 1 to k do
+                let p = Pspec.index ~table (Queue.pop fifo.(table)) in
+                lanes.(p) <- lanes.(p) + 1
+              done)
+            action;
+          lanes)
+        (Abivm.Plan.action_at plan t))
 
 type side = { plan_cost : float; exec : result }
 

@@ -29,20 +29,21 @@ val partitioned_arrivals : Engine.t -> stream -> int array array
 type result = { cost_units : float; batches : int }
 
 val run : Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
-(** Replay the stream and apply [plan]'s per-partition batches; total
-    metered cost and batch count.  The plan must be valid for [spec],
-    the engine must start with empty queues, and the plan must drain
-    everything by the horizon; [Invalid_argument] otherwise.  No drift
-    monitoring happens here — a repartition would remap the spec's
-    partition indices mid-plan. *)
+(** Replay the stream through {!Engine.arrive} and apply each of
+    [plan]'s [2n]-wide actions to the engine's lanes with
+    {!Ivm.Maintainer.apply}; total metered cost (added per batch) and
+    batch count.  The plan must be valid for [spec], the engine must
+    start with empty queues, and the plan must drain everything by the
+    horizon; [Invalid_argument] otherwise. *)
 
 val run_blind :
   Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
 (** {!run} for a plan over the [n] logical tables: a batch of [k] on table
     [i] drains the first [k] of that table's arrivals in FIFO order, i.e.
-    the heavy and light counts of that prefix (each partition queue keeps
-    arrival order), as one batch per non-empty partition, heavy first.
-    [Invalid_argument] under the same conditions as {!run}. *)
+    the heavy and light counts of that prefix (each lane keeps arrival
+    order), applied as one [2n]-wide action: one batch per non-empty
+    lane, heavy first.  [Invalid_argument] under the same conditions as
+    {!run}. *)
 
 type side = { plan_cost : float; exec : result }
 (** One planner's A* plan cost and that plan's executed cost. *)

@@ -6,15 +6,9 @@ type t = {
   threshold : float;
   heavy : (int, unit) Hashtbl.t;
   coverage : float;
-  max_heavy : int;
-  min_share : float;
 }
 
-let default_max_heavy = 64
-let default_min_share = 0.01
-
-let calibrate ?(max_heavy = default_max_heavy) ?(min_share = default_min_share)
-    sketch =
+let calibrate ?(max_heavy = 64) ?(min_share = 0.01) sketch =
   if max_heavy < 0 then invalid_arg "Split.calibrate: negative max_heavy";
   if not (min_share > 0.0 && min_share <= 1.0) then
     invalid_arg "Split.calibrate: min_share must be in (0, 1]";
@@ -37,8 +31,6 @@ let calibrate ?(max_heavy = default_max_heavy) ?(min_share = default_min_share)
     threshold = !threshold;
     heavy;
     coverage = (if total > 0.0 then !mass /. total else 0.0);
-    max_heavy;
-    min_share;
   }
 
 let classify t = function
@@ -53,8 +45,6 @@ let heavy_keys t =
 
 let threshold t = t.threshold
 let coverage t = t.coverage
-let max_heavy t = t.max_heavy
-let min_share t = t.min_share
 
 (* Share of the sketch's current mass sitting on this split's heavy set:
    compare against [coverage] to read key-frequency drift. *)

@@ -14,16 +14,10 @@ val cls_name : cls -> string
 
 type t
 
-val default_max_heavy : int
-(** 64 *)
-
-val default_min_share : float
-(** 0.01 *)
-
 val calibrate : ?max_heavy:int -> ?min_share:float -> Sketch.t -> t
 (** Rank the sketch's keys by count and take heavy keys greedily while
-    each key's share of total mass is at least [min_share], up to
-    [max_heavy] keys.  An empty sketch yields an all-light split. *)
+    each key's share of total mass is at least [min_share] (default
+    0.01), up to [max_heavy] (default 64) keys.  An empty sketch yields an all-light split. *)
 
 val classify : t -> int option -> cls
 (** [None] (no integer join key on the change) is always [Light]. *)
@@ -38,9 +32,6 @@ val threshold : t -> float
 
 val coverage : t -> float
 (** Fraction of the calibration sketch's mass on the heavy set. *)
-
-val max_heavy : t -> int
-val min_share : t -> float
 
 val heavy_share : t -> Sketch.t -> float
 (** Current share of [sketch]'s mass on this split's heavy set —

@@ -201,19 +201,27 @@ let config_of_params params =
         let entries =
           List.filter (fun s -> s <> "") (String.split_on_char ';' v)
         in
+        (* Each name is a directory under the root, and one tenant:
+           refuse a name that could leave the root, and a repeat. *)
         List.fold_left
           (fun acc entry ->
             let* acc = acc in
-            match String.index_opt entry ':' with
-            | Some i -> (
-                let name = String.sub entry 0 i in
-                match
-                  int_of_string_opt
-                    (String.sub entry (i + 1) (String.length entry - i - 1))
-                with
-                | Some s when s >= 0 -> Ok ((name, s) :: acc)
-                | _ -> Error (Printf.sprintf "bad tenant entry %S" entry))
-            | None -> Ok ((entry, 0) :: acc))
+            let* name, start =
+              match String.index_opt entry ':' with
+              | None -> Ok (entry, 0)
+              | Some i -> (
+                  match
+                    int_of_string_opt
+                      (String.sub entry (i + 1) (String.length entry - i - 1))
+                  with
+                  | Some s when s >= 0 -> Ok (String.sub entry 0 i, s)
+                  | _ -> Error (Printf.sprintf "bad tenant entry %S" entry))
+            in
+            if not (Durable.Fsutil.valid_tenant_name name) then
+              Error (Printf.sprintf "bad tenant name in entry %S" entry)
+            else if List.mem_assoc name acc then
+              Error (Printf.sprintf "tenant %S listed twice" name)
+            else Ok ((name, start) :: acc))
           (Ok []) entries
         |> Result.map List.rev)
   in
@@ -234,6 +242,30 @@ let config_of_params params =
 
 let group_dir root = Filename.concat root "groupwal"
 
+(* A service over [group] with nothing run yet; recovery passes the
+   admitted tenants' [starts] and the co-flush [journal] it read. *)
+let make ?pool ~root ~config ~group ?(starts = []) ?(journal = Hashtbl.create 1) () =
+  {
+    root;
+    config;
+    pool;
+    group;
+    active = [];
+    waiting = [];
+    completed = [];
+    known = [];
+    starts;
+    rejected = 0;
+    queued_peak = 0;
+    rounds = 0;
+    idle_rounds = 0;
+    agg_charged = 0.0;
+    agg_raw = 0.0;
+    co_flushes = 0;
+    journal;
+    pending_groups = Hashtbl.create 16;
+  }
+
 let create ?pool ~root config =
   if not (valid_discount config.discount_factor) then
     invalid_arg "Service: discount_factor must be finite and >= 0";
@@ -243,28 +275,7 @@ let create ?pool ~root config =
   let group =
     Durable.Groupwal.open_ ~dir:(group_dir root) ~hook:config.hook ()
   in
-  let t =
-    {
-      root;
-      config;
-      pool;
-      group;
-      active = [];
-      waiting = [];
-      completed = [];
-      known = [];
-      starts = [];
-      rejected = 0;
-      queued_peak = 0;
-      rounds = 0;
-      idle_rounds = 0;
-      agg_charged = 0.0;
-      agg_raw = 0.0;
-      co_flushes = 0;
-      journal = Hashtbl.create 1;
-      pending_groups = Hashtbl.create 16;
-    }
-  in
+  let t = make ?pool ~root ~config ~group () in
   save_manifest t;
   t
 
@@ -384,37 +395,42 @@ let add_pending_group t key entry =
 let journal_row t ~round ~name =
   Option.bind (Hashtbl.find_opt t.journal round) (List.assoc_opt name)
 
-(* Price every recovered (round, table) co-flush group and fold it into
-   the aggregates, in ascending key order — exactly the chronological
-   order the uninterrupted run accumulated them in, so the float sums
-   come out bit-identical.  Within a group, participants are ordered by
-   descending registration index, matching the live phase-B cons order.
-   Runs once, after catch-up has re-added any crashed-away
-   participants. *)
+(* Price one (round, table) co-flush group, given as (batch model cost,
+   single-modification cost) per participant in accumulation order, and
+   fold it into the aggregates under the multiview shared-setup rule.
+   The discount is a fraction of the cheapest participant's
+   single-modification cost — the shared part of the scan, in calibrated
+   units.  Without coordination, tenants flushing the same table in the
+   same round is coincidence, not a shared scan: full price, no join
+   counted. *)
+let charge_group t group =
+  let costs = List.map fst group in
+  let min_setup = List.fold_left (fun acc (_, s) -> Float.min acc s) infinity group in
+  let discount =
+    if t.config.coordinate then t.config.discount_factor *. min_setup else 0.0
+  in
+  t.agg_charged <-
+    t.agg_charged +. Multiview.Coordinator.charge_shared ~discount costs;
+  t.agg_raw <- t.agg_raw +. List.fold_left ( +. ) 0.0 costs;
+  if t.config.coordinate then
+    t.co_flushes <- t.co_flushes + (List.length costs - 1)
+
+(* Price every recovered (round, table) co-flush group, in ascending key
+   order — exactly the chronological order the uninterrupted run
+   accumulated them in, so the float sums come out bit-identical.
+   Within a group, participants are ordered by descending registration
+   index, matching the live phase-B cons order.  Runs once, after
+   catch-up has re-added any crashed-away participants. *)
 let settle_recovered t =
   let keys =
     List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.pending_groups [])
   in
   List.iter
     (fun key ->
-      let entries =
-        Hashtbl.find t.pending_groups key
-        |> List.sort (fun (a, _, _) (b, _, _) -> compare (b : int) a)
-      in
-      let costs = List.map (fun (_, c, _) -> c) entries in
-      let min_setup =
-        List.fold_left (fun acc (_, _, s) -> Float.min acc s) infinity entries
-      in
-      let discount =
-        if t.config.coordinate then t.config.discount_factor *. min_setup
-        else 0.0
-      in
-      let charged = Multiview.Coordinator.charge_shared ~discount costs in
-      let raw = List.fold_left ( +. ) 0.0 costs in
-      t.agg_charged <- t.agg_charged +. charged;
-      t.agg_raw <- t.agg_raw +. raw;
-      if t.config.coordinate then
-        t.co_flushes <- t.co_flushes + (List.length costs - 1))
+      Hashtbl.find t.pending_groups key
+      |> List.sort (fun (a, _, _) (b, _, _) -> compare (b : int) a)
+      |> List.map (fun (_, cost, setup) -> (cost, setup))
+      |> charge_group t)
     keys;
   Hashtbl.reset t.pending_groups
 
@@ -571,36 +587,17 @@ let run_round t =
           { Durable.Record.round = t.rounds; rows = !rows }
       end
     end;
-    (* Accounting: per table, the co-flush price across tenants under the
-       multiview shared-setup rule.  The discount is a fraction of the
-       cheapest participant's single-modification cost — the shared part
-       of the scan, in calibrated units. *)
+    (* Accounting: per table, the co-flush price across tenants. *)
     for i = 0 to Tenant.n_tables - 1 do
-      let costs = ref [] in
-      let min_setup = ref infinity in
+      let group = ref [] in
       for v = 0 to k - 1 do
         let b = batches.(v).(i) in
-        if b > 0 then begin
-          costs := Tenant.model_cost tenants.(v) i b :: !costs;
-          min_setup := Float.min !min_setup (Tenant.model_cost tenants.(v) i 1)
-        end
+        if b > 0 then
+          group :=
+            (Tenant.model_cost tenants.(v) i b, Tenant.model_cost tenants.(v) i 1)
+            :: !group
       done;
-      match !costs with
-      | [] -> ()
-      | costs ->
-          (* Without coordination, tenants flushing the same table in the
-             same round is coincidence, not a shared scan: full price, no
-             join counted. *)
-          let discount =
-            if t.config.coordinate then t.config.discount_factor *. !min_setup
-            else 0.0
-          in
-          let charged = Multiview.Coordinator.charge_shared ~discount costs in
-          let raw = List.fold_left ( +. ) 0.0 costs in
-          t.agg_charged <- t.agg_charged +. charged;
-          t.agg_raw <- t.agg_raw +. raw;
-          if t.config.coordinate then
-            t.co_flushes <- t.co_flushes + (List.length costs - 1)
+      if !group <> [] then charge_group t !group
     done;
     (* Phase C: execute + close, over the tenants with work (plus every
        ready tenant, flushing or not — matching lockstep exactly).  An
@@ -764,28 +761,7 @@ let recover ?pool ~root () =
     Durable.Groupwal.abandon group;
     Error e
   in
-  let t =
-    {
-      root;
-      config;
-      pool;
-      group;
-      active = [];
-      waiting = [];
-      completed = [];
-      known = [];
-      starts;
-      rejected = 0;
-      queued_peak = 0;
-      rounds = 0;
-      idle_rounds = 0;
-      agg_charged = 0.0;
-      agg_raw = 0.0;
-      co_flushes = 0;
-      journal;
-      pending_groups = Hashtbl.create 64;
-    }
-  in
+  let t = make ?pool ~root ~config ~group ~starts ~journal () in
   (* Three stages, each in registration order: load and validate every
      tenant manifest; build every tenant in one pool batch; replay every
      tenant's records in a second batch.  Only the tenants
@@ -804,6 +780,13 @@ let recover ?pool ~root () =
         in
         let* cfg =
           Tenant.config_of_params tenant_manifest.Durable.Manifest.params
+        in
+        let* () =
+          if cfg.Tenant.name = name then Ok ()
+          else
+            Error
+              (Printf.sprintf "tenant %S: manifest names tenant %S" name
+                 cfg.Tenant.name)
         in
         let* build = Tenant.prepare cfg in
         Ok

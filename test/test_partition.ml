@@ -8,8 +8,13 @@
      on the same stream — uniform and Zipfian — whatever the routing;
    - the [?path] override actually moves batches between the indexed and
      scan paths (the partitions' cost asymmetry is real);
-   - key-frequency drift trips the monitor and repartitioning adopts the
-     new hot set, re-routing queued modifications;
+   - the maintainer's routed lanes: [route] refuses a busy maintainer,
+     heavy keys queue on lane [2i] and light keys on [2i + 1], and a plan
+     applied to the lanes meters what per-partition FIFOs in front of an
+     unrouted maintainer meter, each batch forced onto its path;
+   - [Runner.run] consults [key_of] exactly twice per arrival, in step
+     order (perfbench reads its step times off those calls);
+   - the online sketch's drift reads a hammered light key;
    - per-partition calibration measures usable curves;
    - on a Zipfian stream the skew-aware 4-table plan executes cheaper
      than a skew-blind plan over one averaged curve per table. *)
@@ -151,60 +156,53 @@ let test_path_override () =
     (List.equal Relation.Tuple.equal (Ivm.Maintainer.rows m)
        (Ivm.Maintainer.rows m2))
 
-(* --- drift trips repartitioning ---------------------------------------------- *)
+(* --- drift ------------------------------------------------------------------ *)
 
-let test_repartition_on_drift () =
+let insert_s =
+  let fresh = ref 1_000_000 in
+  fun key ->
+    incr fresh;
+    Ivm.Change.Insert
+      [| Relation.Value.Int !fresh; Relation.Value.Int key; Relation.Value.Float 1.0 |]
+
+let test_drift () =
   let db = Tpcr.Synth.generate ~seed:3 ~r_rows:30 ~s_rows:30 ~join_domain:10 () in
   let view = Tpcr.Synth.join_view db in
-  (* Pretend keys {0, 1} were calibrated hot... *)
+  (* Keys {0, 1} were calibrated hot... *)
   let hot = Partition.Sketch.create () in
   List.iter
     (fun (k, w) -> Partition.Sketch.observe ~weight:w hot k)
     [ (0, 40.0); (1, 40.0); (2, 2.0); (3, 2.0) ];
   let split = Partition.Split.calibrate ~min_share:0.3 hot in
-  let splits = [| split; split |] in
-  (* ...with the plan predicting 4 heavy + 1 light arrivals per step on S,
-     while the actual stream hammers the formerly-light key 7. *)
-  let monitor =
-    Robust.Monitor.create ~predicted_rates:[| 0.0; 0.0; 4.0; 1.0 |] ()
-  in
-  let maintainer = Ivm.Maintainer.create view in
   let e =
-    Partition.Engine.create ~monitor
+    Partition.Engine.create
       ~key_of:(Partition.Engine.key_of_view view)
-      ~splits maintainer
+      ~splits:[| split; split |] (Ivm.Maintainer.create view)
   in
-  Alcotest.(check bool) "key 1 heavy before" true
-    (Partition.Split.is_heavy (Partition.Engine.splits e).(1) 1);
-  let fresh = ref 1_000_000 in
-  let insert_s () =
-    incr fresh;
-    Ivm.Change.Insert
-      [| Relation.Value.Int !fresh; Relation.Value.Int 7; Relation.Value.Float 1.0 |]
+  let step keys =
+    List.iter (fun k -> Partition.Engine.arrive e 1 (insert_s k)) keys;
+    Partition.Engine.end_step e
   in
-  let repartitioned = ref 0 in
-  Partition.Engine.set_repartition_hook e (fun _ -> incr repartitioned);
-  let steps = ref 0 in
-  while !repartitioned = 0 && !steps < 40 do
-    incr steps;
-    for _ = 1 to 5 do
-      Partition.Engine.arrive e 1 (insert_s ())
-    done;
-    ignore (Partition.Engine.end_step e)
+  (* ...and the stream agrees at first... *)
+  for _ = 1 to 10 do
+    step [ 0; 1; 0; 1; 2 ]
   done;
-  if !repartitioned = 0 then Alcotest.fail "monitor never tripped";
-  Alcotest.(check int) "repartitions counted" !repartitioned
-    (Partition.Engine.repartitions e);
-  let split' = (Partition.Engine.splits e).(1) in
-  Alcotest.(check bool) "drifted key now heavy" true
-    (Partition.Split.is_heavy split' 7);
-  (* Queued key-7 modifications moved to the heavy partition... *)
-  let pending = Partition.Engine.pending e in
-  Alcotest.(check int) "re-routed to heavy queue" (5 * !steps) pending.(2);
-  Alcotest.(check int) "light queue drained" 0 pending.(3);
-  (* ...and the view still converges. *)
+  let calm = Partition.Engine.drift e 1 in
+  if not (calm < 0.5) then Alcotest.failf "drift %.3f on the calibrated stream" calm;
+  (* ...until it hammers the light key 7. *)
+  let steps = ref 0 in
+  while Partition.Engine.drift e 1 <= 0.5 && !steps < 200 do
+    incr steps;
+    step [ 7; 7; 7; 7; 7 ]
+  done;
+  if Partition.Engine.drift e 1 <= 0.5 then
+    Alcotest.failf "drift %.3f after %d hammered steps" (Partition.Engine.drift e 1) !steps;
+  Alcotest.(check bool) "key 7 still light" false (Partition.Split.is_heavy split 7);
+  Alcotest.(check (array int)) "hot keys on S's index lane, the rest on its scan lane"
+    [| 0; 0; 40; 10 + (5 * !steps) |]
+    (Partition.Engine.pending e);
   ignore (Partition.Engine.refresh e);
-  Alcotest.(check (result unit string)) "consistent after repartition" (Ok ())
+  Alcotest.(check (result unit string)) "consistent after the drift" (Ok ())
     (Partition.Engine.check_consistent e)
 
 (* --- per-partition calibration ----------------------------------------------- *)
@@ -289,6 +287,9 @@ let test_skew_aware_beats_blind () =
   if not (aware < blind) then
     Alcotest.failf "skew-aware executed %.1f units, skew-blind %.1f" aware
       blind;
+  Alcotest.(check (pair string string))
+    "executed units (skew-aware, skew-blind)" ("8830.0", "11700.0")
+    (Printf.sprintf "%.1f" aware, Printf.sprintf "%.1f" blind);
   (* Routing is content-neutral: the unpartitioned engine fed the same
      Zipfian stream holds the same view. *)
   let plain = skew_db ~indexed:false () in
@@ -328,6 +329,115 @@ let test_uniform_routing_per_step () =
   Alcotest.(check (result unit string)) "consistent" (Ok ())
     (Partition.Engine.check_consistent e)
 
+(* --- routed lanes ------------------------------------------------------------- *)
+
+let test_route () =
+  let db = Tpcr.Synth.generate ~seed:3 ~r_rows:30 ~s_rows:30 ~join_domain:10 () in
+  let m = Ivm.Maintainer.create (Tpcr.Synth.join_view db) in
+  let by_key _ = function
+    | Ivm.Change.Insert t when Relation.Tuple.get t 1 = Relation.Value.Int 0 -> `Index
+    | _ -> `Scan
+  in
+  Ivm.Maintainer.on_arrive m 1 (insert_s 0);
+  Alcotest.check_raises "route refuses a pending change"
+    (Invalid_argument "Maintainer.route: modifications are pending") (fun () ->
+      Ivm.Maintainer.route m by_key);
+  ignore (Ivm.Maintainer.refresh m);
+  Ivm.Maintainer.route m by_key;
+  List.iter (fun k -> Ivm.Maintainer.on_arrive m 1 (insert_s k)) [ 0; 5; 0 ];
+  Alcotest.(check (array int)) "S's index lane 2, scan lane 3" [| 0; 0; 2; 1 |]
+    (Ivm.Maintainer.pending_sizes m);
+  Alcotest.(check (pair int bool)) "Pspec numbers partitions as lanes" (3, true)
+    ( Partition.Pspec.index ~table:1 Partition.Split.Light,
+      Partition.Pspec.logical 2 = (1, Partition.Split.Heavy) );
+  Alcotest.check_raises "a lane runs its own path"
+    (Invalid_argument "Maintainer.process: a routed lane runs its own path")
+    (fun () -> ignore (Ivm.Maintainer.process ~path:`Scan m 2 1));
+  ignore (Ivm.Maintainer.refresh m);
+  Alcotest.(check (result unit string)) "routed refresh consistent" (Ok ())
+    (Ivm.Maintainer.check_consistent m)
+
+(* A 4-lane spec over [e]'s classification of [stream] and its NAIVE plan. *)
+let lane_plan e stream =
+  let spec =
+    Partition.Pspec.make
+      ~costs:(Array.init 4 (fun p -> Cost.Func.affine ~a:1.0 ~b:(float_of_int (4 * (p + 1)))))
+      ~limit:60.0
+      ~arrivals:(Partition.Runner.partitioned_arrivals e stream)
+  in
+  (spec, Abivm.Naive.plan spec)
+
+let zipf_stream db steps =
+  Partition.Runner.materialize ~feeds:(skew_feeds ~seed:13 db)
+    ~arrivals:(Array.init steps (fun _ -> [| 4; 8 |]))
+
+(* The plan's [2n] actions applied to the lanes by [Runner.run] against
+   a reference built without routing: a FIFO per partition in front of
+   an unrouted maintainer, each batch enqueued and processed with its
+   partition's path forced.  Same batches, same paths, so the same
+   metered bits and rows. *)
+let test_lanes_match_partition_queues () =
+  let db, e = skew_engine () in
+  let stream = zipf_stream db 13 in
+  let spec, plan = lane_plan e stream in
+  let r = Partition.Runner.run e stream ~spec ~plan in
+  let plain = skew_db ~indexed:true () in
+  let m = Ivm.Maintainer.create ~meter:plain.Tpcr.Synth.meter (Tpcr.Synth.join_view plain) in
+  let queues = Array.init 4 (fun _ -> Queue.create ()) in
+  let cost = ref 0.0 and batches = ref 0 in
+  Array.iteri
+    (fun t step ->
+      List.iter
+        (fun (i, change) -> Queue.push change queues.(Partition.Engine.partition_of e i change))
+        step;
+      Option.iter
+        (Array.iteri (fun p k ->
+             if k > 0 then begin
+               let i, cls = Partition.Pspec.logical p in
+               for _ = 1 to k do
+                 Ivm.Maintainer.on_arrive m i (Queue.pop queues.(p))
+               done;
+               let d = Ivm.Maintainer.process ~path:(Partition.Pspec.path cls) m i k in
+               cost := !cost +. Relation.Meter.cost_units d;
+               incr batches
+             end))
+        (Abivm.Plan.action_at plan t))
+    stream;
+  Alcotest.(check int) "batches" !batches r.batches;
+  Alcotest.(check int64) "cost bits" (Int64.bits_of_float !cost)
+    (Int64.bits_of_float r.cost_units);
+  Alcotest.(check bool) "meter" true
+    (Relation.Meter.snapshot (Ivm.Maintainer.meter m)
+    = Relation.Meter.snapshot (Ivm.Maintainer.meter (Partition.Engine.maintainer e)));
+  Alcotest.(check bool) "rows" true
+    (List.equal Relation.Tuple.equal (Ivm.Maintainer.rows m) (Partition.Engine.rows e))
+
+(* perfbench's skew-partition reads each step's start off the engine's
+   [key_of] calls, so [Runner.run] must make exactly two per arrival
+   (sketch, then route), arrival by arrival in step order, and none from
+   [apply]. *)
+let test_key_of_calls () =
+  let db = skew_db ~indexed:true () in
+  let view = Tpcr.Synth.join_view db in
+  let base = Partition.Engine.key_of_view view in
+  let seen = ref [] in
+  let key_of i change =
+    seen := change :: !seen;
+    base i change
+  in
+  let e =
+    Partition.Engine.create ~key_of ~splits:(Lazy.force skew_splits)
+      (Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter view)
+  in
+  let stream = zipf_stream db 9 in
+  let spec, plan = lane_plan e stream in
+  seen := [];
+  ignore (Partition.Runner.run e stream ~spec ~plan);
+  let twice = List.concat_map (fun (_, c) -> [ c; c ]) (List.concat (Array.to_list stream)) in
+  Alcotest.(check int) "calls" (List.length twice) (List.length !seen);
+  Alcotest.(check bool) "each arrival twice, in step order" true
+    (List.equal ( == ) twice (List.rev !seen))
+
 let () =
   Alcotest.run "partition"
     [
@@ -340,8 +450,14 @@ let () =
       ( "engine",
         Alcotest.test_case "?path override moves the physical path" `Quick
           test_path_override
-        :: Alcotest.test_case "drift trips repartitioning" `Quick
-             test_repartition_on_drift
+        :: Alcotest.test_case "route refuses pending, lanes by parity" `Quick
+             test_route
+        :: Alcotest.test_case "lanes applied = per-partition queues" `Quick
+             test_lanes_match_partition_queues
+        :: Alcotest.test_case "Runner.run: 2 key_of calls per arrival" `Quick
+             test_key_of_calls
+        :: Alcotest.test_case "drift reads a hammered light key" `Quick
+             test_drift
         :: Alcotest.test_case "per-partition calibration curves" `Quick
              test_measure_curve
         :: Alcotest.test_case "skew-aware plan beats skew-blind, same view"

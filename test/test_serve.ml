@@ -681,7 +681,30 @@ let test_recover_refuses_damage () =
       manifest_params "no wal_mode" ~cause:"wal_mode"
         (List.filter (fun (k, _) -> k <> "wal_mode"));
       manifest_params "manifest journal" ~cause:"coflush" (fun params ->
-          params @ [ ("coflush", "3:t0=1/0,t1=2/0") ]))
+          params @ [ ("coflush", "3:t0=1/0,t1=2/0") ]);
+      (* Forged tenant entries: each would read or serve the wrong
+         tenant directory. *)
+      let tenants_become edit =
+        List.map (fun (k, v) -> if k = "tenants" then (k, edit v) else (k, v))
+      in
+      manifest_params "duplicate tenant entry" ~cause:"\"t0\" listed twice"
+        (tenants_become (fun v -> "t0:0;" ^ v));
+      manifest_params "tenant entry outside the root" ~cause:"bad tenant name"
+        (tenants_become (fun v -> v ^ ";../../x:0"));
+      refused ~what:"tenant manifest names another tenant"
+        ~cause:"tenant \"t1\": manifest names tenant \"t9\"" (fun root ->
+          let dir = Filename.concat (Filename.concat root "tenants") "t1" in
+          match Durable.Manifest.load ~dir with
+          | Ok (Some m) ->
+              Durable.Manifest.save ~dir
+                {
+                  m with
+                  Durable.Manifest.params =
+                    List.map
+                      (fun (k, v) -> if k = "name" then (k, "t9") else (k, v))
+                      m.Durable.Manifest.params;
+                }
+          | _ -> Alcotest.fail "t1: no tenant manifest"))
 
 (* --- backpressure never drops a committed arrival ------------------------- *)
 
