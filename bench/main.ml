@@ -206,9 +206,7 @@ let run_fig5 () =
         let db, m = fresh_tpcr ~seed:101 () in
         let feeds = Tpcr.Updates.paper_feeds ~seed:23 db in
         let report =
-          Bridge.Runner.run_plan
-            (Bridge.Runner.engine ~maintainer:m ~feeds)
-            spec plan
+          Bridge.Runner.run_plan m ~feeds spec plan
         in
         let simulated = report.Abivm.Report.total_cost in
         let executed =

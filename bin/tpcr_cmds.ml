@@ -73,9 +73,7 @@ let run_exec scale horizon seed strategy trace metrics =
          measured costs. *)
       let m, feeds = tpcr_engine ~scale ~seed:(seed + 100) in
       let report =
-        Bridge.Runner.run_plan ~strategy
-          (Bridge.Runner.engine ~maintainer:m ~feeds)
-          spec plan
+        Bridge.Runner.run_plan ~strategy m ~feeds spec plan
       in
       let executed = Bridge.Runner.action_costs report in
       let simulated = Bridge.Runner.simulated_action_costs report in

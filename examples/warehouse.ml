@@ -106,9 +106,7 @@ let () =
   let feeds2 = Tpcr.Updates.paper_feeds ~seed:8 db2 in
   let online = Abivm.Online.plan spec in
   let report =
-    Bridge.Runner.run_plan
-      (Bridge.Runner.engine ~maintainer:m2 ~feeds:feeds2)
-      spec online
+    Bridge.Runner.run_plan m2 ~feeds:feeds2 spec online
   in
   let executed = Option.value ~default:0.0 report.Abivm.Report.cost_units in
   Printf.printf

@@ -40,15 +40,31 @@ type outcome = {
   lsn : int;
 }
 
-let no_table = Hashtbl.create 0
+(* What is left to run on [m] from step [first], checked: the spec's
+   arrivals less those journalled in [arrived], the plan's actions from
+   [first] on less the batches in [applied] (both empty on a fresh run). *)
+let remaining ?(arrived = Hashtbl.create 0) ?(applied = Hashtbl.create 0) env m
+    ~first =
+  let journalled key = Option.value ~default:0 (Hashtbl.find_opt arrived key) in
+  let counts =
+    Array.mapi
+      (fun t -> Array.mapi (fun i k -> k - journalled (t, i)))
+      (Abivm.Spec.arrivals env.spec)
+  in
+  let actions =
+    List.filter (fun (t, _) -> t >= first) (Abivm.Plan.actions env.plan)
+    |> List.map (fun (t, action) ->
+           (t, Array.mapi (fun i k -> if Hashtbl.mem applied (t, i) then 0 else k) action))
+  in
+  Bridge.Runner.check m ~first ~counts actions
+  |> Result.map (fun () -> (counts, actions))
 
-(* The executor proper.  [arrived]/[applied] are the replay maps (empty
-   on a fresh start); [draws] is mutated in place as feeds are
-   consumed. *)
-let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
-    ~start_step ~cost0 ~draws ~arrived ~applied ~recovered ~replayed =
-  let spec = env.spec in
-  let horizon = Abivm.Spec.horizon spec in
+(* The journal and the checkpoints around {!Bridge.Runner.execute}:
+   [counts]/[actions] come from [remaining]; [draws] is mutated in place
+   as feeds are consumed. *)
+let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
+    ~counts ~actions ~cost0 ~draws ~recovered ~replayed =
+  let horizon = Abivm.Spec.horizon env.spec in
   let lsn0 = Wal.lsn wal in
   let total = ref cost0 in
   let actions_since = ref 0 in
@@ -122,43 +138,31 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
     bytes_mark := Wal.total_bytes wal;
     stall_since t0
   in
-  for t = start_step to horizon do
+  (* A step's arrivals, one WAL commit for all of them.  A checkpoint due
+     after step [t - 1] is taken first, before [Step_start t] (the final
+     checkpoint below follows the last step).  One background checkpoint
+     at a time: a trigger while one is in flight waits for a later step. *)
+  let arrive t counts =
+    if
+      t > first
+      && (!actions_since >= config.ckpt_actions
+         || Wal.total_bytes wal - !bytes_mark >= config.ckpt_bytes)
+      && !inflight = None
+    then checkpoint (t - 1);
     config.hook (Hook.Step_start t);
     settle_inflight ~wait:false;
-    (* Arrivals of this step already journalled before a crash were
-       re-enqueued by replay; draw only the remainder. *)
-    let fresh =
-      Array.mapi
-        (fun i count ->
-          count - Option.value ~default:0 (Hashtbl.find_opt arrived (t, i)))
-        (Abivm.Spec.arrivals spec).(t)
-    in
-    Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next fresh
+    Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next counts
       ~on_arrival:(fun ~table change ->
         draws.(table) <- draws.(table) + 1;
         Wal.append wal (Record.Arrival { time = t; table; change }));
-    if Wal.buffered wal > 0 then Wal.commit wal;
-    (match Abivm.Plan.action_at env.plan t with
-    | None -> ()
-    | Some action ->
-        let todo =
-          Array.mapi (fun i k -> if Hashtbl.mem applied (t, i) then 0 else k) action
-        in
-        ignore
-          (Ivm.Maintainer.apply m todo ~on_applied:(fun ~table ~count ~cost ->
-               total := !total +. cost;
-               Wal.append wal (Record.Applied { time = t; table; count; cost });
-               Wal.commit wal;
-               incr actions_since)));
-    let bytes_since = Wal.total_bytes wal - !bytes_mark in
-    if
-      t < horizon
-      && (!actions_since >= config.ckpt_actions || bytes_since >= config.ckpt_bytes)
-      && !inflight = None
-      (* one background checkpoint at a time — a second trigger while
-         one is in flight just waits for the next step's settle *)
-    then checkpoint t
-  done;
+    if Wal.buffered wal > 0 then Wal.commit wal
+  in
+  Bridge.Runner.execute m ~first ~counts ~arrive actions
+    ~on_applied:(fun ~t ~table ~count ~cost ->
+      total := !total +. cost;
+      Wal.append wal (Record.Applied { time = t; table; count; cost });
+      Wal.commit wal;
+      incr actions_since);
   settle_inflight ~wait:true;
   (* Final checkpoint: marks the run complete (next_step past the
      horizon) and lets a later [verify] work from snapshot + empty
@@ -166,7 +170,7 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
      records) skips it — the directory already holds exactly this
      checkpoint, and re-adding it would only churn the manifest.  Always
      synchronous: the process is about to report completion. *)
-  let already_complete = start_step > horizon && Wal.lsn wal = lsn0 in
+  let already_complete = first > horizon && Wal.lsn wal = lsn0 in
   if not already_complete then checkpoint ~background:false horizon;
   {
     total_cost = !total;
@@ -175,9 +179,13 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
     recovered;
     replayed;
     checkpoints = !ckpts;
-    steps_run = max 0 (horizon - start_step + 1);
+    steps_run = max 0 (horizon - first + 1);
     lsn = Wal.lsn wal;
   }
+
+let open_wal config =
+  Wal.open_ ~dir:config.dir ~segment_bytes:config.segment_bytes
+    ~sync:config.sync ~hook:config.hook ()
 
 let started_dir dir =
   Sys.file_exists (Filename.concat dir "MANIFEST")
@@ -203,21 +211,22 @@ let run config env =
          "Exec.run: %s already holds a durable run — use resume (or point at \
           a fresh directory)"
          config.dir);
+  (* Genesis state and plan are checked before anything is written, so a
+     refused plan leaves no directory to refuse the next run. *)
+  let m, feeds = env.fresh () in
+  let counts, actions =
+    match remaining env m ~first:0 with
+    | Ok left -> left
+    | Error e -> invalid_arg ("Exec.run: " ^ e)
+  in
   if not (Sys.file_exists config.dir) then Unix.mkdir config.dir 0o755;
   let manifest = Manifest.empty ~params:env.params in
   Manifest.save ~dir:config.dir ~hook:config.hook manifest;
-  let wal =
-    Wal.open_ ~dir:config.dir ~segment_bytes:config.segment_bytes
-      ~sync:config.sync ~hook:config.hook ()
-  in
-  with_wal wal
-    (fun () ->
-      let m, feeds = env.fresh () in
-      let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view m) in
-      if n <> Abivm.Spec.n_tables env.spec then
-        invalid_arg "Exec.run: spec/view table count mismatch";
-      execute config env ~wal ~manifest ~m ~feeds ~start_step:0 ~cost0:0.
-        ~draws:(Array.make n 0) ~arrived:no_table ~applied:no_table
+  let wal = open_wal config in
+  with_wal wal (fun () ->
+      execute config env ~wal ~manifest ~m ~feeds ~first:0 ~counts ~actions
+        ~cost0:0.
+        ~draws:(Array.make (Ivm.Viewdef.n_tables (Ivm.Maintainer.view m)) 0)
         ~recovered:false ~replayed:0)
 
 let recover_state config env =
@@ -225,42 +234,42 @@ let recover_state config env =
     ~fresh:(fun () -> fst (env.fresh ()))
 
 let resume config env =
-  match recover_state config env with
-  | Error _ as e -> e
-  | Ok st ->
-      let manifest =
-        match Manifest.load ~dir:config.dir with
-        | Ok (Some m) -> m
-        | Ok None | Error _ -> Manifest.empty ~params:env.params
-      in
-      let wal =
-        Wal.open_ ~dir:config.dir ~segment_bytes:config.segment_bytes
-          ~sync:config.sync ~hook:config.hook ()
-      in
-      with_wal wal
-        (fun () ->
-          if Wal.lsn wal <> st.Recovery.lsn then
-            Error
-              (Printf.sprintf
-                 "resume: WAL reopened at lsn %d but recovery replayed to %d"
-                 (Wal.lsn wal) st.Recovery.lsn)
-          else begin
-            let _, feeds = env.fresh () in
-            (* Fast-forward the deterministic feeds past every draw the
-               pre-crash process (and replay) already consumed. *)
-            Array.iteri
-              (fun i n ->
-                for _ = 1 to n do
-                  ignore (feeds.Tpcr.Updates.next i)
-                done)
-              st.Recovery.draws;
-            Ok
-              (execute config env ~wal ~manifest ~m:st.Recovery.maintainer
-                 ~feeds ~start_step:st.Recovery.next_step
-                 ~cost0:st.Recovery.cost ~draws:st.Recovery.draws
-                 ~arrived:st.Recovery.arrived ~applied:st.Recovery.applied
-                 ~recovered:true ~replayed:st.Recovery.replayed)
-          end)
+  let ( let* ) = Result.bind in
+  let* st = recover_state config env in
+  let first = st.Recovery.next_step in
+  let* counts, actions =
+    remaining env st.Recovery.maintainer ~first ~arrived:st.Recovery.arrived
+      ~applied:st.Recovery.applied
+    |> Result.map_error (fun e -> "resume: " ^ e)
+  in
+  let manifest =
+    match Manifest.load ~dir:config.dir with
+    | Ok (Some m) -> m
+    | Ok None | Error _ -> Manifest.empty ~params:env.params
+  in
+  let wal = open_wal config in
+  with_wal wal (fun () ->
+      if Wal.lsn wal <> st.Recovery.lsn then
+        Error
+          (Printf.sprintf
+             "resume: WAL reopened at lsn %d but recovery replayed to %d"
+             (Wal.lsn wal) st.Recovery.lsn)
+      else begin
+        let _, feeds = env.fresh () in
+        (* Fast-forward the deterministic feeds past every draw the
+           pre-crash process (and replay) already consumed. *)
+        Array.iteri
+          (fun i n ->
+            for _ = 1 to n do
+              ignore (feeds.Tpcr.Updates.next i)
+            done)
+          st.Recovery.draws;
+        Ok
+          (execute config env ~wal ~manifest ~m:st.Recovery.maintainer ~feeds
+             ~first ~counts ~actions ~cost0:st.Recovery.cost
+             ~draws:st.Recovery.draws ~recovered:true
+             ~replayed:st.Recovery.replayed)
+      end)
 
 let verify config env =
   match recover_state config env with

@@ -1,19 +1,21 @@
 (** Crash-recoverable plan execution.
 
-    [run] executes a maintenance plan the way [Bridge.Runner.run_plan]
-    does, but journals every arrival and every applied action to a
-    {!Wal} and checkpoints periodically, so a process killed anywhere
-    can [resume] and finish with the *same* final view contents and the
+    [run] executes a maintenance plan through [Bridge.Runner.execute],
+    journalling every arrival and every applied batch to a {!Wal} and
+    checkpointing periodically, so a process killed anywhere can
+    [resume] and finish with the *same* final view contents and the
     same total cost, bit for bit.  The idempotence argument: an
-    [Applied] record in the log makes the plan's action at that [(time,
+    [Applied] record in the log makes the plan's batch at that [(time,
     table)] a no-op on resume (its cost was already re-accumulated
     during replay), and arrival draws beyond the journalled ones are
     re-drawn from the deterministic feeds fast-forwarded by the
     recovered per-table draw counts.
 
     Commit points: one WAL commit per step for that step's arrivals,
-    one per applied action.  A crash between an action and its commit
-    merely re-executes the action deterministically on resume. *)
+    one per applied batch.  A crash between a batch and its commit
+    merely re-executes the batch deterministically on resume.  A
+    checkpoint due after step [t] is taken before the hook sees
+    [Step_start (t + 1)]. *)
 
 type config = {
   dir : string;  (** durability directory (created by {!run}) *)
@@ -62,14 +64,17 @@ type outcome = {
 }
 
 val run : config -> env -> outcome
-(** Fresh start.  Raises [Failure] if [config.dir] already holds a
-    durable run (resume that instead — never silently overwrite one),
-    and re-raises [Hook.Crash] from the hook. *)
+(** Fresh start; calls [env.fresh] once.  Raises [Failure] if [config.dir]
+    already holds a durable run (resume that instead — never silently
+    overwrite one) and [Invalid_argument] if [Bridge.Runner.check] refuses
+    the plan, both before anything is written; re-raises [Hook.Crash]. *)
 
 val resume : config -> env -> (outcome, string) result
 (** Recover ({!Recovery.recover}), then continue the plan to the
-    horizon.  Already-applied actions are skipped; already-logged
-    arrivals are not re-drawn.  [Error] on recovery failure. *)
+    horizon.  Already-applied batches are skipped; already-logged
+    arrivals are not re-drawn.  [Error] on recovery failure, or if
+    [Bridge.Runner.check] refuses what is left (arrivals less the logged
+    ones, actions less the applied batches) on the recovered queues. *)
 
 val verify : config -> env -> (Recovery.state, string) result
 (** Recover and deep-check (recovered view vs a from-scratch evaluation

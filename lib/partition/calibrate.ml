@@ -45,11 +45,11 @@ let require_idle fn e =
 
 let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
   require_idle "measure_curve" e;
-  let p = Pspec.index ~table cls in
+  let p = Pspec.index ~table cls and m = Engine.maintainer e in
   List.map
     (fun k ->
       let drawn = ref 0 in
-      while Engine.pending_in e p < k do
+      while Ivm.Maintainer.pending_size m p < k do
         incr drawn;
         if !drawn > max_draw then
           invalid_arg
@@ -63,8 +63,7 @@ let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
         if Engine.partition_of e table change = p then
           Engine.arrive e table change
       done;
-      let snap = Engine.process e ~partition:p k in
-      (k, Relation.Meter.cost_units snap))
+      (k, Relation.Meter.cost_units (Ivm.Maintainer.process m p k)))
     sizes
 
 let measure_blind_curve e ~next ~table ~sizes =
@@ -74,15 +73,5 @@ let measure_blind_curve e ~next ~table ~sizes =
       for _ = 1 to k do
         Engine.arrive e table (next ())
       done;
-      ( k,
-        List.fold_left
-          (fun acc cls ->
-            let p = Pspec.index ~table cls in
-            let n = Engine.pending_in e p in
-            if n = 0 then acc
-            else
-              acc
-              +. Relation.Meter.cost_units (Engine.process e ~partition:p n))
-          0.0
-          [ Split.Heavy; Split.Light ] ))
+      (k, Ivm.Maintainer.apply (Engine.maintainer e) (Engine.pending e)))
     sizes

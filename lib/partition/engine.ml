@@ -56,8 +56,8 @@ let create ?(decay = 0.98) ~key_of ~splits maintainer =
       Pspec.path (Split.classify splits.(i) (key_of i change)));
   { maintainer; key_of; splits; online; decay }
 
-let classify e i change = Split.classify e.splits.(i) (e.key_of i change)
-let partition_of e i change = Pspec.index ~table:i (classify e i change)
+let partition_of e i change =
+  Pspec.index ~table:i (Split.classify e.splits.(i) (e.key_of i change))
 
 let arrive e i change =
   if i < 0 || i >= n_logical e then
@@ -68,8 +68,6 @@ let arrive e i change =
   Ivm.Maintainer.on_arrive e.maintainer i change
 
 let pending e = Ivm.Maintainer.pending_sizes e.maintainer
-let pending_in e p = Ivm.Maintainer.pending_size e.maintainer p
-let process e ~partition k = Ivm.Maintainer.process e.maintainer partition k
 let end_step e =
   Array.iter (fun sketch -> Sketch.decay sketch ~factor:e.decay) e.online
 
@@ -80,6 +78,4 @@ let drift e i =
     (Split.heavy_share e.splits.(i) e.online.(i)
     -. Split.coverage e.splits.(i))
 
-let refresh e = Ivm.Maintainer.refresh e.maintainer
 let rows e = Ivm.Maintainer.rows e.maintainer
-let check_consistent e = Ivm.Maintainer.check_consistent e.maintainer

@@ -45,7 +45,6 @@ val n_logical : t -> int
 val n_partitions : t -> int
 val maintainer : t -> Ivm.Maintainer.t
 
-val classify : t -> int -> Ivm.Change.t -> Split.cls
 val partition_of : t -> int -> Ivm.Change.t -> int
 
 val arrive : t -> int -> Ivm.Change.t -> unit
@@ -56,11 +55,6 @@ val arrive : t -> int -> Ivm.Change.t -> unit
 val pending : t -> int array
 (** Lane sizes, indexed by partition ([2n] wide). *)
 
-val pending_in : t -> int -> int
-
-val process : t -> partition:int -> int -> Relation.Meter.snapshot
-(** {!Ivm.Maintainer.process} on one partition's lane. *)
-
 val end_step : t -> unit
 (** Close one time step: decay the online sketches. *)
 
@@ -68,8 +62,4 @@ val drift : t -> int -> float
 (** |current heavy share − calibrated coverage| for table [i]'s split
     against its online sketch: the key-frequency drift signal. *)
 
-val refresh : t -> Relation.Meter.snapshot
-(** Drain every partition (one batch each). *)
-
 val rows : t -> Relation.Tuple.t list
-val check_consistent : t -> (unit, string) result

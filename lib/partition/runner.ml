@@ -15,72 +15,82 @@ let materialize ~feeds ~arrivals =
   done;
   stream
 
-let partitioned_arrivals e stream =
+(* Per step, how many arrivals [class_of] puts in each of [width]
+   classes; [class_of] sees the stream in order. *)
+let count_by width class_of stream =
   Array.map
     (fun step ->
-      let counts = Array.make (Engine.n_partitions e) 0 in
+      let counts = Array.make width 0 in
       List.iter
         (fun (i, change) ->
-          let p = Engine.partition_of e i change in
-          counts.(p) <- counts.(p) + 1)
+          let c = class_of i change in
+          counts.(c) <- counts.(c) + 1)
         step;
       counts)
     stream
 
+let partitioned_arrivals e = count_by (Engine.n_partitions e) (Engine.partition_of e)
+
 type result = { cost_units : float; batches : int }
 
-(* Replay [stream], applying [action t] (a [2n]-wide batch per lane, if
-   any) after each step's arrivals through the maintainer's step kernel,
-   with the cost added per batch. *)
-let replay fn e stream ~spec ~plan action =
-  let fail msg = invalid_arg (Printf.sprintf "Partition.Runner.%s: %s" fn msg) in
-  let busy () = Array.exists (fun q -> q > 0) (Engine.pending e) in
+let fail fn msg = invalid_arg (Printf.sprintf "Partition.Runner.%s: %s" fn msg)
+
+let busy e = Array.exists (fun q -> q > 0) (Engine.pending e)
+
+(* Refuse a plan invalid for [spec], a stream of the wrong length or a
+   busy engine; only then build the lane plan (per-step lane counts and
+   [2n]-wide actions) and execute it, the stream entering by
+   [Engine.arrive], the cost added per batch. *)
+let replay fn e stream ~spec ~plan lane_plan =
   (match Abivm.Plan.validate spec plan with
   | Ok () -> ()
   | Error v ->
-      fail (Format.asprintf "invalid plan: %a" Abivm.Plan.pp_violation v));
+      fail fn (Format.asprintf "invalid plan: %a" Abivm.Plan.pp_violation v));
   if Array.length stream <> Abivm.Spec.horizon spec + 1 then
-    fail "stream length must be horizon + 1";
-  if busy () then fail "engine has pending modifications";
+    fail fn "stream length must be horizon + 1";
+  if busy e then fail fn "engine has pending modifications";
+  let counts, actions = lane_plan () in
   let cost = ref 0.0 and batches = ref 0 in
-  let on_applied ~table:_ ~count:_ ~cost:c =
-    cost := !cost +. c;
-    incr batches
-  in
-  Array.iteri
-    (fun t step ->
-      List.iter (fun (i, change) -> Engine.arrive e i change) step;
-      Option.iter
-        (fun lanes ->
-          ignore (Ivm.Maintainer.apply ~on_applied (Engine.maintainer e) lanes))
-        (action t step))
-    stream;
-  if busy () then fail "plan left modifications queued";
+  Bridge.Runner.execute (Engine.maintainer e) ~first:0 ~counts
+    ~arrive:(fun t _ -> List.iter (fun (i, change) -> Engine.arrive e i change) stream.(t))
+    ~on_applied:(fun ~t:_ ~table:_ ~count:_ ~cost:c ->
+      cost := !cost +. c;
+      incr batches)
+    actions;
+  if busy e then fail fn "plan left modifications queued";
   { cost_units = !cost; batches = !batches }
 
 let run e stream ~spec ~plan =
-  replay "run" e stream ~spec ~plan (fun t _ -> Abivm.Plan.action_at plan t)
+  replay "run" e stream ~spec ~plan (fun () ->
+      (Abivm.Spec.arrivals spec, Abivm.Plan.actions plan))
 
-(* A logical batch of [k] drains the classes of the table's first [k]
-   arrivals: [fifo.(i)] holds them in arrival order. *)
+(* A logical batch of [k] drains the lanes of the table's first [k]
+   arrivals: [fifo.(i)] holds their lanes in arrival order. *)
 let run_blind e stream ~spec ~plan =
-  let fifo = Array.init (Engine.n_logical e) (fun _ -> Queue.create ()) in
-  replay "run_blind" e stream ~spec ~plan (fun t step ->
-      List.iter
-        (fun (i, change) -> Queue.push (Engine.classify e i change) fifo.(i))
-        step;
-      Option.map
-        (fun action ->
-          let lanes = Array.make (Engine.n_partitions e) 0 in
-          Array.iteri
-            (fun table k ->
-              for _ = 1 to k do
-                let p = Pspec.index ~table (Queue.pop fifo.(table)) in
-                lanes.(p) <- lanes.(p) + 1
-              done)
-            action;
-          lanes)
-        (Abivm.Plan.action_at plan t))
+  replay "run_blind" e stream ~spec ~plan (fun () ->
+      let width = Engine.n_partitions e in
+      let fifo = Array.init (Engine.n_logical e) (fun _ -> Queue.create ()) in
+      let counts =
+        count_by width
+          (fun i change ->
+            let p = Engine.partition_of e i change in
+            Queue.push p fifo.(i);
+            p)
+          stream
+      in
+      let lanes action =
+        let batch = Array.make width 0 in
+        Array.iteri
+          (fun table k ->
+            for _ = 1 to k do
+              match Queue.take_opt fifo.(table) with
+              | Some p -> batch.(p) <- batch.(p) + 1
+              | None -> fail "run_blind" "plan takes more than the stream holds"
+            done)
+          action;
+        batch
+      in
+      (counts, List.map (fun (t, action) -> (t, lanes action)) (Abivm.Plan.actions plan)))
 
 type side = { plan_cost : float; exec : result }
 
@@ -131,14 +141,6 @@ let compare_blind ~fresh ~sizes ~limit_factor engine stream =
     let sol = Abivm.Astar.solve spec in
     { plan_cost = sol.cost; exec = run e stream ~spec ~plan:sol.plan }
   in
-  let logical_arrivals =
-    Array.map
-      (fun step ->
-        let counts = Array.make n 0 in
-        List.iter (fun (i, _) -> counts.(i) <- counts.(i) + 1) step;
-        counts)
-      stream
-  in
   let aware =
     side run engine
       (Pspec.make ~costs:costs_part ~limit
@@ -147,6 +149,7 @@ let compare_blind ~fresh ~sizes ~limit_factor engine stream =
   let blind =
     side run_blind
       (fst (fresh ()))
-      (Abivm.Spec.make ~costs:costs_blind ~limit ~arrivals:logical_arrivals)
+      (Abivm.Spec.make ~costs:costs_blind ~limit
+         ~arrivals:(count_by n (fun i _ -> i) stream))
   in
   { part_curves; blind_curves; limit; blind; aware }

@@ -5,9 +5,9 @@
     so the stream is materialized first: {!materialize} draws every
     modification for a logical arrival matrix up front, {!partitioned_arrivals}
     classifies it into the [2n]-wide matrix the spec is built from, and
-    {!run} replays it step by step, applying the plan's per-partition
-    batches.  Because the spec's arrivals come from the very stream being
-    replayed, plan validity transfers exactly.
+    {!run} replays it through [Bridge.Runner.execute], applying the
+    plan's per-partition batches.  Because the spec's arrivals come from
+    the very stream being replayed, plan validity transfers exactly.
 
     {!run_blind} replays the same stream under the skew-blind baseline's
     plan, which batches each logical table as a whole, on the same kind
@@ -30,11 +30,11 @@ type result = { cost_units : float; batches : int }
 
 val run : Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
 (** Replay the stream through {!Engine.arrive} and apply each of
-    [plan]'s [2n]-wide actions to the engine's lanes with
-    {!Ivm.Maintainer.apply}; total metered cost (added per batch) and
-    batch count.  The plan must be valid for [spec], the engine must
-    start with empty queues, and the plan must drain everything by the
-    horizon; [Invalid_argument] otherwise. *)
+    [plan]'s [2n]-wide actions to the engine's lanes; total metered cost
+    (added per batch) and batch count.  [Invalid_argument], before
+    anything is classified or enqueued, unless the plan is valid for
+    [spec] (as wide as the lanes), the stream [horizon + 1] steps long
+    and the engine idle; and after the run if modifications are left. *)
 
 val run_blind :
   Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
@@ -42,8 +42,8 @@ val run_blind :
     [i] drains the first [k] of that table's arrivals in FIFO order, i.e.
     the heavy and light counts of that prefix (each lane keeps arrival
     order), applied as one [2n]-wide action: one batch per non-empty
-    lane, heavy first.  [Invalid_argument] under the same conditions as
-    {!run}. *)
+    lane, heavy first, the lane plan built before anything runs.
+    [Invalid_argument] under the same conditions as {!run}. *)
 
 type side = { plan_cost : float; exec : result }
 (** One planner's A* plan cost and that plan's executed cost. *)

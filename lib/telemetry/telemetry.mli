@@ -7,7 +7,7 @@
 
     {[
       Telemetry.enable ~sinks:[ Telemetry.Sink.jsonl_file "out.jsonl" ] ();
-      Telemetry.with_span ~name:"runner.action" (fun () -> ...);
+      Telemetry.with_span ~name:"runner.plan" (fun () -> ...);
       Telemetry.add ~labels:[ ("table", "0") ] "meter.seq_scanned" 42.0;
       let snap = Telemetry.snapshot () in
       Telemetry.disable ()          (* flushes and closes sinks *)

@@ -76,7 +76,7 @@ let test_runner_executes_naive () =
   Telemetry.enable ();
   let report =
     Fun.protect ~finally:Telemetry.disable (fun () ->
-        Bridge.Runner.run_plan (Bridge.Runner.engine ~maintainer:m ~feeds) spec plan)
+        Bridge.Runner.run_plan m ~feeds spec plan)
   in
   checkb "final consistent" true report.Abivm.Report.valid;
   checkb "executed cost positive" true
@@ -92,7 +92,7 @@ let test_runner_simulated_close_to_executed () =
   List.iter
     (fun plan ->
       let _, m, feeds = env ~seed:8 () in
-      let report = Bridge.Runner.run_plan (Bridge.Runner.engine ~maintainer:m ~feeds) spec plan in
+      let report = Bridge.Runner.run_plan m ~feeds spec plan in
       let simulated = Abivm.Plan.cost spec plan in
       let executed =
         Option.value ~default:0.0 report.Abivm.Report.cost_units
@@ -111,7 +111,7 @@ let test_runner_rejects_invalid_plan () =
   let _, m, feeds = env ~seed:10 () in
   checkb "raises" true
     (try
-       ignore (Bridge.Runner.run_plan (Bridge.Runner.engine ~maintainer:m ~feeds) spec plan);
+       ignore (Bridge.Runner.run_plan m ~feeds spec plan);
        false
      with Invalid_argument _ -> true)
 
@@ -125,7 +125,6 @@ let test_runner_rejected_plan_leaves_engine_intact () =
   let _, cal_m, cal_feeds = env ~seed:21 () in
   let spec = fitted_spec cal_m cal_feeds ~limit:3000.0 ~horizon:8 in
   let _, m, feeds = env ~seed:22 () in
-  let eng = Bridge.Runner.engine ~maintainer:m ~feeds in
   (* Pre-existing pending state the run must not disturb. *)
   Ivm.Maintainer.on_arrive m 0 (feeds.Tpcr.Updates.next 0);
   let before_pending = Ivm.Maintainer.pending_sizes m in
@@ -138,7 +137,7 @@ let test_runner_rejected_plan_leaves_engine_intact () =
     Abivm.Plan.of_actions [ (0, [| 1; 0; 0; 0 |]); (3, [| 100; 0; 0; 0 |]) ]
   in
   (try
-     ignore (Bridge.Runner.run_plan eng spec plan);
+     ignore (Bridge.Runner.run_plan m ~feeds spec plan);
      Alcotest.fail "invalid plan accepted"
    with Invalid_argument _ -> ());
   checkb "pending sizes untouched" true
@@ -149,7 +148,7 @@ let test_runner_rejected_plan_leaves_engine_intact () =
   checkb "meter untouched" true
     (Relation.Meter.snapshot (Ivm.Maintainer.meter m) = before_meter);
   (* ... and the engine is still usable for a valid plan. *)
-  let report = Bridge.Runner.run_plan eng spec (Abivm.Naive.plan spec) in
+  let report = Bridge.Runner.run_plan m ~feeds spec (Abivm.Naive.plan spec) in
   checkb "engine reusable after rejection" true report.Abivm.Report.valid
 
 let test_runner_asymmetric_plan_consistent () =
@@ -164,7 +163,7 @@ let test_runner_asymmetric_plan_consistent () =
          (a.(0) > 0 && a.(1) = 0) || (a.(1) > 0 && a.(0) = 0))
        (Abivm.Plan.actions plan));
   let _, m, feeds = env ~seed:12 () in
-  let report = Bridge.Runner.run_plan (Bridge.Runner.engine ~maintainer:m ~feeds) spec plan in
+  let report = Bridge.Runner.run_plan m ~feeds spec plan in
   checkb "consistent" true report.Abivm.Report.valid
 
 (* --- codec / changelog ----------------------------------------------------- *)

@@ -938,6 +938,88 @@ let test_forged_applied_refused () =
     | _ -> None);
   rmtree pristine
 
+(* A plan the executor refuses is refused before anything is written:
+   a [run] that died after its MANIFEST would leave a directory every
+   later [run] refuses as started. *)
+let test_bad_plan_refused_before_writing () =
+  let base = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let written dir =
+    Sys.file_exists dir
+    && Array.exists
+         (fun f -> f = "MANIFEST" || Filename.check_suffix f ".seg")
+         (Sys.readdir dir)
+  in
+  let refused what env =
+    let dir = scratch () in
+    (match Durable.Exec.run (matrix_config ~dir ~hook:Durable.Hook.none ()) env with
+    | _ -> Alcotest.failf "%s: run accepted" what
+    | exception Invalid_argument _ -> ());
+    checkb (what ^ ": nothing written") false (written dir);
+    rmtree dir
+  in
+  let steady n =
+    Abivm.Spec.make
+      ~costs:(Array.make n (Cost.Func.affine ~a:1.0 ~b:5.0))
+      ~limit:40.0
+      ~arrivals:(Array.init 13 (fun _ -> Array.make n 1))
+  in
+  let spec = steady 2 in
+  refused "100 at t=5"
+    { base with spec; plan = Abivm.Plan.of_actions [ (5, [| 100; 0 |]) ] };
+  refused "an action after the horizon"
+    {
+      base with
+      spec;
+      plan = Abivm.Plan.of_actions [ (12, [| 13; 13 |]); (13, [| 1; 0 |]) ];
+    };
+  let wide = { base with spec = steady 3; plan = Abivm.Naive.plan (steady 3) } in
+  refused "a 3-table spec over the 2-table view" wide;
+  (* A started run, resumed under a plan that does not fit it: a typed
+     [Error], and the directory still resumes under its own plan. *)
+  let dir = scratch () in
+  let config hook = matrix_config ~dir ~hook () in
+  (match
+     Durable.Exec.run
+       (config (function
+         | Durable.Hook.Step_start 4 -> raise (Durable.Hook.Crash "t=4")
+         | _ -> ()))
+       base
+   with
+  | _ -> Alcotest.fail "expected the injected crash"
+  | exception Durable.Hook.Crash _ -> ());
+  List.iter
+    (fun (what, env) ->
+      match Durable.Exec.resume (config Durable.Hook.none) env with
+      | Ok _ -> Alcotest.failf "resume accepted %s" what
+      | Error _ -> ())
+    [
+      ("a 3-table spec over the 2-table view", wide);
+      ( "100 at t=10",
+        { base with plan = Abivm.Plan.of_actions [ (10, [| 100; 0 |]) ] } );
+    ];
+  (match Durable.Exec.resume (config Durable.Hook.none) base with
+  | Ok o -> checkb "resumes under its own plan" true o.Durable.Exec.consistent
+  | Error e -> Alcotest.failf "resume under its own plan: %s" e);
+  rmtree dir
+
+(* perfbench's paper-durable hands its set-up engine to the first
+   [env.fresh] call; a second call would build a database inside the
+   timed run. *)
+let test_run_builds_genesis_once () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let calls = ref 0 in
+  let fresh () =
+    incr calls;
+    env.Durable.Exec.fresh ()
+  in
+  let dir = scratch () in
+  let o =
+    Durable.Exec.run (matrix_config ~dir ~hook:Durable.Hook.none ()) { env with fresh }
+  in
+  checkb "finished consistent" true o.Durable.Exec.consistent;
+  checki "env.fresh calls" 1 !calls;
+  rmtree dir
+
 let () =
   Alcotest.run "durable"
     [
@@ -994,5 +1076,9 @@ let () =
             test_genesis_recovery_and_refusal;
           Alcotest.test_case "forged WAL records refused" `Quick
             test_forged_applied_refused;
+          Alcotest.test_case "bad plan refused before any write"
+            `Quick test_bad_plan_refused_before_writing;
+          Alcotest.test_case "run builds the genesis state once" `Quick
+            test_run_builds_genesis_once;
         ] );
     ]

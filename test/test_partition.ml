@@ -119,12 +119,12 @@ let prop_bit_identical ~zipf name =
               Partition.Engine.arrive part i change)
             step;
           ignore (Ivm.Maintainer.refresh base.Gen.maintainer);
-          ignore (Partition.Engine.refresh part))
+          ignore (Ivm.Maintainer.refresh (Partition.Engine.maintainer part)))
         stream;
       let rows_base = Ivm.Maintainer.rows base.Gen.maintainer in
       let rows_part = Partition.Engine.rows part in
       List.equal Relation.Tuple.equal rows_base rows_part
-      && Partition.Engine.check_consistent part = Ok ()
+      && Ivm.Maintainer.check_consistent (Partition.Engine.maintainer part) = Ok ()
       && Array.for_all (fun q -> q = 0) (Partition.Engine.pending part))
 
 (* --- the ?path override ------------------------------------------------------ *)
@@ -201,9 +201,9 @@ let test_drift () =
   Alcotest.(check (array int)) "hot keys on S's index lane, the rest on its scan lane"
     [| 0; 0; 40; 10 + (5 * !steps) |]
     (Partition.Engine.pending e);
-  ignore (Partition.Engine.refresh e);
+  ignore (Ivm.Maintainer.refresh (Partition.Engine.maintainer e));
   Alcotest.(check (result unit string)) "consistent after the drift" (Ok ())
-    (Partition.Engine.check_consistent e)
+    (Ivm.Maintainer.check_consistent (Partition.Engine.maintainer e))
 
 (* --- per-partition calibration ----------------------------------------------- *)
 
@@ -319,7 +319,7 @@ let test_uniform_routing_per_step () =
           Partition.Engine.arrive e i change)
         step;
       ignore (Ivm.Maintainer.refresh m);
-      ignore (Partition.Engine.refresh e);
+      ignore (Ivm.Maintainer.refresh (Partition.Engine.maintainer e));
       Alcotest.(check bool)
         (Printf.sprintf "step %d bit-identical" t)
         true
@@ -327,7 +327,7 @@ let test_uniform_routing_per_step () =
            (Partition.Engine.rows e)))
     stream;
   Alcotest.(check (result unit string)) "consistent" (Ok ())
-    (Partition.Engine.check_consistent e)
+    (Ivm.Maintainer.check_consistent (Partition.Engine.maintainer e))
 
 (* --- routed lanes ------------------------------------------------------------- *)
 
@@ -438,6 +438,55 @@ let test_key_of_calls () =
   Alcotest.(check bool) "each arrival twice, in step order" true
     (List.equal ( == ) twice (List.rev !seen))
 
+(* [Runner.run]'s refusals come before anything is classified or
+   enqueued: no [key_of] call, and the queues, meter and rows as they
+   were.  [key_of] counts calls as in [test_key_of_calls]. *)
+let test_run_refusals () =
+  let db = skew_db ~indexed:true () in
+  let view = Tpcr.Synth.join_view db in
+  let base = Partition.Engine.key_of_view view in
+  let calls = ref 0 in
+  let key_of i change =
+    incr calls;
+    base i change
+  in
+  let e =
+    Partition.Engine.create ~key_of ~splits:(Lazy.force skew_splits)
+      (Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter view)
+  in
+  let m = Partition.Engine.maintainer e in
+  let state () =
+    ( Ivm.Maintainer.pending_sizes m,
+      Relation.Meter.snapshot (Ivm.Maintainer.meter m),
+      Partition.Engine.rows e )
+  in
+  let stream = zipf_stream db 9 in
+  let spec, plan = lane_plan e stream in
+  let refused what ?(stream = stream) ?(spec = spec) plan =
+    let before = state () in
+    calls := 0;
+    (match Partition.Runner.run e stream ~spec ~plan with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check int) (what ^ ": key_of calls") 0 !calls;
+    Alcotest.(check bool) (what ^ ": queues, meter and rows untouched") true
+      (state () = before)
+  in
+  refused "a stream one step short" ~stream:(Array.sub stream 0 8) plan;
+  refused "a plan Plan.validate refuses" (Abivm.Plan.of_actions []);
+  (* Valid for a spec over the 2 logical tables, but its actions are 2
+     wide and the engine has 4 lanes. *)
+  let logical =
+    Abivm.Spec.make
+      ~costs:(Array.make 2 (Cost.Func.affine ~a:1.0 ~b:4.0))
+      ~limit:1000.0
+      ~arrivals:(Array.init 9 (fun _ -> [| 4; 8 |]))
+  in
+  refused "a lane action as wide as the logical tables" ~spec:logical
+    (Abivm.Naive.plan logical);
+  Partition.Engine.arrive e 0 (List.assoc 0 stream.(0));
+  refused "an engine with a pending change" plan
+
 let () =
   Alcotest.run "partition"
     [
@@ -470,5 +519,9 @@ let () =
                  "partitioned = unpartitioned (uniform keys)";
                prop_bit_identical ~zipf:true
                  "partitioned = unpartitioned (zipfian keys)";
-             ] );
+             ]
+        @ [
+            Alcotest.test_case "Runner.run refusals touch nothing"
+              `Quick test_run_refusals;
+          ] );
     ]

@@ -231,9 +231,7 @@ let test_bridge_feeds_monitor () =
     Robust.Monitor.create ~predicted_rates:(Robust.Replan.mean_rates spec) ()
   in
   let report =
-    Bridge.Runner.run_plan ~monitor:mon
-      (Bridge.Runner.engine ~maintainer:m ~feeds)
-      spec plan
+    Bridge.Runner.run_plan ~monitor:mon m ~feeds spec plan
   in
   checkb "view consistent after the run" true report.Abivm.Report.valid;
   checki "one arrival observation per step" 21
