@@ -91,25 +91,26 @@ let durable_env_of_dir dir =
 (* The WAL and checkpoint tuning flags of `run` and `recover`, as a
    config builder for a directory and a hook. *)
 let config =
+  let d = Durable.Exec.default_config ~dir:"" in
   let segment_bytes =
     Arg.(
       value
-      & opt int (256 * 1024)
-      & info [ "segment-bytes" ] ~docv:"N"
-          ~doc:"WAL segment rotation threshold (default 256 KiB).")
+      & opt int d.Durable.Exec.segment_bytes
+      & info [ "segment-bytes" ] ~docv:"N" ~doc:"WAL segment rotation threshold.")
   in
   let ckpt_actions =
     Arg.(
-      value & opt int 32
+      value
+      & opt int d.Durable.Exec.ckpt_actions
       & info [ "ckpt-actions" ] ~docv:"N"
-          ~doc:"Checkpoint every $(docv) applied actions (default 32).")
+          ~doc:"Checkpoint every $(docv) applied actions.")
   in
   let ckpt_bytes =
     Arg.(
       value
-      & opt int (512 * 1024)
+      & opt int d.Durable.Exec.ckpt_bytes
       & info [ "ckpt-bytes" ] ~docv:"N"
-          ~doc:"Checkpoint every $(docv) bytes of WAL (default 512 KiB).")
+          ~doc:"Checkpoint every $(docv) bytes of WAL.")
   in
   let sync =
     sync ~doc:"WAL fsync policy: always, never, or interval:N (group commit)."

@@ -13,7 +13,7 @@ let default_config ~dir =
   {
     dir;
     segment_bytes = 256 * 1024;
-    ckpt_actions = 32;
+    ckpt_actions = 64;
     ckpt_bytes = 512 * 1024;
     sync = Wal.Always;
     keep_checkpoints = 2;
@@ -59,6 +59,28 @@ let remaining ?(arrived = Hashtbl.create 0) ?(applied = Hashtbl.create 0) env m
   Bridge.Runner.check m ~first ~counts actions
   |> Result.map (fun () -> (counts, actions))
 
+(* Publish checkpoint [file] at [lsn]: only after its data fsync, rename
+   and directory fsync (ARIES order) may the manifest name it.  Saves the
+   pruned manifest, deletes the checkpoint files it dropped, and returns
+   it.  Runs inside the checkpoint's background job, or inline. *)
+let commit_manifest config manifest ~lsn file =
+  let saved, dropped =
+    Manifest.prune ~keep:config.keep_checkpoints
+      (Manifest.add_checkpoint manifest ~lsn ~file)
+  in
+  Manifest.save ~dir:config.dir ~hook:config.hook saved;
+  (* Never delete a file the pruned manifest still references (a dropped
+     entry can share its filename with a kept one when the same LSN was
+     checkpointed twice). *)
+  let kept = List.map snd saved.Manifest.checkpoints in
+  List.iter
+    (fun f ->
+      if not (List.mem f kept) then
+        try Sys.remove (Filename.concat config.dir f) with Sys_error _ -> ())
+    dropped;
+  Fsutil.fsync_dir config.dir;
+  saved
+
 (* The journal and the checkpoints around {!Bridge.Runner.execute}:
    [counts]/[actions] come from [remaining]; [draws] is mutated in place
    as feeds are consumed. *)
@@ -73,29 +95,15 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
   let ckpts = ref 0 in
   let inflight = ref None in
   (* Stall accounting: wall time the maintenance thread itself spends on
-     checkpoint work (snapshot + apply under async; the whole write when
+     checkpoint work (capture + adopt under async; the whole write when
      synchronous).  This is the number background checkpointing shrinks. *)
   let stall_since t0 =
     Telemetry.add "durable.ckpt_stall_ms" ((Unix.gettimeofday () -. t0) *. 1e3)
   in
-  (* Once the background write has settled, the manifest may reference
-     the checkpoint: the job's data fsync strictly precedes this point
-     (ARIES ordering). *)
-  let apply_ckpt lsn file =
-    let with_new = Manifest.add_checkpoint !manifest ~lsn ~file in
-    let pruned, dropped = Manifest.prune ~keep:config.keep_checkpoints with_new in
-    Manifest.save ~dir:config.dir ~hook:config.hook pruned;
-    manifest := pruned;
-    (* Never delete a file the pruned manifest still references (a
-       dropped entry can share its filename with a kept one when the
-       same LSN was checkpointed twice). *)
-    let kept = List.map snd pruned.Manifest.checkpoints in
-    List.iter
-      (fun f ->
-        if not (List.mem f kept) then
-          try Sys.remove (Filename.concat config.dir f) with Sys_error _ -> ())
-      dropped;
-    Fsutil.fsync_dir config.dir;
+  (* At settle the maintenance thread only adopts the manifest the
+     checkpoint's job saved, and truncates the log below its LSN. *)
+  let adopt lsn saved =
+    manifest := saved;
     Wal.truncate_before wal lsn;
     incr ckpts
   in
@@ -109,10 +117,10 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
         in
         if settled then begin
           let t0 = Unix.gettimeofday () in
-          let file = Checkpoint.await p in
+          let saved = Checkpoint.await p in
           (* re-raises an injected crash *)
           inflight := None;
-          apply_ckpt lsn file;
+          adopt lsn saved;
           stall_since t0
         end
   in
@@ -125,15 +133,15 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
       Checkpoint.capture ~lsn:(Wal.lsn wal) ~next_step:(t + 1) ~cost:!total
         ~draws ~params:env.params m
     in
+    let lsn = c.Checkpoint.lsn in
+    let commit = commit_manifest config !manifest ~lsn in
     (match config.pool with
     | Some pool when background && Parallel.Pool.domains pool > 1 ->
-        (* Snapshot taken; serialization + fsync move off-thread.  The
-           manifest update waits for the job — see [settle_inflight]. *)
-        let p = Checkpoint.write_async ~dir:config.dir ~hook:config.hook ~pool c in
-        inflight := Some (c.Checkpoint.lsn, p)
-    | _ ->
-        let file = Checkpoint.write ~dir:config.dir ~hook:config.hook c in
-        apply_ckpt c.Checkpoint.lsn file);
+        (* Snapshot taken; serialization, fsync and the manifest move
+           off-thread — see [settle_inflight]. *)
+        inflight :=
+          Some (lsn, Checkpoint.write_async ~dir:config.dir ~hook:config.hook ~pool ~commit c)
+    | _ -> adopt lsn (commit (Checkpoint.write ~dir:config.dir ~hook:config.hook c)));
     actions_since := 0;
     bytes_mark := Wal.total_bytes wal;
     stall_since t0

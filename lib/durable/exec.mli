@@ -26,18 +26,19 @@ type config = {
   keep_checkpoints : int;  (** manifest retains this many, oldest pruned *)
   hook : Hook.point -> unit;  (** crash-point instrumentation *)
   pool : Parallel.Pool.t option;
-      (** when present (and multi-domain), checkpoint serialization +
-          data fsync run as a background pool task; the maintenance
-          thread only snapshots, and the manifest update is deferred
-          until the job settles — strictly after the data fsync, so a
-          crash at any point recovers to a valid earlier checkpoint.
+      (** when present (and multi-domain), a checkpoint's
+          serialization, data fsync, manifest update and pruning run as
+          one background pool job, the manifest strictly after the data
+          fsync, so a crash at any point recovers to a valid checkpoint;
+          the maintenance thread only captures, and adopts the saved
+          manifest once the job settles.
           [None] (default) keeps the original synchronous path.
           Telemetry: [durable.ckpt_stall_ms] accumulates the wall time
           the maintenance thread itself spends on checkpoint work. *)
 }
 
 val default_config : dir:string -> config
-(** 256 KiB segments, checkpoint every 32 actions or 512 KiB of WAL,
+(** 256 KiB segments, checkpoint every 64 actions or 512 KiB of WAL,
     [Wal.Always], 2 checkpoints kept, no hook, no pool (synchronous
     checkpoints). *)
 

@@ -2,30 +2,28 @@ type t =
   | Arrival of { time : int; table : int; change : Ivm.Change.t }
   | Applied of { time : int; table : int; count : int; cost : float }
 
+(* Built eagerly: a [Lazy.t] forced from two domains at once (the WAL on
+   the maintenance thread, a checkpoint on a pool worker) may raise. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+let crc32_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Record.crc32_sub";
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c :=
+      Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
 
 let payload = function
   | Arrival { time; table; change } ->

@@ -18,6 +18,10 @@ type t =
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3) of the whole string. *)
 
+val crc32_sub : string -> pos:int -> len:int -> int32
+(** CRC-32 of the [len] bytes at [pos]; [Invalid_argument] if they are
+    not all inside the string.  Allocates nothing per byte. *)
+
 val to_line : t -> string
 (** Without the trailing newline. *)
 

@@ -290,3 +290,208 @@ let copy c =
     len = c.len;
     exact = Hashtbl.copy c.exact;
   }
+
+(* --- images -------------------------------------------------------------- *)
+
+type image_data =
+  | Int_image of int_ba
+  | Float_image of { data : float_ba; intish : Bytes.t; exact : (int * int) list }
+  | Str_image of { codes : int_ba; dict : string array }
+  | Bool_image of Bytes.t
+
+type image = { rows : int; valid : Bytes.t; data : image_data }
+
+let bitmap_prefix bits rows = Bytes.sub bits 0 ((rows + 7) lsr 3)
+
+(* Slots below [c.len] are never rewritten ([store] only writes slot
+   [len], growth swaps in a new buffer), so the value buffers are kept by
+   reference.  The bitmaps, the dictionary prefix and the exact side
+   table can still change under later appends and are copied. *)
+let capture c =
+  let rows = c.len in
+  let data =
+    match c.payload with
+    | Ints p -> Int_image p.data
+    | Floats p ->
+        let exact =
+          Hashtbl.fold
+            (fun i v acc ->
+              match v with Value.Int x when i < rows -> (i, x) :: acc | _ -> acc)
+            c.exact []
+        in
+        Float_image
+          {
+            data = p.data;
+            intish = bitmap_prefix p.intish rows;
+            exact = List.sort compare exact;
+          }
+    | Strs p -> Str_image { codes = p.codes; dict = Util.Vec.to_array p.dict }
+    | Bools p -> Bool_image (bitmap_prefix p.bits rows)
+  in
+  { rows; valid = bitmap_prefix c.valid rows; data }
+
+(* The codes the live non-null rows use, renumbered in order of first
+   appearance: exactly the dictionary that appending those rows one by
+   one would intern.  [remap.(old)] is the new code ([-1] if unused);
+   [order] lists the old codes by new code. *)
+let live_dict img ~live codes n_dict =
+  let remap = Array.make n_dict (-1) in
+  let order = Util.Vec.create () in
+  for r = 0 to img.rows - 1 do
+    if bit live r && bit img.valid r then begin
+      let old = Bigarray.Array1.unsafe_get codes r in
+      if remap.(old) < 0 then begin
+        remap.(old) <- Util.Vec.length order;
+        Util.Vec.push order old
+      end
+    end
+  done;
+  (remap, order)
+
+(* A bitmap restricted to the live rows, packed densely. *)
+let put_bits w bits img ~live =
+  let acc = ref 0 and k = ref 0 in
+  for r = 0 to img.rows - 1 do
+    if bit live r then begin
+      if bit bits r then acc := !acc lor (1 lsl !k);
+      incr k;
+      if !k = 8 then begin
+        Util.Bin.put_byte w !acc;
+        acc := 0;
+        k := 0
+      end
+    end
+  done;
+  if !k > 0 then Util.Bin.put_byte w !acc
+
+(* Encoding of [n] live rows: the validity bitmap ([(n + 7) / 8] bytes),
+   then by type — ints: [n] words; floats: [n] IEEE words, the intish
+   bitmap, a count and that many (row, int) pairs of the exact table;
+   strings: a count and that many (length, bytes) dictionary entries,
+   then [n] codes; bools: the value bitmap.  Null slots hold 0. *)
+let encode img ~live w =
+  put_bits w img.valid img ~live;
+  let each f =
+    for r = 0 to img.rows - 1 do
+      if bit live r then f r
+    done
+  in
+  match img.data with
+  | Int_image data -> each (fun r -> Util.Bin.put_int w (Bigarray.Array1.unsafe_get data r))
+  | Float_image { data; intish; exact } ->
+      each (fun r -> Util.Bin.put_float_of w data r);
+      put_bits w intish img ~live;
+      let exact = List.filter (fun (r, _) -> bit live r) exact in
+      Util.Bin.put_int w (List.length exact);
+      (* rows renumber densely: the new id is the live count below *)
+      let next = ref 0 and seen = ref 0 in
+      List.iter
+        (fun (r, x) ->
+          while !seen < r do
+            if bit live !seen then incr next;
+            incr seen
+          done;
+          Util.Bin.put_int w !next;
+          Util.Bin.put_int w x)
+        exact
+  | Str_image { codes; dict } ->
+      let remap, order = live_dict img ~live codes (Array.length dict) in
+      Util.Bin.put_int w (Util.Vec.length order);
+      Util.Vec.iter
+        (fun old ->
+          let s = dict.(old) in
+          Util.Bin.put_int w (String.length s);
+          Util.Bin.put_string w s)
+        order;
+      each (fun r ->
+          Util.Bin.put_int w
+            (if bit img.valid r then remap.(Bigarray.Array1.unsafe_get codes r) else 0))
+  | Bool_image bits -> put_bits w bits img ~live
+
+let get_bits rd n = Bytes.of_string (Util.Bin.get_string rd ((n + 7) lsr 3))
+
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Util.Bin.Corrupt s)) fmt
+
+let decode ty ~rows rd =
+  let valid = get_bits rd rows in
+  let data =
+    match ty with
+    | Datatype.TInt ->
+        let data = make_int_ba rows in
+        for r = 0 to rows - 1 do
+          Bigarray.Array1.unsafe_set data r (Util.Bin.get_int rd)
+        done;
+        Int_image data
+    | Datatype.TFloat ->
+        let data = make_float_ba rows in
+        for r = 0 to rows - 1 do
+          Util.Bin.get_float_to rd data r
+        done;
+        let intish = get_bits rd rows in
+        let exact =
+          List.init (Util.Bin.count rd ~per:16 "exact") (fun _ ->
+              let r = Util.Bin.get_int rd in
+              let x = Util.Bin.get_int rd in
+              if r < 0 || r >= rows || not (bit intish r) then
+                corrupt "exact entry for row %d, which holds no int" r;
+              (r, x))
+        in
+        Float_image { data; intish; exact }
+    | Datatype.TString ->
+        let dict =
+          Array.init (Util.Bin.count rd ~per:8 "dictionary") (fun _ ->
+              Util.Bin.get_string rd (Util.Bin.count rd ~per:1 "string length"))
+        in
+        let codes = make_int_ba rows in
+        for r = 0 to rows - 1 do
+          let code = Util.Bin.get_int rd in
+          if code < 0 || (code >= Array.length dict && bit valid r) then
+            corrupt "string code %d out of a %d-entry dictionary" code (Array.length dict);
+          Bigarray.Array1.unsafe_set codes r code
+        done;
+        Str_image { codes; dict }
+    | Datatype.TBool -> Bool_image (get_bits rd rows)
+  in
+  { rows; valid; data }
+
+let of_image ty img ~live =
+  let c = create ~capacity:img.rows ty in
+  let copy_bit src dst r j = if bit src r then set_bit dst j in
+  let each f =
+    let j = ref 0 in
+    for r = 0 to img.rows - 1 do
+      if bit live r then begin
+        copy_bit img.valid c.valid r !j;
+        f r !j;
+        incr j
+      end
+    done;
+    c.len <- !j
+  in
+  (match (img.data, c.payload) with
+  | Int_image src, Ints p ->
+      each (fun r j -> Bigarray.Array1.unsafe_set p.data j (Bigarray.Array1.unsafe_get src r))
+  | Float_image src, Floats p ->
+      let exact = Hashtbl.create 1 in
+      List.iter (fun (r, x) -> Hashtbl.replace exact r x) src.exact;
+      each (fun r j ->
+          Bigarray.Array1.unsafe_set p.data j (Bigarray.Array1.unsafe_get src.data r);
+          copy_bit src.intish p.intish r j;
+          if Hashtbl.length exact > 0 then
+            Option.iter
+              (fun x -> Hashtbl.replace c.exact j (Value.Int x))
+              (Hashtbl.find_opt exact r))
+  | Str_image src, Strs p ->
+      (* interned in order of first appearance, as appends would *)
+      let remap = Array.make (Array.length src.dict) (-1) in
+      each (fun r j ->
+          if bit img.valid r then begin
+            let old = Bigarray.Array1.unsafe_get src.codes r in
+            if remap.(old) < 0 then
+              remap.(old) <- intern_code p.dict p.intern src.dict.(old);
+            Bigarray.Array1.unsafe_set p.codes j remap.(old)
+          end
+          else Bigarray.Array1.unsafe_set p.codes j 0)
+  | Bool_image src, Bools p -> each (fun r j -> copy_bit src p.bits r j)
+  | _ -> invalid_arg "Column.of_image: image of another type");
+  c

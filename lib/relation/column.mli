@@ -7,7 +7,10 @@
     slots arrived as [Value.Int] (the schema admits int widening) so
     {!get} reconstructs the original constructor exactly.
 
-    Columns are append-only.  Vectorized operators read the raw buffers through {!int_data} /
+    Columns are append-only: a value, once appended, is never rewritten,
+    and growth copies into a fresh buffer and leaves the old one as it
+    was.  {!capture} relies on this to keep the value buffers by
+    reference.  Vectorized operators read the raw buffers through {!int_data} /
     {!float_data} / {!codes} / {!validity} and must bound their indices by
     {!length} themselves (buffers have spare capacity past the end). *)
 
@@ -71,3 +74,33 @@ val dict_string : t -> int -> string
 val bit : Bytes.t -> int -> bool
 val set_bit : Bytes.t -> int -> unit
 val clear_bit : Bytes.t -> int -> unit
+
+(** {1 Images}
+
+    A column's rows [0 .. rows - 1] as of one moment, for checkpoints.
+    Only this module knows the encoding of a column's payload. *)
+
+type image
+
+val capture : t -> image
+(** An image of the column as it is now.  Copies the bitmaps, the string
+    dictionary's prefix and the exact side table (appends can still
+    change those); keeps the int, float and code buffers by reference,
+    so later appends never show in the image.  Cheap enough for the
+    maintenance thread; reading the image afterwards is safe from any
+    domain while the column keeps growing. *)
+
+val encode : image -> live:Bytes.t -> Util.Bin.writer -> unit
+(** Write the rows whose bit is set in [live], in row order: the
+    validity bitmap, then the values, unboxed.  A string column writes
+    only the dictionary entries those rows use, renumbered in order of
+    first appearance. *)
+
+val decode : Datatype.t -> rows:int -> Util.Bin.reader -> image
+(** Read what {!encode} wrote for [rows] live rows: an image whose rows
+    are all live.  [Util.Bin.Corrupt] on a short or impossible payload. *)
+
+val of_image : Datatype.t -> image -> live:Bytes.t -> t
+(** A column holding the image's live rows, densely: the same column,
+    dictionary included, that appending those values one by one would
+    build.  [Invalid_argument] if the image holds another type. *)

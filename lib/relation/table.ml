@@ -239,3 +239,52 @@ let copy ~meter t =
     live_bits = Bytes.copy t.live_bits;
     indexes;
   }
+
+(* --- images -------------------------------------------------------------- *)
+
+type image = { live_rows : int; live_mask : Bytes.t; columns : Column.image array }
+
+let capture t =
+  {
+    live_rows = t.live;
+    live_mask = Bytes.sub t.live_bits 0 ((t.n_rows + 7) lsr 3);
+    columns = Array.map Column.capture t.cols;
+  }
+
+let image_rows img = img.live_rows
+
+let encode_image img w =
+  Array.iter (fun c -> Column.encode c ~live:img.live_mask w) img.columns
+
+(* Bits [0 .. n - 1] set, the rest of the bitmap clear. *)
+let dense_mask n =
+  let bits = Bytes.make (max 8 ((n + 8) lsr 3)) '\000' in
+  for row = 0 to n - 1 do
+    Column.set_bit bits row
+  done;
+  bits
+
+let decode_image schema ~rows rd =
+  {
+    live_rows = rows;
+    live_mask = dense_mask rows;
+    columns =
+      Array.init (Schema.arity schema) (fun i ->
+          Column.decode (Schema.column_type schema i) ~rows rd);
+  }
+
+let of_image ?meter ~name ~schema img =
+  let t = create ?meter ~name ~schema () in
+  if Array.length img.columns <> Schema.arity schema then
+    invalid_arg "Table.of_image: image of another arity";
+  let n = img.live_rows in
+  {
+    t with
+    cols =
+      Array.mapi
+        (fun i c -> Column.of_image (Schema.column_type schema i) c ~live:img.live_mask)
+        img.columns;
+    live_bits = dense_mask n;
+    n_rows = n;
+    live = n;
+  }

@@ -3,7 +3,10 @@
 
     Storage is columnar: each attribute lives in a growable unboxed
     {!Column.t}, rows are addressed by id, and deletion clears the row's
-    bit in a liveness bitmap (the tombstone).  Row-at-a-time accessors
+    bit in a liveness bitmap (the tombstone).  Rows are append-only: an
+    insert appends to every column and a delete only clears the row's
+    liveness bit, so no column slot is ever rewritten ({!capture} relies
+    on this).  Row-at-a-time accessors
     ({!get_row}, {!scan}, {!to_list}) materialize boxed tuples on demand;
     the vectorized engine reads whole {!Batch.t} chunks through
     {!batch_cursor} / {!scan_batches} without materializing anything.
@@ -102,3 +105,34 @@ val to_list : t -> Tuple.t list
 val to_list_unmetered : t -> Tuple.t list
 (** Like {!to_list} but without touching the meter — for snapshots and test
     assertions that must not perturb cost measurements. *)
+
+(** {1 Images}
+
+    A table's live rows as of one moment, for checkpoints: taken on the
+    maintenance thread without materializing a row, written later from
+    any domain, and loaded back in bulk. *)
+
+type image
+
+val capture : t -> image
+(** Copies the liveness bitmap and {!Column.capture}s every column;
+    O(rows / 8) bytes copied, no row materialized.  Inserts and deletes
+    on the table afterwards do not show in the image. *)
+
+val image_rows : image -> int
+(** Live rows in the image. *)
+
+val encode_image : image -> Util.Bin.writer -> unit
+(** Every column's live rows in row-id order ({!Column.encode}), column
+    by column in schema order.  Safe on another domain while the table
+    keeps changing. *)
+
+val decode_image : Schema.t -> rows:int -> Util.Bin.reader -> image
+(** Read what {!encode_image} wrote for a table of this schema with
+    [rows] live rows.  [Util.Bin.Corrupt] on a short or bad payload. *)
+
+val of_image : ?meter:Meter.t -> name:string -> schema:Schema.t -> image -> t
+(** A table holding the image's live rows under dense row ids [0 ..
+    image_rows - 1], in row-id order and without indexes: the table that
+    inserting those rows one by one into a fresh table would build.
+    Unmetered. *)

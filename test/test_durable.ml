@@ -444,6 +444,92 @@ let small_maintainer () =
 
 let sorted_rows rows = List.sort Relation.Tuple.compare rows
 
+(* A one-table maintainer over every column type: tombstones, NULLs,
+   repeated strings, ints in the float column (one past 2^53, which only
+   the exact side table holds), and hash indexes on [k] and [s]. *)
+let mixed_schema =
+  Relation.Schema.make
+    [
+      ("k", Relation.Datatype.TInt);
+      ("f", Relation.Datatype.TFloat);
+      ("s", Relation.Datatype.TString);
+      ("b", Relation.Datatype.TBool);
+    ]
+
+let mixed_row i =
+  let open Relation.Value in
+  [|
+    (if i mod 11 = 5 then Null else Int i);
+    (match i mod 4 with
+    | 0 -> Float (float_of_int i /. 8.)
+    | 1 -> Int i
+    | 2 -> Null
+    | _ -> Int ((1 lsl 60) + i));
+    (if i mod 9 = 4 then Null else Str (Printf.sprintf "s%d" (i mod 5)));
+    (if i mod 6 = 1 then Null else Bool (i mod 3 = 0));
+  |]
+
+let mixed_maintainer ~rows =
+  let tbl = Relation.Table.create ~name:"mixed" ~schema:mixed_schema () in
+  for i = 0 to rows - 1 do
+    ignore (Relation.Table.insert tbl (mixed_row i))
+  done;
+  for row = 0 to rows - 1 do
+    if row mod 7 = 3 then ignore (Relation.Table.delete_row tbl row)
+  done;
+  Relation.Table.create_index tbl "k";
+  Relation.Table.create_index tbl "s";
+  let view =
+    Ivm.Viewdef.make ~name:"mixed_count" ~tables:[| tbl |] ~join:[]
+      ~aggs:[ Relation.Agg.count "n" ] ()
+  in
+  let m = Ivm.Maintainer.create ~meter:(Relation.Table.meter tbl) view in
+  Ivm.Maintainer.on_arrive m 0 (Ivm.Change.Insert (mixed_row 1000));
+  (m, tbl)
+
+let capture_of m =
+  Durable.Checkpoint.capture ~lsn:4 ~next_step:3 ~cost:1.5 ~draws:[| 3 |]
+    ~params:[ ("note", "tabs\tand\nnewlines") ] m
+
+let load_ok path =
+  match Durable.Checkpoint.load path with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "load %s: %s" path e
+
+(* Two tables agree row by row, id by id, and index by index. *)
+let check_same_table label (want : Relation.Table.t) (got : Relation.Table.t) =
+  checki (label ^ ": live rows") (Relation.Table.row_count want)
+    (Relation.Table.row_count got);
+  for row = 0 to Relation.Table.row_count want do
+    if Relation.Table.get_row want row <> Relation.Table.get_row got row then
+      Alcotest.failf "%s: row id %d differs" label row
+  done;
+  Array.iter
+    (fun (c : Relation.Schema.column) ->
+      let name = c.Relation.Schema.name in
+      checkb (label ^ ": index on " ^ name) (Relation.Table.has_index want name)
+        (Relation.Table.has_index got name);
+      checki (label ^ ": distinct " ^ name)
+        (Relation.Table.distinct_estimate want name)
+        (Relation.Table.distinct_estimate got name))
+    (Relation.Schema.columns (Relation.Table.schema want))
+
+(* The table a row-by-row reload of [tbl]'s live rows builds. *)
+let reinserted tbl =
+  let copy =
+    Relation.Table.create ~name:(Relation.Table.name tbl)
+      ~schema:(Relation.Table.schema tbl) ()
+  in
+  List.iter
+    (fun row -> ignore (Relation.Table.insert copy row))
+    (Relation.Table.to_list_unmetered tbl);
+  Array.iter
+    (fun (c : Relation.Schema.column) ->
+      if Relation.Table.has_index tbl c.Relation.Schema.name then
+        Relation.Table.create_index copy c.Relation.Schema.name)
+    (Relation.Schema.columns (Relation.Table.schema tbl));
+  copy
+
 let test_checkpoint_roundtrip () =
   let m, feeds = small_maintainer () in
   (* Leave a non-trivial state: queued deltas on both tables, some
@@ -462,107 +548,265 @@ let test_checkpoint_roundtrip () =
   Unix.mkdir dir 0o755;
   let name = Durable.Checkpoint.write ~dir t in
   checks "filename embeds the lsn" "ckpt-000000000017.ckpt" name;
-  (match Durable.Checkpoint.load (Filename.concat dir name) with
-  | Error e -> Alcotest.failf "load: %s" e
-  | Ok t' ->
-      checki "lsn" t.Durable.Checkpoint.lsn t'.Durable.Checkpoint.lsn;
-      checki "next_step" t.Durable.Checkpoint.next_step
-        t'.Durable.Checkpoint.next_step;
-      checkb "cost bits exact" true
-        (Int64.bits_of_float t.Durable.Checkpoint.cost
-        = Int64.bits_of_float t'.Durable.Checkpoint.cost);
-      checkb "draws" true
-        (t.Durable.Checkpoint.draws = t'.Durable.Checkpoint.draws);
-      checkb "params (with escapes)" true
-        (t.Durable.Checkpoint.params = t'.Durable.Checkpoint.params);
-      checki "pending queue sizes"
-        (List.length t.Durable.Checkpoint.pending.(0))
-        (List.length t'.Durable.Checkpoint.pending.(0));
-      checkb "view rows" true
-        (sorted_rows t.Durable.Checkpoint.view_rows
-        = sorted_rows t'.Durable.Checkpoint.view_rows);
-      let tables = Durable.Checkpoint.restore_tables t' in
-      checki "tables restored" 2 (Array.length tables);
-      Array.iteri
-        (fun i tbl ->
-          checkb
-            (Printf.sprintf "table %d rows survive" i)
-            true
-            (sorted_rows (Relation.Table.to_list_unmetered tbl)
-            = sorted_rows t.Durable.Checkpoint.tables.(i).Durable.Checkpoint.rows))
-        tables;
-      (* Synth indexes r.jk; the restored table must agree. *)
-      checkb "hash index restored" true (Relation.Table.has_index tables.(0) "jk"));
+  let t' = load_ok (Filename.concat dir name) in
+  checki "lsn" t.Durable.Checkpoint.lsn t'.Durable.Checkpoint.lsn;
+  checki "next_step" t.Durable.Checkpoint.next_step t'.Durable.Checkpoint.next_step;
+  checkb "cost bits exact" true
+    (Int64.bits_of_float t.Durable.Checkpoint.cost
+    = Int64.bits_of_float t'.Durable.Checkpoint.cost);
+  checkb "draws" true (t.Durable.Checkpoint.draws = t'.Durable.Checkpoint.draws);
+  checkb "params (with escapes)" true
+    (t.Durable.Checkpoint.params = t'.Durable.Checkpoint.params);
+  checkb "pending queues" true
+    (t.Durable.Checkpoint.pending = t'.Durable.Checkpoint.pending);
+  checkb "view rows" true
+    (t.Durable.Checkpoint.view_rows = t'.Durable.Checkpoint.view_rows);
+  let live = Ivm.Viewdef.tables (Ivm.Maintainer.view m) in
+  let tables = Durable.Checkpoint.restore_tables t' in
+  checki "tables restored" 2 (Array.length tables);
+  (* Synth indexes r.jk; the restored table must agree. *)
+  checkb "hash index restored" true (Relation.Table.has_index tables.(0) "jk");
+  Array.iteri
+    (fun i tbl -> check_same_table (Printf.sprintf "table %d" i) (reinserted live.(i)) tbl)
+    tables;
   rmtree dir
 
-(* Corrupt checkpoints come back as [Error], never as an exception: a
-   field-less lsn/step line, negative counts, and a table count larger
-   than the file could hold. *)
-let test_checkpoint_corrupt () =
-  let m, feeds = small_maintainer () in
-  for _ = 1 to 3 do
-    Ivm.Maintainer.on_arrive m 0 (feeds.Tpcr.Updates.next 0)
+(* The bulk load builds exactly the table a row-by-row reload builds —
+   dense row ids, dictionary order, exact ints, indexes — whether the
+   image was just captured or written and read back. *)
+let test_bulk_restore_matches_reinsert () =
+  let m, tbl = mixed_maintainer ~rows:300 in
+  let want = reinserted tbl in
+  let t = capture_of m in
+  check_same_table "from the capture" want (Durable.Checkpoint.restore_tables t).(0);
+  let dir = scratch () in
+  Unix.mkdir dir 0o755;
+  let t' = load_ok (Filename.concat dir (Durable.Checkpoint.write ~dir t)) in
+  check_same_table "from the file" want (Durable.Checkpoint.restore_tables t').(0);
+  checkb "an int past 2^53 survives in the float column" true
+    (List.exists
+       (fun row -> row.(1) = Relation.Value.Int ((1 lsl 60) + 7))
+       (Relation.Table.to_list_unmetered (Durable.Checkpoint.restore_tables t').(0)));
+  rmtree dir
+
+(* Capture, write and restore build no tuple per base row: the minor heap
+   sees a bounded number of words however many rows the table holds (a
+   boxed row costs at least its arity plus a header).  The table has no
+   index, whose build allocates per row by design. *)
+let test_checkpoint_allocates_no_rows () =
+  let rows = 20_000 in
+  let tbl = Relation.Table.create ~name:"plain" ~schema:mixed_schema () in
+  for i = 0 to rows - 1 do
+    let open Relation.Value in
+    ignore
+      (Relation.Table.insert tbl
+         [| Int i; Float (float_of_int i); Str (Printf.sprintf "s%d" (i mod 5)); Bool true |])
   done;
-  let t =
-    Durable.Checkpoint.capture ~lsn:4 ~next_step:3 ~cost:1.5 ~draws:[| 3; 0 |]
-      ~params:[] m
+  let m =
+    Ivm.Maintainer.create ~meter:(Relation.Table.meter tbl)
+      (Ivm.Viewdef.make ~name:"plain_count" ~tables:[| tbl |] ~join:[]
+         ~aggs:[ Relation.Agg.count "n" ] ())
   in
   let dir = scratch () in
   Unix.mkdir dir 0o755;
-  let path = Filename.concat dir (Durable.Checkpoint.write ~dir t) in
-  let lines =
-    In_channel.with_open_bin path In_channel.input_all
-    |> String.split_on_char '\n'
+  let words what f =
+    let w0 = Gc.minor_words () in
+    let v = f () in
+    let w = Gc.minor_words () -. w0 in
+    if w > float_of_int rows then
+      Alcotest.failf "%s allocated %.0f minor words for %d rows" what w rows;
+    v
   in
-  (* The checkpoint with the first [kw] line's fields replaced by [f]. *)
-  let corrupt kw f =
-    let seen = ref false in
-    List.map
-      (fun line ->
-        match String.split_on_char '\t' line with
-        | k :: fields when k = kw && not !seen ->
-            seen := true;
-            String.concat "\t" (k :: f fields)
-        | _ -> line)
-      lines
+  let t = words "capture" (fun () -> capture_of m) in
+  let file = words "write" (fun () -> Durable.Checkpoint.write ~dir t) in
+  let t' = words "load" (fun () -> load_ok (Filename.concat dir file)) in
+  let tables = words "restore" (fun () -> Durable.Checkpoint.restore_tables t') in
+  checkb "rows restored" true
+    (Relation.Table.to_list_unmetered tables.(0) = Relation.Table.to_list_unmetered tbl);
+  rmtree dir
+
+(* The image [capture] takes is the tables as they were: deletes, inserts
+   past a column's growth boundary, new dictionary strings and an int
+   past 2^53 in the float column, made after the capture and while the
+   write runs on a worker domain, do not show in the file. *)
+let test_capture_then_mutate () =
+  let m, tbl = mixed_maintainer ~rows:100 in
+  let before = Relation.Table.to_list_unmetered tbl in
+  let t = capture_of m in
+  let mutate lo hi =
+    for row = lo to hi - 1 do
+      if row mod 3 = 0 then ignore (Relation.Table.delete_row tbl row)
+    done;
+    for i = lo to hi - 1 do
+      let open Relation.Value in
+      ignore
+        (Relation.Table.insert tbl
+           [| Int i; Int ((1 lsl 58) + i); Str (Printf.sprintf "new%d" i); Bool true |])
+    done
   in
-  let set_nth n v = List.mapi (fun i x -> if i = n then v else x) in
-  let refused (label, kw, f) =
-    Out_channel.with_open_bin path (fun oc ->
-        output_string oc (String.concat "\n" (corrupt kw f)));
-    match Durable.Checkpoint.load path with
-    | Ok _ -> Alcotest.failf "%s: loaded as Ok" label
-    | Error e -> e
-    | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  let dir = scratch () in
+  Unix.mkdir dir 0o755;
+  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+      (* 100 rows fill a 128-slot column; 200 more cross it, and 256 *)
+      mutate 0 40;
+      let p = Durable.Checkpoint.write_async ~dir ~pool ~commit:Fun.id t in
+      mutate 40 300;
+      let file = Durable.Checkpoint.await p in
+      let t' = load_ok (Filename.concat dir file) in
+      let restored = (Durable.Checkpoint.restore_tables t').(0) in
+      checkb "the table did change" true (Relation.Table.to_list_unmetered tbl <> before);
+      checkb "the checkpoint holds the rows at capture time" true
+        (Relation.Table.to_list_unmetered restored = before);
+      checkb "the capture itself is unchanged" true
+        (Relation.Table.to_list_unmetered (Durable.Checkpoint.restore_tables t).(0)
+        = before));
+  rmtree dir
+
+(* --- the version-2 byte layout, as the tests below forge it ------------ *)
+
+let version_line = "abivm-ckpt\t2"
+
+(* The payload of a checkpoint file: its frames' bytes, joined. *)
+let payload_of data =
+  let head = String.index data '\n' + 1 in
+  let buf = Buffer.create (String.length data) in
+  let rec go at =
+    if at < String.length data then begin
+      let len = Int32.to_int (String.get_int32_le data at) in
+      Buffer.add_string buf (String.sub data (at + 8) len);
+      go (at + 8 + len)
+    end
   in
+  go head;
+  Buffer.contents buf
+
+(* A file holding [payload] in one well-formed frame. *)
+let framed ?(head = version_line) payload =
+  let frame = Bytes.create 8 in
+  Bytes.set_int32_le frame 0 (Int32.of_int (String.length payload));
+  Bytes.set_int32_le frame 4 (Durable.Record.crc32 payload);
+  head ^ "\n" ^ Bytes.to_string frame ^ payload
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let load_error label path =
+  match Durable.Checkpoint.load path with
+  | Ok _ -> Alcotest.failf "%s: loaded as Ok" label
+  | Error e -> e
+  | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+
+(* Corrupt checkpoints come back as [Error], never as an exception: a
+   field-less lsn/step line, negative counts, and a table count larger
+   than the file could hold — each with every frame's CRC intact. *)
+let test_checkpoint_corrupt () =
+  let m, tbl = mixed_maintainer ~rows:20 in
+  let dir = scratch () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir (Durable.Checkpoint.write ~dir (capture_of m)) in
+  let payload = payload_of (read_file path) in
+  checkb "the forged framing reads back" true
+    (Result.is_ok
+       (write_file path (framed payload);
+        Durable.Checkpoint.load path));
+  (* The payload with its first [line] replaced.  Lines are matched
+     whole: the line after a column image follows binary bytes, not a
+     newline. *)
+  let replace line by =
+    let rec find i =
+      if i + String.length line > String.length payload then
+        Alcotest.failf "no line %S in the payload" line
+      else if String.sub payload i (String.length line) = line then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub payload 0 i ^ by
+    ^ String.sub payload (i + String.length line) (String.length payload - i - String.length line)
+  in
+  let table fields = String.concat "\t" ("table" :: "0" :: Ivm.Codec.value_to_string (Relation.Value.Str "mixed") :: fields) ^ "\n" in
+  let live = string_of_int (Relation.Table.row_count tbl) in
   List.iter
-    (fun case -> ignore (refused case))
+    (fun (label, line, by) ->
+      write_file path (framed (replace line by));
+      ignore (load_error label path))
     [
-      ("lsn without value", "lsn", fun _ -> []);
-      ("step without value", "step", fun _ -> []);
-      ("negative table count", "tables", fun _ -> [ "-1" ]);
-      ("oversized table count", "tables", fun _ -> [ string_of_int max_int ]);
-      ("negative col count", "table", set_nth 2 "-1");
-      ("negative row count", "table", set_nth 3 "-1");
-      ("negative pending count", "pending", set_nth 1 "-1");
-      ("negative view count", "view", fun _ -> [ "-1" ]);
+      ("lsn without value", "lsn\t4\n", "lsn\n");
+      ("step without value", "step\t3\n", "step\n");
+      ("negative table count", "tables\t1\n", "tables\t-1\n");
+      ("oversized table count", "tables\t1\n", Printf.sprintf "tables\t%d\n" max_int);
+      ("negative col count", table [ "4"; live ], table [ "-1"; live ]);
+      ("negative row count", table [ "4"; live ], table [ "4"; "-1" ]);
+      ("negative pending count", "pending\t0\t1\n", "pending\t0\t-1\n");
+      ("negative view count", "view\t1\n", "view\t-1\n");
     ];
-  (* Tables no longer have ordered indexes, but every col line keeps that
-     flag as its fourth field, written 0, so the format is unchanged; a
-     set flag is refused by the column's name. *)
-  checkb "retired ordered-index flag written 0" true
-    (List.for_all
-       (fun line ->
-         match String.split_on_char '\t' line with
-         | "col" :: fields -> List.nth fields 3 = "0"
-         | _ -> true)
-       lines);
-  let column =
-    fst (List.hd t.Durable.Checkpoint.tables.(0).Durable.Checkpoint.columns)
+  rmtree dir
+
+(* Every truncation and every single-byte flip of a small checkpoint
+   loads as an [Error] or as the very same checkpoint, and never raises. *)
+let test_checkpoint_byte_sweep () =
+  let m, _ = mixed_maintainer ~rows:20 in
+  let dir = scratch () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir (Durable.Checkpoint.write ~dir (capture_of m)) in
+  let good = read_file path in
+  let probe = Filename.concat dir "probe.ckpt" in
+  let same_as_good t =
+    let again = Filename.concat dir "again" in
+    Unix.mkdir again 0o755;
+    let equal = read_file (Filename.concat again (Durable.Checkpoint.write ~dir:again t)) = good in
+    rmtree again;
+    equal
   in
-  checkb "set ordered-index flag names the column" true
-    (contains ~sub:(Printf.sprintf "%S" column)
-       (refused ("ordered-index flag set", "col", set_nth 3 "1")));
+  let check label data =
+    write_file probe data;
+    match Durable.Checkpoint.load probe with
+    | Error _ -> ()
+    | Ok t -> if not (same_as_good t) then Alcotest.failf "%s loaded as another checkpoint" label
+    | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e)
+  in
+  let n = String.length good in
+  for len = 0 to n - 1 do
+    check (Printf.sprintf "truncation to %d of %d bytes" len n) (String.sub good 0 len)
+  done;
+  for i = 0 to n - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string good in
+        Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
+        check (Printf.sprintf "byte %d xor 0x%02x" i mask) (Bytes.to_string b))
+      [ 0x01; 0x80; 0xFF ]
+  done;
+  rmtree dir
+
+(* A version-1 (text rows) checkpoint is refused by its version, by
+   [load] and by a recovery whose manifest lists it. *)
+let test_checkpoint_v1_refused () =
+  let dir = scratch () in
+  Unix.mkdir dir 0o755;
+  let file = Durable.Checkpoint.filename ~lsn:4 in
+  write_file (Filename.concat dir file)
+    (String.concat "\n"
+       [
+         "abivm-ckpt\t1"; "lsn\t4"; "step\t3"; "cost\t3ff8000000000000"; "draws\t3";
+         "tables\t1";
+         "table\t0\t" ^ Ivm.Codec.value_to_string (Relation.Value.Str "t") ^ "\t1\t1";
+         "col\t" ^ Ivm.Codec.value_to_string (Relation.Value.Str "k") ^ "\tint\t1\t0";
+         "row\t" ^ Ivm.Codec.tuple_to_string [| Relation.Value.Int 1 |];
+         "pending\t0\t0"; "view\t0"; "end"; "";
+       ]);
+  let e = load_error "version 1" (Filename.concat dir file) in
+  checkb "the error names version 1" true (contains ~sub:"version 1" e);
+  Durable.Manifest.save ~dir
+    (Durable.Manifest.add_checkpoint (Durable.Manifest.empty ~params:[]) ~lsn:4 ~file);
+  (match
+     Durable.Recovery.recover ~dir
+       ~view_of:(fun _ -> Alcotest.fail "view built over a version-1 checkpoint")
+       ~fresh:(fun () -> Alcotest.fail "genesis built instead of the checkpoint")
+   with
+  | Ok _ -> Alcotest.fail "recovered from a version-1 checkpoint"
+  | Error e -> checkb "recovery names version 1" true (contains ~sub:"version 1" e));
   rmtree dir
 
 let test_manifest_roundtrip_prune () =
@@ -647,7 +891,7 @@ let matrix_config ?pool ~dir ~hook () =
   }
 
 (* A finished run's newest checkpoint with one view row edited still
-   parses, but the view re-materialized from its tables no longer
+   loads, but the view re-materialized from its tables no longer
    matches the recorded rows: recovery must refuse it. *)
 let test_checkpoint_vrow_edit_refused () =
   let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
@@ -669,25 +913,17 @@ let test_checkpoint_vrow_edit_refused () =
         | None -> Alcotest.fail "no checkpoint in the manifest")
     | _ -> Alcotest.fail "no manifest"
   in
-  let edited = ref false in
-  let lines =
-    In_channel.with_open_bin newest In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.map (fun line ->
-           match String.index_opt line '\t' with
-           | Some i when String.sub line 0 i = "vrow" && not !edited -> (
-               let row = String.sub line (i + 1) (String.length line - i - 1) in
-               match Ivm.Codec.tuple_of_string row with
-               | Ok [| Relation.Value.Int pairs |] ->
-                   edited := true;
-                   "vrow\t"
-                   ^ Ivm.Codec.tuple_to_string [| Relation.Value.Int (pairs + 1) |]
-               | _ -> Alcotest.failf "unexpected view row %S" row)
-           | _ -> line)
+  (* Rewritten through the writer, so every frame's CRC holds: only the
+     row check can catch the edit. *)
+  let c = load_ok newest in
+  let edited =
+    match c.Durable.Checkpoint.view_rows with
+    | [| Relation.Value.Int pairs |] :: rest -> [| Relation.Value.Int (pairs + 1) |] :: rest
+    | _ -> Alcotest.fail "unexpected view rows"
   in
-  checkb "a view row was edited" true !edited;
-  Out_channel.with_open_bin newest (fun oc ->
-      output_string oc (String.concat "\n" lines));
+  ignore
+    (Durable.Checkpoint.write ~dir:(Filename.dirname newest)
+       { c with Durable.Checkpoint.view_rows = edited });
   (match recover () with
   | Ok _ -> Alcotest.fail "recovered from a checkpoint with an edited view row"
   | Error e ->
@@ -743,11 +979,12 @@ let test_crash_matrix () =
 
 let test_async_checkpoint_matrix () =
   (* Background (off-thread) checkpoints must not change a single bit of
-     the outcome, and a crash at either boundary of the background job —
-     after serialization but before the rename, or after the data fsync
-     and rename but before the manifest update — must recover to the
-     uninterrupted run exactly (ARIES ordering: the manifest may only
-     reference a checkpoint whose data fsync already returned). *)
+     the outcome, and a crash at any boundary of the background job —
+     after serialization but before the rename, after the data fsync and
+     rename but before the manifest update, or after the job's manifest
+     update but before the maintenance thread adopts it — must recover
+     to the uninterrupted run exactly (ARIES ordering: the manifest may
+     only reference a checkpoint whose data fsync already returned). *)
   let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
   let sync_dir = scratch () in
   let sync_o =
@@ -775,8 +1012,9 @@ let test_async_checkpoint_matrix () =
          the job's points fire on a worker domain concurrently with the
          maintenance thread's own. *)
       List.iter
-        (fun (label, selects) ->
+        (fun (label, selector) ->
           let dir = scratch () in
+          let selects = selector () in
           let fired = Atomic.make false in
           let hook p =
             if (not (Atomic.get fired)) && selects p then begin
@@ -804,9 +1042,20 @@ let test_async_checkpoint_matrix () =
           rmtree dir)
         [
           ( "crash mid-serialization (temp written, never renamed)",
-            function Durable.Hook.Ckpt_temp _ -> true | _ -> false );
+            fun () -> function Durable.Hook.Ckpt_temp _ -> true | _ -> false );
           ( "crash between checkpoint fsync and manifest update",
-            function Durable.Hook.Ckpt_done _ -> true | _ -> false );
+            fun () -> function Durable.Hook.Ckpt_done _ -> true | _ -> false );
+          ( "crash after the job's manifest update, before it settles",
+            (* [run]'s own first manifest save precedes every checkpoint:
+               select the first update after a checkpoint's rename *)
+            fun () ->
+              let renamed = Atomic.make false in
+              function
+              | Durable.Hook.Ckpt_done _ ->
+                  Atomic.set renamed true;
+                  false
+              | Durable.Hook.Manifest_updated -> Atomic.get renamed
+              | _ -> false );
         ])
 
 let test_genesis_recovery_and_refusal () =
@@ -1063,6 +1312,16 @@ let () =
             test_checkpoint_vrow_edit_refused;
           Alcotest.test_case "corrupt checkpoint is an Error" `Quick
             test_checkpoint_corrupt;
+          Alcotest.test_case "bulk restore = row-by-row reload" `Quick
+            test_bulk_restore_matches_reinsert;
+          Alcotest.test_case "no tuple per base row" `Quick
+            test_checkpoint_allocates_no_rows;
+          Alcotest.test_case "capture, then mutate during the write" `Quick
+            test_capture_then_mutate;
+          Alcotest.test_case "every truncation and byte flip" `Quick
+            test_checkpoint_byte_sweep;
+          Alcotest.test_case "version-1 checkpoint refused" `Quick
+            test_checkpoint_v1_refused;
           Alcotest.test_case "manifest roundtrip + prune" `Quick
             test_manifest_roundtrip_prune;
         ] );

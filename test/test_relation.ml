@@ -462,6 +462,74 @@ let test_column_copy () =
     (List.init 3 (fun i -> Column.get floats (i + 2))
     = [ vf 2.5; vi (big + 2); vf 4.5 ])
 
+(* A column image of the live rows — captured, or encoded and decoded —
+   loads into the very column that appending those values builds: same
+   values, same string codes and dictionary order, same float bits. *)
+let test_column_image () =
+  let big = (1 lsl 60) + 1 in
+  let cases =
+    [
+      (ti, [ vi 3; Value.Null; vi (-7); vi max_int; vi 0; vi 9 ]);
+      (tf, [ vf 1.5; vi big; Value.Null; vi 4; vf (-0.); vi (big + 2) ]);
+      (ts, [ vs "b"; vs "a"; Value.Null; vs "b"; vs "c"; vs "a" ]);
+      (Datatype.TBool, [ Value.Bool true; Value.Null; Value.Bool false; Value.Bool true; Value.Bool false; Value.Null ]);
+    ]
+  in
+  (* rows 0 and 3 are tombstones *)
+  let live = Bytes.make 1 '\000' in
+  List.iter (Column.set_bit live) [ 1; 2; 4; 5 ];
+  List.iter
+    (fun (ty, values) ->
+      let label = Datatype.to_string ty in
+      let col = Column.create ty in
+      List.iter (Column.append col) values;
+      let want = Column.create ty in
+      List.iteri (fun i v -> if Column.bit live i then Column.append want v) values;
+      let img = Column.capture col in
+      let buf = Buffer.create 64 in
+      let w = Util.Bin.writer ~size:8 (fun b n -> Buffer.add_subbytes buf b 0 n) in
+      Column.encode img ~live w;
+      Util.Bin.flush w;
+      let rd = Util.Bin.reader (Buffer.contents buf) in
+      let decoded = Column.decode ty ~rows:4 rd in
+      checki (label ^ ": the image is read to its end") 0 (Util.Bin.remaining rd);
+      List.iter
+        (fun (how, got) ->
+          let label = label ^ " " ^ how in
+          checki (label ^ ": length") 4 (Column.length got);
+          for i = 0 to 3 do
+            checkb (Printf.sprintf "%s: row %d" label i) true
+              (Column.get got i = Column.get want i)
+          done;
+          if ty = ts then
+            for i = 0 to 3 do
+              checki (label ^ ": code") (Column.codes want).{i} (Column.codes got).{i}
+            done;
+          if ty = tf then
+            for i = 0 to 3 do
+              checkb (label ^ ": float bits") true
+                (Int64.bits_of_float (Column.float_data want).{i}
+                = Int64.bits_of_float (Column.float_data got).{i})
+            done)
+        [
+          ("from the capture", Column.of_image ty img ~live);
+          ("through the bytes", Column.of_image ty decoded ~live:(Bytes.make 1 '\255'));
+        ])
+    cases;
+  (* later appends, past a growth boundary, leave the capture as it was *)
+  let col = Column.create ~capacity:8 ts in
+  List.iter (Column.append col) [ vs "x"; vs "y" ];
+  let img = Column.capture col in
+  for i = 1 to 40 do
+    Column.append col (vs (string_of_int i))
+  done;
+  let back = Column.of_image ts img ~live:(Bytes.make 1 '\255') in
+  checki "capture keeps its length" 2 (Column.length back);
+  checkb "capture keeps its values" true (Column.get back 1 = vs "y");
+  Alcotest.check_raises "a short image is Corrupt"
+    (Util.Bin.Corrupt "truncated image: expected an 8-byte word") (fun () ->
+      ignore (Column.decode ti ~rows:2 (Util.Bin.reader "\003\001\000")))
+
 (* A copied table is metered on its own meter and shares no rows or index
    buckets with the original. *)
 let test_table_copy () =
@@ -773,6 +841,7 @@ let () =
           Alcotest.test_case "meter counts" `Quick test_table_meter_counts;
           Alcotest.test_case "index direct" `Quick test_index_direct;
           Alcotest.test_case "column copy" `Quick test_column_copy;
+          Alcotest.test_case "column image" `Quick test_column_image;
           Alcotest.test_case "table copy" `Quick test_table_copy;
         ] );
       ( "meter",
