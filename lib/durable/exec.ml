@@ -4,7 +4,6 @@ type config = {
   ckpt_actions : int;
   ckpt_bytes : int;
   sync : Wal.sync;
-  keep_checkpoints : int;
   hook : Hook.point -> unit;
   pool : Parallel.Pool.t option;
 }
@@ -16,7 +15,6 @@ let default_config ~dir =
     ckpt_actions = 64;
     ckpt_bytes = 512 * 1024;
     sync = Wal.Always;
-    keep_checkpoints = 2;
     hook = Hook.none;
     pool = None;
   }
@@ -61,36 +59,38 @@ let remaining ?(arrived = Hashtbl.create 0) ?(applied = Hashtbl.create 0) env m
 
 (* Publish checkpoint [file] at [lsn]: only after its data fsync, rename
    and directory fsync (ARIES order) may the manifest name it.  Saves the
-   pruned manifest, deletes the checkpoint files it dropped, and returns
-   it.  Runs inside the checkpoint's background job, or inline. *)
+   manifest, deletes the checkpoint it supersedes (unless the same LSN
+   was checkpointed twice, under the same name), and returns it.  Runs
+   inside the checkpoint's background job, or inline. *)
 let commit_manifest config manifest ~lsn file =
-  let saved, dropped =
-    Manifest.prune ~keep:config.keep_checkpoints
-      (Manifest.add_checkpoint manifest ~lsn ~file)
-  in
+  let saved = { manifest with Manifest.checkpoint = Some (lsn, file) } in
   Manifest.save ~dir:config.dir ~hook:config.hook saved;
-  (* Never delete a file the pruned manifest still references (a dropped
-     entry can share its filename with a kept one when the same LSN was
-     checkpointed twice). *)
-  let kept = List.map snd saved.Manifest.checkpoints in
-  List.iter
-    (fun f ->
-      if not (List.mem f kept) then
-        try Sys.remove (Filename.concat config.dir f) with Sys_error _ -> ())
-    dropped;
-  Fsutil.fsync_dir config.dir;
+  (match manifest.Manifest.checkpoint with
+  | Some (_, old) when old <> file ->
+      (try Sys.remove (Filename.concat config.dir old) with Sys_error _ -> ());
+      Fsutil.fsync_dir config.dir
+  | _ -> ());
   saved
 
 (* The journal and the checkpoints around {!Bridge.Runner.execute}:
    [counts]/[actions] come from [remaining]; [draws] is mutated in place
-   as feeds are consumed. *)
-let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
-    ~counts ~actions ~cost0 ~draws ~recovered ~replayed =
+   as feeds are consumed.  [log] is the group log, [journal] Exec's
+   handle on it. *)
+let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
+    ~first ~counts ~actions ~cost0 ~draws ~recovered ~replayed =
   let horizon = Abivm.Spec.horizon env.spec in
-  let lsn0 = Wal.lsn wal in
+  let lsn0 = Groupwal.lsn log in
   let total = ref cost0 in
   let actions_since = ref 0 in
-  let bytes_mark = ref (Wal.total_bytes wal) in
+  (* Batches still to apply: a checkpoint with fewer than [ckpt_actions]
+     of them left is superseded by the final one before it pays off. *)
+  let batches n k = if k > 0 then n + 1 else n in
+  let actions_left =
+    ref
+      (List.fold_left (fun n (_, action) -> Array.fold_left batches n action) 0
+         actions)
+  in
+  let bytes_mark = ref (Groupwal.total_bytes log) in
   let manifest = ref manifest in
   let ckpts = ref 0 in
   let inflight = ref None in
@@ -104,7 +104,7 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
      checkpoint's job saved, and truncates the log below its LSN. *)
   let adopt lsn saved =
     manifest := saved;
-    Wal.truncate_before wal lsn;
+    Groupwal.truncate_before log lsn;
     incr ckpts
   in
   let settle_inflight ~wait =
@@ -125,12 +125,12 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
         end
   in
   let checkpoint ?(background = true) t =
-    (* The WAL records this checkpoint claims to supersede must be on
+    (* The log records this checkpoint claims to supersede must be on
        disk before the manifest can point at it. *)
     let t0 = Unix.gettimeofday () in
-    Wal.sync_now wal;
+    ignore (Groupwal.close_window log);
     let c =
-      Checkpoint.capture ~lsn:(Wal.lsn wal) ~next_step:(t + 1) ~cost:!total
+      Checkpoint.capture ~lsn:(Groupwal.lsn log) ~next_step:(t + 1) ~cost:!total
         ~draws ~params:env.params m
     in
     let lsn = c.Checkpoint.lsn in
@@ -143,10 +143,10 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
           Some (lsn, Checkpoint.write_async ~dir:config.dir ~hook:config.hook ~pool ~commit c)
     | _ -> adopt lsn (commit (Checkpoint.write ~dir:config.dir ~hook:config.hook c)));
     actions_since := 0;
-    bytes_mark := Wal.total_bytes wal;
+    bytes_mark := Groupwal.total_bytes log;
     stall_since t0
   in
-  (* A step's arrivals, one WAL commit for all of them.  A checkpoint due
+  (* A step's arrivals, one log commit for all of them.  A checkpoint due
      after step [t - 1] is taken first, before [Step_start t] (the final
      checkpoint below follows the last step).  One background checkpoint
      at a time: a trigger while one is in flight waits for a later step. *)
@@ -154,7 +154,8 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
     if
       t > first
       && (!actions_since >= config.ckpt_actions
-         || Wal.total_bytes wal - !bytes_mark >= config.ckpt_bytes)
+         || Groupwal.total_bytes log - !bytes_mark >= config.ckpt_bytes)
+      && !actions_left >= config.ckpt_actions
       && !inflight = None
     then checkpoint (t - 1);
     config.hook (Hook.Step_start t);
@@ -162,23 +163,24 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
     Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next counts
       ~on_arrival:(fun ~table change ->
         draws.(table) <- draws.(table) + 1;
-        Wal.append wal (Record.Arrival { time = t; table; change }));
-    if Wal.buffered wal > 0 then Wal.commit wal
+        Groupwal.append journal (Record.Arrival { time = t; table; change }));
+    Groupwal.commit journal
   in
   Bridge.Runner.execute m ~first ~counts ~arrive actions
     ~on_applied:(fun ~t ~table ~count ~cost ->
       total := !total +. cost;
-      Wal.append wal (Record.Applied { time = t; table; count; cost });
-      Wal.commit wal;
-      incr actions_since);
+      Groupwal.append journal (Record.Applied { time = t; table; count; cost });
+      Groupwal.commit journal;
+      incr actions_since;
+      decr actions_left);
   settle_inflight ~wait:true;
   (* Final checkpoint: marks the run complete (next_step past the
      horizon) and lets a later [verify] work from snapshot + empty
-     tail.  Resuming an already-finished run (no steps, no new WAL
+     tail.  Resuming an already-finished run (no steps, no new log
      records) skips it — the directory already holds exactly this
      checkpoint, and re-adding it would only churn the manifest.  Always
      synchronous: the process is about to report completion. *)
-  let already_complete = first > horizon && Wal.lsn wal = lsn0 in
+  let already_complete = first > horizon && Groupwal.lsn log = lsn0 in
   if not already_complete then checkpoint ~background:false horizon;
   {
     total_cost = !total;
@@ -188,32 +190,35 @@ let execute config env ~wal ~manifest ~m ~(feeds : Tpcr.Updates.feeds) ~first
     replayed;
     checkpoints = !ckpts;
     steps_run = max 0 (horizon - first + 1);
-    lsn = Wal.lsn wal;
+    lsn = Groupwal.lsn log;
   }
 
-let open_wal config =
-  Wal.open_ ~dir:config.dir ~segment_bytes:config.segment_bytes
-    ~sync:config.sync ~hook:config.hook ()
-
-let started_dir dir =
-  Sys.file_exists (Filename.concat dir "MANIFEST")
-
-(* An injected [Hook.Crash] must behave like a real crash: abandon the
-   WAL handle so committed-but-unflushed group-commit bytes are lost,
-   instead of flushing them on the way out (which would make Interval/
-   Never-mode tail loss untestable). *)
-let with_wal wal f =
-  match f () with
+(* The group log under [config.dir], and Exec's one handle on it, whose
+   forcing policy is [config.sync].  An injected [Hook.Crash] must behave
+   like a real crash: the log is abandoned, so the open window is lost
+   instead of flushed on the way out (which would make Interval/Never
+   tail loss untestable). *)
+let with_log config f =
+  let log =
+    Groupwal.open_ ~dir:(Fsutil.group_dir config.dir)
+      ~segment_bytes:config.segment_bytes ~hook:config.hook ()
+  in
+  let journal =
+    Groupwal.attach log ~tenant:Recovery.tenant ~policy:config.sync ()
+  in
+  match f log journal with
   | v ->
-      Wal.close wal;
+      Groupwal.close log;
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      (match e with Hook.Crash _ -> Wal.abandon wal | _ -> Wal.close wal);
+      (match e with
+      | Hook.Crash _ -> Groupwal.abandon log
+      | _ -> Groupwal.close log);
       Printexc.raise_with_backtrace e bt
 
 let run config env =
-  if started_dir config.dir then
+  if Sys.file_exists (Filename.concat config.dir "MANIFEST") then
     failwith
       (Printf.sprintf
          "Exec.run: %s already holds a durable run — use resume (or point at \
@@ -230,10 +235,9 @@ let run config env =
   if not (Sys.file_exists config.dir) then Unix.mkdir config.dir 0o755;
   let manifest = Manifest.empty ~params:env.params in
   Manifest.save ~dir:config.dir ~hook:config.hook manifest;
-  let wal = open_wal config in
-  with_wal wal (fun () ->
-      execute config env ~wal ~manifest ~m ~feeds ~first:0 ~counts ~actions
-        ~cost0:0.
+  with_log config (fun log journal ->
+      execute config env ~log ~journal ~manifest ~m ~feeds ~first:0 ~counts
+        ~actions ~cost0:0.
         ~draws:(Array.make (Ivm.Viewdef.n_tables (Ivm.Maintainer.view m)) 0)
         ~recovered:false ~replayed:0)
 
@@ -255,13 +259,12 @@ let resume config env =
     | Ok (Some m) -> m
     | Ok None | Error _ -> Manifest.empty ~params:env.params
   in
-  let wal = open_wal config in
-  with_wal wal (fun () ->
-      if Wal.lsn wal <> st.Recovery.lsn then
+  with_log config (fun log journal ->
+      if Groupwal.lsn log <> st.Recovery.lsn then
         Error
           (Printf.sprintf
              "resume: WAL reopened at lsn %d but recovery replayed to %d"
-             (Wal.lsn wal) st.Recovery.lsn)
+             (Groupwal.lsn log) st.Recovery.lsn)
       else begin
         let _, feeds = env.fresh () in
         (* Fast-forward the deterministic feeds past every draw the
@@ -273,7 +276,8 @@ let resume config env =
             done)
           st.Recovery.draws;
         Ok
-          (execute config env ~wal ~manifest ~m:st.Recovery.maintainer ~feeds
+          (execute config env ~log ~journal ~manifest
+             ~m:st.Recovery.maintainer ~feeds
              ~first ~counts ~actions ~cost0:st.Recovery.cost
              ~draws:st.Recovery.draws ~recovered:true
              ~replayed:st.Recovery.replayed)

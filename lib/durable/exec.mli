@@ -1,8 +1,8 @@
 (** Crash-recoverable plan execution.
 
     [run] executes a maintenance plan through [Bridge.Runner.execute],
-    journalling every arrival and every applied batch to a {!Wal} and
-    checkpointing periodically, so a process killed anywhere can
+    journalling every arrival and every applied batch and checkpointing
+    periodically, so a process killed anywhere can
     [resume] and finish with the *same* final view contents and the
     same total cost, bit for bit.  The idempotence argument: an
     [Applied] record in the log makes the plan's batch at that [(time,
@@ -11,36 +11,44 @@
     re-drawn from the deterministic feeds fast-forwarded by the
     recovered per-table draw counts.
 
-    Commit points: one WAL commit per step for that step's arrivals,
+    The directory holds [MANIFEST] (the scenario parameters and at most
+    one checkpoint), that checkpoint's [ckpt-*.ckpt] image, and the
+    group log ({!Groupwal}) under {!Fsutil.group_dir}, where one handle
+    tagged {!Recovery.tenant} journals.  The handle's forcing policy is
+    [config.sync]; a checkpoint closes the window before capturing, and
+    once adopted truncates the log below its LSN.
+
+    Commit points: one log commit per step for that step's arrivals,
     one per applied batch.  A crash between a batch and its commit
     merely re-executes the batch deterministically on resume.  A
     checkpoint due after step [t] is taken before the hook sees
-    [Step_start (t + 1)]. *)
+    [Step_start (t + 1)], unless fewer than [ckpt_actions] batches of
+    the plan are left to apply: the final checkpoint would supersede it
+    before it paid off. *)
 
 type config = {
   dir : string;  (** durability directory (created by {!run}) *)
-  segment_bytes : int;  (** WAL rotation threshold *)
+  segment_bytes : int;  (** log rotation threshold *)
   ckpt_actions : int;  (** checkpoint every N applied actions… *)
-  ckpt_bytes : int;  (** …or every M bytes of WAL, whichever first *)
-  sync : Wal.sync;
-  keep_checkpoints : int;  (** manifest retains this many, oldest pruned *)
+  ckpt_bytes : int;  (** …or every M bytes of log, whichever first *)
+  sync : Wal.sync;  (** the journal handle's forcing policy *)
   hook : Hook.point -> unit;  (** crash-point instrumentation *)
   pool : Parallel.Pool.t option;
       (** when present (and multi-domain), a checkpoint's
-          serialization, data fsync, manifest update and pruning run as
-          one background pool job, the manifest strictly after the data
-          fsync, so a crash at any point recovers to a valid checkpoint;
-          the maintenance thread only captures, and adopts the saved
-          manifest once the job settles.
+          serialization, data fsync, manifest update and removal of the
+          superseded image run as one background pool job, the manifest
+          strictly after the data fsync, so a crash at any point
+          recovers to a valid checkpoint; the maintenance thread only
+          captures, and adopts the saved manifest (truncating the log)
+          once the job settles.
           [None] (default) keeps the original synchronous path.
           Telemetry: [durable.ckpt_stall_ms] accumulates the wall time
           the maintenance thread itself spends on checkpoint work. *)
 }
 
 val default_config : dir:string -> config
-(** 256 KiB segments, checkpoint every 64 actions or 512 KiB of WAL,
-    [Wal.Always], 2 checkpoints kept, no hook, no pool (synchronous
-    checkpoints). *)
+(** 256 KiB segments, checkpoint every 64 actions or 512 KiB of log,
+    [Wal.Always], no hook, no pool (synchronous checkpoints). *)
 
 type env = {
   fresh : unit -> Ivm.Maintainer.t * Tpcr.Updates.feeds;
@@ -58,7 +66,7 @@ type outcome = {
   rows : Relation.Tuple.t list;
   consistent : bool;  (** final [Maintainer.check_consistent] *)
   recovered : bool;  (** this outcome came from a resume *)
-  replayed : int;  (** WAL records replayed before resuming *)
+  replayed : int;  (** log records replayed before resuming *)
   checkpoints : int;  (** checkpoints written by this process *)
   steps_run : int;  (** plan steps this process executed *)
   lsn : int;

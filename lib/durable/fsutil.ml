@@ -39,3 +39,5 @@ let tenant_dir ~root ~name =
   let dir = Filename.concat (Filename.concat root "tenants") name in
   mkdirs dir;
   dir
+
+let group_dir root = Filename.concat root "groupwal"

@@ -19,3 +19,7 @@ val tenant_dir : root:string -> name:string -> string
     manifest live in.  Raises [Invalid_argument] if [name] fails
     {!valid_tenant_name} (anything that could escape the tenant root:
     empty, path separators, ".."). *)
+
+val group_dir : string -> string
+(** [root/groupwal]: where a serve root or a [Durable.Exec] directory
+    keeps its group log ({!Groupwal}). *)

@@ -29,14 +29,14 @@ type handle = {
 }
 
 let open_ ~dir ?segment_bytes ?(hook = Hook.none) () =
-  (* The physical log never fsyncs on its own ([Never]): every
-     durability point is an explicit window close, so the fsync count is
-     exactly the window-close count (plus rotations). *)
-  let log = Log.open_ ~dir ?segment_bytes ~sync:Never ~hook () in
+  (* The physical log never fsyncs on its own: every durability point is
+     an explicit window close, so the fsync count is exactly the
+     window-close count (plus rotations). *)
+  let log = Log.open_ ~dir ?segment_bytes ~hook () in
   { log; m = Mutex.create (); window_closes = 0; forced_closes = 0; hook }
 
-let lsn gw = gw.log |> Log.lsn
-let pending_bytes gw = Log.pending_bytes gw.log
+let lsn gw = Log.lsn gw.log
+let total_bytes gw = Log.total_bytes gw.log
 let window_closes gw = gw.window_closes
 let forced_closes gw = gw.forced_closes
 
@@ -51,11 +51,13 @@ let close_window_locked gw ~forced =
   end
   else false
 
-let close_window gw =
+let locked gw f =
   Mutex.lock gw.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock gw.m)
-    (fun () -> close_window_locked gw ~forced:false)
+  Fun.protect ~finally:(fun () -> Mutex.unlock gw.m) f
+
+let close_window gw = locked gw (fun () -> close_window_locked gw ~forced:false)
+let truncate_before gw lsn =
+  locked gw (fun () -> Log.truncate_before gw.log lsn)
 
 let attach gw ~tenant ?policy () =
   if not (Fsutil.valid_tenant_name tenant) then
@@ -65,8 +67,6 @@ let attach gw ~tenant ?policy () =
       invalid_arg "Groupwal.attach: Interval must be > 0"
   | _ -> ());
   { gw; tenant; policy; hbuf = []; hbuffered = 0; hcommits = 0; hclosed = false }
-
-let tenant h = h.tenant
 
 let append h r =
   if h.hclosed then invalid_arg "Groupwal.append: handle closed";
@@ -78,10 +78,7 @@ let commit h =
   if h.hclosed then invalid_arg "Groupwal.commit: handle closed";
   if h.hbuffered > 0 then begin
     let gw = h.gw in
-    Mutex.lock gw.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock gw.m)
-      (fun () ->
+    locked gw (fun () ->
         List.iter
           (fun r -> Log.append gw.log (Record.Tenant (h.tenant, r)))
           (List.rev h.hbuf);
@@ -119,10 +116,7 @@ let abandon gw = Log.abandon gw.log
    it — in this window or a later one — follows it in the log, so a crash
    can never keep a later commit while losing it. *)
 let commit_coflush gw c =
-  Mutex.lock gw.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock gw.m)
-    (fun () ->
+  locked gw (fun () ->
       Log.append gw.log (Record.Coflush c);
       Log.commit gw.log)
 
@@ -131,8 +125,8 @@ type contents = {
   coflushes : Record.coflush list;
 }
 
-let read ~dir =
-  match Log.read ~dir ~from_lsn:0 with
+let read ~dir ~from_lsn =
+  match Log.read ~dir ~from_lsn with
   | Error _ as e -> e
   | Ok tagged ->
       (* Demux preserving each tenant's record order and first-appearance

@@ -1,8 +1,11 @@
-(** Shared cross-tenant group-commit WAL.
+(** The group-commit log: the one log of the library.
 
     One physical segment log (the {!Wal.Make} machine over tagged
     {!Record.tagged} lines) multiplexes the commit batches of every
     attached tenant, plus the service's own {!Record.coflush} records.
+    A serve root and a [Durable.Exec] directory each keep it under
+    {!Fsutil.group_dir}; Exec attaches one handle, tagged
+    {!Recovery.tenant}.
     Committed bytes accumulate in a shared {e group-commit window};
     {!close_window} writes and fsyncs the whole window at once, so a
     round of the serve scheduler costs {e one} fsync total instead of
@@ -12,11 +15,12 @@
     (or log {!close}) after its commit returns.  A crash ({!abandon})
     loses exactly the open window — every tenant loses the (aligned)
     tail of records committed since the last close, which the serve
-    recovery path already tolerates per tenant.  Per-tenant [sync]
-    policy overrides are honored by {e forcing} the window closed at
-    that tenant's commits ([Always]: every commit; [Interval n]: every
-    n-th commit) — the strict tenant pays the fsync and everyone else's
-    pending commits become durable with it.
+    recovery path already tolerates per tenant.  A handle's [sync]
+    policy is honored by {e forcing} the window closed at that handle's
+    commits ([Always]: every commit; [Interval n]: every n-th commit) —
+    the strict tenant pays the fsync and everyone else's pending commits
+    become durable with it.  This forcing is the library's only
+    sync-policy implementation.
 
     Handles may append/commit from pool worker domains concurrently (the
     window is mutex-protected); each tenant's own records keep their
@@ -35,17 +39,15 @@ val open_ :
   ?hook:(Hook.point -> unit) ->
   unit ->
   t
-(** Open (or create) the shared log.  The underlying WAL runs with
-    [sync = Never]; every durability point is an explicit window close.
-    [hook] additionally fires [Hook.Window_closed] after each close. *)
+(** Open (or create) the shared log.  Every durability point is an
+    explicit window close (or a rotation).  [hook] sees the machine's
+    points and [Hook.Window_closed] after each close. *)
 
 val attach : t -> tenant:string -> ?policy:Wal.sync -> unit -> handle
 (** A per-tenant view of the shared log.  [policy] [None] defers
     entirely to the window cadence; [Some Always] / [Some (Interval n)]
     force the window closed at that tenant's commits.  Raises
     [Invalid_argument] on an invalid tenant name. *)
-
-val tenant : handle -> string
 
 val append : handle -> Record.t -> unit
 (** Buffer a record on the handle; nothing reaches the shared window
@@ -72,7 +74,14 @@ val abandon : t -> unit
 (** Simulated crash: the open window dies unwritten. *)
 
 val lsn : t -> int
-val pending_bytes : t -> int
+val total_bytes : t -> int
+(** Bytes committed since {!open_} — a checkpoint cadence's byte
+    counter. *)
+
+val truncate_before : t -> int -> unit
+(** Delete every segment whose records all precede the given LSN (the
+    current segment is never deleted); a checkpoint at that LSN has
+    made them unnecessary.  Fires [Hook.Truncated] when one goes. *)
 
 val window_closes : t -> int
 (** Window closes since {!open_} (each is exactly one fsync). *)
@@ -92,6 +101,8 @@ type contents = {
   coflushes : Record.coflush list;  (** in commit order *)
 }
 
-val read : dir:string -> (contents, string) result
-(** Demux the whole log.  Each tenant's list replays exactly like a
-    single-tenant WAL.  Empty for a missing directory. *)
+val read : dir:string -> from_lsn:int -> (contents, string) result
+(** Demux every record at LSN [from_lsn] or later.  Each tenant's list
+    replays exactly like a single-tenant log.  Empty for a missing
+    directory; [Error] on damage before the tail, and when the first
+    surviving segment starts past [from_lsn] (a truncated gap). *)

@@ -14,7 +14,7 @@ exception Crash of string
 
 type point =
   | Step_start of int  (** about to execute time step [t] *)
-  | Committed of { lsn : int }  (** a WAL batch is on disk (post-fsync) *)
+  | Committed of { lsn : int }  (** a log batch joined the open window *)
   | Rotated of { start : int }  (** a fresh segment starting at [start] is open *)
   | Ckpt_temp of string  (** checkpoint temp file fully written *)
   | Ckpt_done of string  (** checkpoint renamed into place *)

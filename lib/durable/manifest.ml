@@ -1,29 +1,7 @@
-type t = {
-  params : (string * string) list;
-  checkpoints : (int * string) list;
-}
+type t = { params : (string * string) list; checkpoint : (int * string) option }
 
 let basename = "MANIFEST"
-let empty ~params = { params; checkpoints = [] }
-
-let latest t =
-  match List.rev t.checkpoints with [] -> None | newest :: _ -> Some newest
-
-(* Re-checkpointing at an unchanged LSN (e.g. resuming an already
-   finished run) must not duplicate the entry: once pruned, a duplicate
-   would get its file deleted while the kept copies still reference it. *)
-let add_checkpoint t ~lsn ~file =
-  let others = List.filter (fun e -> e <> (lsn, file)) t.checkpoints in
-  { t with checkpoints = others @ [ (lsn, file) ] }
-
-let prune ~keep t =
-  if keep <= 0 then invalid_arg "Manifest.prune: keep must be > 0";
-  let n = List.length t.checkpoints in
-  if n <= keep then (t, [])
-  else
-    let dropped = List.filteri (fun i _ -> i < n - keep) t.checkpoints in
-    let kept = List.filteri (fun i _ -> i >= n - keep) t.checkpoints in
-    ({ t with checkpoints = kept }, List.map snd dropped)
+let empty ~params = { params; checkpoint = None }
 
 let str s = Ivm.Codec.value_to_string (Relation.Value.Str s)
 
@@ -38,7 +16,9 @@ let save ~dir ?(hook = Hook.none) t =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "abivm-manifest\t1";
   List.iter (fun (k, v) -> line "param\t%s\t%s" (str k) (str v)) t.params;
-  List.iter (fun (lsn, file) -> line "ckpt\t%d\t%s" lsn (str file)) t.checkpoints;
+  Option.iter
+    (fun (lsn, file) -> line "ckpt\t%d\t%s" lsn (str file))
+    t.checkpoint;
   line "end";
   let tmp = Filename.concat dir (basename ^ ".tmp") in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
@@ -76,10 +56,9 @@ let load ~dir =
     in
     match lines with
     | "abivm-manifest\t1" :: rest ->
-        let rec go params ckpts saw_end = function
+        let rec go params ckpt saw_end = function
           | [] ->
-              if saw_end then
-                Ok { params = List.rev params; checkpoints = List.rev ckpts }
+              if saw_end then Ok { params = List.rev params; checkpoint = ckpt }
               else Error "manifest missing end trailer (torn write?)"
           | _ :: _ when saw_end -> Error "manifest has content after end trailer"
           | line :: rest -> (
@@ -87,16 +66,18 @@ let load ~dir =
               | [ "param"; k; v ] ->
                   let* k = unstr k in
                   let* v = unstr v in
-                  go ((k, v) :: params) ckpts false rest
+                  go ((k, v) :: params) ckpt false rest
+              | [ "ckpt"; _; _ ] when ckpt <> None ->
+                  Error "manifest lists more than one checkpoint"
               | [ "ckpt"; lsn; file ] -> (
                   match int_of_string_opt lsn with
                   | None -> Error (Printf.sprintf "bad manifest lsn %S" lsn)
                   | Some lsn ->
                       let* file = unstr file in
-                      go params ((lsn, file) :: ckpts) false rest)
-              | [ "end" ] -> go params ckpts true rest
+                      go params (Some (lsn, file)) false rest)
+              | [ "end" ] -> go params ckpt true rest
               | _ -> Error (Printf.sprintf "bad manifest line %S" line))
         in
-        let* m = go [] [] false rest in
+        let* m = go [] None false rest in
         Ok (Some m)
     | _ -> Error "not an abivm manifest (bad header)"

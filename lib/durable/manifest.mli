@@ -1,31 +1,25 @@
 (** The durability directory's root of trust.
 
-    The [MANIFEST] file names the scenario parameters and the
-    checkpoints that were *completely* written (temp + fsync + rename
-    all done).  Recovery starts from the newest manifest-listed
-    checkpoint; a checkpoint file the manifest does not mention is
-    garbage from a crash and is never read.  The manifest itself is
-    replaced atomically. *)
+    The [MANIFEST] file names the scenario parameters and at most one
+    checkpoint: the newest one that was {e completely} written (temp +
+    fsync + rename all done).  Recovery starts from it and replays the
+    group log from its LSN; a checkpoint file the manifest does not name
+    is garbage from a crash (or a superseded image) and is never read.
+    One is enough: once a newer checkpoint is adopted the log is
+    truncated below its LSN, so an older one's tail is gone.  The
+    manifest itself is replaced atomically. *)
 
 type t = {
   params : (string * string) list;
-  checkpoints : (int * string) list;  (** (lsn, basename), oldest first *)
+  checkpoint : (int * string) option;  (** (lsn, basename) *)
 }
 
 val empty : params:(string * string) list -> t
-val latest : t -> (int * string) option
-
-val add_checkpoint : t -> lsn:int -> file:string -> t
-(** Append as the newest checkpoint.  An identical [(lsn, file)] entry
-    already present is moved to the end rather than duplicated, so a
-    re-checkpoint at an unchanged LSN is idempotent. *)
-
-val prune : keep:int -> t -> t * string list
-(** Keep the newest [keep] checkpoints; returns the dropped basenames so
-    the caller can delete the files (after saving the pruned manifest). *)
 
 val save : dir:string -> ?hook:(Hook.point -> unit) -> t -> unit
 (** Atomic replace; fires [Hook.Manifest_updated] after the rename. *)
 
 val load : dir:string -> (t option, string) result
-(** [Ok None] when no manifest exists (fresh or never-started directory). *)
+(** [Ok None] when no manifest exists (fresh or never-started
+    directory); [Error] on a torn or malformed file, and on one that
+    lists more than one checkpoint. *)

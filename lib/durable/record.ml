@@ -33,10 +33,6 @@ let payload = function
       Printf.sprintf "P\t%d\t%d\t%d\t%Lx" time table count
         (Int64.bits_of_float cost)
 
-let to_line r =
-  let p = payload r in
-  Printf.sprintf "%08lx\t%s" (crc32 p) p
-
 let parse_payload text =
   match String.split_on_char '\t' text with
   | "A" :: time :: table :: rest when rest <> [] -> (
@@ -72,11 +68,6 @@ let checked_body line =
           if Int64.to_int32 crc <> crc32 body then
             Error (Printf.sprintf "CRC mismatch on %S" line)
           else Ok body)
-
-let of_line line =
-  match checked_body line with
-  | Error _ as e -> e
-  | Ok body -> parse_payload body
 
 type coflush = { round : int; rows : (string * int array) list }
 

@@ -1,10 +1,11 @@
-(** WAL record types and their CRC-protected line encoding.
+(** Log record types and their CRC-protected line encoding.
 
-    Each record is one text line: an 8-hex-digit CRC-32 of the payload,
-    a tab, then the payload.  Payloads encode modifications with
-    {!Ivm.Codec}, so a WAL is human-inspectable.  Applied-action
-    costs are stored as IEEE-754 bit patterns ([%Lx]) so recovery
-    restores them bit-identically. *)
+    Each record is one text line of the group log ({!Groupwal}): an
+    8-hex-digit CRC-32 of the body, a tab, the tag, a tab, then the
+    payload.  Payloads encode modifications with {!Ivm.Codec}, so the
+    log is human-inspectable.  Applied-action costs are stored as
+    IEEE-754 bit patterns ([%Lx]) so recovery restores them
+    bit-identically. *)
 
 type t =
   | Arrival of { time : int; table : int; change : Ivm.Change.t }
@@ -22,12 +23,9 @@ val crc32_sub : string -> pos:int -> len:int -> int32
 (** CRC-32 of the [len] bytes at [pos]; [Invalid_argument] if they are
     not all inside the string.  Allocates nothing per byte. *)
 
-val to_line : t -> string
-(** Without the trailing newline. *)
-
-val of_line : string -> (t, string) result
-(** [Error] on CRC mismatch, malformed framing, or an undecodable
-    payload — any of which recovery treats as damage. *)
+val payload : t -> string
+(** The record's encoding, untagged and without a CRC: two records with
+    equal payloads are the same log record, bit for bit. *)
 
 (** {1 Shared group-log lines} *)
 
@@ -45,10 +43,13 @@ val to_tagged_line : tagged -> string
     CRC, tab, tag, tab, payload.  The tag is the tenant's name, or the
     reserved service tag [@service] (never a valid tenant name) for a
     {!Coflush}.  The CRC covers the tag, so damage can never re-home a
-    record to another tenant or to the service. *)
+    record to another tenant or to the service.  Without the trailing
+    newline. *)
 
 val of_tagged_line : string -> (tagged, string) result
-(** Decode a {!to_tagged_line} line.  Rejects tenant tags that are not
+(** Decode a {!to_tagged_line} line: [Error] on a CRC mismatch,
+    malformed framing, or an undecodable payload — any of which recovery
+    treats as damage.  Rejects tenant tags that are not
     valid tenant names, and co-flush records with a negative round or
     count, a malformed row, or no rows.  Row widths are the service's to
     check. *)

@@ -1,3 +1,5 @@
+let tenant = "exec"
+
 type state = {
   maintainer : Ivm.Maintainer.t;
   cost : float;
@@ -61,6 +63,28 @@ let replay_record m ~draws ~arrived ~applied ~cost record =
           Hashtbl.replace applied (time, table) recorded;
           Ok (cost +. recorded))
 
+(* Before the group log, Exec kept untagged [wal-*.seg] segments directly
+   in its directory. *)
+let old_layout dir =
+  Array.exists
+    (fun f ->
+      String.starts_with ~prefix:"wal-" f && Filename.check_suffix f ".seg")
+    (Sys.readdir dir)
+
+(* The tail of Exec's log: its own records, and nothing else. *)
+let read_tail ~dir ~from_lsn =
+  match Groupwal.read ~dir:(Fsutil.group_dir dir) ~from_lsn with
+  | Error e -> Error (Printf.sprintf "wal: %s" e)
+  | Ok { Groupwal.coflushes = _ :: _; _ } ->
+      Error "wal: holds a serve co-flush record; not a plan's log"
+  | Ok { tenants = []; _ } -> Ok []
+  | Ok { tenants = [ (t, records) ]; _ } when t = tenant -> Ok records
+  | Ok { tenants; _ } ->
+      let foreign, _ = List.find (fun (t, _) -> t <> tenant) tenants in
+      Error
+        (Printf.sprintf "wal: holds records of tenant %S; not a plan's log"
+           foreign)
+
 let recover ~dir ~view_of ~fresh =
   let t0 = Unix.gettimeofday () in
   let* manifest =
@@ -69,8 +93,17 @@ let recover ~dir ~view_of ~fresh =
     | Ok None -> Error (Printf.sprintf "%s: no manifest — not a durable run" dir)
     | Error e -> Error (Printf.sprintf "manifest: %s" e)
   in
+  let* () =
+    if old_layout dir then
+      Error
+        (Printf.sprintf
+           "%s: old durable layout (WAL segments directly in the directory, \
+            not under groupwal/): no longer supported"
+           dir)
+    else Ok ()
+  in
   let* m, base_cost, draws, next_step, checkpoint_lsn =
-    match Manifest.latest manifest with
+    match manifest.Manifest.checkpoint with
     | None ->
         let m = fresh () in
         let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view m) in
@@ -95,11 +128,7 @@ let recover ~dir ~view_of ~fresh =
               lsn )
   in
   let from_lsn = max 0 checkpoint_lsn in
-  let* tail =
-    match Wal.read ~dir ~from_lsn with
-    | Ok records -> Ok records
-    | Error e -> Error (Printf.sprintf "wal: %s" e)
-  in
+  let* tail = read_tail ~dir ~from_lsn in
   let arrived = Hashtbl.create 64 in
   let applied = Hashtbl.create 64 in
   let* cost =

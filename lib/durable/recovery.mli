@@ -1,13 +1,18 @@
-(** Rebuilding maintenance state from a durability directory.
+(** Rebuilding maintenance state from a [Durable.Exec] directory.
 
-    Recovery loads the newest manifest-listed checkpoint, rebuilds the
-    base tables, lets the caller re-erect the view definition over them,
-    re-materializes the view, and *verifies* the result against the
-    checkpoint's recorded view rows before trusting it.  It then replays
-    the WAL tail: [Arrival] records re-enter the delta queues (and count
-    against the feed-draw budget), [Applied] records re-execute their
-    batches through the maintainer — and the recomputed cost must match
-    the recorded bits exactly, or recovery refuses.
+    The directory holds [MANIFEST], at most one [ckpt-*.ckpt] it names,
+    and the group log under {!Fsutil.group_dir}.  Recovery loads the
+    manifest's checkpoint, rebuilds the base tables, lets the caller
+    re-erect the view definition over them, re-materializes the view,
+    and *verifies* the result against the checkpoint's recorded view rows
+    before trusting it.  It then replays the log tail from the
+    checkpoint's LSN: [Arrival] records re-enter the delta queues (and
+    count against the feed-draw budget), [Applied] records re-execute
+    their batches through the maintainer — and the recomputed cost must
+    match the recorded bits exactly, or recovery refuses.  A tail that
+    holds a record under any tag but {!tenant} (another tenant's, or a
+    serve co-flush) is not a plan's log and is refused, as is a directory
+    in the old layout (WAL segments directly under it).
 
     With a manifest but no checkpoint yet (a run that died before its
     first checkpoint), recovery starts from the caller's fresh genesis
@@ -16,6 +21,9 @@
     Verification is bit-exact, which is sound for the views this engine
     runs durably (counted bags and integer aggregates); a view with
     order-sensitive float aggregates would need an epsilon here. *)
+
+val tenant : string
+(** The tag of Exec's records in the group log. *)
 
 type state = {
   maintainer : Ivm.Maintainer.t;
@@ -28,7 +36,7 @@ type state = {
   applied : (int * int, float) Hashtbl.t;
       (** (time, table) -> recorded cost — resume no-ops these actions *)
   lsn : int;  (** end of the committed log *)
-  replayed : int;  (** WAL records replayed past the checkpoint *)
+  replayed : int;  (** log records replayed past the checkpoint *)
   checkpoint_lsn : int;  (** -1 when recovering from genesis *)
   params : (string * string) list;  (** from the manifest *)
 }

@@ -27,50 +27,22 @@ module type LINE = sig
   val of_line : string -> (r, string) result
 end
 
-module type S = sig
-  type r
-  type t
-
-  val open_ :
-    dir:string ->
-    ?segment_bytes:int ->
-    ?sync:sync ->
-    ?hook:(Hook.point -> unit) ->
-    unit ->
-    t
-
-  val lsn : t -> int
-  val total_bytes : t -> int
-  val pending_bytes : t -> int
-  val append : t -> r -> unit
-  val buffered : t -> int
-  val commit : t -> unit
-  val sync_now : t -> unit
-  val truncate_before : t -> int -> unit
-  val close : t -> unit
-  val abandon : t -> unit
-  val read : dir:string -> from_lsn:int -> (r list, string) result
-end
-
-(* The whole segment machine — tail repair, rotation, group commit, chain
-   validation — is agnostic to what a record *is*; it only needs a
-   line codec.  [Make] keeps it that way so the per-tenant WAL
-   ([Record.t] lines) and the shared cross-tenant group log
-   (tenant-tagged lines, {!Groupwal}) share one implementation. *)
+(* The whole segment machine — tail repair, rotation, the pending window,
+   chain validation — is agnostic to what a record *is*; it only needs a
+   line codec.  When to sync is not its business either: the caller
+   (Groupwal's window closes) decides. *)
 module Make (C : LINE) = struct
   type r = C.r
 
   type t = {
     dir : string;
     segment_bytes : int;
-    sync : sync;
     hook : Hook.point -> unit;
     mutable fd : Unix.file_descr;
     mutable seg_start : int; (* LSN of the current segment's first record *)
     mutable seg_bytes : int; (* bytes already in the current segment *)
     mutable lsn : int; (* committed records since genesis *)
     mutable total_bytes : int; (* bytes committed through this handle *)
-    mutable commits : int;
     buffer : Buffer.t;
     mutable buffered : int; (* records in [buffer] *)
     pending : Buffer.t; (* committed bytes not yet handed to the OS *)
@@ -158,14 +130,10 @@ module Make (C : LINE) = struct
       size + 1
     end
 
-  let open_ ~dir ?(segment_bytes = 1 lsl 20) ?(sync = Always)
-      ?(hook = Hook.none) () =
+  let open_ ~dir ?(segment_bytes = 1 lsl 20) ?(hook = Hook.none) () =
     if segment_bytes <= 0 then
       invalid_arg "Wal.open_: segment_bytes must be > 0";
-    (match sync with
-    | Interval n when n <= 0 -> invalid_arg "Wal.open_: Interval must be > 0"
-    | _ -> ());
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+    Fsutil.mkdirs dir;
     let seg_start, seg_bytes, lsn =
       match segments dir with
       | [] ->
@@ -218,14 +186,12 @@ module Make (C : LINE) = struct
     {
       dir;
       segment_bytes;
-      sync;
       hook;
       fd = open_segment_for_append (Filename.concat dir (segment_name seg_start));
       seg_start;
       seg_bytes;
       lsn;
       total_bytes = 0;
-      commits = 0;
       buffer = Buffer.create 512;
       buffered = 0;
       pending = Buffer.create 512;
@@ -234,7 +200,6 @@ module Make (C : LINE) = struct
 
   let lsn w = w.lsn
   let total_bytes w = w.total_bytes
-  let buffered w = w.buffered
   let pending_bytes w = Buffer.length w.pending
 
   let append w r =
@@ -253,11 +218,10 @@ module Make (C : LINE) = struct
     in
     go 0
 
-  (* Group commit: when the sync policy already accepts losing the last
-     few commits on a crash, the write syscall itself is deferred along
-     with the fsync — committed bytes sit in [pending] until the next
-     durability point (policy fsync, {!sync_now}, rotation, {!close}).
-     One write + one fsync then covers the whole batch of commits. *)
+  (* Group commit: the write syscall is deferred along with the fsync —
+     committed bytes sit in [pending] until the next durability point
+     ({!sync_now}, rotation, {!close}).  One write + one fsync then covers
+     the whole batch of commits. *)
   let flush_pending w =
     if Buffer.length w.pending > 0 then begin
       write_all w.fd (Buffer.contents w.pending);
@@ -293,11 +257,6 @@ module Make (C : LINE) = struct
       let n = w.buffered in
       w.buffered <- 0;
       Buffer.add_string w.pending batch;
-      w.commits <- w.commits + 1;
-      (match w.sync with
-      | Always -> fsync w
-      | Interval k -> if w.commits mod k = 0 then fsync w
-      | Never -> ());
       w.lsn <- w.lsn + n;
       w.seg_bytes <- w.seg_bytes + String.length batch;
       w.total_bytes <- w.total_bytes + String.length batch;
@@ -358,9 +317,9 @@ module Make (C : LINE) = struct
     | [] -> Ok []
     | (first_start, first_path) :: _ when first_start > from_lsn ->
         (* Records in [from_lsn, first_start) were truncated away but are
-           still wanted — e.g. a reverted manifest pointing at a pruned
-           checkpoint.  Silently skipping the gap would replay from the
-           wrong state. *)
+           still wanted — e.g. a manifest older than the truncation.
+           Silently skipping the gap would replay from the wrong
+           state. *)
         Error
           (Printf.sprintf
              "wal gap: first segment %s starts at lsn %d, past requested %d"
@@ -392,10 +351,3 @@ module Make (C : LINE) = struct
         in
         go [] segs
 end
-
-include Make (struct
-  type r = Record.t
-
-  let to_line = Record.to_line
-  let of_line = Record.of_line
-end)

@@ -1,14 +1,17 @@
-(** Append-only, segment-rotated write-ahead log.
+(** The append-only, segment-rotated write-ahead log machine.
 
-    A WAL directory holds segment files [wal-<start>.seg], where
+    A log directory holds segment files [wal-<start>.seg], where
     [<start>] is the global sequence number (LSN — records committed
     since genesis) of the segment's first record.  Appends buffer in
-    memory; {!commit} writes the batch with one syscall, fsyncs
-    according to the {!sync} policy, and only then advances the LSN — a
-    crash loses at most the uncommitted buffer.  When the current
-    segment exceeds its byte budget the commit fsyncs it and rotates to
-    a fresh file, so checkpoint-driven truncation can drop whole old
-    segments without touching live data.
+    memory; {!Make.commit} advances the LSN and moves the batch into the
+    pending window; nothing reaches the file until a durability point —
+    {!Make.sync_now}, a rotation, or {!Make.close} — which writes the whole
+    window with one syscall (and fsyncs it, except at {!Make.close}).  The
+    machine has no sync policy of its own: when to sync is the caller's
+    decision, and {!Groupwal}'s window closes are the one implementation.
+    When the current segment exceeds its byte budget the commit fsyncs it
+    and rotates to a fresh file, so checkpoint-driven truncation can drop
+    whole old segments without touching live data.
 
     Opening an existing directory tolerates a truncated tail: the last
     segment is scanned record by record and physically truncated after
@@ -19,25 +22,22 @@
     CRC in an earlier segment, a gap in the segment chain — is refused
     as corruption.
 
-    The segment machinery is a functor over the line codec ({!Make});
-    the default instance below logs {!Record.t} lines (one WAL per
-    engine / tenant), and {!Groupwal} instantiates it with tenant-tagged
-    lines to multiplex many tenants into one physical log.
+    The machine is a functor over the line codec ({!Make}); {!Groupwal}
+    instantiates it with tenant-tagged lines, and is the library's only
+    log.
 
     Telemetry (when enabled): [durable.appends], [durable.commits],
     [durable.fsyncs], [durable.segments], [durable.truncations]. *)
 
+(** A sync policy, as {!Groupwal.attach} enforces it per handle. *)
 type sync =
-  | Always  (** write + fsync every commit — survives OS crash *)
+  | Always  (** a durability point at every commit — survives OS crash *)
   | Interval of int
-      (** group commit: committed batches accumulate in memory and are
-          written + fsynced together every [n]-th commit (and at every
-          rotation, {!sync_now} and {!close}); a crash loses up to [n]
-          commits *)
+      (** group commit: a durability point every [n]-th commit; a crash
+          loses up to [n] commits *)
   | Never
-      (** no durability point except rotation, {!sync_now} and {!close};
-          cheapest, loses the whole tail since the last of those on a
-          crash *)
+      (** no durability point of its own; the tail since the last
+          window close, rotation or clean close is lost on a crash *)
 
 val sync_to_string : sync -> string
 (** ["always"], ["never"], ["interval:<n>"]. *)
@@ -56,21 +56,21 @@ module type LINE = sig
   (** [Error] on any damage — CRC mismatch, framing, payload. *)
 end
 
-module type S = sig
-  type r
+(** The full segment machine over an arbitrary line codec. *)
+module Make (C : LINE) : sig
+  type r = C.r
   type t
 
   val open_ :
     dir:string ->
     ?segment_bytes:int ->
-    ?sync:sync ->
     ?hook:(Hook.point -> unit) ->
     unit ->
     t
   (** Create the directory (and a first segment) if needed, or continue an
       existing log after repairing its tail.  [segment_bytes] (default
-      [1 lsl 20]) is the rotation threshold; [sync] defaults to [Always].
-      Raises [Failure] on corruption before the tail. *)
+      [1 lsl 20]) is the rotation threshold.  Raises [Failure] on
+      corruption before the tail. *)
 
   val lsn : t -> int
   (** Records committed since genesis. *)
@@ -80,25 +80,20 @@ module type S = sig
       policy's "wall bytes of WAL" counter. *)
 
   val pending_bytes : t -> int
-  (** Committed-but-unwritten group-commit bytes currently deferred in
-      memory.  Zero right after any durability point — the group-commit
-      window driver checks this to skip a no-op fsync. *)
+  (** Committed-but-unwritten bytes (the open window).  Zero right after
+      any durability point — {!Groupwal.close_window} checks this to
+      skip a no-op fsync. *)
 
   val append : t -> r -> unit
   (** Buffer a record; nothing reaches the file until {!commit}. *)
 
-  val buffered : t -> int
-
   val commit : t -> unit
-  (** Commit the buffered batch: advance the LSN, write + fsync per the
-      {!sync} policy (deferred under [Interval]/[Never] — group commit),
-      fire [Hook.Committed], and rotate if the segment is over budget.
-      No-op when nothing is buffered. *)
+  (** Commit the buffered batch: move it into the open window, advance
+      the LSN, fire [Hook.Committed], and rotate (write + fsync) if the
+      segment is over budget.  No-op when nothing is buffered. *)
 
   val sync_now : t -> unit
-  (** Force an fsync regardless of policy — checkpointing calls this so a
-      checkpoint never claims to supersede records that are not yet on
-      disk. *)
+  (** Write and fsync the open window: the durability point. *)
 
   val truncate_before : t -> int -> unit
   (** Delete every segment whose records all precede the given LSN (the
@@ -123,8 +118,3 @@ module type S = sig
       starts past [from_lsn] (truncation outran the caller's snapshot —
       the gap cannot be replayed). *)
 end
-
-module Make (C : LINE) : S with type r = C.r
-(** The full segment machine over an arbitrary line codec. *)
-
-include S with type r = Record.t

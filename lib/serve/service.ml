@@ -240,8 +240,6 @@ let config_of_params params =
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
-let group_dir root = Filename.concat root "groupwal"
-
 (* A service over [group] with nothing run yet; recovery passes the
    admitted tenants' [starts] and the co-flush [journal] it read. *)
 let make ?pool ~root ~config ~group ?(starts = []) ?(journal = Hashtbl.create 1) () =
@@ -273,7 +271,8 @@ let create ?pool ~root config =
     invalid_arg "Service: shed_budget must be finite";
   Durable.Fsutil.mkdirs root;
   let group =
-    Durable.Groupwal.open_ ~dir:(group_dir root) ~hook:config.hook ()
+    Durable.Groupwal.open_ ~dir:(Durable.Fsutil.group_dir root)
+      ~hook:config.hook ()
   in
   let t = make ?pool ~root ~config ~group () in
   save_manifest t;
@@ -711,7 +710,7 @@ let recover ?pool ~root () =
   let params = manifest.Durable.Manifest.params in
   let* config, starts = config_of_params params in
   let names = List.map fst starts in
-  let dir = group_dir root in
+  let dir = Durable.Fsutil.group_dir root in
   (* Demux the shared log once into per-tenant record slices and the
      service's co-flush journal — before reopening it, so damage that
      [open_] would refuse surfaces as a typed error here.  A torn tail is
@@ -719,7 +718,7 @@ let recover ?pool ~root () =
   let* contents =
     Result.map_error
       (Printf.sprintf "%s: group wal: %s" root)
-      (Durable.Groupwal.read ~dir)
+      (Durable.Groupwal.read ~dir ~from_lsn:0)
   in
   let journal = Hashtbl.create 16 in
   let check_row round (name, row) =
@@ -864,4 +863,4 @@ let tenant_records ~root ~name =
   Result.map
     (fun c ->
       Option.value ~default:[] (List.assoc_opt name c.Durable.Groupwal.tenants))
-    (Durable.Groupwal.read ~dir:(group_dir root))
+    (Durable.Groupwal.read ~dir:(Durable.Fsutil.group_dir root) ~from_lsn:0)

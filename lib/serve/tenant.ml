@@ -397,7 +397,7 @@ let abandon t = Durable.Groupwal.detach t.log
    [time] expects [arrivals.(time).(i)] Arrival records per table (in
    table order — exactly the order [begin_step] journals them), then any
    Applied records for that step.  Every replayed arrival is re-drawn
-   from the feeds and must encode to the identical WAL line; every
+   from the feeds and must encode to the identical payload; every
    replayed batch must re-meter to the bit-identical cost.  A record tail
    cut mid-ingest (a crash between arrival commits) is completed: the
    missing arrivals of that step are drawn, ingested and journalled, so a
@@ -425,11 +425,11 @@ let replay t records =
             | Durable.Record.Arrival { time = rt; table = rtable; change = logged }
               :: tl
               when rt = time && rtable = table ->
-                let line change =
-                  Durable.Record.to_line
+                let payload change =
+                  Durable.Record.payload
                     (Durable.Record.Arrival { time; table; change })
                 in
-                if line logged <> line change then
+                if payload logged <> payload change then
                   fail
                     (Printf.sprintf
                        "%s: t=%d table %d: journalled arrival differs from \

@@ -1,9 +1,9 @@
-(* Tests for the durability subsystem (lib/durable): CRC-framed WAL
-   records, segment rotation and torn-tail repair, checkpoint and
-   manifest round-trips, and the acceptance scenario — the crash
-   matrix: killing the executor at *every* crash point it announces,
-   then recovering, must reproduce the uninterrupted run's final view
-   contents and total cost bit for bit. *)
+(* Tests for the durability subsystem (lib/durable): CRC-framed, tagged
+   log records, the group log's segment rotation and torn-tail repair,
+   checkpoint and manifest round-trips, and the acceptance scenario —
+   the crash matrix: killing the executor at *every* crash point it
+   announces, then recovering, must reproduce the uninterrupted run's
+   final view contents and total cost bit for bit. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -46,8 +46,9 @@ let sample_change =
 let test_record_roundtrip () =
   List.iter
     (fun r ->
-      match Durable.Record.of_line (Durable.Record.to_line r) with
-      | Ok r' -> checkb "record survives its line" true (r = r')
+      let tagged = Durable.Record.Tenant ("t0", r) in
+      match Durable.Record.of_tagged_line (Durable.Record.to_tagged_line tagged) with
+      | Ok tagged' -> checkb "record survives its line" true (tagged = tagged')
       | Error e -> Alcotest.failf "roundtrip failed: %s" e)
     [
       Durable.Record.Arrival { time = 0; table = 1; change = sample_change };
@@ -58,19 +59,20 @@ let test_record_roundtrip () =
 
 let test_record_crc_rejects_flips () =
   let line =
-    Durable.Record.to_line
-      (Durable.Record.Applied { time = 3; table = 0; count = 5; cost = 12.25 })
+    Durable.Record.to_tagged_line
+      (Durable.Record.Tenant
+         ("t0", Durable.Record.Applied { time = 3; table = 0; count = 5; cost = 12.25 }))
   in
   (* Flip one payload byte; the CRC must catch it. *)
   let tampered = Bytes.of_string line in
   Bytes.set tampered (String.length line - 1) '9';
-  (match Durable.Record.of_line (Bytes.to_string tampered) with
+  (match Durable.Record.of_tagged_line (Bytes.to_string tampered) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "tampered payload decoded");
   (* Correctly-framed garbage is rejected by the payload parser. *)
-  let body = "P\t1\t0\t0\t0" in
+  let body = "t0\tP\t1\t0\t0\t0" in
   let framed = Printf.sprintf "%08lx\t%s" (Durable.Record.crc32 body) body in
-  match Durable.Record.of_line framed with
+  match Durable.Record.of_tagged_line framed with
   | Error _ -> () (* count must be positive *)
   | Ok _ -> Alcotest.fail "zero-count applied record decoded"
 
@@ -80,86 +82,99 @@ let arrival t i k =
   Durable.Record.Arrival
     { time = t; table = i; change = Ivm.Change.Insert [| Relation.Value.Int k |] }
 
+(* The segment machine, driven through the group log with one tenant. *)
 let read_ok ~dir ~from_lsn =
-  match Durable.Wal.read ~dir ~from_lsn with
-  | Ok records -> records
-  | Error e -> Alcotest.failf "Wal.read: %s" e
+  match Durable.Groupwal.read ~dir ~from_lsn with
+  | Ok { Durable.Groupwal.tenants = [ ("t0", records) ]; coflushes = [] } -> records
+  | Ok { Durable.Groupwal.tenants = []; coflushes = [] } -> []
+  | Ok _ -> Alcotest.fail "Groupwal.read: unexpected tags"
+  | Error e -> Alcotest.failf "Groupwal.read: %s" e
+
+(* A one-tenant log at [dir]: the log and a "t0" handle on it. *)
+let open_t0 ?segment_bytes ?hook ?policy dir =
+  let gw = Durable.Groupwal.open_ ~dir ?segment_bytes ?hook () in
+  (gw, Durable.Groupwal.attach gw ~tenant:"t0" ?policy ())
+
+(* Commit one arrival per step [t] in [from..upto], table 0, then close
+   the window. *)
+let commit_steps_open ?(from = 0) h upto =
+  for t = from to upto do
+    Durable.Groupwal.append h (arrival t 0 t);
+    Durable.Groupwal.commit h
+  done
+
+let commit_steps ?from (gw, h) upto =
+  commit_steps_open ?from h upto;
+  ignore (Durable.Groupwal.close_window gw)
+
+let segment_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".seg")
+  |> List.sort compare |> List.map (Filename.concat dir)
+
+let last_segment dir = List.hd (List.rev (segment_files dir))
 
 let test_wal_roundtrip_rotation () =
   let dir = scratch () in
-  let w =
-    Durable.Wal.open_ ~dir ~segment_bytes:256 ~sync:Durable.Wal.Never ()
-  in
+  let gw, h = open_t0 ~segment_bytes:256 dir in
   for t = 0 to 19 do
-    Durable.Wal.append w (arrival t 0 t);
-    Durable.Wal.append w (arrival t 1 t);
-    Durable.Wal.commit w
+    Durable.Groupwal.append h (arrival t 0 t);
+    Durable.Groupwal.append h (arrival t 1 t);
+    Durable.Groupwal.commit h
   done;
-  checki "lsn counts committed records" 40 (Durable.Wal.lsn w);
-  Durable.Wal.close w;
-  (* A clean close flushes group-committed records even under Never. *)
+  checki "lsn counts committed records" 40 (Durable.Groupwal.lsn gw);
+  Durable.Groupwal.close gw;
+  (* A clean close flushes the open window. *)
   checki "all records read back" 40 (List.length (read_ok ~dir ~from_lsn:0));
   checki "from_lsn filters globally" 5 (List.length (read_ok ~dir ~from_lsn:35));
-  let segs =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".seg")
-  in
-  checkb "256-byte budget forced rotations" true (List.length segs > 1);
-  let w2 = Durable.Wal.open_ ~dir () in
-  checki "reopen continues at the same lsn" 40 (Durable.Wal.lsn w2);
-  Durable.Wal.close w2;
+  checkb "256-byte budget forced rotations" true
+    (List.length (segment_files dir) > 1);
+  let gw2 = Durable.Groupwal.open_ ~dir () in
+  checki "reopen continues at the same lsn" 40 (Durable.Groupwal.lsn gw2);
+  Durable.Groupwal.close gw2;
   rmtree dir
 
 let test_wal_group_commit_window () =
   (* Under Interval 3, commits 1-3 are written at the third commit;
-     commit 4 sits in memory.  Abandoning the handle (= crash) must
+     commit 4 sits in the open window.  Abandoning the log (= crash) must
      lose exactly the unflushed window. *)
   let dir = scratch () in
-  let w = Durable.Wal.open_ ~dir ~sync:(Durable.Wal.Interval 3) () in
+  let gw, h = open_t0 ~policy:(Durable.Wal.Interval 3) dir in
   for t = 0 to 3 do
-    Durable.Wal.append w (arrival t 0 t);
-    Durable.Wal.commit w
+    Durable.Groupwal.append h (arrival t 0 t);
+    Durable.Groupwal.commit h
   done;
-  checki "handle lsn includes the in-memory tail" 4 (Durable.Wal.lsn w);
-  (* no close: the process "dies" here *)
+  checki "handle lsn includes the in-memory tail" 4 (Durable.Groupwal.lsn gw);
+  Durable.Groupwal.abandon gw;
   checki "only the fsynced prefix survives" 3
     (List.length (read_ok ~dir ~from_lsn:0));
-  let w2 = Durable.Wal.open_ ~dir ~sync:Durable.Wal.Never () in
-  checki "reopen sees the surviving prefix" 3 (Durable.Wal.lsn w2);
-  Durable.Wal.close w2;
-  Durable.Wal.close w;
+  let gw2 = Durable.Groupwal.open_ ~dir () in
+  checki "reopen sees the surviving prefix" 3 (Durable.Groupwal.lsn gw2);
+  Durable.Groupwal.close gw2;
   rmtree dir
-
-let last_segment dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".seg")
-  |> List.sort compare |> List.rev |> List.hd |> Filename.concat dir
 
 let test_wal_torn_tail_repair () =
   let dir = scratch () in
-  let w = Durable.Wal.open_ ~dir ~sync:Durable.Wal.Always () in
-  for t = 0 to 4 do
-    Durable.Wal.append w (arrival t 0 t);
-    Durable.Wal.commit w
-  done;
-  Durable.Wal.close w;
+  let gw, h = open_t0 dir in
+  commit_steps (gw, h) 4;
+  Durable.Groupwal.close gw;
   let seg = last_segment dir in
   let intact_size = (Unix.stat seg).Unix.st_size in
   (* A torn final write: half a record, no trailing newline. *)
   let oc = open_out_gen [ Open_append ] 0o644 seg in
-  output_string oc "deadbeef\tA\t9\t0\ti:4";
+  output_string oc "deadbeef\tt0\tA\t9\t0\ti:4";
   close_out oc;
   checki "read tolerates the torn tail" 5 (List.length (read_ok ~dir ~from_lsn:0));
   let truncations = ref [] in
-  let w2 =
-    Durable.Wal.open_ ~dir
+  let gw2 =
+    Durable.Groupwal.open_ ~dir
       ~hook:(function
         | Durable.Hook.Truncated { upto } -> truncations := upto :: !truncations
         | _ -> ())
       ()
   in
-  checki "repair keeps every intact record" 5 (Durable.Wal.lsn w2);
-  Durable.Wal.close w2;
+  checki "repair keeps every intact record" 5 (Durable.Groupwal.lsn gw2);
+  Durable.Groupwal.close gw2;
   checkb "repair fired Truncated" true (!truncations = [ 5 ]);
   checki "torn bytes physically removed" intact_size
     (Unix.stat seg).Unix.st_size;
@@ -167,12 +182,9 @@ let test_wal_torn_tail_repair () =
 
 let test_wal_tail_missing_newline () =
   let dir = scratch () in
-  let w = Durable.Wal.open_ ~dir ~sync:Durable.Wal.Always () in
-  for t = 0 to 4 do
-    Durable.Wal.append w (arrival t 0 t);
-    Durable.Wal.commit w
-  done;
-  Durable.Wal.close w;
+  let gw, h = open_t0 dir in
+  commit_steps (gw, h) 4;
+  Durable.Groupwal.close gw;
   (* A tear that swallows exactly the terminating newline: the final
      record still decodes, so no truncation is due — but reopening for
      append must not merge the next record onto the same line. *)
@@ -181,55 +193,38 @@ let test_wal_tail_missing_newline () =
   let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0o644 in
   Unix.ftruncate fd (size - 1);
   Unix.close fd;
-  let w2 = Durable.Wal.open_ ~dir ~sync:Durable.Wal.Always () in
-  checki "unterminated final record still counts" 5 (Durable.Wal.lsn w2);
-  Durable.Wal.append w2 (arrival 5 0 5);
-  Durable.Wal.commit w2;
-  Durable.Wal.close w2;
+  let gw2, h2 = open_t0 dir in
+  checki "unterminated final record still counts" 5 (Durable.Groupwal.lsn gw2);
+  commit_steps ~from:5 (gw2, h2) 5;
+  Durable.Groupwal.close gw2;
   checki "repaired tail keeps records apart" 6
     (List.length (read_ok ~dir ~from_lsn:0));
-  let w3 = Durable.Wal.open_ ~dir () in
-  checki "reopen agrees" 6 (Durable.Wal.lsn w3);
-  Durable.Wal.close w3;
+  let gw3 = Durable.Groupwal.open_ ~dir () in
+  checki "reopen agrees" 6 (Durable.Groupwal.lsn gw3);
+  Durable.Groupwal.close gw3;
   rmtree dir
 
 let test_wal_gap_refused () =
   let dir = scratch () in
-  let w =
-    Durable.Wal.open_ ~dir ~segment_bytes:128 ~sync:Durable.Wal.Always ()
-  in
-  for t = 0 to 11 do
-    Durable.Wal.append w (arrival t 0 t);
-    Durable.Wal.commit w
-  done;
+  let gw, h = open_t0 ~segment_bytes:128 dir in
+  commit_steps (gw, h) 11;
   (* Drop the oldest segments, then ask for records from before the
      surviving ones: the gap must be an error, not a silent skip. *)
-  Durable.Wal.truncate_before w 8;
-  Durable.Wal.close w;
-  (match Durable.Wal.read ~dir ~from_lsn:0 with
+  Durable.Groupwal.truncate_before gw 8;
+  Durable.Groupwal.close gw;
+  (match Durable.Groupwal.read ~dir ~from_lsn:0 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "read silently skipped a truncated gap");
-  (match Durable.Wal.read ~dir ~from_lsn:11 with
-  | Ok records ->
-      checki "reads past the gap still work" 1 (List.length records)
-  | Error e -> Alcotest.failf "read from surviving range: %s" e);
+  checki "reads past the gap still work" 1
+    (List.length (read_ok ~dir ~from_lsn:11));
   rmtree dir
 
 let test_wal_mid_log_corruption_refused () =
   let dir = scratch () in
-  let w =
-    Durable.Wal.open_ ~dir ~segment_bytes:128 ~sync:Durable.Wal.Always ()
-  in
-  for t = 0 to 11 do
-    Durable.Wal.append w (arrival t 0 t);
-    Durable.Wal.commit w
-  done;
-  Durable.Wal.close w;
-  let first_seg =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".seg")
-    |> List.sort compare |> List.hd |> Filename.concat dir
-  in
+  let gw, h = open_t0 ~segment_bytes:128 dir in
+  commit_steps (gw, h) 11;
+  Durable.Groupwal.close gw;
+  let first_seg = List.hd (segment_files dir) in
   checkb "setup produced multiple segments" true (first_seg <> last_segment dir);
   (* Flip a byte in the middle of the FIRST segment: damage before the
      tail is corruption, not a torn write, and must be refused. *)
@@ -237,20 +232,20 @@ let test_wal_mid_log_corruption_refused () =
   ignore (Unix.lseek fd 3 Unix.SEEK_SET);
   ignore (Unix.write_substring fd "X" 0 1);
   Unix.close fd;
-  (match Durable.Wal.read ~dir ~from_lsn:0 with
+  (match Durable.Groupwal.read ~dir ~from_lsn:0 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "mid-log corruption read back as Ok");
-  (match Durable.Wal.open_ ~dir () with
+  (match Durable.Groupwal.open_ ~dir () with
   | exception Failure _ -> ()
-  | w ->
-      Durable.Wal.close w;
+  | gw ->
+      Durable.Groupwal.close gw;
       Alcotest.fail "open_ accepted mid-log corruption");
   rmtree dir
 
 (* --- shared group-commit log ---------------------------------------------- *)
 
 let group_contents_ok ~dir =
-  match Durable.Groupwal.read ~dir with
+  match Durable.Groupwal.read ~dir ~from_lsn:0 with
   | Ok contents -> contents
   | Error e -> Alcotest.failf "Groupwal.read: %s" e
 
@@ -358,6 +353,12 @@ let test_groupwal_forced_close_policy () =
     Durable.Groupwal.commit every2
   done;
   checki "every second commit forces" 3 (Durable.Groupwal.forced_closes gw);
+  (* A seventh commit waits for the eighth: a crash keeps the six the
+     forced closes covered. *)
+  commit_steps_open ~from:6 every2 6;
+  Durable.Groupwal.abandon gw;
+  checki "a crash keeps the forced prefix" 6 (group_total (group_read_ok ~dir));
+  let gw = Durable.Groupwal.open_ ~dir () in
   (match Durable.Groupwal.attach gw ~tenant:"t1" ~policy:(Durable.Wal.Interval 0) () with
   | _ -> Alcotest.fail "Interval 0 accepted at attach"
   | exception Invalid_argument _ -> ());
@@ -397,11 +398,7 @@ let test_groupwal_torn_tail_and_rehoming () =
   (* Re-homing: flip one record's tenant tag to another (valid) tenant.
      The CRC covers the tag, so the tampered line must be refused
      outright — a record can never silently migrate between tenants. *)
-  let first_seg =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".seg")
-    |> List.sort compare |> List.hd |> Filename.concat dir
-  in
+  let first_seg = List.hd (segment_files dir) in
   checkb "setup produced multiple segments" true (first_seg <> last_seg);
   let ic = open_in_bin first_seg in
   let content = really_input_string ic (in_channel_length ic) in
@@ -421,7 +418,7 @@ let test_groupwal_torn_tail_and_rehoming () =
     let oc = open_out_bin first_seg in
     output_bytes oc bytes;
     close_out oc;
-    match Durable.Groupwal.read ~dir with
+    match Durable.Groupwal.read ~dir ~from_lsn:0 with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s replayed as Ok" what
   in
@@ -430,6 +427,35 @@ let test_groupwal_torn_tail_and_rehoming () =
      as a tenant's. *)
   tamper ~what:"service record re-homed to a tenant" "\t@service\t"
     "\tservice0\t";
+  rmtree dir
+
+(* [read ~from_lsn] after a truncation returns exactly the records from
+   [from_lsn] on when the first surviving segment starts at or below it,
+   and refuses anything below that segment. *)
+let test_groupwal_read_after_truncation () =
+  let dir = scratch () in
+  let gw, h = open_t0 ~segment_bytes:128 dir in
+  commit_steps (gw, h) 19;
+  Durable.Groupwal.truncate_before gw 12;
+  let first =
+    match segment_files dir with
+    | seg :: _ :: _ -> int_of_string (String.sub (Filename.basename seg) 4 12)
+    | _ -> Alcotest.fail "truncation left fewer than two segments"
+  in
+  checkb "truncation dropped a segment" true (first > 0 && first <= 12);
+  Durable.Groupwal.close gw;
+  List.iter
+    (fun from_lsn ->
+      checkb
+        (Printf.sprintf "tail from %d" from_lsn)
+        true
+        (read_ok ~dir ~from_lsn
+        = List.init (20 - from_lsn) (fun i ->
+              arrival (from_lsn + i) 0 (from_lsn + i))))
+    [ first; 12; 19; 20 ];
+  (match Durable.Groupwal.read ~dir ~from_lsn:(first - 1) with
+  | Error e -> checkb "the error names the gap" true (contains ~sub:"gap" e)
+  | Ok _ -> Alcotest.fail "read below the first surviving segment");
   rmtree dir
 
 (* --- checkpoint + manifest ------------------------------------------------ *)
@@ -799,7 +825,7 @@ let test_checkpoint_v1_refused () =
   let e = load_error "version 1" (Filename.concat dir file) in
   checkb "the error names version 1" true (contains ~sub:"version 1" e);
   Durable.Manifest.save ~dir
-    (Durable.Manifest.add_checkpoint (Durable.Manifest.empty ~params:[]) ~lsn:4 ~file);
+    { (Durable.Manifest.empty ~params:[]) with checkpoint = Some (4, file) };
   (match
      Durable.Recovery.recover ~dir
        ~view_of:(fun _ -> Alcotest.fail "view built over a version-1 checkpoint")
@@ -807,39 +833,6 @@ let test_checkpoint_v1_refused () =
    with
   | Ok _ -> Alcotest.fail "recovered from a version-1 checkpoint"
   | Error e -> checkb "recovery names version 1" true (contains ~sub:"version 1" e));
-  rmtree dir
-
-let test_manifest_roundtrip_prune () =
-  let dir = scratch () in
-  Unix.mkdir dir 0o755;
-  (match Durable.Manifest.load ~dir with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "manifest in an empty dir"
-  | Error e -> Alcotest.failf "load empty: %s" e);
-  let m = Durable.Manifest.empty ~params:[ ("seed", "11"); ("k", "v\twith tab") ] in
-  let m = Durable.Manifest.add_checkpoint m ~lsn:5 ~file:"ckpt-000000000005.ckpt" in
-  let m = Durable.Manifest.add_checkpoint m ~lsn:9 ~file:"ckpt-000000000009.ckpt" in
-  let m = Durable.Manifest.add_checkpoint m ~lsn:14 ~file:"ckpt-000000000014.ckpt" in
-  (* Re-adding the newest entry (re-checkpoint at an unchanged lsn) must
-     not duplicate it — pruning a duplicate would delete the live file. *)
-  let m = Durable.Manifest.add_checkpoint m ~lsn:14 ~file:"ckpt-000000000014.ckpt" in
-  checki "identical re-add dedupes" 3
-    (List.length m.Durable.Manifest.checkpoints);
-  let m, dropped = Durable.Manifest.prune ~keep:2 m in
-  checkb "oldest pruned" true (dropped = [ "ckpt-000000000005.ckpt" ]);
-  Durable.Manifest.save ~dir m;
-  (match Durable.Manifest.load ~dir with
-  | Ok (Some m') ->
-      checkb "params survive" true
-        (m'.Durable.Manifest.params = m.Durable.Manifest.params);
-      checkb "checkpoints survive in order" true
-        (m'.Durable.Manifest.checkpoints
-        = [ (9, "ckpt-000000000009.ckpt"); (14, "ckpt-000000000014.ckpt") ]);
-      (match Durable.Manifest.latest m' with
-      | Some (14, _) -> ()
-      | _ -> Alcotest.fail "latest is not the newest checkpoint")
-  | Ok None -> Alcotest.fail "saved manifest not found"
-  | Error e -> Alcotest.failf "reload: %s" e);
   rmtree dir
 
 (* --- crash-recoverable execution ------------------------------------------ *)
@@ -877,7 +870,7 @@ let make_env ~seed ~rows ~horizon () =
   { Durable.Exec.fresh; view_of; spec = actual; plan; params = [ ("kind", "test") ] }
 
 (* Tight budgets so a short horizon still exercises rotation,
-   checkpointing, pruning and group commit inside the matrix. *)
+   checkpointing, truncation and group commit inside the matrix. *)
 let matrix_config ?pool ~dir ~hook () =
   {
     Durable.Exec.dir;
@@ -885,10 +878,60 @@ let matrix_config ?pool ~dir ~hook () =
     ckpt_actions = 4;
     ckpt_bytes = 8192;
     sync = Durable.Wal.Interval 3;
-    keep_checkpoints = 2;
     hook;
     pool;
   }
+
+(* A manifest names one checkpoint: it round-trips, a file listing two
+   is refused, and a finished run that checkpointed several times keeps
+   only the image its manifest names (each superseded one is pruned). *)
+let test_manifest_roundtrip_prune () =
+  let dir = scratch () in
+  Unix.mkdir dir 0o755;
+  (match Durable.Manifest.load ~dir with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "manifest in an empty dir"
+  | Error e -> Alcotest.failf "load empty: %s" e);
+  let m =
+    {
+      (Durable.Manifest.empty ~params:[ ("seed", "11"); ("k", "v\twith tab") ]) with
+      checkpoint = Some (14, "ckpt-000000000014.ckpt");
+    }
+  in
+  Durable.Manifest.save ~dir m;
+  (match Durable.Manifest.load ~dir with
+  | Ok (Some m') -> checkb "manifest survives" true (m' = m)
+  | Ok None -> Alcotest.fail "saved manifest not found"
+  | Error e -> Alcotest.failf "reload: %s" e);
+  let path = Filename.concat dir "MANIFEST" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let ckpt_line =
+    List.find (String.starts_with ~prefix:"ckpt\t") (String.split_on_char '\n' text)
+  in
+  write_file path
+    (String.concat "\n"
+       (List.concat_map
+          (fun line -> if line = ckpt_line then [ line; line ] else [ line ])
+          (String.split_on_char '\n' text)));
+  (match Durable.Manifest.load ~dir with
+  | Error e ->
+      checkb "the error names the second checkpoint" true
+        (contains ~sub:"more than one checkpoint" e)
+  | Ok _ -> Alcotest.fail "a manifest with two checkpoints loaded");
+  rmtree dir;
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let dir = scratch () in
+  let o = Durable.Exec.run (matrix_config ~dir ~hook:Durable.Hook.none ()) env in
+  checkb "the run checkpointed more than once" true (o.Durable.Exec.checkpoints > 1);
+  let images =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ckpt")
+  in
+  (match Durable.Manifest.load ~dir with
+  | Ok (Some { checkpoint = Some (_, file); _ }) ->
+      checkb "only the manifest's image is left" true (images = [ file ])
+  | _ -> Alcotest.fail "finished run has no checkpoint in its manifest");
+  rmtree dir
 
 (* A finished run's newest checkpoint with one view row edited still
    loads, but the view re-materialized from its tables no longer
@@ -908,7 +951,7 @@ let test_checkpoint_vrow_edit_refused () =
   let newest =
     match Durable.Manifest.load ~dir with
     | Ok (Some m) -> (
-        match Durable.Manifest.latest m with
+        match m.Durable.Manifest.checkpoint with
         | Some (_, file) -> Filename.concat dir file
         | None -> Alcotest.fail "no checkpoint in the manifest")
     | _ -> Alcotest.fail "no manifest"
@@ -942,6 +985,8 @@ let test_crash_matrix () =
     (baseline.Durable.Exec.checkpoints > 1);
   let pts = Array.of_list (points ()) in
   checkb "matrix covers a real surface" true (Array.length pts > 20);
+  checkb "matrix crashes at window closes" true
+    (Array.exists (function Durable.Hook.Window_closed _ -> true | _ -> false) pts);
   let base_bits = Int64.bits_of_float baseline.Durable.Exec.total_cost in
   let base_rows = sorted_rows baseline.Durable.Exec.rows in
   Array.iteri
@@ -1105,30 +1150,112 @@ let test_genesis_recovery_and_refusal () =
       | Error e -> Alcotest.failf "verify after repeated resumes: %s" e);
   rmtree dir
 
+(* Copy directory [src] to [dst] in name order, passing every line of
+   every log segment through [line]: segments go oldest first, so [line]
+   sees the log's records in LSN order. *)
+let rec copy_dir ?(line = Fun.id) src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun name ->
+      let src = Filename.concat src name and dst = Filename.concat dst name in
+      if Sys.is_directory src then copy_dir ~line src dst
+      else
+        let text = In_channel.with_open_bin src In_channel.input_all in
+        let text =
+          if Filename.check_suffix name ".seg" then
+            String.split_on_char '\n' text |> List.map line |> String.concat "\n"
+          else text
+        in
+        Out_channel.with_open_bin dst (fun oc -> output_string oc text))
+    (let names = Sys.readdir src in
+     Array.sort compare names;
+     names)
+
+(* A run killed at the start of step 8, before any checkpoint, under a
+   synchronous log: its directory holds every record committed so far. *)
+let crashed_at_8 env =
+  let dir = scratch () in
+  let config =
+    {
+      (matrix_config ~dir
+         ~hook:(function
+           | Durable.Hook.Step_start 8 -> raise (Durable.Hook.Crash "t=8")
+           | _ -> ())
+         ())
+      with
+      Durable.Exec.ckpt_actions = max_int;
+      ckpt_bytes = max_int;
+      sync = Durable.Wal.Always;
+    }
+  in
+  (match Durable.Exec.run config env with
+  | _ -> Alcotest.fail "expected the injected crash"
+  | exception Durable.Hook.Crash _ -> ());
+  dir
+
+(* Every way in to a directory's recovery: [Recovery.recover], [resume]
+   and [verify] all refuse it with an error containing [sub]. *)
+let refused_everywhere what ~sub env dir =
+  let config = matrix_config ~dir ~hook:Durable.Hook.none () in
+  let check how = function
+    | Ok _ -> Alcotest.failf "%s: %s accepted it" what how
+    | Error e ->
+        checkb (Printf.sprintf "%s: %s error %S names %S" what how e sub) true
+          (contains ~sub e)
+  in
+  check "recover"
+    (Durable.Recovery.recover ~dir ~view_of:env.Durable.Exec.view_of
+       ~fresh:(fun () -> fst (env.Durable.Exec.fresh ())));
+  check "resume" (Durable.Exec.resume config env);
+  check "verify" (Durable.Exec.verify config env)
+
+(* The group log of an Exec directory is a plan's log: a record under
+   another tenant's tag, or a serve co-flush record, is refused. *)
+let test_foreign_records_refused () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let pristine = crashed_at_8 env in
+  let with_line what ~sub edit =
+    let dir = scratch () in
+    let done_ = ref false in
+    copy_dir pristine dir ~line:(fun line ->
+        match Durable.Record.of_tagged_line line with
+        | Ok (Durable.Record.Tenant (_, r)) when not !done_ ->
+            done_ := true;
+            edit line r
+        | _ -> line);
+    checkb (what ^ ": the log was edited") true !done_;
+    refused_everywhere what ~sub env dir;
+    rmtree dir
+  in
+  with_line "a foreign tenant's record" ~sub:"\"t9\"" (fun _ r ->
+      Durable.Record.to_tagged_line (Durable.Record.Tenant ("t9", r)));
+  with_line "a co-flush record" ~sub:"co-flush" (fun _ _ ->
+      Durable.Record.to_tagged_line
+        (Durable.Record.Coflush { round = 0; rows = [ ("t0", [| 1; 1 |]) ] }));
+  rmtree pristine
+
+(* Before the group log, Exec wrote untagged [wal-*.seg] segments directly
+   into its directory; such a directory is refused by name. *)
+let test_old_layout_refused () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let dir = crashed_at_8 env in
+  let log = Durable.Fsutil.group_dir dir in
+  Array.iter
+    (fun seg -> Sys.rename (Filename.concat log seg) (Filename.concat dir seg))
+    (Sys.readdir log);
+  Sys.rmdir log;
+  refused_everywhere "old layout" ~sub:"old durable layout" env dir;
+  rmtree dir
+
 (* A CRC-valid record that lies — an [Applied] count beyond the
    re-enqueued queue or a cost one float off, an [Arrival] deleting a
    row that is not there — must come back from recovery as a typed
    [Error], never as an exception. *)
 let test_forged_applied_refused () =
   let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
-  let pristine = scratch () in
   (* No checkpoint and a synchronous log: genesis recovery replays every
      record written before the crash. *)
-  let config ~dir ~hook =
-    {
-      (matrix_config ~dir ~hook ()) with
-      Durable.Exec.ckpt_actions = max_int;
-      ckpt_bytes = max_int;
-      sync = Durable.Wal.Always;
-    }
-  in
-  let hook = function
-    | Durable.Hook.Step_start 8 -> raise (Durable.Hook.Crash "t=8")
-    | _ -> ()
-  in
-  (match Durable.Exec.run (config ~dir:pristine ~hook) env with
-  | _ -> Alcotest.fail "expected the injected crash"
-  | exception Durable.Hook.Crash _ -> ());
+  let pristine = crashed_at_8 env in
   let recover dir =
     Durable.Recovery.recover ~dir ~view_of:env.Durable.Exec.view_of
       ~fresh:(fun () -> fst (env.Durable.Exec.fresh ()))
@@ -1138,26 +1265,16 @@ let test_forged_applied_refused () =
   | Error e -> Alcotest.failf "pristine recover: %s" e);
   let forged what ~cause edit =
     let dir = scratch () in
-    Unix.mkdir dir 0o755;
     let found = ref false in
-    Array.iter
-      (fun name ->
-        let text = In_channel.with_open_bin (Filename.concat pristine name) In_channel.input_all in
-        let text =
-          if not (Filename.check_suffix name ".seg") then text
-          else
-            String.split_on_char '\n' text
-            |> List.map (fun line ->
-                   match Result.map edit (Durable.Record.of_line line) with
-                   | Ok (Some r) when not !found ->
-                       found := true;
-                       Durable.Record.to_line r
-                   | _ -> line)
-            |> String.concat "\n"
-        in
-        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
-            output_string oc text))
-      (Sys.readdir pristine);
+    copy_dir pristine dir ~line:(fun line ->
+        match Durable.Record.of_tagged_line line with
+        | Ok (Durable.Record.Tenant (tag, r)) when not !found -> (
+            match edit r with
+            | Some r ->
+                found := true;
+                Durable.Record.to_tagged_line (Durable.Record.Tenant (tag, r))
+            | None -> line)
+        | _ -> line);
     checkb (what ^ ": a record was forged") true !found;
     (match recover dir with
     | Ok _ -> Alcotest.failf "%s: recovered" what
@@ -1195,7 +1312,7 @@ let test_bad_plan_refused_before_writing () =
   let written dir =
     Sys.file_exists dir
     && Array.exists
-         (fun f -> f = "MANIFEST" || Filename.check_suffix f ".seg")
+         (fun f -> f = "MANIFEST" || f = "groupwal" || Filename.check_suffix f ".seg")
          (Sys.readdir dir)
   in
   let refused what env =
@@ -1251,6 +1368,67 @@ let test_bad_plan_refused_before_writing () =
   | Error e -> Alcotest.failf "resume under its own plan: %s" e);
   rmtree dir
 
+(* A checkpoint due when fewer than [ckpt_actions] batches are left is
+   not started: the final checkpoint would supersede it.  Ten batches,
+   one per step 1..10, at four actions a checkpoint: the trigger before
+   step 5 leaves six batches (written), the one before step 9 leaves two
+   (skipped), so a run writes two images, not three, on both paths. *)
+let test_superseded_checkpoint_skipped () =
+  let base = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let env =
+    {
+      base with
+      spec =
+        Abivm.Spec.make
+          ~costs:(Array.make 2 (Cost.Func.affine ~a:1.0 ~b:5.0))
+          ~limit:40.0
+          ~arrivals:(Array.init 13 (fun _ -> [| 1; 1 |]));
+      plan = Abivm.Plan.of_actions (List.init 10 (fun i -> (i + 1, [| 1; 0 |])));
+    }
+  in
+  let config ?pool ~dir hook =
+    { (matrix_config ?pool ~dir ~hook ()) with Durable.Exec.ckpt_bytes = max_int }
+  in
+  let run ?pool () =
+    let dir = scratch () in
+    let images = Atomic.make 0 in
+    let o =
+      Durable.Exec.run
+        (config ?pool ~dir (function
+          | Durable.Hook.Ckpt_done _ -> Atomic.incr images
+          | _ -> ()))
+        env
+    in
+    rmtree dir;
+    checki "checkpoints adopted" 2 o.Durable.Exec.checkpoints;
+    checki "images written" 2 (Atomic.get images);
+    o
+  in
+  let sync_o = run () in
+  let bits (o : Durable.Exec.outcome) =
+    (Int64.bits_of_float o.total_cost, sorted_rows o.rows)
+  in
+  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+      checkb "background checkpoints: same bits" true (bits (run ~pool ()) = bits sync_o));
+  (* Killed after the skipped trigger: recovery replays from the step-5
+     checkpoint and ends on the same bits. *)
+  let dir = scratch () in
+  (match
+     Durable.Exec.run
+       (config ~dir (function
+         | Durable.Hook.Step_start 11 -> raise (Durable.Hook.Crash "t=11")
+         | _ -> ()))
+       env
+   with
+  | _ -> Alcotest.fail "expected the injected crash"
+  | exception Durable.Hook.Crash _ -> ());
+  (match Durable.Exec.resume (config ~dir Durable.Hook.none) env with
+  | Error e -> Alcotest.failf "resume: %s" e
+  | Ok o ->
+      checkb "recovered from the step-5 checkpoint" true (o.Durable.Exec.replayed > 0);
+      checkb "recovered bits identical" true (bits o = bits sync_o));
+  rmtree dir
+
 (* perfbench's paper-durable hands its set-up engine to the first
    [env.fresh] call; a second call would build a database inside the
    timed run. *)
@@ -1303,6 +1481,8 @@ let () =
             test_groupwal_forced_close_policy;
           Alcotest.test_case "torn tail repaired, re-homed tag refused" `Quick
             test_groupwal_torn_tail_and_rehoming;
+          Alcotest.test_case "read from_lsn after truncate_before" `Quick
+            test_groupwal_read_after_truncation;
         ] );
       ( "snapshot",
         [
@@ -1335,9 +1515,14 @@ let () =
             test_genesis_recovery_and_refusal;
           Alcotest.test_case "forged WAL records refused" `Quick
             test_forged_applied_refused;
+          Alcotest.test_case "foreign tag or co-flush record refused" `Quick
+            test_foreign_records_refused;
+          Alcotest.test_case "old layout refused" `Quick test_old_layout_refused;
           Alcotest.test_case "bad plan refused before any write"
             `Quick test_bad_plan_refused_before_writing;
           Alcotest.test_case "run builds the genesis state once" `Quick
             test_run_builds_genesis_once;
+          Alcotest.test_case "superseded checkpoint skipped" `Quick
+            test_superseded_checkpoint_skipped;
         ] );
     ]
