@@ -46,7 +46,12 @@ let execute ?(on_applied = fun ~t:_ ~table:_ ~count:_ ~cost:_ -> ())
     match !rest with
     | (t', action) :: tl when t' = t ->
         rest := tl;
-        on_action t action (Ivm.Maintainer.apply m action ~on_applied:(on_applied ~t))
+        let cost =
+          try Ivm.Maintainer.apply m action ~on_applied:(on_applied ~t)
+          with Invalid_argument msg ->
+            invalid_arg (Printf.sprintf "Runner.execute: at t=%d: %s" t msg)
+        in
+        on_action t action cost
     | _ -> ()
   done
 

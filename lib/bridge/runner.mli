@@ -42,7 +42,9 @@ val execute :
     arrivals, and its action goes through {!Ivm.Maintainer.apply} with
     [on_applied ~t] per batch, then to [on_action t action] with the
     summed cost.  Totals added per batch and per action can differ in
-    the last bits. *)
+    the last bits.  An [Invalid_argument] from [apply] (a queue holding
+    fewer changes than the action takes: [arrive] enqueued other counts
+    than [counts.(t)]) is re-raised with the step prefixed. *)
 
 val run_plan :
   ?monitor:Robust.Monitor.t ->

@@ -8,6 +8,18 @@ val greedy_of_subset : Statevec.t -> int list -> Statevec.t
 val feasible_subset : Spec.t -> Statevec.t -> int list -> bool
 (** Does flushing this subset bring the state under the limit? *)
 
+val iter_minimal_masks :
+  float array -> count:int -> limit:float -> (int -> unit) -> unit
+(** [iter_minimal_masks w ~count ~limit f]: the one definition of a
+    minimal greedy subset.  Over the first [count] weights of [w] (the
+    active tables' [f_j(pre_j)], ascending table order), call [f] on every
+    bitmask whose complement's residual [Σ_{j ∉ mask} w.(j)] is at most
+    [limit] while no mask with one bit fewer is, in ascending mask order —
+    or on [0] alone when the empty flush already fits.  Residuals are
+    summed in ascending [j], so they equal {!Spec.f} of the post-action
+    state bit for bit.  Allocates nothing; raises [Invalid_argument]
+    beyond 16 weights. *)
+
 val minimal_greedy : Spec.t -> Statevec.t -> int list list
 (** All minimal subsets of the non-empty tables whose flush restores the
     constraint.  Monotone feasibility makes {!Util.Subsets.minimal_satisfying}

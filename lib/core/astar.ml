@@ -9,8 +9,6 @@ type stats = {
 
 type result = { cost : float; plan : Plan.t; stats : stats }
 
-module Ktbl = Statekey.Tbl
-
 (* Per-solve precomputation shared by the heuristic and the edge-weight
    evaluator: suffix sums K.(t).(i) = total arrivals to table i during
    [t, T], the global per-table one-step maximum m_i, the paper's batch
@@ -85,19 +83,22 @@ let precompute spec =
 (* Tabulated f_i(k); falls back to a direct evaluation for arguments
    beyond the reachable range (only possible for caller-supplied states,
    never for search-generated ones). *)
-let f_component spec tables i k =
+let[@inline] f_component spec tables i k =
   let tab = tables.f_tab.(i) in
-  if k < Array.length tab then tab.(k) else Cost.Func.eval (Spec.cost_fn spec i) k
+  if k < Array.length tab then tab.(k)
+  else Cost.Func.eval (Spec.cost_fn spec i) k
 
-(* Σ_i f_i(v_i), summed in ascending table order so the result is
-   bit-identical to [Spec.f] (each term is the same float, and adding a
-   0.0 term is exact). *)
-let f_vector spec tables (v : Statevec.t) =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length v - 1 do
-    acc := !acc +. f_component spec tables i v.(i)
-  done;
-  !acc
+(* lb_i(M), with a fallback for caller-supplied states beyond the
+   reachable range: the table's last entry (lb is monotone in M) and the
+   subadditive one-batch bound both lower-bound any continuation. *)
+let lb_beyond spec tables i remaining =
+  let tab = tables.lb.(i) in
+  Float.max tab.(Array.length tab - 1) (f_component spec tables i remaining)
+
+let[@inline] lb_at spec tables i remaining =
+  let tab = tables.lb.(i) in
+  if remaining < Array.length tab then tab.(remaining)
+  else lb_beyond spec tables i remaining
 
 (* h(t, s) = Σ_i lb_i(s_i + K_i) with K_i the arrivals in (t, T] — each
    table's exact decomposition optimum (see [precompute]).  Along any
@@ -110,32 +111,19 @@ let f_vector spec tables (v : Statevec.t) =
    already failed for it; see DESIGN.md §13).  Node reopening below is
    kept: callers may evaluate the heuristic on states outside the
    reachable range, where the fallback is only admissible. *)
-let heuristic_of spec tables =
-  let horizon = Spec.horizon spec in
-  fun ~t (s : Statevec.t) ->
-    (* K_i counts arrivals in (t, T]. *)
-    let start = min (t + 1) (horizon + 1) in
-    let acc = ref 0.0 in
-    Array.iteri
-      (fun i si ->
-        let remaining = si + tables.suffix.(start).(i) in
-        let tab = tables.lb.(i) in
-        let bound =
-          if remaining < Array.length tab then tab.(remaining)
-          else
-            (* Caller-supplied states can exceed the reachable range; the
-               table's last entry (lb is monotone in M) and the
-               subadditive one-batch bound both lower-bound any
-               continuation. *)
-            Float.max
-              tab.(Array.length tab - 1)
-              (f_component spec tables i remaining)
-        in
-        acc := !acc +. bound)
-      s;
-    !acc
+let heuristic_value spec tables ~t (s : Statevec.t) =
+  let start = Int.min (t + 1) (Spec.horizon spec + 1) in
+  let row = tables.suffix.(start) in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length s - 1 do
+    acc := !acc +. lb_at spec tables i (s.(i) + row.(i))
+  done;
+  !acc
 
-let make_heuristic spec = heuristic_of spec (precompute spec)
+(* Partial application memoizes the precomputation: [heuristic spec] does
+   the O(T·n) suffix-sum / batch-bound / tabulation work once and returns
+   a closure that is pure array arithmetic per call. *)
+let heuristic spec = heuristic_value spec (precompute spec)
 
 let batch_bounds spec = (precompute spec).bounds
 
@@ -145,158 +133,306 @@ let table_lower_bound spec ~table ~remaining =
   let tables = precompute spec in
   if table < 0 || table >= Array.length tables.lb then
     invalid_arg "Astar.table_lower_bound: bad table index";
-  let tab = tables.lb.(table) in
-  if remaining < Array.length tab then tab.(remaining)
-  else
-    Float.max
-      tab.(Array.length tab - 1)
-      (f_component spec tables table remaining)
+  lb_at spec tables table remaining
 
-(* Partial application memoizes the precomputation: [heuristic spec] does
-   the O(T·n) suffix-sum / batch-bound / tabulation work once and returns
-   a closure that is pure array arithmetic per call.  (This used to
-   rebuild everything on every [~t s] invocation.) *)
-let heuristic = make_heuristic
+(* The flat node store.  A node is an int id; its fields live in growable
+   arrays: the post-action state as the [width] ints of [states] from
+   [id * width], and its time, parent id, [Statekey.hash_of] and g-value.
+   [index] maps (time, state) to an id by open addressing with linear
+   probing, at most half full; [-1] marks a free slot.  Probing a
+   candidate held in a scratch buffer allocates nothing, so neither does
+   a pruned edge. *)
+type store = {
+  width : int;
+  mutable count : int;
+  mutable states : int array;
+  mutable times : int array;
+  mutable parents : int array;
+  mutable hashes : int array;
+  mutable g : Float.Array.t;
+  mutable index : int array;
+}
 
-(* Walk arrivals forward from [t0 + 1] accumulating into a copy of [s];
-   return either the first full pre-action time with its state, or the
-   final (non-full) pre-action state at the horizon. *)
-type scan_result =
-  | Full_at of int * Statevec.t
-  | Horizon_state of Statevec.t
+let create_store width =
+  let cap = 1024 in
+  {
+    width;
+    count = 0;
+    states = Array.make (cap * width) 0;
+    times = Array.make cap 0;
+    parents = Array.make cap (-1);
+    hashes = Array.make cap 0;
+    g = Float.Array.make cap 0.0;
+    index = Array.make (2 * cap) (-1);
+  }
 
-let scan_to_full spec t0 s =
-  let horizon = Spec.horizon spec in
-  let acc = Statevec.copy s in
-  let rec loop t =
-    if t > horizon then Horizon_state acc
-    else begin
-      Statevec.add_in_place acc (Spec.arrivals spec).(t);
-      if t < horizon && Spec.is_full spec acc then Full_at (t, Statevec.copy acc)
-      else loop (t + 1)
-    end
+let same_state st id (buf : Statevec.t) =
+  let base = id * st.width in
+  let i = ref 0 in
+  while !i < st.width && st.states.(base + !i) = buf.(!i) do
+    incr i
+  done;
+  !i = st.width
+
+(* The slot holding node (time, buf), or the free slot where it belongs. *)
+let find_slot st ~time ~hash buf =
+  let mask = Array.length st.index - 1 in
+  let slot = ref (hash land mask) in
+  while
+    let id = st.index.(!slot) in
+    id >= 0
+    && not
+         (st.hashes.(id) = hash && st.times.(id) = time
+        && same_state st id buf)
+  do
+    slot := (!slot + 1) land mask
+  done;
+  !slot
+
+let grow_nodes st =
+  let cap = Array.length st.times in
+  let extend a fill =
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   in
-  loop (t0 + 1)
+  st.states <- extend st.states 0;
+  st.times <- extend st.times 0;
+  st.parents <- extend st.parents (-1);
+  st.hashes <- extend st.hashes 0;
+  let g = Float.Array.make (2 * cap) 0.0 in
+  Float.Array.blit st.g 0 g 0 cap;
+  st.g <- g
+
+let grow_index st =
+  let index = Array.make (2 * Array.length st.index) (-1) in
+  let mask = Array.length index - 1 in
+  for id = 0 to st.count - 1 do
+    let slot = ref (st.hashes.(id) land mask) in
+    while index.(!slot) >= 0 do
+      slot := (!slot + 1) land mask
+    done;
+    index.(!slot) <- id
+  done;
+  st.index <- index
+
+(* Record node (time, buf) in the free [slot] [find_slot] returned. *)
+let add st ~slot ~time ~hash buf =
+  if st.count = Array.length st.times then grow_nodes st;
+  let id = st.count in
+  Array.blit buf 0 st.states (id * st.width) st.width;
+  st.times.(id) <- time;
+  st.hashes.(id) <- hash;
+  st.index.(slot) <- id;
+  st.count <- id + 1;
+  if 2 * st.count > Array.length st.index then grow_index st;
+  id
+
+(* Bindings minus occupied home slots: the nodes that had to probe past
+   their hash's slot (booked as [astar.key_collisions]). *)
+let collisions st =
+  let mask = Array.length st.index - 1 in
+  let home = Bytes.make (mask + 1) '\000' in
+  let occupied = ref 0 in
+  for id = 0 to st.count - 1 do
+    let slot = st.hashes.(id) land mask in
+    if Bytes.get home slot = '\000' then begin
+      Bytes.set home slot '\001';
+      incr occupied
+    end
+  done;
+  st.count - !occupied
+
+(* [Spec.is_full] from the tabulated costs: each term is the same float
+   and the sum runs in the same ascending table order, so the answer is
+   the same bit for bit. *)
+let is_full_tab spec tables (v : Statevec.t) =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length v - 1 do
+    acc := !acc +. f_component spec tables i v.(i)
+  done;
+  !acc > Spec.limit spec
+
+(* The action of the edge into [id]: the parent's post-state plus the
+   arrivals in (t_parent, t], minus the node's post-state. *)
+let action_into tables st id =
+  let n = st.width and p = st.parents.(id) in
+  let from_row = tables.suffix.(st.times.(p) + 1)
+  and to_row = tables.suffix.(st.times.(id) + 1) in
+  Array.init n (fun i ->
+      st.states.((p * n) + i) + from_row.(i) - to_row.(i)
+      - st.states.((id * n) + i))
 
 let solve_exclusive ~use_heuristic spec =
   let n = Spec.n_tables spec in
   let horizon = Spec.horizon spec in
+  let arrivals = Spec.arrivals spec in
   let tables = precompute spec in
-  let h =
-    if use_heuristic then heuristic_of spec tables else fun ~t:_ _ -> 0.0
-  in
+  let st = create_store n in
   let queue = Util.Pqueue.create () in
-  let g : float Ktbl.t = Ktbl.create 4096 in
-  let parent : (Statekey.t * int * Statevec.t) Ktbl.t = Ktbl.create 4096 in
   let expanded = ref 0 and generated = ref 0 in
   let reopened = ref 0 and pruned = ref 0 in
-  let max_queue = ref 0 and max_live = ref 0 in
-  let source = Statekey.make ~time:(-1) (Statevec.zero n) in
-  let dest = Statekey.make ~time:horizon (Statevec.zero n) in
-  Ktbl.replace g source 0.0;
-  Util.Pqueue.push queue
-    ~priority:(h ~t:(-1) (Statevec.zero n))
-    (source, 0.0);
-  (* Relax one edge.  [g_from] is the settled g-value of the node being
-     expanded (passed in once per expansion instead of re-probing the
-     hashtable per generated edge). *)
-  let relax ~from ~g_from ~time ~action node_key =
-    incr generated;
-    let tentative = g_from +. f_vector spec tables action in
-    match Ktbl.find_opt g node_key with
-    | Some existing when tentative >= existing ->
-        (* Closed-set dominance: a recorded path to this key is already at
-           least as good — drop the node without touching the queue.  The
-           comparison is exact (no epsilon): each path's cost is a fixed
-           float, so keeping strict improvements makes the recorded
-           g-values the true minimum over relaxed paths — independent of
-           relaxation order. *)
-        incr pruned
-    | known ->
-        (* The heuristic is admissible but not consistent (see above), so
-           a shorter path to an already-recorded node must reopen it. *)
-        if known <> None then incr reopened;
-        Ktbl.replace g node_key tentative;
-        Ktbl.replace parent node_key (from, time, action);
-        max_live := max !max_live (Ktbl.length g);
-        Util.Pqueue.push queue
-          ~priority:
-            (tentative +. h ~t:(Statekey.time node_key) (Statekey.state node_key))
-          (node_key, tentative);
-        max_queue := max !max_queue (Util.Pqueue.length queue)
+  let max_queue = ref 0 in
+  let h ~t s =
+    if use_heuristic then heuristic_value spec tables ~t s else 0.0
   in
-  let expand node_key g_node =
-    let t0 = Statekey.time node_key and s = Statekey.state node_key in
-    match scan_to_full spec t0 s with
-    | Horizon_state pre ->
-        (* Single edge to the destination: flush everything at T (also
-           covers the t2 = T case). *)
-        relax ~from:node_key ~g_from:g_node ~time:horizon ~action:pre dest
-    | Full_at (t2, pre) ->
-        List.iter
-          (fun action ->
-            let post = Statevec.sub pre action in
-            relax ~from:node_key ~g_from:g_node ~time:t2 ~action
-              (Statekey.make ~time:t2 post))
-          (Actions.minimal_greedy_actions spec pre)
+  (* Scratch, reused by every expansion: the pre-action state, a candidate
+     post-state, the active tables with their f_i(pre_i), and the
+     tentative g-value of the edge being relaxed (a float argument would
+     be boxed). *)
+  let pre = Statevec.zero n and post = Statevec.zero n in
+  let active = Array.make n 0 and weights = Array.make n 0.0 in
+  let n_active = ref 0 in
+  let tentative_cell = Float.Array.make 1 0.0 in
+  let from = ref 0 and edge_time = ref 0 in
+  (* The source (time -1, zero state) is node 0. *)
+  let source = Statevec.zero n in
+  let hash = Statekey.hash_of ~time:(-1) source in
+  ignore
+    (add st ~slot:(find_slot st ~time:(-1) ~hash source) ~time:(-1) ~hash
+       source);
+  Util.Pqueue.push queue ~priority:(h ~t:(-1) source) (0, 0.0);
+  (* Relax the edge from [!from] to (time, post) at the tentative g-value
+     in [tentative_cell]. *)
+  let relax time =
+    incr generated;
+    let tentative = Float.Array.get tentative_cell 0 in
+    let hash = Statekey.hash_of ~time post in
+    let slot = find_slot st ~time ~hash post in
+    let known = st.index.(slot) in
+    if known >= 0 && tentative >= Float.Array.get st.g known then
+      (* Closed-set dominance: a recorded path to this node is already at
+         least as good — drop it without touching the queue.  The
+         comparison is exact (no epsilon): each path's cost is a fixed
+         float, so keeping strict improvements makes the recorded g-values
+         the true minimum over relaxed paths — independent of relaxation
+         order. *)
+      incr pruned
+    else begin
+      (* The heuristic is admissible but not consistent (see above), so a
+         shorter path to an already-recorded node must reopen it. *)
+      let id =
+        if known >= 0 then begin
+          incr reopened;
+          known
+        end
+        else add st ~slot ~time ~hash post
+      in
+      Float.Array.set st.g id tentative;
+      st.parents.(id) <- !from;
+      Util.Pqueue.push queue
+        ~priority:(tentative +. h ~t:time post)
+        (id, tentative);
+      max_queue := Int.max !max_queue (Util.Pqueue.length queue)
+    end
+  in
+  (* One minimal greedy edge: flush the tables of [mask] (bits index
+     [active]).  The weight sums the flushed tables' f_i(pre_i) in
+     ascending table order; the skipped terms are f_i(0) = 0.0. *)
+  let greedy_edge mask =
+    Array.blit pre 0 post 0 n;
+    let w = ref 0.0 in
+    for j = 0 to !n_active - 1 do
+      if mask land (1 lsl j) <> 0 then begin
+        w := !w +. weights.(j);
+        post.(active.(j)) <- 0
+      end
+    done;
+    Float.Array.set tentative_cell 0 (Float.Array.get st.g !from +. !w);
+    relax !edge_time
+  in
+  let expand id =
+    from := id;
+    Array.blit st.states (id * n) pre 0 n;
+    (* Walk arrivals forward to the first full pre-action state before the
+       horizon, or to the horizon. *)
+    let t = ref (st.times.(id) + 1) and full = ref false in
+    while (not !full) && !t <= horizon do
+      let row = arrivals.(!t) in
+      for i = 0 to n - 1 do
+        pre.(i) <- pre.(i) + row.(i)
+      done;
+      if !t < horizon && is_full_tab spec tables pre then full := true
+      else incr t
+    done;
+    let g_from = Float.Array.get st.g id in
+    if not !full then begin
+      (* Single edge to the destination: flush everything at T (also
+         covers the t2 = T case). *)
+      let w = ref 0.0 in
+      for i = 0 to n - 1 do
+        w := !w +. f_component spec tables i pre.(i)
+      done;
+      Float.Array.set tentative_cell 0 (g_from +. !w);
+      Array.fill post 0 n 0;
+      relax horizon
+    end
+    else begin
+      n_active := 0;
+      for i = 0 to n - 1 do
+        if pre.(i) > 0 then begin
+          active.(!n_active) <- i;
+          weights.(!n_active) <- f_component spec tables i pre.(i);
+          incr n_active
+        end
+      done;
+      edge_time := !t;
+      Actions.iter_minimal_masks weights ~count:!n_active
+        ~limit:(Spec.limit spec) greedy_edge
+    end
   in
   let rec search () =
     match Util.Pqueue.pop queue with
-    | None -> None
-    | Some (_, (node_key, g_at_push)) ->
-        if Statekey.equal node_key dest then Some (Ktbl.find g node_key)
-        else begin
+    | None -> invalid_arg "Astar.solve: no plan found (unreachable)"
+    | Some (_, (id, g_at_push)) ->
+        (* Only the edge into (T, zero) reaches the horizon. *)
+        if st.times.(id) = horizon then id
+        else if g_at_push > Float.Array.get st.g id then begin
           (* Lazy deletion: the g-value recorded at push time tells us
              whether the node was relaxed to something better since (no
              heuristic re-evaluation needed). *)
-          let g_now = Ktbl.find g node_key in
-          if g_at_push > g_now then begin
-            incr pruned;
-            search ()
-          end
-          else begin
-            incr expanded;
-            expand node_key g_now;
-            search ()
-          end
+          incr pruned;
+          search ()
+        end
+        else begin
+          incr expanded;
+          expand id;
+          search ()
         end
   in
-  match search () with
-  | None -> invalid_arg "Astar.solve: no plan found (unreachable)"
-  | Some cost ->
-      (* Rebuild the plan by following parent pointers from the
-         destination. *)
-      let rec rebuild node acc =
-        if Statekey.equal node source then acc
-        else
-          match Ktbl.find_opt parent node with
-          | Some (from, time, action) -> rebuild from ((time, action) :: acc)
-          | None -> acc
-      in
-      let actions =
-        List.filter (fun (_, a) -> not (Statevec.is_zero a)) (rebuild dest [])
-      in
-      let stats =
-        {
-          expanded = !expanded;
-          generated = !generated;
-          reopened = !reopened;
-          pruned = !pruned;
-          max_queue = !max_queue;
-          max_live = !max_live;
-        }
-      in
-      (* One booking per solve, so the disabled-path overhead stays a few
-         ref reads regardless of search size. *)
-      Telemetry.add "astar.expanded" (float_of_int stats.expanded);
-      Telemetry.add "astar.generated" (float_of_int stats.generated);
-      Telemetry.add "astar.reopened" (float_of_int stats.reopened);
-      Telemetry.add "astar.pruned" (float_of_int stats.pruned);
-      Telemetry.add "astar.key_collisions"
-        (float_of_int (Statekey.collisions g));
-      Telemetry.max_gauge "astar.queue_peak" (float_of_int stats.max_queue);
-      Telemetry.max_gauge "astar.live_peak" (float_of_int stats.max_live);
-      { cost; plan = Plan.of_actions actions; stats }
+  let dest = search () in
+  (* Rebuild the plan from the parent chain; actions are not stored. *)
+  let rec rebuild id acc =
+    if id = 0 then acc
+    else
+      rebuild st.parents.(id) ((st.times.(id), action_into tables st id) :: acc)
+  in
+  let actions =
+    List.filter (fun (_, a) -> not (Statevec.is_zero a)) (rebuild dest [])
+  in
+  let stats =
+    {
+      expanded = !expanded;
+      generated = !generated;
+      reopened = !reopened;
+      pruned = !pruned;
+      max_queue = !max_queue;
+      (* Nodes are only ever added, so the peak is the final count. *)
+      max_live = st.count;
+    }
+  in
+  (* One booking per solve, so the disabled-path overhead stays a few ref
+     reads regardless of search size. *)
+  if Telemetry.enabled () then begin
+    Telemetry.add "astar.expanded" (float_of_int stats.expanded);
+    Telemetry.add "astar.generated" (float_of_int stats.generated);
+    Telemetry.add "astar.reopened" (float_of_int stats.reopened);
+    Telemetry.add "astar.pruned" (float_of_int stats.pruned);
+    Telemetry.add "astar.key_collisions" (float_of_int (collisions st));
+    Telemetry.max_gauge "astar.queue_peak" (float_of_int stats.max_queue);
+    Telemetry.max_gauge "astar.live_peak" (float_of_int stats.max_live)
+  end;
+  { cost = Float.Array.get st.g dest; plan = Plan.of_actions actions; stats }
 
 let solve ?(use_heuristic = true) spec =
   Telemetry.with_span ~name:"astar.solve" (fun () ->

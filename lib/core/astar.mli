@@ -24,13 +24,18 @@
     for them — that is what re-deriving the [K_i]/batch bounds for
     {!Ivm.Viewdef.Higher_order} calibration amounts to.
 
-    Engine notes (DESIGN.md §5): hashtables are keyed on packed
-    {!Statekey.t} values (allocation-free probes, full-width FNV hash);
-    per-table costs are tabulated once per solve so heuristic and
-    edge-weight evaluation are array lookups; generated nodes dominated by
-    an already-recorded g-value are pruned without touching the queue, and
-    stale queue entries are skipped by comparing the g-value stored at
-    push time. *)
+    Engine notes (DESIGN.md §5): nodes live in a flat store — an int id
+    per node, its post-action state in one int slab and its time, parent,
+    hash and g-value in flat arrays — indexed by an open-addressing table
+    with linear probing.  Expansions scan to the next full time in a
+    reused buffer with per-table costs tabulated once per solve, and each
+    candidate post-state is probed from a scratch buffer, so a generated
+    node dominated by an already-recorded g-value is pruned without
+    allocating or touching the queue.  Stale queue entries are skipped by
+    comparing the g-value stored at push time.  Actions are not stored:
+    the plan is rebuilt from the parent chain and the arrival suffix sums.
+    {!Statekey} remains the exact DP's memo key; A* only shares its hash
+    ({!Statekey.hash_of}). *)
 
 type stats = {
   expanded : int;  (** nodes settled *)
@@ -40,7 +45,9 @@ type stats = {
       (** generated nodes dominated by a recorded g-value, plus stale
           queue entries skipped at pop time *)
   max_queue : int;  (** open-list peak size *)
-  max_live : int;  (** peak number of distinct (time, state) keys known *)
+  max_live : int;
+      (** distinct (time, state) keys recorded (the store only grows, so
+          this is also the peak) *)
 }
 
 type result = { cost : float; plan : Plan.t; stats : stats }
@@ -53,7 +60,8 @@ val solve : ?use_heuristic:bool -> Spec.t -> result
     When the {!Telemetry} collector is enabled each solve runs inside an
     ["astar.solve"] span and books the stats as [astar.expanded],
     [astar.generated], [astar.reopened], [astar.pruned] and
-    [astar.key_collisions] counters and the [astar.queue_peak] and
+    [astar.key_collisions] counters (the last: bindings minus occupied
+    home slots of the node index) and the [astar.queue_peak] and
     [astar.live_peak] gauges. *)
 
 val heuristic : Spec.t -> t:int -> Statevec.t -> float

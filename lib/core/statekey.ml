@@ -12,15 +12,15 @@ let mix h =
   let h = h lxor (h lsr 32) in
   h land max_int
 
+let hash_of ~time state =
+  mix
+    (Statevec.hash_seeded
+       ~seed:((0x811c9dc5 lxor (time * 0x01000193)) land max_int)
+       state)
+
 let make ~time state =
   if time < -1 then invalid_arg "Statekey.make: time below -1";
-  let hash =
-    mix
-      (Statevec.hash
-         ~seed:((0x811c9dc5 lxor (time * 0x01000193)) land max_int)
-         state)
-  in
-  { time; state; hash }
+  { time; state; hash = hash_of ~time state }
 
 let time k = k.time
 let state k = k.state

@@ -1,5 +1,6 @@
-(** Packed [(time, state)] keys for the memoized planners (A*, exact DP,
-    and any future search keyed on a timed state).
+(** Packed [(time, state)] keys for the exact DP's memo table and any
+    future search keyed on a timed state; A*'s flat node store hashes
+    with {!hash_of}.
 
     The previous scheme — [(t, Array.to_list s)] under generic
     [Hashtbl.hash] — allocated a fresh list per key and hashed only a
@@ -31,6 +32,11 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 (** The precomputed packed hash (constant-time accessor). *)
+
+val hash_of : time:int -> Statevec.t -> int
+(** The hash {!make} would store for [(time, state)], computed without
+    building a key or allocating: A*'s flat node index hashes its scratch
+    candidate with it. *)
 
 module Tbl : Hashtbl.S with type key = t
 

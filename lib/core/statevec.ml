@@ -44,12 +44,14 @@ let equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
 let fnv_offset = 0x811c9dc5
 let fnv_prime = 0x01000193
 
-let hash ?(seed = fnv_offset) s =
+let hash_seeded ~seed s =
   let h = ref seed in
   for i = 0 to Array.length s - 1 do
     h := (!h lxor s.(i)) * fnv_prime land max_int
   done;
   !h
+
+let hash s = hash_seeded ~seed:fnv_offset s
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in

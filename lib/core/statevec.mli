@@ -25,11 +25,14 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val equal : t -> t -> bool
 
-val hash : ?seed:int -> t -> int
+val hash_seeded : seed:int -> t -> int
 (** Allocation-free FNV-1a-style fold over {e every} component (generic
     [Hashtbl.hash] stops after a bounded prefix, which degrades hashtables
     keyed on wide vectors to near-linear probing).  [seed] mixes in outer
     context, e.g. a time step.  Always non-negative. *)
+
+val hash : t -> int
+(** {!hash_seeded} from the FNV offset basis. *)
 
 val compare : t -> t -> int
 val restrict_to : t -> int list -> t

@@ -290,6 +290,23 @@ let ingest ?(on_arrival = fun ~table:_ _ -> ()) m ~next counts =
     counts
 
 let apply ?(on_applied = fun ~table:_ ~count:_ ~cost:_ -> ()) m batches =
+  (* Every count against its queue before any batch runs, so a refused
+     action processes nothing. *)
+  Array.iteri
+    (fun q count ->
+      if count > 0 then begin
+        if q >= Array.length m.pending then
+          invalid_arg "Maintainer.apply: bad table index";
+        let held = pending_size m q in
+        if count > held then
+          invalid_arg
+            (Printf.sprintf
+               "Maintainer.apply: %s %d has %d pending changes, the action \
+                takes %d"
+               (if Option.is_some m.route then "lane" else "table")
+               q held count)
+      end)
+    batches;
   let total = ref 0.0 in
   Array.iteri
     (fun table count ->

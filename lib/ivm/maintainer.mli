@@ -146,7 +146,11 @@ val apply :
     [table]) is a lane.  Returns the
     costs summed from [0.0] in table order.  A caller keeping a running
     float total adds inside [on_applied]: [t +. (a +. b)] is not
-    [(t +. a) +. b].  Raises like {!process}. *)
+    [(t +. a) +. b].  Before processing anything it checks every positive
+    count against its queue: a bad index, or a count above the queue's
+    {!pending_size}, raises [Invalid_argument] (naming the lane or table
+    and both counts) with no batch processed.  A batch {!process} itself
+    rejects raises midway. *)
 
 val replay_applied :
   t -> table:int -> count:int -> cost:float -> (unit, string) result

@@ -40,7 +40,12 @@ let busy e = Array.exists (fun q -> q > 0) (Engine.pending e)
 (* Refuse a plan invalid for [spec], a stream of the wrong length or a
    busy engine; only then build the lane plan (per-step lane counts and
    [2n]-wide actions) and execute it, the stream entering by
-   [Engine.arrive], the cost added per batch. *)
+   [Engine.arrive], the cost added per batch.  The lane counts come from
+   [spec], not the stream (classifying the stream up front would cost a
+   third [key_of] call per arrival), so a stream that routes fewer
+   changes to a lane than the spec says fails at the step whose action
+   finds the lane short: [Maintainer.apply] refuses it before processing
+   any lane. *)
 let replay fn e stream ~spec ~plan lane_plan =
   (match Abivm.Plan.validate spec plan with
   | Ok () -> ()
@@ -51,12 +56,14 @@ let replay fn e stream ~spec ~plan lane_plan =
   if busy e then fail fn "engine has pending modifications";
   let counts, actions = lane_plan () in
   let cost = ref 0.0 and batches = ref 0 in
-  Bridge.Runner.execute (Engine.maintainer e) ~first:0 ~counts
-    ~arrive:(fun t _ -> List.iter (fun (i, change) -> Engine.arrive e i change) stream.(t))
-    ~on_applied:(fun ~t:_ ~table:_ ~count:_ ~cost:c ->
-      cost := !cost +. c;
-      incr batches)
-    actions;
+  (try
+     Bridge.Runner.execute (Engine.maintainer e) ~first:0 ~counts
+       ~arrive:(fun t _ -> List.iter (fun (i, change) -> Engine.arrive e i change) stream.(t))
+       ~on_applied:(fun ~t:_ ~table:_ ~count:_ ~cost:c ->
+         cost := !cost +. c;
+         incr batches)
+       actions
+   with Invalid_argument msg -> fail fn msg);
   if busy e then fail fn "plan left modifications queued";
   { cost_units = !cost; batches = !batches }
 

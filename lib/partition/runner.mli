@@ -34,7 +34,12 @@ val run : Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
     (added per batch) and batch count.  [Invalid_argument], before
     anything is classified or enqueued, unless the plan is valid for
     [spec] (as wide as the lanes), the stream [horizon + 1] steps long
-    and the engine idle; and after the run if modifications are left. *)
+    and the engine idle.  The lane counts are [spec]'s: a stream that
+    routes fewer changes to a lane than [spec] says (a spec built from
+    another stream) raises [Invalid_argument] naming the step, the lane
+    and both counts, with that step's lanes unprocessed and the earlier
+    steps' batches applied.  Also raises after the run if modifications
+    are left. *)
 
 val run_blind :
   Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result

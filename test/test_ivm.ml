@@ -342,6 +342,22 @@ let test_maintainer_partial_batch () =
   checkb "fifo prefix consistent" true (consistent m);
   checki "three left" 3 (Ivm.Maintainer.pending_size m 0)
 
+(* [apply] checks every count before running any batch: table 0's valid
+   count is not processed when table 1's is short. *)
+let test_maintainer_apply_refuses_whole () =
+  let meter, r, s = small_db () in
+  let m = Ivm.Maintainer.create ~meter (rs_view (r, s)) in
+  Ivm.Maintainer.on_arrive m 0 (Ivm.Change.Insert (Tuple.make [ vi 100; vi 0 ]));
+  Ivm.Maintainer.on_arrive m 1 (Ivm.Change.Insert (Tuple.make [ vi 100; vi 0; vf 1.0 ]));
+  let before = Relation.Meter.snapshot meter in
+  Alcotest.check_raises "short table"
+    (Invalid_argument
+       "Maintainer.apply: table 1 has 1 pending changes, the action takes 2")
+    (fun () -> ignore (Ivm.Maintainer.apply m [| 1; 2 |]));
+  checki "table 0 unprocessed" 1 (Ivm.Maintainer.pending_size m 0);
+  checkb "meter untouched" true (Relation.Meter.snapshot meter = before);
+  checkb "consistent" true (consistent m)
+
 let test_maintainer_same_row_twice_in_batch () =
   (* Two updates of the same row inside one batch: exercises contribution
      netting (a removal must not be applied before its insertion). *)
@@ -722,6 +738,8 @@ let () =
           Alcotest.test_case "deferred asymmetric prefixes" `Quick
             test_maintainer_deferred_asymmetric_prefixes;
           Alcotest.test_case "partial batch" `Quick test_maintainer_partial_batch;
+          Alcotest.test_case "apply refuses the whole action" `Quick
+            test_maintainer_apply_refuses_whole;
           Alcotest.test_case "same row twice in batch" `Quick
             test_maintainer_same_row_twice_in_batch;
           Alcotest.test_case "insert+delete same batch" `Quick

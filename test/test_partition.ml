@@ -487,6 +487,51 @@ let test_run_refusals () =
   Partition.Engine.arrive e 0 (List.assoc 0 stream.(0));
   refused "an engine with a pending change" plan
 
+(* A lane plan built from one stream, run on another of the same shape:
+   the spec's lane counts are not the stream's.  [Runner.run] fails at
+   the first step whose action takes more from a lane than the lane
+   holds, naming the step, the lane and both counts, and that step's
+   lanes are all left unprocessed. *)
+let test_run_other_stream () =
+  let db, e = skew_engine () in
+  let spec, plan = lane_plan e (zipf_stream db 9) in
+  let stream =
+    Partition.Runner.materialize ~feeds:(skew_feeds ~seed:99 db)
+      ~arrivals:(Array.init 9 (fun _ -> [| 4; 8 |]))
+  in
+  (* Where the lanes run short, from the stream's own lane counts. *)
+  let held = Array.make 4 0 in
+  let rec first_short t =
+    if t >= Array.length stream then Alcotest.fail "no lane runs short"
+    else begin
+      Array.iteri
+        (fun p k -> held.(p) <- held.(p) + k)
+        (Partition.Runner.partitioned_arrivals e [| stream.(t) |]).(0);
+      let action = Option.value (Abivm.Plan.action_at plan t) ~default:[||] in
+      match
+        List.find_opt
+          (fun p -> action.(p) > held.(p))
+          (List.init (Array.length action) Fun.id)
+      with
+      | Some p -> (t, p, action.(p))
+      | None ->
+          Array.iteri (fun p k -> held.(p) <- held.(p) - k) action;
+          first_short (t + 1)
+    end
+  in
+  let t, lane, takes = first_short 0 in
+  match Partition.Runner.run e stream ~spec ~plan with
+  | _ -> Alcotest.fail "accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message"
+        (Printf.sprintf
+           "Partition.Runner.run: Runner.execute: at t=%d: Maintainer.apply: \
+            lane %d has %d pending changes, the action takes %d"
+           t lane held.(lane) takes)
+        msg;
+      Alcotest.(check (array int)) "step's lanes unprocessed" held
+        (Partition.Engine.pending e)
+
 let () =
   Alcotest.run "partition"
     [
@@ -523,5 +568,7 @@ let () =
         @ [
             Alcotest.test_case "Runner.run refusals touch nothing"
               `Quick test_run_refusals;
+            Alcotest.test_case "Runner.run: a stream the spec was not built on"
+              `Quick test_run_other_stream;
           ] );
     ]
