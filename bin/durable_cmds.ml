@@ -71,15 +71,14 @@ let durable_env_of_params params =
       Relation.Meter.reset db.Tpcr.Synth.meter;
       (m, Tpcr.Synth.insert_feeds ~seed:(seed + 1) db)
     in
-    let view_of tables =
-      Ivm.Viewdef.make ~name:"r_join_s" ~tables
-        ~join:
-          [ { Ivm.Viewdef.left = 0; left_col = "jk"; right = 1;
-              right_col = "jk" } ]
-        ~aggs:[ Relation.Agg.count "pairs" ]
-        ()
-    in
-    Ok { Durable.Exec.fresh; view_of; spec; plan; params }
+    Ok
+      {
+        Durable.Exec.fresh;
+        view_of = Tpcr.Synth.view_over;
+        spec;
+        plan;
+        params;
+      }
   end
 
 let durable_env_of_dir dir =

@@ -53,7 +53,7 @@ let oracle_time_to_full spec ~from_time s =
 (* Shared action scoring for the §4.3 heuristic: among the greedy minimal
    valid actions at full pre-action state [pre], pick the one minimizing
    the configured score (the paper's H by default). *)
-let best_action ?(scorer = Amortized_total) spec ~ttf ~spent ~t pre =
+let best_action ?(scorer = default_scorer) spec ~ttf ~spent ~t pre =
   let candidates = Actions.minimal_greedy_actions spec pre in
   let score q =
     match scorer with

@@ -45,6 +45,22 @@ val time_to_full :
     (e.g. all rates zero).  [from_time] is unused by rate-based prediction
     but anchors the oracle variant. *)
 
+val best_action :
+  ?scorer:scorer ->
+  Spec.t ->
+  ttf:(Statevec.t -> int) ->
+  spent:float ->
+  t:int ->
+  Statevec.t ->
+  Statevec.t
+(** The §4.3 choice at a full pre-action state: among the greedy minimal
+    valid actions ({!Actions.minimal_greedy_actions}), the first one in
+    their order with the least score under [scorer] (default
+    {!default_scorer}).  [ttf] predicts a post-action state's time to
+    full, [spent] is the cost spent so far and [t] the current time
+    (both read by [Amortized_total] only).  At a state that is not
+    full the one minimal action is the empty one. *)
+
 val plan : ?predictor:predictor -> ?scorer:scorer -> Spec.t -> Plan.t
 (** Run the controller over the spec's arrival sequence, never reading
     future arrivals (except under [Oracle]).  The refresh at the horizon

@@ -193,29 +193,32 @@ let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
     lsn = Groupwal.lsn log;
   }
 
-(* The group log under [config.dir], and Exec's one handle on it, whose
-   forcing policy is [config.sync].  An injected [Hook.Crash] must behave
-   like a real crash: the log is abandoned, so the open window is lost
-   instead of flushed on the way out (which would make Interval/Never
-   tail loss untestable). *)
-let with_log config f =
-  let log =
+(* [f] over the group log under [config.dir], opened at [from_lsn], and
+   Exec's one handle on it, whose forcing policy is [config.sync]; an
+   [Error] when the log refuses to open.  An injected [Hook.Crash] must
+   behave like a real crash: the log is abandoned, so the open window is
+   lost instead of flushed on the way out (which would make
+   Interval/Never tail loss untestable). *)
+let with_log config ~from_lsn f =
+  match
     Groupwal.open_ ~dir:(Fsutil.group_dir config.dir)
-      ~segment_bytes:config.segment_bytes ~hook:config.hook ()
-  in
-  let journal =
-    Groupwal.attach log ~tenant:Recovery.tenant ~policy:config.sync ()
-  in
-  match f log journal with
-  | v ->
-      Groupwal.close log;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      (match e with
-      | Hook.Crash _ -> Groupwal.abandon log
-      | _ -> Groupwal.close log);
-      Printexc.raise_with_backtrace e bt
+      ~segment_bytes:config.segment_bytes ~hook:config.hook ~from_lsn ()
+  with
+  | Error e -> Error ("wal: " ^ e)
+  | Ok (log, _) -> (
+      let journal =
+        Groupwal.attach log ~tenant:Recovery.tenant ~policy:config.sync ()
+      in
+      match f log journal with
+      | v ->
+          Groupwal.close log;
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          (match e with
+          | Hook.Crash _ -> Groupwal.abandon log
+          | _ -> Groupwal.close log);
+          Printexc.raise_with_backtrace e bt)
 
 let run config env =
   if Sys.file_exists (Filename.concat config.dir "MANIFEST") then
@@ -232,14 +235,20 @@ let run config env =
     | Ok left -> left
     | Error e -> invalid_arg ("Exec.run: " ^ e)
   in
-  if not (Sys.file_exists config.dir) then Unix.mkdir config.dir 0o755;
+  Fsutil.mkdirs config.dir;
   let manifest = Manifest.empty ~params:env.params in
   Manifest.save ~dir:config.dir ~hook:config.hook manifest;
-  with_log config (fun log journal ->
-      execute config env ~log ~journal ~manifest ~m ~feeds ~first:0 ~counts
-        ~actions ~cost0:0.
-        ~draws:(Array.make (Ivm.Viewdef.n_tables (Ivm.Maintainer.view m)) 0)
-        ~recovered:false ~replayed:0)
+  match
+    with_log config ~from_lsn:0 (fun log journal ->
+        Ok
+          (execute config env ~log ~journal ~manifest ~m ~feeds ~first:0
+             ~counts ~actions ~cost0:0.
+             ~draws:
+               (Array.make (Ivm.Viewdef.n_tables (Ivm.Maintainer.view m)) 0)
+             ~recovered:false ~replayed:0))
+  with
+  | Ok outcome -> outcome
+  | Error e -> failwith (Printf.sprintf "Exec.run: %s: %s" config.dir e)
 
 let recover_state config env =
   Recovery.recover ~dir:config.dir ~view_of:env.view_of
@@ -254,12 +263,8 @@ let resume config env =
       ~applied:st.Recovery.applied
     |> Result.map_error (fun e -> "resume: " ^ e)
   in
-  let manifest =
-    match Manifest.load ~dir:config.dir with
-    | Ok (Some m) -> m
-    | Ok None | Error _ -> Manifest.empty ~params:env.params
-  in
-  with_log config (fun log journal ->
+  with_log config ~from_lsn:(max 0 st.Recovery.checkpoint_lsn)
+    (fun log journal ->
       if Groupwal.lsn log <> st.Recovery.lsn then
         Error
           (Printf.sprintf
@@ -276,10 +281,9 @@ let resume config env =
             done)
           st.Recovery.draws;
         Ok
-          (execute config env ~log ~journal ~manifest
-             ~m:st.Recovery.maintainer ~feeds
-             ~first ~counts ~actions ~cost0:st.Recovery.cost
-             ~draws:st.Recovery.draws ~recovered:true
+          (execute config env ~log ~journal ~manifest:st.Recovery.manifest
+             ~m:st.Recovery.maintainer ~feeds ~first ~counts ~actions
+             ~cost0:st.Recovery.cost ~draws:st.Recovery.draws ~recovered:true
              ~replayed:st.Recovery.replayed)
       end)
 

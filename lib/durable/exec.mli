@@ -27,7 +27,7 @@
     before it paid off. *)
 
 type config = {
-  dir : string;  (** durability directory (created by {!run}) *)
+  dir : string;  (** durability directory (created by {!run}, parents too) *)
   segment_bytes : int;  (** log rotation threshold *)
   ckpt_actions : int;  (** checkpoint every N applied actions… *)
   ckpt_bytes : int;  (** …or every M bytes of log, whichever first *)
@@ -76,14 +76,18 @@ val run : config -> env -> outcome
 (** Fresh start; calls [env.fresh] once.  Raises [Failure] if [config.dir]
     already holds a durable run (resume that instead — never silently
     overwrite one) and [Invalid_argument] if [Bridge.Runner.check] refuses
-    the plan, both before anything is written; re-raises [Hook.Crash]. *)
+    the plan, both before anything is written; then creates [config.dir]
+    and any missing parent.  Raises [Failure] if a damaged log already
+    lies under it; re-raises [Hook.Crash]. *)
 
 val resume : config -> env -> (outcome, string) result
 (** Recover ({!Recovery.recover}), then continue the plan to the
     horizon.  Already-applied batches are skipped; already-logged
-    arrivals are not re-drawn.  [Error] on recovery failure, or if
+    arrivals are not re-drawn; the checkpoint bookkeeping continues from
+    the manifest recovery loaded.  [Error] on recovery failure, if
     [Bridge.Runner.check] refuses what is left (arrivals less the logged
-    ones, actions less the applied batches) on the recovered queues. *)
+    ones, actions less the applied batches) on the recovered queues, or
+    if the reopened log does not end where recovery's replay did. *)
 
 val verify : config -> env -> (Recovery.state, string) result
 (** Recover and deep-check (recovered view vs a from-scratch evaluation

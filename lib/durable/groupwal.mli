@@ -1,15 +1,23 @@
 (** The group-commit log: the one log of the library.
 
-    One physical segment log (the {!Wal.Make} machine over tagged
-    {!Record.tagged} lines) multiplexes the commit batches of every
-    attached tenant, plus the service's own {!Record.coflush} records.
-    A serve root and a [Durable.Exec] directory each keep it under
+    A log directory holds segment files [wal-<start>.seg], where
+    [<start>] is the LSN (records committed since genesis) of the
+    segment's first record.  Each line is one {!Record.tagged} record:
+    a tenant's record under its name, or the service's
+    {!Record.coflush} under the service tag.  A serve root and a
+    [Durable.Exec] directory each keep the log under
     {!Fsutil.group_dir}; Exec attaches one handle, tagged
     {!Recovery.tenant}.
-    Committed bytes accumulate in a shared {e group-commit window};
-    {!close_window} writes and fsyncs the whole window at once, so a
-    round of the serve scheduler costs {e one} fsync total instead of
-    one per tenant.
+
+    Every attached handle's commits are encoded straight into a shared
+    {e group-commit window}; nothing reaches the file until a
+    durability point — {!close_window}, a segment rotation, or {!close}
+    — which writes the whole window with one syscall (and fsyncs it,
+    except at {!close}).  A round of the serve scheduler so costs {e one}
+    fsync total instead of one per tenant.  When the current segment
+    exceeds its byte budget the commit fsyncs it and rotates to a fresh
+    file, so checkpoint-driven truncation can drop whole old segments
+    without touching live data.
 
     Durability contract: a record is durable once the first window close
     (or log {!close}) after its commit returns.  A crash ({!abandon})
@@ -22,26 +30,53 @@
     become durable with it.  This forcing is the library's only
     sync-policy implementation.
 
+    The segment chain follows one set of rules, checked by one scan that
+    both {!open_} and {!read} run: every segment before the last decodes
+    whole; each segment's start plus its record count is the next
+    segment's start; a damaged line (a failed CRC, a torn write) may end
+    only the last segment, whose intact prefix counts; and records
+    wanted from [from_lsn] must not lie before the first segment (a
+    truncated gap).  Only after the chain passes does {!open_} repair
+    the tail: it truncates the last segment after its last intact
+    record, and restores a final record's lost newline so later appends
+    cannot merge onto its line.
+
     Handles may append/commit from pool worker domains concurrently (the
     window is mutex-protected); each tenant's own records keep their
     order, and replay demuxes per tenant, so the cross-tenant
     interleaving inside the file is irrelevant to recovery.
 
-    Telemetry: [durable.window_closes], plus the underlying WAL
-    counters. *)
+    Telemetry (when enabled): [durable.appends], [durable.commits],
+    [durable.fsyncs], [durable.segments], [durable.truncations],
+    [durable.window_closes]. *)
 
 type t
 type handle
+
+type contents = {
+  tenants : (string * Record.t list) list;
+      (** per tenant: first-appearance tenant order, each tenant's
+          records in its commit order *)
+  coflushes : Record.coflush list;  (** in commit order *)
+}
 
 val open_ :
   dir:string ->
   ?segment_bytes:int ->
   ?hook:(Hook.point -> unit) ->
+  from_lsn:int ->
   unit ->
-  t
-(** Open (or create) the shared log.  Every durability point is an
-    explicit window close (or a rotation).  [hook] sees the machine's
-    points and [Hook.Window_closed] after each close. *)
+  (t * contents, string) result
+(** Open the log at [dir], creating the directory and a first segment
+    if needed, and return it with every record at LSN [from_lsn] or
+    later, demuxed as by {!read}.  [segment_bytes] (default [1 lsl 20])
+    is the rotation threshold.  An existing log continues at its end
+    after its tail is repaired ([hook] sees [Hook.Truncated] when torn
+    bytes are cut).  [Error] on damage before the tail and on a
+    truncated gap at [from_lsn]; every file is then left as it was.
+    Every durability point is an explicit window close (or a rotation).
+    [hook] sees [Committed], [Rotated], [Truncated] and
+    [Window_closed]. *)
 
 val attach : t -> tenant:string -> ?policy:Wal.sync -> unit -> handle
 (** A per-tenant view of the shared log.  [policy] [None] defers
@@ -54,9 +89,11 @@ val append : handle -> Record.t -> unit
     until {!commit}. *)
 
 val commit : handle -> unit
-(** Move the handle's buffered batch into the shared window (tagged,
-    in order), then apply the handle's forcing policy.  No-op when
-    nothing is buffered. *)
+(** Encode the handle's buffered batch (tagged, in order) into the
+    shared window as one commit: advance the LSN, fire
+    [Hook.Committed], and rotate (write + fsync) if the segment is over
+    budget; then apply the handle's forcing policy.  No-op when nothing
+    is buffered. *)
 
 val close_window : t -> bool
 (** Write + fsync the open window; the one durability point of a
@@ -68,12 +105,16 @@ val detach : handle -> unit
     would).  The shared log stays open — it belongs to the service. *)
 
 val close : t -> unit
-(** Flush the open window and close the log (clean shutdown). *)
+(** Write the open window out and close the log (clean shutdown).  A
+    handle's uncommitted appends are dropped, as a crash would drop
+    them. *)
 
 val abandon : t -> unit
 (** Simulated crash: the open window dies unwritten. *)
 
 val lsn : t -> int
+(** Records committed since genesis, the open window included. *)
+
 val total_bytes : t -> int
 (** Bytes committed since {!open_} — a checkpoint cadence's byte
     counter. *)
@@ -94,15 +135,7 @@ val commit_coflush : t -> Record.coflush -> unit
     precedes every later commit in the log, so it is durable whenever
     any of them is — no extra fsync needed. *)
 
-type contents = {
-  tenants : (string * Record.t list) list;
-      (** per tenant: first-appearance tenant order, each tenant's
-          records in its commit order *)
-  coflushes : Record.coflush list;  (** in commit order *)
-}
-
 val read : dir:string -> from_lsn:int -> (contents, string) result
-(** Demux every record at LSN [from_lsn] or later.  Each tenant's list
-    replays exactly like a single-tenant log.  Empty for a missing
-    directory; [Error] on damage before the tail, and when the first
-    surviving segment starts past [from_lsn] (a truncated gap). *)
+(** The read-only twin of {!open_}: the same scan and the same [Error]s,
+    nothing repaired.  Each tenant's list replays exactly like a
+    single-tenant log.  Empty for a missing directory. *)

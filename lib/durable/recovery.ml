@@ -10,7 +10,7 @@ type state = {
   lsn : int;
   replayed : int;
   checkpoint_lsn : int;
-  params : (string * string) list;
+  manifest : Manifest.t;
 }
 
 let ( let* ) = Result.bind
@@ -155,5 +155,5 @@ let recover ~dir ~view_of ~fresh =
       lsn = from_lsn + replayed;
       replayed;
       checkpoint_lsn;
-      params = manifest.Manifest.params;
+      manifest;
     }

@@ -38,7 +38,7 @@ type state = {
   lsn : int;  (** end of the committed log *)
   replayed : int;  (** log records replayed past the checkpoint *)
   checkpoint_lsn : int;  (** -1 when recovering from genesis *)
-  params : (string * string) list;  (** from the manifest *)
+  manifest : Manifest.t;  (** the one recovery loaded *)
 }
 
 val recover :

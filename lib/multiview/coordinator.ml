@@ -73,49 +73,17 @@ let charge ~views ~shared_setup batches =
   (per_view, !raw_total, !discounted_total, !joins)
 
 type sim_view = {
-  spec : view_spec;
+  model : Abivm.Spec.t; (* the view's costs and limit; arrivals unused *)
   pending : Abivm.Statevec.t;
   rates : float array;
 }
 
-let refresh_cost view state =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i k -> acc := !acc +. Cost.Func.eval view.costs.(i) k)
-    state;
-  !acc
-
-let is_full view state = refresh_cost view state > view.limit
-
 (* The §4.3 choice restricted to this view: greedy minimal subsets of its
    own pending queues, marginal-score selection (f(q) / time bought). *)
 let forced_action sim =
-  let n = Array.length sim.rates in
-  let spec_like =
-    Abivm.Spec.make ~costs:sim.spec.costs ~limit:sim.spec.limit
-      ~arrivals:[| Array.make n 0 |]
-  in
-  let candidates = Abivm.Actions.minimal_greedy_actions spec_like sim.pending in
-  let ttf post =
-    Abivm.Online.time_to_full spec_like ~rates:sim.rates ~from_time:0 post
-  in
-  let score q =
-    Abivm.Spec.f spec_like q
-    /. float_of_int (ttf (Abivm.Statevec.sub sim.pending q))
-  in
-  match candidates with
-  | [] -> Abivm.Statevec.copy sim.pending
-  | first :: rest ->
-      let best = ref first and best_score = ref (score first) in
-      List.iter
-        (fun q ->
-          let sc = score q in
-          if sc < !best_score then begin
-            best := q;
-            best_score := sc
-          end)
-        rest;
-      !best
+  Abivm.Online.best_action ~scorer:Abivm.Online.Amortized_marginal sim.model
+    ~ttf:(Abivm.Online.time_to_full sim.model ~rates:sim.rates ~from_time:0)
+    ~spent:0.0 ~t:0 sim.pending
 
 let run ~views ~shared_setup ~arrivals ~coordinate =
   let n = validate ~views ~shared_setup ~arrivals in
@@ -123,8 +91,14 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
   let horizon = Array.length arrivals - 1 in
   let sims =
     Array.map
-      (fun spec ->
-        { spec; pending = Abivm.Statevec.zero n; rates = Array.make n 0.0 })
+      (fun v ->
+        {
+          model =
+            Abivm.Spec.make ~costs:v.costs ~limit:v.limit
+              ~arrivals:[| Array.make n 0 |];
+          pending = Abivm.Statevec.zero n;
+          rates = Array.make n 0.0;
+        })
       views
   in
   let per_view_total = Array.make k 0.0 in
@@ -148,7 +122,8 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
       Array.map
         (fun sim ->
           if t = horizon then Abivm.Statevec.copy sim.pending
-          else if is_full sim.spec sim.pending then forced_action sim
+          else if Abivm.Spec.is_full sim.model sim.pending then
+            forced_action sim
           else Abivm.Statevec.zero n)
         sims
     in
@@ -168,13 +143,12 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
               if batches.(v).(i) = 0 && pending_i > 0 then begin
                 let capacity =
                   max 1
-                    (Cost.Check.max_batch sim.spec.costs.(i)
-                       ~limit:sim.spec.limit ~cap:1_000_000)
+                    (Cost.Check.max_batch views.(v).costs.(i)
+                       ~limit:views.(v).limit ~cap:1_000_000)
                 in
                 if float_of_int pending_i >= 0.6 *. float_of_int capacity then
                   batches.(v).(i) <- pending_i
-              end;
-              ignore v)
+              end)
             sims
       done
     end;
@@ -185,7 +159,8 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
           (fun i b ->
             if b > 0 then sim.pending.(i) <- sim.pending.(i) - b)
           batches.(v);
-        if t < horizon && is_full sim.spec sim.pending then valid := false;
+        if t < horizon && Abivm.Spec.is_full sim.model sim.pending then
+          valid := false;
         ignore v)
       sims;
     let per_view, raw, discounted, step_joins =

@@ -55,8 +55,10 @@ val independent :
   unit ->
   outcome
 (** [arrivals.(t).(i)] modifications to base table [i] at time [t]; every
-    view receives every modification.  Raises [Invalid_argument] on
-    dimension mismatches or negative discounts. *)
+    view receives every modification.  Each view's forced flush is
+    {!Abivm.Online.best_action} under the [Amortized_marginal] scorer.
+    Raises [Invalid_argument] on dimension mismatches, no base table, a
+    negative limit or negative discounts. *)
 
 val piggyback :
   views:view_spec array ->

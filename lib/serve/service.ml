@@ -271,8 +271,13 @@ let create ?pool ~root config =
     invalid_arg "Service: shed_budget must be finite";
   Durable.Fsutil.mkdirs root;
   let group =
-    Durable.Groupwal.open_ ~dir:(Durable.Fsutil.group_dir root)
-      ~hook:config.hook ()
+    match
+      Durable.Groupwal.open_ ~dir:(Durable.Fsutil.group_dir root)
+        ~hook:config.hook ~from_lsn:0 ()
+    with
+    | Ok (group, _) -> group
+    | Error e ->
+        failwith (Printf.sprintf "Service.create: %s: group wal: %s" root e)
   in
   let t = make ?pool ~root ~config ~group () in
   save_manifest t;
@@ -710,15 +715,18 @@ let recover ?pool ~root () =
   let params = manifest.Durable.Manifest.params in
   let* config, starts = config_of_params params in
   let names = List.map fst starts in
-  let dir = Durable.Fsutil.group_dir root in
-  (* Demux the shared log once into per-tenant record slices and the
-     service's co-flush journal — before reopening it, so damage that
-     [open_] would refuse surfaces as a typed error here.  A torn tail is
-     tolerated identically by both. *)
-  let* contents =
+  (* Open the shared log once: the scan that repairs its tail also
+     demuxes it into per-tenant record slices and the service's co-flush
+     journal. *)
+  let* group, contents =
     Result.map_error
       (Printf.sprintf "%s: group wal: %s" root)
-      (Durable.Groupwal.read ~dir ~from_lsn:0)
+      (Durable.Groupwal.open_ ~dir:(Durable.Fsutil.group_dir root)
+         ~hook:config.hook ~from_lsn:0 ())
+  in
+  let fail e =
+    Durable.Groupwal.abandon group;
+    Error e
   in
   let journal = Hashtbl.create 16 in
   let check_row round (name, row) =
@@ -737,28 +745,23 @@ let recover ?pool ~root () =
     else Ok ()
   in
   let* () =
-    List.fold_left
-      (fun acc { Durable.Record.round; rows } ->
-        let* () = acc in
-        let* () =
-          List.fold_left
-            (fun acc row -> Result.bind acc (fun () -> check_row round row))
-            (Ok ()) rows
-        in
-        (* A round re-run after a crash journals again; the decision is
-           deterministic, and the latest record wins. *)
-        Hashtbl.replace journal round rows;
-        Ok ())
-      (Ok ()) contents.Durable.Groupwal.coflushes
-  in
-  let* group =
-    match Durable.Groupwal.open_ ~dir ~hook:config.hook () with
-    | gw -> Ok gw
-    | exception Failure e -> Error (Printf.sprintf "%s: group wal: %s" root e)
-  in
-  let fail e =
-    Durable.Groupwal.abandon group;
-    Error e
+    match
+      List.fold_left
+        (fun acc { Durable.Record.round; rows } ->
+          let* () = acc in
+          let* () =
+            List.fold_left
+              (fun acc row -> Result.bind acc (fun () -> check_row round row))
+              (Ok ()) rows
+          in
+          (* A round re-run after a crash journals again; the decision is
+             deterministic, and the latest record wins. *)
+          Hashtbl.replace journal round rows;
+          Ok ())
+        (Ok ()) contents.Durable.Groupwal.coflushes
+    with
+    | Ok () -> Ok ()
+    | Error e -> fail e
   in
   let t = make ?pool ~root ~config ~group ~starts ~journal () in
   (* Three stages, each in registration order: load and validate every

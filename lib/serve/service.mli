@@ -111,7 +111,8 @@ val create : ?pool:Parallel.Pool.t -> root:string -> config -> t
     domain, everything runs in sequence, and the outcome is
     bit-identical either way.  Raises
     [Invalid_argument] on a [discount_factor] that is negative or not
-    finite, or a [shed_budget] that is not finite. *)
+    finite, or a [shed_budget] that is not finite, and [Failure] when
+    [root] already holds a damaged log. *)
 
 val register : t -> Tenant.config -> (Admission.decision, string) result
 (** Apply admission: [Admit] builds the tenant now (manifest under
@@ -128,7 +129,8 @@ val run : t -> outcome
 
 val recover : ?pool:Parallel.Pool.t -> root:string -> unit -> (t, string) result
 (** Rebuild the service from the root manifest, every admitted tenant's
-    manifest, and the shared log, demuxed into each tenant's records
+    manifest, and the shared log, opened once (its tail repaired) and
+    demuxed by that one scan into each tenant's records
     ({!Tenant.replay} — deterministic re-draw and bit-exact re-metering,
     verified) and the co-flush journal.  The tenant manifests are loaded
     in registration order; then [pool] builds every tenant
@@ -178,7 +180,8 @@ val forced_closes : t -> int
 
 val tenant_records :
   root:string -> name:string -> (Durable.Record.t list, string) result
-(** A tenant's durable record sequence, demuxed from the shared log. *)
+(** A tenant's durable record sequence, demuxed from the shared log
+    read-only ({!Durable.Groupwal.read}). *)
 
 val config_of_params :
   (string * string) list -> (config * (string * int) list, string) result

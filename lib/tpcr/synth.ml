@@ -46,11 +46,13 @@ let generate ?(seed = 7) ~r_rows ~s_rows ?join_domain () =
   Meter.reset meter;
   { r; s; meter }
 
-let join_view db =
-  Ivm.Viewdef.make ~name:"r_join_s" ~tables:[| db.r; db.s |]
+let view_over tables =
+  Ivm.Viewdef.make ~name:"r_join_s" ~tables
     ~join:[ { Ivm.Viewdef.left = 0; left_col = "jk"; right = 1; right_col = "jk" } ]
     ~aggs:[ Agg.count "pairs" ]
     ()
+
+let join_view db = view_over [| db.r; db.s |]
 
 (* The join domain recovered from current contents (one past the largest
    [jk]); inserts stay within it.  An unmetered pass over the [jk] column

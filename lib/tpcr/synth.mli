@@ -19,8 +19,13 @@ val generate :
     number of distinct join values; smaller domains mean higher join
     fan-out. *)
 
+val view_over : Relation.Table.t array -> Ivm.Viewdef.t
+(** [R ⋈ S] on [jk] as a COUNT aggregate view over [[| r; s |]]
+    (planner table 0 = R, 1 = S) — over a fresh database's tables, or
+    over tables a checkpoint restored. *)
+
 val join_view : db2 -> Ivm.Viewdef.t
-(** [R ⋈ S] as a COUNT aggregate view (planner table 0 = R, 1 = S). *)
+(** {!view_over} the database's own tables. *)
 
 val insert_feeds : seed:int -> db2 -> Updates.feeds
 (** Insertion streams for both tables (the §1 example uses insertions). *)

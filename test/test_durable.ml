@@ -82,7 +82,7 @@ let arrival t i k =
   Durable.Record.Arrival
     { time = t; table = i; change = Ivm.Change.Insert [| Relation.Value.Int k |] }
 
-(* The segment machine, driven through the group log with one tenant. *)
+(* The log's segment rules, driven through one tenant's handle. *)
 let read_ok ~dir ~from_lsn =
   match Durable.Groupwal.read ~dir ~from_lsn with
   | Ok { Durable.Groupwal.tenants = [ ("t0", records) ]; coflushes = [] } -> records
@@ -90,9 +90,15 @@ let read_ok ~dir ~from_lsn =
   | Ok _ -> Alcotest.fail "Groupwal.read: unexpected tags"
   | Error e -> Alcotest.failf "Groupwal.read: %s" e
 
+(* The log at [dir], opened from genesis; a refusal fails the test. *)
+let open_log ?segment_bytes ?hook dir =
+  match Durable.Groupwal.open_ ~dir ?segment_bytes ?hook ~from_lsn:0 () with
+  | Ok (gw, _) -> gw
+  | Error e -> Alcotest.failf "Groupwal.open_: %s" e
+
 (* A one-tenant log at [dir]: the log and a "t0" handle on it. *)
 let open_t0 ?segment_bytes ?hook ?policy dir =
-  let gw = Durable.Groupwal.open_ ~dir ?segment_bytes ?hook () in
+  let gw = open_log ?segment_bytes ?hook dir in
   (gw, Durable.Groupwal.attach gw ~tenant:"t0" ?policy ())
 
 (* Commit one arrival per step [t] in [from..upto], table 0, then close
@@ -129,7 +135,7 @@ let test_wal_roundtrip_rotation () =
   checki "from_lsn filters globally" 5 (List.length (read_ok ~dir ~from_lsn:35));
   checkb "256-byte budget forced rotations" true
     (List.length (segment_files dir) > 1);
-  let gw2 = Durable.Groupwal.open_ ~dir () in
+  let gw2 = open_log dir in
   checki "reopen continues at the same lsn" 40 (Durable.Groupwal.lsn gw2);
   Durable.Groupwal.close gw2;
   rmtree dir
@@ -148,7 +154,7 @@ let test_wal_group_commit_window () =
   Durable.Groupwal.abandon gw;
   checki "only the fsynced prefix survives" 3
     (List.length (read_ok ~dir ~from_lsn:0));
-  let gw2 = Durable.Groupwal.open_ ~dir () in
+  let gw2 = open_log dir in
   checki "reopen sees the surviving prefix" 3 (Durable.Groupwal.lsn gw2);
   Durable.Groupwal.close gw2;
   rmtree dir
@@ -167,11 +173,10 @@ let test_wal_torn_tail_repair () =
   checki "read tolerates the torn tail" 5 (List.length (read_ok ~dir ~from_lsn:0));
   let truncations = ref [] in
   let gw2 =
-    Durable.Groupwal.open_ ~dir
+    open_log dir
       ~hook:(function
         | Durable.Hook.Truncated { upto } -> truncations := upto :: !truncations
         | _ -> ())
-      ()
   in
   checki "repair keeps every intact record" 5 (Durable.Groupwal.lsn gw2);
   Durable.Groupwal.close gw2;
@@ -199,7 +204,7 @@ let test_wal_tail_missing_newline () =
   Durable.Groupwal.close gw2;
   checki "repaired tail keeps records apart" 6
     (List.length (read_ok ~dir ~from_lsn:0));
-  let gw3 = Durable.Groupwal.open_ ~dir () in
+  let gw3 = open_log dir in
   checki "reopen agrees" 6 (Durable.Groupwal.lsn gw3);
   Durable.Groupwal.close gw3;
   rmtree dir
@@ -219,28 +224,95 @@ let test_wal_gap_refused () =
     (List.length (read_ok ~dir ~from_lsn:11));
   rmtree dir
 
+(* Every file of [dir] with its bytes, by name. *)
+let snapshot dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat dir f in
+         let ic = open_in_bin path in
+         let bytes = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         (f, bytes))
+
+(* [read] and [open_] run one chain scan, so on every kind of damage they
+   must agree: the same records, or an [Error] from both.  A refused
+   [open_] must leave every segment byte for byte as it found it. *)
 let test_wal_mid_log_corruption_refused () =
-  let dir = scratch () in
-  let gw, h = open_t0 ~segment_bytes:128 dir in
-  commit_steps (gw, h) 11;
-  Durable.Groupwal.close gw;
-  let first_seg = List.hd (segment_files dir) in
-  checkb "setup produced multiple segments" true (first_seg <> last_segment dir);
-  (* Flip a byte in the middle of the FIRST segment: damage before the
-     tail is corruption, not a torn write, and must be refused. *)
-  let fd = Unix.openfile first_seg [ Unix.O_WRONLY ] 0o644 in
-  ignore (Unix.lseek fd 3 Unix.SEEK_SET);
-  ignore (Unix.write_substring fd "X" 0 1);
-  Unix.close fd;
-  (match Durable.Groupwal.read ~dir ~from_lsn:0 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "mid-log corruption read back as Ok");
-  (match Durable.Groupwal.open_ ~dir () with
-  | exception Failure _ -> ()
-  | gw ->
+  let overwrite path ~at text =
+    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+    ignore (Unix.lseek fd at Unix.SEEK_SET);
+    ignore (Unix.write_substring fd text 0 (String.length text));
+    Unix.close fd
+  in
+  let tear dir =
+    let oc = open_out_gen [ Open_append ] 0o644 (last_segment dir) in
+    output_string oc "deadbeef\tt0\tA\t9\t0\ti:4";
+    close_out oc
+  in
+  let cases =
+    [
+      ("torn last line", true, tear);
+      ( "last record missing its newline",
+        true,
+        fun dir ->
+          let seg = last_segment dir in
+          let size = (Unix.stat seg).Unix.st_size in
+          let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0o644 in
+          Unix.ftruncate fd (size - 1);
+          Unix.close fd );
+      ( "bad CRC mid-log",
+        false,
+        fun dir -> overwrite (List.hd (segment_files dir)) ~at:3 "X" );
+      (* The torn tail must not be cut before the chain is refused. *)
+      ( "bad CRC mid-log and a torn last line",
+        false,
+        fun dir ->
+          overwrite (List.hd (segment_files dir)) ~at:3 "X";
+          tear dir );
+      ( "broken chain",
+        false,
+        fun dir -> Sys.remove (List.nth (segment_files dir) 1) );
+      ( "from_lsn gap",
+        false,
+        fun dir ->
+          let gw = open_log ~segment_bytes:128 dir in
+          Durable.Groupwal.truncate_before gw 8;
+          Durable.Groupwal.close gw );
+    ]
+  in
+  List.iter
+    (fun (what, accepted, damage) ->
+      let dir = scratch () in
+      let gw, h = open_t0 ~segment_bytes:128 dir in
+      commit_steps (gw, h) 12;
       Durable.Groupwal.close gw;
-      Alcotest.fail "open_ accepted mid-log corruption");
-  rmtree dir
+      checkb (what ^ ": several segments, the last one not empty") true
+        (List.length (segment_files dir) > 2
+        && (Unix.stat (last_segment dir)).Unix.st_size > 0);
+      damage dir;
+      let before = snapshot dir in
+      let read = Durable.Groupwal.read ~dir ~from_lsn:0 in
+      checkb (what ^ ": read leaves the files alone") true
+        (snapshot dir = before);
+      (match (read, Durable.Groupwal.open_ ~dir ~from_lsn:0 ()) with
+      | Ok contents, Ok (gw, opened) ->
+          checki (what ^ ": every intact record kept") 13
+            (Durable.Groupwal.lsn gw);
+          Durable.Groupwal.close gw;
+          checkb (what ^ ": accepted") true accepted;
+          checkb (what ^ ": open_ returns what read returns") true
+            (contents = opened)
+      | Error e, Error e' ->
+          checkb (what ^ ": refused") false accepted;
+          checks (what ^ ": the same error") e e';
+          checkb (what ^ ": a refused open_ leaves every byte") true
+            (snapshot dir = before)
+      | Ok _, Error e -> Alcotest.failf "%s: only open_ refused: %s" what e
+      | Error e, Ok (gw, _) ->
+          Durable.Groupwal.close gw;
+          Alcotest.failf "%s: only read refused: %s" what e);
+      rmtree dir)
+    cases
 
 (* --- shared group-commit log ---------------------------------------------- *)
 
@@ -256,7 +328,7 @@ let group_total per_tenant =
 
 let test_groupwal_demux_roundtrip () =
   let dir = scratch () in
-  let gw = Durable.Groupwal.open_ ~dir () in
+  let gw = open_log dir in
   let a = Durable.Groupwal.attach gw ~tenant:"t0" () in
   let b = Durable.Groupwal.attach gw ~tenant:"t1" () in
   (* Interleave the two tenants' commits inside one window — each
@@ -298,7 +370,7 @@ let test_groupwal_demux_roundtrip () =
 
 let test_groupwal_abandon_loses_window () =
   let dir = scratch () in
-  let gw = Durable.Groupwal.open_ ~dir () in
+  let gw = open_log dir in
   let a = Durable.Groupwal.attach gw ~tenant:"t0" () in
   let b = Durable.Groupwal.attach gw ~tenant:"t1" () in
   Durable.Groupwal.append a (arrival 0 0 1);
@@ -325,7 +397,7 @@ let test_groupwal_abandon_loses_window () =
 
 let test_groupwal_forced_close_policy () =
   let dir = scratch () in
-  let gw = Durable.Groupwal.open_ ~dir () in
+  let gw = open_log dir in
   let lax = Durable.Groupwal.attach gw ~tenant:"lax" () in
   let strict =
     Durable.Groupwal.attach gw ~tenant:"strict" ~policy:Durable.Wal.Always ()
@@ -344,7 +416,7 @@ let test_groupwal_forced_close_policy () =
   rmtree dir;
   (* Interval k forces every k-th commit of that tenant only. *)
   let dir = scratch () in
-  let gw = Durable.Groupwal.open_ ~dir () in
+  let gw = open_log dir in
   let every2 =
     Durable.Groupwal.attach gw ~tenant:"t0" ~policy:(Durable.Wal.Interval 2) ()
   in
@@ -358,7 +430,7 @@ let test_groupwal_forced_close_policy () =
   commit_steps_open ~from:6 every2 6;
   Durable.Groupwal.abandon gw;
   checki "a crash keeps the forced prefix" 6 (group_total (group_read_ok ~dir));
-  let gw = Durable.Groupwal.open_ ~dir () in
+  let gw = open_log dir in
   (match Durable.Groupwal.attach gw ~tenant:"t1" ~policy:(Durable.Wal.Interval 0) () with
   | _ -> Alcotest.fail "Interval 0 accepted at attach"
   | exception Invalid_argument _ -> ());
@@ -373,7 +445,7 @@ let test_groupwal_torn_tail_and_rehoming () =
   (* Small segments force rotation: tag-tampering below must land in a
      non-final segment, where damage is corruption (refused), not a torn
      tail (repaired). *)
-  let gw = Durable.Groupwal.open_ ~dir ~segment_bytes:256 () in
+  let gw = open_log ~segment_bytes:256 dir in
   let a = Durable.Groupwal.attach gw ~tenant:"t0" () in
   let b = Durable.Groupwal.attach gw ~tenant:"t1" () in
   for t = 0 to 7 do
@@ -860,13 +932,7 @@ let make_env ~seed ~rows ~horizon () =
     Relation.Meter.reset db.Tpcr.Synth.meter;
     (m, Tpcr.Synth.insert_feeds ~seed:(seed + 1) db)
   in
-  let view_of tables =
-    Ivm.Viewdef.make ~name:"r_join_s" ~tables
-      ~join:
-        [ { Ivm.Viewdef.left = 0; left_col = "jk"; right = 1; right_col = "jk" } ]
-      ~aggs:[ Relation.Agg.count "pairs" ]
-      ()
-  in
+  let view_of = Tpcr.Synth.view_over in
   { Durable.Exec.fresh; view_of; spec = actual; plan; params = [ ("kind", "test") ] }
 
 (* Tight budgets so a short horizon still exercises rotation,
@@ -1122,7 +1188,8 @@ let test_genesis_recovery_and_refusal () =
       checki "no checkpoint yet" (-1) st.Durable.Recovery.checkpoint_lsn;
       checki "nothing to replay" 0 st.Durable.Recovery.replayed;
       checkb "manifest params recovered" true
-        (st.Durable.Recovery.params = env.Durable.Exec.params));
+        (st.Durable.Recovery.manifest.Durable.Manifest.params
+         = env.Durable.Exec.params));
   (match Durable.Exec.resume config env with
   | Error e -> Alcotest.failf "genesis resume: %s" e
   | Ok o ->
@@ -1447,6 +1514,24 @@ let test_run_builds_genesis_once () =
   checki "env.fresh calls" 1 !calls;
   rmtree dir
 
+(* A run into a directory whose parents do not exist yet creates them
+   all, then recovers and verifies like any other run. *)
+let test_run_into_nested_dir () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let root = scratch () in
+  let dir = Filename.concat (Filename.concat root "nest") "a" in
+  let config = matrix_config ~dir ~hook:Durable.Hook.none () in
+  let o = Durable.Exec.run config env in
+  checkb "finished consistent" true o.Durable.Exec.consistent;
+  (match Durable.Exec.verify config env with
+  | Ok st ->
+      checkb "recovered cost is the run's" true
+        (st.Durable.Recovery.cost = o.Durable.Exec.total_cost);
+      checki "recovered lsn is the run's" o.Durable.Exec.lsn
+        st.Durable.Recovery.lsn
+  | Error e -> Alcotest.failf "verify: %s" e);
+  rmtree root
+
 let () =
   Alcotest.run "durable"
     [
@@ -1522,6 +1607,8 @@ let () =
             `Quick test_bad_plan_refused_before_writing;
           Alcotest.test_case "run builds the genesis state once" `Quick
             test_run_builds_genesis_once;
+          Alcotest.test_case "run into a missing nested directory" `Quick
+            test_run_into_nested_dir;
           Alcotest.test_case "superseded checkpoint skipped" `Quick
             test_superseded_checkpoint_skipped;
         ] );
