@@ -88,7 +88,8 @@ let run dir tenants rows horizon limit_factor seed streams discount budget
             in
             with_pool domains (fun pool ->
                 match Serve.Service.create ?pool ~root:dir config with
-                | exception Invalid_argument e -> `Error (false, e)
+                | exception (Invalid_argument e | Failure e) ->
+                    `Error (false, e)
                 | svc ->
                     let ok = ref true in
                     for i = 0 to tenants - 1 do

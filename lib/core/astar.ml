@@ -111,7 +111,7 @@ let[@inline] lb_at spec tables i remaining =
    already failed for it; see DESIGN.md §13).  Node reopening below is
    kept: callers may evaluate the heuristic on states outside the
    reachable range, where the fallback is only admissible. *)
-let heuristic_value spec tables ~t (s : Statevec.t) =
+let[@inline] heuristic_value spec tables ~t (s : Statevec.t) =
   let start = Int.min (t + 1) (Spec.horizon spec + 1) in
   let row = tables.suffix.(start) in
   let acc = ref 0.0 in
@@ -273,9 +273,6 @@ let solve_exclusive ~use_heuristic spec =
   let expanded = ref 0 and generated = ref 0 in
   let reopened = ref 0 and pruned = ref 0 in
   let max_queue = ref 0 in
-  let h ~t s =
-    if use_heuristic then heuristic_value spec tables ~t s else 0.0
-  in
   (* Scratch, reused by every expansion: the pre-action state, a candidate
      post-state, the active tables with their f_i(pre_i), and the
      tentative g-value of the edge being relaxed (a float argument would
@@ -291,7 +288,11 @@ let solve_exclusive ~use_heuristic spec =
   ignore
     (add st ~slot:(find_slot st ~time:(-1) ~hash source) ~time:(-1) ~hash
        source);
-  Util.Pqueue.push queue ~priority:(h ~t:(-1) source) (0, 0.0);
+  Util.Pqueue.push queue
+    ~priority:
+      (if use_heuristic then heuristic_value spec tables ~t:(-1) source
+       else 0.0)
+    ~payload:0.0 0;
   (* Relax the edge from [!from] to (time, post) at the tentative g-value
      in [tentative_cell]. *)
   let relax time =
@@ -320,9 +321,13 @@ let solve_exclusive ~use_heuristic spec =
       in
       Float.Array.set st.g id tentative;
       st.parents.(id) <- !from;
-      Util.Pqueue.push queue
-        ~priority:(tentative +. h ~t:time post)
-        (id, tentative);
+      (* The heuristic and the push are both inlined, so neither the
+         estimate nor the priority is boxed. *)
+      let h =
+        if use_heuristic then heuristic_value spec tables ~t:time post
+        else 0.0
+      in
+      Util.Pqueue.push queue ~priority:(tentative +. h) ~payload:tentative id;
       max_queue := Int.max !max_queue (Util.Pqueue.length queue)
     end
   in
@@ -382,23 +387,24 @@ let solve_exclusive ~use_heuristic spec =
     end
   in
   let rec search () =
-    match Util.Pqueue.pop queue with
-    | None -> invalid_arg "Astar.solve: no plan found (unreachable)"
-    | Some (_, (id, g_at_push)) ->
-        (* Only the edge into (T, zero) reaches the horizon. *)
-        if st.times.(id) = horizon then id
-        else if g_at_push > Float.Array.get st.g id then begin
-          (* Lazy deletion: the g-value recorded at push time tells us
-             whether the node was relaxed to something better since (no
-             heuristic re-evaluation needed). *)
-          incr pruned;
-          search ()
-        end
-        else begin
-          incr expanded;
-          expand id;
-          search ()
-        end
+    if Util.Pqueue.is_empty queue then
+      invalid_arg "Astar.solve: no plan found (unreachable)";
+    let g_at_push = Util.Pqueue.peek_payload queue in
+    let id = Util.Pqueue.pop queue in
+    (* Only the edge into (T, zero) reaches the horizon. *)
+    if st.times.(id) = horizon then id
+    else if g_at_push > Float.Array.get st.g id then begin
+      (* Lazy deletion: the g-value recorded at push time tells us whether
+         the node was relaxed to something better since (no heuristic
+         re-evaluation needed). *)
+      incr pruned;
+      search ()
+    end
+    else begin
+      incr expanded;
+      expand id;
+      search ()
+    end
   in
   let dest = search () in
   (* Rebuild the plan from the parent chain; actions are not stored. *)

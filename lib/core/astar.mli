@@ -31,9 +31,13 @@
     reused buffer with per-table costs tabulated once per solve, and each
     candidate post-state is probed from a scratch buffer, so a generated
     node dominated by an already-recorded g-value is pruned without
-    allocating or touching the queue.  Stale queue entries are skipped by
-    comparing the g-value stored at push time.  Actions are not stored:
-    the plan is rebuilt from the parent chain and the arrival suffix sums.
+    allocating or touching the queue.  The open list is a flat pairing
+    heap ({!Util.Pqueue}) of node ids whose payload is the g-value at
+    push time; stale entries are skipped by comparing it, and its fixed
+    pop order for equal priorities is the search's tie-break.  After the
+    arrays have grown, neither a push nor a pop allocates.  Actions are
+    not stored: the plan is rebuilt from the parent chain and the
+    arrival suffix sums.
     {!Statekey} remains the exact DP's memo key; A* only shares its hash
     ({!Statekey.hash_of}). *)
 

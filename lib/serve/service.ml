@@ -269,6 +269,18 @@ let create ?pool ~root config =
     invalid_arg "Service: discount_factor must be finite and >= 0";
   if not (Option.fold ~none:true ~some:Float.is_finite config.shed_budget) then
     invalid_arg "Service: shed_budget must be finite";
+  (* Refused before anything is written: a second run over a root would
+     rewrite its manifest, then fail to register its tenants, and leave a
+     root that no longer recovers. *)
+  if
+    Sys.file_exists (Filename.concat root "MANIFEST")
+    || Sys.file_exists (Durable.Fsutil.group_dir root)
+  then
+    failwith
+      (Printf.sprintf
+         "Service.create: %s already holds a serve root — use recover (or \
+          point at a fresh directory)"
+         root);
   Durable.Fsutil.mkdirs root;
   let group =
     match

@@ -111,8 +111,10 @@ val create : ?pool:Parallel.Pool.t -> root:string -> config -> t
     domain, everything runs in sequence, and the outcome is
     bit-identical either way.  Raises
     [Invalid_argument] on a [discount_factor] that is negative or not
-    finite, or a [shed_budget] that is not finite, and [Failure] when
-    [root] already holds a damaged log. *)
+    finite, or a [shed_budget] that is not finite, and [Failure],
+    before writing anything, when [root] already holds a service
+    manifest or a [groupwal/] directory (a finished or crashed run:
+    {!recover} continues it). *)
 
 val register : t -> Tenant.config -> (Admission.decision, string) result
 (** Apply admission: [Admit] builds the tenant now (manifest under

@@ -1,60 +1,155 @@
-(* Pairing heap: O(1) push, amortized O(log n) pop. *)
+(* Pairing heap in left-child/right-sibling form: O(1) push, amortized
+   O(log n) pop.  An entry is a slot id; [child] holds its first child
+   and [sibling] its next sibling (-1 for none).  Free slots are chained
+   through [sibling] from [free]; [used] is the high-water mark. *)
 
-type 'a node = { prio : float; value : 'a; mutable children : 'a node list }
+type t = {
+  mutable values : int array;
+  mutable prio : Float.Array.t;
+  mutable payload : Float.Array.t;
+  mutable child : int array;
+  mutable sibling : int array;
+  mutable root : int;
+  mutable free : int;
+  mutable used : int;
+  mutable size : int;
+}
 
-type 'a t = { mutable root : 'a node option; mutable size : int }
+let create () =
+  let cap = 64 in
+  {
+    values = Array.make cap 0;
+    prio = Float.Array.make cap 0.0;
+    payload = Float.Array.make cap 0.0;
+    child = Array.make cap (-1);
+    sibling = Array.make cap (-1);
+    root = -1;
+    free = -1;
+    used = 0;
+    size = 0;
+  }
 
-let create () = { root = None; size = 0 }
-
-let is_empty q = q.root = None
+let is_empty q = q.size = 0
 
 let length q = q.size
 
-let meld a b =
-  if a.prio <= b.prio then begin
-    a.children <- b :: a.children;
+let grow q =
+  let cap = Array.length q.values in
+  let extend a =
+    let b = Array.make (2 * cap) (-1) in
+    Array.blit a 0 b 0 cap;
+    b
+  and extend_float a =
+    let b = Float.Array.make (2 * cap) 0.0 in
+    Float.Array.blit a 0 b 0 cap;
+    b
+  in
+  q.values <- extend q.values;
+  q.prio <- extend_float q.prio;
+  q.payload <- extend_float q.payload;
+  q.child <- extend q.child;
+  q.sibling <- extend q.sibling
+
+(* A slot for a new entry, with no child and no sibling. *)
+let slot q =
+  let id =
+    if q.free >= 0 then begin
+      let id = q.free in
+      q.free <- q.sibling.(id);
+      id
+    end
+    else begin
+      if q.used = Array.length q.values then grow q;
+      let id = q.used in
+      q.used <- id + 1;
+      id
+    end
+  in
+  q.child.(id) <- -1;
+  q.sibling.(id) <- -1;
+  id
+
+(* [a] wins on [a.prio <= b.prio]; the loser becomes the winner's first
+   child.  The winner's own [sibling] is left as it was: each caller
+   reads both siblings first and relinks the winner itself. *)
+let meld q a b =
+  if Float.Array.get q.prio a <= Float.Array.get q.prio b then begin
+    q.sibling.(b) <- q.child.(a);
+    q.child.(a) <- b;
     a
   end
   else begin
-    b.children <- a :: b.children;
+    q.sibling.(a) <- q.child.(b);
+    q.child.(b) <- a;
     b
   end
 
-let push q ~priority value =
-  let node = { prio = priority; value; children = [] } in
+let link q id =
   q.size <- q.size + 1;
-  match q.root with
-  | None -> q.root <- Some node
-  | Some root -> q.root <- Some (meld root node)
+  q.root <- (if q.root < 0 then id else meld q q.root id)
 
-(* Two-pass pairing merge of the root's children.  Both passes are
-   tail-recursive: a root accumulating millions of children (large A*
-   open lists) must not overflow the stack.  [pair] melds adjacent pairs
-   left to right (accumulating in reverse), then the pairs are melded
-   back right to left.  The fold keeps the earlier pair as [meld]'s first
-   argument — [meld p1 (meld p2 (... meld p_(k-1) p_k))] — so ties break
-   exactly as the classical (non-tail) recursive formulation. *)
-let merge_pairs children =
-  let rec pair acc = function
-    | [] -> acc
-    | [ x ] -> x :: acc
-    | a :: b :: rest -> pair (meld a b :: acc) rest
-  in
-  match pair [] children with
-  | [] -> None
-  | last :: rest -> Some (List.fold_left (fun acc p -> meld p acc) last rest)
+(* Small enough to inline at the call site, so the two floats are stored
+   without being boxed. *)
+let[@inline] push q ~priority ~payload value =
+  let id = slot q in
+  q.values.(id) <- value;
+  Float.Array.set q.prio id priority;
+  Float.Array.set q.payload id payload;
+  link q id
+
+(* Two-pass pairing merge of the sibling chain from [first], in loops (a
+   root can collect hundreds of thousands of children).  The pair pass
+   melds adjacent children left to right and stacks each pair's winner
+   through [sibling], so the last pair ends on top; the fold then melds
+   the stack from the top, keeping the earlier pair as [meld]'s first
+   argument — [meld p1 (meld p2 (... meld p_(k-1) p_k))], the classical
+   recursive formulation's tie order. *)
+let merge_pairs q first =
+  let stack = ref (-1) and cur = ref first in
+  while !cur >= 0 do
+    let a = !cur in
+    let b = q.sibling.(a) in
+    let w =
+      if b < 0 then begin
+        cur := -1;
+        a
+      end
+      else begin
+        cur := q.sibling.(b);
+        meld q a b
+      end
+    in
+    q.sibling.(w) <- !stack;
+    stack := w
+  done;
+  if !stack < 0 then -1
+  else begin
+    let acc = ref !stack and rest = ref q.sibling.(!stack) in
+    while !rest >= 0 do
+      let p = !rest in
+      rest := q.sibling.(p);
+      acc := meld q p !acc
+    done;
+    q.sibling.(!acc) <- -1;
+    !acc
+  end
+
+let check_nonempty q what =
+  if q.size = 0 then invalid_arg ("Pqueue." ^ what ^ ": empty queue")
 
 let pop q =
-  match q.root with
-  | None -> None
-  | Some root ->
-      q.root <- merge_pairs root.children;
-      q.size <- q.size - 1;
-      Some (root.prio, root.value)
+  check_nonempty q "pop";
+  let r = q.root in
+  q.root <- merge_pairs q q.child.(r);
+  q.size <- q.size - 1;
+  q.sibling.(r) <- q.free;
+  q.free <- r;
+  q.values.(r)
 
-let peek q =
-  match q.root with None -> None | Some root -> Some (root.prio, root.value)
+let[@inline] peek_priority q =
+  check_nonempty q "peek_priority";
+  Float.Array.get q.prio q.root
 
-let clear q =
-  q.root <- None;
-  q.size <- 0
+let[@inline] peek_payload q =
+  check_nonempty q "peek_payload";
+  Float.Array.get q.payload q.root

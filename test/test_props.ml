@@ -285,15 +285,54 @@ let prop_pqueue_sorts =
     QCheck.(list (float_range (-100.0) 100.0))
     (fun priorities ->
       let q = Util.Pqueue.create () in
-      List.iteri (fun i p -> Util.Pqueue.push q ~priority:p i) priorities;
+      List.iteri
+        (fun i p -> Util.Pqueue.push q ~priority:p ~payload:0.0 i)
+        priorities;
       let rec drain acc =
-        match Util.Pqueue.pop q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
+        if Util.Pqueue.is_empty q then List.rev acc
+        else begin
+          let p = Util.Pqueue.peek_priority q in
+          ignore (Util.Pqueue.pop q);
+          drain (p :: acc)
+        end
       in
       let popped = drain [] in
       List.length popped = List.length priorities
       && popped = List.sort Float.compare priorities)
+
+(* The tie order, pinned against the boxed pairing heap it replaced
+   ([Pairing_oracle]): an interleaving of pushes (priority drawn from
+   four values, so most comparisons are ties) and pops must pop the same
+   (priority, value, payload) sequence from both.  A negative op pops,
+   any other pushes at that priority; the value is the op's index and
+   the payload its negation, so a swapped tie shows in both. *)
+let prop_pqueue_tie_order =
+  QCheck.Test.make ~name:"flat heap pops ties as the boxed pairing heap"
+    ~count:500
+    QCheck.(list (int_range (-2) 3))
+    (fun ops ->
+      let q = Util.Pqueue.create () and oracle = Pairing_oracle.create () in
+      let pop_both () =
+        let p = Util.Pqueue.peek_priority q and g = Util.Pqueue.peek_payload q in
+        let v = Util.Pqueue.pop q in
+        match Pairing_oracle.pop oracle with
+        | Some (p', (v', g')) -> p = p' && v = v' && g = g'
+        | None -> false
+      in
+      let ok = ref true in
+      List.iteri
+        (fun i op ->
+          if op >= 0 then begin
+            let priority = float_of_int op and payload = float_of_int (-i) in
+            Util.Pqueue.push q ~priority ~payload i;
+            Pairing_oracle.push oracle ~priority (i, payload)
+          end
+          else if !ok && not (Util.Pqueue.is_empty q) then ok := pop_both ())
+        ops;
+      while !ok && not (Util.Pqueue.is_empty q) do
+        ok := pop_both ()
+      done;
+      !ok && Pairing_oracle.is_empty oracle)
 
 (* --- vmultiset vs model ----------------------------------------------------- *)
 
@@ -744,7 +783,7 @@ let () =
           ] );
       ( "structures",
         List.map to_alcotest
-          [ prop_pqueue_sorts; prop_vmultiset_model ] );
+          [ prop_pqueue_sorts; prop_pqueue_tie_order; prop_vmultiset_model ] );
       ("opflow", List.map to_alcotest [ prop_opflow_refresh_monotone ]);
       ( "maintainer",
         List.map to_alcotest [ prop_maintainer_agrees_with_recompute ] );

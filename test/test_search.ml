@@ -242,12 +242,13 @@ let test_pqueue_wide_root () =
   let q = Util.Pqueue.create () in
   let n = 300_000 in
   for i = 0 to n - 1 do
-    Util.Pqueue.push q ~priority:(float_of_int i) i
+    Util.Pqueue.push q ~priority:(float_of_int i) ~payload:(float_of_int (-i)) i
   done;
   for i = 0 to n - 1 do
-    match Util.Pqueue.pop q with
-    | Some (p, v) when v = i && p = float_of_int i -> ()
-    | _ -> Alcotest.failf "pop %d out of order" i
+    let p = Util.Pqueue.peek_priority q and g = Util.Pqueue.peek_payload q in
+    let v = Util.Pqueue.pop q in
+    if not (v = i && p = float_of_int i && g = float_of_int (-i)) then
+      Alcotest.failf "pop %d out of order" i
   done;
   Alcotest.(check bool) "empty" true (Util.Pqueue.is_empty q)
 
@@ -405,6 +406,19 @@ let test_tpcr_pin () =
      3321 105464 559 110053"
     (pin_line ~use_heuristic:true (tpcr_min_spec ()))
 
+(* The open list and the node store are flat, so after their arrays
+   have grown an A* solve allocates only per expansion scratch it cannot
+   avoid and the final plan.  [Gc.minor_words] counts the calling domain
+   only, and this test runs on one.  The boxed pairing heap it replaced
+   allocated about 8.1M words on this spec. *)
+let test_tpcr_alloc () =
+  let spec = tpcr_min_spec () in
+  let before = Gc.minor_words () in
+  ignore (Abivm.Astar.solve spec);
+  let words = Gc.minor_words () -. before in
+  if words > 1e6 then
+    Alcotest.failf "one solve allocated %.0f minor words (bound 1M)" words
+
 let () =
   Alcotest.run "search"
     [
@@ -427,5 +441,7 @@ let () =
             test_pins;
           Alcotest.test_case "calibrated TPC-R MIN spec pinned bit for bit"
             `Quick test_tpcr_pin;
+          Alcotest.test_case "TPC-R MIN solve allocates at most 1M words"
+            `Quick test_tpcr_alloc;
         ] );
     ]

@@ -449,6 +449,39 @@ let contains ~sub s =
   in
   go 0
 
+(* [create] refuses a root that holds a service manifest or a shared log
+   before writing anything: a finished root keeps its manifest byte for
+   byte and still recovers to the first run's outcome, and a root with
+   only a [groupwal/] gains no manifest. *)
+let test_create_refuses_existing_root () =
+  let refused root =
+    match Serve.Service.create ~root (service_cfg ()) with
+    | _ -> Alcotest.failf "create over %s was not refused" root
+    | exception Failure msg ->
+        checkb "error names the root" true (contains ~sub:root msg)
+  in
+  let cfgs = fleet 2 in
+  let root = scratch () and bare = scratch () in
+  Fun.protect
+    ~finally:(fun () ->
+      rmtree root;
+      rmtree bare)
+    (fun () ->
+      let first = run_service ~root (service_cfg ()) cfgs in
+      let manifest = read_file (Filename.concat root "MANIFEST") in
+      refused root;
+      checkb "manifest untouched" true
+        (read_file (Filename.concat root "MANIFEST") = manifest);
+      (match Serve.Service.recover ~root () with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok svc ->
+          check_outcomes_equal "recovered-vs-first" first
+            (Serve.Service.run svc));
+      Durable.Fsutil.mkdirs (Durable.Fsutil.group_dir bare);
+      refused bare;
+      checkb "no manifest written" false
+        (Sys.file_exists (Filename.concat bare "MANIFEST")))
+
 (* [s] with every occurrence of [sub] replaced by [by]. *)
 let replace_all ~sub ~by s =
   let n = String.length sub and b = Buffer.create (String.length s) in
@@ -1174,6 +1207,8 @@ let () =
             test_recovered_wal_replays_full_history;
           Alcotest.test_case "damaged or retired state refused" `Quick
             test_recover_refuses_damage;
+          Alcotest.test_case "create refuses an existing root" `Quick
+            test_create_refuses_existing_root;
         ] );
       ( "serve-io",
         [

@@ -150,43 +150,50 @@ let test_stats_mape () =
 
 (* --- Pqueue -------------------------------------------------------------- *)
 
+(* Pop the minimum as (priority, value, payload). *)
+let pop_entry q =
+  let p = Util.Pqueue.peek_priority q and g = Util.Pqueue.peek_payload q in
+  (p, Util.Pqueue.pop q, g)
+
 let test_pqueue_ordering () =
   let q = Util.Pqueue.create () in
-  List.iter (fun (p, v) -> Util.Pqueue.push q ~priority:p v)
-    [ (5.0, "e"); (1.0, "a"); (3.0, "c"); (2.0, "b"); (4.0, "d") ];
-  let popped = List.init 5 (fun _ ->
-      match Util.Pqueue.pop q with Some (_, v) -> v | None -> "?")
-  in
-  check (Alcotest.list Alcotest.string) "sorted pops"
-    [ "a"; "b"; "c"; "d"; "e" ] popped
+  List.iter (fun (p, v) -> Util.Pqueue.push q ~priority:p ~payload:0.0 v)
+    [ (5.0, 5); (1.0, 1); (3.0, 3); (2.0, 2); (4.0, 4) ];
+  let popped = List.init 5 (fun _ -> Util.Pqueue.pop q) in
+  check (Alcotest.list Alcotest.int) "sorted pops" [ 1; 2; 3; 4; 5 ] popped
 
 let test_pqueue_empty () =
-  let q : int Util.Pqueue.t = Util.Pqueue.create () in
+  let q = Util.Pqueue.create () in
   checkb "empty" true (Util.Pqueue.is_empty q);
-  checkb "pop none" true (Util.Pqueue.pop q = None);
-  checkb "peek none" true (Util.Pqueue.peek q = None)
+  Alcotest.check_raises "pop raises" (Invalid_argument "Pqueue.pop: empty queue")
+    (fun () -> ignore (Util.Pqueue.pop q));
+  Alcotest.check_raises "peek raises"
+    (Invalid_argument "Pqueue.peek_priority: empty queue") (fun () ->
+      ignore (Util.Pqueue.peek_priority q))
 
 let test_pqueue_length () =
   let q = Util.Pqueue.create () in
-  Util.Pqueue.push q ~priority:1.0 1;
-  Util.Pqueue.push q ~priority:2.0 2;
+  Util.Pqueue.push q ~priority:1.0 ~payload:0.0 1;
+  Util.Pqueue.push q ~priority:2.0 ~payload:0.0 2;
   checki "length 2" 2 (Util.Pqueue.length q);
   ignore (Util.Pqueue.pop q);
   checki "length 1" 1 (Util.Pqueue.length q)
 
 let test_pqueue_peek_preserves () =
   let q = Util.Pqueue.create () in
-  Util.Pqueue.push q ~priority:2.0 "x";
-  Util.Pqueue.push q ~priority:1.0 "y";
-  checkb "peek min" true (Util.Pqueue.peek q = Some (1.0, "y"));
-  checki "length unchanged" 2 (Util.Pqueue.length q)
+  Util.Pqueue.push q ~priority:2.0 ~payload:20.0 24;
+  Util.Pqueue.push q ~priority:1.0 ~payload:10.0 25;
+  checkb "peek min" true
+    ((Util.Pqueue.peek_priority q, Util.Pqueue.peek_payload q) = (1.0, 10.0));
+  checki "length unchanged" 2 (Util.Pqueue.length q);
+  checki "the peeked entry pops" 25 (Util.Pqueue.pop q)
 
 let test_pqueue_duplicates () =
   let q = Util.Pqueue.create () in
-  Util.Pqueue.push q ~priority:1.0 "a";
-  Util.Pqueue.push q ~priority:1.0 "a";
-  checkb "first" true (Util.Pqueue.pop q = Some (1.0, "a"));
-  checkb "second" true (Util.Pqueue.pop q = Some (1.0, "a"))
+  Util.Pqueue.push q ~priority:1.0 ~payload:3.0 7;
+  Util.Pqueue.push q ~priority:1.0 ~payload:3.0 7;
+  checkb "first" true (pop_entry q = (1.0, 7, 3.0));
+  checkb "second" true (pop_entry q = (1.0, 7, 3.0))
 
 (* --- Subsets ------------------------------------------------------------- *)
 
