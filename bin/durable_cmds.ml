@@ -148,9 +148,12 @@ let run dir seed rows horizon limit streams config hook trace metrics =
   | Error e -> `Error (false, e)
   | Ok env ->
       with_telemetry ~trace ~metrics (fun () ->
-          or_killed ~group:"durable" ~dir (fun () ->
-              print_outcome (Durable.Exec.run (config ~dir ~hook) env));
-          `Ok ())
+          match
+            or_killed ~group:"durable" ~dir (fun () ->
+                print_outcome (Durable.Exec.run (config ~dir ~hook) env))
+          with
+          | () -> `Ok ()
+          | exception Failure e -> `Error (false, e))
 
 let recover dir config trace metrics =
   match durable_env_of_dir dir with

@@ -2,9 +2,6 @@
     state — the edges of the LGM plan graph (§4.1) and the candidate set of
     the online heuristic (§4.3). *)
 
-val greedy_of_subset : Statevec.t -> int list -> Statevec.t
-(** The action flushing exactly the given tables of the pre-action state. *)
-
 val feasible_subset : Spec.t -> Statevec.t -> int list -> bool
 (** Does flushing this subset bring the state under the limit? *)
 
@@ -28,7 +25,8 @@ val minimal_greedy : Spec.t -> Statevec.t -> int list list
     non-empty tables. *)
 
 val minimal_greedy_actions : Spec.t -> Statevec.t -> Statevec.t list
-(** {!minimal_greedy} mapped through {!greedy_of_subset}. *)
+(** {!minimal_greedy}, each subset as the action flushing exactly those
+    tables of the pre-action state. *)
 
 val minimize : Spec.t -> Statevec.t -> Statevec.t -> Statevec.t
 (** [minimize spec pre action]: the paper's MinimizeAction — drop components

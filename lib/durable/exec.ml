@@ -193,9 +193,10 @@ let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
     lsn = Groupwal.lsn log;
   }
 
-(* [f] over the group log under [config.dir], opened at [from_lsn], and
-   Exec's one handle on it, whose forcing policy is [config.sync]; an
-   [Error] when the log refuses to open.  An injected [Hook.Crash] must
+(* [f] over the group log under [config.dir], opened at [from_lsn],
+   Exec's one handle on it, whose forcing policy is [config.sync], and
+   the log's records from [from_lsn] on; an [Error] when the log refuses
+   to open.  An injected [Hook.Crash] must
    behave like a real crash: the log is abandoned, so the open window is
    lost instead of flushed on the way out (which would make
    Interval/Never tail loss untestable). *)
@@ -205,11 +206,11 @@ let with_log config ~from_lsn f =
       ~segment_bytes:config.segment_bytes ~hook:config.hook ~from_lsn ()
   with
   | Error e -> Error ("wal: " ^ e)
-  | Ok (log, _) -> (
+  | Ok (log, contents) -> (
       let journal =
         Groupwal.attach log ~tenant:Recovery.tenant ~policy:config.sync ()
       in
-      match f log journal with
+      match f log journal contents with
       | v ->
           Groupwal.close log;
           v
@@ -239,7 +240,7 @@ let run config env =
   let manifest = Manifest.empty ~params:env.params in
   Manifest.save ~dir:config.dir ~hook:config.hook manifest;
   match
-    with_log config ~from_lsn:0 (fun log journal ->
+    with_log config ~from_lsn:0 (fun log journal _ ->
         Ok
           (execute config env ~log ~journal ~manifest ~m ~feeds ~first:0
              ~counts ~actions ~cost0:0.
@@ -250,45 +251,43 @@ let run config env =
   | Ok outcome -> outcome
   | Error e -> failwith (Printf.sprintf "Exec.run: %s: %s" config.dir e)
 
-let recover_state config env =
-  Recovery.recover ~dir:config.dir ~view_of:env.view_of
-    ~fresh:(fun () -> fst (env.fresh ()))
-
 let resume config env =
   let ( let* ) = Result.bind in
-  let* st = recover_state config env in
-  let first = st.Recovery.next_step in
-  let* counts, actions =
-    remaining env st.Recovery.maintainer ~first ~arrived:st.Recovery.arrived
-      ~applied:st.Recovery.applied
-    |> Result.map_error (fun e -> "resume: " ^ e)
+  let t0 = Unix.gettimeofday () in
+  let* st =
+    Recovery.restore ~dir:config.dir ~view_of:env.view_of
+      ~fresh:(fun () -> fst (env.fresh ()))
   in
-  with_log config ~from_lsn:(max 0 st.Recovery.checkpoint_lsn)
-    (fun log journal ->
-      if Groupwal.lsn log <> st.Recovery.lsn then
-        Error
-          (Printf.sprintf
-             "resume: WAL reopened at lsn %d but recovery replayed to %d"
-             (Groupwal.lsn log) st.Recovery.lsn)
-      else begin
-        let _, feeds = env.fresh () in
-        (* Fast-forward the deterministic feeds past every draw the
-           pre-crash process (and replay) already consumed. *)
-        Array.iteri
-          (fun i n ->
-            for _ = 1 to n do
-              ignore (feeds.Tpcr.Updates.next i)
-            done)
-          st.Recovery.draws;
-        Ok
-          (execute config env ~log ~journal ~manifest:st.Recovery.manifest
-             ~m:st.Recovery.maintainer ~feeds ~first ~counts ~actions
-             ~cost0:st.Recovery.cost ~draws:st.Recovery.draws ~recovered:true
-             ~replayed:st.Recovery.replayed)
-      end)
+  with_log config ~from_lsn:st.Recovery.lsn (fun log journal contents ->
+      let* st = Recovery.replay st contents in
+      Telemetry.set_gauge "durable.recovery_ms"
+        ((Unix.gettimeofday () -. t0) *. 1000.);
+      let first = st.Recovery.next_step in
+      let* counts, actions =
+        remaining env st.Recovery.maintainer ~first ~arrived:st.Recovery.arrived
+          ~applied:st.Recovery.applied
+        |> Result.map_error (fun e -> "resume: " ^ e)
+      in
+      let _, feeds = env.fresh () in
+      (* Fast-forward the deterministic feeds past every draw the
+         pre-crash process (and replay) already consumed. *)
+      Array.iteri
+        (fun i n ->
+          for _ = 1 to n do
+            ignore (feeds.Tpcr.Updates.next i)
+          done)
+        st.Recovery.draws;
+      Ok
+        (execute config env ~log ~journal ~manifest:st.Recovery.manifest
+           ~m:st.Recovery.maintainer ~feeds ~first ~counts ~actions
+           ~cost0:st.Recovery.cost ~draws:st.Recovery.draws ~recovered:true
+           ~replayed:st.Recovery.replayed))
 
 let verify config env =
-  match recover_state config env with
+  match
+    Recovery.recover ~dir:config.dir ~view_of:env.view_of
+      ~fresh:(fun () -> fst (env.fresh ()))
+  with
   | Error _ as e -> e
   | Ok st -> (
       match Ivm.Maintainer.check_consistent st.Recovery.maintainer with

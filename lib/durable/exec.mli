@@ -81,13 +81,14 @@ val run : config -> env -> outcome
     lies under it; re-raises [Hook.Crash]. *)
 
 val resume : config -> env -> (outcome, string) result
-(** Recover ({!Recovery.recover}), then continue the plan to the
-    horizon.  Already-applied batches are skipped; already-logged
+(** Recover, then continue the plan to the horizon: {!Recovery.restore},
+    then open the log once and {!Recovery.replay} the tail that opening
+    it returned.  Already-applied batches are skipped; already-logged
     arrivals are not re-drawn; the checkpoint bookkeeping continues from
-    the manifest recovery loaded.  [Error] on recovery failure, if
+    the manifest recovery loaded.  [Error] on recovery failure, or if
     [Bridge.Runner.check] refuses what is left (arrivals less the logged
-    ones, actions less the applied batches) on the recovered queues, or
-    if the reopened log does not end where recovery's replay did. *)
+    ones, actions less the applied batches) on the recovered queues.
+    Telemetry: [durable.recovery_ms] (gauge), as {!Recovery.recover}. *)
 
 val verify : config -> env -> (Recovery.state, string) result
 (** Recover and deep-check (recovered view vs a from-scratch evaluation

@@ -71,22 +71,19 @@ let old_layout dir =
       String.starts_with ~prefix:"wal-" f && Filename.check_suffix f ".seg")
     (Sys.readdir dir)
 
-(* The tail of Exec's log: its own records, and nothing else. *)
-let read_tail ~dir ~from_lsn =
-  match Groupwal.read ~dir:(Fsutil.group_dir dir) ~from_lsn with
-  | Error e -> Error (Printf.sprintf "wal: %s" e)
-  | Ok { Groupwal.coflushes = _ :: _; _ } ->
+(* Exec's own records of a log tail, and nothing else. *)
+let own_records = function
+  | { Groupwal.coflushes = _ :: _; _ } ->
       Error "wal: holds a serve co-flush record; not a plan's log"
-  | Ok { tenants = []; _ } -> Ok []
-  | Ok { tenants = [ (t, records) ]; _ } when t = tenant -> Ok records
-  | Ok { tenants; _ } ->
+  | { tenants = []; _ } -> Ok []
+  | { tenants = [ (t, records) ]; _ } when t = tenant -> Ok records
+  | { tenants; _ } ->
       let foreign, _ = List.find (fun (t, _) -> t <> tenant) tenants in
       Error
         (Printf.sprintf "wal: holds records of tenant %S; not a plan's log"
            foreign)
 
-let recover ~dir ~view_of ~fresh =
-  let t0 = Unix.gettimeofday () in
+let restore ~dir ~view_of ~fresh =
   let* manifest =
     match Manifest.load ~dir with
     | Ok (Some m) -> Ok m
@@ -102,7 +99,7 @@ let recover ~dir ~view_of ~fresh =
            dir)
     else Ok ()
   in
-  let* m, base_cost, draws, next_step, checkpoint_lsn =
+  let* maintainer, cost, draws, next_step, checkpoint_lsn =
     match manifest.Manifest.checkpoint with
     | None ->
         let m = fresh () in
@@ -127,33 +124,42 @@ let recover ~dir ~view_of ~fresh =
               c.Checkpoint.next_step,
               lsn )
   in
-  let from_lsn = max 0 checkpoint_lsn in
-  let* tail = read_tail ~dir ~from_lsn in
-  let arrived = Hashtbl.create 64 in
-  let applied = Hashtbl.create 64 in
+  Ok
+    {
+      maintainer;
+      cost;
+      draws;
+      next_step;
+      arrived = Hashtbl.create 64;
+      applied = Hashtbl.create 64;
+      lsn = max 0 checkpoint_lsn;
+      replayed = 0;
+      checkpoint_lsn;
+      manifest;
+    }
+
+let replay st contents =
+  let* records = own_records contents in
   let* cost =
     List.fold_left
       (fun acc record ->
         let* cost = acc in
-        replay_record m ~draws ~arrived ~applied ~cost record)
-      (Ok base_cost) tail
+        replay_record st.maintainer ~draws:st.draws ~arrived:st.arrived
+          ~applied:st.applied ~cost record)
+      (Ok st.cost) records
   in
-  let replayed = List.length tail in
-  if Telemetry.enabled () then begin
-    Telemetry.set_gauge "durable.recovery_ms"
-      ((Unix.gettimeofday () -. t0) *. 1000.);
-    Telemetry.add "durable.replayed_records" (float_of_int replayed)
-  end;
-  Ok
-    {
-      maintainer = m;
-      cost;
-      draws;
-      next_step;
-      arrived;
-      applied;
-      lsn = from_lsn + replayed;
-      replayed;
-      checkpoint_lsn;
-      manifest;
-    }
+  let n = List.length records in
+  Telemetry.add "durable.replayed_records" (float_of_int n);
+  Ok { st with cost; lsn = st.lsn + n; replayed = st.replayed + n }
+
+let recover ~dir ~view_of ~fresh =
+  let t0 = Unix.gettimeofday () in
+  let* st = restore ~dir ~view_of ~fresh in
+  let* contents =
+    Groupwal.read ~dir:(Fsutil.group_dir dir) ~from_lsn:st.lsn
+    |> Result.map_error (fun e -> "wal: " ^ e)
+  in
+  let* st = replay st contents in
+  Telemetry.set_gauge "durable.recovery_ms"
+    ((Unix.gettimeofday () -. t0) *. 1000.);
+  Ok st

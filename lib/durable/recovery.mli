@@ -41,12 +41,24 @@ type state = {
   manifest : Manifest.t;  (** the one recovery loaded *)
 }
 
+val restore :
+  dir:string ->
+  view_of:(Relation.Table.t array -> Ivm.Viewdef.t) ->
+  fresh:(unit -> Ivm.Maintainer.t) ->
+  (state, string) result
+(** The state at the manifest's checkpoint, nothing replayed: [lsn] is
+    where the log tail starts.  [view_of] rebuilds the view definition
+    over checkpoint-restored tables; [fresh] supplies the genesis
+    maintainer when no checkpoint exists yet. *)
+
+val replay : state -> Groupwal.contents -> (state, string) result
+(** Replay the log's records from [st.lsn] on into [st], in place.
+    Telemetry: [durable.replayed_records]. *)
+
 val recover :
   dir:string ->
   view_of:(Relation.Table.t array -> Ivm.Viewdef.t) ->
   fresh:(unit -> Ivm.Maintainer.t) ->
   (state, string) result
-(** [view_of] rebuilds the view definition over checkpoint-restored
-    tables; [fresh] supplies the genesis maintainer when no checkpoint
-    exists yet.  Telemetry: [durable.recovery_ms] (gauge),
-    [durable.replayed_records]. *)
+(** {!restore}, {!Groupwal.read} the tail, {!replay} it: the read-only
+    path.  Telemetry: [durable.recovery_ms] (gauge). *)

@@ -30,46 +30,23 @@ let validate ~views ~shared_setup ~arrivals =
     views;
   n
 
-(* One table's co-flush price: every participant beyond the first earns
-   one [discount], floored so the shared cost never drops below the most
-   expensive single participant. *)
-let charge_shared ~discount part_costs =
-  if discount < 0.0 then invalid_arg "Multiview.charge_shared: negative discount";
-  match part_costs with
-  | [] -> 0.0
-  | costs ->
-      let raw = List.fold_left ( +. ) 0.0 costs in
-      let floor_cost = List.fold_left Float.max 0.0 costs in
-      let extra = List.length costs - 1 in
-      Float.max floor_cost (raw -. (float_of_int extra *. discount))
-
-(* Charge one instant's combined actions.  [batches.(v).(i)] is the batch
-   view [v] processes from table [i] right now.  Raw cost sums per-view
-   costs; the per-table discounted price is {!charge_shared}. *)
-let charge ~views ~shared_setup batches =
-  let k = Array.length views and n = Array.length shared_setup in
-  let per_view = Array.make k 0.0 in
+(* Charge one instant's combined actions: per view its batches' costs,
+   the raw and the discounted total, and the joins beyond each group's
+   first member. *)
+let charge parts batches =
+  let per_view = Array.make (Array.length parts) 0.0 in
   let raw_total = ref 0.0 and discounted_total = ref 0.0 and joins = ref 0 in
-  for i = 0 to n - 1 do
-    let participants = ref [] in
-    for v = 0 to k - 1 do
-      let b = batches.(v).(i) in
-      if b > 0 then begin
-        let c = Cost.Func.eval views.(v).costs.(i) b in
-        per_view.(v) <- per_view.(v) +. c;
-        participants := (v, c) :: !participants
-      end
-    done;
-    match !participants with
-    | [] -> ()
-    | parts ->
-        let costs = List.map snd parts in
-        let raw = List.fold_left ( +. ) 0.0 costs in
-        joins := !joins + (List.length parts - 1);
-        let discounted = charge_shared ~discount:shared_setup.(i) costs in
-        raw_total := !raw_total +. raw;
-        discounted_total := !discounted_total +. discounted
-  done;
+  List.iter
+    (fun group ->
+      List.iter
+        (fun (m : Coflush.member) ->
+          per_view.(m.who) <- per_view.(m.who) +. m.cost)
+        group;
+      let charged, raw = Coflush.price group in
+      joins := !joins + (List.length group - 1);
+      raw_total := !raw_total +. raw;
+      discounted_total := !discounted_total +. charged)
+    (Coflush.groups parts batches);
   (per_view, !raw_total, !discounted_total, !joins)
 
 type sim_view = {
@@ -101,6 +78,19 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
         })
       views
   in
+  let parts =
+    Array.map2
+      (fun v sim ->
+        {
+          Coflush.pending = sim.pending;
+          capacity =
+            (fun i ->
+              Cost.Check.max_batch v.costs.(i) ~limit:v.limit ~cap:1_000_000);
+          cost = (fun i b -> Cost.Func.eval v.costs.(i) b);
+          shared = (fun i -> shared_setup.(i));
+        })
+      views sims
+  in
   let per_view_total = Array.make k 0.0 in
   let total = ref 0.0 and undiscounted = ref 0.0 in
   let joins = ref 0 and valid = ref true in
@@ -127,31 +117,11 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
           else Abivm.Statevec.zero n)
         sims
     in
-    (* Optional coordination: piggyback on co-flushed tables, but only when
-       the joining view's own flush of that table is nearly due (its pending
-       batch is close to the largest batch its constraint allows).  Joining
-       early with a small batch would add setups without removing future
-       flushes and lose money; joining when a flush is imminent replaces
-       that imminent solo flush and pockets the shared-work discount. *)
-    if coordinate && t < horizon then begin
-      for i = 0 to n - 1 do
-        let someone_flushes = Array.exists (fun row -> row.(i) > 0) batches in
-        if someone_flushes && shared_setup.(i) > 0.0 then
-          Array.iteri
-            (fun v sim ->
-              let pending_i = sim.pending.(i) in
-              if batches.(v).(i) = 0 && pending_i > 0 then begin
-                let capacity =
-                  max 1
-                    (Cost.Check.max_batch views.(v).costs.(i)
-                       ~limit:views.(v).limit ~cap:1_000_000)
-                in
-                if float_of_int pending_i >= 0.6 *. float_of_int capacity then
-                  batches.(v).(i) <- pending_i
-              end)
-            sims
-      done
-    end;
+    (* Optional coordination: the co-flush rule's joins. *)
+    let batches =
+      if coordinate && t < horizon then (Coflush.invite parts batches).rows
+      else batches
+    in
     (* Apply and charge. *)
     Array.iteri
       (fun v sim ->
@@ -160,12 +130,9 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
             if b > 0 then sim.pending.(i) <- sim.pending.(i) - b)
           batches.(v);
         if t < horizon && Abivm.Spec.is_full sim.model sim.pending then
-          valid := false;
-        ignore v)
+          valid := false)
       sims;
-    let per_view, raw, discounted, step_joins =
-      charge ~views ~shared_setup batches
-    in
+    let per_view, raw, discounted, step_joins = charge parts batches in
     Array.iteri
       (fun v c -> per_view_total.(v) <- per_view_total.(v) +. c)
       per_view;

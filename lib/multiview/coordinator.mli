@@ -15,30 +15,15 @@
     - {!independent}: one §4.3 ONLINE controller per view, no
       coordination (discounts still apply when co-flushes happen by
       accident);
-    - {!piggyback}: same controllers, but whenever some view is forced to
-      process table [i], every other view whose own table-[i] flush is
-      nearly due (pending at >= 60% of the largest batch its constraint
-      allows) joins the flush — the co-flush replaces an imminent solo
-      flush and pockets the shared-work discount.  Joining with a small
-      pending batch would add setups without removing future flushes, so
-      eager joining is deliberately avoided. *)
+    - {!piggyback}: same controllers, plus the {!Coflush} rule: a view
+      forced to process table [i] invites every view whose own flush of
+      [i] is nearly due; a table without shared setup invites no one. *)
 
 type view_spec = {
   name : string;
   costs : Cost.Func.t array;  (** one per base table *)
   limit : float;
 }
-
-val charge_shared : discount:float -> float list -> float
-(** The price of one table's co-flush, given each participant's own cost
-    for its batch: the raw sum minus one [discount] per participant
-    beyond the first, never below the most expensive single participant
-    (the shared scan can't make the combined work cheaper than the
-    biggest job alone).  [0.0] for no participants.  This is the exact
-    accounting {!independent}/{!piggyback} apply per table per instant,
-    exposed so an external scheduler ([abivm serve]) charges co-flushes
-    across tenants by the same rule.  Raises [Invalid_argument] on a
-    negative discount. *)
 
 type outcome = {
   per_view_cost : (string * float) array;

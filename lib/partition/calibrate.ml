@@ -1,3 +1,5 @@
+(* Exact counts of the current rows' values in [col] (unmetered scan;
+   non-integer values are skipped). *)
 let sketch_of_table table ~col =
   let pos = Relation.Schema.index_of (Relation.Table.schema table) col in
   let sketch = Sketch.create () in

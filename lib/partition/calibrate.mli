@@ -4,10 +4,6 @@
     [Bridge.Calibrate.measure_curve] — per partition, and per logical
     table for the skew-blind baseline. *)
 
-val sketch_of_table : Relation.Table.t -> col:string -> Sketch.t
-(** Exact counts of the current rows' values in [col] (unmetered scan;
-    non-integer values are skipped). *)
-
 val splits_of_view :
   ?max_heavy:int -> ?min_share:float -> Ivm.Viewdef.t -> Split.t array
 (** One calibrated split per table, sketched from each table's join

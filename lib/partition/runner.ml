@@ -71,8 +71,11 @@ let run e stream ~spec ~plan =
   replay "run" e stream ~spec ~plan (fun () ->
       (Abivm.Spec.arrivals spec, Abivm.Plan.actions plan))
 
-(* A logical batch of [k] drains the lanes of the table's first [k]
-   arrivals: [fifo.(i)] holds their lanes in arrival order. *)
+(* [run] for a plan over the [n] logical tables.  A logical batch of [k]
+   drains the lanes of the table's first [k] arrivals ([fifo.(i)] holds
+   their lanes in arrival order), applied as one [2n]-wide action: one
+   batch per non-empty lane, heavy first, the lane plan built before
+   anything runs.  Refuses what [run] refuses. *)
 let run_blind e stream ~spec ~plan =
   replay "run_blind" e stream ~spec ~plan (fun () ->
       let width = Engine.n_partitions e in

@@ -9,10 +9,11 @@
     plan's per-partition batches.  Because the spec's arrivals come from
     the very stream being replayed, plan validity transfers exactly.
 
-    {!run_blind} replays the same stream under the skew-blind baseline's
-    plan, which batches each logical table as a whole, on the same kind
-    of engine — the executed cost a skew-aware plan is compared with;
-    {!compare_blind} runs the whole comparison, calibration included. *)
+    {!compare_blind} also replays the same stream under the skew-blind
+    baseline's plan, which batches each logical table as a whole, on the
+    same kind of engine — the executed cost a skew-aware plan is
+    compared with — and runs the whole comparison, calibration
+    included. *)
 
 type stream = (int * Ivm.Change.t) list array
 (** Per step, the drawn [(logical table, modification)]s in draw order. *)
@@ -40,15 +41,6 @@ val run : Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
     and both counts, with that step's lanes unprocessed and the earlier
     steps' batches applied.  Also raises after the run if modifications
     are left. *)
-
-val run_blind :
-  Engine.t -> stream -> spec:Abivm.Spec.t -> plan:Abivm.Plan.t -> result
-(** {!run} for a plan over the [n] logical tables: a batch of [k] on table
-    [i] drains the first [k] of that table's arrivals in FIFO order, i.e.
-    the heavy and light counts of that prefix (each lane keeps arrival
-    order), applied as one [2n]-wide action: one batch per non-empty
-    lane, heavy first, the lane plan built before anything runs.
-    [Invalid_argument] under the same conditions as {!run}. *)
 
 type side = { plan_cost : float; exec : result }
 (** One planner's A* plan cost and that plan's executed cost. *)
@@ -78,4 +70,6 @@ val compare_blind :
     become the two specs' cost functions, the response-time limit is
     [limit_factor] times the dearest single modification of either, and
     A* plans both.  The aware plan runs on the given engine via {!run},
-    the blind plan on its own engine via {!run_blind}. *)
+    the blind plan on its own engine: a logical batch of [k] drains the
+    first [k] of that table's arrivals in FIFO order, applied as one
+    batch per non-empty lane, heavy first. *)

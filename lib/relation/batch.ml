@@ -88,11 +88,6 @@ module Builder = struct
     Array.iteri (fun c col -> Column.append col (Tuple.get t c)) (cols b);
     b.rows <- b.rows + 1
 
-  let append_row b (src : batch) r =
-    let abs = src.base + r in
-    Array.iteri (fun c col -> Column.append_from col src.cols.(c) abs) (cols b);
-    b.rows <- b.rows + 1
-
   let append_join b (l : batch) lr (rt : batch) rr =
     let out = cols b in
     let labs = l.base + lr and rabs = rt.base + rr in

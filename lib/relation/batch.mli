@@ -69,8 +69,6 @@ module Builder : sig
   val create : Schema.t -> t
   val rows : t -> int
   val full : t -> bool
-  val append_tuple : t -> Tuple.t -> unit
-  val append_row : t -> batch -> int -> unit
   val append_join : t -> batch -> int -> batch -> int -> unit
   (** Append the concatenation of a left and a right batch row. *)
 

@@ -56,16 +56,6 @@ let cost_noise ~seed ~amp costs =
       Cost.Func.jitter ~seed:table_seed ~amp f)
     costs
 
-let cost_stale ~rate costs =
-  if rate < 0.0 then invalid_arg "Inject.cost_stale: negative rate";
-  Array.map
-    (fun f ->
-      Cost.Func.of_fn
-        ~name:(Printf.sprintf "stale(%g,%s)" rate (Cost.Func.name f))
-        (fun k ->
-          Cost.Func.eval f k *. (1.0 +. (rate *. log (1.0 +. float_of_int k)))))
-    costs
-
 type scenario = {
   label : string;
   model : Abivm.Spec.t;

@@ -42,17 +42,9 @@ val table_swap : at:int -> int -> int -> int array array -> int array array
     These model the {e true} execution cost diverging from the calibrated
     model the planner uses; apply them to the actual side of a scenario. *)
 
-val cost_scale : float -> Cost.Func.t array -> Cost.Func.t array
-(** Uniform misestimation: every true cost is [factor] times the model. *)
-
 val cost_noise : seed:int -> amp:float -> Cost.Func.t array -> Cost.Func.t array
 (** Per-batch-size multiplicative noise via {!Cost.Func.jitter}; each
     table gets an independent noise stream split from [seed]. *)
-
-val cost_stale : rate:float -> Cost.Func.t array -> Cost.Func.t array
-(** Stale-calibration drift: true cost [f k * (1 + rate * log (1 + k))] —
-    error grows with batch size, as when a table kept growing after the
-    cost curve was measured.  [rate >= 0]. *)
 
 (** {1 Scenarios} *)
 

@@ -71,11 +71,11 @@ type t = {
          tenant's final, post-invite, post-shed batch row), so a
          mid-round crash replays the round's coordination exactly
          instead of re-deriving it *)
-  pending_groups : (int * int, (int * float * float) list) Hashtbl.t;
-      (* recovery only: (global round, table) -> participants as
-         (registration index, batch model cost, single-mod setup cost);
-         folded into the aggregates in key order by [settle_recovered]
-         once catch-up has re-added any crashed-away participants *)
+  pending_groups : (int * int, Multiview.Coflush.member list) Hashtbl.t;
+      (* recovery only: (global round, table) -> participants by
+         registration index; folded into the aggregates in key order by
+         [settle_recovered] once catch-up has re-added any crashed-away
+         participants *)
 }
 
 let ( let* ) = Result.bind
@@ -411,25 +411,31 @@ let add_pending_group t key entry =
 let journal_row t ~round ~name =
   Option.bind (Hashtbl.find_opt t.journal round) (List.assoc_opt name)
 
-(* Price one (round, table) co-flush group, given as (batch model cost,
-   single-modification cost) per participant in accumulation order, and
-   fold it into the aggregates under the multiview shared-setup rule.
-   The discount is a fraction of the cheapest participant's
-   single-modification cost — the shared part of the scan, in calibrated
-   units.  Without coordination, tenants flushing the same table in the
-   same round is coincidence, not a shared scan: full price, no join
-   counted. *)
+(* A tenant's share of a co-flush, given its single-modification cost
+   [setup] of the table: the discount factor times [setup], the shared
+   part of the scan in calibrated units.  Without coordination, tenants
+   flushing the same table in the same round is coincidence, not a
+   shared scan: no share, so full price. *)
+let share t setup =
+  if t.config.coordinate then t.config.discount_factor *. setup else 0.0
+
+let participant t tenant =
+  {
+    Multiview.Coflush.pending = Tenant.pending tenant;
+    capacity = Tenant.capacity tenant;
+    cost = Tenant.model_cost tenant;
+    shared = (fun i -> share t (Tenant.model_cost tenant i 1));
+  }
+
+(* Fold one (round, table) co-flush group, priced by the co-flush rule,
+   into the aggregates.  Only a group that earns a discount counts its
+   joins. *)
 let charge_group t group =
-  let costs = List.map fst group in
-  let min_setup = List.fold_left (fun acc (_, s) -> Float.min acc s) infinity group in
-  let discount =
-    if t.config.coordinate then t.config.discount_factor *. min_setup else 0.0
-  in
-  t.agg_charged <-
-    t.agg_charged +. Multiview.Coordinator.charge_shared ~discount costs;
-  t.agg_raw <- t.agg_raw +. List.fold_left ( +. ) 0.0 costs;
-  if t.config.coordinate then
-    t.co_flushes <- t.co_flushes + (List.length costs - 1)
+  let charged, raw = Multiview.Coflush.price group in
+  t.agg_charged <- t.agg_charged +. charged;
+  t.agg_raw <- t.agg_raw +. raw;
+  if Multiview.Coflush.discount group > 0.0 then
+    t.co_flushes <- t.co_flushes + (List.length group - 1)
 
 (* Price every recovered (round, table) co-flush group, in ascending key
    order — exactly the chronological order the uninterrupted run
@@ -444,8 +450,7 @@ let settle_recovered t =
   List.iter
     (fun key ->
       Hashtbl.find t.pending_groups key
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare (b : int) a)
-      |> List.map (fun (_, cost, setup) -> (cost, setup))
+      |> List.sort (fun (a : Multiview.Coflush.member) b -> compare b.who a.who)
       |> charge_group t)
     keys;
   Hashtbl.reset t.pending_groups
@@ -486,7 +491,11 @@ let catch_up t tenant =
       (fun i b ->
         if b > 0 then
           add_pending_group t (round, i)
-            (idx, Tenant.model_cost tenant i b, Tenant.model_cost tenant i 1))
+            {
+              Multiview.Coflush.who = idx;
+              cost = Tenant.model_cost tenant i b;
+              shared = share t (Tenant.model_cost tenant i 1);
+            })
       batch;
     Tenant.execute tenant batch;
     Tenant.close_step tenant
@@ -536,85 +545,38 @@ let run_round t =
         | Some action -> batches.(v) <- Array.copy action
         | None -> ())
       ready_idx;
-    (* Phase B: coordination.  A tenant forced to flush table [i] invites
-       every other tenant whose own table-[i] flush is nearly due
-       (pending >= 60% of its budgeted batch capacity, the multiview
-       piggyback rule) — optional work the shed budget may refuse.
-       Non-ready tenants are invite-eligible like everyone else: their
-       pending/capacity state is exactly what a lockstep [begin_step]
-       would have left (zero arrivals). *)
-    let round_model_cost = ref 0.0 in
-    for v = 0 to k - 1 do
-      Array.iteri
-        (fun i b ->
-          if b > 0 then
-            round_model_cost :=
-              !round_model_cost +. Tenant.model_cost tenants.(v) i b)
-        batches.(v)
-    done;
-    if t.config.coordinate then
-      for i = 0 to Tenant.n_tables - 1 do
-        let someone_flushes = Array.exists (fun row -> row.(i) > 0) batches in
-        if someone_flushes then
-          Array.iteri
-            (fun v tenant ->
-              if batches.(v).(i) = 0 then begin
-                let pending_i = (Tenant.pending tenant).(i) in
-                if
-                  pending_i > 0
-                  && float_of_int pending_i
-                     >= 0.6 *. float_of_int (max 1 (Tenant.capacity tenant i))
-                then begin
-                  let c = Tenant.model_cost tenant i pending_i in
-                  match t.config.shed_budget with
-                  | Some budget when !round_model_cost +. c > budget ->
-                      Tenant.shed tenant
-                  | _ ->
-                      batches.(v).(i) <- pending_i;
-                      round_model_cost := !round_model_cost +. c
-                end
-              end)
-            tenants
-      done;
-    (* Journal the round's coordination decision before any of phase C
-       can reach disk.  Only rounds with a >= 2-participant group need
-       it: a lost singleton flush re-derives identically from the
-       deterministic controller at catch-up, but a lost co-flush
-       participant (above all an *invited* one, whose batch is not its
-       own proposal) cannot be re-derived without the decision.  One
-       service record committed into the shared log ahead of every
-       phase-C commit: log-prefix order makes it durable no later than
-       the round's first durable Applied record, with no extra fsync. *)
-    if t.config.coordinate then begin
-      let multi = ref false in
-      for i = 0 to Tenant.n_tables - 1 do
-        let flushers = ref 0 in
-        Array.iter (fun row -> if row.(i) > 0 then incr flushers) batches;
-        if !flushers >= 2 then multi := true
-      done;
-      if !multi then begin
-        let rows = ref [] in
-        for v = k - 1 downto 0 do
-          if Array.exists (fun b -> b > 0) batches.(v) then
-            rows :=
-              (Tenant.name tenants.(v), Array.copy batches.(v)) :: !rows
-        done;
-        Durable.Groupwal.commit_coflush t.group
-          { Durable.Record.round = t.rounds; rows = !rows }
-      end
-    end;
-    (* Accounting: per table, the co-flush price across tenants. *)
-    for i = 0 to Tenant.n_tables - 1 do
-      let group = ref [] in
-      for v = 0 to k - 1 do
-        let b = batches.(v).(i) in
-        if b > 0 then
-          group :=
-            (Tenant.model_cost tenants.(v) i b, Tenant.model_cost tenants.(v) i 1)
-            :: !group
-      done;
-      if !group <> [] then charge_group t !group
-    done;
+    (* Phase B: coordination and accounting by the co-flush rule
+       ({!Multiview.Coflush}).  Non-ready tenants are invite-eligible:
+       their pending/capacity state is what a lockstep [begin_step]
+       would have left.  A round with a co-flush group journals its
+       decision ahead of every phase-C commit (log-prefix order makes it
+       durable with the round's first Applied record): a crash-lost
+       co-flush participant, above all an invited one, cannot be
+       re-derived from its own controller at catch-up. *)
+    let parts = Array.map (participant t) tenants in
+    let batches =
+      if not t.config.coordinate then batches
+      else
+        let round =
+          Multiview.Coflush.invite ?budget:t.config.shed_budget parts batches
+        in
+        List.iter (fun v -> Tenant.shed tenants.(v)) round.shed;
+        round.rows
+    in
+    let groups = Multiview.Coflush.groups parts batches in
+    if t.config.coordinate && Multiview.Coflush.journalled groups then
+      Durable.Groupwal.commit_coflush t.group
+        {
+          Durable.Record.round = t.rounds;
+          rows =
+            List.filter_map
+              (fun v ->
+                if Array.exists (fun b -> b > 0) batches.(v) then
+                  Some (Tenant.name tenants.(v), batches.(v))
+                else None)
+              (List.init k Fun.id);
+        };
+    List.iter (charge_group t) groups;
     (* Phase C: execute + close, over the tenants with work (plus every
        ready tenant, flushing or not — matching lockstep exactly).  An
        invited non-ready tenant ingests its (empty) step here first;
@@ -855,7 +817,8 @@ let recover ?pool ~root () =
           let idx = reg_index t (Tenant.name tenant) in
           List.iter
             (fun (time, table, cost, setup) ->
-              add_pending_group t (start + time, table) (idx, cost, setup))
+              add_pending_group t (start + time, table)
+                { Multiview.Coflush.who = idx; cost; shared = share t setup })
             (Tenant.replayed_flushes tenant))
         tenants;
       Ok t

@@ -11,15 +11,15 @@
       (one commit per step) and its §4.3 ONLINE controller
       proposes the mandatory flush — per-tenant state only, so the
       fan-out is bit-identical to sequential execution;
-    + {b coordinate} (sequential): tenants forced to flush a base table
-      invite the others whose own flush of that table is nearly due
-      (the multiview piggyback rule); joins are optional work that the
-      shed budget may refuse (backpressure — arrivals are never shed,
-      only extra flush work).  Each table's combined work is priced by
-      {!Multiview.Coordinator.charge_shared} with a discount
-      proportional to the cheapest participant's single-modification
-      cost.  A round with a >= 2-participant group commits its decision
-      to the log as one co-flush record before phase C;
+    + {b coordinate} (sequential): the co-flush rule
+      ({!Multiview.Coflush}, shared with the multiview simulator) adds
+      joins to the forced flushes — optional work that the shed budget
+      may refuse (backpressure — arrivals are never shed, only extra
+      flush work) — and prices each table's combined work.  A tenant's
+      share of a co-flush is [discount_factor] times its
+      single-modification cost, so a zero discount invites no one.  A
+      round with a >= 2-participant group commits its decision to the
+      log as one co-flush record before phase C;
     + {b execute + close} (parallelizable): each tenant processes its
       batches on its engine, journals [Applied] records with metered
       costs, and closes the step (SLO accounting, drift-triggered
@@ -57,7 +57,8 @@ type config = {
   coordinate : bool;  (** enable cross-tenant piggyback co-flushes *)
   discount_factor : float;
       (** co-flush discount as a fraction of the cheapest participant's
-          single-modification cost (finite, >= 0; 0 disables discounts) *)
+          single-modification cost (finite, >= 0; 0 disables discounts
+          and with them every invite) *)
   shed_budget : float option;
       (** finite model-cost budget per round; optional joins beyond it
           are shed *)
@@ -95,6 +96,8 @@ type outcome = {
   aggregate_charged : float;  (** co-flush-discounted model cost *)
   aggregate_undiscounted : float;
   co_flushes : int;
+      (** joins beyond the first in co-flush groups that earned a
+          discount *)
   worst_violation_rate : float;
   rejected : int;
   queued_peak : int;

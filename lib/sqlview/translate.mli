@@ -13,15 +13,9 @@
     - unqualified column references must be unambiguous across the FROM
       tables. *)
 
-val view_of_query :
-  name:string ->
-  catalog:(string -> Relation.Table.t option) ->
-  Ast.query ->
-  (Ivm.Viewdef.t, string) result
-
 val view_of_sql :
   name:string ->
   catalog:(string -> Relation.Table.t option) ->
   string ->
   (Ivm.Viewdef.t, string) result
-(** {!Parser.parse} composed with {!view_of_query}. *)
+(** Parse ({!Parser.parse}) and translate. *)

@@ -85,15 +85,10 @@ val find_all : snapshot -> string -> sample list
 val value : snapshot -> ?labels:(string * string) list -> string -> float
 (** 0.0 when absent. *)
 
-val labels_string : (string * string) list -> string
-(** ["{k=v,...}"], or [""] for no labels. *)
-
-val to_rows : snapshot -> string list list
 val to_table : snapshot -> string
 (** Pretty table (via {!Util.Tablefmt}): metric, labels, kind, value,
     count. *)
 
-val sample_json : sample -> string
 val snapshot_json : snapshot -> string
 (** One JSON object mapping ["name{k=v}"] to a number (counter/gauge) or a
     [{count, sum, min, max}] object (histogram). *)

@@ -10,13 +10,10 @@ type t = {
 
 val make : ?on_close:(Metrics.snapshot -> unit) -> (Span.t -> unit) -> t
 
-val jsonl_channel : ?close:bool -> out_channel -> t
-(** One JSON object per line: every span as it finishes, then one final
-    [{"type": "metrics", ...}] line with the full metrics snapshot.
-    [close] (default false) closes the channel on shutdown. *)
-
 val jsonl_file : string -> t
-(** {!jsonl_channel} over a fresh file (truncating); closed on shutdown. *)
+(** One JSON object per line into a fresh file (truncating): every span
+    as it finishes, then one final [{"type": "metrics", ...}] line with
+    the full metrics snapshot.  Closed on shutdown. *)
 
 val memory : unit -> t * (unit -> Span.t list)
 (** Collects spans in memory; the thunk returns them in creation order.

@@ -5,15 +5,14 @@ module Sink = Sink
 (* The collector is shared by every domain (the multiview flush pool,
    serve-round fan-out, background checkpoint writes), so its mutable
    pieces are domain-safe: the registry is internally sharded (see
-   {!Metrics}), [depth]/[seq] are atomics, and the sink list — plus every
-   sink notification, since sinks write to shared channels — is
-   serialized by [sm].  [enable]/[disable]/[set_clock] remain main-domain
+   {!Metrics}), [depth]/[seq] are atomics, and every sink notification is
+   serialized by [sm], since sinks write to shared channels.  [enable]/[disable]/[set_clock] remain main-domain
    operations: they swap whole collectors and are not meant to race with
    in-flight spans. *)
 type collector = {
   reg : Metrics.t;
-  sm : Mutex.t; (* guards [sinks] and serializes sink callbacks *)
-  mutable sinks : Sink.t list;
+  sm : Mutex.t; (* serializes sink callbacks *)
+  sinks : Sink.t list;
   depth : int Atomic.t;
   seq : int Atomic.t;
 }
@@ -46,14 +45,6 @@ let enable ?(sinks = []) () =
         depth = Atomic.make 0;
         seq = Atomic.make 0;
       }
-
-let add_sink sink =
-  match !current with
-  | None -> invalid_arg "Telemetry.add_sink: collector disabled"
-  | Some c ->
-      Mutex.lock c.sm;
-      c.sinks <- c.sinks @ [ sink ];
-      Mutex.unlock c.sm
 
 let registry () = Option.map (fun c -> c.reg) !current
 

@@ -30,9 +30,6 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-val add_sink : Sink.t -> unit
-(** Raises [Invalid_argument] when the collector is disabled. *)
-
 val registry : unit -> Metrics.t option
 val snapshot : unit -> Metrics.snapshot
 (** Empty when disabled. *)

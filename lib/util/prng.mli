@@ -49,9 +49,6 @@ val poisson : t -> mean:float -> int
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement g k n] returns [k] distinct integers drawn
     uniformly from [\[0, n)], in random order.  Requires [k <= n]. *)

@@ -100,7 +100,9 @@ let test_piggyback_never_worse_with_zero_discount () =
   let ind = Multiview.Coordinator.independent ~views ~shared_setup ~arrivals () in
   let pig = Multiview.Coordinator.piggyback ~views ~shared_setup ~arrivals () in
   checkf "same cost" ind.Multiview.Coordinator.total_cost
-    pig.Multiview.Coordinator.total_cost
+    pig.Multiview.Coordinator.total_cost;
+  checkb "same co-flushes" true
+    (ind.Multiview.Coordinator.co_flushes = pig.Multiview.Coordinator.co_flushes)
 
 let test_per_view_costs_sum_to_undiscounted () =
   let arrivals = uniform ~horizon:80 [| 1; 2 |] in

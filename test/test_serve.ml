@@ -1030,20 +1030,36 @@ let test_crash_matrix_grouped_forced () =
 
 (* --- the shared scheduler's claims ------------------------------------------- *)
 
-(* Four tenants to the horizon twice: independent per-tenant ONLINE (no
-   coordination, every tenant flushes alone at full price) and the shared
-   scheduler (nearly-due tenants piggyback on a forced flush, priced with
-   the shared-setup discount).  Sharing may not cost more in aggregate,
-   nor regress the worst tenant's SLO violation rate. *)
+(* Four tenants to the horizon three times: independent per-tenant
+   ONLINE (no coordination, every tenant flushes alone at full price),
+   the shared scheduler (nearly-due tenants piggyback on a forced flush,
+   priced with the shared-setup discount), and the shared scheduler at
+   discount 0.  Sharing may not cost more in aggregate, nor regress the
+   worst tenant's SLO violation rate; without a discount no one is
+   invited, so the run is the independent one to the bit. *)
 let test_shared_scheduler_no_dearer () =
   let cfgs = fleet ~rows:60 ~horizon:25 4 in
-  let run ~coordinate =
+  let run ?discount_factor ~coordinate () =
     let root = scratch () in
     Fun.protect
       ~finally:(fun () -> rmtree root)
-      (fun () -> run_service ~root (service_cfg ~coordinate ()) cfgs)
+      (fun () ->
+        run_service ~root (service_cfg ?discount_factor ~coordinate ()) cfgs)
   in
-  let indep = run ~coordinate:false and shared = run ~coordinate:true in
+  let indep = run ~coordinate:false () and shared = run ~coordinate:true () in
+  check_outcomes_equal "discount 0 vs independent"
+    (run ~discount_factor:0.0 ~coordinate:true ())
+    indep;
+  (* Both runs' aggregates, pinned bit for bit (recorded with the
+     co-flush rule still written inline in the scheduler). *)
+  checkb "independent aggregate charged pinned" true
+    (bits indep.Serve.Service.aggregate_charged = bits 0x1.d04834565c4bp+12);
+  checkb "shared aggregate charged pinned" true
+    (bits shared.Serve.Service.aggregate_charged = bits 0x1.4205cc3e7aa14p+12);
+  checkb "shared aggregate undiscounted pinned" true
+    (bits shared.Serve.Service.aggregate_undiscounted
+    = bits 0x1.0bfdcb9aa0245p+13);
+  checki "shared co-flush joins pinned" 34 shared.Serve.Service.co_flushes;
   checkb "independent run consistent" true (all_consistent indep);
   checkb "shared run consistent" true (all_consistent shared);
   checkb
