@@ -125,7 +125,9 @@ let () =
      which delta batches to process, and has its clock reset whenever a
      notification forces a refresh. *)
   let controller =
-    Abivm.Online.controller ~costs:[| f_sales; f_stations |] ~limit:qos_budget ()
+    Abivm.Online.controller
+      (Abivm.Spec.make ~costs:[| f_sales; f_stations |] ~limit:qos_budget
+         ~arrivals)
   in
   let oil_price = ref 80.0 and last_reported_price = ref 80.0 in
   let notifications = ref 0 and maintenance_cost = ref 0.0 in

@@ -1,7 +1,8 @@
 (** The online heuristic (§4.3): no advance knowledge of arrivals or of the
     refresh time.
 
-    Whenever the pre-action state becomes full at time [t], choose the
+    Whenever the pre-action state becomes full at step [t] (the step's
+    0-based index since the last refresh), choose the
     greedy minimal valid action [q] minimizing the predicted amortized cost
 
     [H(q) = (F_t + f(q)) / (t + time_to_full (s_t - q))]
@@ -37,55 +38,42 @@ type scorer =
 val default_scorer : scorer
 (** [Amortized_total]. *)
 
-val time_to_full :
-  Spec.t -> rates:float array -> from_time:int -> Statevec.t -> int
+val time_to_full : Spec.t -> rates:float array -> Statevec.t -> int
 (** Predicted number of steps after which the pre-action state exceeds the
     limit, starting from the given post-action state, assuming arrivals
     continue at [rates].  Capped at [2^30] when the state would never fill
-    (e.g. all rates zero).  [from_time] is unused by rate-based prediction
-    but anchors the oracle variant. *)
+    (e.g. all rates zero). *)
 
-val best_action :
-  ?scorer:scorer ->
-  Spec.t ->
-  ttf:(Statevec.t -> int) ->
-  spent:float ->
-  t:int ->
-  Statevec.t ->
-  Statevec.t
-(** The §4.3 choice at a full pre-action state: among the greedy minimal
-    valid actions ({!Actions.minimal_greedy_actions}), the first one in
-    their order with the least score under [scorer] (default
-    {!default_scorer}).  [ttf] predicts a post-action state's time to
-    full, [spent] is the cost spent so far and [t] the current time
-    (both read by [Amortized_total] only).  At a state that is not
-    full the one minimal action is the empty one. *)
+(** {1 The controller}
 
-val plan : ?predictor:predictor -> ?scorer:scorer -> Spec.t -> Plan.t
-(** Run the controller over the spec's arrival sequence, never reading
-    future arrivals (except under [Oracle]).  The refresh at the horizon
-    flushes everything. *)
-
-(** {1 Step-by-step controller}
-
-    For embedding in a live system (e.g. a publish/subscribe server) where
-    arrivals are observed as they happen and refreshes may be forced at any
-    moment by external conditions. *)
+    The one ONLINE state machine: the plan-level {!plan}, a live system
+    (e.g. a publish/subscribe server, a served tenant) and the multiview
+    simulator all drive it.  Arrivals are observed as they happen, and
+    refreshes may be forced at any moment by external conditions. *)
 
 type controller
 
-val controller :
-  ?alpha:float -> costs:Cost.Func.t array -> limit:float -> unit -> controller
-(** A fresh controller with EWMA rate estimation (smoothing [alpha],
-    default 0.2). *)
+val controller : ?predictor:predictor -> ?scorer:scorer -> Spec.t -> controller
+(** A fresh controller over [spec]'s costs and limit, predicting rates
+    with [predictor] (default {!default_predictor}) and choosing under
+    [scorer] (default {!default_scorer}).  Only [Oracle] reads [spec]'s
+    arrivals, from the step after the last observed one; the other
+    predictors see arrivals only through {!observe}, so a live caller may
+    observe past the spec's horizon.  Raises [Invalid_argument] on a
+    smoothing factor outside (0, 1], a non-finite [z] or an empty window. *)
+
+val plan : ?predictor:predictor -> ?scorer:scorer -> Spec.t -> Plan.t
+(** Drive a controller over the spec's arrival sequence: at each step
+    {!observe}, then {!absorb} what {!propose} returns, and at the horizon
+    flush everything pending (counted as [online.flush.horizon]).  Never
+    reads future arrivals (except under [Oracle]). *)
 
 val step : controller -> arrivals:int array -> Statevec.t option
 (** Advance one time step: record the arrivals, and if the response-time
     constraint is now violated return the greedy minimal action minimizing
-    the amortized-cost score [H].  The caller must process exactly the
-    returned batch sizes; the controller's pending bookkeeping assumes it.
-    Equivalent to {!observe} then {!propose} then {!absorb} of the
-    proposal. *)
+    the score.  The caller must process exactly the returned batch sizes;
+    the controller's pending bookkeeping assumes it.  Equivalent to
+    {!observe} then {!propose} then {!absorb} of the proposal. *)
 
 (** {2 Split-phase stepping}
 
@@ -97,14 +85,17 @@ val step : controller -> arrivals:int array -> Statevec.t option
     processed. *)
 
 val observe : controller -> arrivals:int array -> unit
-(** Record one time step's arrivals: advance the clock, update the EWMA
-    rates, add to pending.  Decides nothing. *)
+(** Record one time step's arrivals: advance the clock, update the
+    predictor's rates, add to pending.  Decides nothing. *)
 
 val propose : controller -> Statevec.t option
 (** The action {!step} would return at the current state, without
-    committing to it: [None] if the response-time constraint holds,
-    otherwise the greedy minimal action minimizing [H].  Pure — repeated
-    calls return the same proposal. *)
+    committing to it: [None] unless {!full}, otherwise the greedy minimal
+    action minimizing the score (each such call counts as
+    [online.decisions]).  [Amortized_total] scores with [F_t] the cost
+    absorbed so far and [t] the 0-based index of the current step since
+    the last refresh (the step itself in a {!plan}).  Repeated calls
+    return the same proposal. *)
 
 val absorb : controller -> Statevec.t -> unit
 (** The caller processed exactly these batch sizes (possibly more than
@@ -134,7 +125,14 @@ val force_refresh : controller -> Statevec.t
 val pending : controller -> Statevec.t
 (** Currently pending modification counts. *)
 
+val refresh_cost : controller -> float
+(** [f] of the pending vector: the model cost of flushing everything now. *)
+
+val full : controller -> bool
+(** [refresh_cost c] exceeds the limit: the response-time constraint is
+    violated, and {!propose} acts. *)
+
 val rates : controller -> float array
-(** Snapshot of the controller's current EWMA per-table rate estimates —
-    what the drift monitor ([Robust.Monitor]) compares observed arrivals
-    against. *)
+(** Snapshot of the controller's current per-table rate estimates — what
+    the drift monitor ([Robust.Monitor]) compares observed arrivals
+    against.  All zero under [Oracle]. *)

@@ -39,9 +39,13 @@ let parse_predictor text =
       match String.split_on_char ',' params with
       | [ alpha; z ] -> (
           match (float_of_string_opt alpha, float_of_string_opt z) with
-          | Some a, Some z when a > 0.0 && a <= 1.0 ->
+          | Some a, Some z when a > 0.0 && a <= 1.0 && Float.is_finite z ->
               Ok (Online.Ewma_conservative { alpha = a; z })
-          | _ -> Error (Printf.sprintf "bad ewma-sd parameters %S" params))
+          | _ ->
+              Error
+                (Printf.sprintf
+                   "bad ewma-sd parameters %S (want ALPHA in (0,1], finite Z)"
+                   params))
       | _ -> Error (Printf.sprintf "ewma-sd wants ALPHA,Z (got %S)" params))
   | [ "window"; k ] -> (
       match int_of_string_opt k with

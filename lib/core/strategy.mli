@@ -29,7 +29,9 @@ val to_string : t -> string
 
 val of_string : ?adapt_t0:int -> string -> (t, string) result
 (** Case-insensitive.  Bare ["adapt"] needs [adapt_t0] (the CLI's
-    [--adapt-t0] default); ["adapt:T0"] carries its own. *)
+    [--adapt-t0] default); ["adapt:T0"] carries its own.  [Error] on an
+    unknown name or an out-of-range parameter: an EWMA smoothing outside
+    (0, 1], a non-finite ewma-sd [Z], a window below 1. *)
 
 val default_list : ?adapt_t0:int -> horizon:int -> unit -> t list
 (** NAIVE, OPT-LGM, ADAPT (with [adapt_t0], default [horizon / 2], at

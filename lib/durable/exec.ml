@@ -225,8 +225,8 @@ let run config env =
   if Sys.file_exists (Filename.concat config.dir "MANIFEST") then
     failwith
       (Printf.sprintf
-         "Exec.run: %s already holds a durable run — use resume (or point at \
-          a fresh directory)"
+         "Exec.run: %s already holds a durable run — resume it (abivm durable \
+          recover) or point at a fresh directory"
          config.dir);
   (* Genesis state and plan are checked before anything is written, so a
      refused plan leaves no directory to refuse the next run. *)

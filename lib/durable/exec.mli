@@ -74,8 +74,8 @@ type outcome = {
 
 val run : config -> env -> outcome
 (** Fresh start; calls [env.fresh] once.  Raises [Failure] if [config.dir]
-    already holds a durable run (resume that instead — never silently
-    overwrite one) and [Invalid_argument] if [Bridge.Runner.check] refuses
+    already holds a durable run (resume that instead with {!resume}, the
+    CLI's [durable recover] — never silently overwrite one) and [Invalid_argument] if [Bridge.Runner.check] refuses
     the plan, both before anything is written; then creates [config.dir]
     and any missing parent.  Raises [Failure] if a damaged log already
     lies under it; re-raises [Hook.Crash]. *)

@@ -49,89 +49,56 @@ let charge parts batches =
     (Coflush.groups parts batches);
   (per_view, !raw_total, !discounted_total, !joins)
 
-type sim_view = {
-  model : Abivm.Spec.t; (* the view's costs and limit; arrivals unused *)
-  pending : Abivm.Statevec.t;
-  rates : float array;
-}
-
-(* The §4.3 choice restricted to this view: greedy minimal subsets of its
-   own pending queues, marginal-score selection (f(q) / time bought). *)
-let forced_action sim =
-  Abivm.Online.best_action ~scorer:Abivm.Online.Amortized_marginal sim.model
-    ~ttf:(Abivm.Online.time_to_full sim.model ~rates:sim.rates ~from_time:0)
-    ~spent:0.0 ~t:0 sim.pending
-
 let run ~views ~shared_setup ~arrivals ~coordinate =
   let n = validate ~views ~shared_setup ~arrivals in
   let k = Array.length views in
   let horizon = Array.length arrivals - 1 in
-  let sims =
+  (* One §4.3 controller per view: its own pending queues and rates,
+     marginal-score selection (f(q) / time bought). *)
+  let ctrls =
     Array.map
       (fun v ->
-        {
-          model =
-            Abivm.Spec.make ~costs:v.costs ~limit:v.limit
-              ~arrivals:[| Array.make n 0 |];
-          pending = Abivm.Statevec.zero n;
-          rates = Array.make n 0.0;
-        })
+        Abivm.Online.controller ~scorer:Abivm.Online.Amortized_marginal
+          (Abivm.Spec.make ~costs:v.costs ~limit:v.limit ~arrivals))
       views
   in
-  let parts =
-    Array.map2
-      (fun v sim ->
-        {
-          Coflush.pending = sim.pending;
-          capacity =
-            (fun i ->
-              Cost.Check.max_batch v.costs.(i) ~limit:v.limit ~cap:1_000_000);
-          cost = (fun i b -> Cost.Func.eval v.costs.(i) b);
-          shared = (fun i -> shared_setup.(i));
-        })
-      views sims
+  let participant v c =
+    {
+      Coflush.pending = Abivm.Online.pending c;
+      capacity =
+        (fun i -> Cost.Check.max_batch v.costs.(i) ~limit:v.limit ~cap:1_000_000);
+      cost = (fun i b -> Cost.Func.eval v.costs.(i) b);
+      shared = (fun i -> shared_setup.(i));
+    }
   in
   let per_view_total = Array.make k 0.0 in
   let total = ref 0.0 and undiscounted = ref 0.0 in
   let joins = ref 0 and valid = ref true in
-  let alpha = 0.2 in
   for t = 0 to horizon do
-    let d = arrivals.(t) in
-    Array.iter
-      (fun sim ->
-        Abivm.Statevec.add_in_place sim.pending d;
-        Array.iteri
-          (fun i di ->
-            sim.rates.(i) <-
-              ((1.0 -. alpha) *. sim.rates.(i)) +. (alpha *. float_of_int di))
-          d)
-      sims;
-    (* Forced actions per view: each view's choice depends only on its own
-       pending/rates. *)
+    Array.iter (fun c -> Abivm.Online.observe c ~arrivals:arrivals.(t)) ctrls;
+    let parts = Array.map2 participant views ctrls in
+    (* Forced actions per view, each from its own controller; the horizon
+       flushes everything. *)
     let batches =
       Array.map
-        (fun sim ->
-          if t = horizon then Abivm.Statevec.copy sim.pending
-          else if Abivm.Spec.is_full sim.model sim.pending then
-            forced_action sim
-          else Abivm.Statevec.zero n)
-        sims
+        (fun c ->
+          if t = horizon then Abivm.Online.pending c
+          else
+            match Abivm.Online.propose c with
+            | Some q -> q
+            | None -> Abivm.Statevec.zero n)
+        ctrls
     in
     (* Optional coordination: the co-flush rule's joins. *)
     let batches =
       if coordinate && t < horizon then (Coflush.invite parts batches).rows
       else batches
     in
-    (* Apply and charge. *)
     Array.iteri
-      (fun v sim ->
-        Array.iteri
-          (fun i b ->
-            if b > 0 then sim.pending.(i) <- sim.pending.(i) - b)
-          batches.(v);
-        if t < horizon && Abivm.Spec.is_full sim.model sim.pending then
-          valid := false)
-      sims;
+      (fun v c ->
+        Abivm.Online.absorb c batches.(v);
+        if t < horizon && Abivm.Online.full c then valid := false)
+      ctrls;
     let per_view, raw, discounted, step_joins = charge parts batches in
     Array.iteri
       (fun v c -> per_view_total.(v) <- per_view_total.(v) +. c)
@@ -145,9 +112,10 @@ let run ~views ~shared_setup ~arrivals ~coordinate =
     end;
   done;
   Array.iter
-    (fun sim ->
-      if not (Abivm.Statevec.is_zero sim.pending) then valid := false)
-    sims;
+    (fun c ->
+      if not (Abivm.Statevec.is_zero (Abivm.Online.pending c)) then
+        valid := false)
+    ctrls;
   {
     per_view_cost =
       Array.mapi (fun v c -> (views.(v).name, c)) per_view_total;

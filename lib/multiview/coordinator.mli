@@ -40,8 +40,9 @@ val independent :
   unit ->
   outcome
 (** [arrivals.(t).(i)] modifications to base table [i] at time [t]; every
-    view receives every modification.  Each view's forced flush is
-    {!Abivm.Online.best_action} under the [Amortized_marginal] scorer.
+    view receives every modification.  Each view runs its own
+    {!Abivm.Online.controller} (default predictor, [Amortized_marginal]
+    scorer), whose proposal is the view's forced flush.
     Raises [Invalid_argument] on dimension mismatches, no base table, a
     negative limit or negative discounts. *)
 

@@ -143,12 +143,6 @@ let delta_entries t =
 
 let model_cost t i k = Cost.Func.eval t.costs.(i) k
 
-let refresh_cost t =
-  let p = Abivm.Online.pending t.controller in
-  let acc = ref 0.0 in
-  Array.iteri (fun i k -> acc := !acc +. Cost.Func.eval t.costs.(i) k) p;
-  !acc
-
 let capacity t i = Cost.Check.max_batch t.costs.(i) ~limit:t.limit ~cap:1_000_000
 
 let ( let* ) = Result.bind
@@ -243,7 +237,9 @@ let assemble ~group ({ build = b; base_costs; maintainer; feeds } : engine) =
          (Cost.Func.eval base_costs.(0) 1)
          (Cost.Func.eval base_costs.(1) 1)
   in
-  let controller = Abivm.Online.controller ~costs:base_costs ~limit () in
+  let controller =
+    Abivm.Online.controller (Abivm.Spec.make ~costs:base_costs ~limit ~arrivals)
+  in
   let monitor =
     Robust.Monitor.create
       ~predicted_rates:(Workload.Arrivals.mean_rates arrivals)
@@ -303,12 +299,10 @@ let mandatory t =
 
 (* Event-scheduler readiness: would this step do anything beyond a pure
    zero-arrival observe?  Ready iff arrivals land now (the precomputed
-   next-arrival clock), the controller is already over the refresh limit
-   ([refresh_cost > limit] is exactly [propose]'s fullness gate —
-   [Spec.f] and {!refresh_cost} are the same sum — and a zero-arrival
-   observe leaves pending unchanged, so evaluating before [begin_step]
-   is exact), or the tenant sits at the horizon with pending work (the
-   final mandatory flush).  A non-ready tenant can be stepped by
+   next-arrival clock), the controller is already full ([propose]'s
+   gate; a zero-arrival observe leaves pending unchanged, so evaluating
+   before [begin_step] is exact), or the tenant sits at the horizon with
+   pending work (the final mandatory flush).  A non-ready tenant can be stepped by
    {!idle_step} with no WAL traffic and no proposal; it stays
    invite-eligible because nothing phase B reads (pending, capacity,
    model costs) changes in a zero-arrival [begin_step]. *)
@@ -317,7 +311,7 @@ let ready t =
   t.next_busy.(min time (t.config.horizon + 1)) = time
   || (time >= t.config.horizon
      && not (Abivm.Statevec.is_zero (Abivm.Online.pending t.controller)))
-  || refresh_cost t > t.limit
+  || Abivm.Online.full t.controller
 
 let shed t =
   t.sheds <- t.sheds + 1;
@@ -346,9 +340,16 @@ let execute t batches =
 
 let close_step t =
   let time = t.next_step in
-  let rc = refresh_cost t in
-  if time < t.config.horizon && rc > t.limit then
+  if time < t.config.horizon && Abivm.Online.full t.controller then
     t.violations <- t.violations + 1;
+  if Telemetry.enabled () then begin
+    let labels = [ ("tenant", t.config.name) ] in
+    Telemetry.set_gauge ~labels "serve.slo_headroom"
+      ((t.limit -. Abivm.Online.refresh_cost t.controller) /. t.limit);
+    Telemetry.set_gauge ~labels "serve.queue_depth"
+      (float_of_int (Abivm.Statevec.total (Abivm.Online.pending t.controller)));
+    Telemetry.set_gauge ~labels "serve.shed" (float_of_int t.sheds)
+  end;
   (* Escalation: the §4.3 controller's model has drifted from the metered
      engine — re-anchor it by the monitor's cost ratio (the replanner's
      exact correction step), with exponential backoff so a noisy tenant
@@ -363,13 +364,6 @@ let close_step t =
     t.reanchors <- t.reanchors + 1;
     t.next_allowed <- time + t.gap;
     t.gap <- int_of_float (Float.round (2.0 *. float_of_int t.gap))
-  end;
-  if Telemetry.enabled () then begin
-    let labels = [ ("tenant", t.config.name) ] in
-    Telemetry.set_gauge ~labels "serve.slo_headroom" ((t.limit -. rc) /. t.limit);
-    Telemetry.set_gauge ~labels "serve.queue_depth"
-      (float_of_int (Abivm.Statevec.total (Abivm.Online.pending t.controller)));
-    Telemetry.set_gauge ~labels "serve.shed" (float_of_int t.sheds)
   end;
   t.begun <- false;
   t.next_step <- time + 1

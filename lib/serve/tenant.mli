@@ -111,7 +111,6 @@ val finished : t -> bool
 val limit : t -> float  (** the absolute refresh budget [C] *)
 
 val pending : t -> Abivm.Statevec.t
-val refresh_cost : t -> float  (** model cost of flushing everything pending *)
 
 val capacity : t -> int -> int
 (** Largest batch of table [i] within the budget under the current

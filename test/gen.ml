@@ -49,6 +49,20 @@ let spec ?(affine = false) g =
 
 let instance ?affine ~seed () = spec ?affine (Util.Prng.create ~seed)
 
+(* Longer instances for the ONLINE suites: 2-3 affine tables over 21-60
+   steps, so the controller is forced to flush several times. *)
+let online_instance ~seed =
+  let g = Util.Prng.create ~seed in
+  let n = 2 + Util.Prng.int g 2 in
+  let horizon = 20 + Util.Prng.int g 40 in
+  let costs = affine_costs g ~n in
+  let arrivals =
+    Array.init (horizon + 1) (fun _ ->
+        Array.init n (fun _ -> Util.Prng.int g 4))
+  in
+  let limit = 15.0 +. Util.Prng.float g 30.0 in
+  Abivm.Spec.make ~costs ~limit ~arrivals
+
 let describe spec =
   Printf.sprintf "n=%d T=%d C=%.2f costs=%s arrivals=%s"
     (Abivm.Spec.n_tables spec)

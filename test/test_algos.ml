@@ -332,10 +332,10 @@ let test_online_time_to_full () =
   let spec = mk_spec ~costs:[| lin 1.0 |] ~limit:10.0 [| [| 0 |] |] in
   (* At rate 2/step from state 4: full when 4 + 2 tau > 10, i.e. tau = 4. *)
   checki "ttf" 4
-    (Abivm.Online.time_to_full spec ~rates:[| 2.0 |] ~from_time:0 [| 4 |]);
+    (Abivm.Online.time_to_full spec ~rates:[| 2.0 |] [| 4 |]);
   (* Zero rates: never full -> capped large value. *)
   checkb "never" true
-    (Abivm.Online.time_to_full spec ~rates:[| 0.0 |] ~from_time:0 [| 4 |]
+    (Abivm.Online.time_to_full spec ~rates:[| 0.0 |] [| 4 |]
     > 1_000_000)
 
 let test_online_immediate_burst () =
@@ -362,10 +362,15 @@ let test_online_scorers_differ () =
   checkb "H <= cheapest" true
     (cost Abivm.Online.Amortized_total <= cost Abivm.Online.Cheapest +. 1e-9)
 
+(* A live controller: its spec supplies the costs and limit only. *)
+let controller ~costs ~limit =
+  Abivm.Online.controller
+    (mk_spec ~costs ~limit [| Array.make (Array.length costs) 0 |])
+
 let test_controller_keeps_constraint () =
   let costs = [| Cost.Func.plateau ~a:1.0 ~cap:5.0; lin 1.0 |] in
   let limit = 7.0 in
-  let c = Abivm.Online.controller ~costs ~limit () in
+  let c = controller ~costs ~limit in
   let spec_for_f = mk_spec ~costs ~limit [| [| 0; 0 |] |] in
   let prng = Util.Prng.create ~seed:77 in
   for _ = 1 to 300 do
@@ -377,7 +382,7 @@ let test_controller_keeps_constraint () =
 
 let test_controller_force_refresh () =
   let costs = [| lin 1.0 |] in
-  let c = Abivm.Online.controller ~costs ~limit:100.0 () in
+  let c = controller ~costs ~limit:100.0 in
   ignore (Abivm.Online.step c ~arrivals:[| 5 |]);
   Alcotest.check (Alcotest.array Alcotest.int) "pending tracked" [| 5 |]
     (Abivm.Online.pending c);
@@ -387,7 +392,7 @@ let test_controller_force_refresh () =
     (Abivm.Statevec.is_zero (Abivm.Online.pending c))
 
 let test_controller_rejects_bad_width () =
-  let c = Abivm.Online.controller ~costs:[| lin 1.0 |] ~limit:10.0 () in
+  let c = controller ~costs:[| lin 1.0 |] ~limit:10.0 in
   checkb "raises" true
     (try
        ignore (Abivm.Online.step c ~arrivals:[| 1; 2 |]);
@@ -395,7 +400,7 @@ let test_controller_rejects_bad_width () =
      with Invalid_argument _ -> true)
 
 let test_controller_rates_converge () =
-  let c = Abivm.Online.controller ~costs:[| lin 1.0 |] ~limit:1_000_000.0 () in
+  let c = controller ~costs:[| lin 1.0 |] ~limit:1_000_000.0 in
   for _ = 1 to 100 do
     ignore (Abivm.Online.step c ~arrivals:[| 3 |])
   done;
@@ -410,12 +415,12 @@ let test_controller_force_refresh_resets_clock () =
      denominator is dominated by [t] and the controller goes myopically
      cheap; with a fresh clock the survival time bought matters.  On the
      burst below a fresh controller flushes table 0 (costs 8 but buys 3
-     steps) while a clock stuck at 31 would flush table 1 (costs 5, buys
-     1) — so a controller idled for 30 steps and then force-refreshed
+     steps) while a clock left at step index 30 would flush table 1 (costs
+     5, buys 1) — so a controller idled for 30 steps and then force-refreshed
      must decide exactly like a brand-new one. *)
   let costs = [| lin 1.0; lin 1.0 |] and limit = 10.0 in
   let burst = [| 8; 5 |] in
-  let refreshed = Abivm.Online.controller ~costs ~limit () in
+  let refreshed = controller ~costs ~limit in
   for _ = 1 to 30 do
     checkb "idle step takes no action" true
       (Abivm.Online.step refreshed ~arrivals:[| 0; 0 |] = None)
@@ -423,7 +428,7 @@ let test_controller_force_refresh_resets_clock () =
   Alcotest.check (Alcotest.array Alcotest.int) "nothing pending to force"
     [| 0; 0 |]
     (Abivm.Online.force_refresh refreshed);
-  let fresh = Abivm.Online.controller ~costs ~limit () in
+  let fresh = controller ~costs ~limit in
   let act c =
     match Abivm.Online.step c ~arrivals:burst with
     | Some a -> a
@@ -441,7 +446,7 @@ let test_controller_step_bookkeeping () =
      the constraint. *)
   let costs = [| Cost.Func.plateau ~a:1.0 ~cap:5.0; lin 1.0 |] in
   let limit = 7.0 in
-  let c = Abivm.Online.controller ~costs ~limit () in
+  let c = controller ~costs ~limit in
   let spec_for_f = mk_spec ~costs ~limit [| [| 0; 0 |] |] in
   let prng = Util.Prng.create ~seed:91 in
   let model = ref (Abivm.Statevec.zero 2) in

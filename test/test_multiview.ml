@@ -44,6 +44,29 @@ let test_single_view_matches_online_style_cost () =
     out.Multiview.Coordinator.total_cost;
   checkb "no co-flushes" true (out.Multiview.Coordinator.co_flushes = 0)
 
+let test_one_view_is_the_online_plan () =
+  (* One uncoordinated view runs ONLINE under the marginal scorer: its
+     total is that plan's cost, bit for bit. *)
+  for seed = 1 to 200 do
+    let spec = Gen.online_instance ~seed:(500_000 + seed) in
+    let out =
+      Multiview.Coordinator.independent
+        ~views:[| view "v" (Abivm.Spec.costs spec) (Abivm.Spec.limit spec) |]
+        ~shared_setup:(Array.make (Abivm.Spec.n_tables spec) 0.0)
+        ~arrivals:(Abivm.Spec.arrivals spec) ()
+    in
+    let plan =
+      Abivm.Online.plan ~scorer:Abivm.Online.Amortized_marginal spec
+    in
+    if
+      Int64.bits_of_float out.Multiview.Coordinator.total_cost
+      <> Int64.bits_of_float (Abivm.Plan.cost spec plan)
+    then
+      Alcotest.failf "seed %d: simulator %h, plan %h (%s)" seed
+        out.Multiview.Coordinator.total_cost (Abivm.Plan.cost spec plan)
+        (Gen.describe spec)
+  done
+
 let test_identical_views_discounted () =
   (* Two identical views over one table flush at identical times, so every
      flush is a co-flush and earns the discount. *)
@@ -137,5 +160,7 @@ let () =
             test_piggyback_never_worse_with_zero_discount;
           Alcotest.test_case "per-view sums" `Quick
             test_per_view_costs_sum_to_undiscounted;
+          Alcotest.test_case "one view = ONLINE plan" `Quick
+            test_one_view_is_the_online_plan;
         ] );
     ]

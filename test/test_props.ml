@@ -219,6 +219,60 @@ let prop_online_valid =
   QCheck.Test.make ~name:"ONLINE always valid" ~count:300 arb_mixed_spec
     (fun spec -> Abivm.Plan.is_valid spec (Abivm.Online.plan spec))
 
+(* One ONLINE state machine: a controller driven by hand over a spec's
+   arrivals (observe, then propose/absorb, then the horizon flush) makes
+   exactly [Online.plan]'s choices, and both make those of the plan-level
+   loop the controller replaced ([Online_oracle]), which scores H with
+   [t] the step index.  Every predictor under every scorer. *)
+let controller_actions ~predictor ~scorer spec =
+  let c = Abivm.Online.controller ~predictor ~scorer spec in
+  let horizon = Abivm.Spec.horizon spec in
+  List.filter_map
+    (fun t ->
+      Abivm.Online.observe c ~arrivals:(Abivm.Spec.arrivals_at spec t);
+      let action =
+        if t < horizon then Abivm.Online.propose c
+        else
+          let p = Abivm.Online.pending c in
+          if Abivm.Statevec.is_zero p then None else Some p
+      in
+      Option.map
+        (fun a ->
+          Abivm.Online.absorb c a;
+          (t, a))
+        action)
+    (List.init (horizon + 1) Fun.id)
+
+let test_controller_replays_plan () =
+  let predictors =
+    Abivm.Online.
+      [ Ewma 0.2; Ewma_conservative { alpha = 0.2; z = 1.0 }; Window 10; Oracle ]
+  and scorers = Abivm.Online.[ Amortized_total; Amortized_marginal; Cheapest ] in
+  List.iter
+    (fun predictor ->
+      List.iteri
+        (fun s scorer ->
+          let forced = ref 0 in
+          for seed = 1 to 200 do
+            let spec = Gen.online_instance ~seed:(400_000 + seed) in
+            let reference = Online_oracle.plan ~predictor ~scorer spec in
+            let planned =
+              Abivm.Plan.actions (Abivm.Online.plan ~predictor ~scorer spec)
+            in
+            if controller_actions ~predictor ~scorer spec <> reference
+               || planned <> reference
+            then
+              Alcotest.failf "seed %d, %s, scorer %d: %s" seed
+                (Abivm.Strategy.to_string (Abivm.Strategy.Online (Some predictor)))
+                s (Gen.describe spec);
+            if List.compare_length_with reference 2 >= 0 then incr forced
+          done;
+          (* Not vacuous: most instances force a flush before the horizon. *)
+          if !forced < 150 then
+            Alcotest.failf "only %d/200 instances forced a flush" !forced)
+        scorers)
+    predictors
+
 let prop_adapt_valid =
   QCheck.Test.make ~name:"ADAPT always valid (any t0)" ~count:100
     (QCheck.pair arb_mixed_spec (QCheck.int_range 1 12)) (fun (spec, t0) ->
@@ -802,5 +856,8 @@ let () =
             `Quick test_ho_curve_theorems;
           Alcotest.test_case "first-order metering matches seed fixtures"
             `Quick test_fo_metering_fixture;
+          Alcotest.test_case
+            "200 affine instances: controller by hand = ONLINE plan" `Quick
+            test_controller_replays_plan;
         ] );
     ]
