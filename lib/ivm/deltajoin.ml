@@ -34,26 +34,71 @@ let size b = Array.length b.tuples
 let tuple b d = b.tuples.(d)
 let sign b d = b.signs.(d)
 
-(* [count] partials of [width] slots each, row-major in [ids]. *)
-type partials = { width : int; mutable ids : int array; mutable count : int }
+(* [count] partials of [width] slots each, row-major in [ids]; the slots
+   past [count * width] are spare capacity holding stale ids. *)
+type partials = { mutable width : int; mutable ids : int array; mutable count : int }
 
-let create_partials width hint =
-  { width; ids = Array.make (max 1 (hint * width)) (-1); count = 0 }
+let create_partials () = { width = 0; ids = [||]; count = 0 }
 
 let count ps = ps.count
 let id ps p j = ps.ids.((p * ps.width) + j)
 
-let reserve ps =
-  let need = (ps.count + 1) * ps.width in
+(* Room for [n] partials, growing geometrically and keeping the first
+   [count]. *)
+let ensure ps n =
+  let need = n * ps.width in
   if need > Array.length ps.ids then begin
     let ids = Array.make (max need (2 * Array.length ps.ids)) (-1) in
     Array.blit ps.ids 0 ids 0 (ps.count * ps.width);
     ps.ids <- ids
   end
 
+(* A maintainer's working memory, reused by every batch: two partial
+   buffers, one read and one written by each expansion step and swapped
+   after it, and the netting table. *)
+type scratch = {
+  mutable front : partials;
+  mutable back : partials;
+  mutable slots : int array;  (* open-addressing table of item indices *)
+  mutable hashes : int array;  (* per item *)
+  mutable total : int array;  (* per item *)
+}
+
+let scratch () =
+  {
+    front = create_partials ();
+    back = create_partials ();
+    slots = [||];
+    hashes = [||];
+    total = [||];
+  }
+
+(* The most words one scratch array keeps between batches: 512 KiB, room
+   for a few hundred partials' fan-out.  An array grown past it by a
+   large batch (a calibration run's, up to 1,000 modifications) is
+   dropped after that batch, as the per-batch buffers were, so a
+   maintainer's scratch never holds many megabytes for the rest of its
+   life. *)
+let keep_words = 1 lsl 16
+
+let trim s =
+  let small a = Array.length a <= keep_words in
+  List.iter
+    (fun ps ->
+      if not (small ps.ids) then begin
+        ps.ids <- [||];
+        ps.count <- 0
+      end)
+    [ s.front; s.back ];
+  if not (small s.slots) then s.slots <- [||];
+  if not (small s.total) then begin
+    s.hashes <- [||];
+    s.total <- [||]
+  end
+
 (* Append partial [p] of [src] with slot [j] bound to [v]. *)
 let push_ext dst src p j v =
-  reserve dst;
+  ensure dst (dst.count + 1);
   let w = dst.width in
   let o = dst.count * w and from = p * w in
   let ids = dst.ids and src_ids = src.ids in
@@ -121,14 +166,13 @@ let next_edge view ~delta ~scope bound =
 
 (* --- expansion ----------------------------------------------------------- *)
 
-let step view meter ~path b ps (e : Viewdef.join_edge) =
+let step view meter ~path b ps out (e : Viewdef.join_edge) =
   let tables = Viewdef.tables view in
   let dst = tables.(e.right) in
   let src_pos =
     Relation.Schema.index_of (Table.schema tables.(e.left)) e.left_col
   in
   let key p = value tables b ps p e.left src_pos in
-  let out = create_partials ps.width ps.count in
   if
     Table.has_index dst e.right_col
     &&
@@ -139,9 +183,7 @@ let step view meter ~path b ps (e : Viewdef.join_edge) =
   then
     (* Indexed nested loop: one probe per partial. *)
     for p = 0 to ps.count - 1 do
-      List.iter
-        (fun row -> push_ext out ps p e.right row)
-        (Table.lookup_ids dst e.right_col (key p))
+      Table.iter_ids dst e.right_col (key p) (fun row -> push_ext out ps p e.right row)
     done
   else begin
     (* Shared scan: a hash over the partials' join keys, the partner
@@ -198,27 +240,35 @@ let step view meter ~path b ps (e : Viewdef.join_edge) =
                 (Vhash.find_all by_value (Relation.Batch.value bt dst_pos r)))
             bt)
     end
-  end;
-  out
+  end
 
-let expand view meter ~path ~scope b =
+let expand view meter ~path ~scope s b =
   let n = Viewdef.n_tables view in
-  let ps = create_partials n (size b) in
-  for d = 0 to size b - 1 do
+  let ps = s.front and k = size b in
+  ps.width <- n;
+  ps.count <- 0;
+  ensure ps k;
+  Array.fill ps.ids 0 (k * n) (-1);
+  for d = 0 to k - 1 do
     ps.ids.((d * n) + b.delta) <- d
   done;
-  ps.count <- size b;
+  ps.count <- k;
   let bound = Array.make n false in
   bound.(b.delta) <- true;
-  let rec go ps =
+  let rec go () =
     match next_edge view ~delta:b.delta ~scope bound with
-    | None -> ps
+    | None -> s.front
     | Some e ->
-        let ps = step view meter ~path b ps e in
+        let out = s.back in
+        out.width <- n;
+        out.count <- 0;
+        step view meter ~path b s.front out e;
+        s.back <- s.front;
+        s.front <- out;
         bound.(e.right) <- true;
-        go ps
+        go ()
   in
-  go ps
+  go ()
 
 (* --- reading partials back ----------------------------------------------- *)
 
@@ -240,6 +290,11 @@ let cells view positions =
          (pos, j, c))
        positions)
 
+let cells_table cells =
+  match Array.to_list cells with
+  | [] -> -1
+  | (_, j, _) :: rest -> if List.for_all (fun (_, j', _) -> j' = j) rest then j else -1
+
 let fill view b ps p cells row =
   let tables = Viewdef.tables view in
   Array.iter (fun (pos, j, c) -> row.(pos) <- value tables b ps p j c) cells
@@ -248,38 +303,45 @@ let fill view b ps p cells row =
 
 (* Open addressing over item indices; [hashes] and [total] are written
    only at the first item of each value, so [total] is zero everywhere
-   else. *)
-let net ~count ~keep ~hash ~equal ~sign =
+   else.  The table is sized for this call ([cap]), whatever the capacity
+   an earlier, larger batch left in the scratch. *)
+let net s ~count ~keep ~hash ~equal ~sign f =
   let cap = ref 16 in
   while !cap < 2 * count do
     cap := 2 * !cap
   done;
   let mask = !cap - 1 in
-  let slots = Array.make !cap (-1) in
-  let hashes = Array.make count 0 and total = Array.make count 0 in
+  if Array.length s.slots < !cap then s.slots <- Array.make !cap (-1)
+  else Array.fill s.slots 0 !cap (-1);
+  if Array.length s.total < count then begin
+    let n = max count (2 * Array.length s.total) in
+    s.hashes <- Array.make n 0;
+    s.total <- Array.make n 0
+  end
+  else Array.fill s.total 0 count 0;
+  let slots = s.slots and hashes = s.hashes and total = s.total in
   for i = 0 to count - 1 do
     if keep i then begin
       let h = hash i in
-      let rec probe s =
-        let f = Array.unsafe_get slots s in
+      let rec probe j =
+        let f = Array.unsafe_get slots j in
         if f < 0 then begin
-          slots.(s) <- i;
+          slots.(j) <- i;
           hashes.(i) <- h;
           total.(i) <- sign i
         end
         else if hashes.(f) = h && equal f i then total.(f) <- total.(f) + sign i
-        else probe ((s + 1) land mask)
+        else probe ((j + 1) land mask)
       in
       probe ((h lxor (h lsr 17)) land mask)
     end
   done;
-  let out = ref [] in
-  for i = count - 1 downto 0 do
-    if total.(i) <> 0 then out := (i, total.(i)) :: !out
-  done;
-  !out
+  for i = 0 to count - 1 do
+    let t = total.(i) in
+    if t <> 0 then f i t
+  done
 
-let net_partials view b ps ~keep =
+let net_partials view s b ps ~keep f =
   let tables = Viewdef.tables view in
   let n = ps.width in
   let canon = Lazy.force b.canon in
@@ -303,4 +365,4 @@ let net_partials view b ps ~keep =
     in
     slots 0
   in
-  net ~count:ps.count ~keep ~hash ~equal ~sign:(fun p -> b.signs.(id ps p b.delta))
+  net s ~count:ps.count ~keep ~hash ~equal ~sign:(fun p -> b.signs.(id ps p b.delta)) f

@@ -6,7 +6,7 @@
     an [int]: the delta slot holds an index into the batch's delta array,
     every other slot the absolute row id of a live partner row.  No tuple
     is built while expanding — an indexed partner is probed through
-    {!Relation.Table.lookup_ids}, an unindexed one is scanned once per
+    {!Relation.Table.iter_ids}, an unindexed one is scanned once per
     edge against a hash over the partials' join keys — and rows are read
     back by id only where something needs their values: the join keys of
     the next edge, the view filter, the netting hash, and the content
@@ -19,8 +19,12 @@
 
     Metering is the delta join's cost model: an index edge bumps one
     [index_probes] per partial and one [index_entries] per matched row
-    (inside [lookup_ids]); a scan edge bumps one [hash_build] per partial,
-    one [hash_probe] per scanned row and the scan's own counters. *)
+    (inside [iter_ids]); a scan edge bumps one [hash_build] per partial,
+    one [hash_probe] per scanned row and the scan's own counters.
+
+    The kernel allocates nothing per partial: expansion and netting run
+    in a {!scratch} whose buffers grow geometrically and are reused by
+    every later batch. *)
 
 type batch
 (** The signed delta tuples of one maintenance batch. *)
@@ -37,7 +41,25 @@ val tuple : batch -> int -> Relation.Tuple.t
 val sign : batch -> int -> int
 
 type partials
-(** A flat set of row-id partials, in expansion order. *)
+(** A flat set of row-id partials, in expansion order.  The partials
+    {!expand} returns live in its scratch and stay valid until the next
+    {!expand} on that scratch. *)
+
+type scratch
+(** The kernel's working memory: two partial buffers, one read and one
+    written by each expansion step and swapped after it, and the netting
+    table.  A scratch belongs to one maintainer and is used by one domain
+    at a time: it is never shared between maintainers (so never between
+    domains), and a copied maintainer gets a fresh one.  It holds no
+    state between batches, only capacity. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; it serves expansions over any view. *)
+
+val trim : scratch -> unit
+(** Drop every buffer a large batch grew past 64 Ki words (512 KiB), so
+    that between batches a scratch holds at most a few megabytes; the
+    next batch that needs one grows it again.  Call after each batch. *)
 
 val count : partials -> int
 
@@ -50,9 +72,11 @@ val expand :
   Relation.Meter.t ->
   path:[ `Index | `Scan ] option ->
   scope:bool array ->
+  scratch ->
   batch ->
   partials
-(** Expand the batch across the in-scope tables (the batch's table must
+(** Expand the batch across the in-scope tables, in the scratch's buffers
+    (the batch's table must
     be in scope; the scope must be connected).  Edges are taken in
     {!Viewdef.join_order}.  [path] forces every edge onto the index
     ([`Index], wherever the partner has one) or the shared scan
@@ -65,24 +89,39 @@ type cells
 
 val cells : Viewdef.t -> int list -> cells
 
+val cells_table : cells -> int
+(** The one table every cell reads, or [-1] if they read several (or
+    there are none). *)
+
 val fill : Viewdef.t -> batch -> partials -> int -> cells -> Relation.Tuple.t -> unit
 (** [fill v b ps p cells row] writes partial [p]'s values at [cells] into
     the joined-arity [row]; other positions are left alone. *)
 
 val net :
+  scratch ->
   count:int ->
   keep:(int -> bool) ->
   hash:(int -> int) ->
   equal:(int -> int -> bool) ->
   sign:(int -> int) ->
-  (int * int) list
-(** Net items [0 .. count - 1] by value: [keep] runs on every item in
-    order; kept items with equal values ([hash]/[equal]) sum their
-    [sign]s.  Returns [(first item, net count)] for every value whose net
-    is non-zero, in order of first occurrence. *)
+  (int -> int -> unit) ->
+  unit
+(** [net s ~count ~keep ~hash ~equal ~sign f] nets items [0 .. count -
+    1] by value in the scratch's netting table: [keep] runs on every item
+    in order; kept items with equal values ([hash]/[equal]) sum their
+    [sign]s.  Then [f item net] runs on the first item of every value
+    whose net is non-zero, in order of first occurrence.  The partial
+    buffers are left alone, so the items may be partials of the same
+    scratch; [f] must not use the scratch. *)
 
 val net_partials :
-  Viewdef.t -> batch -> partials -> keep:(int -> bool) -> (int * int) list
+  Viewdef.t ->
+  scratch ->
+  batch ->
+  partials ->
+  keep:(int -> bool) ->
+  (int -> int -> unit) ->
+  unit
 (** {!net} over fully bound partials, by the value of the joined row they
     stand for, computed in place: the delta slot by the batch's canonical
     delta index (the first delta with an equal tuple), every partner slot

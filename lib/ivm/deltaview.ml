@@ -237,46 +237,44 @@ let contributions t owner deltas =
    expanding the batch across that component's own edges (the other member
    tables are still at their pre-batch state) and merging the resulting
    subtuples.  Components are scope sets; owners sharing the same
-   component reuse one expansion. *)
-let update t ~path b =
-  let n = Array.length t.owners in
+   component reuse one expansion, merged into each of them before the next
+   expansion reuses the scratch's buffers. *)
+let update t ~scratch ~path b =
   let delta = Deltajoin.delta b in
-  let memo : (bool array * Deltajoin.partials) list ref = ref [] in
-  let expansion comp =
-    match
-      List.find_opt (fun (m, _) -> m == comp.member || m = comp.member) !memo
-    with
-    | Some (_, partials) -> partials
-    | None ->
-        let partials =
-          Deltajoin.expand t.view t.meter ~path ~scope:comp.member b
-        in
-        memo := (comp.member, partials) :: !memo;
-        partials
+  let fold comp ps =
+    let subs = Array.init (Deltajoin.count ps) (subtuple t comp b ps) in
+    Relation.Meter.bump_hash_build t.meter (Array.length subs);
+    (* netted first: a shared scan emits a partner row's matches in any
+       delta order, and a batch that inserts and later deletes one row
+       must not merge the removal first *)
+    Deltajoin.net scratch ~count:(Array.length subs)
+      ~keep:(fun _ -> true)
+      ~hash:(fun p -> Relation.Tuple.hash subs.(p))
+      ~equal:(fun p q -> Relation.Tuple.equal subs.(p) subs.(q))
+      ~sign:(fun p -> Deltajoin.sign b (Deltajoin.id ps p delta))
+      (fun p count -> merge comp (key_of_sub comp subs.(p)) subs.(p) count)
   in
-  for owner = 0 to n - 1 do
-    if owner <> delta then begin
-      let po = t.owners.(owner) in
-      Array.iter
-        (fun comp ->
-          if comp.member.(delta) then begin
-            let ps = expansion comp in
-            let subs = Array.init (Deltajoin.count ps) (subtuple t comp b ps) in
-            Relation.Meter.bump_hash_build t.meter (Array.length subs);
-            (* netted first: a shared scan emits a partner row's matches
-               in any delta order, and a batch that inserts and later
-               deletes one row must not merge the removal first *)
-            List.iter
-              (fun (p, count) -> merge comp (key_of_sub comp subs.(p)) subs.(p) count)
-              (Deltajoin.net ~count:(Array.length subs)
-                 ~keep:(fun _ -> true)
-                 ~hash:(fun p -> Relation.Tuple.hash subs.(p))
-                 ~equal:(fun p q -> Relation.Tuple.equal subs.(p) subs.(q))
-                 ~sign:(fun p -> Deltajoin.sign b (Deltajoin.id ps p delta)))
-          end)
-        po.comps
-    end
-  done
+  let affected =
+    List.concat
+      (List.mapi
+         (fun owner po ->
+           if owner = delta then []
+           else List.filter (fun comp -> comp.member.(delta)) (Array.to_list po.comps))
+         (Array.to_list t.owners))
+  in
+  let rec by_scope = function
+    | [] -> ()
+    | comp :: _ as pending ->
+        let same, rest =
+          List.partition
+            (fun c -> c.member == comp.member || c.member = comp.member)
+            pending
+        in
+        let ps = Deltajoin.expand t.view t.meter ~path ~scope:comp.member scratch b in
+        List.iter (fun c -> fold c ps) same;
+        by_scope rest
+  in
+  by_scope affected
 
 let entries t =
   Array.fold_left

@@ -43,13 +43,18 @@ val contributions :
     (no base-table access).  Rows are in canonical joined-schema order;
     the caller nets, filters and applies them. *)
 
-val update : t -> path:[ `Index | `Scan ] option -> Deltajoin.batch -> unit
+val update :
+  t ->
+  scratch:Deltajoin.scratch ->
+  path:[ `Index | `Scan ] option ->
+  Deltajoin.batch ->
+  unit
 (** Fold a processed batch into every other table's delta view (the base
     tables must not yet reflect the batch): the batch is expanded across
-    the affected component ({!Deltajoin.expand}, under [path]) and each
-    row-id partial's member rows are materialized into one subtuple.
-    Owners whose affected component is the same table set share one
-    expansion. *)
+    the affected component ({!Deltajoin.expand}, under [path], in
+    [scratch] — the owning maintainer's) and each row-id partial's member
+    rows are materialized into one subtuple.  Owners whose affected
+    component is the same table set share one expansion. *)
 
 val entries : t -> int
 (** Total materialized subtuple count across all delta views — the memory

@@ -11,15 +11,34 @@ type content =
           positions to output positions *)
   | Grouped of Groups.t
 
+(* The compiled view filter and the joined positions it reads; [table] is
+   the one table those positions belong to, or -1. *)
+type filter = {
+  cells : Deltajoin.cells;
+  pred : Relation.Tuple.t -> bool;
+  table : int;
+}
+
+(* A maintainer's working memory: the delta-join kernel's scratch, and
+   the verdicts of a one-table filter by row id of that table (['\000']
+   not yet evaluated, ['\001'] rejected, ['\002'] kept).  A row's values
+   never change under its id (tables are append-only), so a verdict
+   holds for the maintainer's life.  Owned by one maintainer; {!copy}
+   makes a fresh one, so two maintainers (and two domains) never write
+   the same buffer. *)
+type work = { scratch : Deltajoin.scratch; mutable verdicts : Bytes.t }
+
+let fresh_work () = { scratch = Deltajoin.scratch (); verdicts = Bytes.empty }
+
 type t = {
   view : Viewdef.t;
   mutable pending : Pending.t array;
       (** one FIFO per table, or per lane once routed *)
   mutable route : (int -> Change.t -> [ `Index | `Scan ]) option;
   content : content;
-  filter : (Deltajoin.cells * (Relation.Tuple.t -> bool)) option;
-      (** the compiled view filter and the joined positions it reads *)
+  filter : filter option;
   content_cells : Deltajoin.cells;  (** the joined positions the content reads *)
+  work : work;
   meter : Relation.Meter.t;
   order : Viewdef.order;
   mutable dv : Deltaview.t option;
@@ -60,50 +79,67 @@ let pending_size m i = Pending.size m.pending.(i)
 
 (* --- first-order delta join ------------------------------------------------ *)
 
-(* A first-order batch's signed contributions: the batch expanded across
-   every other table into row-id partials, the view filter run on the
-   columns it reads, the survivors netted by value, and one content row
-   built per net row.  Netting makes the application order-insensitive:
-   expansion order depends on the physical path, and a batch touching one
-   row twice must not apply the removal before the insertion. *)
-let first_order_contributions m ~path b =
-  let view = m.view in
+(* A first-order batch's signed contributions, each passed to [f]: the
+   batch expanded across every other table into row-id partials, the view
+   filter run on the columns it reads, the survivors netted by value, and
+   the content row built per net row.  Netting makes the application
+   order-insensitive: expansion order depends on the physical path, and a
+   batch touching one row twice must not apply the removal before the
+   insertion.  A filter that reads one table other than the batch's runs
+   once per row of that table, not once per partial.  The
+   content row is one buffer rewritten for every net row (its other
+   positions stay [Null]), so [f] must not keep it. *)
+let first_order_contributions m ~path b f =
+  let view = m.view and w = m.work in
   let ps =
     Deltajoin.expand view m.meter ~path
       ~scope:(Array.make (Viewdef.n_tables view) true)
-      b
+      w.scratch b
   in
   let arity = Relation.Schema.arity (Viewdef.joined_schema view) in
   let keep =
     match m.filter with
     | None -> fun _ -> true
-    | Some (cells, pred) ->
-        let scratch = Array.make arity Relation.Value.Null in
-        fun p ->
-          Deltajoin.fill view b ps p cells scratch;
-          pred scratch
+    | Some flt ->
+        let row = Array.make arity Relation.Value.Null in
+        let test p =
+          Deltajoin.fill view b ps p flt.cells row;
+          flt.pred row
+        in
+        if flt.table < 0 || flt.table = Deltajoin.delta b then test
+        else fun p ->
+          let r = Deltajoin.id ps p flt.table in
+          let n = Bytes.length w.verdicts in
+          if r >= n then begin
+            let grown = Bytes.make (max (r + 1) (2 * n)) '\000' in
+            Bytes.blit w.verdicts 0 grown 0 n;
+            w.verdicts <- grown
+          end;
+          match Bytes.get w.verdicts r with
+          | '\000' ->
+              let ok = test p in
+              Bytes.set w.verdicts r (if ok then '\002' else '\001');
+              ok
+          | v -> v = '\002'
   in
-  List.map
-    (fun (p, count) ->
-      let row = Array.make arity Relation.Value.Null in
+  let row = Array.make arity Relation.Value.Null in
+  Deltajoin.net_partials view w.scratch b ps ~keep (fun p count ->
       Deltajoin.fill view b ps p m.content_cells row;
-      (row, count))
-    (Deltajoin.net_partials view b ps ~keep)
+      f row count)
 
 (* Net the joined rows of a higher-order probe, filtered first. *)
-let net_rows m rows =
+let net_rows m rows f =
   let rows = Array.of_list rows in
   let keep =
     match m.filter with
     | None -> fun _ -> true
-    | Some (_, pred) -> fun k -> pred (fst rows.(k))
+    | Some flt -> fun k -> flt.pred (fst rows.(k))
   in
-  List.map
-    (fun (k, count) -> (fst rows.(k), count))
-    (Deltajoin.net ~count:(Array.length rows) ~keep
-       ~hash:(fun k -> Relation.Tuple.hash (fst rows.(k)))
-       ~equal:(fun a b -> Relation.Tuple.equal (fst rows.(a)) (fst rows.(b)))
-       ~sign:(fun k -> snd rows.(k)))
+  Deltajoin.net m.work.scratch ~count:(Array.length rows) ~keep
+    ~hash:(fun k -> Relation.Tuple.hash (fst rows.(k)))
+    ~equal:(fun a b -> Relation.Tuple.equal (fst rows.(a)) (fst rows.(b)))
+    ~sign:(fun k -> snd rows.(k))
+    (fun k count -> f (fst rows.(k)) count)
 
 (* The initial content: the batches of {!Viewdef.joined_plan} folded
    straight into [Groups], or into the bag with only the output columns
@@ -153,10 +189,16 @@ let create ?meter ?order view =
     let filter =
       Option.map
         (fun f ->
-          ( Deltajoin.cells view
+          let cells =
+            Deltajoin.cells view
               (List.sort_uniq compare
-                 (List.map (Relation.Schema.index_of schema) (Relation.Expr.columns f))),
-            Relation.Expr.compile_pred schema f ))
+                 (List.map (Relation.Schema.index_of schema) (Relation.Expr.columns f)))
+          in
+          {
+            cells;
+            pred = Relation.Expr.compile_pred schema f;
+            table = Deltajoin.cells_table cells;
+          })
         (Viewdef.filter view)
     in
     let m =
@@ -167,6 +209,7 @@ let create ?meter ?order view =
         content = materialize view;
         filter;
         content_cells = Deltajoin.cells view (Viewdef.content_positions view);
+        work = fresh_work ();
         meter;
         order;
         dv = None;
@@ -184,7 +227,7 @@ let create ?meter ?order view =
         [ ("view", Viewdef.name view); ("order", Viewdef.order_name order) ]
       build
 
-let apply_contribution m (row, sign) =
+let apply_contribution m row sign =
   Relation.Meter.bump_output m.meter 1;
   match m.content with
   | Bag { counts; positions } ->
@@ -256,15 +299,15 @@ let process ?path m q k =
       let deltas = List.concat_map Change.signed_tuples batch in
       let b = Deltajoin.batch ~delta:i deltas in
       (match m.dv with
-      | None -> List.iter (apply_contribution m) (first_order_contributions m ~path b)
+      | None -> first_order_contributions m ~path b (apply_contribution m)
       | Some dv ->
           (* Higher-order: the view delta is a lookup-and-merge against
              [i]'s materialized delta view; then fold the batch into the
              other tables' delta views while their components' base
              tables still hold the pre-batch state. *)
-          List.iter (apply_contribution m)
-            (net_rows m (Deltaview.contributions dv i deltas));
-          Deltaview.update dv ~path b);
+          net_rows m (Deltaview.contributions dv i deltas) (apply_contribution m);
+          Deltaview.update dv ~scratch:m.work.scratch ~path b);
+      Deltajoin.trim m.work.scratch;
       List.iter (apply_to_base m i) batch
     end;
     let delta = Relation.Meter.diff (Relation.Meter.snapshot m.meter) before in
@@ -394,7 +437,8 @@ let check_consistent m =
 let delta_view m = m.dv
 
 (* The filter's predicate and the cells are pure, so the copy shares
-   them; a table listed twice in the view is copied once. *)
+   them; a table listed twice in the view is copied once.  The working
+   memory is not shared: the copy gets its own. *)
 let copy m =
   let meter = Relation.Meter.create () in
   let copies = ref [] in
@@ -418,5 +462,6 @@ let copy m =
       | Bag { counts; positions } -> Bag { counts = Thash.copy counts; positions }
       | Grouped groups -> Grouped (Groups.copy groups));
     meter;
+    work = fresh_work ();
     dv = Option.map (Deltaview.copy ~meter ~view) m.dv;
   }

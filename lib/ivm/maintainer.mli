@@ -39,7 +39,9 @@ val copy : t -> t
     base tables ({!Relation.Table.copy}) under the same view definition
     ({!Viewdef.with_tables}), copied content, delta views and pending
     queues (lanes and route too, if {!route}d), all metered on one
-    fresh {!Relation.Meter.t}.  Every hash
+    fresh {!Relation.Meter.t}, and its own delta-join scratch
+    ({!Deltajoin.scratch}): no buffer is shared with the original, so
+    the two may run on different domains at once.  Every hash
     table keeps its iteration order, so the copy meters every later
     batch to the same bits as the original would, and so as a twin
     built from scratch by the same calls would.  Far cheaper than

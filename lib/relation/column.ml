@@ -41,6 +41,7 @@ type payload =
   | Strs of {
       mutable codes : int_ba;
       dict : string Util.Vec.t;
+      hashes : int Util.Vec.t;  (** [Hashtbl.hash] of each dictionary string *)
       intern : (string, int) Hashtbl.t;
     }
   | Bools of { mutable bits : Bytes.t }
@@ -66,7 +67,13 @@ let create ?(capacity = initial) ty =
     | Datatype.TInt -> Ints { data = make_int_ba slots }
     | Datatype.TFloat -> Floats { data = make_float_ba slots; intish = bitmap () }
     | Datatype.TString ->
-        Strs { codes = make_int_ba slots; dict = Util.Vec.create (); intern = Hashtbl.create 16 }
+        Strs
+          {
+            codes = make_int_ba slots;
+            dict = Util.Vec.create ();
+            hashes = Util.Vec.create ();
+            intern = Hashtbl.create 16;
+          }
     | Datatype.TBool -> Bools { bits = bitmap () }
   in
   {
@@ -107,12 +114,13 @@ let reserve c rows =
   | Strs p -> p.codes <- grow_int_ba p.codes rows
   | Bools p -> p.bits <- grow_bits p.bits rows
 
-let intern_code dict intern s =
+let intern_code dict hashes intern s =
   match Hashtbl.find_opt intern s with
   | Some code -> code
   | None ->
       let code = Util.Vec.length dict in
       Util.Vec.push dict s;
+      Util.Vec.push hashes (Hashtbl.hash s);
       Hashtbl.add intern s code;
       code
 
@@ -148,7 +156,7 @@ let store c i v =
    | Strs p -> (
        match v with
        | Value.Str s ->
-           Bigarray.Array1.unsafe_set p.codes i (intern_code p.dict p.intern s)
+           Bigarray.Array1.unsafe_set p.codes i (intern_code p.dict p.hashes p.intern s)
        | Value.Null -> Bigarray.Array1.unsafe_set p.codes i 0
        | _ -> type_error c v)
    | Bools p -> (
@@ -190,8 +198,7 @@ let hash_cell c i =
     (* an intish slot holds [float_of_int] of its int, which is the image
        [Value.hash_int] hashes, also beyond the float53 range *)
     | Floats p -> Value.hash_float (Bigarray.Array1.unsafe_get p.data i)
-    | Strs p ->
-        Hashtbl.hash (Util.Vec.get p.dict (Bigarray.Array1.unsafe_get p.codes i))
+    | Strs p -> Util.Vec.get p.hashes (Bigarray.Array1.unsafe_get p.codes i)
     | Bools p -> Hashtbl.hash (bit p.bits i)
 
 let append_from dst src i =
@@ -279,6 +286,7 @@ let copy c =
           {
             codes = copy_int_ba p.codes c.len;
             dict = Util.Vec.copy p.dict;
+            hashes = Util.Vec.copy p.hashes;
             intern = Hashtbl.copy p.intern;
           }
     | Bools p -> Bools { bits = Bytes.copy p.bits }
@@ -488,7 +496,7 @@ let of_image ty img ~live =
           if bit img.valid r then begin
             let old = Bigarray.Array1.unsafe_get src.codes r in
             if remap.(old) < 0 then
-              remap.(old) <- intern_code p.dict p.intern src.dict.(old);
+              remap.(old) <- intern_code p.dict p.hashes p.intern src.dict.(old);
             Bigarray.Array1.unsafe_set p.codes j remap.(old)
           end
           else Bigarray.Array1.unsafe_set p.codes j 0)

@@ -40,7 +40,8 @@ val get : t -> int -> Value.t
 
 val hash_cell : t -> int -> int
 (** [hash_cell c i = Value.hash (get c i)], read from the unboxed buffers
-    without allocating. *)
+    without allocating; a string column reads its dictionary entry's
+    hash, computed once when the string was interned. *)
 
 val append_from : t -> t -> int -> unit
 (** [append_from dst src i] appends row [i] of [src] to [dst] without

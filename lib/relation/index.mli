@@ -1,8 +1,14 @@
-(** Secondary hash index: column value -> set of row ids.
+(** Secondary hash index: column value -> row ids.
 
     Indexes make the per-delta maintenance path cheap for a table whose join
     partner is indexed on the join attribute — the asymmetry the paper
-    exploits. *)
+    exploits.
+
+    Each key's row ids sit in one flat int array, in ascending row-id
+    order.  That order is part of the contract: {!iter} and {!find_first}
+    walk a bucket in it, so a probe's partials and
+    {!Table.delete_tuple}'s choice among equal rows (the lowest live row
+    id) do not depend on the order of inserts and deletes. *)
 
 type t
 
@@ -16,11 +22,21 @@ val copy : t -> t
     order. *)
 
 val add : t -> Value.t -> int -> unit
+(** No-op if the (value, row id) pair is present. *)
+
 val remove : t -> Value.t -> int -> unit
 (** No-op if the (value, row id) pair is absent. *)
 
-val lookup : t -> Value.t -> int list
-(** Row ids currently associated with the value, unordered. *)
+val size : t -> Value.t -> int
+(** Number of row ids associated with the value. *)
+
+val iter : t -> Value.t -> (int -> unit) -> unit
+(** [iter idx v f] calls [f] on every row id associated with [v], in
+    ascending order, building nothing.  [f] must not modify [idx]. *)
+
+val find_first : t -> Value.t -> (int -> bool) -> int
+(** The lowest row id associated with the value that satisfies the
+    predicate, or [-1]. *)
 
 val cardinality : t -> int
 (** Number of distinct key values present. *)

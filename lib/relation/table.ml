@@ -63,16 +63,16 @@ let get_row t row =
   else Some (materialize t row)
 
 let delete_row t row =
-  match get_row t row with
-  | None -> false
-  | Some tuple ->
-      Column.clear_bit t.live_bits row;
-      t.live <- t.live - 1;
-      Meter.bump_deleted t.meter 1;
-      Hashtbl.iter
-        (fun _ idx -> Index.remove idx (Tuple.get tuple (Index.column idx)) row)
-        t.indexes;
-      true
+  row >= 0 && row < t.n_rows && is_live t row
+  && begin
+       Column.clear_bit t.live_bits row;
+       t.live <- t.live - 1;
+       Meter.bump_deleted t.meter 1;
+       Hashtbl.iter
+         (fun _ idx -> Index.remove idx (Column.get t.cols.(Index.column idx) row) row)
+         t.indexes;
+       true
+     end
 
 let create_index t col =
   let col = canonical_column t col in
@@ -95,7 +95,7 @@ let distinct_estimate t col =
   | Some idx -> Index.cardinality idx
   | None -> t.live
 
-let lookup_ids t col value =
+let iter_ids t col value f =
   let col = canonical_column t col in
   match Hashtbl.find_opt t.indexes col with
   | None ->
@@ -103,11 +103,18 @@ let lookup_ids t col value =
         (Printf.sprintf "Table.lookup(%s): no index on column %S" t.name col)
   | Some idx ->
       Meter.bump_index_probes t.meter 1;
-      let rows = List.filter (is_live t) (Index.lookup idx value) in
-      Meter.bump_index_entries t.meter (List.length rows);
-      rows
+      let live = ref 0 in
+      Index.iter idx value (fun row ->
+          if is_live t row then begin
+            incr live;
+            f row
+          end);
+      Meter.bump_index_entries t.meter !live
 
-let lookup t col value = List.map (materialize t) (lookup_ids t col value)
+let lookup t col value =
+  let out = ref [] in
+  iter_ids t col value (fun row -> out := materialize t row :: !out);
+  List.rev !out
 
 (* --- row-id access ------------------------------------------------------- *)
 
@@ -119,6 +126,10 @@ let hash_row t row =
     h := (!h * 31) + Column.hash_cell (Array.unsafe_get t.cols c) row
   done;
   !h
+
+let row_equal t row tuple =
+  Array.length tuple = Array.length t.cols
+  && Array.for_all2 (fun col v -> Value.equal (Column.get col row) v) t.cols tuple
 
 let equal_rows t a b =
   a = b
@@ -203,24 +214,16 @@ let delete_tuple t tuple =
   | Some idx ->
       let v = Tuple.get tuple (Index.column idx) in
       Meter.bump_index_probes t.meter 1;
-      let rows = Index.lookup idx v in
-      Meter.bump_index_entries t.meter (List.length rows);
-      let rec try_rows = function
-        | [] -> false
-        | row :: rest -> (
-            match get_row t row with
-            | Some candidate when Tuple.equal candidate tuple ->
-                delete_row t row
-            | Some _ | None -> try_rows rest)
-      in
-      try_rows rows
+      Meter.bump_index_entries t.meter (Index.size idx v);
+      let row = Index.find_first idx v (fun row -> is_live t row && row_equal t row tuple) in
+      row >= 0 && delete_row t row
   | None -> (
       let victim = ref None in
       (try
          for row = 0 to t.n_rows - 1 do
            if is_live t row then begin
              Meter.bump_seq_scanned t.meter 1;
-             if Tuple.equal (materialize t row) tuple then begin
+             if row_equal t row tuple then begin
                victim := Some row;
                raise Exit
              end

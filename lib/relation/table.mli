@@ -42,8 +42,11 @@ val delete_row : t -> int -> bool
 (** [true] iff the row existed and was deleted. *)
 
 val delete_tuple : t -> Tuple.t -> bool
-(** Delete one live row equal to the tuple (using an index when one covers
-    some column, otherwise a scan).  [false] if no match. *)
+(** Delete the live row with the lowest id among those equal to the
+    tuple, found through the index with the most distinct keys (its
+    bucket walked in place, one probe and one entry per id in the bucket
+    metered), or by a scan when the table has no index.  [false] if no
+    match. *)
 
 val create_index : t -> string -> unit
 (** Build a hash index on the named column (idempotent). *)
@@ -55,14 +58,16 @@ val distinct_estimate : t -> string -> int
     index when one exists, otherwise the row count (as if unique).  Used
     by cost-based join ordering. *)
 
-val lookup : t -> string -> Value.t -> Tuple.t list
-(** Index lookup; raises [Invalid_argument] if the column has no index.
-    Bumps probe/entry counters. *)
+val iter_ids : t -> string -> Value.t -> (int -> unit) -> unit
+(** [iter_ids t col v f] calls [f] on the id of every live row whose
+    column [col] holds [v], in ascending row-id order, through the
+    column's index and without building a list.  Raises
+    [Invalid_argument] if the column has no index.  Bumps one probe, and
+    one entry per id.  [f] must not modify the table. *)
 
-val lookup_ids : t -> string -> Value.t -> int list
-(** Like {!lookup} but returns the live row ids instead of materializing
-    the rows; metered exactly like {!lookup} (one probe, one entry per
-    id). *)
+val lookup : t -> string -> Value.t -> Tuple.t list
+(** The rows {!iter_ids} visits, materialized, in the same order and
+    metered the same. *)
 
 (** {1 Row-id access}
 

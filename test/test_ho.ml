@@ -388,7 +388,9 @@ let check_copy ~label ~seed ?fed make =
                  List.sort_uniq Value.compare
                    (List.map (fun t -> t.(c)) (Table.to_list_unmetered table))
                  |> List.map (fun v ->
-                        List.sort compare (Table.lookup_ids table col v)))))
+                        let ids = ref [] in
+                        Table.iter_ids table col v (fun id -> ids := id :: !ids);
+                        List.sort compare !ids))))
       (tables original)
   in
   let entries m =

@@ -173,6 +173,67 @@ let test_meter_concurrent_engines () =
             (flush_views (Some pool) = seq)))
     [ 2; 4 ]
 
+(* --- maintainers on two domains ---------------------------------------------- *)
+
+(* One maintainer driven through seeded batches: its rows, its meter
+   snapshot and every batch's cost bits.  The maintainer and its database
+   are built on the calling domain. *)
+type run = Relation.Tuple.t list * Relation.Meter.snapshot * int64 list
+
+let drive ~make ~batches : run =
+  let m, feeds, widths = make () in
+  let g = Util.Prng.create ~seed:17 in
+  let costs =
+    List.init batches (fun _ ->
+        let batch = Array.map (fun w -> if w = 0 then 0 else Util.Prng.int g w) widths in
+        Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next batch;
+        Int64.bits_of_float (Ivm.Maintainer.apply m batch))
+  in
+  (Ivm.Maintainer.rows m, Relation.Meter.snapshot (Ivm.Maintainer.meter m), costs)
+
+(* First order on the TPC-R MIN view: Supplier batches fan out into
+   PartSupp through its index, PartSupp batches scan. *)
+let tpcr_fo () =
+  let db = Tpcr.Gen.generate ~seed:5 ~scale:0.01 () in
+  ( Ivm.Maintainer.create ~meter:db.Tpcr.Gen.meter (Tpcr.Gen.min_supplycost_view db),
+    Tpcr.Updates.paper_feeds ~seed:12 db,
+    [| 9; 9; 0; 0 |] )
+
+(* Higher order on the synthetic join: every batch also expands into the
+   other table's delta view. *)
+let synth_ho () =
+  let db = Tpcr.Synth.generate ~seed:6 ~r_rows:600 ~s_rows:600 () in
+  ( Ivm.Maintainer.create ~order:Ivm.Viewdef.Higher_order (Tpcr.Synth.join_view db),
+    Tpcr.Synth.insert_feeds ~seed:13 db,
+    [| 9; 9 |] )
+
+(* Two domains each drive their own maintainer at the same time; each
+   must end bit for bit where a sequential run ends.  The delta-join
+   kernel's scratch belongs to its maintainer: a buffer shared between
+   maintainers would let one domain's batch overwrite the other's
+   partials or netting table mid-batch. *)
+let test_two_domain_maintainers () =
+  let batches = 120 in
+  let seq_fo = drive ~make:tpcr_fo ~batches and seq_ho = drive ~make:synth_ho ~batches in
+  for round = 1 to 2 do
+    let ready = Atomic.make 0 in
+    let start make =
+      Domain.spawn (fun () ->
+          (* build first, then wait for the other domain, so the two
+             batch loops overlap *)
+          let built = make () in
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          drive ~make:(fun () -> built) ~batches)
+    in
+    let fo = start tpcr_fo and ho = start synth_ho in
+    let fo = Domain.join fo and ho = Domain.join ho in
+    check Alcotest.bool (Printf.sprintf "round %d: FO = sequential" round) true (fo = seq_fo);
+    check Alcotest.bool (Printf.sprintf "round %d: HO = sequential" round) true (ho = seq_ho)
+  done
+
 let () =
   Alcotest.run "parallel"
     [
@@ -192,5 +253,10 @@ let () =
             test_metrics_concurrent;
           Alcotest.test_case "shared meter across concurrent engines" `Quick
             test_meter_concurrent_engines;
+        ] );
+      ( "maintainers",
+        [
+          Alcotest.test_case "two domains, FO and HO, equal sequential runs"
+            `Quick test_two_domain_maintainers;
         ] );
     ]

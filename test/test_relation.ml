@@ -303,7 +303,7 @@ let test_table_index_after_delete () =
   checki "bucket shrinks" 1 (List.length (Table.lookup t "grp" (vi 7)))
 
 (* The row-id accessors read back exactly what the boxed ones
-   materialize, and [lookup_ids] is metered like [lookup]. *)
+   materialize, and [iter_ids] is metered like [lookup]. *)
 let test_table_row_id_access () =
   let meter = Meter.create () in
   let t =
@@ -345,7 +345,12 @@ let test_table_row_id_access () =
     (r, Meter.diff (Meter.snapshot meter) before)
   in
   let tuples, by_lookup = metered (fun () -> Table.lookup t "i" (vi 1)) in
-  let found, by_ids = metered (fun () -> Table.lookup_ids t "i" (vi 1)) in
+  let found, by_ids =
+    metered (fun () ->
+        let ids = ref [] in
+        Table.iter_ids t "i" (vi 1) (fun id -> ids := id :: !ids);
+        List.rev !ids)
+  in
   checkb "same meter" true (by_lookup = by_ids);
   checki "three entries" 3 by_ids.Meter.index_entries;
   checkb "ids materialize to the lookup's rows" true
@@ -429,6 +434,120 @@ let test_index_direct () =
   Index.remove idx (vi 1) 99;
   (* absent pair: no-op *)
   checki "no-op remove" 1 (Index.entry_count idx)
+
+(* Random add/remove sequences against an [Int_set] reference per key:
+   after every operation each key's bucket holds the reference's ids in
+   ascending order ([iter], [size], [find_first]), and [cardinality] and
+   [entry_count] agree.  A copy taken midway follows its own reference
+   while the original moves on, and the original ignores the copy's
+   changes. *)
+module Int_set = Set.Make (Int)
+
+let index_keys = [| vi 0; vi 1; vi 2; vs "a"; vs "b"; Value.Null; vf 2.5 |]
+
+let check_index_model label idx (model : Int_set.t array) =
+  let nonempty = Array.fold_left (fun n s -> if Int_set.is_empty s then n else n + 1) 0 model in
+  checki (label ^ ": cardinality") nonempty (Index.cardinality idx);
+  checki
+    (label ^ ": entry_count")
+    (Array.fold_left (fun n s -> n + Int_set.cardinal s) 0 model)
+    (Index.entry_count idx);
+  Array.iteri
+    (fun k v ->
+      let ids = ref [] in
+      Index.iter idx v (fun id -> ids := id :: !ids);
+      Alcotest.check
+        Alcotest.(list int)
+        (label ^ ": ascending ids")
+        (Int_set.elements model.(k))
+        (List.rev !ids);
+      checki (label ^ ": size") (Int_set.cardinal model.(k)) (Index.size idx v);
+      let third id = id mod 3 = 0 in
+      checki (label ^ ": find_first")
+        (Option.value ~default:(-1) (List.find_opt third (Int_set.elements model.(k))))
+        (Index.find_first idx v third))
+    index_keys
+
+let index_step g idx (model : Int_set.t array) =
+  let k = Util.Prng.int g (Array.length index_keys) in
+  let row =
+    (* half the removals hit a present id *)
+    if Util.Prng.int g 2 = 0 && not (Int_set.is_empty model.(k)) then
+      Int_set.choose model.(k)
+    else Util.Prng.int g 64
+  in
+  if Util.Prng.int g 3 > 0 then begin
+    Index.add idx index_keys.(k) row;
+    model.(k) <- Int_set.add row model.(k)
+  end
+  else begin
+    Index.remove idx index_keys.(k) row;
+    model.(k) <- Int_set.remove row model.(k)
+  end
+
+let test_index_model () =
+  for seed = 1 to 60 do
+    let g = Util.Prng.create ~seed in
+    let idx = Index.create ~column:0 in
+    let model = Array.make (Array.length index_keys) Int_set.empty in
+    let label = Printf.sprintf "seed %d" seed in
+    for _ = 1 to 150 do
+      index_step g idx model;
+      check_index_model label idx model
+    done;
+    let copy = Index.copy idx and copy_model = Array.copy model in
+    for _ = 1 to 50 do
+      index_step g idx model
+    done;
+    check_index_model (label ^ " copy after original moved") copy copy_model;
+    let frozen = Array.copy model in
+    for _ = 1 to 50 do
+      index_step g copy copy_model
+    done;
+    check_index_model (label ^ " copy after its own changes") copy copy_model;
+    check_index_model (label ^ " original after copy moved") idx frozen
+  done
+
+(* Among equal live rows, [delete_tuple] deletes the one with the lowest
+   row id, through an index (walking its bucket in place) or by a scan,
+   whatever order the rows were inserted and deleted in. *)
+let test_delete_tuple_lowest_equal () =
+  List.iter
+    (fun indexed ->
+      for seed = 1 to 40 do
+        let g = Util.Prng.create ~seed in
+        let t = mk_table () in
+        if indexed then Table.create_index t "grp";
+        let live = Hashtbl.create 64 in
+        let label = Printf.sprintf "%s seed %d" (if indexed then "index" else "scan") seed in
+        for _ = 1 to 120 do
+          match Util.Prng.int g 3 with
+          | 0 | 1 ->
+              let tuple = row (Util.Prng.int g 3) (Util.Prng.int g 2) 1.0 in
+              Hashtbl.replace live (Table.insert t tuple) tuple
+          | _ ->
+              if Util.Prng.int g 2 = 0 then begin
+                let victim = Util.Prng.int g 200 in
+                if Table.delete_row t victim then Hashtbl.remove live victim
+              end
+              else begin
+                let tuple = row (Util.Prng.int g 3) (Util.Prng.int g 2) 1.0 in
+                let lowest =
+                  Hashtbl.fold
+                    (fun id u acc -> if Tuple.equal u tuple then min id acc else acc)
+                    live max_int
+                in
+                checkb (label ^ ": found") (lowest < max_int) (Table.delete_tuple t tuple);
+                if lowest < max_int then begin
+                  checkb (label ^ ": lowest equal row deleted") true
+                    (Table.get_row t lowest = None);
+                  Hashtbl.remove live lowest
+                end
+              end
+        done;
+        checki (label ^ ": live rows") (Hashtbl.length live) (Table.row_count t)
+      done)
+    [ true; false ]
 
 (* A copied column owns its buffers, bitmaps, string dictionary and exact
    side table: the copy and the original append different values at the
@@ -843,6 +962,9 @@ let () =
           Alcotest.test_case "column copy" `Quick test_column_copy;
           Alcotest.test_case "column image" `Quick test_column_image;
           Alcotest.test_case "table copy" `Quick test_table_copy;
+          Alcotest.test_case "index model against Int_set" `Quick test_index_model;
+          Alcotest.test_case "delete_tuple deletes the lowest equal row" `Quick
+            test_delete_tuple_lowest_equal;
         ] );
       ( "meter",
         [
