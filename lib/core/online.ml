@@ -201,11 +201,14 @@ let step c ~arrivals =
       absorb c action;
       Some action
 
+(* A refresh starts a new period: H's [F_t] and [t] restart together
+   (DESIGN.md §5). *)
 let force_refresh c =
   Telemetry.incr "online.flush.forced";
   let action = c.pending in
   absorb c action;
   c.clock <- 0;
+  c.spent <- 0.0;
   action
 
 let plan ?predictor ?scorer spec =

@@ -7,8 +7,9 @@
 
     [H(q) = (F_t + f(q)) / (t + time_to_full (s_t - q))]
 
-    where [F_t] is the cost spent so far and [time_to_full] projects how
-    long the post-action state survives under estimated arrival rates. *)
+    where [F_t] is the cost spent since the last refresh and
+    [time_to_full] projects how long the post-action state survives under
+    estimated arrival rates. *)
 
 type predictor =
   | Ewma of float
@@ -118,9 +119,9 @@ val set_costs : controller -> Cost.Func.t array -> unit
 
 val force_refresh : controller -> Statevec.t
 (** An external event (a notification) forces the view up to date: returns
-    the pending vector to process, charges its cost, and resets the
-    controller's clock (the §4.3 algorithm measures time since the last
-    refresh). *)
+    the pending vector to process and starts a new refresh period, with
+    the controller's clock and spent total both back at zero (the §4.3
+    algorithm measures [t] and [F_t] from the last refresh). *)
 
 val pending : controller -> Statevec.t
 (** Currently pending modification counts. *)

@@ -1,9 +1,4 @@
-module Thash = Hashtbl.Make (struct
-  type t = Relation.Tuple.t
-
-  let equal = Relation.Tuple.equal
-  let hash = Relation.Tuple.hash
-end)
+module Thash = Hashtbl.Make (Relation.Tuple)
 
 (* One maintained sub-join: the component's tables joined among
    themselves, keyed by the values the owner table joins against.  Rows

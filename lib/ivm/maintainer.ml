@@ -1,9 +1,4 @@
-module Thash = Hashtbl.Make (struct
-  type t = Relation.Tuple.t
-
-  let equal = Relation.Tuple.equal
-  let hash = Relation.Tuple.hash
-end)
+module Thash = Hashtbl.Make (Relation.Tuple)
 
 type content =
   | Bag of { counts : int Thash.t; positions : int array }

@@ -46,8 +46,10 @@ val copy : t -> t
     batch to the same bits as the original would, and so as a twin
     built from scratch by the same calls would.  Far cheaper than
     {!create}: nothing is joined, and the copy itself is unmetered.
-    Calibration measures cost curves on a copy so the live engine's
-    tables and meter stay untouched. *)
+    An aggregate view's content copy ({!Groups.copy}) is O(stored
+    values): its bags are mutable, so none is shared.  Calibration
+    measures cost curves on a copy so the live engine's tables and meter
+    stay untouched. *)
 
 val view : t -> Viewdef.t
 val meter : t -> Relation.Meter.t

@@ -440,6 +440,40 @@ let test_controller_force_refresh_resets_clock () =
   Alcotest.check (Alcotest.array Alcotest.int)
     "post-refresh controller decides like a fresh one" a_fresh (act refreshed)
 
+(* A forced refresh starts a new period for [F_t] as for [t]: two
+   controllers with equal rates, pending and clock must choose alike,
+   whatever either spent before.  [flushed] pays for its warm-up flushes
+   under dear costs; [idle] sees the same arrivals under near-free costs,
+   never fills, and spends almost nothing.  Both are force-refreshed and
+   given the same costs.  On the burst, H's cheap short-lived choice
+   (table 1) wins from [F = 0], the dear long-lived one (table 0) once
+   [F] is large, so a refresh that kept [spent] split them. *)
+let test_controller_force_refresh_resets_spent () =
+  let limit = 8.0 and costs = [| lin 1.0; lin 1.0 |] in
+  let flushed = controller ~costs ~limit
+  and idle = controller ~costs:[| lin 0.001; lin 0.001 |] ~limit in
+  let flushes = ref 0 in
+  for _ = 1 to 40 do
+    if Abivm.Online.step flushed ~arrivals:[| 1; 1 |] <> None then incr flushes;
+    checkb "idle never fills" true (Abivm.Online.step idle ~arrivals:[| 1; 1 |] = None)
+  done;
+  checkb "flushed during warm-up" true (!flushes > 0);
+  ignore (Abivm.Online.force_refresh flushed);
+  ignore (Abivm.Online.force_refresh idle);
+  Abivm.Online.set_costs idle costs;
+  Alcotest.check (Alcotest.array (Alcotest.float 0.0)) "equal rates"
+    (Abivm.Online.rates flushed) (Abivm.Online.rates idle);
+  let act c =
+    match Abivm.Online.step c ~arrivals:[| 7; 3 |] with
+    | Some a -> a
+    | None -> Alcotest.fail "burst must trip the constraint"
+  in
+  let a_idle = act idle in
+  Alcotest.check (Alcotest.array Alcotest.int) "the cheap choice from F = 0"
+    [| 0; 3 |] a_idle;
+  Alcotest.check (Alcotest.array Alcotest.int) "same action after the refresh"
+    a_idle (act flushed)
+
 let test_controller_step_bookkeeping () =
   (* The pending vector must always equal (previous + arrivals - action),
      actions fire exactly at full pre-states, and every action restores
@@ -558,6 +592,8 @@ let () =
             test_controller_rates_converge;
           Alcotest.test_case "force refresh resets the clock" `Quick
             test_controller_force_refresh_resets_clock;
+          Alcotest.test_case "force_refresh resets spent" `Quick
+            test_controller_force_refresh_resets_spent;
           Alcotest.test_case "controller bookkeeping" `Quick
             test_controller_step_bookkeeping;
         ] );

@@ -153,6 +153,36 @@ let test_groups_negative_overflow () =
     (Invalid_argument "Groups.apply: group member count would go negative")
     (fun () -> Ivm.Groups.apply g (g_row 0 0 0.0) (-1))
 
+(* A refused apply changes nothing: the member count and every column's
+   removal are checked before the first update.  Checked as it goes,
+   apply would take the member and [x] out before refusing [y], and a
+   removal from a missing group would leave an empty group behind. *)
+let test_groups_refused_apply_atomic () =
+  List.iter
+    (fun group_by ->
+      let g =
+        mk_groups ~group_by
+          [ Agg.count "n"; Agg.sum "x" ~as_name:"sx"; Agg.min_of "y" ~as_name:"m" ]
+      in
+      Ivm.Groups.apply g (g_row 0 5 1.0) 1;
+      let rows = Ivm.Groups.rows g and groups = Ivm.Groups.group_count g in
+      let refused row count =
+        Alcotest.check_raises "refused"
+          (Invalid_argument "Groups.apply: removing a value the group does not hold")
+          (fun () -> Ivm.Groups.apply g row count);
+        checkb "rows unchanged" true (Ivm.Groups.rows g = rows);
+        checki "group count unchanged" groups (Ivm.Groups.group_count g)
+      in
+      refused (g_row 0 5 2.0) (-1);
+      refused (g_row 0 6 1.0) (-1);
+      (* a missing group with GROUP BY, too few members without *)
+      Alcotest.check_raises "too few members"
+        (Invalid_argument "Groups.apply: group member count would go negative")
+        (fun () -> Ivm.Groups.apply g (g_row 9 5 1.0) (-2));
+      checkb "rows unchanged" true (Ivm.Groups.rows g = rows);
+      checki "group count unchanged" groups (Ivm.Groups.group_count g))
+    [ [ "g" ]; [] ]
+
 let test_groups_global_empty_row () =
   let g = mk_groups ~group_by:[] [ Agg.count "n"; Agg.min_of "y" ~as_name:"m" ] in
   match Ivm.Groups.rows g with
@@ -709,6 +739,31 @@ let test_supplier_batches_major_words () =
     Alcotest.failf "%.0f major words per Supplier modification (bound %.0f)" per_mod
       (3415.0 /. 3.0)
 
+(* The Supplier calibration curve (perfbench paper-durable's sizes, a
+   fresh scale-0.05 engine) on the TPC-R MIN view, which has no GROUP BY:
+   each Supplier modification fans out into about 80 content changes to
+   the view's one group.  With a persistent multiset per aggregated
+   column every change rebuilt about log2 N map nodes, 3,103 minor words
+   per modification in the dev build (3,003 in release); the counted bag
+   updates a count in place and the curve allocates about 1,130.  The
+   bound is half of the former.  [Gc.minor_words] counts this domain
+   only. *)
+let test_supplier_curve_minor_words () =
+  let db = Tpcr.Gen.generate ~seed:1 ~scale:0.05 () in
+  let m =
+    Ivm.Maintainer.create ~meter:db.Tpcr.Gen.meter (Tpcr.Gen.min_supplycost_view db)
+  in
+  let feeds = Tpcr.Updates.paper_feeds ~seed:8 db in
+  let sizes = [ 1; 2; 5; 10; 20; 50; 100; 200; 400; 600; 800; 1000 ] in
+  let before = Gc.minor_words () in
+  ignore (Bridge.Calibrate.measure_curve m feeds ~table:1 ~sizes);
+  let per_mod =
+    (Gc.minor_words () -. before) /. float_of_int (List.fold_left ( + ) 0 sizes)
+  in
+  if per_mod > 3103.0 /. 2.0 then
+    Alcotest.failf "%.0f minor words per Supplier modification (bound %.0f)" per_mod
+      (3103.0 /. 2.0)
+
 let () =
   Alcotest.run "ivm"
     [
@@ -732,6 +787,8 @@ let () =
             test_groups_min_delete_exposes_next;
           Alcotest.test_case "group disappears" `Quick test_groups_group_disappears;
           Alcotest.test_case "negative overflow" `Quick test_groups_negative_overflow;
+          Alcotest.test_case "refused apply is atomic" `Quick
+            test_groups_refused_apply_atomic;
           Alcotest.test_case "global empty row" `Quick test_groups_global_empty_row;
           Alcotest.test_case "multi-count application" `Quick
             test_groups_multi_count_application;
@@ -796,5 +853,7 @@ let () =
             test_maintainer_refresh_meter_delta;
           Alcotest.test_case "Supplier batches: major words per modification"
             `Quick test_supplier_batches_major_words;
+          Alcotest.test_case "Supplier curve: minor words per modification"
+            `Quick test_supplier_curve_minor_words;
         ] );
     ]

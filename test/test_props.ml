@@ -8,7 +8,8 @@
      within factor 2 of it in general (Theorem 1);
    - ONLINE and NAIVE always produce valid plans;
    - the pairing heap sorts;
-   - the value multiset agrees with a sorted-list model;
+   - the value multiset agrees with a sorted-list model, and the grouped
+     aggregates' counted bags with the multiset-backed state they replaced;
    - the incremental maintainer agrees with recompute-from-scratch under
      random modification streams and random asymmetric processing. *)
 
@@ -395,6 +396,7 @@ let prop_vmultiset_model =
     QCheck.(list (pair bool (int_range 0 8)))
     (fun ops ->
       let open Relation in
+      let module Vmultiset = Groups_oracle.Vmultiset in
       let apply (ms, model) (is_add, v) =
         let value = Value.Int v in
         if is_add then (Vmultiset.add ms value, value :: model)
@@ -418,6 +420,125 @@ let prop_vmultiset_model =
          = (match sorted with [] -> None | x :: _ -> Some x)
       && Vmultiset.max_elt ms
          = (match List.rev sorted with [] -> None | x :: _ -> Some x))
+
+(* --- counted bags vs the persistent-multiset groups ------------------------- *)
+
+(* [Ivm.Groups] (a mutable counted bag per column, lazily rescanned
+   extrema) against the state it replaced ([Groups_oracle]): random
+   add/remove/read/copy sequences over two slots, grouped or not, with
+   NULLs, duplicates, both zeros, both NaN signs and a float pool whose
+   sum depends on its order.  Every read must render rows bit for bit
+   alike.  Removals may name the other zero or NaN of the stored row's
+   class, which moves the class's representative in both. *)
+let prop_groups_match_multiset_oracle =
+  let open Relation in
+  let schema =
+    Schema.make [ ("g", Datatype.TInt); ("i", Datatype.TInt); ("f", Datatype.TFloat) ]
+  in
+  let specs =
+    [ Agg.count "n"; Agg.min_of "f" ~as_name:"lo"; Agg.max_of "f" ~as_name:"hi";
+      Agg.sum "i" ~as_name:"si"; Agg.sum "f" ~as_name:"sf";
+      Agg.avg "f" ~as_name:"af"; Agg.min_of "i" ~as_name:"li";
+      Agg.max_of "i" ~as_name:"hi_i" ]
+  in
+  let floats =
+    Value.
+      [| Null; Float 0.0; Float (-0.0); Float nan; Float (-.nan); Float 1.5;
+         Float (-2.25); Float 1e16; Float 0.1; Float (-1e16); Float 1.5 |]
+  and ints = Value.[| Null; Int 0; Int 1; Int (-3); Int 7 |] in
+  let twin = function
+    | Value.Float x when x = 0.0 || Float.is_nan x -> Value.Float (-.x)
+    | v -> v
+  in
+  let bits_equal a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+    | _ -> a = b
+  in
+  let rows_equal a b =
+    List.equal (fun r s -> Array.length r = Array.length s && Array.for_all2 bits_equal r s) a b
+  in
+  QCheck.Test.make ~name:"groups agree with the multiset oracle bit for bit"
+    ~count:400
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(0 -- 80) (array_of_size (Gen.return 5) (int_bound 999))))
+    (fun (grouped, ops) ->
+      let group_by = if grouped then [ "g" ] else [] in
+      let fresh () =
+        ( Ivm.Groups.create ~schema ~group_by ~specs,
+          Groups_oracle.create ~schema ~group_by ~specs,
+          [] )
+      in
+      (* each slot: the state, the oracle and the live rows with counts *)
+      let slots = [| fresh (); fresh () |] in
+      let ok = ref true in
+      let read s =
+        let g, o, _ = slots.(s) in
+        ok :=
+          !ok
+          && Ivm.Groups.group_count g = Groups_oracle.group_count o
+          && rows_equal (Ivm.Groups.rows g) (Groups_oracle.rows o)
+      in
+      (* [model] is the live row [row] stands for *)
+      let apply s ?(model = fun r -> r) row count =
+        let g, o, live = slots.(s) in
+        Ivm.Groups.apply g row count;
+        Groups_oracle.apply o row count;
+        let live =
+          match List.partition (fun (r, _) -> Tuple.equal r (model row)) live with
+          | [ (r, c) ], rest -> if c + count = 0 then rest else (r, c + count) :: rest
+          | _, rest -> (row, count) :: rest
+        in
+        slots.(s) <- (g, o, live)
+      in
+      (* [how]: 0 the row as stored, 1 its twin zero or NaN, 2 with f NULL
+         (an inconsistent stream both accept: a NULL removes no value) *)
+      let remove s (r, c) times how =
+        let row =
+          match how with
+          | 1 -> Array.map twin r
+          | 2 -> [| r.(0); r.(1); Value.Null |]
+          | _ -> r
+        in
+        apply s ~model:(fun _ -> r) row (-min c times)
+      in
+      List.iter
+        (fun op ->
+          let s = op.(4) mod 2 in
+          let _, _, live = slots.(s) in
+          match op.(0) mod 10 with
+          | 0 | 1 | 2 | 3 ->
+              let row =
+                [| Value.Int (op.(1) mod 3); ints.(op.(2) mod Array.length ints);
+                   floats.(op.(3) mod Array.length floats) |]
+              in
+              apply s row (1 + (op.(1) mod 3))
+          | (4 | 5) when live <> [] ->
+              remove s
+                (List.nth live (op.(1) mod List.length live))
+                (1 + (op.(2) mod 3))
+                (op.(3) mod 3)
+          | 6 -> (
+              (* every copy of a row holding the smallest (or largest) f,
+                 then a read: the extremum's slot empties *)
+              let holders = List.filter (fun (r, _) -> not (Value.is_null r.(2))) live in
+              let cmp (a, _) (b, _) = Value.compare a.(2) b.(2) in
+              match List.sort cmp holders with
+              | [] -> ()
+              | sorted ->
+                  let r = if op.(1) mod 2 = 0 then List.hd sorted else List.hd (List.rev sorted) in
+                  remove s r max_int (op.(2) mod 2);
+                  read s)
+          | 7 -> read s
+          | 8 ->
+              let g, o, live = slots.(s) in
+              slots.(1 - s) <- (Ivm.Groups.copy g, Groups_oracle.copy o, live)
+          | _ -> ())
+        ops;
+      read 0;
+      read 1;
+      !ok)
 
 let prop_opflow_refresh_monotone =
   QCheck.Test.make ~name:"opflow refresh cost monotone in queue sizes"
@@ -837,7 +958,12 @@ let () =
           ] );
       ( "structures",
         List.map to_alcotest
-          [ prop_pqueue_sorts; prop_pqueue_tie_order; prop_vmultiset_model ] );
+          [
+            prop_pqueue_sorts;
+            prop_pqueue_tie_order;
+            prop_vmultiset_model;
+            prop_groups_match_multiset_oracle;
+          ] );
       ("opflow", List.map to_alcotest [ prop_opflow_refresh_monotone ]);
       ( "maintainer",
         List.map to_alcotest [ prop_maintainer_agrees_with_recompute ] );

@@ -231,6 +231,9 @@ let test_expr_to_string () =
 
 (* --- Vmultiset ----------------------------------------------------------- *)
 
+(* The grouped-aggregate oracle's multiset (test/groups_oracle.ml). *)
+module Vmultiset = Groups_oracle.Vmultiset
+
 let test_vmultiset_basics () =
   let m = Vmultiset.of_list [ vi 3; vi 1; vi 3 ] in
   checki "cardinal" 3 (Vmultiset.cardinal m);
