@@ -17,29 +17,15 @@ let durable_params ~seed ~rows ~horizon ~limit ~streams =
   ]
 
 let durable_env_of_params params =
-  let find key =
-    match List.assoc_opt key params with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "manifest params missing %S" key)
-  in
-  let int_param key =
-    Result.bind (find key) (fun v ->
-        match int_of_string_opt v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "bad %s parameter %S" key v))
-  in
+  let get key conv = Durable.Manifest.get ~what:"manifest" params key conv in
   let ( let* ) = Result.bind in
-  let* seed = int_param "seed" in
-  let* rows = int_param "rows" in
-  let* horizon = int_param "horizon" in
-  let* limit =
-    Result.bind (find "limit") (fun v ->
-        match float_of_string_opt v with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "bad limit parameter %S" v))
-  in
+  let* seed = get "seed" int_of_string_opt in
+  let* rows = get "rows" int_of_string_opt in
+  let* horizon = get "horizon" int_of_string_opt in
+  let* limit = get "limit" float_of_string_opt in
   let* stream_texts =
-    Result.map (String.split_on_char ';') (find "streams")
+    Result.map (String.split_on_char ';')
+      (Durable.Manifest.find ~what:"manifest" params "streams")
   in
   let* streams =
     List.fold_left

@@ -39,8 +39,9 @@ let () =
     | Error msg -> failwith msg
   in
   (* [Tpcr.Gen.min_supplycost_view] is the same logical view with physical
-     tuning (maintenance join order + batch-scan hints, cf. Fig. 4); we
-     use it below and check the SQL-derived one agrees on content. *)
+     tuning (maintenance join order + PartSupp as its scan table, cf.
+     Fig. 4); we use it below and check the SQL-derived one agrees on
+     content. *)
   let view = Tpcr.Gen.min_supplycost_view db in
   print_endline "\nEvaluation plan:";
   print_endline (Relation.Ra.explain (Ivm.Viewdef.reference_plan view));

@@ -1,10 +1,11 @@
 let measure_curve m feeds ~table ~sizes =
   if Ivm.Maintainer.pending_size m table <> 0 then
     invalid_arg "Calibrate.measure_curve: pending queue not empty";
+  if List.exists (fun k -> k < 0) sizes then
+    invalid_arg "Calibrate.measure_curve: negative batch size";
   let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view m) in
   List.map
     (fun k ->
-      if k < 0 then invalid_arg "Calibrate.measure_curve: negative batch size";
       let batch = Array.init n (fun i -> if i = table then k else 0) in
       Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next batch;
       (k, Ivm.Maintainer.apply m batch))

@@ -16,7 +16,9 @@ val measure_curve :
     [k] in [sizes], the cost of arriving and processing [k] modifications
     of [table] in one batch.  The maintainer's pending queue for that table
     must be empty initially and is empty again afterwards; base state
-    drifts as updates apply, mirroring measurement on a live system. *)
+    drifts as updates apply, mirroring measurement on a live system.  A
+    negative size raises [Invalid_argument] before anything is
+    measured. *)
 
 val fitted :
   name:string -> (int * float) list -> Cost.Func.t * Cost.Fit.affine_fit

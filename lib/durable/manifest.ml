@@ -81,3 +81,18 @@ let load ~dir =
         let* m = go [] None false rest in
         Ok (Some m)
     | _ -> Error "not an abivm manifest (bad header)"
+
+let find ~what params key =
+  match List.assoc_opt key params with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s params missing %S" what key)
+
+let parse key conv v =
+  match conv v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "bad %s parameter %S" key v)
+
+let get ~what params key conv = Result.bind (find ~what params key) (parse key conv)
+
+let float_if ok v =
+  match float_of_string_opt v with Some f when ok f -> Some f | _ -> None

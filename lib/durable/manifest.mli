@@ -23,3 +23,27 @@ val load : dir:string -> (t option, string) result
 (** [Ok None] when no manifest exists (fresh or never-started
     directory); [Error] on a torn or malformed file, and on one that
     lists more than one checkpoint. *)
+
+(** {1 Reading params}
+
+    One reader for the [params] of every manifest kind (a durable run, a
+    serve root, a tenant).  [what] names the kind in the refusal. *)
+
+val find : what:string -> (string * string) list -> string -> (string, string) result
+(** The value of [key], or [Error "<what> params missing \"<key>\""]. *)
+
+val parse : string -> (string -> 'a option) -> string -> ('a, string) result
+(** [parse key conv v] — [conv v], or [Error "bad <key> parameter
+    \"<v>\""]. *)
+
+val get :
+  what:string ->
+  (string * string) list ->
+  string ->
+  (string -> 'a option) ->
+  ('a, string) result
+(** {!find}, then {!parse}. *)
+
+val float_if : (float -> bool) -> string -> float option
+(** A float converter for {!parse}: the number, if [float_of_string_opt]
+    reads one that satisfies the predicate. *)

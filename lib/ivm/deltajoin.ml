@@ -114,10 +114,10 @@ let value tables b ps p j c =
 
 (* --- edge choice --------------------------------------------------------- *)
 
-(* Candidate expansion edges: those inside the scope with exactly one
-   endpoint bound, normalized so [left] is the bound side. *)
-let frontier_edges view ~scope bound =
-  List.filter_map
+(* The next join edge: the first listed edge inside the scope with
+   exactly one endpoint bound, normalized so [left] is the bound side. *)
+let next_edge view ~scope bound =
+  List.find_map
     (fun (e : Viewdef.join_edge) ->
       if not (scope.(e.left) && scope.(e.right)) then None
       else if bound.(e.left) && not bound.(e.right) then Some e
@@ -132,38 +132,6 @@ let frontier_edges view ~scope bound =
       else None)
     (Viewdef.join_edges view)
 
-(* Estimated cost of expanding one partial across an edge: an indexed
-   partner costs a probe returning its average bucket size; an unindexed
-   partner costs its full row count (shared scan, but a conservative
-   per-partial proxy keeps the heuristic simple). *)
-let edge_cost_estimate view ~delta (e : Viewdef.join_edge) =
-  let dst = (Viewdef.tables view).(e.right) in
-  let rows = float_of_int (max 1 (Table.row_count dst)) in
-  if
-    Table.has_index dst e.right_col
-    && not (Viewdef.force_scan view ~delta ~partner:e.right)
-  then rows /. float_of_int (max 1 (Table.distinct_estimate dst e.right_col))
-  else rows
-
-(* The next join edge from a bound table to an unbound one: first in
-   edge-list order (Fixed) or cheapest estimated expansion (Adaptive). *)
-let next_edge view ~delta ~scope bound =
-  match frontier_edges view ~scope bound with
-  | [] -> None
-  | first :: rest -> (
-      match Viewdef.join_order view with
-      | Viewdef.Fixed -> Some first
-      | Viewdef.Adaptive ->
-          Some
-            (List.fold_left
-               (fun best e ->
-                 if
-                   edge_cost_estimate view ~delta e
-                   < edge_cost_estimate view ~delta best
-                 then e
-                 else best)
-               first rest))
-
 (* --- expansion ----------------------------------------------------------- *)
 
 let step view meter ~path b ps out (e : Viewdef.join_edge) =
@@ -173,14 +141,7 @@ let step view meter ~path b ps out (e : Viewdef.join_edge) =
     Relation.Schema.index_of (Table.schema tables.(e.left)) e.left_col
   in
   let key p = value tables b ps p e.left src_pos in
-  if
-    Table.has_index dst e.right_col
-    &&
-    match path with
-    | Some `Scan -> false
-    | Some `Index -> true
-    | None -> not (Viewdef.force_scan view ~delta:b.delta ~partner:e.right)
-  then
+  if path = `Index && Table.has_index dst e.right_col then
     (* Indexed nested loop: one probe per partial. *)
     for p = 0 to ps.count - 1 do
       Table.iter_ids dst e.right_col (key p) (fun row -> push_ext out ps p e.right row)
@@ -256,7 +217,7 @@ let expand view meter ~path ~scope s b =
   let bound = Array.make n false in
   bound.(b.delta) <- true;
   let rec go () =
-    match next_edge view ~delta:b.delta ~scope bound with
+    match next_edge view ~scope bound with
     | None -> s.front
     | Some e ->
         let out = s.back in

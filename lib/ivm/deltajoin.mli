@@ -5,9 +5,10 @@
     edges into {e partials}.  A partial binds each table it has reached to
     an [int]: the delta slot holds an index into the batch's delta array,
     every other slot the absolute row id of a live partner row.  No tuple
-    is built while expanding — an indexed partner is probed through
-    {!Relation.Table.iter_ids}, an unindexed one is scanned once per
-    edge against a hash over the partials' join keys — and rows are read
+    is built while expanding — on the [`Index] path an indexed partner is
+    probed through {!Relation.Table.iter_ids}; an unindexed one, and every
+    partner on the [`Scan] path, is scanned once per edge against a hash
+    over the partials' join keys — and rows are read
     back by id only where something needs their values: the join keys of
     the next edge, the view filter, the netting hash, and the content
     update of each surviving net row.
@@ -70,19 +71,19 @@ val id : partials -> int -> int -> int
 val expand :
   Viewdef.t ->
   Relation.Meter.t ->
-  path:[ `Index | `Scan ] option ->
+  path:[ `Index | `Scan ] ->
   scope:bool array ->
   scratch ->
   batch ->
   partials
 (** Expand the batch across the in-scope tables, in the scratch's buffers
-    (the batch's table must
-    be in scope; the scope must be connected).  Edges are taken in
-    {!Viewdef.join_order}.  [path] forces every edge onto the index
-    ([`Index], wherever the partner has one) or the shared scan
-    ([`Scan]); [None] follows the view's index and
-    {!Viewdef.force_scan} routing.  Hash-side bumps go to the meter
-    given; scans and probes bump the partner table's meter. *)
+    (the batch's table must be in scope; the scope must be connected).
+    Each step takes the first listed join edge with exactly one bound
+    endpoint.  Under [`Index] an edge probes the partner's index where it
+    has one on the join column and scans it otherwise; under [`Scan]
+    every edge runs the shared scan.  The caller picks the path
+    ({!Maintainer} from the batch's queue).  Hash-side bumps go to the
+    meter given; scans and probes bump the partner table's meter. *)
 
 type cells
 (** Joined-schema positions resolved to (table, column) slots. *)

@@ -46,7 +46,7 @@ val contributions :
 val update :
   t ->
   scratch:Deltajoin.scratch ->
-  path:[ `Index | `Scan ] option ->
+  path:[ `Index | `Scan ] ->
   Deltajoin.batch ->
   unit
 (** Fold a processed batch into every other table's delta view (the base

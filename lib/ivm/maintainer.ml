@@ -261,7 +261,6 @@ let book_batch_telemetry ~table ~k (d : Relation.Meter.snapshot) =
     add "meter.index_entries" d.index_entries;
     add "meter.inserted" d.inserted;
     add "meter.deleted" d.deleted;
-    add "meter.updated" d.updated;
     add "meter.hash_build" d.hash_build;
     add "meter.hash_probe" d.hash_probe;
     add "meter.output" d.output;
@@ -272,19 +271,20 @@ let book_batch_telemetry ~table ~k (d : Relation.Meter.snapshot) =
     Telemetry.observe "maintainer.batch_size" (float_of_int k)
   end
 
-let process ?path m q k =
+(* The table queue [q] feeds, and the physical path its batches run: a
+   routed lane's own path, or the path the view declares for an unrouted
+   table.  The only place a batch's path is chosen. *)
+let queue_path m q =
+  match m.route with
+  | None -> (q, Viewdef.path m.view q)
+  | Some _ ->
+      let table = q / 2 in
+      (table, if q = lane ~table `Index then `Index else `Scan)
+
+let process m q k =
   if q < 0 || q >= Array.length m.pending then
     invalid_arg "Maintainer.process: bad table index";
-  (* The table queue [q] feeds, and the path a routed lane forces. *)
-  let i, path =
-    match m.route with
-    | None -> (q, path)
-    | Some _ when path <> None ->
-        invalid_arg "Maintainer.process: a routed lane runs its own path"
-    | Some _ ->
-        let table = q / 2 in
-        (table, Some (if q = lane ~table `Index then `Index else `Scan))
-  in
+  let i, path = queue_path m q in
   let table () = Relation.Table.name (Viewdef.tables m.view).(i) in
   let run_batch () =
     let before = Relation.Meter.snapshot m.meter in

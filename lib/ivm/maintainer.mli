@@ -10,10 +10,13 @@
 
     + removes the earliest [k] modifications from queue [i],
     + computes their signed delta-join contributions against the other
-      tables ({!Deltajoin}) — an index probe per partial result when the
-      partner table is indexed on the join column, otherwise one shared
-      scan against a hash built over the partials (this is where the
-      paper's cost asymmetry comes from),
+      tables ({!Deltajoin}) on the batch's path: [`Index] probes each
+      partner indexed on the join column once per partial result,
+      [`Scan] runs one shared scan of every partner against a hash built
+      over the partials (this is where the paper's cost asymmetry comes
+      from).  The path comes from the batch's queue alone: the view's
+      declared path for an unrouted table ({!Viewdef.path}), the lane's
+      path on a routed maintainer ({!route}),
     + folds the contributions into the materialized content (a counted bag
       for SPJ views, {!Groups} for aggregate views),
     + applies the modifications to base table [i] in FIFO order.
@@ -65,7 +68,9 @@ val on_arrive : t -> int -> Change.t -> unit
 (** {1 Routed lanes}
 
     A path policy inside the step kernel: after {!route}, every table's
-    delta queue is two lanes, each running one physical path.  The
+    delta queue is two lanes, each running one physical path whatever
+    the view declares — the only way to run a table's changes on another
+    path.  The
     queue-indexed calls ({!pending_sizes}, {!pending_size}, {!process},
     {!apply}, {!replay_applied}, {!pending_changes}, {!refresh}) then
     index lanes ([2n] of them) instead of tables.  Heavy/light
@@ -90,20 +95,16 @@ val route : t -> (int -> Change.t -> [ `Index | `Scan ]) -> unit
 val pending_sizes : t -> int array
 val pending_size : t -> int -> int
 
-val process :
-  ?path:[ `Index | `Scan ] -> t -> int -> int -> Relation.Meter.snapshot
+val process : t -> int -> int -> Relation.Meter.snapshot
 (** [process m i k]: batch-process the earliest [k] modifications of table
     [i].  Returns the meter delta attributable to the batch.  [k = 0] is a
     free no-op.  Raises [Invalid_argument] if [k] exceeds the pending count
     or a deletion targets a missing tuple (inconsistent stream).
 
-    [path] overrides the physical delta-join path for this batch only:
-    [`Scan] forces the shared-scan-with-batch-hash path even when the
-    partner is indexed; [`Index] uses the index whenever one exists,
-    ignoring {!Viewdef.force_scan} hints.  The default ([None]) keeps the
-    view's own routing; the view content is identical either way — only
-    the metered cost moves.  On a routed maintainer [i] is a lane, which
-    runs its own path, and a [path] raises [Invalid_argument].
+    The batch's physical delta-join path comes from its queue alone: an
+    unrouted table runs the path its view declares ({!Viewdef.path}), a
+    routed lane runs its lane's path ({!lane}).  The view content is the
+    same on either path; only the metered cost moves.
 
     Under [First_order] the batch is delta-joined against the other base
     tables (the metered path is unchanged from previous releases).  Under

@@ -5,7 +5,6 @@ type join_edge = {
   right_col : string;
 }
 
-type join_order = Fixed | Adaptive
 type order = First_order | Higher_order
 
 let order_name = function
@@ -26,8 +25,7 @@ type t = {
   group_by : string list;
   aggs : Relation.Agg.spec list;
   projection : string list option;
-  scan_hints : (int * int) list;
-  join_order : join_order;
+  scan_tables : int list;
   order : order;
   joined_schema : Relation.Schema.t;
 }
@@ -64,7 +62,7 @@ let check_tree n aliases join =
            aliases.(e.left) e.left_col aliases.(e.right) e.right_col)
 
 let make ~name ~tables ?aliases ~join ?filter ?group_by ?aggs ?projection
-    ?(scan_hints = []) ?(join_order = Fixed) ?(order = First_order) () =
+    ?(scan_tables = []) ?(order = First_order) () =
   let n = Array.length tables in
   if n = 0 then invalid_arg "Viewdef.make: no tables";
   let aliases =
@@ -127,10 +125,10 @@ let make ~name ~tables ?aliases ~join ?filter ?group_by ?aggs ?projection
         cols
   | None -> ());
   List.iter
-    (fun (src, dst) ->
-      if src < 0 || src >= n || dst < 0 || dst >= n then
-        invalid_arg "Viewdef.make: scan hint references unknown table")
-    scan_hints;
+    (fun i ->
+      if i < 0 || i >= n then
+        invalid_arg "Viewdef.make: scan table references unknown table")
+    scan_tables;
   {
     name;
     tables;
@@ -140,8 +138,7 @@ let make ~name ~tables ?aliases ~join ?filter ?group_by ?aggs ?projection
     group_by;
     aggs;
     projection;
-    scan_hints;
-    join_order;
+    scan_tables;
     order;
     joined_schema;
   }
@@ -371,10 +368,7 @@ let reference_plan v =
     | Some cols -> Relation.Ra.project cols filtered
     | None -> filtered
 
-let force_scan v ~delta ~partner =
-  List.exists (fun (a, b) -> a = delta && b = partner) v.scan_hints
-
-let join_order v = v.join_order
+let path v i = if List.mem i v.scan_tables then `Scan else `Index
 let order v = v.order
 let with_order v order = { v with order }
 

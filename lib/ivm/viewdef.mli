@@ -16,14 +16,6 @@ type join_edge = {
 
 type t
 
-type join_order =
-  | Fixed  (** expand along the first listed edge with a bound endpoint —
-               the edge list order is the maintenance join order *)
-  | Adaptive
-      (** pick the next expansion edge by estimated cost: indexed partners
-          by expected probe fan-out, unindexed partners by table size —
-          what a cost-based optimizer would emit *)
-
 type order =
   | First_order
       (** classic delta-join maintenance: each batch re-joins its delta
@@ -51,8 +43,7 @@ val make :
   ?group_by:string list ->
   ?aggs:Relation.Agg.spec list ->
   ?projection:string list ->
-  ?scan_hints:(int * int) list ->
-  ?join_order:join_order ->
+  ?scan_tables:int list ->
   ?order:order ->
   unit ->
   t
@@ -60,14 +51,19 @@ val make :
     or more tables), an edge closes a cycle (the message names the first
     such edge in list order; a second edge between one table pair is a
     cycle of two), an edge references unknown tables/columns, or both
-    [aggs] and [projection] are given.
+    [aggs] and [projection] are given, or [scan_tables] names an unknown
+    table.
 
-    [scan_hints] lists [(delta_table, partner)] pairs: when maintaining a
-    delta batch of [delta_table], expansion into [partner] must use the
-    shared-scan strategy even when [partner] has a usable index — modelling
-    a maintenance statement that loads/hashes the partner once per batch
-    (the paper's "small joining tables are loaded into memory" effect,
-    which makes that delta's cost curve flat in the batch size). *)
+    A delta batch expands along the join edges in list order: each step
+    takes the first listed edge with exactly one bound endpoint.
+
+    [scan_tables] (default none) lists the tables whose maintenance
+    statement loads every partner into memory: a batch of such a table
+    runs the [`Scan] path, one shared scan of each partner against a hash
+    over the batch, even where the partner has a usable index (the
+    paper's "small joining tables are loaded into memory" effect, which
+    makes that table's cost curve flat in the batch size).  Every other
+    table runs [`Index]. *)
 
 val name : t -> string
 val tables : t -> Relation.Table.t array
@@ -114,12 +110,9 @@ val content_positions : t -> int list
 val edges_of_table : t -> int -> join_edge list
 (** Edges incident to a table (normalized so [left] is that table). *)
 
-val force_scan : t -> delta:int -> partner:int -> bool
-(** Whether a scan hint covers expanding into [partner] while maintaining a
-    batch from [delta]. *)
-
-val join_order : t -> join_order
-(** The configured expansion-order policy (default [Fixed]). *)
+val path : t -> int -> [ `Index | `Scan ]
+(** The physical delta-join path a batch of table [i] runs when its queue
+    is not routed: [`Scan] for a listed scan table, [`Index] otherwise. *)
 
 val order : t -> order
 (** The configured maintenance order (default [First_order]). *)

@@ -40,13 +40,15 @@ let splits_of_sample ?min_share view ~next =
       done;
       Split.calibrate ?min_share sketch)
 
-let require_idle fn e =
+let check_start fn e ~sizes =
   if Array.exists (fun q -> q > 0) (Engine.pending e) then
     invalid_arg
-      ("Partition.Calibrate." ^ fn ^ ": engine has pending modifications")
+      ("Partition.Calibrate." ^ fn ^ ": engine has pending modifications");
+  if List.exists (fun k -> k < 0) sizes then
+    invalid_arg ("Partition.Calibrate." ^ fn ^ ": negative batch size")
 
 let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
-  require_idle "measure_curve" e;
+  check_start "measure_curve" e ~sizes;
   let p = Pspec.index ~table cls and m = Engine.maintainer e in
   List.map
     (fun k ->
@@ -69,7 +71,7 @@ let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
     sizes
 
 let measure_blind_curve e ~next ~table ~sizes =
-  require_idle "measure_blind_curve" e;
+  check_start "measure_blind_curve" e ~sizes;
   List.map
     (fun k ->
       for _ = 1 to k do

@@ -32,7 +32,8 @@ val measure_curve :
     record the metered cost.  Like the bridge-level calibration this
     mutates the engine's database as it measures.  [max_draw] (default
     200k) bounds the filtering per batch; a class too rare in the stream
-    raises [Invalid_argument].  Use insertion streams: discarding
+    raises [Invalid_argument], and so does a negative size, before
+    anything is measured.  Use insertion streams: discarding
     shadow-generated updates or deletes would desynchronize the feed. *)
 
 val measure_blind_curve :
@@ -45,4 +46,5 @@ val measure_blind_curve :
     partitioned engine: per size, queue [k] draws from [next] whatever
     their class, then drain both of the table's partitions (heavy first,
     one batch each); the point's cost is their sum.  The engine must start
-    with empty queues; [Invalid_argument] otherwise. *)
+    with empty queues and every size must be non-negative;
+    [Invalid_argument] otherwise, before anything is measured. *)

@@ -4,7 +4,6 @@ type snapshot = {
   index_entries : int;
   inserted : int;
   deleted : int;
-  updated : int;
   hash_build : int;
   hash_probe : int;
   output : int;
@@ -23,7 +22,7 @@ type snapshot = {
    takes no lock and allocates nothing. *)
 
 let shards = 16
-let n_fields = 11
+let n_fields = 10
 
 type t = int Atomic.t array (* [shards * n_fields], cell-major by shard *)
 
@@ -32,12 +31,11 @@ let f_index_probes = 1
 let f_index_entries = 2
 let f_inserted = 3
 let f_deleted = 4
-let f_updated = 5
-let f_hash_build = 6
-let f_hash_probe = 7
-let f_output = 8
-let f_batch_setup = 9
-let f_batches = 10
+let f_hash_build = 5
+let f_hash_probe = 6
+let f_output = 7
+let f_batch_setup = 8
+let f_batches = 9
 
 let create () = Array.init (shards * n_fields) (fun _ -> Atomic.make 0)
 
@@ -58,7 +56,6 @@ let snapshot m : snapshot =
     index_entries = sum m f_index_entries;
     inserted = sum m f_inserted;
     deleted = sum m f_deleted;
-    updated = sum m f_updated;
     hash_build = sum m f_hash_build;
     hash_probe = sum m f_hash_probe;
     output = sum m f_output;
@@ -73,7 +70,6 @@ let diff (a : snapshot) (b : snapshot) : snapshot =
     index_entries = a.index_entries - b.index_entries;
     inserted = a.inserted - b.inserted;
     deleted = a.deleted - b.deleted;
-    updated = a.updated - b.updated;
     hash_build = a.hash_build - b.hash_build;
     hash_probe = a.hash_probe - b.hash_probe;
     output = a.output - b.output;
@@ -90,7 +86,6 @@ let bump_index_probes m n = bump m f_index_probes n
 let bump_index_entries m n = bump m f_index_entries n
 let bump_inserted m n = bump m f_inserted n
 let bump_deleted m n = bump m f_deleted n
-let bump_updated m n = bump m f_updated n
 let bump_hash_build m n = bump m f_hash_build n
 let bump_hash_probe m n = bump m f_hash_probe n
 let bump_output m n = bump m f_output n
@@ -107,7 +102,6 @@ let cost_units (s : snapshot) =
   +. (1.0 *. float_of_int s.index_entries)
   +. (2.0 *. float_of_int s.inserted)
   +. (2.0 *. float_of_int s.deleted)
-  +. (2.0 *. float_of_int s.updated)
   +. (1.5 *. float_of_int s.hash_build)
   +. (1.0 *. float_of_int s.hash_probe)
   +. (0.5 *. float_of_int s.output)
@@ -115,7 +109,7 @@ let cost_units (s : snapshot) =
 
 let pp fmt (s : snapshot) =
   Format.fprintf fmt
-    "{scan=%d; probes=%d; entries=%d; ins=%d; del=%d; upd=%d; hbuild=%d; \
+    "{scan=%d; probes=%d; entries=%d; ins=%d; del=%d; hbuild=%d; \
      hprobe=%d; out=%d; setup=%d; batches=%d; units=%.1f}"
-    s.seq_scanned s.index_probes s.index_entries s.inserted s.deleted s.updated
+    s.seq_scanned s.index_probes s.index_entries s.inserted s.deleted
     s.hash_build s.hash_probe s.output s.batch_setup s.batches (cost_units s)

@@ -21,7 +21,6 @@ type snapshot = {
   index_entries : int;  (** tuples returned by index lookups *)
   inserted : int;
   deleted : int;
-  updated : int;
   hash_build : int;  (** tuples inserted into transient hash tables *)
   hash_probe : int;  (** probes of transient hash tables *)
   output : int;  (** tuples emitted by operators *)
@@ -45,7 +44,6 @@ val bump_index_probes : t -> int -> unit
 val bump_index_entries : t -> int -> unit
 val bump_inserted : t -> int -> unit
 val bump_deleted : t -> int -> unit
-val bump_updated : t -> int -> unit
 val bump_hash_build : t -> int -> unit
 val bump_hash_probe : t -> int -> unit
 val bump_output : t -> int -> unit

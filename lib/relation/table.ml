@@ -90,11 +90,6 @@ let has_index t col =
   | None -> false
   | Some i -> Hashtbl.mem t.indexes (Schema.column_name t.schema i)
 
-let distinct_estimate t col =
-  match Hashtbl.find_opt t.indexes (canonical_column t col) with
-  | Some idx -> Index.cardinality idx
-  | None -> t.live
-
 let iter_ids t col value f =
   let col = canonical_column t col in
   match Hashtbl.find_opt t.indexes col with

@@ -53,11 +53,6 @@ val create_index : t -> string -> unit
 
 val has_index : t -> string -> bool
 
-val distinct_estimate : t -> string -> int
-(** Estimated number of distinct values in the column: exact from its hash
-    index when one exists, otherwise the row count (as if unique).  Used
-    by cost-based join ordering. *)
-
 val iter_ids : t -> string -> Value.t -> (int -> unit) -> unit
 (** [iter_ids t col v f] calls [f] on the id of every live row whose
     column [col] holds [v], in ascending row-id order, through the

@@ -121,43 +121,21 @@ let save_manifest t =
 let valid_discount f = Float.is_finite f && f >= 0.0
 
 let config_of_params params =
-  let find key =
-    match List.assoc_opt key params with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "service params missing %S" key)
-  in
-  let int_param key =
-    Result.bind (find key) (fun v ->
-        match int_of_string_opt v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "bad %s parameter %S" key v))
-  in
+  let find = Durable.Manifest.find ~what:"service" params in
+  let get key conv = Durable.Manifest.get ~what:"service" params key conv in
   let* kind = find "kind" in
   let* () =
     if kind = "serve" then Ok ()
     else Error (Printf.sprintf "not a serve directory (kind %S)" kind)
   in
-  let* coordinate =
-    Result.bind (find "coordinate") (fun v ->
-        match bool_of_string_opt v with
-        | Some b -> Ok b
-        | None -> Error (Printf.sprintf "bad coordinate parameter %S" v))
-  in
-  let float_param key ok v =
-    match float_of_string_opt v with
-    | Some f when ok f -> Ok f
-    | _ -> Error (Printf.sprintf "bad %s parameter %S" key v)
-  in
+  let* coordinate = get "coordinate" bool_of_string_opt in
   let* discount_factor =
-    Result.bind (find "discount_factor")
-      (float_param "discount_factor" valid_discount)
+    get "discount_factor" (Durable.Manifest.float_if valid_discount)
   in
   let* shed_budget =
-    Result.bind (find "shed_budget") (fun v ->
-        if v = "none" then Ok None
-        else
-          Result.map Option.some
-            (float_param "shed_budget" Float.is_finite v))
+    get "shed_budget" (function
+      | "none" -> Some None
+      | v -> Option.map Option.some (Durable.Manifest.float_if Float.is_finite v))
   in
   let* sync = Result.bind (find "sync") Durable.Wal.sync_of_string in
   (* Roots written before the shared log became the only layout: without
@@ -183,18 +161,18 @@ let config_of_params params =
     else Ok ()
   in
   let* scheduler =
-    Result.bind (find "scheduler") (function
-      | "event" -> Ok Event
-      | "lockstep" -> Ok Lockstep
-      | v -> Error (Printf.sprintf "bad scheduler parameter %S" v))
+    get "scheduler" (function
+      | "event" -> Some Event
+      | "lockstep" -> Some Lockstep
+      | _ -> None)
   in
-  let* max_active = int_param "max_active" in
-  let* max_queued = int_param "max_queued" in
+  let* max_active = get "max_active" int_of_string_opt in
+  let* max_queued = get "max_queued" int_of_string_opt in
   (* Pre-budget manifests have no entry: unlimited, as before. *)
   let* max_delta_entries =
     match List.assoc_opt "max_delta_entries" params with
     | None -> Ok max_int
-    | Some _ -> int_param "max_delta_entries"
+    | Some v -> Durable.Manifest.parse "max_delta_entries" int_of_string_opt v
   in
   let* tenants =
     Result.bind (find "tenants") (fun v ->

@@ -29,36 +29,19 @@ let params_of_config c =
 
 let config_of_params params =
   let ( let* ) = Result.bind in
-  let find key =
-    match List.assoc_opt key params with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "tenant params missing %S" key)
-  in
-  let int_param key =
-    Result.bind (find key) (fun v ->
-        match int_of_string_opt v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "bad %s parameter %S" key v))
-  in
+  let find = Durable.Manifest.find ~what:"tenant" params in
+  let get key conv = Durable.Manifest.get ~what:"tenant" params key conv in
   let* name = find "name" in
-  let* seed = int_param "seed" in
-  let* rows = int_param "rows" in
-  let* horizon = int_param "horizon" in
-  let* limit_factor =
-    Result.bind (find "limit_factor") (fun v ->
-        match float_of_string_opt v with
-        | Some f when Float.is_finite f -> Ok f
-        | _ -> Error (Printf.sprintf "bad limit_factor parameter %S" v))
-  in
+  let* seed = get "seed" int_of_string_opt in
+  let* rows = get "rows" int_of_string_opt in
+  let* horizon = get "horizon" int_of_string_opt in
+  let* limit_factor = get "limit_factor" (Durable.Manifest.float_if Float.is_finite) in
   let* streams = Result.map (String.split_on_char ';') (find "streams") in
   (* Absent in pre-order manifests: those tenants ran first-order. *)
   let* order =
     match List.assoc_opt "order" params with
     | None -> Ok Ivm.Viewdef.First_order
-    | Some v -> (
-        match Ivm.Viewdef.order_of_name v with
-        | Some o -> Ok o
-        | None -> Error (Printf.sprintf "bad order parameter %S" v))
+    | Some v -> Durable.Manifest.parse "order" Ivm.Viewdef.order_of_name v
   in
   (* Absent means "no override": the tenant follows the service's
      durability policy (the window cadence, in grouped mode). *)

@@ -143,10 +143,10 @@ let min_supplycost_view ?(region = "MIDDLE EAST") db =
       ]
     ~filter:(Expr.Eq (Expr.col "r.name", Expr.str region))
     ~aggs:[ Agg.min_of "ps.supplycost" ~as_name:"min_supplycost" ]
-      (* PartSupp-delta maintenance loads/hashes all three small dimension
-         tables once per batch instead of probing per tuple: this is what
-         makes c_dPartSupp flat in the batch size (Fig. 4) while
-         c_dSupplier stays steeply linear (indexed probes into the large
-         PartSupp per delta tuple). *)
-    ~scan_hints:[ (0, 1); (0, 2); (0, 3) ]
+      (* PartSupp's maintenance statement loads/hashes all three small
+         dimension tables once per batch instead of probing per tuple:
+         this is what makes c_dPartSupp flat in the batch size (Fig. 4)
+         while c_dSupplier stays steeply linear (indexed probes into the
+         large PartSupp per delta tuple). *)
+    ~scan_tables:[ 0 ]
     ()

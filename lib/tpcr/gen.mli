@@ -35,4 +35,6 @@ val min_supplycost_view : ?region:string -> db -> Ivm.Viewdef.t
     v}
 
     Table order (for the planner): 0 = PartSupp, 1 = Supplier, 2 = Nation,
-    3 = Region.  [region] defaults to ["MIDDLE EAST"]. *)
+    3 = Region.  PartSupp is the view's one scan table (its batches load
+    the dimension tables into memory: a flat curve); the others probe
+    indexes.  [region] defaults to ["MIDDLE EAST"]. *)

@@ -37,6 +37,21 @@ let test_calibrate_rejects_dirty_queue () =
     (fun () ->
       ignore (Bridge.Calibrate.measure_curve m feeds ~table:0 ~sizes:[ 1 ]))
 
+(* A negative size anywhere in the list is refused before the first
+   size is measured: nothing arrives, nothing is processed or metered. *)
+let test_calibrate_rejects_negative_size () =
+  let _, m, feeds = env ~seed:3 () in
+  let meter = Relation.Meter.snapshot (Ivm.Maintainer.meter m) in
+  let rows = Ivm.Maintainer.rows m in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Calibrate.measure_curve: negative batch size")
+    (fun () ->
+      ignore (Bridge.Calibrate.measure_curve m feeds ~table:1 ~sizes:[ 1; 5; -1 ]));
+  checkb "meter untouched" true
+    (Relation.Meter.snapshot (Ivm.Maintainer.meter m) = meter);
+  checkb "rows untouched" true (List.equal Relation.Tuple.equal rows (Ivm.Maintainer.rows m));
+  checki "nothing queued" 0 (Ivm.Maintainer.pending_size m 1)
+
 let test_calibrate_fitted_function () =
   let _, m, feeds = env ~seed:4 () in
   let curve =
@@ -225,6 +240,8 @@ let () =
             test_calibrate_leaves_queue_empty;
           Alcotest.test_case "rejects dirty queue" `Quick
             test_calibrate_rejects_dirty_queue;
+          Alcotest.test_case "rejects a negative size untouched" `Quick
+            test_calibrate_rejects_negative_size;
           Alcotest.test_case "fitted function" `Quick test_calibrate_fitted_function;
           Alcotest.test_case "tabulated function" `Quick
             test_calibrate_tabulated_function;

@@ -602,14 +602,25 @@ let check_same_table label (want : Relation.Table.t) (got : Relation.Table.t) =
     if Relation.Table.get_row want row <> Relation.Table.get_row got row then
       Alcotest.failf "%s: row id %d differs" label row
   done;
-  Array.iter
-    (fun (c : Relation.Schema.column) ->
+  Array.iteri
+    (fun pos (c : Relation.Schema.column) ->
       let name = c.Relation.Schema.name in
       checkb (label ^ ": index on " ^ name) (Relation.Table.has_index want name)
         (Relation.Table.has_index got name);
-      checki (label ^ ": distinct " ^ name)
-        (Relation.Table.distinct_estimate want name)
-        (Relation.Table.distinct_estimate got name))
+      (* Every key's bucket: the same row ids, in the same order. *)
+      if Relation.Table.has_index want name then
+        List.iter
+          (fun row ->
+            let key = Relation.Tuple.get row pos in
+            let bucket t =
+              let ids = ref [] in
+              Relation.Table.iter_ids t name key (fun id -> ids := id :: !ids);
+              List.rev !ids
+            in
+            if bucket want <> bucket got then
+              Alcotest.failf "%s: index on %s, bucket of %s differs" label name
+                (Relation.Value.to_string key))
+          (Relation.Table.to_list_unmetered want))
     (Relation.Schema.columns (Relation.Table.schema want))
 
 (* The table a row-by-row reload of [tbl]'s live rows builds. *)

@@ -605,104 +605,33 @@ let test_maintainer_four_table_chain () =
   ignore (Ivm.Maintainer.refresh m);
   checkb "near-end insert" true (consistent m)
 
-let test_maintainer_scan_hint_equivalence () =
-  (* The scan-hinted path must compute exactly the same view as the indexed
-     path — only the cost profile differs. *)
-  let build hints =
+let test_maintainer_scan_table_equivalence () =
+  (* A scan table's batches compute exactly the same view as the indexed
+     path, and pay a scan of the partner instead of a probe per delta —
+     only the cost profile differs. *)
+  let build scan_tables =
     let meter, r, s = small_db () in
     let v =
       Ivm.Viewdef.make ~name:"v" ~tables:[| r; s |]
         ~join:[ edge 0 "jk" 1 "jk" ]
         ~aggs:[ Agg.count "n"; Agg.sum "s.w" ~as_name:"t" ]
-        ~scan_hints:hints ()
+        ~scan_tables ()
     in
     let m = Ivm.Maintainer.create ~meter v in
     for i = 0 to 9 do
       Ivm.Maintainer.on_arrive m 0
         (Ivm.Change.Insert (Tuple.make [ vi (700 + i); vi (i mod 5) ]))
     done;
-    ignore (Ivm.Maintainer.process m 0 10);
-    checkb "consistent" true (consistent m);
-    Ivm.Maintainer.rows m
-  in
-  let indexed = build [] and scanned = build [ (0, 1) ] in
-  checkb "same content" true (List.equal Tuple.equal indexed scanned)
-
-let test_maintainer_adaptive_join_order_equivalent () =
-  (* Adaptive edge selection must compute exactly the same view. *)
-  let build order =
-    let meter, r, s = small_db () in
-    let v =
-      Ivm.Viewdef.make ~name:"v" ~tables:[| r; s |]
-        ~join:[ edge 0 "jk" 1 "jk" ]
-        ~aggs:[ Agg.count "n"; Agg.sum "s.w" ~as_name:"t" ]
-        ~join_order:order ()
-    in
-    let m = Ivm.Maintainer.create ~meter v in
-    for i = 0 to 9 do
-      Ivm.Maintainer.on_arrive m 0
-        (Ivm.Change.Insert (Tuple.make [ vi (900 + i); vi (i mod 5) ]))
-    done;
-    ignore (Ivm.Maintainer.refresh m);
-    checkb "consistent" true (consistent m);
-    Ivm.Maintainer.rows m
-  in
-  checkb "same content" true
-    (List.equal Tuple.equal (build Ivm.Viewdef.Fixed) (build Ivm.Viewdef.Adaptive))
-
-let test_maintainer_adaptive_beats_bad_fixed_order () =
-  (* A three-table chain a - b - big where the edge list names the
-     expensive fan-out edge first.  Adaptive must resolve the cheap
-     selective edge first and do strictly less work. *)
-  let build order =
-    let meter = Meter.create () in
-    let a =
-      Table.create ~meter ~name:"a"
-        ~schema:(Schema.make [ ("ak", ti); ("bk_ref", ti) ]) ()
-    in
-    let b =
-      Table.create ~meter ~name:"b" ~schema:(Schema.make [ ("bk", ti) ]) ()
-    in
-    let big =
-      Table.create ~meter ~name:"big"
-        ~schema:(Schema.make [ ("k", ti); ("ak_ref", ti) ]) ()
-    in
-    Table.create_index b "bk";
-    Table.create_index big "ak_ref";
-    for i = 0 to 4 do
-      ignore (Table.insert b (Tuple.make [ vi i ]))
-    done;
-    for i = 0 to 19 do
-      ignore (Table.insert a (Tuple.make [ vi i; vi (i mod 5) ]))
-    done;
-    (* 50 big rows per a row: the expensive fan-out. *)
-    for i = 0 to 999 do
-      ignore (Table.insert big (Tuple.make [ vi i; vi (i mod 20) ]))
-    done;
-    let v =
-      Ivm.Viewdef.make ~name:"v" ~tables:[| a; b; big |]
-        ~join:
-          [ edge 0 "ak" 2 "ak_ref" (* expensive fan-out listed first *);
-            edge 0 "bk_ref" 1 "bk" ]
-        ~aggs:[ Agg.count "n" ]
-        ~join_order:order ()
-    in
-    let m = Ivm.Maintainer.create ~meter v in
-    Relation.Meter.reset meter;
-    (* ak values hit big's ak_ref domain, so each delta fans out 50-fold. *)
-    for i = 0 to 9 do
-      Ivm.Maintainer.on_arrive m 0
-        (Ivm.Change.Insert (Tuple.make [ vi (i mod 20); vi (i mod 5) ]))
-    done;
     let d = Ivm.Maintainer.process m 0 10 in
     checkb "consistent" true (consistent m);
-    Meter.cost_units d
+    (Ivm.Maintainer.rows m, d)
   in
-  let fixed = build Ivm.Viewdef.Fixed and adaptive = build Ivm.Viewdef.Adaptive in
-  (* Both orders visit the same tables; adaptive probes the selective b
-     edge before fanning out into big, so the fan-out partials skip the b
-     probes (50x fewer small probes). *)
-  checkb "adaptive cheaper" true (adaptive < fixed)
+  let indexed, di = build [] and scanned, ds = build [ 0 ] in
+  checkb "same content" true (List.equal Tuple.equal indexed scanned);
+  checkb "index path probes, scans nothing" true
+    (di.Meter.index_probes = 10 && di.Meter.seq_scanned = 0);
+  checkb "scan path scans, probes nothing" true
+    (ds.Meter.index_probes = 0 && ds.Meter.seq_scanned > 0)
 
 let test_maintainer_refresh_meter_delta () =
   let meter, r, s = small_db () in
@@ -843,12 +772,8 @@ let () =
           Alcotest.test_case "min view via join" `Quick test_maintainer_min_view_via_join;
           Alcotest.test_case "group-by view" `Quick test_maintainer_group_by_view;
           Alcotest.test_case "three table chain" `Quick test_maintainer_four_table_chain;
-          Alcotest.test_case "scan hint equivalence" `Quick
-            test_maintainer_scan_hint_equivalence;
-          Alcotest.test_case "adaptive join order equivalent" `Quick
-            test_maintainer_adaptive_join_order_equivalent;
-          Alcotest.test_case "adaptive beats bad fixed order" `Quick
-            test_maintainer_adaptive_beats_bad_fixed_order;
+          Alcotest.test_case "scan table equivalence" `Quick
+            test_maintainer_scan_table_equivalence;
           Alcotest.test_case "refresh meter delta" `Quick
             test_maintainer_refresh_meter_delta;
           Alcotest.test_case "Supplier batches: major words per modification"

@@ -143,6 +143,33 @@ let test_per_view_costs_sum_to_undiscounted () =
   checkb "per-view sums to raw total" true
     (Float.abs (sum -. out.Multiview.Coordinator.undiscounted_cost) < 1e-6)
 
+(* The co-flush gate on the group's discount, not on the guest's share:
+   a flusher whose share is zero earns the group no discount, so a
+   nearly-due participant with a positive share of its own stays out.
+   With a positive flusher share the same participant joins with its
+   whole pending batch.  Neither caller can tell the gate apart from
+   the guest's own share check: serve and the simulator give every
+   participant of a table the same share, zero or positive. *)
+let test_zero_share_flusher_invites_no_one () =
+  let part ~pending ~shared =
+    {
+      Multiview.Coflush.pending = [| pending |];
+      capacity = (fun _ -> 10);
+      cost = (fun _ k -> float_of_int k);
+      shared = (fun _ -> shared);
+    }
+  in
+  let forced = [| [| 3 |]; [| 0 |] |] in
+  let invite flusher_share =
+    (Multiview.Coflush.invite
+       [| part ~pending:3 ~shared:flusher_share; part ~pending:9 ~shared:1.0 |]
+       forced)
+      .Multiview.Coflush.rows
+  in
+  Alcotest.(check (array (array int))) "zero share: no join" forced (invite 0.0);
+  Alcotest.(check (array (array int))) "positive share: the guest joins"
+    [| [| 3 |]; [| 9 |] |] (invite 0.5)
+
 let () =
   Alcotest.run "multiview"
     [
@@ -162,5 +189,7 @@ let () =
             test_per_view_costs_sum_to_undiscounted;
           Alcotest.test_case "one view = ONLINE plan" `Quick
             test_one_view_is_the_online_plan;
+          Alcotest.test_case "zero-share flusher invites no one" `Quick
+            test_zero_share_flusher_invites_no_one;
         ] );
     ]

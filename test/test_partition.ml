@@ -6,12 +6,12 @@
      [max_heavy]/[min_share];
    - partitioned maintenance is bit-identical to the unpartitioned engine
      on the same stream — uniform and Zipfian — whatever the routing;
-   - the [?path] override actually moves batches between the indexed and
+   - a routed lane's path actually moves batches between the indexed and
      scan paths (the partitions' cost asymmetry is real);
    - the maintainer's routed lanes: [route] refuses a busy maintainer,
      heavy keys queue on lane [2i] and light keys on [2i + 1], and a plan
-     applied to the lanes meters what per-partition FIFOs in front of an
-     unrouted maintainer meter, each batch forced onto its path;
+     applied to the lanes by [Runner.run] meters what a hand-driven
+     routed maintainer meters;
    - [Runner.run] consults [key_of] exactly twice per arrival, in step
      order (perfbench reads its step times off those calls);
    - the online sketch's drift reads a hammered light key;
@@ -127,27 +127,30 @@ let prop_bit_identical ~zipf name =
       && Ivm.Maintainer.check_consistent (Partition.Engine.maintainer part) = Ok ()
       && Array.for_all (fun q -> q = 0) (Partition.Engine.pending part))
 
-(* --- the ?path override ------------------------------------------------------ *)
+(* --- a lane's path ------------------------------------------------------------ *)
 
-let test_path_override () =
-  let feed_s db k =
+let test_lane_path () =
+  (* A maintainer routing every change to [path]'s lane, [k] S inserts
+     queued on S's lane of that path. *)
+  let feed_s db path k =
     let m = Ivm.Maintainer.create (Tpcr.Synth.join_view db) in
+    Ivm.Maintainer.route m (fun _ _ -> path);
     let feeds = Tpcr.Synth.insert_feeds ~seed:5 db in
     for _ = 1 to k do
       Ivm.Maintainer.on_arrive m 1 (feeds.Tpcr.Updates.next 1)
     done;
     m
   in
-  (* ΔS joins the indexed partner R: the default and `Index use probes,
-     `Scan pays a shared scan of R instead. *)
+  (* ΔS joins the indexed partner R: the index lane probes, the scan lane
+     pays a shared scan of R instead. *)
   let db = Tpcr.Synth.generate ~seed:11 ~r_rows:40 ~s_rows:40 ~join_domain:4 () in
-  let m = feed_s db 5 in
-  let d = Ivm.Maintainer.process ~path:`Index m 1 5 in
+  let m = feed_s db `Index 5 in
+  let d = Ivm.Maintainer.process m (Ivm.Maintainer.lane ~table:1 `Index) 5 in
   Alcotest.(check bool) "index path probes" true (d.Relation.Meter.index_probes >= 5);
   Alcotest.(check int) "index path does not scan" 0 d.Relation.Meter.seq_scanned;
   let db2 = Tpcr.Synth.generate ~seed:11 ~r_rows:40 ~s_rows:40 ~join_domain:4 () in
-  let m2 = feed_s db2 5 in
-  let d2 = Ivm.Maintainer.process ~path:`Scan m2 1 5 in
+  let m2 = feed_s db2 `Scan 5 in
+  let d2 = Ivm.Maintainer.process m2 (Ivm.Maintainer.lane ~table:1 `Scan) 5 in
   Alcotest.(check int) "scan path does not probe" 0 d2.Relation.Meter.index_probes;
   Alcotest.(check bool) "scan path scans R" true
     (d2.Relation.Meter.seq_scanned >= 40);
@@ -235,6 +238,38 @@ let test_measure_curve () =
               (Partition.Split.cls_name cls) k)
         curve)
     [ Partition.Split.Heavy; Partition.Split.Light ]
+
+(* Both partition calibrations refuse a negative size before measuring
+   the sizes ahead of it: no draw, no batch, no metered unit. *)
+let test_measure_rejects_negative_size () =
+  let db = Tpcr.Synth.generate ~seed:9 ~r_rows:60 ~s_rows:60 ~join_domain:12 () in
+  let view = Tpcr.Synth.join_view db in
+  let e =
+    Partition.Engine.create
+      ~key_of:(Partition.Engine.key_of_view view)
+      ~splits:(Partition.Calibrate.splits_of_view ~min_share:0.05 view)
+      (Ivm.Maintainer.create view)
+  in
+  let feeds = Tpcr.Synth.zipf_feeds ~seed:21 ~exponent:1.2 db in
+  let draws = ref 0 in
+  let next () =
+    incr draws;
+    feeds.Tpcr.Updates.next 1
+  in
+  let meter = Relation.Meter.snapshot db.Tpcr.Synth.meter in
+  Alcotest.check_raises "per-partition curve"
+    (Invalid_argument "Partition.Calibrate.measure_curve: negative batch size")
+    (fun () ->
+      ignore
+        (Partition.Calibrate.measure_curve e ~next ~table:1
+           ~cls:Partition.Split.Light ~sizes:[ 2; -1 ]));
+  Alcotest.check_raises "skew-blind curve"
+    (Invalid_argument "Partition.Calibrate.measure_blind_curve: negative batch size")
+    (fun () ->
+      ignore (Partition.Calibrate.measure_blind_curve e ~next ~table:1 ~sizes:[ 2; -3 ]));
+  Alcotest.(check int) "no draw" 0 !draws;
+  Alcotest.(check bool) "meter untouched" true
+    (Relation.Meter.snapshot db.Tpcr.Synth.meter = meter)
 
 (* --- skew-aware planning beats the skew-blind plan ----------------------------- *)
 
@@ -350,9 +385,6 @@ let test_route () =
   Alcotest.(check (pair int bool)) "Pspec numbers partitions as lanes" (3, true)
     ( Partition.Pspec.index ~table:1 Partition.Split.Light,
       Partition.Pspec.logical 2 = (1, Partition.Split.Heavy) );
-  Alcotest.check_raises "a lane runs its own path"
-    (Invalid_argument "Maintainer.process: a routed lane runs its own path")
-    (fun () -> ignore (Ivm.Maintainer.process ~path:`Scan m 2 1));
   ignore (Ivm.Maintainer.refresh m);
   Alcotest.(check (result unit string)) "routed refresh consistent" (Ok ())
     (Ivm.Maintainer.check_consistent m)
@@ -372,10 +404,10 @@ let zipf_stream db steps =
     ~arrivals:(Array.init steps (fun _ -> [| 4; 8 |]))
 
 (* The plan's [2n] actions applied to the lanes by [Runner.run] against
-   a reference built without routing: a FIFO per partition in front of
-   an unrouted maintainer, each batch enqueued and processed with its
-   partition's path forced.  Same batches, same paths, so the same
-   metered bits and rows. *)
+   a reference driven by hand: a maintainer routed by the engine's
+   classification, each arrival queued on its partition's lane and each
+   batch of the plan processed from that lane.  Same batches, same paths,
+   so the same metered bits and rows. *)
 let test_lanes_match_partition_queues () =
   let db, e = skew_engine () in
   let stream = zipf_stream db 13 in
@@ -383,21 +415,16 @@ let test_lanes_match_partition_queues () =
   let r = Partition.Runner.run e stream ~spec ~plan in
   let plain = skew_db ~indexed:true () in
   let m = Ivm.Maintainer.create ~meter:plain.Tpcr.Synth.meter (Tpcr.Synth.join_view plain) in
-  let queues = Array.init 4 (fun _ -> Queue.create ()) in
+  Ivm.Maintainer.route m (fun i change ->
+      Partition.Pspec.path (snd (Partition.Pspec.logical (Partition.Engine.partition_of e i change))));
   let cost = ref 0.0 and batches = ref 0 in
   Array.iteri
     (fun t step ->
-      List.iter
-        (fun (i, change) -> Queue.push change queues.(Partition.Engine.partition_of e i change))
-        step;
+      List.iter (fun (i, change) -> Ivm.Maintainer.on_arrive m i change) step;
       Option.iter
         (Array.iteri (fun p k ->
              if k > 0 then begin
-               let i, cls = Partition.Pspec.logical p in
-               for _ = 1 to k do
-                 Ivm.Maintainer.on_arrive m i (Queue.pop queues.(p))
-               done;
-               let d = Ivm.Maintainer.process ~path:(Partition.Pspec.path cls) m i k in
+               let d = Ivm.Maintainer.process m p k in
                cost := !cost +. Relation.Meter.cost_units d;
                incr batches
              end))
@@ -542,8 +569,8 @@ let () =
           Alcotest.test_case "threshold calibration" `Quick test_split;
         ] );
       ( "engine",
-        Alcotest.test_case "?path override moves the physical path" `Quick
-          test_path_override
+        Alcotest.test_case "a lane's path moves the physical path" `Quick
+          test_lane_path
         :: Alcotest.test_case "route refuses pending, lanes by parity" `Quick
              test_route
         :: Alcotest.test_case "lanes applied = per-partition queues" `Quick
@@ -554,6 +581,8 @@ let () =
              test_drift
         :: Alcotest.test_case "per-partition calibration curves" `Quick
              test_measure_curve
+        :: Alcotest.test_case "calibration refuses a negative size" `Quick
+             test_measure_rejects_negative_size
         :: Alcotest.test_case "skew-aware plan beats skew-blind, same view"
              `Quick test_skew_aware_beats_blind
         :: Alcotest.test_case "uniform keys bit-identical every step" `Quick

@@ -949,6 +949,44 @@ let test_tenant_sync_validated_at_admission () =
     [ ("discount_factor", "nan"); ("discount_factor", "inf");
       ("shed_budget", "nan"); ("shed_budget", "-inf") ]
 
+(* The service and tenant manifests share one param reader
+   ([Durable.Manifest.get]); every refusal keeps the text each decoder
+   wrote on its own: the kind in a missing key, the key and value in a
+   bad one. *)
+let test_params_refusal_texts () =
+  let service =
+    [
+      ("kind", "serve"); ("coordinate", "true"); ("discount_factor", "0.8");
+      ("shed_budget", "none"); ("sync", "always"); ("wal_mode", "grouped");
+      ("scheduler", "event"); ("max_active", "8"); ("max_queued", "8");
+      ("tenants", "t0:0");
+    ]
+  and tenant = Serve.Tenant.params_of_config (tenant_cfg ~seed:42 "t0") in
+  let edit params key v =
+    let rest = List.remove_assoc key params in
+    match v with None -> rest | Some v -> (key, v) :: rest
+  in
+  let refused decode what params key v want =
+    match decode (edit params key v) with
+    | Ok _ -> Alcotest.failf "%s %s decoded" what key
+    | Error e -> Alcotest.(check string) (what ^ " " ^ key) want e
+  in
+  let svc = refused (fun p -> Result.map ignore (Serve.Service.config_of_params p)) "service" service in
+  svc "kind" None {|service params missing "kind"|};
+  svc "coordinate" (Some "yes") {|bad coordinate parameter "yes"|};
+  svc "discount_factor" (Some "nan") {|bad discount_factor parameter "nan"|};
+  svc "shed_budget" (Some "inf") {|bad shed_budget parameter "inf"|};
+  svc "scheduler" (Some "fifo") {|bad scheduler parameter "fifo"|};
+  svc "max_queued" (Some "8x") {|bad max_queued parameter "8x"|};
+  svc "max_delta_entries" (Some "many") {|bad max_delta_entries parameter "many"|};
+  svc "tenants" None {|service params missing "tenants"|};
+  let ten = refused (fun p -> Result.map ignore (Serve.Tenant.config_of_params p)) "tenant" tenant in
+  ten "name" None {|tenant params missing "name"|};
+  ten "seed" (Some "4.2") {|bad seed parameter "4.2"|};
+  ten "limit_factor" (Some "nan") {|bad limit_factor parameter "nan"|};
+  ten "order" (Some "third-order") {|bad order parameter "third-order"|};
+  ten "streams" None {|tenant params missing "streams"|}
+
 (* --- mid-round crash matrix ------------------------------------------------ *)
 
 (* Crash at every durable commit boundary the uninterrupted twin fires —
@@ -1234,6 +1272,8 @@ let () =
             test_event_scheduler_skips_idle_rounds;
           Alcotest.test_case "tenant sync forces window closes" `Quick
             test_tenant_sync_override_forces_window;
+          Alcotest.test_case "param refusals keep their texts" `Quick
+            test_params_refusal_texts;
           Alcotest.test_case "tenant sync validated at admission" `Quick
             test_tenant_sync_validated_at_admission;
           Alcotest.test_case "crash matrix: grouped forced closes" `Quick

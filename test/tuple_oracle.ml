@@ -9,8 +9,10 @@
    An oracle maintainer runs on a twin of the maintained database (same
    tables, own meter) and keeps only what the meter depends on: the base
    tables and, under Higher_order, the delta views — not the view
-   content, which the tests check against a recompute instead.  Like
-   gen.ml this module is linked into every test binary. *)
+   content, which the tests check against a recompute instead.  Like the
+   maintainer it takes a batch's path from its queue: a routed lane's,
+   or the view's scan set's for an unrouted table.  Like gen.ml this
+   module is linked into every test binary. *)
 
 open Relation
 
@@ -24,8 +26,8 @@ let bind partial j tuple =
   bindings.(j) <- Some tuple;
   { partial with bindings }
 
-let frontier_edges view ~scope bound =
-  List.filter_map
+let next_edge view ~scope bound =
+  List.find_map
     (fun (e : Ivm.Viewdef.join_edge) ->
       if not (scope.(e.left) && scope.(e.right)) then None
       else if bound.(e.left) && not bound.(e.right) then Some e
@@ -40,45 +42,12 @@ let frontier_edges view ~scope bound =
       else None)
     (Ivm.Viewdef.join_edges view)
 
-let edge_cost_estimate view ~delta (e : Ivm.Viewdef.join_edge) =
-  let dst = (Ivm.Viewdef.tables view).(e.right) in
-  let rows = float_of_int (max 1 (Table.row_count dst)) in
-  if
-    Table.has_index dst e.right_col
-    && not (Ivm.Viewdef.force_scan view ~delta ~partner:e.right)
-  then rows /. float_of_int (max 1 (Table.distinct_estimate dst e.right_col))
-  else rows
-
-let next_edge view ~delta ~scope bound =
-  match frontier_edges view ~scope bound with
-  | [] -> None
-  | first :: rest -> (
-      match Ivm.Viewdef.join_order view with
-      | Ivm.Viewdef.Fixed -> Some first
-      | Ivm.Viewdef.Adaptive ->
-          Some
-            (List.fold_left
-               (fun best e ->
-                 if
-                   edge_cost_estimate view ~delta e
-                   < edge_cost_estimate view ~delta best
-                 then e
-                 else best)
-               first rest))
-
-let expand_step view meter ~path ~delta partials (e : Ivm.Viewdef.join_edge) =
+let expand_step view meter ~path partials (e : Ivm.Viewdef.join_edge) =
   let tables = Ivm.Viewdef.tables view in
   let dst = tables.(e.right) in
   let src_pos = Schema.index_of (Table.schema tables.(e.left)) e.left_col in
   let bound_value p = Tuple.get (Option.get p.bindings.(e.left)) src_pos in
-  if
-    Table.has_index dst e.right_col
-    &&
-    match path with
-    | Some `Scan -> false
-    | Some `Index -> true
-    | None -> not (Ivm.Viewdef.force_scan view ~delta ~partner:e.right)
-  then
+  if path = `Index && Table.has_index dst e.right_col then
     List.concat_map
       (fun p ->
         List.map (bind p e.right) (Table.lookup dst e.right_col (bound_value p)))
@@ -118,10 +87,10 @@ let expand_scoped view meter ~path ~scope ~delta deltas =
       deltas
   in
   let rec go partials =
-    match next_edge view ~delta ~scope bound with
+    match next_edge view ~scope bound with
     | None -> partials
     | Some e ->
-        let partials = expand_step view meter ~path ~delta partials e in
+        let partials = expand_step view meter ~path partials e in
         bound.(e.right) <- true;
         go partials
   in
@@ -278,11 +247,12 @@ type t = {
   view : Ivm.Viewdef.t;
   meter : Meter.t;
   filter : (Tuple.t -> bool) option;
-  pending : Ivm.Change.t Queue.t array;
+  route : (int -> Ivm.Change.t -> [ `Index | `Scan ]) option;
+  pending : Ivm.Change.t Queue.t array;  (* per table, or per lane if routed *)
   dv : comp list array option;  (* per owner; [Some] under Higher_order *)
 }
 
-let create ~meter view =
+let create ?route ~meter view =
   let n = Ivm.Viewdef.n_tables view in
   let dv =
     match Ivm.Viewdef.order view with
@@ -305,11 +275,27 @@ let create ~meter view =
       Option.map
         (Expr.compile_pred (Ivm.Viewdef.joined_schema view))
         (Ivm.Viewdef.filter view);
-    pending = Array.init n (fun _ -> Queue.create ());
+    route;
+    pending =
+      Array.init (if route = None then n else 2 * n) (fun _ -> Queue.create ());
     dv;
   }
 
-let on_arrive t i change = Queue.push change t.pending.(i)
+(* A routed table [i] has lanes [2i] (index) and [2i + 1] (scan). *)
+let on_arrive t i change =
+  let q =
+    match t.route with
+    | None -> i
+    | Some f -> (2 * i) + if f i change = `Index then 0 else 1
+  in
+  Queue.push change t.pending.(q)
+
+(* The table a queue feeds and the path its batches run: its lane's on a
+   routed oracle, the view's scan set's otherwise. *)
+let queue_path t q =
+  match t.route with
+  | None -> (q, Ivm.Viewdef.path t.view q)
+  | Some _ -> (q / 2, if q mod 2 = 0 then `Index else `Scan)
 
 let apply_to_base table = function
   | Ivm.Change.Insert tuple -> ignore (Table.insert table tuple)
@@ -318,11 +304,12 @@ let apply_to_base table = function
       assert (Table.delete_tuple table before);
       ignore (Table.insert table after)
 
-(* Process the earliest [k] changes of table [i]: the meter delta. *)
-let process ?path t i k =
+(* Process the earliest [k] changes of queue [q]: the meter delta. *)
+let process t q k =
   let before = Meter.snapshot t.meter in
+  let i, path = queue_path t q in
   if k > 0 then begin
-    let batch = List.init k (fun _ -> Queue.pop t.pending.(i)) in
+    let batch = List.init k (fun _ -> Queue.pop t.pending.(q)) in
     Meter.bump_batch_setup t.meter 1;
     let deltas = List.concat_map Ivm.Change.signed_tuples batch in
     let n = Ivm.Viewdef.n_tables t.view in

@@ -3,7 +3,7 @@
    column, small value domains so rows repeat), a random spanning tree of
    join edges, zero to two filter conjuncts over one or two aliases, and
    a plain, projected or aggregated content, first- or higher-order,
-   under either join order.
+   with a random set of scan tables.
 
    Like gen.ml this module is not listed in the (tests (names ...))
    stanza, so dune links it into every test binary.  [?meter] is shared
@@ -129,8 +129,15 @@ let rand_view ?meter st =
     if Random.State.bool st then Ivm.Viewdef.First_order
     else Ivm.Viewdef.Higher_order
   in
-  let join_order =
-    if Random.State.bool st then Ivm.Viewdef.Fixed else Ivm.Viewdef.Adaptive
-  in
+  let scan_tables = List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id) in
   Ivm.Viewdef.make ~name:"random" ~tables ~join ?filter ~group_by ?aggs
-    ?projection ~join_order ~order ()
+    ?projection ~scan_tables ~order ()
+
+(* The same view over the same tables with another scan set. *)
+let with_scan_tables v scan_tables =
+  Ivm.Viewdef.make ~name:(Ivm.Viewdef.name v) ~tables:(Ivm.Viewdef.tables v)
+    ~aliases:(Array.init (Ivm.Viewdef.n_tables v) (Ivm.Viewdef.alias v))
+    ~join:(Ivm.Viewdef.join_edges v) ?filter:(Ivm.Viewdef.filter v)
+    ~group_by:(Ivm.Viewdef.group_by v) ~aggs:(Ivm.Viewdef.aggs v)
+    ?projection:(Ivm.Viewdef.projection v) ~scan_tables
+    ~order:(Ivm.Viewdef.order v) ()
