@@ -22,7 +22,7 @@ let durable_env_of_params params =
   let* seed = get "seed" int_of_string_opt in
   let* rows = get "rows" int_of_string_opt in
   let* horizon = get "horizon" int_of_string_opt in
-  let* limit = get "limit" float_of_string_opt in
+  let* limit = get "limit" (Durable.Manifest.float_if valid_limit) in
   let* stream_texts =
     Result.map (String.split_on_char ';')
       (Durable.Manifest.find ~what:"manifest" params "streams")
@@ -178,7 +178,7 @@ let run_cmd =
   in
   let limit =
     Arg.(
-      value & opt float 60.0
+      value & opt limit_conv 60.0
       & info [ "limit"; "C" ] ~docv:"COST"
           ~doc:"Response-time constraint (default 60).")
   in

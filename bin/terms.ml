@@ -21,6 +21,18 @@ let strategy_conv =
   conv Abivm.Strategy.of_string (fun fmt s ->
       Format.pp_print_string fmt (Abivm.Strategy.to_string s))
 
+(* A response-time limit: a finite number, zero or more — on the command
+   line and in a durable run's manifest alike. *)
+let valid_limit c = Float.is_finite c && c >= 0.0
+
+let limit_conv =
+  conv
+    (fun text ->
+      match Durable.Manifest.float_if valid_limit text with
+      | Some c -> Ok c
+      | None -> Error (Printf.sprintf "bad limit %S (want a finite number >= 0)" text))
+    (Arg.conv_printer Arg.float)
+
 let sync_conv =
   conv Durable.Wal.sync_of_string (fun fmt s ->
       Format.pp_print_string fmt (Durable.Wal.sync_to_string s))
@@ -87,7 +99,7 @@ let instance ?(costs = "Per-table cost function")
   let limit =
     Arg.(
       required
-      & opt (some float) None
+      & opt (some limit_conv) None
       & info [ "limit"; "C" ] ~docv:"COST" ~doc:"Response-time constraint $(docv).")
   in
   let streams =

@@ -2,32 +2,16 @@ module Table = Relation.Table
 module Value = Relation.Value
 module Tuple = Relation.Tuple
 module Meter = Relation.Meter
-module Thash = Hashtbl.Make (Relation.Tuple)
 module Vhash = Hashtbl.Make (Relation.Value)
 
-type batch = {
-  delta : int;
-  tuples : Tuple.t array;
-  signs : int array;
-  canon : int array Lazy.t;
-      (** per delta: the index of the first delta with an equal tuple *)
-}
+type batch = { delta : int; tuples : Tuple.t array; signs : int array }
 
 let batch ~delta deltas =
-  let tuples = Array.of_list (List.map fst deltas) in
-  let canon =
-    lazy
-      (let first = Thash.create (max 16 (Array.length tuples)) in
-       Array.mapi
-         (fun d t ->
-           match Thash.find_opt first t with
-           | Some c -> c
-           | None ->
-               Thash.add first t d;
-               d)
-         tuples)
-  in
-  { delta; tuples; signs = Array.of_list (List.map snd deltas); canon }
+  {
+    delta;
+    tuples = Array.of_list (List.map fst deltas);
+    signs = Array.of_list (List.map snd deltas);
+  }
 
 let delta b = b.delta
 let size b = Array.length b.tuples
@@ -55,10 +39,16 @@ let ensure ps n =
 
 (* A maintainer's working memory, reused by every batch: two partial
    buffers, one read and one written by each expansion step and swapped
-   after it, and the netting table. *)
+   after it; a scan edge's join keys and key hashes; the batch's
+   canonical delta indices; and the netting table. *)
 type scratch = {
   mutable front : partials;
   mutable back : partials;
+  mutable keys : Value.t array;  (* per partial, on a scan edge *)
+  mutable ihash : Relation.Ihash.t;  (* a scan edge's int keys *)
+  vhash : int Vhash.t;  (* a scan edge's other keys *)
+  mutable key_peak : int;  (* most keys one scan edge hashed since [trim] *)
+  mutable canon : int array;  (* per delta: the first delta with an equal tuple *)
   mutable slots : int array;  (* open-addressing table of item indices *)
   mutable hashes : int array;  (* per item *)
   mutable total : int array;  (* per item *)
@@ -68,6 +58,11 @@ let scratch () =
   {
     front = create_partials ();
     back = create_partials ();
+    keys = [||];
+    ihash = Relation.Ihash.create 16;
+    vhash = Vhash.create 16;
+    key_peak = 0;
+    canon = [||];
     slots = [||];
     hashes = [||];
     total = [||];
@@ -78,7 +73,8 @@ let scratch () =
    large batch (a calibration run's, up to 1,000 modifications) is
    dropped after that batch, as the per-batch buffers were, so a
    maintainer's scratch never holds many megabytes for the rest of its
-   life. *)
+   life.  A scan edge that hashed more than 16 Ki keys leaves its key
+   hashes to be replaced with small ones. *)
 let keep_words = 1 lsl 16
 
 let trim s =
@@ -90,11 +86,16 @@ let trim s =
         ps.count <- 0
       end)
     [ s.front; s.back ];
+  if not (small s.keys) then s.keys <- [||];
+  if s.key_peak > keep_words / 4 then begin
+    s.ihash <- Relation.Ihash.create 16;
+    Vhash.reset s.vhash
+  end;
+  s.key_peak <- 0;
+  if not (small s.canon) then s.canon <- [||];
   if not (small s.slots) then s.slots <- [||];
-  if not (small s.total) then begin
-    s.hashes <- [||];
-    s.total <- [||]
-  end
+  if not (small s.hashes) then s.hashes <- [||];
+  if not (small s.total) then s.total <- [||]
 
 (* Append partial [p] of [src] with slot [j] bound to [v]. *)
 let push_ext dst src p j v =
@@ -134,7 +135,7 @@ let next_edge view ~scope bound =
 
 (* --- expansion ----------------------------------------------------------- *)
 
-let step view meter ~path b ps out (e : Viewdef.join_edge) =
+let step view meter ~path s b ps out (e : Viewdef.join_edge) =
   let tables = Viewdef.tables view in
   let dst = tables.(e.right) in
   let src_pos =
@@ -152,22 +153,29 @@ let step view meter ~path b ps out (e : Viewdef.join_edge) =
        ([Value.equal Null Null]), as everywhere in the delta join. *)
     let dst_schema = Table.schema dst in
     let dst_pos = Relation.Schema.index_of dst_schema e.right_col in
-    let keys = Array.init ps.count key in
-    Meter.bump_hash_build meter ps.count;
+    let n = ps.count in
+    if Array.length s.keys < n then
+      s.keys <- Array.make (max n (2 * Array.length s.keys)) Value.Null;
+    let keys = s.keys in
     let int_key =
-      Relation.Schema.column_type dst_schema dst_pos = Relation.Datatype.TInt
-      && Array.for_all
-           (function Value.Int _ | Value.Null -> true | _ -> false)
-           keys
+      ref (Relation.Schema.column_type dst_schema dst_pos = Relation.Datatype.TInt)
     in
-    if int_key then begin
-      let h = Relation.Ihash.create (max 16 ps.count) in
+    for p = 0 to n - 1 do
+      let k = key p in
+      keys.(p) <- k;
+      match k with Value.Int _ | Value.Null -> () | _ -> int_key := false
+    done;
+    Meter.bump_hash_build meter n;
+    s.key_peak <- max s.key_peak n;
+    if !int_key then begin
+      let h = s.ihash in
+      Relation.Ihash.clear h;
       let nulls = ref [] in
-      Array.iteri
-        (fun p -> function
-          | Value.Int k -> Relation.Ihash.add h k p
-          | _ -> nulls := p :: !nulls)
-        keys;
+      for p = 0 to n - 1 do
+        match keys.(p) with
+        | Value.Int k -> Relation.Ihash.add h k p
+        | _ -> nulls := p :: !nulls
+      done;
       let nulls = List.rev !nulls in
       Table.scan_batches dst (fun bt ->
           Meter.bump_hash_probe meter bt.Relation.Batch.n_sel;
@@ -175,8 +183,8 @@ let step view meter ~path b ps out (e : Viewdef.join_edge) =
           let data = Relation.Column.int_data col in
           let valid = Relation.Column.validity col in
           let base = bt.Relation.Batch.base and sel = bt.Relation.Batch.sel in
-          for s = 0 to bt.Relation.Batch.n_sel - 1 do
-            let abs = base + Array.unsafe_get sel s in
+          for i = 0 to bt.Relation.Batch.n_sel - 1 do
+            let abs = base + Array.unsafe_get sel i in
             if Relation.Column.bit valid abs then begin
               let cell =
                 ref (Relation.Ihash.first h (Bigarray.Array1.unsafe_get data abs))
@@ -190,8 +198,11 @@ let step view meter ~path b ps out (e : Viewdef.join_edge) =
           done)
     end
     else begin
-      let by_value = Vhash.create (max 16 ps.count) in
-      Array.iteri (fun p k -> Vhash.add by_value k p) keys;
+      let by_value = s.vhash in
+      Vhash.clear by_value;
+      for p = 0 to n - 1 do
+        Vhash.add by_value keys.(p) p
+      done;
       Table.scan_batches dst (fun bt ->
           Meter.bump_hash_probe meter bt.Relation.Batch.n_sel;
           Relation.Batch.iter_sel
@@ -223,7 +234,7 @@ let expand view meter ~path ~scope s b =
         let out = s.back in
         out.width <- n;
         out.count <- 0;
-        step view meter ~path b s.front out e;
+        step view meter ~path s b s.front out e;
         s.back <- s.front;
         s.front <- out;
         bound.(e.right) <- true;
@@ -262,23 +273,30 @@ let fill view b ps p cells row =
 
 (* --- netting ------------------------------------------------------------- *)
 
-(* Open addressing over item indices; [hashes] and [total] are written
-   only at the first item of each value, so [total] is zero everywhere
-   else.  The table is sized for this call ([cap]), whatever the capacity
-   an earlier, larger batch left in the scratch. *)
-let net s ~count ~keep ~hash ~equal ~sign f =
+(* [a] if it holds [n] items, else a fresh array of at least [n] that
+   doubles [a]. *)
+let room a n fill =
+  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) fill
+
+(* An empty open-addressing table of [2 * count] slots or more, rounded
+   to a power of two and sized for this call, whatever the capacity an
+   earlier, larger batch left in the scratch; returns its mask. *)
+let clear_slots s count =
   let cap = ref 16 in
   while !cap < 2 * count do
     cap := 2 * !cap
   done;
-  let mask = !cap - 1 in
   if Array.length s.slots < !cap then s.slots <- Array.make !cap (-1)
   else Array.fill s.slots 0 !cap (-1);
-  if Array.length s.total < count then begin
-    let n = max count (2 * Array.length s.total) in
-    s.hashes <- Array.make n 0;
-    s.total <- Array.make n 0
-  end
+  !cap - 1
+
+(* Open addressing over item indices; [hashes] and [total] are written
+   only at the first item of each value, so [total] is zero everywhere
+   else. *)
+let net s ~count ~keep ~hash ~equal ~sign f =
+  let mask = clear_slots s count in
+  s.hashes <- room s.hashes count 0;
+  if Array.length s.total < count then s.total <- room s.total count 0
   else Array.fill s.total 0 count 0;
   let slots = s.slots and hashes = s.hashes and total = s.total in
   for i = 0 to count - 1 do
@@ -302,28 +320,82 @@ let net s ~count ~keep ~hash ~equal ~sign f =
     if t <> 0 then f i t
   done
 
+(* The batch's canonical delta indices into [s.canon], through the
+   netting table (free until {!net} runs): [canon.(d)] is the first
+   delta whose tuple equals delta [d]'s.  Whether every delta is its
+   own canon, that is the batch repeats no tuple. *)
+let canonize s b =
+  let k = size b in
+  let mask = clear_slots s k in
+  s.hashes <- room s.hashes k 0;
+  s.canon <- room s.canon k 0;
+  let slots = s.slots and hashes = s.hashes and canon = s.canon in
+  let identity = ref true in
+  for d = 0 to k - 1 do
+    let t = b.tuples.(d) in
+    let h = Tuple.hash t in
+    let rec probe j =
+      let f = Array.unsafe_get slots j in
+      if f < 0 then begin
+        slots.(j) <- d;
+        hashes.(d) <- h;
+        canon.(d) <- d
+      end
+      else if hashes.(f) = h && Tuple.equal b.tuples.(f) t then begin
+        canon.(d) <- f;
+        identity := false
+      end
+      else probe ((j + 1) land mask)
+    in
+    probe ((h lxor (h lsr 17)) land mask)
+  done;
+  !identity
+
+(* Every table but the batch's, by its distinct-row certificate, asked
+   in table order and only until one says no. *)
+let partners_distinct tables b =
+  let rec from j =
+    j = Array.length tables
+    || ((j = b.delta || Table.distinct_rows tables.(j)) && from (j + 1))
+  in
+  from 0
+
+(* When the batch repeats no tuple and no partner table holds two equal
+   rows, two partials differ in some slot, so in the value of the row
+   they stand for (a delta slot by its tuple, a partner slot by its
+   row), and netting is the identity: each kept partial is its own net
+   row, in expansion order, with its delta's sign.  Otherwise the
+   partials net by value. *)
 let net_partials view s b ps ~keep f =
   let tables = Viewdef.tables view in
-  let n = ps.width in
-  let canon = Lazy.force b.canon in
-  let hash p =
-    let h = ref 17 in
-    for j = 0 to n - 1 do
-      let r = id ps p j in
-      h :=
-        (!h * 31)
-        + if j = b.delta then Value.hash_int canon.(r) else Table.hash_row tables.(j) r
-    done;
-    !h
-  in
-  let equal p q =
-    let rec slots j =
-      j = n
-      ||
-      let a = id ps p j and c = id ps q j in
-      (if j = b.delta then canon.(a) = canon.(c) else Table.equal_rows tables.(j) a c)
-      && slots (j + 1)
+  if canonize s b && partners_distinct tables b then
+    for p = 0 to ps.count - 1 do
+      if keep p then begin
+        let sign = b.signs.(id ps p b.delta) in
+        if sign <> 0 then f p sign
+      end
+    done
+  else begin
+    let n = ps.width and canon = s.canon in
+    let hash p =
+      let h = ref 17 in
+      for j = 0 to n - 1 do
+        let r = id ps p j in
+        h :=
+          (!h * 31)
+          + if j = b.delta then Value.hash_int canon.(r) else Table.hash_row tables.(j) r
+      done;
+      !h
     in
-    slots 0
-  in
-  net s ~count:ps.count ~keep ~hash ~equal ~sign:(fun p -> b.signs.(id ps p b.delta)) f
+    let equal p q =
+      let rec slots j =
+        j = n
+        ||
+        let a = id ps p j and c = id ps q j in
+        (if j = b.delta then canon.(a) = canon.(c) else Table.equal_rows tables.(j) a c)
+        && slots (j + 1)
+      in
+      slots 0
+    in
+    net s ~count:ps.count ~keep ~hash ~equal ~sign:(fun p -> b.signs.(id ps p b.delta)) f
+  end

@@ -48,11 +48,12 @@ type partials
 
 type scratch
 (** The kernel's working memory: two partial buffers, one read and one
-    written by each expansion step and swapped after it, and the netting
-    table.  A scratch belongs to one maintainer and is used by one domain
-    at a time: it is never shared between maintainers (so never between
-    domains), and a copied maintainer gets a fresh one.  It holds no
-    state between batches, only capacity. *)
+    written by each expansion step and swapped after it, a scan edge's
+    join keys and key hashes, the batch's canonical delta indices, and
+    the netting table.  A scratch belongs to one maintainer and is used
+    by one domain at a time: it is never shared between maintainers (so
+    never between domains), and a copied maintainer gets a fresh one.
+    It holds no state between batches, only capacity. *)
 
 val scratch : unit -> scratch
 (** An empty scratch; it serves expansions over any view. *)
@@ -127,4 +128,13 @@ val net_partials :
     stand for, computed in place: the delta slot by the batch's canonical
     delta index (the first delta with an equal tuple), every partner slot
     by its row's column values ({!Relation.Table.hash_row},
-    {!Relation.Table.equal_rows}), so equal-valued bag rows net. *)
+    {!Relation.Table.equal_rows}), so equal-valued bag rows net.
+
+    When no two deltas of the batch are equal and every other table of
+    the view is {!Relation.Table.distinct_rows}, no two partials stand
+    for equal rows, and netting is the identity: then each partial [p]
+    [keep] accepts goes straight to [f p sign] (unless its delta's sign
+    is 0), in expansion order, which is what netting would call.  [keep]
+    then runs on each partial just before its [f], not on all of them
+    first.  Asking a table for its certificate builds it the first
+    time. *)

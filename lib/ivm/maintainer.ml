@@ -80,8 +80,11 @@ let pending_size m i = Pending.size m.pending.(i)
    the content row built per net row.  Netting makes the application
    order-insensitive: expansion order depends on the physical path, and a
    batch touching one row twice must not apply the removal before the
-   insertion.  A filter that reads one table other than the batch's runs
-   once per row of that table, not once per partial.  The
+   insertion.  A batch that repeats no tuple, over tables that hold no
+   two equal rows, skips it: each survivor is its own net row
+   ({!Deltajoin.net_partials}).  A filter that reads one table other
+   than the batch's runs once per row of that table, not once per
+   partial.  The
    content row is one buffer rewritten for every net row (its other
    positions stay [Null]), so [f] must not keep it. *)
 let first_order_contributions m ~path b f =

@@ -10,7 +10,7 @@ let make_float_ba n : float_ba =
 
 (* Validity and other per-row flags are bitmaps: bit [i land 7] of byte
    [i lsr 3].  All rows of a fresh bitmap are 0. *)
-let bit bits i =
+let[@inline] bit bits i =
   Char.code (Bytes.unsafe_get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let set_bit bits i =
@@ -200,6 +200,51 @@ let hash_cell c i =
     | Floats p -> Value.hash_float (Bigarray.Array1.unsafe_get p.data i)
     | Strs p -> Util.Vec.get p.hashes (Bigarray.Array1.unsafe_get p.codes i)
     | Bools p -> Hashtbl.hash (bit p.bits i)
+
+(* One column's step of a row-hash pass over rows [from .. from + len -
+   1]: [acc.(i) <- acc.(i) * 31 + hash_cell c (from + i)], the payload
+   matched once outside the loop. *)
+let fold_hashes c ~from acc ~len =
+  if from < 0 || len < 0 || from + len > c.len || len > Array.length acc then
+    invalid_arg "Column.fold_hashes: rows out of bounds";
+  let valid = c.valid and null = Value.hash Value.Null in
+  match c.payload with
+  | Ints p ->
+      let data = p.data in
+      for i = 0 to len - 1 do
+        let r = from + i in
+        let h =
+          if bit valid r then Value.hash_int (Bigarray.Array1.unsafe_get data r)
+          else null
+        in
+        Array.unsafe_set acc i ((Array.unsafe_get acc i * 31) + h)
+      done
+  | Floats p ->
+      let data = p.data in
+      for i = 0 to len - 1 do
+        let r = from + i in
+        let h =
+          if bit valid r then Value.hash_float (Bigarray.Array1.unsafe_get data r)
+          else null
+        in
+        Array.unsafe_set acc i ((Array.unsafe_get acc i * 31) + h)
+      done
+  | Strs p ->
+      let codes = p.codes and hashes = p.hashes in
+      for i = 0 to len - 1 do
+        let r = from + i in
+        let h =
+          if bit valid r then Util.Vec.get hashes (Bigarray.Array1.unsafe_get codes r)
+          else null
+        in
+        Array.unsafe_set acc i ((Array.unsafe_get acc i * 31) + h)
+      done
+  | Bools p ->
+      for i = 0 to len - 1 do
+        let r = from + i in
+        let h = if bit valid r then Hashtbl.hash (bit p.bits r) else null in
+        Array.unsafe_set acc i ((Array.unsafe_get acc i * 31) + h)
+      done
 
 let append_from dst src i =
   if i < 0 || i >= src.len then invalid_arg "Column.append_from: index out of bounds";

@@ -43,6 +43,13 @@ val hash_cell : t -> int -> int
     without allocating; a string column reads its dictionary entry's
     hash, computed once when the string was interned. *)
 
+val fold_hashes : t -> from:int -> int array -> len:int -> unit
+(** [fold_hashes c ~from acc ~len] sets [acc.(i) <- acc.(i) * 31 +
+    hash_cell c (from + i)] for [i < len], in one pass over the unboxed
+    buffers: run once per column over an array of 17s, it yields the
+    rows' {!Tuple.hash}es.  [Invalid_argument] if a row is out of the
+    column or [acc] is shorter than [len]. *)
+
 val append_from : t -> t -> int -> unit
 (** [append_from dst src i] appends row [i] of [src] to [dst] without
     boxing when the payload representations match (same-type columns;

@@ -44,6 +44,11 @@ let create hint =
 
 let length h = h.n
 
+let clear h =
+  Bytes.fill h.used 0 (Bytes.length h.used) '\000';
+  h.n_slots <- 0;
+  h.n <- 0
+
 let hash k =
   let x = k * 0x9E3779B1 in
   x lxor (x lsr 16)

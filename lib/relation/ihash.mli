@@ -13,6 +13,10 @@ val create : int -> t
     the table grows on demand regardless of the initial size. *)
 
 val length : t -> int
+
+val clear : t -> unit
+(** Empty the table, keeping the room it has grown to. *)
+
 val add : t -> int -> int -> unit
 (** [add h key payload]. *)
 

@@ -7,6 +7,10 @@ type t = {
   mutable n_rows : int; (* including tombstones *)
   mutable live : int;
   indexes : (string, Index.t) Hashtbl.t;
+  mutable cert : int array;
+      (* the distinct-row certificate, [||] until first asked for *)
+  mutable cert_used : int; (* its slots holding an entry or [gone] *)
+  mutable cert_repeats : int; (* live rows whose hash an older live row holds *)
 }
 
 let create ?meter ~name ~schema () =
@@ -22,6 +26,9 @@ let create ?meter ~name ~schema () =
     n_rows = 0;
     live = 0;
     indexes = Hashtbl.create 4;
+    cert = [||];
+    cert_used = 0;
+    cert_repeats = 0;
   }
 
 let name t = t.name
@@ -35,6 +42,111 @@ let is_live t row = Column.bit t.live_bits row
 
 let materialize t row =
   Array.init (Array.length t.cols) (fun c -> Column.get t.cols.(c) row)
+
+(* --- the distinct-row certificate ----------------------------------------- *)
+
+let hash_row t row =
+  let h = ref 17 in
+  for c = 0 to Array.length t.cols - 1 do
+    h := (!h * 31) + Column.hash_cell (Array.unsafe_get t.cols c) row
+  done;
+  !h
+
+(* The certificate is a multiset of the live rows' hashes in one flat
+   array: an entry per live row in open-addressed slots [0 .. cap - 1]
+   (linear probing; two equal hashes take two slots of one cluster),
+   [vacant] or [gone] (a deleted entry) in the others, and at [cap] and
+   [cap + 1] the number of live rows whose hash is [vacant] or [gone]
+   itself.  A row's hash repeats iff its cluster holds an equal entry,
+   so [cert_repeats] counts live rows beyond the first of each hash.
+   A table is built half full; once three quarters of its slots are
+   used, [gone] included, it is rebuilt from its entries, half full
+   again.  The slot count is not rounded to a power of two: a hash's
+   home slot is its low 30 bits scaled to [cap]. *)
+let vacant = min_int
+let gone = min_int + 1
+
+(* [2n] slots, at least 16. *)
+let cert_table n =
+  let cap = max 16 (2 * n) in
+  let cert = Array.make (cap + 2) vacant in
+  cert.(cap) <- 0;
+  cert.(cap + 1) <- 0;
+  cert
+
+let cert_home cap h = (((h lxor (h lsr 17)) land 0x3FFF_FFFF) * cap) lsr 30
+
+let[@inline] cert_next cap s = if s + 1 = cap then 0 else s + 1
+
+(* One walk of the cluster from slot [s] to its [vacant] end: the first
+   free ([vacant] or [gone]) slot, shifted left one bit, with the low bit
+   set iff the cluster holds an entry [h]. *)
+let rec cert_scan cert cap h s free seen =
+  let v = Array.unsafe_get cert s in
+  if v = vacant then ((if free < 0 then s else free) lsl 1) lor seen
+  else
+    cert_scan cert cap h (cert_next cap s)
+      (if free < 0 && v = gone then s else free)
+      (if v = h then 1 else seen)
+
+(* Mark the first entry [h] from slot [s] on [gone]; its slot. *)
+let rec cert_drop cert cap h s =
+  let v = Array.unsafe_get cert s in
+  if v = h then begin
+    Array.unsafe_set cert s gone;
+    s
+  end
+  else if v = vacant then invalid_arg "Table: certificate lost a live row's hash"
+  else cert_drop cert cap h (cert_next cap s)
+
+let cert_rehash t =
+  let old = t.cert in
+  let old_cap = Array.length old - 2 in
+  let entries = ref 0 in
+  for s = 0 to old_cap - 1 do
+    if old.(s) > gone then incr entries
+  done;
+  let cert = cert_table (!entries + 1) in
+  let cap = Array.length cert - 2 in
+  for s = 0 to old_cap - 1 do
+    let h = old.(s) in
+    if h > gone then cert.(cert_scan cert cap h (cert_home cap h) (-1) 0 lsr 1) <- h
+  done;
+  cert.(cap) <- old.(old_cap);
+  cert.(cap + 1) <- old.(old_cap + 1);
+  t.cert <- cert;
+  t.cert_used <- !entries
+
+let cert_add t h =
+  if h <= gone then begin
+    let i = Array.length t.cert - 2 + (h - vacant) in
+    if t.cert.(i) > 0 then t.cert_repeats <- t.cert_repeats + 1;
+    t.cert.(i) <- t.cert.(i) + 1
+  end
+  else begin
+    if 4 * (t.cert_used + 1) > 3 * (Array.length t.cert - 2) then cert_rehash t;
+    let cert = t.cert in
+    let cap = Array.length cert - 2 in
+    let found = cert_scan cert cap h (cert_home cap h) (-1) 0 in
+    let s = found lsr 1 in
+    if found land 1 = 1 then t.cert_repeats <- t.cert_repeats + 1;
+    if Array.unsafe_get cert s = vacant then t.cert_used <- t.cert_used + 1;
+    Array.unsafe_set cert s h
+  end
+
+let cert_remove t h =
+  if h <= gone then begin
+    let i = Array.length t.cert - 2 + (h - vacant) in
+    t.cert.(i) <- t.cert.(i) - 1;
+    if t.cert.(i) > 0 then t.cert_repeats <- t.cert_repeats - 1
+  end
+  else begin
+    let cert = t.cert in
+    let cap = Array.length cert - 2 in
+    let s = cert_drop cert cap h (cert_home cap h) in
+    if cert_scan cert cap h (cert_next cap s) (-1) 0 land 1 = 1 then
+      t.cert_repeats <- t.cert_repeats - 1
+  end
 
 let insert t tuple =
   if not (Tuple.conforms t.schema tuple) then
@@ -53,6 +165,7 @@ let insert t tuple =
   t.n_rows <- row + 1;
   t.live <- t.live + 1;
   Meter.bump_inserted t.meter 1;
+  if Array.length t.cert > 0 then cert_add t (Tuple.hash tuple);
   Hashtbl.iter
     (fun _ idx -> Index.add idx (Tuple.get tuple (Index.column idx)) row)
     t.indexes;
@@ -68,11 +181,35 @@ let delete_row t row =
        Column.clear_bit t.live_bits row;
        t.live <- t.live - 1;
        Meter.bump_deleted t.meter 1;
+       if Array.length t.cert > 0 then cert_remove t (hash_row t row);
        Hashtbl.iter
          (fun _ idx -> Index.remove idx (Column.get t.cols.(Index.column idx) row) row)
          t.indexes;
        true
      end
+
+(* Rows are hashed a chunk at a time, column by column, into a buffer
+   small enough for the minor heap. *)
+let cert_chunk = 256
+
+let distinct_rows t =
+  if Array.length t.cert = 0 then begin
+    t.cert <- cert_table t.live;
+    t.cert_used <- 0;
+    t.cert_repeats <- 0;
+    let hashes = Array.make cert_chunk 17 in
+    let from = ref 0 in
+    while !from < t.n_rows do
+      let len = min cert_chunk (t.n_rows - !from) in
+      Array.fill hashes 0 len 17;
+      Array.iter (fun col -> Column.fold_hashes col ~from:!from hashes ~len) t.cols;
+      for i = 0 to len - 1 do
+        if is_live t (!from + i) then cert_add t (Array.unsafe_get hashes i)
+      done;
+      from := !from + len
+    done
+  end;
+  t.cert_repeats = 0
 
 let create_index t col =
   let col = canonical_column t col in
@@ -114,13 +251,6 @@ let lookup t col value =
 (* --- row-id access ------------------------------------------------------- *)
 
 let cell t row c = Column.get t.cols.(c) row
-
-let hash_row t row =
-  let h = ref 17 in
-  for c = 0 to Array.length t.cols - 1 do
-    h := (!h * 31) + Column.hash_cell (Array.unsafe_get t.cols c) row
-  done;
-  !h
 
 let row_equal t row tuple =
   Array.length tuple = Array.length t.cols
@@ -236,6 +366,7 @@ let copy ~meter t =
     cols = Array.map Column.copy t.cols;
     live_bits = Bytes.copy t.live_bits;
     indexes;
+    cert = Array.copy t.cert;
   }
 
 (* --- images -------------------------------------------------------------- *)

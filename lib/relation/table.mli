@@ -48,6 +48,14 @@ val delete_tuple : t -> Tuple.t -> bool
     metered), or by a scan when the table has no index.  [false] if no
     match. *)
 
+val distinct_rows : t -> bool
+(** Whether no two live rows share a {!hash_row}, so that no two live
+    rows are equal: a conservative certificate of a duplicate-free
+    table, [false] on a mere hash collision.  The first call builds it
+    in one columnar pass over the table (one multiset of hashes in a
+    flat [int array]); from then on {!insert} and {!delete_row} keep it
+    exact as they go, and {!copy} carries it.  Unmetered. *)
+
 val create_index : t -> string -> unit
 (** Build a hash index on the named column (idempotent). *)
 

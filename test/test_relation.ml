@@ -677,6 +677,90 @@ let test_table_copy () =
     (Meter.diff (Meter.snapshot (Table.meter t)) before).Meter.index_probes;
   checki "copy's meter counts the copy's work" 1 (Meter.snapshot meter).Meter.inserted
 
+(* The distinct-row certificate against brute force, through random
+   inserts, deletes, copies and image round trips over a small domain
+   that repeats rows: NULLs, [Int 2] and [Float 2.0] in one float
+   column (and [Int 0] with [-0.], NaN, an int beyond 2^53 with its
+   rounded float), repeated strings.  The certificate is asked for at random
+   points only, so some sequences build it early and maintain it through
+   many changes, others build it late or never.  At every ask: [true]
+   implies no two live rows are equal, and no two live rows sharing a
+   [hash_row] implies [true]. *)
+type cert_op = Ins of Tuple.t | Del of Tuple.t | Copy | Image | Ask
+
+let cert_schema = Schema.make [ ("a", ti); ("b", tf); ("c", ts) ]
+
+let cert_op_gen =
+  let open QCheck.Gen in
+  let tuple =
+    map3
+      (fun a b c -> [| a; b; c |])
+      (oneofl [ vi 0; vi 1; Value.Null ])
+      (oneofl
+         [ vi 2; vf 2.0; vf 0.5; Value.Null; vi 0; vf (-0.0); vf Float.nan;
+           vi ((1 lsl 53) + 1); vf (float_of_int ((1 lsl 53) + 1)) ])
+      (oneofl [ vs "x"; vs "x"; vs "yy"; Value.Null ])
+  in
+  frequency
+    [
+      (6, map (fun t -> Ins t) tuple);
+      (3, map (fun t -> Del t) tuple);
+      (1, return Copy);
+      (1, return Image);
+      (2, return Ask);
+    ]
+
+let cert_op_to_string = function
+  | Ins t -> "ins " ^ Tuple.to_string t
+  | Del t -> "del " ^ Tuple.to_string t
+  | Copy -> "copy"
+  | Image -> "image"
+  | Ask -> "ask"
+
+let live_ids t =
+  let ids = ref [] in
+  Table.scan t (fun id _ -> ids := id :: !ids);
+  !ids
+
+let rec all_pairs f = function
+  | [] -> true
+  | x :: rest -> List.for_all (f x) rest && all_pairs f rest
+
+let certificate_holds t =
+  let ids = live_ids t in
+  let cert = Table.distinct_rows t in
+  let distinct = all_pairs (fun a b -> not (Table.equal_rows t a b)) ids in
+  let hashes_distinct =
+    all_pairs (fun a b -> Table.hash_row t a <> Table.hash_row t b) ids
+  in
+  ((not cert) || distinct) && ((not hashes_distinct) || cert)
+
+let prop_distinct_rows =
+  QCheck.Test.make ~name:"distinct_rows against brute force" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map cert_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 0 80) cert_op_gen))
+    (fun ops ->
+      let t = ref (Table.create ~name:"c" ~schema:cert_schema ()) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Ins tuple ->
+              ignore (Table.insert !t tuple);
+              true
+          | Del tuple ->
+              ignore (Table.delete_tuple !t tuple);
+              true
+          | Copy ->
+              t := Table.copy ~meter:(Meter.create ()) !t;
+              true
+          | Image ->
+              t :=
+                Table.of_image ~name:"c" ~schema:cert_schema (Table.capture !t);
+              true
+          | Ask -> certificate_holds !t)
+        (ops @ [ Ask ]))
+
 (* --- Meter --------------------------------------------------------------- *)
 
 let test_meter_diff () =
@@ -965,6 +1049,7 @@ let () =
           Alcotest.test_case "column copy" `Quick test_column_copy;
           Alcotest.test_case "column image" `Quick test_column_image;
           Alcotest.test_case "table copy" `Quick test_table_copy;
+          QCheck_alcotest.to_alcotest prop_distinct_rows;
           Alcotest.test_case "index model against Int_set" `Quick test_index_model;
           Alcotest.test_case "delete_tuple deletes the lowest equal row" `Quick
             test_delete_tuple_lowest_equal;

@@ -22,8 +22,12 @@ child CPU seconds (resource.getrusage(RUSAGE_CHILDREN)) are reported as
 cpu_s next to the metrics.
 
 Exit status 1 if any run fails or reports "correct": false or failed > 0,
-or if cost_units_per_mod, charged_units_per_mod or slo_met_rate differ in
-bits within a pair: those are deterministic per seed.
+if cost_units_per_mod, charged_units_per_mod or slo_met_rate differ in
+bits within a pair, or if a run's (workload, seed) is listed in
+tools/exact_baseline.json and those metrics differ in bits from the
+listed ones: they are deterministic per seed, so a change that moves
+them changed what the benchmark computes.  The baseline holds each
+metric's float.hex() for seeds 1-3 of every workload.
 """
 
 import argparse
@@ -37,6 +41,8 @@ import sys
 import tempfile
 
 EXACT = ("cost_units_per_mod", "charged_units_per_mod", "slo_met_rate")
+BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "exact_baseline.json")
 
 
 def median(xs):
@@ -84,6 +90,24 @@ def exact_mismatches(pairs):
             if m in b and m in c and float(b[m]).hex() != float(c[m]).hex():
                 out.append((i, m))
     return out
+
+
+def load_baseline(path=BASELINE):
+    """{workload: {seed (str): {metric: float.hex()}}} from [path]."""
+    with open(path) as f:
+        return json.load(f)["workloads"]
+
+
+def baseline_mismatches(baseline, workload, seed, metrics):
+    """The (metric, listed hex, run's hex) of every exact metric of one run
+    that differs from the baseline; none if its (workload, seed) is not
+    listed.  A traced run reports no exact metrics, so it has none to
+    differ."""
+    listed = baseline.get(workload, {}).get(str(seed))
+    if listed is None:
+        return []
+    return [(m, listed[m], float(metrics[m]).hex()) for m in EXACT
+            if m in metrics and float(metrics[m]).hex() != listed[m]]
 
 
 def parse_seeds(text):
@@ -166,6 +190,7 @@ def main():
     root = git("rev-parse", "--show-toplevel")
     base_rev = git("rev-parse", "--verify", args.base + "^{commit}", cwd=root)
     change_rev = git("rev-parse", "--verify", args.change + "^{commit}", cwd=root)
+    baseline = load_baseline()
     scratch = args.scratch or tempfile.mkdtemp(prefix="ab-")
     os.makedirs(scratch, exist_ok=True)
     trees = {"base": os.path.join(scratch, "base"),
@@ -176,12 +201,17 @@ def main():
         for side in ("base", "change"):
             run_once(trees[side], args.workload, seeds[0], 1, args.trace)
         pairs = []
+        off_baseline = []
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             got = {side: run_once(trees[side], args.workload, seed, args.seconds,
                                   args.trace) for side in order}
             pairs.append((got["base"], got["change"]))
+            for side in order:
+                for m, want, have in baseline_mismatches(baseline, args.workload,
+                                                         seed, got[side]):
+                    off_baseline.append((i, side, seed, m, want, have))
             print("pair %d seed %d (%s first): mods_per_s %s -> %s"
                   % (i + 1, seed, order[0], got["base"].get("mods_per_s"),
                      got["change"].get("mods_per_s")), file=sys.stderr, flush=True)
@@ -190,7 +220,10 @@ def main():
         for i, m in bad:
             print("ab: pair %d: %s differs: %r vs %r"
                   % (i + 1, m, pairs[i][0][m], pairs[i][1][m]), file=sys.stderr)
-        return 1 if bad else 0
+        for i, side, seed, m, want, have in off_baseline:
+            print("ab: pair %d, %s, seed %d: %s is %s, exact_baseline.json lists %s"
+                  % (i + 1, side, seed, m, have, want), file=sys.stderr)
+        return 1 if bad or off_baseline else 0
     finally:
         for tree in trees.values():
             if os.path.isdir(tree):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit test of tools/ab.py's arithmetic on fixed numbers (no runs)."""
+"""Unit test of tools/ab.py's arithmetic and exact-baseline check on fixed
+numbers, and the shape of tools/exact_baseline.json (no runs)."""
 
 import os
 import sys
@@ -53,6 +54,36 @@ moved = dict(same, cost_units_per_mod=23.1395 + 2e-15, mods_per_s=6.0)
 check("exact same", ab.exact_mismatches([(same, dict(same, mods_per_s=9.0))]), [])
 check("exact moved", ab.exact_mismatches([(same, same), (same, moved)]),
       [(1, "cost_units_per_mod")])
+
+# runs against the checked-in exact baseline, on a synthetic one
+baseline = {"w": {"1": {"cost_units_per_mod": (23.1395).hex(),
+                        "charged_units_per_mod": (18.5533).hex(),
+                        "slo_met_rate": (1.0).hex()}}}
+run = {"cost_units_per_mod": 23.1395, "charged_units_per_mod": 18.5533,
+       "slo_met_rate": 1, "mods_per_s": 5.0}
+check("baseline match", ab.baseline_mismatches(baseline, "w", 1, run), [])
+check("baseline unlisted seed", ab.baseline_mismatches(baseline, "w", 4, {}), [])
+check("baseline unlisted workload", ab.baseline_mismatches(baseline, "v", 1, {}), [])
+check("baseline mismatch",
+      ab.baseline_mismatches(baseline, "w", 1, dict(run, slo_met_rate=0.75)),
+      [("slo_met_rate", (1.0).hex(), (0.75).hex())])
+check("baseline traced run",
+      ab.baseline_mismatches(baseline, "w", 1, {"mods_per_s": 5.0}), [])
+check("baseline one metric moved",
+      ab.baseline_mismatches(baseline, "w", 1, {"cost_units_per_mod": 23.1395 + 2e-15}),
+      [("cost_units_per_mod", (23.1395).hex(), (23.1395 + 2e-15).hex())])
+
+# the checked-in baseline: seeds 1-3 of every workload, every exact metric
+listed = ab.load_baseline()
+check("baseline workloads", sorted(listed),
+      ["paper-durable", "serve-fleet", "skew-partition"])
+for w, seeds in listed.items():
+    check("baseline seeds of " + w, sorted(seeds), ["1", "2", "3"])
+    for seed, metrics in seeds.items():
+        check("baseline metrics of %s seed %s" % (w, seed), sorted(metrics),
+              sorted(ab.EXACT))
+        for m, bits in metrics.items():
+            check("hex of %s" % m, float.fromhex(bits).hex(), bits)
 
 check("seeds", ab.parse_seeds("11-14"), [11, 12, 13, 14])
 check("one seed", ab.parse_seeds("7"), [7])
