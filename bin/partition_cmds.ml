@@ -1,8 +1,8 @@
 (* `abivm partition`: heavy-light skew partitioning.  Calibrate per-key
    frequency splits on a Zipfian feed, measure per-partition cost curves,
-   then plan and execute the same stream twice on the same kind of
-   partitioned engine — once with the skew-aware 2n-table spec, once with
-   the skew-blind baseline's single curve per logical table. *)
+   then plan and execute the same stream twice on one partitioned engine
+   and its copy — once with the skew-aware 2n-table spec, once with the
+   skew-blind baseline's single curve per logical table. *)
 
 open Cmdliner
 open Terms
@@ -11,17 +11,14 @@ let run r_rows s_rows horizon exponent seed r_rate s_rate limit_factor
     min_share sizes =
   let names = [| "R"; "S" |] in
   let seed_cal = seed + 4 and seed_live = seed + 6 in
-  let mk () =
-    let db = Tpcr.Synth.generate ~seed ~r_rows ~s_rows () in
-    Relation.Table.create_index db.Tpcr.Synth.s "jk";
-    Relation.Meter.reset db.Tpcr.Synth.meter;
-    db
-  in
-  let cal_feeds db = Tpcr.Synth.zipf_feeds ~seed:seed_cal ~exponent db in
+  let db = Tpcr.Synth.generate ~seed ~r_rows ~s_rows () in
+  Relation.Table.create_index db.Tpcr.Synth.s "jk";
+  Relation.Meter.reset db.Tpcr.Synth.meter;
+  let view = Tpcr.Synth.join_view db in
+  let cal_feeds () = Tpcr.Synth.zipf_feeds ~seed:seed_cal ~exponent db in
   let splits =
-    let db = mk () in
-    Partition.Calibrate.splits_of_sample ~min_share (Tpcr.Synth.join_view db)
-      ~next:(cal_feeds db).Tpcr.Updates.next
+    Partition.Calibrate.splits_of_sample ~min_share view
+      ~next:(cal_feeds ()).Tpcr.Updates.next
   in
   Util.Tablefmt.print
     ~aligns:
@@ -37,26 +34,16 @@ let run r_rows s_rows horizon exponent seed r_rate s_rate limit_factor
            Util.Tablefmt.float_cell ~decimals:3
              (Partition.Split.threshold splits.(i));
          ]));
-  let fresh_engine () =
-    let db = mk () in
-    let view = Tpcr.Synth.join_view db in
-    let m = Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter view in
-    ( db,
-      Partition.Engine.create ~key_of:(Partition.Engine.key_of_view view)
-        ~splits m )
+  let engine =
+    Partition.Engine.create ~key_of:(Partition.Engine.key_of_view view) ~splits
+      (Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter view)
   in
-  let db_p, engine = fresh_engine () in
   let stream =
     Partition.Runner.materialize
-      ~feeds:(Tpcr.Synth.zipf_feeds ~seed:seed_live ~exponent db_p)
+      ~feeds:(Tpcr.Synth.zipf_feeds ~seed:seed_live ~exponent db)
       ~arrivals:(Array.init (horizon + 1) (fun _ -> [| r_rate; s_rate |]))
   in
-  let c =
-    Partition.Runner.compare_blind ~sizes ~limit_factor engine stream
-      ~fresh:(fun () ->
-        let db, e = fresh_engine () in
-        (e, cal_feeds db))
-  in
+  let c = Partition.Runner.compare_blind ~cal_feeds ~sizes ~limit_factor engine stream in
   let cell k curve = Util.Tablefmt.float_cell ~decimals:1 (List.assoc k curve) in
   Util.Tablefmt.print
     ~aligns:(List.init 7 (fun _ -> Util.Tablefmt.Right))
@@ -142,7 +129,7 @@ let cmd =
   let sizes =
     Arg.(
       value
-      & opt (list int) [ 1; 4; 16 ]
+      & opt (sizes_conv ~distinct:1) [ 1; 4; 16 ]
       & info [ "sizes" ] ~docv:"K,K,.."
           ~doc:"Batch sizes sampled during curve calibration (default 1,4,16).")
   in

@@ -33,6 +33,22 @@ let limit_conv =
       | None -> Error (Printf.sprintf "bad limit %S (want a finite number >= 0)" text))
     (Arg.conv_printer Arg.float)
 
+(* Calibration batch sizes, K,K,...: none negative, at least one positive
+   and at least [distinct] different ones (an affine fit needs two). *)
+let sizes_conv ~distinct =
+  let sizes = Arg.(list int) in
+  conv
+    (fun text ->
+      let bad why = Error (Printf.sprintf "bad sizes %S (%s)" text why) in
+      match Arg.conv_parser sizes text with
+      | Error (`Msg msg) -> Error msg
+      | Ok ks when List.exists (fun k -> k < 0) ks -> bad "a size is negative"
+      | Ok ks when not (List.exists (fun k -> k > 0) ks) -> bad "want a positive size"
+      | Ok ks when List.length (List.sort_uniq Int.compare ks) < distinct ->
+          bad (Printf.sprintf "want %d different sizes" distinct)
+      | Ok ks -> Ok ks)
+    (Arg.conv_printer sizes)
+
 let sync_conv =
   conv Durable.Wal.sync_of_string (fun fmt s ->
       Format.pp_print_string fmt (Durable.Wal.sync_to_string s))

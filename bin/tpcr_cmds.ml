@@ -31,7 +31,7 @@ let calibrate_cmd =
   let sizes =
     Arg.(
       value
-      & opt (list int) tpcr_sizes
+      & opt (sizes_conv ~distinct:2) tpcr_sizes
       & info [ "sizes" ] ~docv:"K,K,..." ~doc:"Batch sizes to measure.")
   in
   Cmd.v

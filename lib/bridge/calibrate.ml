@@ -1,15 +1,21 @@
-let measure_curve m feeds ~table ~sizes =
-  if Ivm.Maintainer.pending_size m table <> 0 then
-    invalid_arg "Calibrate.measure_curve: pending queue not empty";
+let measure m ~fill ~sizes =
+  if Array.exists (fun q -> q > 0) (Ivm.Maintainer.pending_sizes m) then
+    invalid_arg "Bridge.Calibrate.measure: modifications are pending";
   if List.exists (fun k -> k < 0) sizes then
-    invalid_arg "Calibrate.measure_curve: negative batch size";
-  let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view m) in
+    invalid_arg "Bridge.Calibrate.measure: negative batch size";
   List.map
     (fun k ->
-      let batch = Array.init n (fun i -> if i = table then k else 0) in
-      Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next batch;
-      (k, Ivm.Maintainer.apply m batch))
+      fill k;
+      (k, Ivm.Maintainer.apply m (Ivm.Maintainer.pending_sizes m)))
     sizes
+
+let measure_curve m feeds ~table ~sizes =
+  let n = Ivm.Viewdef.n_tables (Ivm.Maintainer.view m) in
+  if table < 0 || table >= n then
+    invalid_arg "Bridge.Calibrate.measure_curve: bad table index";
+  measure m ~sizes ~fill:(fun k ->
+      Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next
+        (Array.init n (fun i -> if i = table then k else 0)))
 
 let fitted ~name samples =
   let fit = Cost.Fit.affine samples in
@@ -31,12 +37,3 @@ let tabulated ~name samples =
   in
   let positive = List.filter (fun (k, _) -> k > 0) monotone in
   Cost.Func.tabulated ~name positive
-
-let measure_orders ~make ~table ~sizes =
-  List.map
-    (fun order ->
-      let m, feeds = make order in
-      if Ivm.Maintainer.order m <> order then
-        invalid_arg "Calibrate.measure_orders: factory ignored the order";
-      (order, measure_curve m feeds ~table ~sizes))
-    [ Ivm.Viewdef.First_order; Ivm.Viewdef.Higher_order ]

@@ -6,19 +6,33 @@
     abstract units ({!Relation.Meter.cost_units}), not wall-clock, so
     calibration is reproducible. *)
 
+val measure :
+  Ivm.Maintainer.t -> fill:(int -> unit) -> sizes:int list -> (int * float) list
+(** [measure m ~fill ~sizes] is every cost-curve measurement: for each
+    batch size [k] in [sizes], in order, [fill k] queues modifications on
+    [m], then one {!Ivm.Maintainer.apply} of [m]'s {!Ivm.Maintainer.pending_sizes}
+    drains every queue (lane, on a routed maintainer), and the point is
+    [(k, units)], the metered cost of that apply.  It measures on [m]
+    itself: base state drifts as batches apply, mirroring measurement on
+    a live system, and a later curve measured on [m] sees the batches of
+    the earlier ones.  Pass a {!Ivm.Maintainer.copy} to keep an engine
+    untouched.  A maintainer with anything pending, or a negative size,
+    raises [Invalid_argument] before [fill] runs or anything is
+    metered. *)
+
 val measure_curve :
   Ivm.Maintainer.t ->
   Tpcr.Updates.feeds ->
   table:int ->
   sizes:int list ->
   (int * float) list
-(** [measure_curve m feeds ~table ~sizes] measures, for each batch size
-    [k] in [sizes], the cost of arriving and processing [k] modifications
-    of [table] in one batch.  The maintainer's pending queue for that table
-    must be empty initially and is empty again afterwards; base state
-    drifts as updates apply, mirroring measurement on a live system.  A
-    negative size raises [Invalid_argument] before anything is
-    measured. *)
+(** [measure_curve m feeds ~table ~sizes] is {!measure} with a fill that
+    draws [k] modifications of [table] from [feeds]
+    ({!Ivm.Maintainer.ingest}): the cost of arriving and processing [k]
+    modifications of [table] in one batch.  On a routed maintainer the
+    batch is the table's lanes, one apply draining both.  A bad table
+    index raises [Invalid_argument], and so does what {!measure}
+    refuses. *)
 
 val fitted :
   name:string -> (int * float) list -> Cost.Func.t * Cost.Fit.affine_fit
@@ -29,15 +43,3 @@ val tabulated : name:string -> (int * float) list -> Cost.Func.t
 (** The measured curve itself as a piecewise-linear cost function —
     maximum fidelity, but check subadditivity before trusting LGM bounds
     ({!Cost.Check.is_subadditive}). *)
-
-val measure_orders :
-  make:(Ivm.Viewdef.order -> Ivm.Maintainer.t * Tpcr.Updates.feeds) ->
-  table:int ->
-  sizes:int list ->
-  (Ivm.Viewdef.order * (int * float) list) list
-(** Meter one table's cost curve under both maintenance orders.  [make]
-    must build a {e fresh} engine (identical seed/state) for the given
-    order — each order's curve is measured against its own engine so base
-    drift from one measurement cannot leak into the other.  Returns the
-    curves in [[First_order; Higher_order]] order; feed them to {!fitted}
-    / {!tabulated} and compare shapes with {!Cost.Fit.flatter}. *)

@@ -50,9 +50,10 @@ val copy : t -> t
     built from scratch by the same calls would.  Far cheaper than
     {!create}: nothing is joined, and the copy itself is unmetered.
     An aggregate view's content copy ({!Groups.copy}) is O(stored
-    values): its bags are mutable, so none is shared.  Calibration
-    measures cost curves on a copy so the live engine's tables and meter
-    stay untouched. *)
+    values): its bags are mutable, so none is shared.
+    [Bridge.Calibrate.measure] meters on the maintainer it is given, so
+    a caller that must keep an engine's tables and meter untouched (a
+    serve tenant, [Partition.Runner.compare_blind]) passes it a copy. *)
 
 val view : t -> Viewdef.t
 val meter : t -> Relation.Meter.t

@@ -40,18 +40,9 @@ let splits_of_sample ?min_share view ~next =
       done;
       Split.calibrate ?min_share sketch)
 
-let check_start fn e ~sizes =
-  if Array.exists (fun q -> q > 0) (Engine.pending e) then
-    invalid_arg
-      ("Partition.Calibrate." ^ fn ^ ": engine has pending modifications");
-  if List.exists (fun k -> k < 0) sizes then
-    invalid_arg ("Partition.Calibrate." ^ fn ^ ": negative batch size")
-
 let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
-  check_start "measure_curve" e ~sizes;
   let p = Pspec.index ~table cls and m = Engine.maintainer e in
-  List.map
-    (fun k ->
+  Bridge.Calibrate.measure m ~sizes ~fill:(fun k ->
       let drawn = ref 0 in
       while Ivm.Maintainer.pending_size m p < k do
         incr drawn;
@@ -66,16 +57,4 @@ let measure_curve ?(max_draw = 200_000) e ~next ~table ~cls ~sizes =
            alone.  Only insertion streams can be filtered this way. *)
         if Engine.partition_of e table change = p then
           Engine.arrive e table change
-      done;
-      (k, Relation.Meter.cost_units (Ivm.Maintainer.process m p k)))
-    sizes
-
-let measure_blind_curve e ~next ~table ~sizes =
-  check_start "measure_blind_curve" e ~sizes;
-  List.map
-    (fun k ->
-      for _ = 1 to k do
-        Engine.arrive e table (next ())
-      done;
-      (k, Ivm.Maintainer.apply (Engine.maintainer e) (Engine.pending e)))
-    sizes
+      done)

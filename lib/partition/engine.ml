@@ -6,6 +6,13 @@ type t = {
   decay : float;
 }
 
+let copy e =
+  {
+    e with
+    maintainer = Ivm.Maintainer.copy e.maintainer;
+    online = Array.map Sketch.copy e.online;
+  }
+
 let n_logical e = Array.length e.splits
 let n_partitions e = Pspec.count ~n:(n_logical e)
 let maintainer e = e.maintainer

@@ -41,6 +41,12 @@ val create :
     sketches.  Raises [Invalid_argument] if the maintainer has pending
     modifications ({!Ivm.Maintainer.route}). *)
 
+val copy : t -> t
+(** An engine over a {!Ivm.Maintainer.copy} of this one's maintainer
+    (route and lanes included), with the same [key_of] and splits and
+    copies of the online sketches: it maintains independently and meters
+    every later batch to the bits this engine would. *)
+
 val n_logical : t -> int
 val n_partitions : t -> int
 val maintainer : t -> Ivm.Maintainer.t

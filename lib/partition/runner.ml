@@ -112,10 +112,11 @@ type comparison = {
   aware : side;
 }
 
-let compare_blind ~fresh ~sizes ~limit_factor engine stream =
+let compare_blind ~cal_feeds ~sizes ~limit_factor engine stream =
   let n = Engine.n_logical engine in
+  let blind_engine = Engine.copy engine in
   let part_curves =
-    let e, feeds = fresh () in
+    let e = Engine.copy engine and feeds = cal_feeds () in
     Array.init (Pspec.count ~n) (fun p ->
         let table, cls = Pspec.logical p in
         Calibrate.measure_curve e
@@ -123,11 +124,9 @@ let compare_blind ~fresh ~sizes ~limit_factor engine stream =
           ~table ~cls ~sizes)
   in
   let blind_curves =
-    let e, feeds = fresh () in
-    Array.init n (fun table ->
-        Calibrate.measure_blind_curve e
-          ~next:(fun () -> feeds.Tpcr.Updates.next table)
-          ~table ~sizes)
+    let m = Ivm.Maintainer.copy (Engine.maintainer engine)
+    and feeds = cal_feeds () in
+    Array.init n (fun table -> Bridge.Calibrate.measure_curve m feeds ~table ~sizes)
   in
   let hull name curve =
     Cost.Func.subadditive_hull
@@ -157,8 +156,7 @@ let compare_blind ~fresh ~sizes ~limit_factor engine stream =
          ~arrivals:(partitioned_arrivals engine stream))
   in
   let blind =
-    side run_blind
-      (fst (fresh ()))
+    side run_blind blind_engine
       (Abivm.Spec.make ~costs:costs_blind ~limit
          ~arrivals:(count_by n (fun i _ -> i) stream))
   in

@@ -10,8 +10,8 @@
     the very stream being replayed, plan validity transfers exactly.
 
     {!compare_blind} also replays the same stream under the skew-blind
-    baseline's plan, which batches each logical table as a whole, on the
-    same kind of engine — the executed cost a skew-aware plan is
+    baseline's plan, which batches each logical table as a whole, on a
+    copy of the same engine — the executed cost a skew-aware plan is
     compared with — and runs the whole comparison, calibration
     included. *)
 
@@ -49,27 +49,32 @@ type comparison = {
   part_curves : (int * float) list array;
       (** Per partition ({!Pspec.index}), {!Calibrate.measure_curve}. *)
   blind_curves : (int * float) list array;
-      (** Per logical table, {!Calibrate.measure_blind_curve}. *)
+      (** Per logical table, {!Bridge.Calibrate.measure_curve} on the
+          routed maintainer: [k] arrivals of the table whatever their
+          class, both of its lanes drained by one apply. *)
   limit : float;
   blind : side;
   aware : side;
 }
 
 val compare_blind :
-  fresh:(unit -> Engine.t * Tpcr.Updates.feeds) ->
+  cal_feeds:(unit -> Tpcr.Updates.feeds) ->
   sizes:int list ->
   limit_factor:float ->
   Engine.t ->
   stream ->
   comparison
 (** The skew-aware planner against the skew-blind baseline on one
-    stream.  [fresh ()] builds an idle engine over a fresh copy of the
-    database, with the calibration feed over it: one measures the
-    per-partition curves, one the logical tables' blind curves, one runs
-    the blind plan.  The curves' subadditive hulls (up to [4 × max sizes])
-    become the two specs' cost functions, the response-time limit is
-    [limit_factor] times the dearest single modification of either, and
-    A* plans both.  The aware plan runs on the given engine via {!run},
-    the blind plan on its own engine: a logical batch of [k] drains the
-    first [k] of that table's arrivals in FIFO order, applied as one
-    batch per non-empty lane, heavy first. *)
+    stream, from the idle engine given.  Nothing is built: one
+    {!Engine.copy} measures the per-partition curves, a
+    {!Ivm.Maintainer.copy} the logical tables' blind curves, each from
+    its own [cal_feeds ()] (called twice, before the given engine runs
+    anything), and a third copy runs the blind plan.  The curves'
+    subadditive hulls (up to [4 × max sizes]) become the two specs' cost
+    functions, the response-time limit is [limit_factor] times the
+    dearest single modification of either, and A* plans both.  The aware
+    plan runs on the given engine via {!run}, the blind plan on its copy:
+    a logical batch of [k] drains the first [k] of that table's arrivals
+    in FIFO order, applied as one batch per non-empty lane, heavy first.  An
+    engine with pending modifications raises [Invalid_argument] (from
+    {!Bridge.Calibrate.measure}) before anything is metered. *)

@@ -8,6 +8,11 @@ type t = {
 
 let create () = { counts = Hashtbl.create 256; stored_total = 0.0; unit_ = 1.0 }
 
+let copy t =
+  let counts = Hashtbl.copy t.counts in
+  Hashtbl.filter_map_inplace (fun _ cell -> Some (ref !cell)) counts;
+  { t with counts }
+
 (* Renormalize once the stored units drift far from the effective scale,
    so [observe] increments stay well inside float precision. *)
 let renormalize t =

@@ -13,6 +13,9 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent sketch with the same counts. *)
+
 val observe : ?weight:float -> t -> int -> unit
 (** Add [weight] (default 1) to the key's effective count. *)
 

@@ -29,13 +29,18 @@ let test_calibrate_leaves_queue_empty () =
   ignore (Bridge.Calibrate.measure_curve m feeds ~table:0 ~sizes:[ 1; 2; 3 ]);
   checki "drained" 0 (Ivm.Maintainer.pending_size m 0)
 
+(* Anything pending refuses a curve, on the measured table or another. *)
 let test_calibrate_rejects_dirty_queue () =
   let _, m, feeds = env ~seed:3 () in
   Ivm.Maintainer.on_arrive m 0 (feeds.Tpcr.Updates.next 0);
-  Alcotest.check_raises "dirty"
-    (Invalid_argument "Calibrate.measure_curve: pending queue not empty")
-    (fun () ->
-      ignore (Bridge.Calibrate.measure_curve m feeds ~table:0 ~sizes:[ 1 ]))
+  List.iter
+    (fun table ->
+      Alcotest.check_raises "dirty"
+        (Invalid_argument "Bridge.Calibrate.measure: modifications are pending")
+        (fun () ->
+          ignore (Bridge.Calibrate.measure_curve m feeds ~table ~sizes:[ 1 ])))
+    [ 0; 1 ];
+  checki "nothing more queued" 1 (Ivm.Maintainer.pending_size m 0)
 
 (* A negative size anywhere in the list is refused before the first
    size is measured: nothing arrives, nothing is processed or metered. *)
@@ -44,13 +49,23 @@ let test_calibrate_rejects_negative_size () =
   let meter = Relation.Meter.snapshot (Ivm.Maintainer.meter m) in
   let rows = Ivm.Maintainer.rows m in
   Alcotest.check_raises "negative"
-    (Invalid_argument "Calibrate.measure_curve: negative batch size")
+    (Invalid_argument "Bridge.Calibrate.measure: negative batch size")
     (fun () ->
       ignore (Bridge.Calibrate.measure_curve m feeds ~table:1 ~sizes:[ 1; 5; -1 ]));
   checkb "meter untouched" true
     (Relation.Meter.snapshot (Ivm.Maintainer.meter m) = meter);
   checkb "rows untouched" true (List.equal Relation.Tuple.equal rows (Ivm.Maintainer.rows m));
   checki "nothing queued" 0 (Ivm.Maintainer.pending_size m 1)
+
+let test_calibrate_rejects_bad_table () =
+  let _, m, feeds = env ~seed:3 () in
+  List.iter
+    (fun table ->
+      Alcotest.check_raises "bad table"
+        (Invalid_argument "Bridge.Calibrate.measure_curve: bad table index")
+        (fun () ->
+          ignore (Bridge.Calibrate.measure_curve m feeds ~table ~sizes:[ 1 ])))
+    [ -1; 4 ]
 
 let test_calibrate_fitted_function () =
   let _, m, feeds = env ~seed:4 () in
@@ -242,6 +257,8 @@ let () =
             test_calibrate_rejects_dirty_queue;
           Alcotest.test_case "rejects a negative size untouched" `Quick
             test_calibrate_rejects_negative_size;
+          Alcotest.test_case "rejects a bad table" `Quick
+            test_calibrate_rejects_bad_table;
           Alcotest.test_case "fitted function" `Quick test_calibrate_fitted_function;
           Alcotest.test_case "tabulated function" `Quick
             test_calibrate_tabulated_function;

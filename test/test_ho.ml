@@ -310,7 +310,11 @@ let test_ho_cost_curves () =
       Tpcr.Synth.insert_feeds ~seed:11 db )
   in
   let curves table =
-    Bridge.Calibrate.measure_orders ~make ~table ~sizes:[ 1; 8; 32 ]
+    List.map
+      (fun order ->
+        let m, feeds = make order in
+        (order, Bridge.Calibrate.measure_curve m feeds ~table ~sizes:[ 1; 8; 32 ]))
+      [ Ivm.Viewdef.First_order; Ivm.Viewdef.Higher_order ]
   in
   let fo = Ivm.Viewdef.First_order and ho = Ivm.Viewdef.Higher_order in
   let dr = curves 0 and ds = curves 1 in

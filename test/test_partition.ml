@@ -14,8 +14,11 @@
      routed maintainer meters;
    - [Runner.run] consults [key_of] exactly twice per arrival, in step
      order (perfbench reads its step times off those calls);
-   - the online sketch's drift reads a hammered light key;
-   - per-partition calibration measures usable curves;
+   - the online sketch's drift reads a hammered light key, and an engine's
+     copy moves apart from it;
+   - per-partition calibration measures usable curves, both
+     calibrations refuse a negative size or a busy engine untouched, and
+     every point the skew comparison calibrates is pinned in [%h];
    - on a Zipfian stream the skew-aware 4-table plan executes cheaper
      than a skew-blind plan over one averaged curve per table. *)
 
@@ -204,6 +207,16 @@ let test_drift () =
   Alcotest.(check (array int)) "hot keys on S's index lane, the rest on its scan lane"
     [| 0; 0; 40; 10 + (5 * !steps) |]
     (Partition.Engine.pending e);
+  (* A copy starts from the same sketch and lanes, then moves alone. *)
+  let c = Partition.Engine.copy e and drift = Partition.Engine.drift e 1 in
+  Alcotest.(check (float 0.0)) "copy reads the same drift" drift
+    (Partition.Engine.drift c 1);
+  for _ = 1 to 20 do
+    Partition.Engine.arrive c 1 (insert_s 0)
+  done;
+  Alcotest.(check bool) "copy's drift moves" true (Partition.Engine.drift c 1 <> drift);
+  Alcotest.(check (float 0.0)) "original's drift stays" drift (Partition.Engine.drift e 1);
+  Alcotest.(check int) "original's lanes stay" 40 (Partition.Engine.pending e).(2);
   ignore (Ivm.Maintainer.refresh (Partition.Engine.maintainer e));
   Alcotest.(check (result unit string)) "consistent after the drift" (Ok ())
     (Ivm.Maintainer.check_consistent (Partition.Engine.maintainer e))
@@ -239,9 +252,11 @@ let test_measure_curve () =
         curve)
     [ Partition.Split.Heavy; Partition.Split.Light ]
 
-(* Both partition calibrations refuse a negative size before measuring
-   the sizes ahead of it: no draw, no batch, no metered unit. *)
-let test_measure_rejects_negative_size () =
+(* Both partition calibrations (a partition's curve, and a logical
+   table's skew-blind curve on the routed maintainer) refuse a negative
+   size before measuring the sizes ahead of it, and a busy engine: no
+   draw, no batch, no metered unit. *)
+let test_measure_refusals () =
   let db = Tpcr.Synth.generate ~seed:9 ~r_rows:60 ~s_rows:60 ~join_domain:12 () in
   let view = Tpcr.Synth.join_view db in
   let e =
@@ -256,20 +271,30 @@ let test_measure_rejects_negative_size () =
     incr draws;
     feeds.Tpcr.Updates.next 1
   in
-  let meter = Relation.Meter.snapshot db.Tpcr.Synth.meter in
-  Alcotest.check_raises "per-partition curve"
-    (Invalid_argument "Partition.Calibrate.measure_curve: negative batch size")
-    (fun () ->
-      ignore
-        (Partition.Calibrate.measure_curve e ~next ~table:1
-           ~cls:Partition.Split.Light ~sizes:[ 2; -1 ]));
-  Alcotest.check_raises "skew-blind curve"
-    (Invalid_argument "Partition.Calibrate.measure_blind_curve: negative batch size")
-    (fun () ->
-      ignore (Partition.Calibrate.measure_blind_curve e ~next ~table:1 ~sizes:[ 2; -3 ]));
-  Alcotest.(check int) "no draw" 0 !draws;
-  Alcotest.(check bool) "meter untouched" true
-    (Relation.Meter.snapshot db.Tpcr.Synth.meter = meter)
+  let refused what ~sizes =
+    let meter = Relation.Meter.snapshot (Ivm.Maintainer.meter (Partition.Engine.maintainer e)) in
+    let pending = Partition.Engine.pending e in
+    draws := 0;
+    Alcotest.check_raises ("per-partition curve: " ^ what) (Invalid_argument what)
+      (fun () ->
+        ignore
+          (Partition.Calibrate.measure_curve e ~next ~table:1
+             ~cls:Partition.Split.Light ~sizes));
+    Alcotest.check_raises ("skew-blind curve: " ^ what) (Invalid_argument what)
+      (fun () ->
+        ignore
+          (Bridge.Calibrate.measure_curve (Partition.Engine.maintainer e)
+             { Tpcr.Updates.next = (fun _ -> next ()) }
+             ~table:1 ~sizes));
+    Alcotest.(check int) (what ^ ": no draw") 0 !draws;
+    Alcotest.(check (array int)) (what ^ ": queues untouched") pending
+      (Partition.Engine.pending e);
+    Alcotest.(check bool) (what ^ ": meter untouched") true
+      (Relation.Meter.snapshot (Ivm.Maintainer.meter (Partition.Engine.maintainer e)) = meter)
+  in
+  refused "Bridge.Calibrate.measure: negative batch size" ~sizes:[ 2; -1 ];
+  Partition.Engine.arrive e 0 (feeds.Tpcr.Updates.next 0);
+  refused "Bridge.Calibrate.measure: modifications are pending" ~sizes:[ 1 ]
 
 (* --- skew-aware planning beats the skew-blind plan ----------------------------- *)
 
@@ -306,18 +331,23 @@ let skew_engine () =
       ~key_of:(Partition.Engine.key_of_view view)
       ~splits:(Lazy.force skew_splits) m )
 
+(* The skew-aware/skew-blind comparison on a 20-step Zipfian stream: the
+   engine it ran the aware plan on, the stream and the comparison. *)
+let skew_comparison =
+  lazy
+    (let db, engine = skew_engine () in
+     let stream =
+       Partition.Runner.materialize ~feeds:(skew_feeds ~seed:13 db)
+         ~arrivals:(Array.init 21 (fun _ -> [| 4; 8 |]))
+     in
+     let c =
+       Partition.Runner.compare_blind ~sizes:skew_sizes ~limit_factor:1.45
+         engine stream ~cal_feeds:(fun () -> skew_feeds ~seed:11 db)
+     in
+     (engine, stream, c))
+
 let test_skew_aware_beats_blind () =
-  let db, engine = skew_engine () in
-  let stream =
-    Partition.Runner.materialize ~feeds:(skew_feeds ~seed:13 db)
-      ~arrivals:(Array.init 21 (fun _ -> [| 4; 8 |]))
-  in
-  let c =
-    Partition.Runner.compare_blind ~sizes:skew_sizes ~limit_factor:1.45 engine
-      stream ~fresh:(fun () ->
-        let db, e = skew_engine () in
-        (e, skew_feeds ~seed:11 db))
-  in
+  let engine, stream, c = Lazy.force skew_comparison in
   let aware = c.aware.exec.cost_units and blind = c.blind.exec.cost_units in
   if not (aware < blind) then
     Alcotest.failf "skew-aware executed %.1f units, skew-blind %.1f" aware
@@ -334,6 +364,36 @@ let test_skew_aware_beats_blind () =
   Alcotest.(check bool) "zipfian run = unpartitioned engine" true
     (List.equal Relation.Tuple.equal (Partition.Engine.rows engine)
        (Ivm.Maintainer.rows m))
+
+(* Every calibrated point of the comparison, in [%h]: the per-lane
+   curves (R heavy, R light, S heavy, S light) and the logical tables'
+   skew-blind curves (R, S) at sizes 1, 4 and 16. *)
+let test_skew_curves_pinned () =
+  let _, _, c = Lazy.force skew_comparison in
+  let hex curves =
+    Array.to_list
+      (Array.map
+         (fun curve ->
+           String.concat " "
+             (List.map (fun (k, u) -> Printf.sprintf "%d:%h" k u) curve))
+         curves)
+  in
+  Alcotest.(check (list string))
+    "per-lane curves"
+    [
+      "1:0x1.0ap+6 4:0x1.82p+6 16:0x1.19p+8";
+      "1:0x1.07ep+10 4:0x1.0bep+10 16:0x1.1c8p+10";
+      "1:0x1.1cp+6 4:0x1.c4p+6 16:0x1.d5p+7";
+      "1:0x1.518p+8 4:0x1.5e8p+8 16:0x1.8d8p+8";
+    ]
+    (hex c.part_curves);
+  Alcotest.(check (list string))
+    "skew-blind curves"
+    [
+      "1:0x1.0ap+6 4:0x1.1dep+10 16:0x1.39ep+10";
+      "1:0x1.fcp+5 4:0x1.6fp+8 16:0x1.cd8p+8";
+    ]
+    (hex c.blind_curves)
 
 (* Uniform keys under the same splits: after every step the partitioned
    engine holds the unpartitioned engine's view, bit for bit. *)
@@ -582,9 +642,11 @@ let () =
         :: Alcotest.test_case "per-partition calibration curves" `Quick
              test_measure_curve
         :: Alcotest.test_case "calibration refuses a negative size" `Quick
-             test_measure_rejects_negative_size
+             test_measure_refusals
         :: Alcotest.test_case "skew-aware plan beats skew-blind, same view"
              `Quick test_skew_aware_beats_blind
+        :: Alcotest.test_case "comparison curves pinned bit for bit" `Quick
+             test_skew_curves_pinned
         :: Alcotest.test_case "uniform keys bit-identical every step" `Quick
              test_uniform_routing_per_step
         :: List.map to_alcotest

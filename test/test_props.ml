@@ -798,18 +798,20 @@ let measured_order_costs ~engine_seed =
     in
     (m, Tpcr.Synth.insert_feeds ~seed:(engine_seed + 1) db)
   in
-  let c0 = Bridge.Calibrate.measure_orders ~make ~table:0 ~sizes in
-  let c1 = Bridge.Calibrate.measure_orders ~make ~table:1 ~sizes in
   List.map
     (fun order ->
-      let repaired t curves =
+      (* Each table's curve on an engine of its own, so one measurement's
+         base drift cannot leak into the other. *)
+      let repaired t =
+        let m, feeds = make order in
         let name =
           Printf.sprintf "measured-%s-t%d" (Ivm.Viewdef.order_name order) t
         in
         Cost.Func.subadditive_hull ~upto:48
-          (Bridge.Calibrate.tabulated ~name (List.assoc order curves))
+          (Bridge.Calibrate.tabulated ~name
+             (Bridge.Calibrate.measure_curve m feeds ~table:t ~sizes))
       in
-      (order, [| repaired 0 c0; repaired 1 c1 |]))
+      (order, [| repaired 0; repaired 1 |]))
     [ Ivm.Viewdef.First_order; Ivm.Viewdef.Higher_order ]
 
 let check_curve_instance ~seed ~label spec =
