@@ -21,17 +21,20 @@ let strategy_conv =
   conv Abivm.Strategy.of_string (fun fmt s ->
       Format.pp_print_string fmt (Abivm.Strategy.to_string s))
 
+(* A float flag refused while parsing unless [valid] holds. *)
+let float_conv ~what ~want valid =
+  conv
+    (fun text ->
+      match Durable.Manifest.float_if valid text with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "bad %s %S (want %s)" what text want))
+    (Arg.conv_printer Arg.float)
+
 (* A response-time limit: a finite number, zero or more — on the command
    line and in a durable run's manifest alike. *)
 let valid_limit c = Float.is_finite c && c >= 0.0
 
-let limit_conv =
-  conv
-    (fun text ->
-      match Durable.Manifest.float_if valid_limit text with
-      | Some c -> Ok c
-      | None -> Error (Printf.sprintf "bad limit %S (want a finite number >= 0)" text))
-    (Arg.conv_printer Arg.float)
+let limit_conv = float_conv ~what:"limit" ~want:"a finite number >= 0" valid_limit
 
 (* Calibration batch sizes, K,K,...: none negative, at least one positive
    and at least [distinct] different ones (an affine fit needs two). *)

@@ -336,28 +336,20 @@ let register t cfg =
       t.rejected <- t.rejected + 1;
       Ok r
 
-let promote_waiting t =
-  let rec loop () =
-    if
-      List.length t.active < t.config.admission.Admission.max_active
-      && delta_entries_in_use t
-         < t.config.admission.Admission.max_delta_entries
-      && t.waiting <> []
-    then begin
-      match t.waiting with
-      | [] -> ()
-      | cfg :: rest -> (
-          t.waiting <- rest;
-          match admit t cfg with
-          | Ok () -> loop ()
-          | Error e ->
-              t.rejected <- t.rejected + 1;
-              Telemetry.incr "serve.promote_failures";
-              ignore e;
-              loop ())
-    end
-  in
-  loop ()
+let rec promote_waiting t =
+  match t.waiting with
+  | cfg :: rest
+    when List.length t.active < t.config.admission.Admission.max_active
+         && delta_entries_in_use t
+            < t.config.admission.Admission.max_delta_entries ->
+      t.waiting <- rest;
+      (match admit t cfg with
+      | Ok () -> ()
+      | Error _ ->
+          t.rejected <- t.rejected + 1;
+          Telemetry.incr "serve.promote_failures");
+      promote_waiting t
+  | _ -> ()
 
 let sweep_completed t =
   let done_, still = List.partition Tenant.finished t.active in
@@ -814,9 +806,3 @@ let forced_closes t = Durable.Groupwal.forced_closes t.group
 
 let idle_rounds t = t.idle_rounds
 let rounds t = t.rounds
-
-let tenant_records ~root ~name =
-  Result.map
-    (fun c ->
-      Option.value ~default:[] (List.assoc_opt name c.Durable.Groupwal.tenants))
-    (Durable.Groupwal.read ~dir:(Durable.Fsutil.group_dir root) ~from_lsn:0)

@@ -136,8 +136,9 @@ val recover : ?pool:Parallel.Pool.t -> root:string -> unit -> (t, string) result
 (** Rebuild the service from the root manifest, every admitted tenant's
     manifest, and the shared log, opened once (its tail repaired) and
     demuxed by that one scan into each tenant's records
-    ({!Tenant.replay} — deterministic re-draw and bit-exact re-metering,
-    verified) and the co-flush journal.  The tenant manifests are loaded
+    ({!Tenant.replay} — the tenant's live step re-run against them, every
+    re-drawn arrival and re-metered batch checked against its record)
+    and the co-flush journal.  The tenant manifests are loaded
     in registration order; then [pool] builds every tenant
     ({!Tenant.engine}) as one batch and runs every tenant's replay as a
     second.  On failure the error is the first in registration order, whatever the
@@ -162,9 +163,10 @@ val recover : ?pool:Parallel.Pool.t -> root:string -> unit -> (t, string) result
     [Error] — never an exception — on an unreadable or corrupt manifest
     (including roots written with private per-tenant WALs, with no
     [wal_mode] param, or with a manifest [coflush] journal), on damage
-    before the log's tail, and on a co-flush record naming a tenant that
+    before the log's tail, on a co-flush record naming a tenant that
     was never admitted or carrying a batch row whose width is not
-    {!Tenant.n_tables}. *)
+    {!Tenant.n_tables}, and on a tenant's records its re-run step does
+    not reproduce (the error names the tenant and step). *)
 
 val active : t -> Tenant.t list
 (** The tenants still running, in registration order. *)
@@ -182,11 +184,6 @@ val window_closes : t -> int
 
 val forced_closes : t -> int
 (** The subset of {!window_closes} forced by per-tenant sync policies. *)
-
-val tenant_records :
-  root:string -> name:string -> (Durable.Record.t list, string) result
-(** A tenant's durable record sequence, demuxed from the shared log
-    read-only ({!Durable.Groupwal.read}). *)
 
 val config_of_params :
   (string * string) list -> (config * (string * int) list, string) result

@@ -83,11 +83,7 @@ type t = {
   mutable next_step : int;
   mutable begun : bool;
       (* [next_step]'s ingest + observe already ran ([begin_step] is a
-         no-op until [close_step]) — set live per step, and by replay
-         when the WAL tail ends with a step's arrivals but no flush:
-         that step's decision was lost mid-round, and the service
-         either re-runs the round (nobody flushed — phase B re-derives
-         the identical invites) or catches it up from the journal *)
+         no-op until [close_step]); a replay can end with a step begun *)
   mutable corr : float;
   mutable next_allowed : int;  (* reanchor backoff *)
   mutable gap : int;
@@ -97,11 +93,9 @@ type t = {
   mutable sheds : int;
   mutable reanchors : int;
   mutable replayed : int;
+  mutable held : Durable.Record.t list;  (* unreplayed log tail *)
   mutable flush_log : (int * int * float * float) list;
-      (* replayed flushes, newest first: (time, table, model cost of the
-         batch, single-modification setup cost) — both costs evaluated
-         at the replay point, i.e. under the then-current re-anchored
-         model, so the service can rebuild its coordination accounting *)
+      (* replayed batches, newest first (see [replayed_flushes]) *)
 }
 
 let name t = t.config.name
@@ -117,7 +111,6 @@ let reanchors t = t.reanchors
 let replayed t = t.replayed
 let replayed_flushes t = List.rev t.flush_log
 let pending t = Abivm.Online.pending t.controller
-let controller t = t.controller
 
 let delta_entries t =
   match Ivm.Maintainer.delta_view t.maintainer with
@@ -254,10 +247,50 @@ let assemble ~group ({ build = b; base_costs; maintainer; feeds } : engine) =
     sheds = 0;
     reanchors = 0;
     replayed = 0;
+    held = [];
     flush_log = [];
   }
 
 (* --- one time step, in scheduler-driven phases --------------------------- *)
+
+(* A replayed step that parts from its log tail: {!replay}'s [Error]. *)
+exception Diverged of string
+
+let diverged t fmt =
+  Printf.ksprintf
+    (fun e ->
+      raise (Diverged (Printf.sprintf "%s: t=%d%s" t.config.name t.next_step e)))
+    fmt
+
+(* Every record a step journals.  While a recovering tenant holds records
+   of its log tail, each must be the next held one, payload for payload,
+   and consumes it; once the tail is used up, records go to the log, so a
+   tail cut mid-ingest is topped up by the live step. *)
+let journal t (record : Durable.Record.t) =
+  match (record, t.held) with
+  | _, [] -> Durable.Groupwal.append t.log record
+  | _, next :: rest
+    when Durable.Record.payload next = Durable.Record.payload record ->
+      t.held <- rest;
+      t.replayed <- t.replayed + 1
+  | Arrival { table; _ }, Arrival a :: _
+    when a.time = t.next_step && a.table = table ->
+      diverged t
+        " table %d: journalled arrival differs from the deterministic feed"
+        table
+  | Arrival { table; _ }, _ ->
+      diverged t
+        " table %d: WAL does not match the tenant's deterministic arrival \
+         schedule"
+        table
+  | Applied { table; count; cost; _ }, Applied a :: _
+    when a.table = table && a.count = count ->
+      diverged t
+        ": table %d: recomputed cost %.17g differs from recorded %.17g — \
+         non-deterministic replay"
+        table cost a.cost
+  | Applied { table; _ }, _ ->
+      diverged t ": table %d: applied record does not match the batch" table
 
 let begin_step t =
   if not t.begun then begin
@@ -265,8 +298,7 @@ let begin_step t =
     let d = t.arrivals.(time) in
     Ivm.Maintainer.ingest t.maintainer ~next:t.feeds.Tpcr.Updates.next d
       ~on_arrival:(fun ~table change ->
-        Durable.Groupwal.append t.log
-          (Durable.Record.Arrival { time; table; change }));
+        journal t (Durable.Record.Arrival { time; table; change }));
     Durable.Groupwal.commit t.log;
     Robust.Monitor.observe_arrivals t.monitor d;
     Abivm.Online.observe t.controller ~arrivals:d;
@@ -280,15 +312,8 @@ let mandatory t =
   end
   else Abivm.Online.propose t.controller
 
-(* Event-scheduler readiness: would this step do anything beyond a pure
-   zero-arrival observe?  Ready iff arrivals land now (the precomputed
-   next-arrival clock), the controller is already full ([propose]'s
-   gate; a zero-arrival observe leaves pending unchanged, so evaluating
-   before [begin_step] is exact), or the tenant sits at the horizon with
-   pending work (the final mandatory flush).  A non-ready tenant can be stepped by
-   {!idle_step} with no WAL traffic and no proposal; it stays
-   invite-eligible because nothing phase B reads (pending, capacity,
-   model costs) changes in a zero-arrival [begin_step]. *)
+(* [full] is [propose]'s gate; a zero-arrival observe leaves pending
+   unchanged, so evaluating it before [begin_step] is exact. *)
 let ready t =
   let time = t.next_step in
   t.next_busy.(min time (t.config.horizon + 1)) = time
@@ -300,24 +325,18 @@ let shed t =
   t.sheds <- t.sheds + 1;
   Telemetry.incr "serve.sheds"
 
-(* One executed (or replayed) batch's accounting, per batch so the
-   running float totals add in the same order live and on replay.
-   Returns the batch's model cost. *)
-let account t ~table ~count ~cost =
-  let expected = Cost.Func.eval t.costs.(table) count in
-  Robust.Monitor.observe_cost t.monitor ~expected ~observed:cost;
-  t.metered <- t.metered +. cost;
-  t.charged <- t.charged +. expected;
-  expected
-
+(* Each batch is accounted as it is applied, so the running float totals
+   add in the same order live and on replay. *)
 let execute t batches =
   let time = t.next_step in
   ignore
     (Ivm.Maintainer.apply t.maintainer batches
        ~on_applied:(fun ~table ~count ~cost ->
-         Durable.Groupwal.append t.log
-           (Durable.Record.Applied { time; table; count; cost });
-         ignore (account t ~table ~count ~cost)));
+         journal t (Durable.Record.Applied { time; table; count; cost });
+         let expected = Cost.Func.eval t.costs.(table) count in
+         Robust.Monitor.observe_cost t.monitor ~expected ~observed:cost;
+         t.metered <- t.metered +. cost;
+         t.charged <- t.charged +. expected));
   Durable.Groupwal.commit t.log;
   Abivm.Online.absorb t.controller batches
 
@@ -351,11 +370,8 @@ let close_step t =
   t.begun <- false;
   t.next_step <- time + 1
 
-(* One zero-work step: the identical call sequence the lockstep scheduler
-   makes for a tenant whose proposal is [None] and who is not invited —
-   minus the pool dispatch.  [execute] on an all-zero batch journals
-   nothing and [absorb] is a no-op, so only the observe/close
-   bookkeeping advances, exactly as in a lockstep round. *)
+(* [execute] on an all-zero batch journals nothing and [absorb] is a
+   no-op, so only the observe/close bookkeeping advances. *)
 let idle_step t =
   begin_step t;
   execute t (Array.make n_tables 0);
@@ -370,111 +386,57 @@ let abandon t = Durable.Groupwal.detach t.log
 
 (* --- recovery ------------------------------------------------------------ *)
 
-(* Replay drives on the deterministic schedule, not on the records: step
-   [time] expects [arrivals.(time).(i)] Arrival records per table (in
-   table order — exactly the order [begin_step] journals them), then any
-   Applied records for that step.  Every replayed arrival is re-drawn
-   from the feeds and must encode to the identical payload; every
-   replayed batch must re-meter to the bit-identical cost.  A record tail
-   cut mid-ingest (a crash between arrival commits) is completed: the
-   missing arrivals of that step are drawn, ingested and journalled, so a
-   committed arrival is never dropped and the schedule stays whole.  A
-   trailing step whose arrivals committed but whose flush never did is
-   left OPEN ([begun] set, [close_step] not called): its flush decision
-   died with the crash, and only the service can reproduce it — by
-   re-running the round (no tenant flushed, so phase B re-derives the
-   identical invites) or from the phase-B journal (some did). *)
+(* The batch row of the step's leading [Applied] records, still held, each
+   count checked against its queue before anything is processed. *)
+let held_row t =
+  let batches = Array.make n_tables 0 in
+  let rec scan = function
+    | Durable.Record.Arrival a :: _ when a.time = t.next_step ->
+        diverged t ": more arrivals than the schedule"
+    | Durable.Record.Applied { time; table; count; _ } :: rest
+      when time = t.next_step ->
+        if table < 0 || table >= n_tables then
+          diverged t ": applied record for unknown table %d" table;
+        let pending = Ivm.Maintainer.pending_size t.maintainer table in
+        batches.(table) <- batches.(table) + count;
+        if count < 0 || batches.(table) > pending then
+          diverged t
+            ": applied record wants %d pending changes of table %d but only \
+             %d are pending"
+            batches.(table) table pending;
+        scan rest
+    | _ -> batches
+  in
+  scan t.held
+
+(* Replay runs the live step until the log tail is used up: [begin_step]
+   re-draws the arrivals, [execute] re-meters the held row, and [journal]
+   matches every record.  A tail ending with a step's arrivals leaves that
+   step begun: the crash came before its flush decision, which only the
+   service can re-derive (a re-run round, or the phase-B journal). *)
 let replay t records =
-  let rest = ref records in
-  let result = ref (Ok ()) in
-  let fail msg = if !result = Ok () then result := Error msg in
-  while !rest <> [] && !result = Ok () do
-    let time = t.next_step in
-    if time > t.config.horizon then
-      fail (Printf.sprintf "%s: WAL extends past horizon %d" t.config.name
-              t.config.horizon)
+  t.held <- records;
+  let rec steps () =
+    if t.held = [] then Ok ()
+    else if finished t then
+      Error
+        (Printf.sprintf "%s: WAL extends past horizon %d" t.config.name
+           t.config.horizon)
     else begin
-      let d = t.arrivals.(time) in
-      Ivm.Maintainer.ingest t.maintainer ~next:t.feeds.Tpcr.Updates.next d
-        ~on_arrival:(fun ~table change ->
-          if !result = Ok () then
-            match !rest with
-            | Durable.Record.Arrival { time = rt; table = rtable; change = logged }
-              :: tl
-              when rt = time && rtable = table ->
-                let payload change =
-                  Durable.Record.payload
-                    (Durable.Record.Arrival { time; table; change })
-                in
-                if payload logged <> payload change then
-                  fail
-                    (Printf.sprintf
-                       "%s: t=%d table %d: journalled arrival differs from \
-                        the deterministic feed"
-                       t.config.name time table)
-                else begin
-                  t.replayed <- t.replayed + 1;
-                  rest := tl
-                end
-            | [] ->
-                (* Crash mid-ingest: finish this step's arrivals live. *)
-                Durable.Groupwal.append t.log
-                  (Durable.Record.Arrival { time; table; change })
-            | _ :: _ ->
-                fail
-                  (Printf.sprintf
-                     "%s: t=%d table %d: WAL does not match the tenant's \
-                      deterministic arrival schedule"
-                     t.config.name time table));
-      (* Commits the topped-up arrivals, if any. *)
-      Durable.Groupwal.commit t.log;
-      if !result = Ok () then begin
-        (match !rest with
-        | Durable.Record.Arrival { time = rt; _ } :: _ when rt = time ->
-            fail
-              (Printf.sprintf "%s: t=%d: more arrivals than the schedule"
-                 t.config.name time)
-        | _ -> ());
-        Robust.Monitor.observe_arrivals t.monitor d;
-        Abivm.Online.observe t.controller ~arrivals:d;
-        let batches = Array.make n_tables 0 in
-        let applied_any = ref false in
-        let continue_applied = ref true in
-        while !continue_applied && !result = Ok () do
-          match !rest with
-          | Durable.Record.Applied { time = rt; table; count; cost } :: tl
-            when rt = time -> (
-              match
-                Ivm.Maintainer.replay_applied t.maintainer ~table ~count ~cost
-              with
-              | Error e ->
-                  fail (Printf.sprintf "%s: t=%d: %s" t.config.name time e)
-              | Ok () ->
-                  let expected = account t ~table ~count ~cost in
-                  t.flush_log <-
-                    (time, table, expected, Cost.Func.eval t.costs.(table) 1)
-                    :: t.flush_log;
-                  batches.(table) <- batches.(table) + count;
-                  t.replayed <- t.replayed + 1;
-                  applied_any := true;
-                  rest := tl)
-          | _ -> continue_applied := false
-        done;
-        if !result = Ok () then
-          if (not !applied_any) && !rest = [] then
-            (* The WAL tail ends with this step's arrivals and no flush.
-               [execute] commits a step's Applied records atomically, so
-               this is a crash between the ingest and the flush decision
-               — NOT evidence of a no-flush step (a closed no-flush step
-               is always followed by later records).  Leave the step
-               open: the ingest ran, the flush belongs to the service
-               (re-run round or journal catch-up). *)
-            t.begun <- true
-          else begin
-            Abivm.Online.absorb t.controller batches;
-            close_step t
-          end
-      end
+      begin_step t;
+      if t.held <> [] then begin
+        let time = t.next_step and batches = held_row t in
+        execute t batches;
+        Array.iteri
+          (fun table k ->
+            if k > 0 then
+              t.flush_log <-
+                (time, table, model_cost t table k, model_cost t table 1)
+                :: t.flush_log)
+          batches;
+        close_step t
+      end;
+      steps ()
     end
-  done;
-  !result
+  in
+  try steps () with Diverged e -> Error e

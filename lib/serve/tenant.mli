@@ -12,9 +12,8 @@
 
     The whole environment is deterministic in {!config}, which is also
     exactly what the tenant's manifest persists — recovery rebuilds the
-    tenant from its params and replays its slice of the log, re-drawing every
-    journalled arrival from the feeds and re-metering every batch, both
-    verified bit-exactly against the records.
+    tenant from its params and re-runs its live step against its slice of
+    the log ({!replay}).
 
     The per-step API is split into scheduler-driven phases so
     {!Service} can interleave many tenants: {!begin_step} (ingest +
@@ -94,12 +93,15 @@ val assemble : group:Durable.Groupwal.t -> engine -> t
 
 val replay : t -> Durable.Record.t list -> (unit, string) result
 (** Replay [records] — this tenant's slice of the shared log, demuxed by
-    the caller — into a freshly assembled tenant.
-    Every journalled arrival must equal the deterministic feed's re-draw
-    and every batch must re-meter to the bit-identical cost; a tail cut
-    mid-step is completed (the missing arrivals are drawn and
-    journalled), so no committed arrival is ever dropped.  The tenant
-    resumes at the step after the last journalled one. *)
+    the caller — into a freshly assembled tenant by running its live
+    steps: {!begin_step}, {!execute} of the step's [Applied] counts,
+    {!close_step}.  Each record a step journals must have the next
+    record's payload and consumes it; once [records] are used up the
+    step journals to the log, so a tail cut mid-ingest is completed.  A
+    tail ending with a step's arrivals leaves that step begun.  [Error],
+    naming the tenant and step, on a count above the table's pending
+    changes (before {!execute}), a record the step does not make, or
+    records past the horizon. *)
 
 (** {1 Inspection} *)
 
@@ -119,8 +121,6 @@ val capacity : t -> int -> int
 val model_cost : t -> int -> int -> float
 (** [model_cost t i k] — current model cost of a [k]-batch of table [i]. *)
 
-val controller : t -> Abivm.Online.controller
-
 val delta_entries : t -> int
 (** Current {!Ivm.Deltaview} materialization size (total subtuple
     entries); 0 for first-order tenants.  The service charges this
@@ -135,10 +135,10 @@ val reanchors : t -> int
 val replayed : t -> int
 
 val replayed_flushes : t -> (int * int * float * float) list
-(** Every flush replayed from the WAL, in replay order:
+(** Every batch {!replay} executed, in replay order:
     [(time, table, model cost of the batch, single-modification setup
-    cost)], both costs evaluated under the re-anchored model current at
-    that point of the replay — exactly the inputs the service's
+    cost)], both costs under the re-anchored model the step priced it
+    with — exactly the inputs the service's
     coordination accounting used live, letting {!Service.recover}
     rebuild the discounted aggregate for the replayed portion. *)
 
@@ -146,8 +146,8 @@ val replayed_flushes : t -> (int * int * float * float) list
 
 val begin_step : t -> unit
 (** Ingest this step's arrivals (drawn from the feeds, journalled and
-    committed as one batch) and observe them in the monitor and the
-    controller. *)
+    committed as one batch; during {!replay}, matched against the
+    records) and observe them in the monitor and the controller. *)
 
 val mandatory : t -> Abivm.Statevec.t option
 (** The non-negotiable flush for this step: the controller's proposal

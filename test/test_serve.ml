@@ -617,6 +617,29 @@ let test_recover_refuses_damage () =
          count or cost: the CRC stays valid, so only replay can refuse
          it — by name, before it touches the tenant's queue. *)
       let gdir root = Filename.concat root "groupwal" in
+      let segments =
+        List.sort compare
+          (List.filter
+             (fun f -> Filename.check_suffix f ".seg")
+             (Array.to_list (Sys.readdir (gdir pristine))))
+      in
+      let seg_lines seg =
+        String.split_on_char '\n' (read_file (Filename.concat (gdir pristine) seg))
+      in
+      (* Segment [seg] of [root] with its first [line] replaced by [by]. *)
+      let rewrite_line root seg ~line ~by =
+        let path = Filename.concat (gdir root) seg in
+        let content = read_file path in
+        let rec at i =
+          if String.sub content i (String.length line) = line then i
+          else at (i + 1)
+        in
+        let i = at 0 in
+        let j = i + String.length line in
+        write_file path
+          (String.sub content 0 i ^ by
+          ^ String.sub content j (String.length content - j))
+      in
       let applied_of line =
         match Durable.Record.of_tagged_line line with
         | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
@@ -626,14 +649,10 @@ let test_recover_refuses_damage () =
       let applied =
         List.concat_map
           (fun seg ->
-            String.split_on_char '\n'
-              (read_file (Filename.concat (gdir pristine) seg))
+            seg_lines seg
             |> List.filter_map (fun l ->
                    Option.map (fun a -> (seg, l, a)) (applied_of l)))
-          (List.sort compare
-             (List.filter
-                (fun f -> Filename.check_suffix f ".seg")
-                (Array.to_list (Sys.readdir (gdir pristine)))))
+          segments
       in
       let ((_, _, (tenant, time, count, _)) as first) =
         match applied with
@@ -641,28 +660,15 @@ let test_recover_refuses_damage () =
         | [] -> Alcotest.fail "no tenant applied record in the log"
       in
       let forge root (seg, applied_line, _) edit =
-        let path = Filename.concat (gdir root) seg in
-        let content = read_file path in
-        let rec at i =
-          if String.sub content i (String.length applied_line) = applied_line
-          then i
-          else at (i + 1)
-        in
-        let i = at 0 in
-        let forged =
-          match Durable.Record.of_tagged_line applied_line with
-          | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
-              let count, cost = edit (a.count, a.cost) in
-              Durable.Record.to_tagged_line
-                (Durable.Record.Tenant
-                   (name, Durable.Record.Applied { a with count; cost }))
-          | _ -> Alcotest.fail "not an applied record"
-        in
-        write_file path
-          (String.sub content 0 i ^ forged
-          ^ String.sub content
-              (i + String.length applied_line)
-              (String.length content - i - String.length applied_line))
+        rewrite_line root seg ~line:applied_line
+          ~by:
+            (match Durable.Record.of_tagged_line applied_line with
+            | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
+                let count, cost = edit (a.count, a.cost) in
+                Durable.Record.to_tagged_line
+                  (Durable.Record.Tenant
+                     (name, Durable.Record.Applied { a with count; cost }))
+            | _ -> Alcotest.fail "not an applied record")
       in
       let applied_becomes what ~cause edit =
         refused ~what ~cause (fun root -> forge root first edit)
@@ -696,6 +702,61 @@ let test_recover_refuses_damage () =
            (min tenant other))
         true
         (String.starts_with ~prefix:(min tenant other ^ ": ") e);
+      (* Tenant [Arrival] records, CRC-valid: one re-encoded with another
+         change, and the last arrival of one step written twice (in the
+         last segment, whose record count no later segment checks).
+         Replay re-draws every arrival from the feed, so it refuses
+         both, naming the tenant and the step. *)
+      let arrivals seg =
+        seg_lines seg
+        |> List.filter_map (fun l ->
+               match Durable.Record.of_tagged_line l with
+               | Ok
+                   (Durable.Record.Tenant
+                      (name, Durable.Record.Arrival { time; table; change })) ->
+                   Some (l, name, (time, table, change))
+               | _ -> None)
+      in
+      let first_arrival seg =
+        match arrivals seg with
+        | found :: _ -> found
+        | [] -> Alcotest.failf "no tenant arrival record in %s" seg
+      in
+      let refused_naming ~what ~cause (name, time) damage =
+        let step = Printf.sprintf "%s: t=%d" name time in
+        let e = refusal ~what damage in
+        checkb
+          (Printf.sprintf "%s: error %S names %S and %S" what e step cause)
+          true
+          (String.starts_with ~prefix:step e && contains ~sub:cause e)
+      in
+      let seg = List.hd segments in
+      let line, name, (time, table, change) = first_arrival seg in
+      let change =
+        match change with
+        | Ivm.Change.Insert tuple -> Ivm.Change.Delete tuple
+        | Ivm.Change.Delete tuple -> Ivm.Change.Insert tuple
+        | Ivm.Change.Update { before; after } ->
+            Ivm.Change.Update { before = after; after = before }
+      in
+      refused_naming ~what:"arrival with another change"
+        ~cause:"differs from the deterministic feed" (name, time) (fun root ->
+          rewrite_line root seg ~line
+            ~by:
+              (Durable.Record.to_tagged_line
+                 (Durable.Record.Tenant
+                    (name, Durable.Record.Arrival { time; table; change }))));
+      let seg = List.nth segments (List.length segments - 1) in
+      let _, name, (time, _, _) = first_arrival seg in
+      let line, _, _ =
+        List.fold_left
+          (fun last ((_, n, (t, _, _)) as found) ->
+            if n = name && t = time then found else last)
+          (first_arrival seg) (arrivals seg)
+      in
+      refused_naming ~what:"step's last arrival written twice"
+        ~cause:"more arrivals than the schedule" (name, time) (fun root ->
+          rewrite_line root seg ~line ~by:(line ^ "\n" ^ line));
       (* Roots whose service manifest predates the one-log layout. *)
       let manifest_params what ~cause edit =
         refused ~what ~cause (fun root ->
@@ -742,9 +803,15 @@ let test_recover_refuses_damage () =
 (* --- backpressure never drops a committed arrival ------------------------- *)
 
 let arrival_count root name =
-  match Serve.Service.tenant_records ~root ~name with
+  match
+    Durable.Groupwal.read ~dir:(Durable.Fsutil.group_dir root) ~from_lsn:0
+  with
   | Error e -> Alcotest.failf "records of %s: %s" name e
-  | Ok records ->
+  | Ok contents ->
+      let records =
+        Option.value ~default:[]
+          (List.assoc_opt name contents.Durable.Groupwal.tenants)
+      in
       List.fold_left
         (fun n r ->
           match r with Durable.Record.Arrival _ -> n + 1 | _ -> n)
