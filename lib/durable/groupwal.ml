@@ -23,7 +23,8 @@ type handle = {
   gw : t;
   tenant : string;
   policy : Wal.sync option;
-  mutable hbuf : Record.t list; (* reversed; uncommitted appends *)
+  lines : Buffer.t; (* uncommitted appends, encoded *)
+  mutable pending : int; (* records in [lines] *)
   mutable hcommits : int;
   mutable hclosed : bool;
 }
@@ -311,22 +312,18 @@ let rotate gw =
   Telemetry.incr "durable.segments";
   gw.hook (Hook.Rotated { start })
 
-(* One commit: encode [records] straight into the window, advance the
-   LSN, fire [Committed], and rotate if the segment is over budget.
-   Caller holds the lock. *)
-let commit_locked gw records =
+(* One commit: copy [count] encoded records out of [lines] into the
+   window (emptying [lines]), advance the LSN, fire [Committed], and
+   rotate if the segment is over budget.  Caller holds the lock. *)
+let commit_locked gw ~count lines =
   if gw.closed then invalid_arg "Groupwal.commit: log closed";
-  let before = Buffer.length gw.window in
-  List.iter
-    (fun r ->
-      Buffer.add_string gw.window (Record.to_tagged_line r);
-      Buffer.add_char gw.window '\n';
-      Telemetry.incr "durable.appends")
-    records;
-  let bytes = Buffer.length gw.window - before in
-  gw.lsn <- gw.lsn + List.length records;
+  let bytes = Buffer.length lines in
+  Buffer.add_buffer gw.window lines;
+  Buffer.clear lines;
+  gw.lsn <- gw.lsn + count;
   gw.seg_bytes <- gw.seg_bytes + bytes;
   gw.total_bytes <- gw.total_bytes + bytes;
+  Telemetry.add "durable.appends" (float_of_int count);
   Telemetry.incr "durable.commits";
   gw.hook (Hook.Committed { lsn = gw.lsn });
   if gw.seg_bytes >= gw.segment_bytes then rotate gw
@@ -375,23 +372,24 @@ let attach gw ~tenant ?policy () =
   | Some (Wal.Interval n) when n <= 0 ->
       invalid_arg "Groupwal.attach: Interval must be > 0"
   | _ -> ());
-  { gw; tenant; policy; hbuf = []; hcommits = 0; hclosed = false }
+  let lines = Buffer.create 256 in
+  { gw; tenant; policy; lines; pending = 0; hcommits = 0; hclosed = false }
 
+(* A handle belongs to one tenant, which runs on one domain at a time, so
+   its records are encoded here, outside the log's lock. *)
 let append h r =
   if h.hclosed then invalid_arg "Groupwal.append: handle closed";
-  h.hbuf <- r :: h.hbuf
+  Record.add_line h.lines (Record.Tenant (h.tenant, r));
+  h.pending <- h.pending + 1
 
 let commit h =
   if h.hclosed then invalid_arg "Groupwal.commit: handle closed";
-  if h.hbuf <> [] then begin
-    let gw = h.gw in
+  if h.pending > 0 then begin
+    let gw = h.gw and count = h.pending in
+    h.pending <- 0;
     locked gw (fun () ->
-        let batch =
-          List.rev_map (fun r -> Record.Tenant (h.tenant, r)) h.hbuf
-        in
-        h.hbuf <- [];
         h.hcommits <- h.hcommits + 1;
-        commit_locked gw batch;
+        commit_locked gw ~count h.lines;
         (* A per-tenant policy stricter than the window cadence forces
            the window closed right here; everyone else's pending commits
            ride along for free — that is the point of the shared
@@ -410,14 +408,17 @@ let commit h =
 let detach h =
   if not h.hclosed then begin
     h.hclosed <- true;
-    h.hbuf <- []
+    Buffer.reset h.lines;
+    h.pending <- 0
   end
 
 (* A service record is one commit of its own: everything committed after
    it — in this window or a later one — follows it in the log, so a crash
    can never keep a later commit while losing it. *)
 let commit_coflush gw c =
-  locked gw (fun () -> commit_locked gw [ Record.Coflush c ])
+  let line = Buffer.create 64 in
+  Record.add_line line (Record.Coflush c);
+  locked gw (fun () -> commit_locked gw ~count:1 line)
 
 let close gw =
   if not gw.closed then begin

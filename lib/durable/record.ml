@@ -12,26 +12,77 @@ let crc_table =
       done;
       !c)
 
+let[@inline] crc_step c byte =
+  Array.unsafe_get crc_table ((c lxor Char.code byte) land 0xFF) lxor (c lsr 8)
+
 let crc32_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Record.crc32_sub";
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c :=
-      Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
-      lxor (!c lsr 8)
+    c := crc_step !c (String.unsafe_get s i)
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
 
-let payload = function
+let hex = "0123456789abcdef"
+
+(* [%Lx] of a cost's bits: lowercase, no leading zeros. *)
+let add_bits buf cost =
+  let bits = Int64.bits_of_float cost in
+  for i = 15 downto 0 do
+    let d = Int64.shift_right_logical bits (4 * i) in
+    if i = 0 || d <> 0L then Buffer.add_char buf hex.[Int64.to_int d land 0xF]
+  done
+
+let add_field buf x =
+  Buffer.add_char buf '\t';
+  Ivm.Codec.add_int buf x
+
+let add_payload buf = function
   | Arrival { time; table; change } ->
-      Printf.sprintf "A\t%d\t%d\t%s" time table
-        (Ivm.Codec.change_to_string change)
+      Buffer.add_char buf 'A';
+      add_field buf time;
+      add_field buf table;
+      Buffer.add_char buf '\t';
+      Ivm.Codec.add_change buf change
   | Applied { time; table; count; cost } ->
-      Printf.sprintf "P\t%d\t%d\t%d\t%Lx" time table count
-        (Int64.bits_of_float cost)
+      Buffer.add_char buf 'P';
+      add_field buf time;
+      add_field buf table;
+      add_field buf count;
+      Buffer.add_char buf '\t';
+      add_bits buf cost
+
+let payload r =
+  let buf = Buffer.create 64 in
+  add_payload buf r;
+  Buffer.contents buf
+
+(* Payload equality without the payloads: a value float compares as its
+   "%h" text (equal bits, or NaNs of one sign), a cost by its bits. *)
+let value_equal (a : Relation.Value.t) (b : Relation.Value.t) =
+  match (a, b) with
+  | Float x, Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      || Float.is_nan x && Float.is_nan y && Float.sign_bit x = Float.sign_bit y
+  | _ -> a = b
+
+let equal a b =
+  match (a, b) with
+  | Arrival a, Arrival b ->
+      a.time = b.time && a.table = b.table
+      && List.equal
+           (fun (x, sx) (y, sy) ->
+             sx = sy && Array.length x = Array.length y
+             && Array.for_all2 value_equal x y)
+           (Ivm.Change.signed_tuples a.change)
+           (Ivm.Change.signed_tuples b.change)
+  | Applied a, Applied b ->
+      a.time = b.time && a.table = b.table && a.count = b.count
+      && Int64.equal (Int64.bits_of_float a.cost) (Int64.bits_of_float b.cost)
+  | _ -> false
 
 let parse_payload text =
   match String.split_on_char '\t' text with
@@ -77,14 +128,20 @@ type tagged = Tenant of string * t | Coflush of coflush
    tenant record can never be mistaken for one another. *)
 let service_tag = "@service"
 
-let coflush_payload { round; rows } =
-  String.concat "\t"
-    ("C" :: string_of_int round
-    :: List.map
-         (fun (name, row) ->
-           name ^ ":"
-           ^ String.concat "," (List.map string_of_int (Array.to_list row)))
-         rows)
+let add_coflush buf { round; rows } =
+  Buffer.add_char buf 'C';
+  add_field buf round;
+  List.iter
+    (fun (name, row) ->
+      Buffer.add_char buf '\t';
+      Buffer.add_string buf name;
+      Buffer.add_char buf ':';
+      Array.iteri
+        (fun i k ->
+          if i > 0 then Buffer.add_char buf ',';
+          Ivm.Codec.add_int buf k)
+        row)
+    rows
 
 let parse_coflush text =
   let bad () = Error (Printf.sprintf "malformed co-flush record %S" text) in
@@ -120,14 +177,36 @@ let parse_coflush text =
 (* Tagged framing for the shared group-commit log: the CRC covers the tag
    too, so a line can never silently migrate between tenants, or between
    a tenant and the service, on replay.  Tenant names are
-   directory-name-safe ([Fsutil.valid_tenant_name]) and thus tab-free. *)
+   directory-name-safe ([Fsutil.valid_tenant_name]) and thus tab-free.
+   The body is formatted once, into a per-domain scratch buffer, so the
+   CRC can be taken before the bytes it heads are copied out. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
+let add_line buf tagged =
+  let body = Domain.DLS.get scratch in
+  Buffer.clear body;
+  let tag = match tagged with Tenant (tag, _) -> tag | Coflush _ -> service_tag in
+  Buffer.add_string body tag;
+  Buffer.add_char body '\t';
+  (match tagged with
+  | Tenant (_, r) -> add_payload body r
+  | Coflush c -> add_coflush body c);
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to Buffer.length body - 1 do
+    c := crc_step !c (Buffer.nth body i)
+  done;
+  let crc = !c lxor 0xFFFFFFFF in
+  for i = 7 downto 0 do
+    Buffer.add_char buf hex.[(crc lsr (4 * i)) land 0xF]
+  done;
+  Buffer.add_char buf '\t';
+  Buffer.add_buffer buf body;
+  Buffer.add_char buf '\n'
+
 let to_tagged_line tagged =
-  let p =
-    match tagged with
-    | Tenant (tenant, r) -> Printf.sprintf "%s\t%s" tenant (payload r)
-    | Coflush c -> Printf.sprintf "%s\t%s" service_tag (coflush_payload c)
-  in
-  Printf.sprintf "%08lx\t%s" (crc32 p) p
+  let buf = Buffer.create 64 in
+  add_line buf tagged;
+  Buffer.sub buf 0 (Buffer.length buf - 1)
 
 let of_tagged_line line =
   match checked_body line with

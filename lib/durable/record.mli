@@ -27,6 +27,11 @@ val payload : t -> string
 (** The record's encoding, untagged and without a CRC: two records with
     equal payloads are the same log record, bit for bit. *)
 
+val equal : t -> t -> bool
+(** [equal a b = (payload a = payload b)], without encoding either: a
+    value float compares as its [%h] text does (equal bits, or NaNs of
+    one sign; [0.] differs from [-0.]), a cost by its bits. *)
+
 (** {1 Shared group-log lines} *)
 
 type coflush = { round : int; rows : (string * int array) list }
@@ -38,13 +43,17 @@ type tagged =
   | Tenant of string * t  (** a tenant's record, tagged with its name *)
   | Coflush of coflush  (** a service record, under the service tag *)
 
+val add_line : Buffer.t -> tagged -> unit
+(** The one line encoder of the shared cross-tenant group log
+    ({!Groupwal}): appends CRC, tab, tag, tab, payload and a newline to
+    the buffer.  The tag is the tenant's name, or the reserved service
+    tag [@service] (never a valid tenant name) for a {!Coflush}.  The
+    CRC covers the tag, so damage can never re-home a record to another
+    tenant or to the service.  Domain-safe; builds no string but a
+    float value's [%h] text. *)
+
 val to_tagged_line : tagged -> string
-(** Tagged framing for the shared cross-tenant group log ({!Groupwal}):
-    CRC, tab, tag, tab, payload.  The tag is the tenant's name, or the
-    reserved service tag [@service] (never a valid tenant name) for a
-    {!Coflush}.  The CRC covers the tag, so damage can never re-home a
-    record to another tenant or to the service.  Without the trailing
-    newline. *)
+(** {!add_line}'s bytes as a string, without the trailing newline. *)
 
 val of_tagged_line : string -> (tagged, string) result
 (** Decode a {!to_tagged_line} line: [Error] on a CRC mismatch,

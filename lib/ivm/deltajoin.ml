@@ -52,6 +52,7 @@ type scratch = {
   mutable slots : int array;  (* open-addressing table of item indices *)
   mutable hashes : int array;  (* per item *)
   mutable total : int array;  (* per item *)
+  mutable sel : int array;  (* a shared scan's selection vector *)
 }
 
 let scratch () =
@@ -66,6 +67,7 @@ let scratch () =
     slots = [||];
     hashes = [||];
     total = [||];
+    sel = [||];
   }
 
 (* The most words one scratch array keeps between batches: 512 KiB, room
@@ -167,6 +169,7 @@ let step view meter ~path s b ps out (e : Viewdef.join_edge) =
     done;
     Meter.bump_hash_build meter n;
     s.key_peak <- max s.key_peak n;
+    if Array.length s.sel = 0 then s.sel <- Array.make Relation.Batch.capacity 0;
     if !int_key then begin
       let h = s.ihash in
       Relation.Ihash.clear h;
@@ -177,7 +180,7 @@ let step view meter ~path s b ps out (e : Viewdef.join_edge) =
         | _ -> nulls := p :: !nulls
       done;
       let nulls = List.rev !nulls in
-      Table.scan_batches dst (fun bt ->
+      Table.scan_batches ~sel:s.sel dst (fun bt ->
           Meter.bump_hash_probe meter bt.Relation.Batch.n_sel;
           let col = bt.Relation.Batch.cols.(dst_pos) in
           let data = Relation.Column.int_data col in
@@ -203,7 +206,7 @@ let step view meter ~path s b ps out (e : Viewdef.join_edge) =
       for p = 0 to n - 1 do
         Vhash.add by_value keys.(p) p
       done;
-      Table.scan_batches dst (fun bt ->
+      Table.scan_batches ~sel:s.sel dst (fun bt ->
           Meter.bump_hash_probe meter bt.Relation.Batch.n_sel;
           Relation.Batch.iter_sel
             (fun r ->

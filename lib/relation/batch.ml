@@ -19,7 +19,7 @@ let width b = Array.length b.cols
 let with_schema b schema =
   if Schema.arity schema <> Array.length b.cols then
     invalid_arg "Batch.with_schema: arity mismatch";
-  { b with schema }
+  { b with schema; sel = Array.sub b.sel 0 b.n_sel }
 
 let value b c r = Column.get b.cols.(c) (b.base + r)
 

@@ -38,7 +38,8 @@ val length : t -> int
 
 val width : t -> int
 val with_schema : t -> Schema.t -> t
-(** Relabel columns (e.g. qualify a table scan); arity must match. *)
+(** Relabel columns (e.g. qualify a table scan); arity must match.  The
+    result owns a private selection vector, as {!project}'s does. *)
 
 val value : t -> int -> int -> Value.t
 (** [value b col r] — [r] is a relative row index. *)

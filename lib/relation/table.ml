@@ -287,18 +287,24 @@ let to_list_unmetered t =
 
 (* --- batch access -------------------------------------------------------- *)
 
-let batch_cursor ?(metered = true) t =
+let batch_cursor ?(metered = true) ?sel t =
   let n_rows = t.n_rows in
   (* Columns only grow, so a cursor taken before concurrent-free appends
      still sees a consistent prefix; we pin the row count at creation. *)
   let base = ref 0 in
+  let width = min Batch.capacity n_rows in
+  let sel =
+    match sel with
+    | None -> Array.make width 0
+    | Some sel when Array.length sel >= width -> sel
+    | Some _ -> invalid_arg "Table.batch_cursor: selection vector too short"
+  in
   fun () ->
     if !base >= n_rows then None
     else begin
       let b = !base in
       let len = min Batch.capacity (n_rows - b) in
       base := b + len;
-      let sel = Array.make len 0 in
       let n = ref 0 in
       for r = 0 to len - 1 do
         if is_live t (b + r) then begin
@@ -313,8 +319,8 @@ let batch_cursor ?(metered = true) t =
       Some (Batch.view ~schema:t.schema ~cols:t.cols ~base:b ~len ~sel ~n_sel:!n)
     end
 
-let scan_batches ?metered t f =
-  let next = batch_cursor ?metered t in
+let scan_batches ?metered ?sel t f =
+  let next = batch_cursor ?metered ?sel t in
   let rec loop () =
     match next () with
     | None -> ()

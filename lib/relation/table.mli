@@ -95,17 +95,22 @@ val blit_row : t -> int -> Tuple.t -> int -> unit
 val scan : t -> (int -> Tuple.t -> unit) -> unit
 (** Iterate all live rows; bumps the sequential-scan counter per live row. *)
 
-val batch_cursor : ?metered:bool -> t -> unit -> Batch.t option
+val batch_cursor :
+  ?metered:bool -> ?sel:int array -> t -> unit -> Batch.t option
 (** Pull-based chunked scan: successive calls yield windows of up to
     [Batch.capacity] rows (tombstones dropped from the selection vector),
     then [None].  Row ids are [batch.base + r] for relative index [r].
     Metered like {!scan} — the scan counter advances by the batch's live
     rows in one bump, plus one batch-granularity tick — unless
     [metered:false].  The cursor pins the row count at creation; rows
-    appended afterwards are not yielded. *)
+    appended afterwards are not yielded.  Every window shares one
+    selection vector, [sel] (at least [min Batch.capacity] rows long;
+    [Invalid_argument] otherwise) or one of the cursor's own, which the
+    next call rewrites: a view is valid until then. *)
 
-val scan_batches : ?metered:bool -> t -> (Batch.t -> unit) -> unit
-(** Drain {!batch_cursor}. *)
+val scan_batches :
+  ?metered:bool -> ?sel:int array -> t -> (Batch.t -> unit) -> unit
+(** Drain {!batch_cursor}; each view is valid during its callback. *)
 
 val to_list : t -> Tuple.t list
 (** Every live row in row-id order, metered like {!scan}. *)

@@ -166,6 +166,12 @@ let engine b =
       (Tpcr.Synth.join_view db)
   in
   Relation.Meter.reset db.Tpcr.Synth.meter;
+  (* A first-order kernel asks for its tables' distinct-row certificates
+     (unmetered); built here, the twin's copy carries them. *)
+  if config.order = Ivm.Viewdef.First_order then
+    Array.iter
+      (fun table -> ignore (Relation.Table.distinct_rows table))
+      (Ivm.Viewdef.tables (Ivm.Maintainer.view maintainer));
   let feeds () = Tpcr.Synth.insert_feeds ~seed:(config.seed + 1) db in
   let twin = Ivm.Maintainer.copy maintainer and twin_feeds = feeds () in
   let curve table suffix =
@@ -263,14 +269,13 @@ let diverged t fmt =
     fmt
 
 (* Every record a step journals.  While a recovering tenant holds records
-   of its log tail, each must be the next held one, payload for payload,
-   and consumes it; once the tail is used up, records go to the log, so a
-   tail cut mid-ingest is topped up by the live step. *)
+   of its log tail, each must be the next held one, payload for payload
+   ([Record.equal]), and consumes it; once the tail is used up, records go
+   to the log, so a tail cut mid-ingest is topped up by the live step. *)
 let journal t (record : Durable.Record.t) =
   match (record, t.held) with
   | _, [] -> Durable.Groupwal.append t.log record
-  | _, next :: rest
-    when Durable.Record.payload next = Durable.Record.payload record ->
+  | _, next :: rest when Durable.Record.equal next record ->
       t.held <- rest;
       t.replayed <- t.replayed + 1
   | Arrival { table; _ }, Arrival a :: _

@@ -718,6 +718,56 @@ let test_supplier_curve_minor_words () =
     Alcotest.failf "%.0f minor words per Supplier modification (bound %.0f)" per_mod
       (3103.0 /. 2.0)
 
+(* The same PartSupp batches on the major heap: each shared scan of the
+   500-row Supplier table took a fresh 500-word selection vector there,
+   about 73 major words per modification in the dev build; with the
+   vector in the maintainer's scratch, about 9.  The bound is 36. *)
+let test_partsupp_batches_major_words () =
+  let db = Tpcr.Gen.generate ~seed:1 ~scale:0.05 () in
+  let m =
+    Ivm.Maintainer.create ~meter:db.Tpcr.Gen.meter (Tpcr.Gen.min_supplycost_view db)
+  in
+  let feeds = Tpcr.Updates.paper_feeds ~seed:8 db in
+  let batch = [| 6; 0; 0; 0 |] and batches = 200 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to batches do
+    Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next batch;
+    ignore (Ivm.Maintainer.apply m batch)
+  done;
+  let per_mod =
+    ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int (6 * batches)
+  in
+  if per_mod > 36.0 then
+    Alcotest.failf "%.0f major words per PartSupp modification (bound 36)" per_mod
+
+(* A first-order serve tenant builds its tables' distinct-row
+   certificates before it copies the engine for calibration, so the copy
+   answers without hashing its 10,000 rows again: a build allocates a
+   slot per row, an answer from the carried certificate nothing. *)
+let test_copy_carries_certificates () =
+  let db = Tpcr.Synth.generate ~seed:1 ~r_rows:10_000 ~s_rows:10_000 () in
+  let m =
+    Ivm.Maintainer.create ~meter:db.Tpcr.Synth.meter (Tpcr.Synth.join_view db)
+  in
+  let words_to_ask m =
+    Array.map
+      (fun t ->
+        let w0 = Gc.allocated_bytes () in
+        let distinct = Relation.Table.distinct_rows t in
+        let words = (Gc.allocated_bytes () -. w0) /. 8. in
+        checkb "distinct" true distinct;
+        words)
+      (Ivm.Viewdef.tables (Ivm.Maintainer.view m))
+  in
+  let before = Relation.Meter.snapshot db.Tpcr.Synth.meter in
+  Array.iter
+    (fun w -> if w < 10_000. then Alcotest.failf "a build took %.0f words" w)
+    (words_to_ask m);
+  Array.iter
+    (fun w -> if w > 16. then Alcotest.failf "the copy re-hashed: %.0f words" w)
+    (words_to_ask (Ivm.Maintainer.copy m));
+  checkb "unmetered" true (Relation.Meter.snapshot db.Tpcr.Synth.meter = before)
+
 let () =
   Alcotest.run "ivm"
     [
@@ -807,5 +857,9 @@ let () =
             `Quick test_partsupp_batches_minor_words;
           Alcotest.test_case "Supplier curve: minor words per modification"
             `Quick test_supplier_curve_minor_words;
+          Alcotest.test_case "copy carries the certificates" `Quick
+            test_copy_carries_certificates;
+          Alcotest.test_case "PartSupp batches: major words per modification"
+            `Quick test_partsupp_batches_major_words;
         ] );
     ]

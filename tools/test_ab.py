@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Unit test of tools/ab.py's arithmetic and exact-baseline check on fixed
-numbers, and the shape of tools/exact_baseline.json (no runs)."""
+"""Unit test of tools/ab.py's arithmetic and exact-baseline check, and of
+tools/exact_check.py, on fixed numbers, and the shape of
+tools/exact_baseline.json (no runs)."""
 
 import os
 import sys
@@ -84,6 +85,18 @@ for w, seeds in listed.items():
               sorted(ab.EXACT))
         for m, bits in metrics.items():
             check("hex of %s" % m, float.fromhex(bits).hex(), bits)
+
+# tools/exact_check.py: an untraced run passes only on the listed bits
+import exact_check  # noqa: E402
+untraced = {"metrics": {k: {"value": v} for k, v in run.items()}}
+check("exact_check match", exact_check.problems(baseline, "w", 1, untraced), [])
+check("exact_check unlisted", exact_check.problems(baseline, "w", 4, untraced),
+      ["w seed 4 is not in the baseline"])
+check("exact_check traced",
+      len(exact_check.problems(baseline, "w", 1, {"metrics": {}})), 3)
+untraced["metrics"]["slo_met_rate"]["value"] = 0.75
+check("exact_check moved", exact_check.problems(baseline, "w", 1, untraced),
+      ["slo_met_rate: baseline %s, run %s" % ((1.0).hex(), (0.75).hex())])
 
 check("seeds", ab.parse_seeds("11-14"), [11, 12, 13, 14])
 check("one seed", ab.parse_seeds("7"), [7])
