@@ -9,8 +9,9 @@
     {!Fsutil.group_dir}; Exec attaches one handle, tagged
     {!Recovery.tenant}.
 
-    Every attached handle's commits are encoded straight into a shared
-    {e group-commit window}; nothing reaches the file until a
+    Each record is encoded once, by {!append}, into its handle's
+    buffer, outside the log's lock; a commit copies those bytes into a
+    shared {e group-commit window}; nothing reaches the file until a
     durability point — {!close_window}, a segment rotation, or {!close}
     — which writes the whole window with one syscall (and fsyncs it,
     except at {!close}).  A round of the serve scheduler so costs {e one}
@@ -46,7 +47,8 @@
     order, and replay demuxes per tenant, so the cross-tenant
     interleaving inside the file is irrelevant to recovery.
 
-    Telemetry (when enabled): [durable.appends], [durable.commits],
+    Telemetry (when enabled): [durable.appends] (one add of the record
+    count per commit), [durable.commits],
     [durable.fsyncs], [durable.segments], [durable.truncations],
     [durable.window_closes]. *)
 
@@ -85,12 +87,13 @@ val attach : t -> tenant:string -> ?policy:Wal.sync -> unit -> handle
     [Invalid_argument] on an invalid tenant name. *)
 
 val append : handle -> Record.t -> unit
-(** Buffer a record on the handle; nothing reaches the shared window
-    until {!commit}. *)
+(** Encode a record (tagged, {!Record.add_line}) into the handle's
+    buffer, without the log's lock; nothing reaches the shared window
+    until {!commit}.  A handle is one domain's at a time. *)
 
 val commit : handle -> unit
-(** Encode the handle's buffered batch (tagged, in order) into the
-    shared window as one commit: advance the LSN, fire
+(** Copy the handle's encoded records, in order, into the shared window
+    as one commit: advance the LSN by their count, fire
     [Hook.Committed], and rotate (write + fsync) if the segment is over
     budget; then apply the handle's forcing policy.  No-op when nothing
     is buffered. *)
