@@ -38,24 +38,51 @@ type outcome = {
   lsn : int;
 }
 
-(* What is left to run on [m] from step [first], checked: the spec's
-   arrivals less those journalled in [arrived], the plan's actions from
-   [first] on less the batches in [applied] (both empty on a fresh run). *)
-let remaining ?(arrived = Hashtbl.create 0) ?(applied = Hashtbl.create 0) env m
-    ~first =
-  let journalled key = Option.value ~default:0 (Hashtbl.find_opt arrived key) in
-  let counts =
-    Array.mapi
-      (fun t -> Array.mapi (fun i k -> k - journalled (t, i)))
-      (Abivm.Spec.arrivals env.spec)
-  in
+let ( let* ) = Result.bind
+
+(* The plan's actions from step [first] on, checked against [m]'s queues
+   and the spec's arrivals from [first] on. *)
+let remaining env m ~first =
   let actions =
     List.filter (fun (t, _) -> t >= first) (Abivm.Plan.actions env.plan)
-    |> List.map (fun (t, action) ->
-           (t, Array.mapi (fun i k -> if Hashtbl.mem applied (t, i) then 0 else k) action))
   in
-  Bridge.Runner.check m ~first ~counts actions
-  |> Result.map (fun () -> (counts, actions))
+  Bridge.Runner.check m ~first ~counts:(Abivm.Spec.arrivals env.spec) actions
+  |> Result.map (fun () -> actions)
+
+(* Set up the replay of restored state [st] against its log tail
+   [contents]: the plan's actions from the checkpoint's step, [fresh]'s
+   feeds past the checkpoint's draws, and a journal holding the tail that
+   sends what follows it to [append].  [what] prefixes a plan refusal. *)
+let replaying env (st : Recovery.state) contents ~fresh ~what ~append =
+  let* records = Recovery.own_records contents in
+  let* actions =
+    remaining env st.maintainer ~first:st.next_step
+    |> Result.map_error (fun e -> what ^ ": " ^ e)
+  in
+  let _, feeds = fresh () in
+  Array.iteri
+    (fun i n ->
+      for _ = 1 to n do
+        ignore (feeds.Tpcr.Updates.next i)
+      done)
+    st.draws;
+  let journal = Journal.create ~at:(Printf.sprintf "WAL replay at t=%d") append in
+  Journal.hold journal records;
+  Ok (actions, feeds, journal)
+
+(* Step [t]'s arrivals from [next], each counted in [draws] and journalled. *)
+let arrivals m journal ~next ~draws t counts =
+  Ivm.Maintainer.ingest m ~next counts ~on_arrival:(fun ~table change ->
+      draws.(table) <- draws.(table) + 1;
+      Journal.record journal (Record.Arrival { time = t; table; change }))
+
+(* A plan's run past its last step must have used up the tail. *)
+let used_up journal ~horizon =
+  match Journal.held journal with
+  | [] -> ()
+  | rest ->
+      Journal.diverged journal horizon
+        ": %d WAL record(s) past the plan's last step" (List.length rest)
 
 (* Publish checkpoint [file] at [lsn]: only after its data fsync, rename
    and directory fsync (ARIES order) may the manifest name it.  Saves the
@@ -72,18 +99,21 @@ let commit_manifest config manifest ~lsn file =
   | _ -> ());
   saved
 
-(* The journal and the checkpoints around {!Bridge.Runner.execute}:
-   [counts]/[actions] come from [remaining]; [draws] is mutated in place
-   as feeds are consumed.  [log] is the group log, [journal] Exec's
-   handle on it. *)
-let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
-    ~first ~counts ~actions ~cost0 ~draws ~recovered ~replayed =
+(* The journal and the checkpoints around {!Bridge.Runner.execute}, from
+   restored state [st] on ([st.draws] is mutated in place as feeds are
+   consumed).  [log] is the group log, [handle] Exec's handle on it, and
+   [journal] matches the held tail before it appends to [handle]. *)
+let execute config env ~log ~handle ~journal ~(st : Recovery.state)
+    ~(feeds : Tpcr.Updates.feeds) ~actions ~recovered =
   let horizon = Abivm.Spec.horizon env.spec in
+  let m = st.maintainer and first = st.next_step and draws = st.draws in
   let lsn0 = Groupwal.lsn log in
-  let total = ref cost0 in
+  let total = ref st.cost in
   let actions_since = ref 0 in
   (* Batches still to apply: a checkpoint with fewer than [ckpt_actions]
-     of them left is superseded by the final one before it pays off. *)
+     of them left is superseded by the final one before it pays off.
+     Replayed batches count as applied; [actions_since] counts only the
+     appended ones. *)
   let batches n k = if k > 0 then n + 1 else n in
   let actions_left =
     ref
@@ -91,7 +121,7 @@ let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
          actions)
   in
   let bytes_mark = ref (Groupwal.total_bytes log) in
-  let manifest = ref manifest in
+  let manifest = ref st.manifest in
   let ckpts = ref 0 in
   let inflight = ref None in
   (* Stall accounting: wall time the maintenance thread itself spends on
@@ -109,20 +139,14 @@ let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
   in
   let settle_inflight ~wait =
     match !inflight with
-    | None -> ()
-    | Some (lsn, p) ->
-        let settled =
-          if wait then true
-          else match Checkpoint.poll p with `Running -> false | _ -> true
-        in
-        if settled then begin
-          let t0 = Unix.gettimeofday () in
-          let saved = Checkpoint.await p in
-          (* re-raises an injected crash *)
-          inflight := None;
-          adopt lsn saved;
-          stall_since t0
-        end
+    | Some (lsn, p) when wait || Checkpoint.poll p <> `Running ->
+        let t0 = Unix.gettimeofday () in
+        let saved = Checkpoint.await p in
+        (* re-raises an injected crash *)
+        inflight := None;
+        adopt lsn saved;
+        stall_since t0
+    | _ -> ()
   in
   let checkpoint ?(background = true) t =
     (* The log records this checkpoint claims to supersede must be on
@@ -148,8 +172,10 @@ let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
   in
   (* A step's arrivals, one log commit for all of them.  A checkpoint due
      after step [t - 1] is taken first, before [Step_start t] (the final
-     checkpoint below follows the last step).  One background checkpoint
-     at a time: a trigger while one is in flight waits for a later step. *)
+     checkpoint below follows the last step), never while the journal
+     holds tail records past the state it would capture.  One background
+     checkpoint at a time: a trigger while one is in flight waits for a
+     later step. *)
   let arrive t counts =
     if
       t > first
@@ -157,22 +183,22 @@ let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
          || Groupwal.total_bytes log - !bytes_mark >= config.ckpt_bytes)
       && !actions_left >= config.ckpt_actions
       && !inflight = None
+      && Journal.held journal = []
     then checkpoint (t - 1);
     config.hook (Hook.Step_start t);
     settle_inflight ~wait:false;
-    Ivm.Maintainer.ingest m ~next:feeds.Tpcr.Updates.next counts
-      ~on_arrival:(fun ~table change ->
-        draws.(table) <- draws.(table) + 1;
-        Groupwal.append journal (Record.Arrival { time = t; table; change }));
-    Groupwal.commit journal
+    arrivals m journal ~next:feeds.Tpcr.Updates.next ~draws t counts;
+    Groupwal.commit handle
   in
-  Bridge.Runner.execute m ~first ~counts ~arrive actions
-    ~on_applied:(fun ~t ~table ~count ~cost ->
+  Bridge.Runner.execute m ~first ~counts:(Abivm.Spec.arrivals env.spec)
+    ~arrive actions ~on_applied:(fun ~t ~table ~count ~cost ->
+      let appends = Journal.held journal = [] in
+      Journal.record journal (Record.Applied { time = t; table; count; cost });
+      Groupwal.commit handle;
       total := !total +. cost;
-      Groupwal.append journal (Record.Applied { time = t; table; count; cost });
-      Groupwal.commit journal;
-      incr actions_since;
+      if appends then incr actions_since;
       decr actions_left);
+  used_up journal ~horizon;
   settle_inflight ~wait:true;
   (* Final checkpoint: marks the run complete (next_step past the
      horizon) and lets a later [verify] work from snapshot + empty
@@ -187,39 +213,49 @@ let execute config env ~log ~journal ~manifest ~m ~(feeds : Tpcr.Updates.feeds)
     rows = Ivm.Maintainer.rows m;
     consistent = Ivm.Maintainer.check_consistent m = Ok ();
     recovered;
-    replayed;
+    replayed = Journal.matched journal;
     checkpoints = !ckpts;
     steps_run = max 0 (horizon - first + 1);
     lsn = Groupwal.lsn log;
   }
 
-(* [f] over the group log under [config.dir], opened at [from_lsn],
-   Exec's one handle on it, whose forcing policy is [config.sync], and
-   the log's records from [from_lsn] on; an [Error] when the log refuses
-   to open.  An injected [Hook.Crash] must
+let restore config env ~fresh =
+  Recovery.restore ~dir:config.dir ~view_of:env.view_of
+    ~fresh:(fun () -> fst (fresh ()))
+
+(* The one path of [run] and [resume]: restore [config.dir]'s state, open
+   its group log once (Exec's one handle on it forces by [config.sync]),
+   and run the plan from the checkpoint's step, the journal holding the
+   tail that opening the log returned.  An injected [Hook.Crash] must
    behave like a real crash: the log is abandoned, so the open window is
    lost instead of flushed on the way out (which would make
    Interval/Never tail loss untestable). *)
-let with_log config ~from_lsn f =
-  match
+let start config env ~fresh ~recovered =
+  let* st = restore config env ~fresh in
+  let* log, contents =
     Groupwal.open_ ~dir:(Fsutil.group_dir config.dir)
-      ~segment_bytes:config.segment_bytes ~hook:config.hook ~from_lsn ()
+      ~segment_bytes:config.segment_bytes ~hook:config.hook ~from_lsn:st.lsn ()
+    |> Result.map_error (fun e -> "wal: " ^ e)
+  in
+  let handle = Groupwal.attach log ~tenant:Recovery.tenant ~policy:config.sync () in
+  match
+    let* actions, feeds, journal =
+      replaying env st contents ~fresh ~what:"resume"
+        ~append:(Groupwal.append handle)
+    in
+    try
+      Ok (execute config env ~log ~handle ~journal ~st ~feeds ~actions ~recovered)
+    with Journal.Diverged e -> Error e
   with
-  | Error e -> Error ("wal: " ^ e)
-  | Ok (log, contents) -> (
-      let journal =
-        Groupwal.attach log ~tenant:Recovery.tenant ~policy:config.sync ()
-      in
-      match f log journal contents with
-      | v ->
-          Groupwal.close log;
-          v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          (match e with
-          | Hook.Crash _ -> Groupwal.abandon log
-          | _ -> Groupwal.close log);
-          Printexc.raise_with_backtrace e bt)
+  | result ->
+      Groupwal.close log;
+      result
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (match e with
+      | Hook.Crash _ -> Groupwal.abandon log
+      | _ -> Groupwal.close log);
+      Printexc.raise_with_backtrace e bt
 
 let run config env =
   if Sys.file_exists (Filename.concat config.dir "MANIFEST") then
@@ -230,66 +266,52 @@ let run config env =
          config.dir);
   (* Genesis state and plan are checked before anything is written, so a
      refused plan leaves no directory to refuse the next run. *)
-  let m, feeds = env.fresh () in
-  let counts, actions =
-    match remaining env m ~first:0 with
-    | Ok left -> left
-    | Error e -> invalid_arg ("Exec.run: " ^ e)
-  in
+  let genesis = env.fresh () in
+  Result.iter_error
+    (fun e -> invalid_arg ("Exec.run: " ^ e))
+    (remaining env (fst genesis) ~first:0);
   Fsutil.mkdirs config.dir;
-  let manifest = Manifest.empty ~params:env.params in
-  Manifest.save ~dir:config.dir ~hook:config.hook manifest;
-  match
-    with_log config ~from_lsn:0 (fun log journal _ ->
-        Ok
-          (execute config env ~log ~journal ~manifest ~m ~feeds ~first:0
-             ~counts ~actions ~cost0:0.
-             ~draws:
-               (Array.make (Ivm.Viewdef.n_tables (Ivm.Maintainer.view m)) 0)
-             ~recovered:false ~replayed:0))
-  with
+  Manifest.save ~dir:config.dir ~hook:config.hook
+    (Manifest.empty ~params:env.params);
+  match start config env ~fresh:(fun () -> genesis) ~recovered:false with
   | Ok outcome -> outcome
   | Error e -> failwith (Printf.sprintf "Exec.run: %s: %s" config.dir e)
 
 let resume config env =
-  let ( let* ) = Result.bind in
-  let t0 = Unix.gettimeofday () in
-  let* st =
-    Recovery.restore ~dir:config.dir ~view_of:env.view_of
-      ~fresh:(fun () -> fst (env.fresh ()))
-  in
-  with_log config ~from_lsn:st.Recovery.lsn (fun log journal contents ->
-      let* st = Recovery.replay st contents in
-      Telemetry.set_gauge "durable.recovery_ms"
-        ((Unix.gettimeofday () -. t0) *. 1000.);
-      let first = st.Recovery.next_step in
-      let* counts, actions =
-        remaining env st.Recovery.maintainer ~first ~arrived:st.Recovery.arrived
-          ~applied:st.Recovery.applied
-        |> Result.map_error (fun e -> "resume: " ^ e)
-      in
-      let _, feeds = env.fresh () in
-      (* Fast-forward the deterministic feeds past every draw the
-         pre-crash process (and replay) already consumed. *)
-      Array.iteri
-        (fun i n ->
-          for _ = 1 to n do
-            ignore (feeds.Tpcr.Updates.next i)
-          done)
-        st.Recovery.draws;
-      Ok
-        (execute config env ~log ~journal ~manifest:st.Recovery.manifest
-           ~m:st.Recovery.maintainer ~feeds ~first ~counts ~actions
-           ~cost0:st.Recovery.cost ~draws:st.Recovery.draws ~recovered:true
-           ~replayed:st.Recovery.replayed))
+  let* o = start config env ~fresh:env.fresh ~recovered:true in
+  Telemetry.add "durable.replayed_records" (float_of_int o.replayed);
+  Ok o
+
+(* [verify]'s journal has nowhere to append: the tail is used up. *)
+exception Tail_end
 
 let verify config env =
+  let* st = restore config env ~fresh:env.fresh in
+  let* contents =
+    Groupwal.read ~dir:(Fsutil.group_dir config.dir) ~from_lsn:st.lsn
+    |> Result.map_error (fun e -> "wal: " ^ e)
+  in
+  let* actions, feeds, journal =
+    replaying env st contents ~fresh:env.fresh ~what:"verify"
+      ~append:(fun _ -> raise Tail_end)
+  in
+  let m = st.maintainer and draws = st.draws and total = ref st.cost in
+  (* Stop before a draw, or an action, the tail does not hold. *)
+  let stop () = if Journal.held journal = [] then raise Tail_end in
+  let next i = stop (); feeds.Tpcr.Updates.next i in
+  let arrive t counts = arrivals m journal ~next ~draws t counts; stop () in
   match
-    Recovery.recover ~dir:config.dir ~view_of:env.view_of
-      ~fresh:(fun () -> fst (env.fresh ()))
+    Bridge.Runner.execute m ~first:st.next_step
+      ~counts:(Abivm.Spec.arrivals env.spec) ~arrive actions
+      ~on_applied:(fun ~t ~table ~count ~cost ->
+        Journal.record journal (Record.Applied { time = t; table; count; cost });
+        total := !total +. cost);
+    used_up journal ~horizon:(Abivm.Spec.horizon env.spec)
   with
-  | Error _ as e -> e
-  | Ok st -> (
-      match Ivm.Maintainer.check_consistent st.Recovery.maintainer with
-      | Ok () -> Ok st
-      | Error e -> Error (Printf.sprintf "recovered state inconsistent: %s" e))
+  | exception Journal.Diverged e -> Error e
+  | () | exception Tail_end -> (
+      let replayed = Journal.matched journal in
+      Telemetry.add "durable.replayed_records" (float_of_int replayed);
+      match Ivm.Maintainer.check_consistent m with
+      | Ok () -> Ok { st with cost = !total; lsn = st.lsn + replayed; replayed }
+      | Error e -> Error ("recovered state inconsistent: " ^ e))

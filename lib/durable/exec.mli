@@ -1,15 +1,16 @@
 (** Crash-recoverable plan execution.
 
     [run] executes a maintenance plan through [Bridge.Runner.execute],
-    journalling every arrival and every applied batch and checkpointing
-    periodically, so a process killed anywhere can
+    journalling every arrival and every applied batch ({!Journal}) and
+    checkpointing periodically, so a process killed anywhere can
     [resume] and finish with the *same* final view contents and the
-    same total cost, bit for bit.  The idempotence argument: an
-    [Applied] record in the log makes the plan's batch at that [(time,
-    table)] a no-op on resume (its cost was already re-accumulated
-    during replay), and arrival draws beyond the journalled ones are
-    re-drawn from the deterministic feeds fast-forwarded by the
-    recovered per-table draw counts.
+    same total cost, bit for bit.  Replay is the run itself: from the
+    checkpoint's state and step, with the deterministic feeds
+    fast-forwarded by the checkpoint's draws, the plan runs again while
+    the journal holds the log tail, and every record a step makes must
+    be the next one of the tail, so a forged or damaged record is
+    refused naming its step ([WAL replay at t=N]).  Once the tail is
+    used up, the same run appends to the log.
 
     The directory holds [MANIFEST] (the scenario parameters and at most
     one checkpoint), that checkpoint's [ckpt-*.ckpt] image, and the
@@ -35,15 +36,14 @@ type config = {
   hook : Hook.point -> unit;  (** crash-point instrumentation *)
   pool : Parallel.Pool.t option;
       (** when present (and multi-domain), a checkpoint's
-          serialization, data fsync, manifest update and removal of the
-          superseded image run as one background pool job, the manifest
-          strictly after the data fsync, so a crash at any point
-          recovers to a valid checkpoint; the maintenance thread only
-          captures, and adopts the saved manifest (truncating the log)
-          once the job settles.
-          [None] (default) keeps the original synchronous path.
-          Telemetry: [durable.ckpt_stall_ms] accumulates the wall time
-          the maintenance thread itself spends on checkpoint work. *)
+          serialization, data fsync, manifest update (strictly after the
+          data fsync, so a crash anywhere recovers to a valid checkpoint)
+          and removal of the superseded image run as one background pool
+          job; the maintenance thread only captures, and adopts the saved
+          manifest (truncating the log) once the job settles.  [None]
+          (default): synchronous checkpoints.  Telemetry:
+          [durable.ckpt_stall_ms], the maintenance thread's own wall time
+          on checkpoint work. *)
 }
 
 val default_config : dir:string -> config
@@ -66,7 +66,7 @@ type outcome = {
   rows : Relation.Tuple.t list;
   consistent : bool;  (** final [Maintainer.check_consistent] *)
   recovered : bool;  (** this outcome came from a resume *)
-  replayed : int;  (** log records replayed before resuming *)
+  replayed : int;  (** tail records the run matched before appending *)
   checkpoints : int;  (** checkpoints written by this process *)
   steps_run : int;  (** plan steps this process executed *)
   lsn : int;
@@ -75,22 +75,27 @@ type outcome = {
 val run : config -> env -> outcome
 (** Fresh start; calls [env.fresh] once.  Raises [Failure] if [config.dir]
     already holds a durable run (resume that instead with {!resume}, the
-    CLI's [durable recover] — never silently overwrite one) and [Invalid_argument] if [Bridge.Runner.check] refuses
-    the plan, both before anything is written; then creates [config.dir]
-    and any missing parent.  Raises [Failure] if a damaged log already
-    lies under it; re-raises [Hook.Crash]. *)
+    CLI's [durable recover] — never silently overwrite one) and
+    [Invalid_argument] if [Bridge.Runner.check] refuses the plan, both
+    before anything is written; then creates [config.dir] and any
+    missing parent, writes the manifest, and runs {!resume}'s path.
+    Raises [Failure] if a damaged log already lies under it; re-raises
+    [Hook.Crash]. *)
 
 val resume : config -> env -> (outcome, string) result
-(** Recover, then continue the plan to the horizon: {!Recovery.restore},
-    then open the log once and {!Recovery.replay} the tail that opening
-    it returned.  Already-applied batches are skipped; already-logged
-    arrivals are not re-drawn; the checkpoint bookkeeping continues from
-    the manifest recovery loaded.  [Error] on recovery failure, or if
-    [Bridge.Runner.check] refuses what is left (arrivals less the logged
-    ones, actions less the applied batches) on the recovered queues.
-    Telemetry: [durable.recovery_ms] (gauge), as {!Recovery.recover}. *)
+(** {!Recovery.restore}, open the log once, and run the plan from the
+    checkpoint's step to the horizon, the journal holding the tail that
+    opening the log returned.  Checkpoints count appended batches only,
+    so none is taken while the tail is held.  [Error] on recovery
+    failure, if [Bridge.Runner.check] refuses the plan from the
+    checkpoint's step on the restored queues, if a step parts from the
+    tail ({!Journal.Diverged}), or if the tail runs past the plan.
+    Telemetry: [durable.replayed_records]. *)
 
 val verify : config -> env -> (Recovery.state, string) result
-(** Recover and deep-check (recovered view vs a from-scratch evaluation
-    over the recovered base tables) without resuming execution — the
-    read-only "is this directory healthy" probe. *)
+(** {!resume}'s replay, read-only ({!Groupwal.read}; no hooks, appends
+    or checkpoints): it stops before a step draws an arrival, or starts
+    an action, that the tail does not hold.  Then deep-check the view
+    against a from-scratch evaluation over its base tables.  [cost],
+    [draws], [lsn] and [replayed] run through the tail's last record;
+    [next_step] is the checkpoint's. *)

@@ -12,9 +12,9 @@ type t =
       (** A modification entered table [table]'s delta queue at [time]. *)
   | Applied of { time : int; table : int; count : int; cost : float }
       (** The maintainer processed a batch of [count] modifications from
-          [table] at [time], at the given metered cost.  Replaying the
-          record reproduces the batch; its presence makes the plan's
-          action at [(time, table)] a no-op on resume. *)
+          [table] at [time], at the given metered cost.  A replayed step
+          must process the same batch at the same cost bits
+          ({!Journal}). *)
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3) of the whole string. *)

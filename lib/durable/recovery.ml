@@ -5,8 +5,6 @@ type state = {
   cost : float;
   draws : int array;
   next_step : int;
-  arrived : (int * int, int) Hashtbl.t;
-  applied : (int * int, float) Hashtbl.t;
   lsn : int;
   replayed : int;
   checkpoint_lsn : int;
@@ -14,10 +12,6 @@ type state = {
 }
 
 let ( let* ) = Result.bind
-
-let rows_equal a b =
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> Relation.Tuple.compare x y = 0) a b
 
 (* Restore the checkpointed maintainer: tables, view, content, queues —
    then refuse to proceed unless the re-materialized view rows match the
@@ -33,7 +27,7 @@ let restore_maintainer ~view_of (c : Checkpoint.t) =
       (fun i changes -> List.iter (Ivm.Maintainer.on_arrive m i) changes)
       c.Checkpoint.pending;
     let rows = Ivm.Maintainer.rows m in
-    if rows_equal rows c.Checkpoint.view_rows then Ok m
+    if List.equal Relation.Tuple.equal rows c.Checkpoint.view_rows then Ok m
     else
       Error
         (Printf.sprintf
@@ -42,26 +36,6 @@ let restore_maintainer ~view_of (c : Checkpoint.t) =
            (List.length rows)
            (List.length c.Checkpoint.view_rows))
   end
-
-let replay_record m ~draws ~arrived ~applied ~cost record =
-  match record with
-  | Record.Arrival { time; table; change } ->
-      if table < 0 || table >= Array.length draws then
-        Error (Printf.sprintf "arrival for unknown table %d" table)
-      else begin
-        Ivm.Maintainer.on_arrive m table change;
-        draws.(table) <- draws.(table) + 1;
-        let key = (time, table) in
-        Hashtbl.replace arrived key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt arrived key));
-        Ok cost
-      end
-  | Record.Applied { time; table; count; cost = recorded } -> (
-      match Ivm.Maintainer.replay_applied m ~table ~count ~cost:recorded with
-      | Error e -> Error (Printf.sprintf "WAL replay at t=%d: %s" time e)
-      | Ok () ->
-          Hashtbl.replace applied (time, table) recorded;
-          Ok (cost +. recorded))
 
 (* Before the group log, Exec kept untagged [wal-*.seg] segments directly
    in its directory. *)
@@ -130,27 +104,11 @@ let restore ~dir ~view_of ~fresh =
       cost;
       draws;
       next_step;
-      arrived = Hashtbl.create 64;
-      applied = Hashtbl.create 64;
       lsn = max 0 checkpoint_lsn;
       replayed = 0;
       checkpoint_lsn;
       manifest;
     }
-
-let replay st contents =
-  let* records = own_records contents in
-  let* cost =
-    List.fold_left
-      (fun acc record ->
-        let* cost = acc in
-        replay_record st.maintainer ~draws:st.draws ~arrived:st.arrived
-          ~applied:st.applied ~cost record)
-      (Ok st.cost) records
-  in
-  let n = List.length records in
-  Telemetry.add "durable.replayed_records" (float_of_int n);
-  Ok { st with cost; lsn = st.lsn + n; replayed = st.replayed + n }
 
 let recover ~dir ~view_of ~fresh =
   let t0 = Unix.gettimeofday () in
@@ -159,7 +117,15 @@ let recover ~dir ~view_of ~fresh =
     Groupwal.read ~dir:(Fsutil.group_dir dir) ~from_lsn:st.lsn
     |> Result.map_error (fun e -> "wal: " ^ e)
   in
-  let* st = replay st contents in
-  Telemetry.set_gauge "durable.recovery_ms"
-    ((Unix.gettimeofday () -. t0) *. 1000.);
-  Ok st
+  let* records = own_records contents in
+  if records <> [] then
+    Error
+      (Printf.sprintf
+         "%s: %d WAL record(s) past checkpoint lsn %d: replaying them needs \
+          the run's plan (abivm durable verify)"
+         dir (List.length records) st.checkpoint_lsn)
+  else begin
+    Telemetry.set_gauge "durable.recovery_ms"
+      ((Unix.gettimeofday () -. t0) *. 1000.);
+    Ok st
+  end

@@ -2,21 +2,15 @@
 
     The directory holds [MANIFEST], at most one [ckpt-*.ckpt] it names,
     and the group log under {!Fsutil.group_dir}.  Recovery loads the
-    manifest's checkpoint, rebuilds the base tables, lets the caller
-    re-erect the view definition over them, re-materializes the view,
-    and *verifies* the result against the checkpoint's recorded view rows
-    before trusting it.  It then replays the log tail from the
-    checkpoint's LSN: [Arrival] records re-enter the delta queues (and
-    count against the feed-draw budget), [Applied] records re-execute
-    their batches through the maintainer — and the recomputed cost must
-    match the recorded bits exactly, or recovery refuses.  A tail that
-    holds a record under any tag but {!tenant} (another tenant's, or a
-    serve co-flush) is not a plan's log and is refused, as is a directory
-    in the old layout (WAL segments directly under it).
-
-    With a manifest but no checkpoint yet (a run that died before its
-    first checkpoint), recovery starts from the caller's fresh genesis
-    state and replays the whole log.
+    manifest's checkpoint (or, with none yet, the caller's genesis
+    state), rebuilds the base tables, lets the caller re-erect the view
+    definition over them, re-materializes the view, and *verifies* the
+    result against the checkpoint's recorded view rows before trusting
+    it.  The log tail past the checkpoint's LSN is replayed by
+    [Durable.Exec], which runs its plan against it.  A tail that holds a
+    record under any tag but {!tenant} (another tenant's, or a serve
+    co-flush) is not a plan's log and is refused, as is a directory in
+    the old layout (WAL segments directly under it).
 
     Verification is bit-exact, which is sound for the views this engine
     runs durably (counted bags and integer aggregates); a view with
@@ -30,12 +24,7 @@ type state = {
   cost : float;  (** cumulative cost through the last replayed record *)
   draws : int array;  (** feed draws consumed per table, incl. replayed *)
   next_step : int;  (** from the checkpoint; replay may have gone past it *)
-  arrived : (int * int, int) Hashtbl.t;
-      (** (time, table) -> arrivals already logged — resume re-draws
-          only beyond these *)
-  applied : (int * int, float) Hashtbl.t;
-      (** (time, table) -> recorded cost — resume no-ops these actions *)
-  lsn : int;  (** end of the committed log *)
+  lsn : int;  (** end of the replayed log *)
   replayed : int;  (** log records replayed past the checkpoint *)
   checkpoint_lsn : int;  (** -1 when recovering from genesis *)
   manifest : Manifest.t;  (** the one recovery loaded *)
@@ -51,14 +40,18 @@ val restore :
     over checkpoint-restored tables; [fresh] supplies the genesis
     maintainer when no checkpoint exists yet. *)
 
-val replay : state -> Groupwal.contents -> (state, string) result
-(** Replay the log's records from [st.lsn] on into [st], in place.
-    Telemetry: [durable.replayed_records]. *)
+val own_records : Groupwal.contents -> (Record.t list, string) result
+(** Exec's records of a log tail, oldest first; an [Error] naming the
+    foreign tenant, or the co-flush, when the tail holds another tag's
+    record. *)
 
 val recover :
   dir:string ->
   view_of:(Relation.Table.t array -> Ivm.Viewdef.t) ->
   fresh:(unit -> Ivm.Maintainer.t) ->
   (state, string) result
-(** {!restore}, {!Groupwal.read} the tail, {!replay} it: the read-only
-    path.  Telemetry: [durable.recovery_ms] (gauge). *)
+(** {!restore}, then {!Groupwal.read} the tail and refuse a non-empty
+    one: the read-only state of a finished (or freshly checkpointed)
+    directory.  A tail of [n] records is an [Error] naming [n]: only
+    the run's plan can replay it ([abivm durable verify], which runs
+    [Exec.verify]).  Telemetry: [durable.recovery_ms] (gauge). *)

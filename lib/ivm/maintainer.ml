@@ -359,27 +359,6 @@ let apply ?(on_applied = fun ~table:_ ~count:_ ~cost:_ -> ()) m batches =
     batches;
   !total
 
-let replay_applied m ~table ~count ~cost =
-  if table < 0 || table >= Array.length m.pending then
-    Error (Printf.sprintf "applied record for unknown table %d" table)
-  else if count < 0 || count > pending_size m table then
-    Error
-      (Printf.sprintf
-         "applied record wants %d pending changes of table %d but only %d \
-          are pending"
-         count table (pending_size m table))
-  else
-    match Relation.Meter.cost_units (process m table count) with
-    | exception Invalid_argument e -> Error e
-    | recomputed when Int64.bits_of_float recomputed <> Int64.bits_of_float cost
-      ->
-        Error
-          (Printf.sprintf
-             "table %d: recomputed cost %.17g differs from recorded %.17g — \
-              non-deterministic replay"
-             table recomputed cost)
-    | _ -> Ok ()
-
 let pending_changes m i =
   if i < 0 || i >= Array.length m.pending then
     invalid_arg "Maintainer.pending_changes: bad table index";

@@ -73,7 +73,7 @@ val on_arrive : t -> int -> Change.t -> unit
     the view declares — the only way to run a table's changes on another
     path.  The
     queue-indexed calls ({!pending_sizes}, {!pending_size}, {!process},
-    {!apply}, {!replay_applied}, {!pending_changes}, {!refresh}) then
+    {!apply}, {!pending_changes}, {!refresh}) then
     index lanes ([2n] of them) instead of tables.  Heavy/light
     partitioning ([Partition.Engine]) routes hot join keys to the
     indexed lane and the tail to the scan lane. *)
@@ -125,9 +125,9 @@ val process : t -> int -> int -> Relation.Meter.snapshot
     The paper's action: arrivals enter the delta queues, then a batch of
     [k_i] modifications is processed per table and priced by the meter.
     Every executed loop (the plan runner, calibration, the durable
-    executor and its recovery, serve tenants and their replay) goes
-    through these three calls; callers keep their journals and
-    accounting in the callbacks. *)
+    executor and serve tenants, and the replay of both) goes through
+    these two calls; callers keep their journals and accounting in the
+    callbacks. *)
 
 val ingest :
   ?on_arrival:(table:int -> Change.t -> unit) ->
@@ -157,18 +157,6 @@ val apply :
     {!pending_size}, raises [Invalid_argument] (naming the lane or table
     and both counts) with no batch processed.  A batch {!process} itself
     rejects raises midway. *)
-
-val replay_applied :
-  t -> table:int -> count:int -> cost:float -> (unit, string) result
-(** Re-execute a journalled batch during recovery.  The table index and
-    [0 <= count <= pending_size m table] are checked {e before} anything
-    is touched, so a record refused for them leaves the queues and the
-    meter as they were.  The batch's recomputed cost must then carry the
-    recorded [cost]'s exact bits ([Int64.bits_of_float]); otherwise the
-    error names a non-deterministic replay.  A batch {!process} itself
-    rejects (a delete of a missing tuple) is an [Error] too, raised
-    midway, so that maintainer must be discarded.  Error messages carry
-    no time or tenant: the caller prefixes its own. *)
 
 val pending_changes : t -> int -> Change.t list
 (** Table [i]'s delta queue in arrival order, without removing anything

@@ -77,6 +77,7 @@ type t = {
          tenant never closes or syncs the log itself — it only detaches,
          since the window (and hence durability cadence) belongs to the
          service *)
+  journal : Durable.Journal.t;  (* the held tail first, then [log] *)
   base_costs : Cost.Func.t array;
   limit : float;
   mutable costs : Cost.Func.t array;  (* base_costs scaled by [corr] *)
@@ -92,8 +93,6 @@ type t = {
   mutable violations : int;
   mutable sheds : int;
   mutable reanchors : int;
-  mutable replayed : int;
-  mutable held : Durable.Record.t list;  (* unreplayed log tail *)
   mutable flush_log : (int * int * float * float) list;
       (* replayed batches, newest first (see [replayed_flushes]) *)
 }
@@ -108,7 +107,7 @@ let charged_cost t = t.charged
 let violations t = t.violations
 let sheds t = t.sheds
 let reanchors t = t.reanchors
-let replayed t = t.replayed
+let replayed t = Durable.Journal.matched t.journal
 let replayed_flushes t = List.rev t.flush_log
 let pending t = Abivm.Online.pending t.controller
 
@@ -239,6 +238,9 @@ let assemble ~group ({ build = b; base_costs; maintainer; feeds } : engine) =
     controller;
     monitor;
     log;
+    journal =
+      Durable.Journal.create ~at:(Printf.sprintf "%s: t=%d" config.name)
+        (Durable.Groupwal.append log);
     base_costs;
     limit;
     costs = base_costs;
@@ -252,50 +254,13 @@ let assemble ~group ({ build = b; base_costs; maintainer; feeds } : engine) =
     violations = 0;
     sheds = 0;
     reanchors = 0;
-    replayed = 0;
-    held = [];
     flush_log = [];
   }
 
 (* --- one time step, in scheduler-driven phases --------------------------- *)
 
 (* A replayed step that parts from its log tail: {!replay}'s [Error]. *)
-exception Diverged of string
-
-let diverged t fmt =
-  Printf.ksprintf
-    (fun e ->
-      raise (Diverged (Printf.sprintf "%s: t=%d%s" t.config.name t.next_step e)))
-    fmt
-
-(* Every record a step journals.  While a recovering tenant holds records
-   of its log tail, each must be the next held one, payload for payload
-   ([Record.equal]), and consumes it; once the tail is used up, records go
-   to the log, so a tail cut mid-ingest is topped up by the live step. *)
-let journal t (record : Durable.Record.t) =
-  match (record, t.held) with
-  | _, [] -> Durable.Groupwal.append t.log record
-  | _, next :: rest when Durable.Record.equal next record ->
-      t.held <- rest;
-      t.replayed <- t.replayed + 1
-  | Arrival { table; _ }, Arrival a :: _
-    when a.time = t.next_step && a.table = table ->
-      diverged t
-        " table %d: journalled arrival differs from the deterministic feed"
-        table
-  | Arrival { table; _ }, _ ->
-      diverged t
-        " table %d: WAL does not match the tenant's deterministic arrival \
-         schedule"
-        table
-  | Applied { table; count; cost; _ }, Applied a :: _
-    when a.table = table && a.count = count ->
-      diverged t
-        ": table %d: recomputed cost %.17g differs from recorded %.17g — \
-         non-deterministic replay"
-        table cost a.cost
-  | Applied { table; _ }, _ ->
-      diverged t ": table %d: applied record does not match the batch" table
+let diverged t fmt = Durable.Journal.diverged t.journal t.next_step fmt
 
 let begin_step t =
   if not t.begun then begin
@@ -303,7 +268,8 @@ let begin_step t =
     let d = t.arrivals.(time) in
     Ivm.Maintainer.ingest t.maintainer ~next:t.feeds.Tpcr.Updates.next d
       ~on_arrival:(fun ~table change ->
-        journal t (Durable.Record.Arrival { time; table; change }));
+        Durable.Journal.record t.journal
+          (Durable.Record.Arrival { time; table; change }));
     Durable.Groupwal.commit t.log;
     Robust.Monitor.observe_arrivals t.monitor d;
     Abivm.Online.observe t.controller ~arrivals:d;
@@ -337,7 +303,8 @@ let execute t batches =
   ignore
     (Ivm.Maintainer.apply t.maintainer batches
        ~on_applied:(fun ~table ~count ~cost ->
-         journal t (Durable.Record.Applied { time; table; count; cost });
+         Durable.Journal.record t.journal
+           (Durable.Record.Applied { time; table; count; cost });
          let expected = Cost.Func.eval t.costs.(table) count in
          Robust.Monitor.observe_cost t.monitor ~expected ~observed:cost;
          t.metered <- t.metered +. cost;
@@ -412,24 +379,25 @@ let held_row t =
         scan rest
     | _ -> batches
   in
-  scan t.held
+  scan (Durable.Journal.held t.journal)
 
 (* Replay runs the live step until the log tail is used up: [begin_step]
-   re-draws the arrivals, [execute] re-meters the held row, and [journal]
-   matches every record.  A tail ending with a step's arrivals leaves that
-   step begun: the crash came before its flush decision, which only the
-   service can re-derive (a re-run round, or the phase-B journal). *)
+   re-draws the arrivals, [execute] re-meters the held row, and the
+   journal matches every record.  A tail ending with a step's arrivals
+   leaves that step begun: the crash came before its flush decision,
+   which only the service can re-derive (a re-run round, or the phase-B
+   journal). *)
 let replay t records =
-  t.held <- records;
+  Durable.Journal.hold t.journal records;
   let rec steps () =
-    if t.held = [] then Ok ()
+    if Durable.Journal.held t.journal = [] then Ok ()
     else if finished t then
       Error
         (Printf.sprintf "%s: WAL extends past horizon %d" t.config.name
            t.config.horizon)
     else begin
       begin_step t;
-      if t.held <> [] then begin
+      if Durable.Journal.held t.journal <> [] then begin
         let time = t.next_step and batches = held_row t in
         execute t batches;
         Array.iteri
@@ -444,4 +412,4 @@ let replay t records =
       steps ()
     end
   in
-  try steps () with Diverged e -> Error e
+  try steps () with Durable.Journal.Diverged e -> Error e

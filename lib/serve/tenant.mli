@@ -95,13 +95,11 @@ val replay : t -> Durable.Record.t list -> (unit, string) result
 (** Replay [records] — this tenant's slice of the shared log, demuxed by
     the caller — into a freshly assembled tenant by running its live
     steps: {!begin_step}, {!execute} of the step's [Applied] counts,
-    {!close_step}.  Each record a step journals must have the next
-    record's payload and consumes it; once [records] are used up the
-    step journals to the log, so a tail cut mid-ingest is completed.  A
-    tail ending with a step's arrivals leaves that step begun.  [Error],
-    naming the tenant and step, on a count above the table's pending
-    changes (before {!execute}), a record the step does not make, or
-    records past the horizon. *)
+    {!close_step}, journalled through a {!Durable.Journal} holding
+    [records].  A tail ending with a step's arrivals leaves that step
+    begun.  [Error], naming the tenant and step, on a count above the
+    table's pending changes (before {!execute}), a record the step does
+    not make, or records past the horizon. *)
 
 (** {1 Inspection} *)
 

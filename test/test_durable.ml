@@ -1295,6 +1295,16 @@ let test_crash_matrix () =
           Alcotest.failf "crash point %d [%s] did not fire" k
             (Durable.Hook.describe point)
       | exception Durable.Hook.Crash _ -> ());
+      (* [verify] replays the same tail read-only, before [resume] runs on. *)
+      let verified =
+        match
+          Durable.Exec.verify (matrix_config ~dir ~hook:Durable.Hook.none ()) env
+        with
+        | Ok st -> st.Durable.Recovery.replayed
+        | Error e ->
+            Alcotest.failf "crash point %d [%s]: verify failed: %s" k
+              (Durable.Hook.describe point) e
+      in
       (match
          Durable.Exec.resume (matrix_config ~dir ~hook:Durable.Hook.none ()) env
        with
@@ -1302,6 +1312,9 @@ let test_crash_matrix () =
           Alcotest.failf "crash point %d [%s]: resume failed: %s" k
             (Durable.Hook.describe point) e
       | Ok o ->
+          if o.Durable.Exec.replayed <> verified then
+            Alcotest.failf "crash point %d [%s]: resume replayed %d, verify %d" k
+              (Durable.Hook.describe point) o.Durable.Exec.replayed verified;
           if Int64.bits_of_float o.Durable.Exec.total_cost <> base_bits then
             Alcotest.failf
               "crash point %d [%s]: recovered cost %.17g <> baseline %.17g" k
@@ -1542,47 +1555,66 @@ let test_old_layout_refused () =
   refused_everywhere "old layout" ~sub:"old durable layout" env dir;
   rmtree dir
 
-(* A CRC-valid record that lies — an [Applied] count beyond the
-   re-enqueued queue or a cost one float off, an [Arrival] deleting a
-   row that is not there — must come back from recovery as a typed
-   [Error], never as an exception. *)
+(* [pristine] copied with the [nth] (0-based) of its Exec records for
+   which [edit] answers [Some] re-encoded as that answer, every CRC valid;
+   the copy and the edited record's step. *)
+let forge pristine ~nth edit =
+  let dir = scratch () in
+  let seen = ref 0 and step = ref None in
+  copy_dir pristine dir ~line:(fun line ->
+      match Durable.Record.of_tagged_line line with
+      | Ok (Durable.Record.Tenant (tag, r)) when !step = None -> (
+          match edit r with
+          | Some forged when !seen = nth ->
+              step :=
+                Some
+                  (match r with
+                  | Durable.Record.Arrival { time; _ }
+                  | Durable.Record.Applied { time; _ } ->
+                      time);
+              Durable.Record.to_tagged_line (Durable.Record.Tenant (tag, forged))
+          | Some _ ->
+              incr seen;
+              line
+          | None -> line)
+      | _ -> line);
+  match !step with
+  | Some step -> (dir, step)
+  | None -> Alcotest.failf "no record %d to forge" nth
+
+(* [resume] and [verify] both refuse [dir] with a typed [Error] naming
+   step [step] and [cause], never an exception. *)
+let refused_by_replay what ~cause ~step env dir =
+  let config = matrix_config ~dir ~hook:Durable.Hook.none () in
+  let check how r =
+    match r () with
+    | Ok _ -> Alcotest.failf "%s: %s accepted it" what how
+    | Error e ->
+        let at = Printf.sprintf "WAL replay at t=%d" step in
+        checkb
+          (Printf.sprintf "%s: %s error %S names %S and %S" what how e at cause)
+          true
+          (contains ~sub:at e && contains ~sub:cause e)
+    | exception exn ->
+        Alcotest.failf "%s: %s raised %s" what how (Printexc.to_string exn)
+  in
+  check "verify" (fun () -> Durable.Exec.verify config env);
+  check "resume" (fun () -> Durable.Exec.resume config env)
+
+(* A CRC-valid record that lies — an [Applied] count other than the
+   plan's batch or a cost one float off, an [Arrival] deleting a row the
+   feed inserted — must come back from replay as a typed [Error]. *)
 let test_forged_applied_refused () =
   let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
-  (* No checkpoint and a synchronous log: genesis recovery replays every
-     record written before the crash. *)
+  (* No checkpoint and a synchronous log: the replay runs every record
+     written before the crash. *)
   let pristine = crashed_at_8 env in
-  let recover dir =
-    Durable.Recovery.recover ~dir ~view_of:env.Durable.Exec.view_of
-      ~fresh:(fun () -> fst (env.Durable.Exec.fresh ()))
-  in
-  (match recover pristine with
-  | Ok st -> checki "genesis replay" (-1) st.Durable.Recovery.checkpoint_lsn
-  | Error e -> Alcotest.failf "pristine recover: %s" e);
   let forged what ~cause edit =
-    let dir = scratch () in
-    let found = ref false in
-    copy_dir pristine dir ~line:(fun line ->
-        match Durable.Record.of_tagged_line line with
-        | Ok (Durable.Record.Tenant (tag, r)) when not !found -> (
-            match edit r with
-            | Some r ->
-                found := true;
-                Durable.Record.to_tagged_line (Durable.Record.Tenant (tag, r))
-            | None -> line)
-        | _ -> line);
-    checkb (what ^ ": a record was forged") true !found;
-    (match recover dir with
-    | Ok _ -> Alcotest.failf "%s: recovered" what
-    | Error e ->
-        checkb
-          (Printf.sprintf "%s: error %S names %S" what e cause)
-          true
-          (contains ~sub:cause e && contains ~sub:"WAL replay at t=" e)
-    | exception exn ->
-        Alcotest.failf "%s: raised %s" what (Printexc.to_string exn));
+    let dir, step = forge pristine ~nth:0 edit in
+    refused_by_replay what ~cause ~step env dir;
     rmtree dir
   in
-  forged "count + 1000" ~cause:"are pending" (function
+  forged "count + 1000" ~cause:"does not match the batch" (function
     | Durable.Record.Applied a ->
         Some (Durable.Record.Applied { a with count = a.count + 1000 })
     | _ -> None);
@@ -1591,13 +1623,110 @@ let test_forged_applied_refused () =
         let up = Int64.succ (Int64.bits_of_float a.cost) in
         Some (Durable.Record.Applied { a with cost = Int64.float_of_bits up })
     | _ -> None);
-  (* An insert journalled as a delete of the same, never-present row:
-     the maintainer rejects the batch that replays it. *)
-  forged "delete of a missing row" ~cause:"missing tuple" (function
+  (* An insert journalled as a delete of the same, never-present row. *)
+  forged "delete of a missing row" ~cause:"differs from the deterministic feed"
+    (function
     | Durable.Record.Arrival ({ change = Ivm.Change.Insert row; _ } as a) ->
         Some (Durable.Record.Arrival { a with change = Ivm.Change.Delete row })
     | _ -> None);
+  (match
+     Durable.Exec.resume (matrix_config ~dir:pristine ~hook:Durable.Hook.none ()) env
+   with
+  | Ok o -> checkb "the pristine log resumes" true o.Durable.Exec.consistent
+  | Error e -> Alcotest.failf "pristine resume: %s" e);
+  rmtree pristine;
+  (* A record committed after a finished run's final checkpoint: no step
+     of the plan is left to make it. *)
+  let dir = scratch () in
+  let o = Durable.Exec.run (matrix_config ~dir ~hook:Durable.Hook.none ()) env in
+  (match
+     Durable.Groupwal.open_ ~dir:(Durable.Fsutil.group_dir dir)
+       ~from_lsn:o.Durable.Exec.lsn ()
+   with
+  | Error e -> Alcotest.failf "open: %s" e
+  | Ok (log, _) ->
+      let h = Durable.Groupwal.attach log ~tenant:Durable.Recovery.tenant () in
+      Durable.Groupwal.append h
+        (Durable.Record.Arrival { time = 12; table = 0; change = sample_change });
+      Durable.Groupwal.commit h;
+      Durable.Groupwal.close log);
+  refused_by_replay "a record past the horizon"
+    ~cause:"1 WAL record(s) past the plan's last step" ~step:12 env dir;
+  rmtree dir
+
+(* An [Arrival] re-encoded with another row (its last column one up) is
+   a row the run never drew: replay checks every journalled arrival
+   against the deterministic feed, wherever it lies in the tail. *)
+let test_forged_arrival_refused () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let pristine = crashed_at_8 env in
+  let bump row =
+    let row = Array.copy row and last = Array.length row - 1 in
+    row.(last) <-
+      (match row.(last) with
+      | Relation.Value.Int n -> Relation.Value.Int (n + 1)
+      | Relation.Value.Float f -> Relation.Value.Float (f +. 1.0)
+      | v -> Alcotest.failf "unexpected column %s" (Relation.Value.to_string v));
+    row
+  in
+  List.iter
+    (fun nth ->
+      let dir, step =
+        forge pristine ~nth (function
+          | Durable.Record.Arrival ({ change = Ivm.Change.Insert row; _ } as a) ->
+              Some
+                (Durable.Record.Arrival { a with change = Ivm.Change.Insert (bump row) })
+          | _ -> None)
+      in
+      refused_by_replay
+        (Printf.sprintf "arrival %d one up" (nth + 1))
+        ~cause:"differs from the deterministic feed" ~step env dir;
+      rmtree dir)
+    [ 0; 4; 19 ];
   rmtree pristine
+
+(* [Recovery.recover] is the state of a directory with nothing to replay:
+   a finished run gives back its outcome's cost bits and rows (what
+   perfbench's restart probe checks), and a crashed run's tail is
+   refused, its record count named. *)
+let test_recover_needs_empty_tail () =
+  let env = make_env ~seed:11 ~rows:120 ~horizon:12 () in
+  let recover dir =
+    Durable.Recovery.recover ~dir ~view_of:env.Durable.Exec.view_of
+      ~fresh:(fun () -> fst (env.Durable.Exec.fresh ()))
+  in
+  let dir = scratch () in
+  let o = Durable.Exec.run (matrix_config ~dir ~hook:Durable.Hook.none ()) env in
+  (match recover dir with
+  | Error e -> Alcotest.failf "recover of a finished run: %s" e
+  | Ok st ->
+      checkb "the outcome's cost bits" true
+        (Int64.bits_of_float st.Durable.Recovery.cost
+        = Int64.bits_of_float o.Durable.Exec.total_cost);
+      checkb "the outcome's rows" true
+        (List.equal Relation.Tuple.equal
+           (Ivm.Maintainer.rows st.Durable.Recovery.maintainer)
+           o.Durable.Exec.rows);
+      checki "nothing replayed" 0 st.Durable.Recovery.replayed;
+      checki "the outcome's lsn" o.Durable.Exec.lsn st.Durable.Recovery.lsn);
+  rmtree dir;
+  let dir = crashed_at_8 env in
+  let records =
+    match Durable.Groupwal.read ~dir:(Durable.Fsutil.group_dir dir) ~from_lsn:0 with
+    | Ok { Durable.Groupwal.tenants = [ (_, records) ]; _ } -> List.length records
+    | Ok _ -> Alcotest.fail "expected one tenant's records"
+    | Error e -> Alcotest.failf "read: %s" e
+  in
+  checkb "the crashed run left a tail" true (records > 0);
+  (match recover dir with
+  | Ok _ -> Alcotest.fail "recovered a crashed run without its plan"
+  | Error e ->
+      let count = Printf.sprintf "%d WAL record(s)" records in
+      checkb
+        (Printf.sprintf "error %S names %S and durable verify" e count)
+        true
+        (contains ~sub:count e && contains ~sub:"abivm durable verify" e));
+  rmtree dir
 
 (* A plan the executor refuses is refused before anything is written:
    a [run] that died after its MANIFEST would leave a directory every
@@ -1834,6 +1963,10 @@ let () =
             test_genesis_recovery_and_refusal;
           Alcotest.test_case "forged WAL records refused" `Quick
             test_forged_applied_refused;
+          Alcotest.test_case "forged arrival refused" `Quick
+            test_forged_arrival_refused;
+          Alcotest.test_case "recover refuses a tail" `Quick
+            test_recover_needs_empty_tail;
           Alcotest.test_case "foreign tag or co-flush record refused" `Quick
             test_foreign_records_refused;
           Alcotest.test_case "old layout refused" `Quick test_old_layout_refused;

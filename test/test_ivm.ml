@@ -436,8 +436,7 @@ let test_maintainer_process_zero_free () =
 
 (* The maintenance step kernel: [ingest] draws in table order and hands
    every arrival to its journal; [apply] prices each positive batch as
-   [process] would and sums from 0.0; [replay_applied] checks a record
-   before touching anything, then demands the recorded cost bits. *)
+   [process] would and sums from 0.0. *)
 let test_maintainer_step_kernel () =
   let feed () =
     let key = ref 400 in
@@ -472,41 +471,7 @@ let test_maintainer_step_kernel () =
     (List.rev !batches = [ (0, 2, c0); (1, 3, c1) ]);
   checkb "sum from 0.0" true
     (Int64.bits_of_float total = Int64.bits_of_float (0.0 +. c0 +. c1));
-  checkb "consistent" true (consistent m);
-  (* Replay: an oversized count is refused with nothing processed. *)
-  Ivm.Maintainer.ingest m ~next:(feed ()) [| 0; 2 |];
-  let before = Meter.snapshot meter in
-  let refused what r =
-    match r with
-    | Ok () -> Alcotest.failf "%s: accepted" what
-    | Error e -> e
-  in
-  let contains ~sub e =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length e && (String.sub e i n = sub || go (i + 1)) in
-    go 0
-  in
-  let e =
-    refused "oversized"
-      (Ivm.Maintainer.replay_applied m ~table:1 ~count:3 ~cost:0.0)
-  in
-  checkb "names the pending count" true (contains ~sub:"only 2 are pending" e);
-  ignore (refused "bad table" (Ivm.Maintainer.replay_applied m ~table:2 ~count:1 ~cost:0.0));
-  ignore (refused "negative" (Ivm.Maintainer.replay_applied m ~table:1 ~count:(-1) ~cost:0.0));
-  checki "queue untouched" 2 (Ivm.Maintainer.pending_size m 1);
-  checkb "meter untouched" true (Meter.snapshot meter = before);
-  (* The twin prices each record; one ulp off is refused (after the
-     batch ran: only the metered cost can expose the mismatch). *)
-  Ivm.Maintainer.ingest twin ~next:(feed ()) [| 0; 2 |];
-  let twin_cost () = Meter.cost_units (Ivm.Maintainer.process twin 1 1) in
-  let cost = twin_cost () in
-  let off = Int64.float_of_bits (Int64.succ (Int64.bits_of_float cost)) in
-  let e = refused "next float" (Ivm.Maintainer.replay_applied m ~table:1 ~count:1 ~cost:off) in
-  checkb "non-deterministic replay" true (contains ~sub:"non-deterministic replay" e);
-  (match Ivm.Maintainer.replay_applied m ~table:1 ~count:1 ~cost:(twin_cost ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "exact bits refused: %s" e);
-  checki "drained" 0 (Ivm.Maintainer.pending_size m 1)
+  checkb "consistent" true (consistent m)
 
 let test_maintainer_batch_setup_charged_once () =
   let meter, r, s = small_db () in
@@ -835,7 +800,7 @@ let () =
             test_maintainer_delete_missing_tuple_rejected;
           Alcotest.test_case "process zero is free" `Quick
             test_maintainer_process_zero_free;
-          Alcotest.test_case "step kernel: ingest, apply, replay" `Quick
+          Alcotest.test_case "step kernel: ingest, apply" `Quick
             test_maintainer_step_kernel;
           Alcotest.test_case "batch setup charged once" `Quick
             test_maintainer_batch_setup_charged_once;
