@@ -37,23 +37,24 @@ let check m ~first ~counts actions =
 
 let execute ?(on_applied = fun ~t:_ ~table:_ ~count:_ ~cost:_ -> ())
     ?(on_action = fun _ _ _ -> ()) m ~first ~counts ~arrive actions =
-  Result.iter_error
-    (fun msg -> invalid_arg ("Runner.execute: " ^ msg))
-    (check m ~first ~counts actions);
-  let rest = ref actions in
-  for t = first to Array.length counts - 1 do
-    arrive t counts.(t);
-    match !rest with
-    | (t', action) :: tl when t' = t ->
-        rest := tl;
-        let cost =
-          try Ivm.Maintainer.apply m action ~on_applied:(on_applied ~t)
-          with Invalid_argument msg ->
-            invalid_arg (Printf.sprintf "Runner.execute: at t=%d: %s" t msg)
-        in
-        on_action t action cost
-    | _ -> ()
-  done
+  match check m ~first ~counts actions with
+  | Error _ as refused -> refused
+  | Ok () ->
+      let rest = ref actions in
+      for t = first to Array.length counts - 1 do
+        arrive t counts.(t);
+        match !rest with
+        | (t', action) :: tl when t' = t ->
+            rest := tl;
+            let cost =
+              try Ivm.Maintainer.apply m action ~on_applied:(on_applied ~t)
+              with Invalid_argument msg ->
+                invalid_arg (Printf.sprintf "Runner.execute: at t=%d: %s" t msg)
+            in
+            on_action t action cost
+        | _ -> ()
+      done;
+      Ok ()
 
 let run_plan ?monitor ?(strategy = Abivm.Strategy.Online None) m ~feeds spec plan =
   let started = Unix.gettimeofday () in
@@ -88,7 +89,8 @@ let run_plan ?monitor ?(strategy = Abivm.Strategy.Online None) m ~feeds spec pla
     ~attrs:[ ("strategy", Abivm.Strategy.label strategy); ("order", order) ]
     (fun () ->
       execute m ~first:0 ~counts:(Abivm.Spec.arrivals spec) ~arrive ~on_action
-        (Abivm.Plan.actions plan);
+        (Abivm.Plan.actions plan)
+      |> Result.iter_error (fun msg -> invalid_arg ("Runner.execute: " ^ msg));
       let final_consistent = Ivm.Maintainer.check_consistent m = Ok () in
       let wall_seconds = Unix.gettimeofday () -. started in
       let report =

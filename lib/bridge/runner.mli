@@ -36,8 +36,8 @@ val execute :
   counts:int array array ->
   arrive:(int -> int array -> unit) ->
   (int * int array) list ->
-  unit
-(** {!check} (a refusal raises [Invalid_argument] before anything is
+  (unit, string) result
+(** {!check} (its refusal is the [Error], returned before anything is
     drawn); then per step [t], [arrive t counts.(t)] enqueues its
     arrivals, and its action goes through {!Ivm.Maintainer.apply} with
     [on_applied ~t] per batch, then to [on_action t action] with the
@@ -61,7 +61,8 @@ val run_plan :
     {e executed} costs, closing the loop on calibration staleness
     ([Robust.Replan] consumes the same monitor in simulation).
     [strategy] (default [Online None]) only labels the report.  A plan
-    {!check} refuses raises [Invalid_argument] and leaves the maintainer
+    {!check} refuses raises [Invalid_argument] (["Runner.execute: "]
+    and the refusal) and leaves the maintainer
     (queues, meter) and the feeds untouched and reusable.  The
     consistency check at the end is unmetered. *)
 

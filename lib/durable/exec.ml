@@ -40,24 +40,14 @@ type outcome = {
 
 let ( let* ) = Result.bind
 
-(* The plan's actions from step [first] on, checked against [m]'s queues
-   and the spec's arrivals from [first] on. *)
-let remaining env m ~first =
-  let actions =
-    List.filter (fun (t, _) -> t >= first) (Abivm.Plan.actions env.plan)
-  in
-  Bridge.Runner.check m ~first ~counts:(Abivm.Spec.arrivals env.spec) actions
-  |> Result.map (fun () -> actions)
-
 (* Set up the replay of restored state [st] against its log tail
    [contents]: the plan's actions from the checkpoint's step, [fresh]'s
    feeds past the checkpoint's draws, and a journal holding the tail that
-   sends what follows it to [append].  [what] prefixes a plan refusal. *)
-let replaying env (st : Recovery.state) contents ~fresh ~what ~append =
+   sends what follows it to [append]. *)
+let replaying env (st : Recovery.state) contents ~fresh ~append =
   let* records = Recovery.own_records contents in
-  let* actions =
-    remaining env st.maintainer ~first:st.next_step
-    |> Result.map_error (fun e -> what ^ ": " ^ e)
+  let actions =
+    List.filter (fun (t, _) -> t >= st.next_step) (Abivm.Plan.actions env.plan)
   in
   let _, feeds = fresh () in
   Array.iteri
@@ -102,7 +92,8 @@ let commit_manifest config manifest ~lsn file =
 (* The journal and the checkpoints around {!Bridge.Runner.execute}, from
    restored state [st] on ([st.draws] is mutated in place as feeds are
    consumed).  [log] is the group log, [handle] Exec's handle on it, and
-   [journal] matches the held tail before it appends to [handle]. *)
+   [journal] matches the held tail before it appends to [handle].  A plan
+   the executor refuses is a ["resume: "] [Error] before any step. *)
 let execute config env ~log ~handle ~journal ~(st : Recovery.state)
     ~(feeds : Tpcr.Updates.feeds) ~actions ~recovered =
   let horizon = Abivm.Spec.horizon env.spec in
@@ -190,14 +181,17 @@ let execute config env ~log ~handle ~journal ~(st : Recovery.state)
     arrivals m journal ~next:feeds.Tpcr.Updates.next ~draws t counts;
     Groupwal.commit handle
   in
-  Bridge.Runner.execute m ~first ~counts:(Abivm.Spec.arrivals env.spec)
-    ~arrive actions ~on_applied:(fun ~t ~table ~count ~cost ->
-      let appends = Journal.held journal = [] in
-      Journal.record journal (Record.Applied { time = t; table; count; cost });
-      Groupwal.commit handle;
-      total := !total +. cost;
-      if appends then incr actions_since;
-      decr actions_left);
+  let* () =
+    Bridge.Runner.execute m ~first ~counts:(Abivm.Spec.arrivals env.spec)
+      ~arrive actions ~on_applied:(fun ~t ~table ~count ~cost ->
+        let appends = Journal.held journal = [] in
+        Journal.record journal (Record.Applied { time = t; table; count; cost });
+        Groupwal.commit handle;
+        total := !total +. cost;
+        if appends then incr actions_since;
+        decr actions_left)
+    |> Result.map_error (fun e -> "resume: " ^ e)
+  in
   used_up journal ~horizon;
   settle_inflight ~wait:true;
   (* Final checkpoint: marks the run complete (next_step past the
@@ -208,16 +202,17 @@ let execute config env ~log ~handle ~journal ~(st : Recovery.state)
      synchronous: the process is about to report completion. *)
   let already_complete = first > horizon && Groupwal.lsn log = lsn0 in
   if not already_complete then checkpoint ~background:false horizon;
-  {
-    total_cost = !total;
-    rows = Ivm.Maintainer.rows m;
-    consistent = Ivm.Maintainer.check_consistent m = Ok ();
-    recovered;
-    replayed = Journal.matched journal;
-    checkpoints = !ckpts;
-    steps_run = max 0 (horizon - first + 1);
-    lsn = Groupwal.lsn log;
-  }
+  Ok
+    {
+      total_cost = !total;
+      rows = Ivm.Maintainer.rows m;
+      consistent = Ivm.Maintainer.check_consistent m = Ok ();
+      recovered;
+      replayed = Journal.matched journal;
+      checkpoints = !ckpts;
+      steps_run = max 0 (horizon - first + 1);
+      lsn = Groupwal.lsn log;
+    }
 
 let restore config env ~fresh =
   Recovery.restore ~dir:config.dir ~view_of:env.view_of
@@ -240,11 +235,9 @@ let start config env ~fresh ~recovered =
   let handle = Groupwal.attach log ~tenant:Recovery.tenant ~policy:config.sync () in
   match
     let* actions, feeds, journal =
-      replaying env st contents ~fresh ~what:"resume"
-        ~append:(Groupwal.append handle)
+      replaying env st contents ~fresh ~append:(Groupwal.append handle)
     in
-    try
-      Ok (execute config env ~log ~handle ~journal ~st ~feeds ~actions ~recovered)
+    try execute config env ~log ~handle ~journal ~st ~feeds ~actions ~recovered
     with Journal.Diverged e -> Error e
   with
   | result ->
@@ -269,7 +262,8 @@ let run config env =
   let genesis = env.fresh () in
   Result.iter_error
     (fun e -> invalid_arg ("Exec.run: " ^ e))
-    (remaining env (fst genesis) ~first:0);
+    (Bridge.Runner.check (fst genesis) ~first:0
+       ~counts:(Abivm.Spec.arrivals env.spec) (Abivm.Plan.actions env.plan));
   Fsutil.mkdirs config.dir;
   Manifest.save ~dir:config.dir ~hook:config.hook
     (Manifest.empty ~params:env.params);
@@ -292,8 +286,7 @@ let verify config env =
     |> Result.map_error (fun e -> "wal: " ^ e)
   in
   let* actions, feeds, journal =
-    replaying env st contents ~fresh:env.fresh ~what:"verify"
-      ~append:(fun _ -> raise Tail_end)
+    replaying env st contents ~fresh:env.fresh ~append:(fun _ -> raise Tail_end)
   in
   let m = st.maintainer and draws = st.draws and total = ref st.cost in
   (* Stop before a draw, or an action, the tail does not hold. *)
@@ -305,11 +298,13 @@ let verify config env =
       ~counts:(Abivm.Spec.arrivals env.spec) ~arrive actions
       ~on_applied:(fun ~t ~table ~count ~cost ->
         Journal.record journal (Record.Applied { time = t; table; count; cost });
-        total := !total +. cost);
-    used_up journal ~horizon:(Abivm.Spec.horizon env.spec)
+        total := !total +. cost)
+    |> Result.map (fun () ->
+           used_up journal ~horizon:(Abivm.Spec.horizon env.spec))
   with
   | exception Journal.Diverged e -> Error e
-  | () | exception Tail_end -> (
+  | Error e -> Error ("verify: " ^ e)
+  | Ok () | (exception Tail_end) -> (
       let replayed = Journal.matched journal in
       Telemetry.add "durable.replayed_records" (float_of_int replayed);
       match Ivm.Maintainer.check_consistent m with

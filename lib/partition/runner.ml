@@ -56,14 +56,17 @@ let replay fn e stream ~spec ~plan lane_plan =
   if busy e then fail fn "engine has pending modifications";
   let counts, actions = lane_plan () in
   let cost = ref 0.0 and batches = ref 0 in
-  (try
+  (match
      Bridge.Runner.execute (Engine.maintainer e) ~first:0 ~counts
        ~arrive:(fun t _ -> List.iter (fun (i, change) -> Engine.arrive e i change) stream.(t))
        ~on_applied:(fun ~t:_ ~table:_ ~count:_ ~cost:c ->
          cost := !cost +. c;
          incr batches)
        actions
-   with Invalid_argument msg -> fail fn msg);
+   with
+  | Ok () -> ()
+  | Error msg -> fail fn ("Runner.execute: " ^ msg)
+  | exception Invalid_argument msg -> fail fn msg);
   if busy e then fail fn "plan left modifications queued";
   { cost_units = !cost; batches = !batches }
 

@@ -66,16 +66,8 @@ type t = {
   mutable agg_raw : float;
   mutable co_flushes : int;
   journal : (int, (string * int array) list) Hashtbl.t;
-      (* recovery only: global round -> the phase-B co-flush decision
-         journalled in the shared log for that round (every flushing
-         tenant's final, post-invite, post-shed batch row), so a
-         mid-round crash replays the round's coordination exactly
-         instead of re-deriving it *)
-  pending_groups : (int * int, Multiview.Coflush.member list) Hashtbl.t;
-      (* recovery only: (global round, table) -> participants by
-         registration index; folded into the aggregates in key order by
-         [settle_recovered] once catch-up has re-added any crashed-away
-         participants *)
+      (* recovery only: global round -> the co-flush record the shared
+         log holds for that round and its re-run has not yet checked *)
 }
 
 let ( let* ) = Result.bind
@@ -239,7 +231,6 @@ let make ?pool ~root ~config ~group ?(starts = []) ?(journal = Hashtbl.create 1)
     agg_raw = 0.0;
     co_flushes = 0;
     journal;
-    pending_groups = Hashtbl.create 16;
   }
 
 let create ?pool ~root config =
@@ -273,13 +264,14 @@ let create ?pool ~root config =
   save_manifest t;
   t
 
-(* Phases A and C touch one tenant's private state each (its engine, log
-   handle, controller, monitor), and so do a tenant's build and its
-   replay, so fanning them out over the pool is bit-identical to the
-   sequential order.  Each pooled task catches its own exception and the
-   first one in array order is re-raised, so which failure surfaces
-   does not depend on the domain count.  Phase B (coordination and
-   accounting) is cross-tenant and stays sequential. *)
+(* Phase C touches one tenant's private state each (its engine, log
+   handle, controller, monitor), and so does a tenant's build, so
+   fanning them out over the pool is bit-identical to the sequential
+   order.  Each pooled task catches its own exception and the first one
+   in array order is re-raised, so which failure surfaces does not
+   depend on the domain count.  Phase A is as private but too light to
+   pay for a dispatch (DESIGN.md §10), and phase B (coordination and
+   accounting) is cross-tenant: both run in sequence. *)
 let pmap t f arr =
   match t.pool with
   | Some p when Parallel.Pool.domains p > 1 && Array.length arr > 1 ->
@@ -361,26 +353,6 @@ let sweep_completed t =
     done_;
   if done_ <> [] then promote_waiting t
 
-let start_of t name =
-  match List.assoc_opt name t.starts with Some s -> s | None -> 0
-
-(* Position in the registration order — the order coordination iterates
-   tenants in, which fixes the float-summation order inside a co-flush
-   group and hence the aggregate's exact bits. *)
-let reg_index t name =
-  let rec go i = function
-    | [] -> invalid_arg (Printf.sprintf "Service: unknown tenant %S" name)
-    | (n, _) :: rest -> if n = name then i else go (i + 1) rest
-  in
-  go 0 t.starts
-
-let add_pending_group t key entry =
-  let prev = Option.value ~default:[] (Hashtbl.find_opt t.pending_groups key) in
-  Hashtbl.replace t.pending_groups key (entry :: prev)
-
-let journal_row t ~round ~name =
-  Option.bind (Hashtbl.find_opt t.journal round) (List.assoc_opt name)
-
 (* A tenant's share of a co-flush, given its single-modification cost
    [setup] of the table: the discount factor times [setup], the shared
    part of the scan in calibrated units.  Without coordination, tenants
@@ -407,69 +379,13 @@ let charge_group t group =
   if Multiview.Coflush.discount group > 0.0 then
     t.co_flushes <- t.co_flushes + (List.length group - 1)
 
-(* Price every recovered (round, table) co-flush group, in ascending key
-   order — exactly the chronological order the uninterrupted run
-   accumulated them in, so the float sums come out bit-identical.
-   Within a group, participants are ordered by descending registration
-   index, matching the live phase-B cons order.  Runs once, after
-   catch-up has re-added any crashed-away participants. *)
-let settle_recovered t =
-  let keys =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.pending_groups [])
-  in
-  List.iter
-    (fun key ->
-      Hashtbl.find t.pending_groups key
-      |> List.sort (fun (a : Multiview.Coflush.member) b -> compare b.who a.who)
-      |> charge_group t)
-    keys;
-  Hashtbl.reset t.pending_groups
-
-(* A tenant lagging behind the global round only happens after recovery:
-   trailing zero-arrival no-flush steps leave no WAL trace, so replay
-   stops short of them and the tenant's local clock trails the others'.
-   Re-executing those steps solo before the round proper reproduces the
-   crashed run exactly and restores the invariant that every active
-   tenant's local step [k] runs at global round [start + k] — which the
-   co-flush coincidence structure, and hence the discounted aggregate,
-   depends on.  A crash mid-round can additionally leave one real
-   ingested-but-unflushed step behind; the phase-B journal holds that
-   round's exact coordination decision (every flusher's final batch
-   row), so the step re-executes the identical — possibly
-   invite-enlarged — batch, and its charge folds into the recovered
-   group via [pending_groups], reproducing the lost round's discount
-   bit-for-bit.  Unjournalled rounds had no >= 2 co-flush group, so the
-   deterministic [mandatory] recompute is already exact. *)
-let catch_up t tenant =
-  let name = Tenant.name tenant in
-  let start = start_of t name in
-  let idx = reg_index t name in
-  while
-    (not (Tenant.finished tenant)) && start + Tenant.time tenant < t.rounds
-  do
-    let round = start + Tenant.time tenant in
-    Tenant.begin_step tenant;
-    let batch =
-      match journal_row t ~round ~name with
-      | Some row -> Array.copy row
-      | None -> (
-          match Tenant.mandatory tenant with
-          | Some action -> Array.copy action
-          | None -> Array.make Tenant.n_tables 0)
-    in
-    Array.iteri
-      (fun i b ->
-        if b > 0 then
-          add_pending_group t (round, i)
-            {
-              Multiview.Coflush.who = idx;
-              cost = Tenant.model_cost tenant i b;
-              shared = share t (Tenant.model_cost tenant i 1);
-            })
-      batch;
-    Tenant.execute tenant batch;
-    Tenant.close_step tenant
-  done
+(* A re-derived co-flush decision: appended live; on replay, checked
+   against the round's record, which it consumes. *)
+let journal_coflush t (record : Durable.Record.coflush) =
+  match Hashtbl.find_opt t.journal record.round with
+  | None -> Durable.Groupwal.commit_coflush t.group record
+  | Some rows ->
+      if rows = record.rows then Hashtbl.remove t.journal record.round
 
 let run_round t =
   t.config.hook (Durable.Hook.Step_start t.rounds);
@@ -498,31 +414,26 @@ let run_round t =
        only.  A non-ready tenant's proposal would be [None] (zero
        arrivals leave its controller exactly as the readiness check saw
        it), so skipping it changes nothing downstream. *)
-    let batches = Array.init k (fun _ -> Array.make Tenant.n_tables 0) in
-    let ready_idx =
-      Array.of_list (List.filter (fun v -> ready.(v)) (List.init k Fun.id))
+    let batches =
+      Array.init k (fun v ->
+          let proposal =
+            if ready.(v) then begin
+              Tenant.begin_step tenants.(v);
+              Tenant.mandatory tenants.(v)
+            end
+            else None
+          in
+          match proposal with
+          | Some action -> Array.copy action
+          | None -> Array.make Tenant.n_tables 0)
     in
-    let proposals =
-      pmap t
-        (fun v ->
-          Tenant.begin_step tenants.(v);
-          Tenant.mandatory tenants.(v))
-        ready_idx
-    in
-    Array.iteri
-      (fun j v ->
-        match proposals.(j) with
-        | Some action -> batches.(v) <- Array.copy action
-        | None -> ())
-      ready_idx;
     (* Phase B: coordination and accounting by the co-flush rule
        ({!Multiview.Coflush}).  Non-ready tenants are invite-eligible:
        their pending/capacity state is what a lockstep [begin_step]
        would have left.  A round with a co-flush group journals its
        decision ahead of every phase-C commit (log-prefix order makes it
-       durable with the round's first Applied record): a crash-lost
-       co-flush participant, above all an invited one, cannot be
-       re-derived from its own controller at catch-up. *)
+       durable with the round's first Applied record); a replayed round
+       re-derives it and checks it against that record. *)
     let parts = Array.map (participant t) tenants in
     let batches =
       if not t.config.coordinate then batches
@@ -535,7 +446,7 @@ let run_round t =
     in
     let groups = Multiview.Coflush.groups parts batches in
     if t.config.coordinate && Multiview.Coflush.journalled groups then
-      Durable.Groupwal.commit_coflush t.group
+      journal_coflush t
         {
           Durable.Record.round = t.rounds;
           rows =
@@ -564,6 +475,15 @@ let run_round t =
            Tenant.close_step tenants.(v))
          (Array.of_list (List.filter (fun v -> in_c.(v)) (List.init k Fun.id))))
   end;
+  (* A replayed round has consumed its co-flush record, if the log holds
+     one; a record left is a decision the re-run round did not make. *)
+  if Hashtbl.mem t.journal t.rounds then
+    raise
+      (Durable.Journal.Diverged
+         (Printf.sprintf
+            "%s: co-flush journal of round %d: the re-run round decides \
+             otherwise"
+            t.root t.rounds));
   (* The round's single durability point: close the shared group-commit
      window per the service cadence ([Always]: every round; [Interval n]:
      every n-th; [Never]: only rotation and shutdown).  One fsync covers
@@ -625,13 +545,6 @@ let outcome_of t =
 
 let run t =
   try
-    (* Lag exists only immediately after recovery; one catch-up pass
-       re-aligns every tenant's local clock with the global round, then
-       the recovered co-flush groups — now complete — are priced in
-       chronological order and folded into the aggregates. *)
-    List.iter (catch_up t) t.active;
-    settle_recovered t;
-    sweep_completed t;
     while t.active <> [] || t.waiting <> [] do
       if t.active = [] then promote_waiting t;
       run_round t;
@@ -698,8 +611,9 @@ let recover ?pool ~root () =
               (fun acc row -> Result.bind acc (fun () -> check_row round row))
               (Ok ()) rows
           in
-          (* A round re-run after a crash journals again; the decision is
-             deterministic, and the latest record wins. *)
+          (* Recovery by an older build re-ran a crashed round and
+             journalled it again; the decision is deterministic, and the
+             latest record wins. *)
           Hashtbl.replace journal round rows;
           Ok ())
         (Ok ()) contents.Durable.Groupwal.coflushes
@@ -707,91 +621,75 @@ let recover ?pool ~root () =
     | Ok () -> Ok ()
     | Error e -> fail e
   in
-  let t = make ?pool ~root ~config ~group ~starts ~journal () in
-  (* Three stages, each in registration order: load and validate every
-     tenant manifest; build every tenant in one pool batch; replay every
-     tenant's records in a second batch.  Only the tenants
-     ahead of the first failure go on to the next stage — the sequential
-     fold stopped there, and a later tenant cannot change its result,
-     the first failure in registration order. *)
-  let loaded =
-    List.map
-      (fun name ->
-        let dir = Filename.concat (Filename.concat root "tenants") name in
-        let* tenant_manifest =
-          match Durable.Manifest.load ~dir with
-          | Ok (Some m) -> Ok m
-          | Ok None -> Error (Printf.sprintf "tenant %S: no manifest" name)
-          | Error e -> Error (Printf.sprintf "tenant %S: manifest: %s" name e)
-        in
-        let* cfg =
-          Tenant.config_of_params tenant_manifest.Durable.Manifest.params
-        in
-        let* () =
-          if cfg.Tenant.name = name then Ok ()
-          else
-            Error
-              (Printf.sprintf "tenant %S: manifest names tenant %S" name
-                 cfg.Tenant.name)
-        in
-        let* build = Tenant.prepare cfg in
-        Ok
-          ( build,
-            Option.value ~default:[]
-              (List.assoc_opt name contents.Durable.Groupwal.tenants) ))
-      names
+  (* Load and validate every tenant manifest, in registration order. *)
+  let load name =
+    let dir = Filename.concat (Filename.concat root "tenants") name in
+    let* tenant_manifest =
+      match Durable.Manifest.load ~dir with
+      | Ok (Some m) -> Ok m
+      | Ok None -> Error (Printf.sprintf "tenant %S: no manifest" name)
+      | Error e -> Error (Printf.sprintf "tenant %S: manifest: %s" name e)
+    in
+    let* cfg = Tenant.config_of_params tenant_manifest.Durable.Manifest.params in
+    let* () =
+      if cfg.Tenant.name = name then Ok ()
+      else
+        Error
+          (Printf.sprintf "tenant %S: manifest names tenant %S" name
+             cfg.Tenant.name)
+    in
+    Tenant.prepare cfg
   in
-  let rec ok_prefix = function
-    | Ok x :: rest ->
-        let xs, e = ok_prefix rest in
-        (x :: xs, e)
-    | Error e :: _ -> ([], Error e)
-    | [] -> ([], Ok ())
+  let rec load_all = function
+    | [] -> Ok []
+    | name :: rest ->
+        let* b = load name in
+        Result.map (List.cons b) (load_all rest)
   in
-  let loaded, load_error = ok_prefix loaded in
-  let tenants = construct t (List.map fst loaded) in
-  let replays =
-    pmap t
-      (fun (tenant, records) ->
-        Result.map (fun () -> tenant) (Tenant.replay tenant records))
-      (Array.of_list (List.combine tenants (List.map snd loaded)))
-  in
-  let tenants, replay_error = ok_prefix (Array.to_list replays) in
-  match Result.bind replay_error (fun () -> load_error) with
+  match load_all names with
   | Error e -> fail e
-  | Ok () ->
-      t.active <- tenants;
+  | Ok builds -> (
+      let t = make ?pool ~root ~config ~group ~starts ~journal () in
       t.known <- List.rev names;
-      (* Resume at the furthest round any tenant reached; the others
-         catch up their unjournalled trailing steps at the head of the
-         next round. *)
-      t.rounds <-
-        List.fold_left
-          (fun acc tenant ->
-            max acc (start_of t (Tenant.name tenant) + Tenant.time tenant))
-          0 tenants;
-      (* Stage the replayed flushes as (round, table) co-flush groups.
-         The live scheduler grouped flushes by (global round, table) and
-         listed participants in registration order; every replayed flush
-         carries its local time and its model costs as evaluated at that
-         point of the replay, so the same groups fall out.  Pricing is
-         deferred to [settle_recovered] (at the head of {!run}) so
-         catch-up can first re-add participants whose flush died with
-         the crash — the journalled decision makes the regrouping exact,
-         and the sorted fold keeps the float accumulation order, and
-         hence the aggregate bits, identical to the uninterrupted
-         run's. *)
+      (* Every tenant is built in one pool batch and holds its slice of
+         the log.  Then the live rounds re-run, each tenant activated at
+         the top of its admission round as promotion activated it, until
+         every tail and co-flush record is used up and every tenant has
+         started; the round where the tails end is completed live. *)
+      let tenants = construct t builds in
       List.iter
         (fun tenant ->
-          let start = start_of t (Tenant.name tenant) in
-          let idx = reg_index t (Tenant.name tenant) in
-          List.iter
-            (fun (time, table, cost, setup) ->
-              add_pending_group t (start + time, table)
-                { Multiview.Coflush.who = idx; cost; shared = share t setup })
-            (Tenant.replayed_flushes tenant))
+          Tenant.hold tenant
+            (Option.value ~default:[]
+               (List.assoc_opt (Tenant.name tenant)
+                  contents.Durable.Groupwal.tenants)))
         tenants;
-      Ok t
+      let rec replay waiting =
+        let due, waiting =
+          List.partition (fun (start, _) -> start <= t.rounds) waiting
+        in
+        t.active <- t.active @ List.map snd due;
+        if
+          waiting <> []
+          || List.exists Tenant.holding t.active
+          || (t.active <> [] && Hashtbl.length t.journal > 0)
+        then begin
+          run_round t;
+          sweep_completed t;
+          replay waiting
+        end
+      in
+      match replay (List.combine (List.map snd starts) tenants) with
+      | exception Durable.Journal.Diverged e -> fail e
+      | () -> (
+          (* A record left lies past every tenant's last round. *)
+          match Hashtbl.fold (fun r _ acc -> min r acc) t.journal max_int with
+          | round when round < max_int ->
+              fail
+                (Printf.sprintf
+                   "%s: co-flush journal of round %d: past the last round" root
+                   round)
+          | _ -> Ok t))
 
 let active t = t.active
 

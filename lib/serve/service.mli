@@ -6,11 +6,11 @@
     [Event] {!scheduler} only dispatches tenants whose step does real
     work):
 
-    + {b ingest + propose} (parallelizable over a {!Parallel.Pool}):
-      each tenant commits its arrivals into the shared group-commit log
-      (one commit per step) and its §4.3 ONLINE controller
-      proposes the mandatory flush — per-tenant state only, so the
-      fan-out is bit-identical to sequential execution;
+    + {b ingest + propose} (in sequence): each tenant commits its
+      arrivals into the shared group-commit log (one commit per step)
+      and its §4.3 ONLINE controller proposes the mandatory flush —
+      per-tenant state only, but too little work per tenant to pay for
+      a pool dispatch;
     + {b coordinate} (sequential): the co-flush rule
       ({!Multiview.Coflush}, shared with the multiview simulator) adds
       joins to the forced flushes — optional work that the shed budget
@@ -20,10 +20,12 @@
       single-modification cost, so a zero discount invites no one.  A
       round with a >= 2-participant group commits its decision to the
       log as one co-flush record before phase C;
-    + {b execute + close} (parallelizable): each tenant processes its
-      batches on its engine, journals [Applied] records with metered
-      costs, and closes the step (SLO accounting, drift-triggered
-      re-anchoring, per-tenant gauges).
+    + {b execute + close} (parallelizable over a {!Parallel.Pool}):
+      each tenant processes its batches on its engine, journals
+      [Applied] records with metered costs, and closes the step (SLO
+      accounting, drift-triggered re-anchoring, per-tenant gauges) —
+      per-tenant state only, so the fan-out is bit-identical to
+      sequential execution.
 
     Completed tenants are consistency-checked, detached from the log,
     and queued tenants promoted into the freed slots.
@@ -33,7 +35,8 @@
     directory per tenant, and the shared log [root/groupwal], which
     multiplexes every tenant's records ({!Durable.Groupwal}): a round
     costs one fsync total (the window close), not one per tenant.
-    {!recover} rebuilds the whole service from those files alone.  The
+    {!recover} rebuilds the whole service from those files alone, by
+    running its rounds again.  The
     service manifest is rewritten only at {!create}, at admission and
     at queue promotion — never inside a round. *)
 
@@ -107,8 +110,8 @@ type t
 
 val create : ?pool:Parallel.Pool.t -> root:string -> config -> t
 (** Fresh service over [root] (created if missing); writes the service
-    manifest and opens the shared log.  [pool] fans out the per-tenant
-    phases of every round and tenant construction: the tenants being
+    manifest and opens the shared log.  [pool] fans out phase C of every
+    round and tenant construction: the tenants being
     built ({!Tenant.engine}, one task per tenant) run as one batch at
     registration and at queue promotion.  Without a pool, or at one
     domain, everything runs in sequence, and the outcome is
@@ -135,49 +138,47 @@ val run : t -> outcome
 val recover : ?pool:Parallel.Pool.t -> root:string -> unit -> (t, string) result
 (** Rebuild the service from the root manifest, every admitted tenant's
     manifest, and the shared log, opened once (its tail repaired) and
-    demuxed by that one scan into each tenant's records
-    ({!Tenant.replay} — the tenant's live step re-run against them, every
-    re-drawn arrival and re-metered batch checked against its record)
-    and the co-flush journal.  The tenant manifests are loaded
-    in registration order; then [pool] builds every tenant
-    ({!Tenant.engine}) as one batch and runs every tenant's replay as a
-    second.  On failure the error is the first in registration order, whatever the
-    domain count; tenants registered after the failing one may have
-    been built and replayed too.  The returned service resumes
-    at the furthest global round any tenant's records reached; tenants
-    whose replay stopped short (trailing zero-arrival steps leave no
-    record) catch those steps up solo at the start of {!run}, restoring
-    the round alignment the co-flush structure depends on.  The
-    replayed flushes' coordination accounting is rebuilt group by group,
-    so after a crash at a round boundary the finished run's outcome —
-    per-tenant costs, aggregates, discounts, co-flush counts and round
-    numbering — is bit-identical to the uninterrupted run's.  A crash
-    mid-round that loses a not-yet-durable co-flush participant is
-    covered by the phase-B journal: the round's co-flush record holds
-    every flusher's final batch row and precedes every phase-C record in
-    the log, so catch-up re-executes the identical decision and the
-    regrouped charge reproduces the lost round's discount exactly.
-    (Sub-record torn writes inside one commit batch remain a
-    valid-but-different execution, as before.)
+    demuxed by that one scan into each tenant's records and the co-flush
+    records.  The tenant manifests are loaded in registration order;
+    then [pool] builds every tenant ({!Tenant.engine}) as one batch, and
+    each tenant {!Tenant.hold}s its records.  Recovery then runs the
+    live rounds ({!run}'s round and sweep), activating each tenant at
+    the top of its manifest admission round in registration order, until
+    every tenant's records and every co-flush record are used up and
+    every tenant has started.  Every step re-draws its arrivals, phase B
+    re-derives every flush decision from the tenants' controllers, and
+    each record a step makes is matched against the next held one; the
+    round in which the records end is completed by the live code, which
+    appends what the crash lost.  A co-flush record is a check: the
+    re-run round's decision must equal it.  The returned service stands
+    at the next round, and the finished run's outcome — per-tenant
+    costs, aggregates, discounts, co-flush counts, rounds and idle
+    rounds — is bit-identical to the uninterrupted run's at any domain
+    count, after a crash at any commit boundary or window close.
 
-    [Error] — never an exception — on an unreadable or corrupt manifest
-    (including roots written with private per-tenant WALs, with no
-    [wal_mode] param, or with a manifest [coflush] journal), on damage
-    before the log's tail, on a co-flush record naming a tenant that
-    was never admitted or carrying a batch row whose width is not
-    {!Tenant.n_tables}, and on a tenant's records its re-run step does
-    not reproduce (the error names the tenant and step). *)
+    [Error] — never an exception, and the log abandoned — on an
+    unreadable or corrupt manifest (the first in registration order,
+    before any tenant is built; including roots written with private
+    per-tenant WALs, with no [wal_mode] param, or with a manifest
+    [coflush] journal), on damage before the log's tail, on a co-flush
+    record naming a tenant that was never admitted or carrying a batch
+    row whose width is not {!Tenant.n_tables}, on a step that parts from
+    its tenant's records (named by tenant and step: the round order,
+    then registration order, decides which, at any domain count), on
+    records past a tenant's horizon, and on a co-flush record the re-run
+    round does not decide (named by round). *)
 
 val active : t -> Tenant.t list
 (** The tenants still running, in registration order. *)
 
 val total_replayed : t -> int
-(** WAL records replayed across all recovered tenants. *)
+(** Tenant records matched at recovery, across all tenants. *)
 
 val rounds : t -> int
 val idle_rounds : t -> int
 (** Rounds the event scheduler retired with no ready tenant (no pool
-    dispatch, no WAL bytes, no window work). *)
+    dispatch, no WAL bytes, no window work), replayed rounds
+    included. *)
 
 val window_closes : t -> int
 (** Shared-window fsyncs so far. *)

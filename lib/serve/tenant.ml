@@ -82,9 +82,6 @@ type t = {
   limit : float;
   mutable costs : Cost.Func.t array;  (* base_costs scaled by [corr] *)
   mutable next_step : int;
-  mutable begun : bool;
-      (* [next_step]'s ingest + observe already ran ([begin_step] is a
-         no-op until [close_step]); a replay can end with a step begun *)
   mutable corr : float;
   mutable next_allowed : int;  (* reanchor backoff *)
   mutable gap : int;
@@ -93,8 +90,6 @@ type t = {
   mutable violations : int;
   mutable sheds : int;
   mutable reanchors : int;
-  mutable flush_log : (int * int * float * float) list;
-      (* replayed batches, newest first (see [replayed_flushes]) *)
 }
 
 let name t = t.config.name
@@ -108,7 +103,8 @@ let violations t = t.violations
 let sheds t = t.sheds
 let reanchors t = t.reanchors
 let replayed t = Durable.Journal.matched t.journal
-let replayed_flushes t = List.rev t.flush_log
+let hold t records = Durable.Journal.hold t.journal records
+let holding t = Durable.Journal.held t.journal <> []
 let pending t = Abivm.Online.pending t.controller
 
 let delta_entries t =
@@ -245,7 +241,6 @@ let assemble ~group ({ build = b; base_costs; maintainer; feeds } : engine) =
     limit;
     costs = base_costs;
     next_step = 0;
-    begun = false;
     corr = 1.0;
     next_allowed = 0;
     gap = 2;
@@ -254,27 +249,26 @@ let assemble ~group ({ build = b; base_costs; maintainer; feeds } : engine) =
     violations = 0;
     sheds = 0;
     reanchors = 0;
-    flush_log = [];
   }
 
 (* --- one time step, in scheduler-driven phases --------------------------- *)
 
-(* A replayed step that parts from its log tail: {!replay}'s [Error]. *)
-let diverged t fmt = Durable.Journal.diverged t.journal t.next_step fmt
-
+(* Arrivals are journalled as they are drawn; on replay, a held arrival
+   of this step left after the draws is one the schedule does not make. *)
 let begin_step t =
-  if not t.begun then begin
-    let time = t.next_step in
-    let d = t.arrivals.(time) in
-    Ivm.Maintainer.ingest t.maintainer ~next:t.feeds.Tpcr.Updates.next d
-      ~on_arrival:(fun ~table change ->
-        Durable.Journal.record t.journal
-          (Durable.Record.Arrival { time; table; change }));
-    Durable.Groupwal.commit t.log;
-    Robust.Monitor.observe_arrivals t.monitor d;
-    Abivm.Online.observe t.controller ~arrivals:d;
-    t.begun <- true
-  end
+  let time = t.next_step in
+  let d = t.arrivals.(time) in
+  Ivm.Maintainer.ingest t.maintainer ~next:t.feeds.Tpcr.Updates.next d
+    ~on_arrival:(fun ~table change ->
+      Durable.Journal.record t.journal
+        (Durable.Record.Arrival { time; table; change }));
+  (match Durable.Journal.held t.journal with
+  | Durable.Record.Arrival a :: _ when a.time = time ->
+      Durable.Journal.diverged t.journal time ": more arrivals than the schedule"
+  | _ -> ());
+  Durable.Groupwal.commit t.log;
+  Robust.Monitor.observe_arrivals t.monitor d;
+  Abivm.Online.observe t.controller ~arrivals:d
 
 let mandatory t =
   if t.next_step >= t.config.horizon then begin
@@ -339,8 +333,13 @@ let close_step t =
     t.next_allowed <- time + t.gap;
     t.gap <- int_of_float (Float.round (2.0 *. float_of_int t.gap))
   end;
-  t.begun <- false;
-  t.next_step <- time + 1
+  t.next_step <- time + 1;
+  (* On replay, a tenant past its horizon must have used up its tail. *)
+  if finished t && holding t then
+    raise
+      (Durable.Journal.Diverged
+         (Printf.sprintf "%s: WAL extends past horizon %d" t.config.name
+            t.config.horizon))
 
 (* [execute] on an all-zero batch journals nothing and [absorb] is a
    no-op, so only the observe/close bookkeeping advances. *)
@@ -355,61 +354,3 @@ let finish t =
   consistent
 
 let abandon t = Durable.Groupwal.detach t.log
-
-(* --- recovery ------------------------------------------------------------ *)
-
-(* The batch row of the step's leading [Applied] records, still held, each
-   count checked against its queue before anything is processed. *)
-let held_row t =
-  let batches = Array.make n_tables 0 in
-  let rec scan = function
-    | Durable.Record.Arrival a :: _ when a.time = t.next_step ->
-        diverged t ": more arrivals than the schedule"
-    | Durable.Record.Applied { time; table; count; _ } :: rest
-      when time = t.next_step ->
-        if table < 0 || table >= n_tables then
-          diverged t ": applied record for unknown table %d" table;
-        let pending = Ivm.Maintainer.pending_size t.maintainer table in
-        batches.(table) <- batches.(table) + count;
-        if count < 0 || batches.(table) > pending then
-          diverged t
-            ": applied record wants %d pending changes of table %d but only \
-             %d are pending"
-            batches.(table) table pending;
-        scan rest
-    | _ -> batches
-  in
-  scan (Durable.Journal.held t.journal)
-
-(* Replay runs the live step until the log tail is used up: [begin_step]
-   re-draws the arrivals, [execute] re-meters the held row, and the
-   journal matches every record.  A tail ending with a step's arrivals
-   leaves that step begun: the crash came before its flush decision,
-   which only the service can re-derive (a re-run round, or the phase-B
-   journal). *)
-let replay t records =
-  Durable.Journal.hold t.journal records;
-  let rec steps () =
-    if Durable.Journal.held t.journal = [] then Ok ()
-    else if finished t then
-      Error
-        (Printf.sprintf "%s: WAL extends past horizon %d" t.config.name
-           t.config.horizon)
-    else begin
-      begin_step t;
-      if Durable.Journal.held t.journal <> [] then begin
-        let time = t.next_step and batches = held_row t in
-        execute t batches;
-        Array.iteri
-          (fun table k ->
-            if k > 0 then
-              t.flush_log <-
-                (time, table, model_cost t table k, model_cost t table 1)
-                :: t.flush_log)
-          batches;
-        close_step t
-      end;
-      steps ()
-    end
-  in
-  try steps () with Durable.Journal.Diverged e -> Error e

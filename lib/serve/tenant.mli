@@ -12,8 +12,8 @@
 
     The whole environment is deterministic in {!config}, which is also
     exactly what the tenant's manifest persists — recovery rebuilds the
-    tenant from its params and re-runs its live step against its slice of
-    the log ({!replay}).
+    tenant from its params, {!hold}s its slice of the log, and re-runs
+    the service's rounds, each step checked against the held records.
 
     The per-step API is split into scheduler-driven phases so
     {!Service} can interleave many tenants: {!begin_step} (ingest +
@@ -91,15 +91,16 @@ val assemble : group:Durable.Groupwal.t -> engine -> t
     and monitor, and a handle on the service's shared log with
     [config.sync] as the forcing policy. *)
 
-val replay : t -> Durable.Record.t list -> (unit, string) result
-(** Replay [records] — this tenant's slice of the shared log, demuxed by
-    the caller — into a freshly assembled tenant by running its live
-    steps: {!begin_step}, {!execute} of the step's [Applied] counts,
-    {!close_step}, journalled through a {!Durable.Journal} holding
-    [records].  A tail ending with a step's arrivals leaves that step
-    begun.  [Error], naming the tenant and step, on a count above the
-    table's pending changes (before {!execute}), a record the step does
-    not make, or records past the horizon. *)
+val hold : t -> Durable.Record.t list -> unit
+(** Hold this tenant's slice of the shared log, demuxed by the caller,
+    in a freshly assembled tenant's {!Durable.Journal}: every record the
+    following steps make must be the next held one until the slice is
+    used up, and only then is appended.  A step that parts from the
+    slice raises {!Durable.Journal.Diverged}, naming the tenant and step
+    ([<name>: t=N ...]). *)
+
+val holding : t -> bool
+(** Records of the held slice are still unmatched. *)
 
 (** {1 Inspection} *)
 
@@ -130,22 +131,17 @@ val charged_cost : t -> float  (** model-cost units, pre-discount *)
 val violations : t -> int
 val sheds : t -> int
 val reanchors : t -> int
-val replayed : t -> int
-
-val replayed_flushes : t -> (int * int * float * float) list
-(** Every batch {!replay} executed, in replay order:
-    [(time, table, model cost of the batch, single-modification setup
-    cost)], both costs under the re-anchored model the step priced it
-    with — exactly the inputs the service's
-    coordination accounting used live, letting {!Service.recover}
-    rebuild the discounted aggregate for the replayed portion. *)
+val replayed : t -> int  (** held records matched so far *)
 
 (** {1 Scheduler-driven stepping} *)
 
 val begin_step : t -> unit
 (** Ingest this step's arrivals (drawn from the feeds, journalled and
-    committed as one batch; during {!replay}, matched against the
-    records) and observe them in the monitor and the controller. *)
+    committed as one batch; while records are {!hold}ing, matched
+    against them) and observe them in the monitor and the controller.
+    Raises {!Durable.Journal.Diverged} ("more arrivals than the
+    schedule") when the next held record is another arrival of this
+    step. *)
 
 val mandatory : t -> Abivm.Statevec.t option
 (** The non-negotiable flush for this step: the controller's proposal
@@ -183,7 +179,9 @@ val close_step : t -> unit
     violation), drift escalation ({!Robust.Replan.reanchor} +
     [Online.set_costs] under exponential backoff), per-tenant telemetry
     gauges ([serve.slo_headroom], [serve.queue_depth], [serve.shed]),
-    and the step counter. *)
+    and the step counter.  Raises {!Durable.Journal.Diverged}
+    ([<name>: WAL extends past horizon N]) when the step finishes the
+    tenant while records are {!hold}ing. *)
 
 val finish : t -> bool
 (** Final consistency check (incremental content vs from-scratch

@@ -69,7 +69,7 @@ let service_cfg ?(coordinate = true) ?(discount_factor = 0.8) ?shed_budget
     hook;
   }
 
-let run_service ?pool ~root config cfgs =
+let registered ?pool ~root config cfgs =
   let svc = Serve.Service.create ?pool ~root config in
   List.iter
     (fun cfg ->
@@ -77,7 +77,10 @@ let run_service ?pool ~root config cfgs =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "register %s: %s" cfg.Serve.Tenant.name e)
     cfgs;
-  Serve.Service.run svc
+  svc
+
+let run_service ?pool ~root config cfgs =
+  Serve.Service.run (registered ?pool ~root config cfgs)
 
 let bits = Int64.bits_of_float
 
@@ -354,13 +357,14 @@ let test_one_materialization_per_tenant () =
 
 (* --- crash + recovery ----------------------------------------------------- *)
 
-let crash_recover_case ~kill_round () =
+let crash_recover_case ?admission ~kill_round () =
   let cfgs = fleet 4 in
   let base_root = scratch () in
   Fun.protect
     ~finally:(fun () -> rmtree base_root)
     (fun () ->
-      let baseline = run_service ~root:base_root (service_cfg ()) cfgs in
+      let twin = registered ~root:base_root (service_cfg ?admission ()) cfgs in
+      let baseline = Serve.Service.run twin in
       checkb "baseline consistent" true (all_consistent baseline);
       (* Same fleet, killed mid-run, then recovered sequentially and with
          a 2-domain pool: both must finish bit-equal to the baseline. *)
@@ -374,12 +378,22 @@ let crash_recover_case ~kill_round () =
                 try
                   ignore
                     (run_service ~root:crash_root
-                       (service_cfg ~hook:(kill_at kill_round) ())
+                       (service_cfg ?admission ~hook:(kill_at kill_round) ())
                        cfgs);
                   false
                 with Durable.Hook.Crash _ -> true
               in
               checkb "hook killed the run" true crashed;
+              (match Durable.Manifest.load ~dir:crash_root with
+              | Ok (Some m) -> (
+                  match
+                    Serve.Service.config_of_params m.Durable.Manifest.params
+                  with
+                  | Ok (_, starts) ->
+                      checki "every tenant admitted before the kill"
+                        (List.length cfgs) (List.length starts)
+                  | Error e -> Alcotest.failf "crashed manifest: %s" e)
+              | _ -> Alcotest.fail "crashed root: no service manifest");
               let recover pool =
                 match Serve.Service.recover ?pool ~root:crash_root () with
                 | Error e -> Alcotest.failf "recover (domains=%d): %s" domains e
@@ -387,10 +401,16 @@ let crash_recover_case ~kill_round () =
                     checkb "something was replayed" true
                       (Serve.Service.total_replayed svc > 0);
                     let recovered = Serve.Service.run svc in
-                    check_outcomes_equal
-                      (Printf.sprintf "recovered(domains=%d)-vs-baseline"
-                         domains)
-                      baseline recovered
+                    let what =
+                      Printf.sprintf "recovered(domains=%d)-vs-baseline"
+                        domains
+                    in
+                    check_outcomes_equal what baseline recovered;
+                    checki (what ^ ": rounds") (Serve.Service.rounds twin)
+                      (Serve.Service.rounds svc);
+                    checki (what ^ ": idle rounds")
+                      (Serve.Service.idle_rounds twin)
+                      (Serve.Service.idle_rounds svc)
               in
               if domains = 1 then recover None
               else
@@ -402,6 +422,19 @@ let crash_recover_case ~kill_round () =
    [Applied] records whose replay must re-meter bit-exactly. *)
 let test_crash_recover_early () = crash_recover_case ~kill_round:4 ()
 let test_crash_recover_late () = crash_recover_case ~kill_round:12 ()
+
+(* Two of four tenants queued behind [max_active = 2] and promoted when
+   the first two finish (round 16), killed four rounds later: recovery
+   must start each promoted tenant at its admission round. *)
+let test_crash_recover_promoted () =
+  crash_recover_case
+    ~admission:
+      {
+        Serve.Admission.max_active = 2;
+        max_queued = 4;
+        max_delta_entries = max_int;
+      }
+    ~kill_round:20 ()
 
 let test_recovered_wal_replays_full_history () =
   (* A second recovery of the *finished* directory replays everything
@@ -448,6 +481,52 @@ let contains ~sub s =
     i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
   go 0
+
+(* A finished root whose log holds one more arrival of t0, stamped past
+   its horizon: replay matches every real record, and t0 finishes still
+   holding the extra one. *)
+let test_record_past_horizon_refused () =
+  let root = scratch () in
+  Fun.protect
+    ~finally:(fun () -> rmtree root)
+    (fun () ->
+      ignore (run_service ~root (service_cfg ()) (fleet 2));
+      let seg =
+        Filename.concat (Durable.Fsutil.group_dir root) "wal-000000000000.seg"
+      in
+      let content = read_file seg in
+      let forged =
+        List.find_map
+          (fun l ->
+            match Durable.Record.of_tagged_line l with
+            | Ok
+                (Durable.Record.Tenant
+                   (("t0" as name), Durable.Record.Arrival a)) ->
+                Some
+                  (Durable.Record.to_tagged_line
+                     (Durable.Record.Tenant
+                        (name, Durable.Record.Arrival { a with time = 16 })))
+            | _ -> None)
+          (String.split_on_char '\n' content)
+      in
+      (match forged with
+      | Some line -> write_file seg (content ^ line ^ "\n")
+      | None -> Alcotest.fail "t0 has no arrival record");
+      (* Nothing is appended before the refusal, so one root serves both
+         domain counts. *)
+      List.iter
+        (fun domains ->
+          let recover pool =
+            match Serve.Service.recover ?pool ~root () with
+            | Ok _ -> Alcotest.fail "a record past the horizon recovered"
+            | Error e ->
+                Alcotest.check Alcotest.string
+                  (Printf.sprintf "error (domains=%d)" domains)
+                  "t0: WAL extends past horizon 15" e
+          in
+          if domains = 1 then recover None
+          else Parallel.Pool.with_pool ~domains (fun pool -> recover (Some pool)))
+        [ 1; 2 ])
 
 (* [create] refuses a root that holds a service manifest or a shared log
    before writing anything: a finished root keeps its manifest byte for
@@ -613,9 +692,29 @@ let test_recover_refuses_damage () =
               coflush.Durable.Record.rows));
       journal_line_becomes "unknown tenant" ~cause:"not an admitted tenant"
         (with_rows (("ghost", [| 1; 0 |]) :: coflush.Durable.Record.rows));
+      (* A CRC-valid decision with one admitted tenant's count one up, in
+         a round the tail replays in full: the re-run round re-derives
+         the decision, and the record is only a check on it. *)
+      let forged_rows =
+        match coflush.Durable.Record.rows with
+        | (name, row) :: rest ->
+            (name, Array.map (fun k -> if k > 0 then k + 1 else k) row) :: rest
+        | [] -> Alcotest.fail "co-flush record without rows"
+      in
+      journal_line_becomes "forged decision"
+        ~cause:
+          (Printf.sprintf
+             "co-flush journal of round %d: the re-run round decides otherwise"
+             coflush.Durable.Record.round)
+        (with_rows forged_rows);
+      journal_line_becomes "decision past the last round"
+        ~cause:"co-flush journal of round 1000: past the last round"
+        (Durable.Record.to_tagged_line
+           (Durable.Record.Coflush { coflush with Durable.Record.round = 1000 }));
       (* The first tenant [Applied] record, re-encoded with a forged
          count or cost: the CRC stays valid, so only replay can refuse
-         it — by name, before it touches the tenant's queue. *)
+         it, naming the tenant, step and table, once the re-run step
+         meters the batch it re-derives. *)
       let gdir root = Filename.concat root "groupwal" in
       let segments =
         List.sort compare
@@ -643,7 +742,7 @@ let test_recover_refuses_damage () =
       let applied_of line =
         match Durable.Record.of_tagged_line line with
         | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
-            Some (name, a.time, a.count, a.cost)
+            Some (name, a.time, a.table, a.cost)
         | _ -> None
       in
       let applied =
@@ -654,7 +753,7 @@ let test_recover_refuses_damage () =
                    Option.map (fun a -> (seg, l, a)) (applied_of l)))
           segments
       in
-      let ((_, _, (tenant, time, count, _)) as first) =
+      let ((_, _, (tenant, time, table, _)) as first) =
         match applied with
         | found :: _ -> found
         | [] -> Alcotest.fail "no tenant applied record in the log"
@@ -676,14 +775,17 @@ let test_recover_refuses_damage () =
       let plus_1000 (count, cost) = (count + 1000, cost) in
       applied_becomes "applied count + 1000"
         ~cause:
-          (Printf.sprintf "%s: t=%d: applied record wants %d pending changes"
-             tenant time (count + 1000))
+          (Printf.sprintf
+             "%s: t=%d: table %d: applied record does not match the batch"
+             tenant time table)
         plus_1000;
       applied_becomes "applied cost one float up"
         ~cause:"non-deterministic replay" (fun (count, cost) ->
           (count, Int64.float_of_bits (Int64.succ (Int64.bits_of_float cost))));
       (* Two tenants' records forged at once: at every domain count the
-         error names the one registered first (t0, t1, ... in order). *)
+         error names the one the replay reaches first, by round, then by
+         registration (t0, t1, ... in order; every tenant starts at round
+         0, so its step is the round). *)
       let second =
         match
           List.find_opt (fun (_, _, (name, _, _, _)) -> name <> tenant) applied
@@ -691,17 +793,17 @@ let test_recover_refuses_damage () =
         | Some found -> found
         | None -> Alcotest.fail "only one tenant has applied records"
       in
-      let (_, _, (other, _, _, _)) = second in
+      let (_, _, (other, other_time, _, _)) = second in
+      let reached = snd (min (time, tenant) (other_time, other)) in
       let e =
         refusal ~what:"two tenants damaged" (fun root ->
             forge root first plus_1000;
             forge root second plus_1000)
       in
       checkb
-        (Printf.sprintf "two tenants damaged: error %S names %s" e
-           (min tenant other))
+        (Printf.sprintf "two tenants damaged: error %S names %s" e reached)
         true
-        (String.starts_with ~prefix:(min tenant other ^ ": ") e);
+        (String.starts_with ~prefix:(reached ^ ": ") e);
       (* Tenant [Arrival] records, CRC-valid: one re-encoded with another
          change, and the last arrival of one step written twice (in the
          last segment, whose record count no later segment checks).
@@ -1057,11 +1159,12 @@ let test_params_refusal_texts () =
 (* --- mid-round crash matrix ------------------------------------------------ *)
 
 (* Crash at every durable commit boundary the uninterrupted twin fires —
-   including between two tenants' phase-C commits inside one round, the
-   case the phase-B co-flush journal exists for (a lost participant's
-   batch must be re-executed as journalled, not re-derived as a solo
-   mandatory flush), and during forced group-window closes.  Recovery +
-   resume must reproduce the twin bit for bit at every point. *)
+   including between two tenants' phase-C commits inside one round (a
+   lost participant's batch, invited or not, comes back because
+   recovery re-runs the whole round: phase B re-derives the invites
+   from the replayed controllers and the co-flush record only checks
+   them), and during forced group-window closes.  Recovery + resume must
+   reproduce the twin bit for bit at every point. *)
 let crash_matrix_case ~cfgs () =
   let base_root = scratch () in
   let record, points = Durable.Hook.counting () in
@@ -1114,12 +1217,11 @@ let crash_matrix_case ~cfgs () =
 (* One strict tenant: its forced window closes make partial rounds
    durable mid-phase — a crash after the strict tenant's phase-C close
    but before the round's own close loses the later co-flush
-   participants, which recovery must re-execute from the round's
-   co-flush record, not re-derive as solo mandatory flushes. *)
+   participants, whose steps the re-run round makes again, as invited
+   participants, not as solo mandatory flushes. *)
 let test_crash_matrix_grouped_forced () =
   (* Horizon 12 reaches rounds where the strict tenant flushes alongside
-     an invited participant; without the co-flush record the matrix fails
-     there. *)
+     an invited participant. *)
   List.iter
     (fun horizon ->
       let cfgs =
@@ -1324,10 +1426,14 @@ let () =
             test_crash_recover_early;
           Alcotest.test_case "crash late + recover" `Quick
             test_crash_recover_late;
+          Alcotest.test_case "crash after promotion + recover" `Quick
+            test_crash_recover_promoted;
           Alcotest.test_case "finished dir replays in full" `Quick
             test_recovered_wal_replays_full_history;
           Alcotest.test_case "damaged or retired state refused" `Quick
             test_recover_refuses_damage;
+          Alcotest.test_case "record past the horizon refused" `Quick
+            test_record_past_horizon_refused;
           Alcotest.test_case "create refuses an existing root" `Quick
             test_create_refuses_existing_root;
         ] );
