@@ -55,11 +55,6 @@ let add_payload buf = function
       Buffer.add_char buf '\t';
       add_bits buf cost
 
-let payload r =
-  let buf = Buffer.create 64 in
-  add_payload buf r;
-  Buffer.contents buf
-
 (* Payload equality without the payloads: a value float compares as its
    "%h" text (equal bits, or NaNs of one sign), a cost by its bits. *)
 let value_equal (a : Relation.Value.t) (b : Relation.Value.t) =
@@ -202,11 +197,6 @@ let add_line buf tagged =
   Buffer.add_char buf '\t';
   Buffer.add_buffer buf body;
   Buffer.add_char buf '\n'
-
-let to_tagged_line tagged =
-  let buf = Buffer.create 64 in
-  add_line buf tagged;
-  Buffer.sub buf 0 (Buffer.length buf - 1)
 
 let of_tagged_line line =
   match checked_body line with

@@ -23,14 +23,12 @@ val crc32_sub : string -> pos:int -> len:int -> int32
 (** CRC-32 of the [len] bytes at [pos]; [Invalid_argument] if they are
     not all inside the string.  Allocates nothing per byte. *)
 
-val payload : t -> string
-(** The record's encoding, untagged and without a CRC: two records with
-    equal payloads are the same log record, bit for bit. *)
-
 val equal : t -> t -> bool
-(** [equal a b = (payload a = payload b)], without encoding either: a
-    value float compares as its [%h] text does (equal bits, or NaNs of
-    one sign; [0.] differs from [-0.]), a cost by its bits. *)
+(** The two records encode to the same payload (the line after its tag),
+    so they are the same log record, bit for bit; decided without
+    encoding either: a value float compares as its [%h] text does (equal
+    bits, or NaNs of one sign; [0.] differs from [-0.]), a cost by its
+    bits. *)
 
 (** {1 Shared group-log lines} *)
 
@@ -52,11 +50,8 @@ val add_line : Buffer.t -> tagged -> unit
     tenant or to the service.  Domain-safe; builds no string but a
     float value's [%h] text. *)
 
-val to_tagged_line : tagged -> string
-(** {!add_line}'s bytes as a string, without the trailing newline. *)
-
 val of_tagged_line : string -> (tagged, string) result
-(** Decode a {!to_tagged_line} line: [Error] on a CRC mismatch,
+(** Decode an {!add_line} line, without its newline: [Error] on a CRC mismatch,
     malformed framing, or an undecodable payload — any of which recovery
     treats as damage.  Rejects tenant tags that are not
     valid tenant names, and co-flush records with a negative round or

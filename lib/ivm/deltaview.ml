@@ -145,14 +145,17 @@ let merge comp key sub count =
   end
   else Thash.replace inner sub updated
 
-(* Recompute one component's content from the current base tables: the
+(* Every subtuple of one component over the current base tables: the
    component's sub-join from scratch ({!Viewdef.scoped_plan}), whose rows
    are exactly subtuples. *)
+let iter_subtuples t comp f =
+  Relation.Ra.iter_batches (Viewdef.scoped_plan t.view comp.members)
+    (Relation.Batch.iter_tuples f)
+
+(* Recompute one component's content from the current base tables. *)
 let rebuild_comp t comp =
   Thash.reset comp.rows;
-  Relation.Ra.iter_batches (Viewdef.scoped_plan t.view comp.members)
-    (Relation.Batch.iter_tuples (fun sub ->
-         merge comp (key_of_sub comp sub) sub 1))
+  iter_subtuples t comp (fun sub -> merge comp (key_of_sub comp sub) sub 1)
 
 let create ~meter view =
   let n = Viewdef.n_tables view in
@@ -281,36 +284,38 @@ let entries t =
     0 t.owners
 
 (* Compare every maintained component against a from-scratch recompute of
-   the same sub-join over the current base tables. *)
+   the same sub-join over the current base tables.  The recompute is one
+   flat [subtuple -> count] table: a subtuple determines its anchor key,
+   so every maintained [(key, sub, c)] having [fresh[sub] = c] under
+   [key = key_of_sub sub], with as many maintained entries as fresh ones,
+   is the two-way nested comparison.  A maintained key never holds an
+   empty inner table ([merge] drops it). *)
 let check t =
   let errors = ref [] in
   Array.iteri
     (fun owner po ->
       Array.iteri
         (fun ci comp ->
-          let fresh =
-            {
-              comp with
-              rows = Thash.create (max 16 (Thash.length comp.rows));
-            }
+          let maintained =
+            Thash.fold (fun _ inner acc -> acc + Thash.length inner) comp.rows 0
           in
-          rebuild_comp t fresh;
-          let mismatch = ref false in
-          let probe a b =
-            Thash.iter
-              (fun key inner ->
-                match Thash.find_opt b key with
-                | None -> mismatch := true
-                | Some other ->
-                    Thash.iter
-                      (fun sub c ->
-                        if Thash.find_opt other sub <> Some c then
-                          mismatch := true)
-                      inner)
-              a
-          in
-          probe comp.rows fresh.rows;
-          probe fresh.rows comp.rows;
+          let fresh = Thash.create (max 16 maintained) in
+          iter_subtuples t comp (fun sub ->
+              match Thash.find_opt fresh sub with
+              | Some c -> Thash.replace fresh sub (c + 1)
+              | None -> Thash.add fresh sub 1);
+          let mismatch = ref (maintained <> Thash.length fresh) in
+          Thash.iter
+            (fun key inner ->
+              if Thash.length inner = 0 then mismatch := true;
+              Thash.iter
+                (fun sub c ->
+                  if
+                    Thash.find_opt fresh sub <> Some c
+                    || not (Relation.Tuple.equal key (key_of_sub comp sub))
+                  then mismatch := true)
+                inner)
+            comp.rows;
           if !mismatch then
             errors :=
               Printf.sprintf

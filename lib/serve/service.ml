@@ -48,13 +48,21 @@ type outcome = {
   queued_peak : int;
 }
 
+type roster = {
+  admitted : (string * int) list;
+  queued : string list;
+  queued_peak : int;
+  rejected : int;
+}
+
 type t = {
   root : string;
   config : config;
   pool : Parallel.Pool.t option;
   group : Durable.Groupwal.t;  (* the shared log every tenant commits to *)
   mutable active : Tenant.t list;  (* registration order *)
-  mutable waiting : Tenant.config list;  (* FIFO, creation deferred *)
+  mutable waiting : (string * Tenant.build) list;
+      (* FIFO, creation deferred; each manifest already written *)
   mutable completed : (Tenant.t * bool) list;  (* newest first *)
   mutable known : string list;
   mutable starts : (string * int) list;  (* admission round per tenant *)
@@ -75,11 +83,12 @@ let ( let* ) = Result.bind
 (* --- service manifest ----------------------------------------------------- *)
 
 (* The root manifest pins everything recovery needs to continue the run
-   identically: the scheduler's coordination parameters and the admitted
+   identically: the scheduler's coordination parameters, the admitted
    tenants in registration order (coordination iterates tenants in that
    order, so the order is part of the deterministic state), each with the
    round it was admitted at — a tenant's local step [k] always executes
-   at global round [start + k], which recovery re-establishes. *)
+   at global round [start + k], which recovery re-establishes — and the
+   waiting queue, which recovery promotes as the live run would. *)
 let service_params t =
   [
     ("kind", "serve");
@@ -103,6 +112,9 @@ let service_params t =
         (List.map
            (fun (name, start) -> Printf.sprintf "%s:%d" name start)
            t.starts) );
+    ("queued", String.concat ";" (List.map fst t.waiting));
+    ("queued_peak", string_of_int t.queued_peak);
+    ("rejected", string_of_int t.rejected);
   ]
 
 let save_manifest t =
@@ -166,35 +178,47 @@ let config_of_params params =
     | None -> Ok max_int
     | Some v -> Durable.Manifest.parse "max_delta_entries" int_of_string_opt v
   in
-  let* tenants =
-    Result.bind (find "tenants") (fun v ->
-        let entries =
-          List.filter (fun s -> s <> "") (String.split_on_char ';' v)
-        in
-        (* Each name is a directory under the root, and one tenant:
-           refuse a name that could leave the root, and a repeat. *)
-        List.fold_left
-          (fun acc entry ->
-            let* acc = acc in
-            let* name, start =
-              match String.index_opt entry ':' with
-              | None -> Ok (entry, 0)
-              | Some i -> (
-                  match
-                    int_of_string_opt
-                      (String.sub entry (i + 1) (String.length entry - i - 1))
-                  with
-                  | Some s when s >= 0 -> Ok (String.sub entry 0 i, s)
-                  | _ -> Error (Printf.sprintf "bad tenant entry %S" entry))
-            in
-            if not (Durable.Fsutil.valid_tenant_name name) then
-              Error (Printf.sprintf "bad tenant name in entry %S" entry)
-            else if List.mem_assoc name acc then
-              Error (Printf.sprintf "tenant %S listed twice" name)
-            else Ok ((name, start) :: acc))
-          (Ok []) entries
-        |> Result.map List.rev)
+  (* Each name is a directory under the root, and one tenant: refuse a
+     name that could leave the root, and a repeat in either list. *)
+  let entries ~seen v =
+    List.filter (fun s -> s <> "") (String.split_on_char ';' v)
+    |> List.fold_left
+         (fun acc entry ->
+           let* acc = acc in
+           let* name, start =
+             match String.index_opt entry ':' with
+             | None -> Ok (entry, 0)
+             | Some i -> (
+                 match
+                   int_of_string_opt
+                     (String.sub entry (i + 1) (String.length entry - i - 1))
+                 with
+                 | Some s when s >= 0 -> Ok (String.sub entry 0 i, s)
+                 | _ -> Error (Printf.sprintf "bad tenant entry %S" entry))
+           in
+           if not (Durable.Fsutil.valid_tenant_name name) then
+             Error (Printf.sprintf "bad tenant name in entry %S" entry)
+           else if List.mem_assoc name acc || List.mem_assoc name seen then
+             Error (Printf.sprintf "tenant %S listed twice" name)
+           else Ok ((name, start) :: acc))
+         (Ok [])
+    |> Result.map List.rev
   in
+  let* admitted = Result.bind (find "tenants") (entries ~seen:[]) in
+  (* Roots written before the queue was recorded have neither entry:
+     nothing queued, as before. *)
+  let* queued =
+    match List.assoc_opt "queued" params with
+    | None -> Ok []
+    | Some v -> Result.map (List.map fst) (entries ~seen:admitted v)
+  in
+  let count key =
+    match List.assoc_opt key params with
+    | None -> Ok 0
+    | Some v -> Durable.Manifest.parse key int_of_string_opt v
+  in
+  let* queued_peak = count "queued_peak" in
+  let* rejected = count "rejected" in
   Ok
     ( {
         admission = { Admission.max_active; max_queued; max_delta_entries };
@@ -206,7 +230,7 @@ let config_of_params params =
         scheduler;
         hook = Durable.Hook.none;
       },
-      tenants )
+      { admitted; queued; queued_peak; rejected } )
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
@@ -265,13 +289,14 @@ let create ?pool ~root config =
   t
 
 (* Phase C touches one tenant's private state each (its engine, log
-   handle, controller, monitor), and so does a tenant's build, so
-   fanning them out over the pool is bit-identical to the sequential
-   order.  Each pooled task catches its own exception and the first one
-   in array order is re-raised, so which failure surfaces does not
-   depend on the domain count.  Phase A is as private but too light to
-   pay for a dispatch (DESIGN.md §10), and phase B (coordination and
-   accounting) is cross-tenant: both run in sequence. *)
+   handle, controller, monitor), and so do a tenant's build and a
+   finishing tenant's check, so fanning them out over the pool is
+   bit-identical to the sequential order.  Each pooled task catches its
+   own exception and the first one in array order is re-raised, so
+   which failure surfaces does not depend on the domain count.  Phase A
+   is as private but too light to pay for a dispatch (DESIGN.md §10),
+   and phase B (coordination and accounting) is cross-tenant: both run
+   in sequence. *)
 let pmap t f arr =
   match t.pool with
   | Some p when Parallel.Pool.domains p > 1 && Array.length arr > 1 ->
@@ -289,18 +314,23 @@ let construct t builds =
   Array.to_list (pmap t Tenant.engine (Array.of_list builds))
   |> List.map (Tenant.assemble ~group:t.group)
 
-(* Build a registered tenant into a slot.  Its manifest is written
-   before the build starts. *)
-let admit t cfg =
+(* Validate a registered tenant and write its manifest, before it is
+   built or queued: a queued tenant's manifest is what lets recovery
+   promote it. *)
+let enter t cfg =
   let* b = Tenant.prepare cfg in
   let* () = Tenant.save_manifest ~root:t.root cfg in
+  t.known <- cfg.Tenant.name :: t.known;
+  Ok b
+
+(* Build an entered tenant into a slot.  The caller saves the service
+   manifest. *)
+let activate t b =
   List.iter
     (fun tenant ->
       t.active <- t.active @ [ tenant ];
-      t.starts <- t.starts @ [ (cfg.Tenant.name, t.rounds) ];
-      save_manifest t)
-    (construct t [ b ]);
-  Ok ()
+      t.starts <- t.starts @ [ (Tenant.name tenant, t.rounds) ])
+    (construct t [ b ])
 
 let delta_entries_in_use t =
   List.fold_left (fun acc tenant -> acc + Tenant.delta_entries tenant) 0
@@ -314,42 +344,49 @@ let register t cfg =
   in
   match decision with
   | Admission.Admit ->
-      Result.map
-        (fun () ->
-          t.known <- cfg.Tenant.name :: t.known;
-          Admission.Admit)
-        (admit t cfg)
+      let* b = enter t cfg in
+      activate t b;
+      save_manifest t;
+      Ok Admission.Admit
   | Admission.Queue ->
-      t.waiting <- t.waiting @ [ cfg ];
-      t.known <- cfg.Tenant.name :: t.known;
+      let* b = enter t cfg in
+      t.waiting <- t.waiting @ [ (cfg.Tenant.name, b) ];
       t.queued_peak <- max t.queued_peak (List.length t.waiting);
+      save_manifest t;
       Ok Admission.Queue
   | Admission.Reject _ as r ->
       t.rejected <- t.rejected + 1;
+      save_manifest t;
       Ok r
 
-let rec promote_waiting t =
-  match t.waiting with
-  | cfg :: rest
-    when List.length t.active < t.config.admission.Admission.max_active
-         && delta_entries_in_use t
-            < t.config.admission.Admission.max_delta_entries ->
-      t.waiting <- rest;
-      (match admit t cfg with
-      | Ok () -> ()
-      | Error _ ->
-          t.rejected <- t.rejected + 1;
-          Telemetry.incr "serve.promote_failures");
-      promote_waiting t
-  | _ -> ()
+(* Promote from the queue head while a slot and delta-view budget are
+   free, one build at a time (each promoted tenant's delta views count
+   against the budget of the next), then save the service manifest
+   once: a death while building leaves it listing every tenant of the
+   sweep as queued, and recovery's sweep of the same round promotes
+   them all again. *)
+let promote_waiting t =
+  let rec go promoted =
+    match t.waiting with
+    | (_, b) :: rest
+      when List.length t.active < t.config.admission.Admission.max_active
+           && delta_entries_in_use t
+              < t.config.admission.Admission.max_delta_entries ->
+        t.waiting <- rest;
+        activate t b;
+        go true
+    | _ -> if promoted then save_manifest t
+  in
+  go false
 
+(* The finishing tenants' checks run as one pool batch (DESIGN.md
+   §10); [completed] keeps the sequential order. *)
 let sweep_completed t =
   let done_, still = List.partition Tenant.finished t.active in
   t.active <- still;
-  List.iter
-    (fun tenant ->
-      let consistent = Tenant.finish tenant in
-      t.completed <- (tenant, consistent) :: t.completed)
+  let consistent = pmap t Tenant.finish (Array.of_list done_) in
+  List.iteri
+    (fun i tenant -> t.completed <- (tenant, consistent.(i)) :: t.completed)
     done_;
   if done_ <> [] then promote_waiting t
 
@@ -570,7 +607,8 @@ let recover ?pool ~root () =
     | Error e -> Error (Printf.sprintf "%s: manifest: %s" root e)
   in
   let params = manifest.Durable.Manifest.params in
-  let* config, starts = config_of_params params in
+  let* config, roster = config_of_params params in
+  let starts = roster.admitted in
   let names = List.map fst starts in
   (* Open the shared log once: the scan that repairs its tail also
      demuxes it into per-tenant record slices and the service's co-flush
@@ -646,11 +684,13 @@ let recover ?pool ~root () =
         let* b = load name in
         Result.map (List.cons b) (load_all rest)
   in
-  match load_all names with
-  | Error e -> fail e
-  | Ok builds -> (
+  match (load_all names, load_all roster.queued) with
+  | Error e, _ | _, Error e -> fail e
+  | Ok builds, Ok queued -> (
       let t = make ?pool ~root ~config ~group ~starts ~journal () in
-      t.known <- List.rev names;
+      t.known <- names @ roster.queued;
+      t.queued_peak <- roster.queued_peak;
+      t.rejected <- roster.rejected;
       (* Every tenant is built in one pool batch and holds its slice of
          the log.  Then the live rounds re-run, each tenant activated at
          the top of its admission round as promotion activated it, until
@@ -664,11 +704,21 @@ let recover ?pool ~root () =
                (List.assoc_opt (Tenant.name tenant)
                   contents.Durable.Groupwal.tenants)))
         tenants;
-      let rec replay waiting =
+      let rec replay waiting queued =
         let due, waiting =
           List.partition (fun (start, _) -> start <= t.rounds) waiting
         in
         t.active <- t.active @ List.map snd due;
+        (* The queue the crash left rejoins once the last tenant promoted
+           before the crash has started: from then on the live run's
+           queue was this one, and its sweeps promote from it. *)
+        let queued =
+          if waiting = [] then begin
+            t.waiting <- t.waiting @ queued;
+            []
+          end
+          else queued
+        in
         if
           waiting <> []
           || List.exists Tenant.holding t.active
@@ -676,10 +726,14 @@ let recover ?pool ~root () =
         then begin
           run_round t;
           sweep_completed t;
-          replay waiting
+          replay waiting queued
         end
       in
-      match replay (List.combine (List.map snd starts) tenants) with
+      match
+        replay
+          (List.combine (List.map snd starts) tenants)
+          (List.combine roster.queued queued)
+      with
       | exception Durable.Journal.Diverged e -> fail e
       | () -> (
           (* A record left lies past every tenant's last round. *)

@@ -27,18 +27,21 @@
       per-tenant state only, so the fan-out is bit-identical to
       sequential execution.
 
-    Completed tenants are consistency-checked, detached from the log,
-    and queued tenants promoted into the freed slots.
+    Completed tenants are consistency-checked (one pool batch: each
+    check reads its own tenant's engine), detached from the log, and
+    queued tenants promoted into the freed slots.
 
     The root directory holds a service manifest (coordination
-    parameters + admitted tenants in registration order), one manifest
-    directory per tenant, and the shared log [root/groupwal], which
+    parameters, admitted tenants in registration order, the waiting
+    queue), one manifest directory per registered tenant, queued ones
+    included, and the shared log [root/groupwal], which
     multiplexes every tenant's records ({!Durable.Groupwal}): a round
     costs one fsync total (the window close), not one per tenant.
     {!recover} rebuilds the whole service from those files alone, by
     running its rounds again.  The
-    service manifest is rewritten only at {!create}, at admission and
-    at queue promotion — never inside a round. *)
+    service manifest is rewritten only at {!create}, at each
+    registration (admitted, queued or refused) and once per sweep that
+    promotes from the queue — never inside a round. *)
 
 type wal_mode = Grouped
 (** The shared group-commit log, the only layout.  Kept as a config
@@ -111,7 +114,8 @@ type t
 val create : ?pool:Parallel.Pool.t -> root:string -> config -> t
 (** Fresh service over [root] (created if missing); writes the service
     manifest and opens the shared log.  [pool] fans out phase C of every
-    round and tenant construction: the tenants being
+    round, the consistency checks of the tenants finishing in a round,
+    and tenant construction: the tenants being
     built ({!Tenant.engine}, one task per tenant) run as one batch at
     registration and at queue promotion.  Without a pool, or at one
     domain, everything runs in sequence, and the outcome is
@@ -125,9 +129,11 @@ val create : ?pool:Parallel.Pool.t -> root:string -> config -> t
 val register : t -> Tenant.config -> (Admission.decision, string) result
 (** Apply admission: [Admit] builds the tenant now (manifest under
     [root/tenants/<name>] written first, then the engine, calibrated on
-    a copy of itself, then a handle on the shared log), [Queue] defers
-    creation until a slot frees, [Reject] counts against the outcome.  [Error] only when an admitted
-    tenant fails to build. *)
+    a copy of itself, then a handle on the shared log), [Queue] writes
+    the manifest and the service manifest's queue entry and defers the
+    build until a slot frees, [Reject] counts against the outcome.
+    [Error], with nothing queued or built, when an admitted or queued
+    tenant's config is invalid or its manifest cannot be written. *)
 
 val run : t -> outcome
 (** Drive rounds until every registered tenant (including queued ones)
@@ -136,25 +142,29 @@ val run : t -> outcome
     process dying) and the exception propagates. *)
 
 val recover : ?pool:Parallel.Pool.t -> root:string -> unit -> (t, string) result
-(** Rebuild the service from the root manifest, every admitted tenant's
-    manifest, and the shared log, opened once (its tail repaired) and
+(** Rebuild the service from the root manifest, every registered
+    tenant's manifest, and the shared log, opened once (its tail repaired) and
     demuxed by that one scan into each tenant's records and the co-flush
-    records.  The tenant manifests are loaded in registration order;
-    then [pool] builds every tenant ({!Tenant.engine}) as one batch, and
-    each tenant {!Tenant.hold}s its records.  Recovery then runs the
-    live rounds ({!run}'s round and sweep), activating each tenant at
-    the top of its manifest admission round in registration order, until
-    every tenant's records and every co-flush record are used up and
-    every tenant has started.  Every step re-draws its arrivals, phase B
+    records.  The tenant manifests are loaded in registration order,
+    then the queued tenants' in queue order; [pool] builds every
+    admitted tenant ({!Tenant.engine}) as one batch, and each
+    {!Tenant.hold}s its records.  Recovery then runs the live rounds
+    ({!run}'s round and sweep), activating each tenant at the top of its
+    manifest admission round in registration order, until every tenant's
+    records and every co-flush record are used up and every tenant has
+    started.  The queued tenants rejoin the queue once the last admitted
+    one has started, and the sweeps promote them at the rounds the live
+    run would.  Every step re-draws its arrivals, phase B
     re-derives every flush decision from the tenants' controllers, and
     each record a step makes is matched against the next held one; the
     round in which the records end is completed by the live code, which
     appends what the crash lost.  A co-flush record is a check: the
     re-run round's decision must equal it.  The returned service stands
     at the next round, and the finished run's outcome — per-tenant
-    costs, aggregates, discounts, co-flush counts, rounds and idle
-    rounds — is bit-identical to the uninterrupted run's at any domain
-    count, after a crash at any commit boundary or window close.
+    costs, aggregates, discounts, co-flush counts, rounds, idle rounds,
+    queue peak and refusals — is bit-identical to the uninterrupted
+    run's at any domain count, after a crash at any commit boundary or
+    window close, or while a sweep builds the tenants it promotes.
 
     [Error] — never an exception, and the log abandoned — on an
     unreadable or corrupt manifest (the first in registration order,
@@ -186,9 +196,23 @@ val window_closes : t -> int
 val forced_closes : t -> int
 (** The subset of {!window_closes} forced by per-tenant sync policies. *)
 
+type roster = {
+  admitted : (string * int) list;
+      (** registration order, each with its admission round *)
+  queued : string list;
+      (** the waiting queue, first to be promoted first; empty in roots
+          written before the queue was recorded *)
+  queued_peak : int;
+  rejected : int;
+      (** [queued_peak] and [rejected] are 0 in roots written before
+          they were recorded *)
+}
+(** Who a service manifest lists, and the admission counts a recovered
+    outcome restores. *)
+
 val config_of_params :
-  (string * string) list -> (config * (string * int) list, string) result
-(** The service-manifest decoding: configuration plus admitted tenants
-    in registration order, each with its admission round.  [Error] on a
-    non-finite or negative discount, a non-finite shed budget, and on
-    the retired layouts {!recover} refuses. *)
+  (string * string) list -> (config * roster, string) result
+(** The service-manifest decoding: configuration plus its tenants.
+    [Error] on a non-finite or negative discount, a non-finite shed
+    budget, a tenant listed twice (in either list), and on the retired
+    layouts {!recover} refuses. *)

@@ -186,7 +186,9 @@ val close_step : t -> unit
 val finish : t -> bool
 (** Final consistency check (incremental content vs from-scratch
     recompute), then detach from the shared log (the window belongs to
-    the service).  [true] iff consistent. *)
+    the service).  [true] iff consistent.  Touches only this tenant's
+    engine and log handle, so finishes of different tenants may run at
+    once on different domains. *)
 
 val abandon : t -> unit
 (** Simulated-crash shutdown: detach from the shared log, whose open

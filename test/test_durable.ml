@@ -47,7 +47,7 @@ let test_record_roundtrip () =
   List.iter
     (fun r ->
       let tagged = Durable.Record.Tenant ("t0", r) in
-      match Durable.Record.of_tagged_line (Durable.Record.to_tagged_line tagged) with
+      match Durable.Record.of_tagged_line (Wal_line.line tagged) with
       | Ok tagged' -> checkb "record survives its line" true (tagged = tagged')
       | Error e -> Alcotest.failf "roundtrip failed: %s" e)
     [
@@ -59,7 +59,7 @@ let test_record_roundtrip () =
 
 let test_record_crc_rejects_flips () =
   let line =
-    Durable.Record.to_tagged_line
+    Wal_line.line
       (Durable.Record.Tenant
          ("t0", Durable.Record.Applied { time = 3; table = 0; count = 5; cost = 12.25 }))
   in
@@ -162,8 +162,7 @@ let prop_line_matches_oracle =
        ~print:(fun t -> String.escaped (Record_oracle.to_tagged_line t))
        gen_tagged)
     (fun tagged ->
-      add_line_bytes tagged = Record_oracle.to_tagged_line tagged ^ "\n"
-      && Durable.Record.to_tagged_line tagged = Record_oracle.to_tagged_line tagged)
+      add_line_bytes tagged = Record_oracle.to_tagged_line tagged ^ "\n")
 
 (* A record and a near miss: the same record rebuilt, or one field moved
    by the least the encoding can still see (a sign bit, an ulp, another
@@ -239,7 +238,7 @@ let prop_equal_is_payload_equality =
          ^ String.escaped (Record_oracle.payload b))
        gen_pair)
     (fun (a, b) ->
-      Durable.Record.equal a b = (Durable.Record.payload a = Durable.Record.payload b))
+      Durable.Record.equal a b = (Wal_line.payload a = Wal_line.payload b))
 
 (* Every pair of edge floats, as a value and as a cost: NaNs of one sign
    encode alike as values but not as costs, and [0.] is not [-0.]. *)
@@ -257,10 +256,10 @@ let test_equal_on_float_edges () =
               let a = make x and b = make y in
               if
                 Durable.Record.equal a b
-                <> (Durable.Record.payload a = Durable.Record.payload b)
+                <> (Wal_line.payload a = Wal_line.payload b)
               then
                 Alcotest.failf "equal disagrees with the payloads %S and %S"
-                  (Durable.Record.payload a) (Durable.Record.payload b))
+                  (Wal_line.payload a) (Wal_line.payload b))
             [ arrival; applied ])
         edge_floats)
     edge_floats
@@ -1536,9 +1535,9 @@ let test_foreign_records_refused () =
     rmtree dir
   in
   with_line "a foreign tenant's record" ~sub:"\"t9\"" (fun _ r ->
-      Durable.Record.to_tagged_line (Durable.Record.Tenant ("t9", r)));
+      Wal_line.line (Durable.Record.Tenant ("t9", r)));
   with_line "a co-flush record" ~sub:"co-flush" (fun _ _ ->
-      Durable.Record.to_tagged_line
+      Wal_line.line
         (Durable.Record.Coflush { round = 0; rows = [ ("t0", [| 1; 1 |]) ] }));
   rmtree pristine
 
@@ -1572,7 +1571,7 @@ let forge pristine ~nth edit =
                   | Durable.Record.Arrival { time; _ }
                   | Durable.Record.Applied { time; _ } ->
                       time);
-              Durable.Record.to_tagged_line (Durable.Record.Tenant (tag, forged))
+              Wal_line.line (Durable.Record.Tenant (tag, forged))
           | Some _ ->
               incr seen;
               line

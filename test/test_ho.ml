@@ -244,6 +244,34 @@ let test_directed_update_moves_join_key () =
         ] );
     ]
 
+(* [Deltaview.check]'s two failure paths, on an HO engine whose base
+   table R is changed behind its back.  A new row leaves every maintained
+   entry matching the recompute and only the entry count short; deleting
+   one copy of a row R holds twice keeps the entry count and changes one
+   entry's multiplicity. *)
+let delta_view_check_after label tamper =
+  let _, ho = directed_twins () in
+  let dup = Tuple.make [ vi 0; vi 0 ] in
+  Ivm.Maintainer.on_arrive ho 0 (Ivm.Change.Insert dup);
+  ignore (Ivm.Maintainer.process ho 0 1);
+  let dv = Option.get (Ivm.Maintainer.delta_view ho) in
+  checkb (label ^ ": consistent before") true (Ivm.Deltaview.check dv = Ok ());
+  tamper (Ivm.Viewdef.tables (Ivm.Maintainer.view ho)).(0) dup;
+  (* R is only in S's delta view, as its one component. *)
+  Alcotest.check
+    Alcotest.(result unit string)
+    (label ^ ": refused")
+    (Error "delta view d(d)/d(s): component 0 diverged from recompute")
+    (Ivm.Deltaview.check dv)
+
+let test_check_sees_inserted_row () =
+  delta_view_check_after "inserted" (fun r _ ->
+      ignore (Table.insert r (Tuple.make [ vi 99; vi 1 ])))
+
+let test_check_sees_deleted_row () =
+  delta_view_check_after "deleted" (fun r dup ->
+      checkb "one copy deleted" true (Table.delete_tuple r dup))
+
 let test_directed_min_supplycost_view () =
   (* The paper's four-table MIN view at tiny scale: delta views here span
      multi-table components (e.g. Supplier's owner view joins PartSupp
@@ -565,6 +593,10 @@ let () =
           Alcotest.test_case "HO >= 2x on dR, flatter dS slope" `Quick
             test_ho_cost_curves;
           Alcotest.test_case "order plumbing" `Quick test_order_accessors;
+          Alcotest.test_case "delta-view check sees an inserted row" `Quick
+            test_check_sees_inserted_row;
+          Alcotest.test_case "delta-view check sees a deleted row" `Quick
+            test_check_sees_deleted_row;
         ] );
       ( "copy",
         [

@@ -112,7 +112,9 @@ let check_outcomes_equal what (a : Serve.Service.outcome)
     (bits a.aggregate_charged = bits b.aggregate_charged);
   checkb (what ^ ": aggregate undiscounted bits") true
     (bits a.aggregate_undiscounted = bits b.aggregate_undiscounted);
-  checki (what ^ ": co-flushes") a.co_flushes b.co_flushes
+  checki (what ^ ": co-flushes") a.co_flushes b.co_flushes;
+  checki (what ^ ": queue peak") a.queued_peak b.queued_peak;
+  checki (what ^ ": refusals") a.rejected b.rejected
 
 let all_consistent (o : Serve.Service.outcome) =
   List.for_all
@@ -124,6 +126,16 @@ let kill_at round point =
   | Durable.Hook.Step_start r when r = round ->
       raise (Durable.Hook.Crash (Printf.sprintf "round %d" round))
   | _ -> ()
+
+(* Kill at the first window close of [round], before its sweep. *)
+let kill_at_close round =
+  let current = ref (-1) in
+  fun point ->
+    match point with
+    | Durable.Hook.Step_start r -> current := r
+    | Durable.Hook.Window_closed _ when !current = round ->
+        raise (Durable.Hook.Crash (Printf.sprintf "close of round %d" round))
+    | _ -> ()
 
 (* --- admission ------------------------------------------------------------ *)
 
@@ -195,8 +207,18 @@ let test_admission_memory_budget () =
 
 (* --- pool-parallel vs sequential ------------------------------------------ *)
 
+(* A mixed first-/higher-order fleet, all admitted at round 0 with one
+   horizon, so every tenant finishes in the same round and the pooled
+   run checks them all in one batch. *)
 let test_parallel_bit_identical () =
-  let cfgs = fleet 4 in
+  let cfgs =
+    List.init 4 (fun i ->
+        tenant_cfg ~seed:(42 + (10 * i))
+          ~order:
+            (if i mod 2 = 0 then Ivm.Viewdef.First_order
+             else Ivm.Viewdef.Higher_order)
+          (Printf.sprintf "t%d" i))
+  in
   let seq_root = scratch () and par_root = scratch () in
   Fun.protect
     ~finally:(fun () ->
@@ -208,7 +230,13 @@ let test_parallel_bit_identical () =
         Parallel.Pool.with_pool ~domains:4 (fun pool ->
             run_service ~pool ~root:par_root (service_cfg ()) cfgs)
       in
+      checki "every tenant finishes in the last round" (15 + 1)
+        seq.Serve.Service.rounds;
       checkb "sequential run consistent" true (all_consistent seq);
+      checkb "pooled run consistent" true (all_consistent par);
+      checkb "tenants in registration order" true
+        (List.map (fun o -> o.Serve.Service.tenant) par.Serve.Service.tenants
+        = List.map (fun c -> c.Serve.Tenant.name) cfgs);
       check_outcomes_equal "par-vs-seq" seq par)
 
 (* The tenant's budget and cost model as its construction used to make
@@ -357,8 +385,11 @@ let test_one_materialization_per_tenant () =
 
 (* --- crash + recovery ----------------------------------------------------- *)
 
-let crash_recover_case ?admission ~kill_round () =
-  let cfgs = fleet 4 in
+let crash_recover_case ?admission ?(queued_at_kill = 0) ?(refused = 0)
+    ?(kill = kill_at) ~kill_round () =
+  let tenants = fleet 4 in
+  (* A repeated name is refused at registration, never queued. *)
+  let cfgs = tenants @ List.init refused (fun _ -> List.hd tenants) in
   let base_root = scratch () in
   Fun.protect
     ~finally:(fun () -> rmtree base_root)
@@ -366,6 +397,7 @@ let crash_recover_case ?admission ~kill_round () =
       let twin = registered ~root:base_root (service_cfg ?admission ()) cfgs in
       let baseline = Serve.Service.run twin in
       checkb "baseline consistent" true (all_consistent baseline);
+      checki "baseline refusals" refused baseline.Serve.Service.rejected;
       (* Same fleet, killed mid-run, then recovered sequentially and with
          a 2-domain pool: both must finish bit-equal to the baseline. *)
       List.iter
@@ -378,7 +410,7 @@ let crash_recover_case ?admission ~kill_round () =
                 try
                   ignore
                     (run_service ~root:crash_root
-                       (service_cfg ?admission ~hook:(kill_at kill_round) ())
+                       (service_cfg ?admission ~hook:(kill kill_round) ())
                        cfgs);
                   false
                 with Durable.Hook.Crash _ -> true
@@ -389,9 +421,12 @@ let crash_recover_case ?admission ~kill_round () =
                   match
                     Serve.Service.config_of_params m.Durable.Manifest.params
                   with
-                  | Ok (_, starts) ->
-                      checki "every tenant admitted before the kill"
-                        (List.length cfgs) (List.length starts)
+                  | Ok (_, roster) ->
+                      checki "tenants admitted before the kill"
+                        (List.length tenants - queued_at_kill)
+                        (List.length roster.Serve.Service.admitted);
+                      checki "tenants queued at the kill" queued_at_kill
+                        (List.length roster.Serve.Service.queued)
                   | Error e -> Alcotest.failf "crashed manifest: %s" e)
               | _ -> Alcotest.fail "crashed root: no service manifest");
               let recover pool =
@@ -435,6 +470,28 @@ let test_crash_recover_promoted () =
         max_delta_entries = max_int;
       }
     ~kill_round:20 ()
+
+(* The same fleet, killed at round 8 while two tenants still wait in the
+   queue: recovery must promote them at the rounds the live run did.
+   With one slot, killed at round 20, t1 was promoted at round 16 and t2
+   and t3 still wait: the queue must not rejoin before t1 has started,
+   or t2 takes t1's slot.  Killed at the window close of round 15, after
+   t0 and t1 finish but before the sweep promotes t2 and t3 (the files a
+   death while building them leave too): recovery's sweep of round 15
+   must promote both.  A repeated t0 is refused at registration, and the
+   recovered outcome must count that refusal. *)
+let test_crash_recover_still_queued () =
+  List.iter
+    (fun (max_active, kill, kill_round) ->
+      crash_recover_case
+        ~admission:
+          {
+            Serve.Admission.max_active;
+            max_queued = 4;
+            max_delta_entries = max_int;
+          }
+        ~queued_at_kill:2 ~refused:1 ~kill ~kill_round ())
+    [ (2, kill_at, 8); (1, kill_at, 20); (2, kill_at_close, 15) ]
 
 let test_recovered_wal_replays_full_history () =
   (* A second recovery of the *finished* directory replays everything
@@ -503,7 +560,7 @@ let test_record_past_horizon_refused () =
                 (Durable.Record.Tenant
                    (("t0" as name), Durable.Record.Arrival a)) ->
                 Some
-                  (Durable.Record.to_tagged_line
+                  (Wal_line.line
                      (Durable.Record.Tenant
                         (name, Durable.Record.Arrival { a with time = 16 })))
             | _ -> None)
@@ -675,7 +732,7 @@ let test_recover_refuses_damage () =
           line
       in
       let with_rows rows =
-        Durable.Record.to_tagged_line
+        Wal_line.line
           (Durable.Record.Coflush { coflush with Durable.Record.rows })
       in
       journal_line_becomes "truncated line" ~cause:"corrupt segment"
@@ -709,7 +766,7 @@ let test_recover_refuses_damage () =
         (with_rows forged_rows);
       journal_line_becomes "decision past the last round"
         ~cause:"co-flush journal of round 1000: past the last round"
-        (Durable.Record.to_tagged_line
+        (Wal_line.line
            (Durable.Record.Coflush { coflush with Durable.Record.round = 1000 }));
       (* The first tenant [Applied] record, re-encoded with a forged
          count or cost: the CRC stays valid, so only replay can refuse
@@ -764,7 +821,7 @@ let test_recover_refuses_damage () =
             (match Durable.Record.of_tagged_line applied_line with
             | Ok (Durable.Record.Tenant (name, Durable.Record.Applied a)) ->
                 let count, cost = edit (a.count, a.cost) in
-                Durable.Record.to_tagged_line
+                Wal_line.line
                   (Durable.Record.Tenant
                      (name, Durable.Record.Applied { a with count; cost }))
             | _ -> Alcotest.fail "not an applied record")
@@ -845,7 +902,7 @@ let test_recover_refuses_damage () =
         ~cause:"differs from the deterministic feed" (name, time) (fun root ->
           rewrite_line root seg ~line
             ~by:
-              (Durable.Record.to_tagged_line
+              (Wal_line.line
                  (Durable.Record.Tenant
                     (name, Durable.Record.Arrival { time; table; change }))));
       let seg = List.nth segments (List.length segments - 1) in
@@ -1348,6 +1405,18 @@ let test_queue_and_promotion () =
       | Ok d ->
           Alcotest.failf "expected reject, got %s" (Serve.Admission.describe d)
       | Error e -> Alcotest.failf "register: %s" e);
+      (* A config that would queue is validated first: nothing is queued
+         and no manifest is written for it. *)
+      (match
+         Serve.Service.register svc
+           (tenant_cfg ~limit_factor:Float.nan ~seed:1 "t9")
+       with
+      | Error _ -> ()
+      | Ok d ->
+          Alcotest.failf "invalid queued config: got %s"
+            (Serve.Admission.describe d));
+      checkb "no manifest for the refused tenant" false
+        (Sys.file_exists (Filename.concat root "tenants/t9"));
       let outcome = Serve.Service.run svc in
       checki "all four completed" 4
         (List.length outcome.Serve.Service.tenants);
@@ -1428,6 +1497,8 @@ let () =
             test_crash_recover_late;
           Alcotest.test_case "crash after promotion + recover" `Quick
             test_crash_recover_promoted;
+          Alcotest.test_case "crash while queued + recover" `Quick
+            test_crash_recover_still_queued;
           Alcotest.test_case "finished dir replays in full" `Quick
             test_recovered_wal_replays_full_history;
           Alcotest.test_case "damaged or retired state refused" `Quick
