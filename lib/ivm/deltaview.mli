@@ -4,9 +4,10 @@
 
     For each base table [i], removing [i] from the (connected) join graph
     splits the remaining tables into connected components; each component's
-    sub-join is materialized as a hash multimap from the values [i] joins
-    against (the anchor-edge columns) to the component's joined subtuples
-    with multiplicity.  Applying a batch of [k] modifications of [i] is
+    sub-join is materialized as a flat slot store of the component's joined
+    subtuples with multiplicity, chained by the values [i] joins against
+    (the anchor key); a slot whose count reaches 0 is dead until revived
+    or compacted away.  Applying a batch of [k] modifications of [i] is
     then one hash probe per (delta tuple, component) plus a cross product
     of the matches — index-like in [k] — instead of a delta join against
     the base tables.  Keeping components separate avoids materializing the
@@ -31,10 +32,10 @@ val create : meter:Relation.Meter.t -> Viewdef.t -> t
     table contents, each component from its {!Viewdef.scoped_plan}. *)
 
 val copy : meter:Relation.Meter.t -> view:Viewdef.t -> t -> t
-(** An independent copy of every component (the outer and the inner
-    hash tables, in the same iteration order), metered on [meter] and
-    reading the base tables of [view] — the original's view over copied
-    tables ({!Viewdef.with_tables}).  Unmetered. *)
+(** An independent copy of every component (array copies, the same slots
+    in the same order), metered on [meter] and reading the base tables of
+    [view] — the original's view over copied tables
+    ({!Viewdef.with_tables}).  Unmetered. *)
 
 val contributions :
   t -> int -> (Relation.Tuple.t * int) list -> (Relation.Tuple.t * int) list
@@ -57,9 +58,12 @@ val update :
     component is the same table set share one expansion. *)
 
 val entries : t -> int
-(** Total materialized subtuple count across all delta views — the memory
-    footprint higher-order maintenance pays for its flat cost curves. *)
+(** Total materialized subtuple count (live slots) across all delta views
+    — the memory footprint higher-order maintenance pays for its flat
+    cost curves. *)
 
 val check : t -> (unit, string) result
 (** Compare every component against a from-scratch recompute over the
-    current base tables ({!Viewdef.scoped_plan}). *)
+    current base tables ({!Viewdef.scoped_plan}).  The error names every
+    diverged component, its owner, the first differing subtuple and its
+    maintained and rebuilt counts. *)

@@ -352,3 +352,15 @@ let process t q k =
     List.iter (apply_to_base (Ivm.Viewdef.tables t.view).(i)) batch
   end;
   Meter.diff (Meter.snapshot t.meter) before
+
+(* The nested-map model the flat slot store of {!Ivm.Deltaview} is held
+   to (test_ho): [i]'s delta-view contributions for a signed batch not
+   yet processed, and the distinct subtuples all delta views hold. *)
+let delta_contributions t i deltas =
+  contributions t.view t.meter (Option.get t.dv).(i) i deltas
+
+let delta_entries t =
+  Array.fold_left
+    (List.fold_left (fun acc comp ->
+         Thash.fold (fun _ inner acc -> acc + Thash.length inner) comp.rows acc))
+    0 (Option.get t.dv)
